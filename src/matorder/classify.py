@@ -24,12 +24,14 @@ from scipy.linalg import sqrtm
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
 from .linalg import (
+    _eigh,
+    _inertia,
+    _is_invertible,
+    _loewner_compare,
+    _rank_cut,
     as_hermitian,
     as_square,
     herm_part,
-    hermitian_eigen,
-    inertia,
-    is_invertible,
     loewner_compare,
     opnorm,
     spectral_apply,
@@ -79,13 +81,22 @@ class BlockMapSpec:
 
 def in_block_domain(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff the leading m x m corner of X has inertia (p, 0, m - p)."""
+    return _in_block_domain(spec, _block_argument(spec, X, tol), tol)
+
+
+def _block_argument(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig) -> np.ndarray:
+    """X validated as Hermitian of the spec's ambient dimension."""
     H = as_hermitian(X, tol, "X")
     if H.shape[0] != spec.n:
         raise MalformedInputError("dimension mismatch")
+    return H
+
+
+def _in_block_domain(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig) -> bool:
     if spec.m == 0:
         return spec.p == 0
     corner = H[: spec.m, : spec.m]
-    return tuple(inertia(corner, tol)) == (spec.p, 0, spec.m - spec.p)
+    return tuple(_inertia(corner, tol)) == (spec.p, 0, spec.m - spec.p)
 
 
 def block_map_apply(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -97,16 +108,14 @@ def block_map_apply(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig = DEFA
     Maps the (m, p) domain onto the (m, m-p) domain; applying the map for
     the flipped count undoes it.
     """
-    H = as_hermitian(X, tol, "X")
-    if H.shape[0] != spec.n:
-        raise MalformedInputError("dimension mismatch")
+    H = _block_argument(spec, X, tol)
     m = spec.m
     if m == 0:
         return H.copy()
-    if not in_block_domain(spec, H, tol):
+    if not _in_block_domain(spec, H, tol):
         raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
     X11 = H[:m, :m]
-    if not is_invertible(X11, tol):
+    if not _is_invertible(X11, tol):
         raise DomainViolationError("corner is numerically singular")
     X12 = H[:m, m:]
     X22 = H[m:, m:]
@@ -177,15 +186,18 @@ class SignatureClass(NamedTuple):
 
 def signature_class(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> SignatureClass:
     """Class invariant of the local order isomorphism with base A."""
-    H = as_hermitian(A, tol, "A")
-    values = hermitian_eigen(H, tol).values
+    return _signature_class(as_hermitian(A, tol, "A"), tol)
+
+
+def _signature_class(H: np.ndarray, tol: ToleranceConfig) -> SignatureClass:
+    values = _eigh(H).values
     if values.size == 0:
         return SignatureClass(0, 0, False)
-    cut = tol.psd_tol * (1.0 + float(np.max(np.abs(values))))
-    p = int(np.sum(values > cut))
-    neg = int(np.sum(values < -cut))
+    cut = _rank_cut(values, tol)
+    p = int(np.count_nonzero(values > cut))
+    neg = int(np.count_nonzero(values < -cut))
     magnitudes = np.abs(values)
-    borderline = bool(np.any((magnitudes > cut / 10.0) & (magnitudes < cut * 10.0)))
+    borderline = bool(((magnitudes > cut / 10.0) & (magnitudes < cut * 10.0)).any())
     return SignatureClass(p + neg, p, borderline)
 
 
@@ -195,7 +207,7 @@ def are_equivalent(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT_TOL)
     b = as_hermitian(B, tol, "B")
     if a.shape != b.shape:
         raise MalformedInputError("dimension mismatch")
-    return signature_class(a, tol)[:2] == signature_class(b, tol)[:2]
+    return _signature_class(a, tol)[:2] == _signature_class(b, tol)[:2]
 
 
 def class_count(n: int) -> int:
@@ -226,17 +238,15 @@ def growth_direction(spec: BlockMapSpec, X: Iterable, positive: bool = True, tol
     eventually changes the corner inertia, which the verification suites
     refute by grid search.
     """
-    H = as_hermitian(X, tol, "X")
-    if H.shape[0] != spec.n:
-        raise MalformedInputError("dimension mismatch")
-    if not in_block_domain(spec, H, tol):
+    H = _block_argument(spec, X, tol)
+    if not _in_block_domain(spec, H, tol):
         raise DomainViolationError("X is outside the block domain")
     n, m = spec.n, spec.m
     D = np.zeros((n, n), dtype=complex)
     D[m:, m:] = np.eye(n - m)
     if m > 0:
-        corner = hermitian_eigen(H[:m, :m], tol)
-        cut = tol.psd_tol * (1.0 + float(np.max(np.abs(corner.values))))
+        corner = _eigh(H[:m, :m])
+        cut = _rank_cut(corner.values, tol)
         keep = corner.values > cut if positive else corner.values < -cut
         V = corner.vectors[:, keep]
         D[:m, :m] = V @ V.conj().T
@@ -247,7 +257,7 @@ def as_effect(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate 0 <= X <= I (psd_tol cushion) and return the Hermitian part."""
     H = as_hermitian(X, tol, "X")
     eye = np.eye(H.shape[0])
-    if not loewner_compare(np.zeros_like(H), H, tol).leq or not loewner_compare(H, eye, tol).leq:
+    if not _loewner_compare(np.zeros_like(H), H, tol).leq or not _loewner_compare(H, eye, tol).leq:
         raise DomainViolationError("X is not an effect (needs 0 <= X <= I)")
     return H
 
@@ -261,7 +271,7 @@ class EffectAutoSpec:
 
     def __post_init__(self) -> None:
         frame = as_square(self.frame, "frame")
-        if not is_invertible(frame):
+        if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be invertible")
         object.__setattr__(self, "frame", frame)
 
@@ -279,7 +289,7 @@ def effect_automorphism(spec: EffectAutoSpec, X: Iterable, tol: ToleranceConfig 
     T = spec.frame
     base = herm_part(T.conj().T @ T - np.eye(spec.dim))
     M = Y @ base + np.eye(spec.dim)
-    if not is_invertible(M, tol):
+    if not _is_invertible(M, tol):
         raise DomainViolationError("effect is outside the map's domain")
     return herm_part(T @ np.linalg.solve(M, Y) @ T.conj().T)
 
@@ -313,7 +323,7 @@ class FpqSpec:
         frame = as_square(self.frame, "frame")
         if opnorm(frame) > 1.0 + 1e-10:
             raise MalformedInputError("frame must be a contraction")
-        if not is_invertible(frame):
+        if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be bijective")
         object.__setattr__(self, "frame", frame)
 
@@ -342,11 +352,11 @@ def rational_effect_automorphism(spec: FpqSpec, X: Iterable, tol: ToleranceConfi
     T = spec.frame
     S = _resolvent_scaling(spec.p, herm_part(T @ T.conj().T))
     root = np.asarray(sqrtm(S), dtype=complex)
-    if not is_invertible(root, tol):
+    if not _is_invertible(root, tol):
         raise DomainViolationError("frame scaling is numerically singular")
     inner = herm_part(T @ Y @ T.conj().T)
     W = herm_part(np.linalg.solve(root, _resolvent_scaling(spec.p, inner)) @ np.linalg.inv(root))
-    if not is_invertible(spec.q * W + (1.0 - spec.q) * np.eye(spec.dim), tol):
+    if not _is_invertible(spec.q * W + (1.0 - spec.q) * np.eye(spec.dim), tol):
         raise DomainViolationError("argument is too close to the final reweighting pole")
     return herm_part(_resolvent_scaling(spec.q, W))
 
@@ -403,10 +413,10 @@ class EffectEmbeddingSpec:
         offset = as_hermitian(self.offset, name="offset")
         if frame.shape != base.shape or base.shape != offset.shape:
             raise MalformedInputError("frame / base / offset dimension mismatch")
-        if not is_invertible(frame):
+        if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be invertible")
         n = base.shape[0]
-        low = float(hermitian_eigen(base).values[0])
+        low = float(_eigh(base).values[0])
         if low <= -1.0 + DEFAULT_TOL.inv_margin:
             raise MalformedInputError("base must be > -I")
         object.__setattr__(self, "frame", frame)
@@ -443,7 +453,7 @@ def effect_embedding_map(spec: EffectEmbeddingSpec, X: Iterable, tol: ToleranceC
         return spec.value_at_zero.copy()
     if spec.value_at_one is not None and float(np.linalg.norm(H - eye)) <= tol.psd_tol:
         return spec.value_at_one.copy()
-    if not is_invertible(H @ spec.base + eye, tol):
+    if not _is_invertible(H @ spec.base + eye, tol):
         raise DomainViolationError("effect is outside the interior formula's domain")
     return spec._interior(H)
 

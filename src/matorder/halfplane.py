@@ -17,11 +17,12 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from .linalg import (
+    _eigh,
+    _invertibility_margin,
     as_hermitian,
     as_square,
     herm_part,
     hermitian_eigen,
-    invertibility_margin,
     opnorm,
     sqrt_psd,
 )
@@ -48,7 +49,10 @@ FIT_RESIDUAL_TOL = 1e-7
 
 def imag_part(Z: Iterable) -> np.ndarray:
     """Hermitian imaginary part (Z - Z*)/(2i)."""
-    M = as_square(Z)
+    return _imag_part(as_square(Z))
+
+
+def _imag_part(M: np.ndarray) -> np.ndarray:
     return herm_part((M - M.conj().T) / 2j)
 
 
@@ -62,7 +66,11 @@ class HalfPlaneMembership(NamedTuple):
 
 def in_half_plane(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> HalfPlaneMembership:
     """Membership with margin = min eigenvalue of the imaginary part."""
-    margin = float(hermitian_eigen(imag_part(Z), tol).values[0])
+    return _in_half_plane(as_square(Z), tol)
+
+
+def _in_half_plane(M: np.ndarray, tol: ToleranceConfig) -> HalfPlaneMembership:
+    margin = float(_eigh(_imag_part(M)).values[0])
     return HalfPlaneMembership(margin > tol.inv_margin, margin)
 
 
@@ -79,7 +87,7 @@ def cayley(Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def inverse_cayley(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Inverse Cayley transform (Z - iI)(Z + iI)^{-1}, defined on the half-plane."""
     M = as_square(Z)
-    if not in_half_plane(M, tol):
+    if not _in_half_plane(M, tol):
         raise DomainViolationError("operand is not in the half-plane")
     eye = np.eye(M.shape[0])
     return np.linalg.solve((M + 1j * eye).T, (M - 1j * eye).T).T
@@ -87,8 +95,11 @@ def inverse_cayley(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
 
 def neg_inverse(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The involution Z -> -Z^{-1}; preserves the half-plane."""
-    M = as_square(Z)
-    if invertibility_margin(M) <= tol.inv_margin:
+    return _neg_inverse(as_square(Z), tol)
+
+
+def _neg_inverse(M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    if _invertibility_margin(M) <= tol.inv_margin:
         raise DomainViolationError("operand is numerically singular")
     return -np.linalg.inv(M)
 
@@ -126,10 +137,10 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
     shifted = M - pole * np.eye(n)
     herm_dev = opnorm(M - M.conj().T)
     if herm_dev <= tol.herm_tol * (1.0 + opnorm(M)):
-        values = hermitian_eigen(herm_part(M), tol).values
+        values = _eigh(herm_part(M)).values
         if np.any(np.abs(values - pole) <= tol.inv_margin):
             raise DomainViolationError("spectrum touches the pole of the map")
-    elif invertibility_margin(shifted) <= tol.inv_margin * (1.0 + opnorm(shifted)):
+    elif _invertibility_margin(shifted) <= tol.inv_margin * (1.0 + opnorm(shifted)):
         raise DomainViolationError("resolvent of the map is numerically singular")
     out = (1.0 / r) * np.eye(n) - ((1.0 - r) / r**2) * np.linalg.inv(shifted)
     if herm_dev <= tol.herm_tol * (1.0 + opnorm(M)):
@@ -154,7 +165,7 @@ class MobiusAutomorphism:
     def __post_init__(self) -> None:
         frame = as_square(self.frame, "frame")
         tol = DEFAULT_TOL
-        if invertibility_margin(frame) <= tol.inv_margin:
+        if _invertibility_margin(frame) <= tol.inv_margin:
             raise MalformedInputError("frame must be invertible")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "A", as_hermitian(self.A, name="A"))
@@ -181,9 +192,9 @@ def apply_mobius(m: MobiusAutomorphism, Z: Iterable, tol: ToleranceConfig = DEFA
         raise MalformedInputError(f"dimension mismatch: point is {M.shape}, map is {m.frame.shape}")
     step = M.T if m.transpose else M
     step = step - m.B
-    step = neg_inverse(step, tol)
+    step = _neg_inverse(step, tol)
     step = step - m.A
-    step = neg_inverse(step, tol)
+    step = _neg_inverse(step, tol)
     step = m.frame @ step @ m.frame.conj().T
     return step + m.C
 
@@ -245,8 +256,8 @@ def fit_canonical(
 
     eye = np.eye(dim, dtype=complex)
     W = as_square(evaluator(1j * eye), "evaluator value")
-    A2 = imag_part(W)
-    if float(hermitian_eigen(A2, tol).values[0]) <= tol.inv_margin:
+    A2 = _imag_part(W)
+    if float(_eigh(A2).values[0]) <= tol.inv_margin:
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
     A1 = herm_part((W + W.conj().T) / 2.0)
     A2h = sqrt_psd(A2, tol)

@@ -4,6 +4,20 @@ Eigendecomposition (numpy engine plus a self-contained cyclic Jacobi),
 inertia, Loewner-order comparison, spectral functional calculus, and
 invertibility margins. All operations are pure functions; arrays passed in
 are never mutated.
+
+Validation happens once, at the public boundary. A public function is a
+validating shell: it coerces each matrix argument with as_square or
+as_hermitian, checks that the dimensions agree, and then calls a private
+trusted kernel (_inertia, _is_invertible, _loewner_compare, ...). A kernel
+takes complex ndarrays that are already square and finite and, where it
+asks for Hermitian input, exactly Hermitian: the output of as_hermitian or
+herm_part, or an expression that keeps exact symmetry (sums, differences
+and real multiples of such arrays, and their leading corner blocks).
+herm_part is exact on such arrays, so a kernel computes bit for bit what
+the public function computes on the same argument, and makes the same
+LAPACK call (eigh, svd, solve, inv) on the same matrix. Library code that
+has validated its arguments calls kernels, never the shells; a kernel does
+not re-check finiteness of intermediates it is handed.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ def as_square(X: Iterable, name: str = "matrix") -> np.ndarray:
     M = np.asarray(X, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise MalformedInputError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise MalformedInputError(f"{name} has non-finite entries")
     return M
 
@@ -159,7 +173,11 @@ def hermitian_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, engine: str
         return jacobi_eigen(X, tol)
     if engine != "numpy":
         raise MalformedInputError(f"unknown eigen engine {engine!r}")
-    H = as_hermitian(X, tol)
+    return _eigh(as_hermitian(X, tol))
+
+
+def _eigh(H: np.ndarray) -> EigenDecomposition:
+    """Kernel of hermitian_eigen (numpy engine) on an exactly Hermitian array."""
     values, vectors = np.linalg.eigh(H)
     return EigenDecomposition(values, vectors)
 
@@ -170,12 +188,22 @@ def inertia(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     Eigenvalues above psd_tol*(1+||X||_2) count positive, below the negated
     cutoff negative, the rest zero.
     """
-    values = hermitian_eigen(X, tol).values
+    return _inertia(as_hermitian(X, tol), tol)
+
+
+def _rank_cut(values: np.ndarray, tol: ToleranceConfig) -> float:
+    """The rank cutoff psd_tol*(1 + max|lambda|) of a spectrum; psd_tol when it is empty."""
+    return tol.psd_tol * (1.0 + float(np.abs(values).max(initial=0.0)))
+
+
+def _inertia(H: np.ndarray, tol: ToleranceConfig) -> Inertia:
+    """Kernel of inertia on an exactly Hermitian array."""
+    values = np.linalg.eigh(H)[0]
     if values.size == 0:
         return Inertia(0, 0, 0)
-    cut = tol.psd_tol * (1.0 + float(np.max(np.abs(values))))
-    n_pos = int(np.sum(values > cut))
-    n_neg = int(np.sum(values < -cut))
+    cut = _rank_cut(values, tol)
+    n_pos = int(np.count_nonzero(values > cut))
+    n_neg = int(np.count_nonzero(values < -cut))
     return Inertia(n_pos, values.size - n_pos - n_neg, n_neg)
 
 
@@ -238,7 +266,12 @@ def loewner_compare(X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL
     B = as_hermitian(Y, tol, "Y")
     if A.shape != B.shape:
         raise MalformedInputError(f"dimension mismatch {A.shape} vs {B.shape}")
-    values = hermitian_eigen(B - A, tol).values
+    return _loewner_compare(A, B, tol)
+
+
+def _loewner_compare(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
+    """Kernel of loewner_compare on exactly Hermitian arrays of one shape."""
+    values = np.linalg.eigh(B - A)[0]
     if values.size == 0:
         return OrderVerdict(0.0, 0.0, 1.0, tol.psd_tol, tol.inv_margin)
     lo = float(values[0])
@@ -249,7 +282,7 @@ def loewner_compare(X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL
 
 def is_psd(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     H = as_hermitian(X, tol)
-    return loewner_compare(np.zeros_like(H), H, tol).leq
+    return _loewner_compare(np.zeros_like(H), H, tol).leq
 
 
 def _check_guard(values: np.ndarray, domain: Optional[tuple], poles: Sequence[float], margin: float) -> None:
@@ -289,7 +322,11 @@ def spectral_apply(
 
 def invertibility_margin(X: Iterable) -> float:
     """Smallest singular value (0 means exactly singular)."""
-    M = as_square(X)
+    return _invertibility_margin(as_square(X))
+
+
+def _invertibility_margin(M: np.ndarray) -> float:
+    """Kernel of invertibility_margin on a square finite array."""
     if M.shape[0] == 0:
         return np.inf
     return float(np.linalg.svd(M, compute_uv=False)[-1])
@@ -297,7 +334,11 @@ def invertibility_margin(X: Iterable) -> float:
 
 def is_invertible(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """sigma_min above the relative margin inv_margin*(1+||X||_2)."""
-    M = as_square(X)
+    return _is_invertible(as_square(X), tol)
+
+
+def _is_invertible(M: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Kernel of is_invertible on a square finite array."""
     if M.shape[0] == 0:
         return True
     sv = np.linalg.svd(M, compute_uv=False)
@@ -314,7 +355,7 @@ def spectral_pinv(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     values = decomp.values
     if values.size == 0:
         return np.zeros((0, 0), dtype=complex)
-    cut = tol.psd_tol * (1.0 + float(np.max(np.abs(values))))
+    cut = _rank_cut(values, tol)
     inv = np.where(np.abs(values) > cut, 1.0 / np.where(np.abs(values) > cut, values, 1.0), 0.0)
     return herm_part((decomp.vectors * inv) @ decomp.vectors.conj().T)
 
@@ -330,7 +371,7 @@ def sqrt_psd(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     values = decomp.values
     if values.size == 0:
         return np.zeros((0, 0), dtype=complex)
-    cut = tol.psd_tol * (1.0 + float(np.max(np.abs(values))))
+    cut = _rank_cut(values, tol)
     if float(values[0]) < -cut:
         raise DomainViolationError(f"matrix is not PSD: min eigenvalue {values[0]:.3e}")
     root = np.sqrt(np.where(values > cut, values, 0.0))

@@ -33,13 +33,16 @@ from .errors import (
 )
 from .halfplane import normalize_phase
 from .linalg import (
+    _eigh,
+    _inertia,
+    _is_invertible,
+    _loewner_compare,
+    _rank_cut,
     as_hermitian,
     as_square,
     herm_part,
     hermitian_eigen,
-    inertia,
     is_invertible,
-    loewner_compare,
     opnorm,
     sqrt_psd,
 )
@@ -69,32 +72,48 @@ DERIVATIVE_RESIDUAL_TOL = 1e-6
 BASE_CONSISTENCY_TOL = 1e-6
 
 
-def in_shear_domain(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff X base + I is invertible (relative inv_margin on sigma_min)."""
+def _base_and_square(base: Iterable, X: Iterable, tol: ToleranceConfig):
+    """Validated (Hermitian base, square X) of one dimension."""
     A = as_hermitian(base, tol, "base")
     M = as_square(X, "X")
     if A.shape != M.shape:
         raise MalformedInputError("dimension mismatch")
-    return is_invertible(M @ A + np.eye(A.shape[0]), tol)
+    return A, M
+
+
+def _base_and_hermitian(base: Iterable, X: Iterable, tol: ToleranceConfig):
+    """Validated (Hermitian base, Hermitian X) of one dimension."""
+    A = as_hermitian(base, tol, "base")
+    H = as_hermitian(X, tol, "X")
+    if A.shape != H.shape:
+        raise MalformedInputError("dimension mismatch")
+    return A, H
+
+
+def in_shear_domain(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True iff X base + I is invertible (relative inv_margin on sigma_min)."""
+    return _in_shear_domain(*_base_and_square(base, X, tol), tol)
+
+
+def _in_shear_domain(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> bool:
+    return _is_invertible(M @ A + np.eye(A.shape[0]), tol)
 
 
 def shear_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(X base + I)^{-1} X on the shear domain; Hermitian in, Hermitian out."""
-    A = as_hermitian(base, tol, "base")
-    M = as_square(X, "X")
-    if A.shape != M.shape:
-        raise MalformedInputError("dimension mismatch")
-    if not in_shear_domain(A, M, tol):
+    A, M = _base_and_square(base, X, tol)
+    shifted = M @ A + np.eye(A.shape[0])
+    if not _is_invertible(shifted, tol):
         raise DomainViolationError("X is outside the shear domain of this base")
-    return np.linalg.solve(M @ A + np.eye(A.shape[0]), M)
+    return np.linalg.solve(shifted, M)
 
 
 def _range_compression(base: np.ndarray, tol: ToleranceConfig):
     """Eigenvectors and eigenvalues of the base above the rank cutoff."""
-    decomp = hermitian_eigen(base, tol)
+    decomp = _eigh(base)
     if decomp.values.size == 0:
         return decomp.vectors[:, :0], decomp.values[:0]
-    cut = tol.psd_tol * (1.0 + float(np.max(np.abs(decomp.values))))
+    cut = _rank_cut(decomp.values, tol)
     mask = np.abs(decomp.values) > cut
     return decomp.vectors[:, mask], decomp.values[mask]
 
@@ -115,20 +134,20 @@ def in_zero_component(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAUL
     criterion exact. It is nevertheless cross-validated against the
     randomized path oracle in the verification suites.
     """
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X, tol, "X")
-    if A.shape != H.shape:
-        raise MalformedInputError("dimension mismatch")
+    return _in_zero_component(*_base_and_hermitian(base, X, tol), tol)
+
+
+def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> bool:
     V, lam = _range_compression(A, tol)
     k = lam.size
     if k == 0:
         return True
-    p = int(np.sum(lam > 0))
+    p = int(np.count_nonzero(lam > 0))
     signs = np.sign(lam)
     w = np.sqrt(np.abs(lam))
     Xk = V.conj().T @ H @ V
     M = herm_part((w[:, None] * Xk) * w[None, :] + np.diag(signs))
-    return tuple(inertia(M, tol)) == (p, 0, k - p)
+    return tuple(_inertia(M, tol)) == (p, 0, k - p)
 
 
 def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, eig_margin: float = 1e-7) -> np.ndarray:
@@ -155,7 +174,13 @@ def segment_in_shear_domain(base: Iterable, X: Iterable, Y: Iterable, tol: Toler
     A = as_hermitian(base, tol, "base")
     P = as_square(X, "X")
     Q = as_square(Y, "Y")
-    if not in_shear_domain(A, P, tol):
+    if not A.shape == P.shape == Q.shape:
+        raise MalformedInputError("dimension mismatch")
+    return _segment_in_shear_domain(A, P, Q, tol)
+
+
+def _segment_in_shear_domain(A: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> bool:
+    if not _in_shear_domain(A, P, tol):
         return False
     return not bool(_segment_crossings(A, P, Q[None, :, :])[0])
 
@@ -172,10 +197,12 @@ def segment_in_zero_component(
     A = as_hermitian(base, tol, "base")
     P = as_hermitian(X, tol, "X")
     Q = as_hermitian(Y, tol, "Y")
-    if not (in_zero_component(A, P, tol) and in_zero_component(A, Q, tol)):
+    if not A.shape == P.shape == Q.shape:
+        raise MalformedInputError("dimension mismatch")
+    if not (_in_zero_component(A, P, tol) and _in_zero_component(A, Q, tol)):
         raise DomainViolationError("segment endpoints must lie in the zero component")
     for c in np.linspace(0.0, 1.0, steps + 2):
-        if not in_shear_domain(A, (1.0 - c) * P + c * Q, tol):
+        if not _in_shear_domain(A, (1.0 - c) * P + c * Q, tol):
             return False
     return True
 
@@ -188,12 +215,14 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     """
     A = as_hermitian(base, tol, "base")
     H = as_hermitian(X, tol, "X")
-    if not loewner_compare(np.zeros_like(H), H, tol).leq:
+    if not _loewner_compare(np.zeros_like(H), H, tol).leq:
         raise DomainViolationError("X must be PSD")
-    if not in_zero_component(A, H, tol):
+    if A.shape != H.shape:
+        raise MalformedInputError("dimension mismatch")
+    if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
     R = sqrt_psd(H, tol)
-    lowest = float(hermitian_eigen(herm_part(R @ A @ R), tol).values[0])
+    lowest = float(_eigh(herm_part(R @ A @ R)).values[0])
     return lowest > -1.0 + tol.inv_margin
 
 
@@ -203,9 +232,11 @@ def order_iso_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
     Same formula as shear_apply but gated on component membership and
     symmetrized; the image lies in the zero component of -base.
     """
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X, tol, "X")
-    if not in_zero_component(A, H, tol):
+    return _order_iso_apply(*_base_and_hermitian(base, X, tol), tol)
+
+
+def _order_iso_apply(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X is outside the zero component of this base")
     return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[0]), H))
 
@@ -219,7 +250,9 @@ def translated_base(base: Iterable, X0: Iterable, tol: ToleranceConfig = DEFAULT
     """
     A = as_hermitian(base, tol, "base")
     H = as_hermitian(X0, tol, "X0")
-    if not in_shear_domain(A, H, tol):
+    if A.shape != H.shape:
+        raise MalformedInputError("dimension mismatch")
+    if not _in_shear_domain(A, H, tol):
         raise DomainViolationError("X0 is outside the shear domain of this base")
     M = H @ A + np.eye(A.shape[0])
     return herm_part(np.linalg.solve(M.T, A.T).T)
@@ -229,7 +262,7 @@ def conjugated_base(base: Iterable, frame: Iterable, tol: ToleranceConfig = DEFA
     """Base parameter for the congruence-conjugated map: frame base frame*."""
     A = as_hermitian(base, tol, "base")
     T = as_square(frame, "frame")
-    if not is_invertible(T, tol):
+    if not _is_invertible(T, tol):
         raise DomainViolationError("frame must be invertible")
     return herm_part(T @ A @ T.conj().T)
 
@@ -243,9 +276,8 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     1/2 from the identity, failing after `max_depth` levels. Requires the
     straight segment to stay inside the shear domain.
     """
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X, tol, "X")
-    if not in_zero_component(A, H, tol):
+    A, H = _base_and_hermitian(base, X, tol)
+    if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
     n = A.shape[0]
     eye = np.eye(n)
@@ -255,7 +287,7 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
 
     def node(t: float) -> np.ndarray:
         M = eye + t * AX
-        if not is_invertible(M, tol):
+        if not _is_invertible(M, tol):
             raise PathSearchError(f"straight path leaves the shear domain at t={t:.6g}")
         return M
 
@@ -290,7 +322,7 @@ class LocalIsoSpec:
         frame = as_square(self.frame, "frame")
         if frame.shape != base.shape:
             raise MalformedInputError("frame / base dimension mismatch")
-        if not is_invertible(frame):
+        if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be invertible")
         n = base.shape[0]
         input_offset = np.zeros((n, n)) if self.input_offset is None else as_hermitian(self.input_offset, name="input_offset")
@@ -314,8 +346,9 @@ def apply_local_iso(spec: LocalIsoSpec, X: Iterable, tol: ToleranceConfig = DEFA
         raise MalformedInputError("dimension mismatch")
     Y = H - spec.input_offset
     if spec.transpose:
-        Y = Y.T
-    inner = order_iso_apply(spec.base, Y, tol)
+        # contiguous, as the validated copy was: matmul may round a transposed view differently
+        Y = np.ascontiguousarray(Y.T)
+    inner = _order_iso_apply(spec.base, Y, tol)
     return herm_part(spec.output_offset + spec.frame @ inner @ spec.frame.conj().T)
 
 
@@ -469,12 +502,11 @@ def path_to_zero(
     exhausted. A found path certifies membership; exhaustion is (only)
     evidence of non-membership.
     """
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X, tol, "X")
-    if not in_shear_domain(A, H, tol):
+    A, H = _base_and_hermitian(base, X, tol)
+    if not _in_shear_domain(A, H, tol):
         return PathSearchResult(False, None, 0)
     zero = np.zeros_like(H)
-    if segment_in_shear_domain(A, zero, H, tol):
+    if _segment_in_shear_domain(A, zero, H, tol):
         return PathSearchResult(True, [zero, H], 2)
     rng = np.random.default_rng(seed)
     spread = max(1.0, opnorm(H))
@@ -491,7 +523,7 @@ def path_to_zero(
                 W = rng.uniform(0.1, 0.9) * H + random_hermitian(rng, H.shape[0], scale=0.7 * spread)
             else:
                 W = rng.uniform(-0.5, 1.5) * H * rng.uniform(0.2, 0.8)
-            if in_shear_domain(A, W, tol):
+            if _in_shear_domain(A, W, tol):
                 candidates.append(W)
         used += pool
         if candidates:

@@ -21,14 +21,13 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
-from .halfplane import in_half_plane
+from .halfplane import _in_half_plane
 from .linalg import (
-    as_hermitian,
+    _eigh,
+    _is_invertible,
+    _loewner_compare,
     as_square,
     herm_part,
-    hermitian_eigen,
-    is_invertible,
-    loewner_compare,
     opnorm,
     spectral_apply,
 )
@@ -156,7 +155,7 @@ def _draw_nodes(rng: np.random.Generator, order: int, lo: float, hi: float) -> n
 
 def _draw_pair(rng: np.random.Generator, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
     X = random_hermitian_with_spectrum(rng, order, lo, hi)
-    top = float(hermitian_eigen(X).values[-1])
+    top = float(_eigh(X).values[-1])
     room = max(hi - top, 0.0)
     D = random_psd(rng, order)
     norm = opnorm(D)
@@ -193,7 +192,7 @@ def is_matrix_monotone(
         X, Y = _draw_pair(rng, order, lo, hi)
         fX = spectral_apply(X, f, domain=f.domain, tol=tol)
         fY = spectral_apply(Y, f, domain=f.domain, tol=tol)
-        if not loewner_compare(fX, fY, tol).leq:
+        if not _loewner_compare(fX, fY, tol).leq:
             return MonotoneReport(f.name, order, False, not f.approximate, trials, pair_trials,
                                   float(worst), None, (X, Y), seed)
 
@@ -250,7 +249,7 @@ def _pick_matrix(rep: PickRepresentation, X: np.ndarray, tol: ToleranceConfig) -
     out = rep.c * eye + rep.d * X.astype(complex)
     for y, w in rep.atoms:
         M = y * eye - X
-        if not is_invertible(M, tol):
+        if not _is_invertible(M, tol):
             raise DomainViolationError(f"argument spectrum touches the atom at {y}")
         out = out + w * ((y * y + 1.0) * np.linalg.inv(M) - y * eye)
     return out
@@ -276,13 +275,14 @@ def pick_eval(
         return rep.scalar_function()(x)
     Z = as_square(argument, "argument")
     herm_gap = float(np.linalg.norm(Z - Z.conj().T))
+    # the test as_hermitian makes, so herm_part(Z) is what it would return
     if herm_gap <= tol.herm_tol * (1.0 + float(np.linalg.norm(Z))):
-        H = as_hermitian(Z, tol, "argument")
-        values = hermitian_eigen(H, tol).values
+        H = herm_part(Z)
+        values = _eigh(H).values
         if values.size and not (a < float(values[0]) and float(values[-1]) < b):
             raise DomainViolationError("matrix spectrum outside the interval")
         return herm_part(_pick_matrix(rep, H, tol))
-    if in_half_plane(Z, tol):
+    if _in_half_plane(Z, tol):
         return _pick_matrix(rep, Z, tol)
     raise DomainViolationError("argument must be scalar, Hermitian, or a half-plane point")
 

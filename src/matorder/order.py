@@ -16,11 +16,12 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
 from .linalg import (
+    _eigh,
+    _inertia,
+    _loewner_compare,
+    _rank_cut,
     as_hermitian,
     herm_part,
-    hermitian_eigen,
-    inertia,
-    loewner_compare,
     spectral_pinv,
 )
 
@@ -54,7 +55,7 @@ class OperatorInterval:
         if lower is not None and upper is not None:
             if lower.shape != upper.shape:
                 raise MalformedInputError("interval bounds have mismatched dimensions")
-            cmp = loewner_compare(lower, upper)
+            cmp = _loewner_compare(lower, upper, DEFAULT_TOL)
             if self.lower_closed and self.upper_closed:
                 if not cmp.leq:
                     raise MalformedInputError("need lower <= upper for a closed interval")
@@ -75,11 +76,11 @@ def interval_contains(J: OperatorInterval, X: Iterable, tol: ToleranceConfig = D
     if J.dim is not None and H.shape[0] != J.dim:
         raise MalformedInputError(f"dimension mismatch: X is {H.shape[0]}, interval is {J.dim}")
     if J.lower is not None:
-        cmp = loewner_compare(J.lower, H, tol)
+        cmp = _loewner_compare(J.lower, H, tol)
         if not (cmp.leq if J.lower_closed else cmp.lt):
             return False
     if J.upper is not None:
-        cmp = loewner_compare(H, J.upper, tol)
+        cmp = _loewner_compare(H, J.upper, tol)
         if not (cmp.leq if J.upper_closed else cmp.lt):
             return False
     return True
@@ -97,19 +98,19 @@ def rank_one_leq(R: Iterable, A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -
     A = as_hermitian(A, tol, "A")
     if R.shape != A.shape:
         raise MalformedInputError("dimension mismatch")
-    sig = inertia(R, tol)
+    sig = _inertia(R, tol)
     if sig.n_neg != 0 or sig.n_pos != 1:
         raise MalformedInputError(f"R must be PSD of rank one, inertia is {tuple(sig)}")
-    sigA = inertia(A, tol)
+    sigA = _inertia(A, tol)
     if sigA.n_neg != 0:
         raise MalformedInputError("A must be PSD")
 
-    decompR = hermitian_eigen(R, tol)
+    decompR = _eigh(R)
     weight = float(decompR.values[-1])
     vec = decompR.vectors[:, -1] * math.sqrt(max(weight, 0.0))
 
-    decompA = hermitian_eigen(A, tol)
-    cutA = tol.psd_tol * (1.0 + float(np.max(np.abs(decompA.values), initial=0.0)))
+    decompA = _eigh(A)
+    cutA = _rank_cut(decompA.values, tol)
     kernel = decompA.vectors[:, np.abs(decompA.values) <= cutA]
     leak = float(np.linalg.norm(kernel.conj().T @ vec))
     if leak > math.sqrt(tol.psd_tol) * (1.0 + float(np.linalg.norm(vec))):
@@ -152,13 +153,13 @@ def affine_interval_iso(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT
     B = as_hermitian(B, tol, "B")
     if A.shape != B.shape:
         raise MalformedInputError("dimension mismatch")
-    cmp = loewner_compare(A, B, tol)
+    cmp = _loewner_compare(A, B, tol)
     if not cmp.leq:
         raise DomainViolationError("need A <= B")
     if cmp.equal:
         raise DomainViolationError("need A != B")
-    decomp = hermitian_eigen(B - A, tol)
-    cut = tol.psd_tol * (1.0 + float(np.max(np.abs(decomp.values))))
+    decomp = _eigh(B - A)
+    cut = _rank_cut(decomp.values, tol)
     keep = decomp.values > cut
     rank = int(np.sum(keep))
     return AffineIntervalIso(

@@ -788,6 +788,24 @@ def _suite_conjugation_identity(rng, trials, tol, rec):
     return {}
 
 
+def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """0.6 X, or 0.6 t* X when 0.6 X has left the zero component.
+
+    A member X whose straight path from 0 crosses the singular set twice
+    (two real eigenvalues of X A below -1) lies in the component while 0.6 X
+    may lie between the crossings. t* = -1/mu for the most negative real
+    eigenvalue mu of X A is the first crossing, so 0.6 t* X is on the
+    crossing-free part of the path.
+    """
+    shrunk = herm_part(0.6 * X)
+    if in_zero_component(A, shrunk, tol):
+        return shrunk
+    mu = np.linalg.eigvals(X @ A)
+    real = mu.real[np.abs(mu.imag) <= 1e-7 * (1.0 + np.abs(mu.real))]
+    t_star = -1.0 / float(real.min())
+    return herm_part(0.6 * t_star * X)
+
+
 def _suite_congruence_orbit(rng, trials, tol, rec):
     rescaled = 0
     for t in range(trials):
@@ -808,7 +826,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
                 G = congruence_orbit(A, X, tol)
                 break
             except PathSearchError:
-                X = herm_part(0.6 * X)
+                X = _shrink_in_component(A, X, tol)
                 rescaled += 1
         if G is None:
             rec.fail(t, "orbit factor failed even after shrinking", A=A, X=X)

@@ -75,3 +75,12 @@ def test_failure_reports_carry_witnesses():
     assert "description" in first and "trial" in first and "witnesses" in first
     payload = json.loads(report.to_json())
     assert payload["failure_count"] == len(report.failures) or payload["failure_count"] >= 16
+
+
+def test_congruence_orbit_shrinks_past_a_double_crossing():
+    # Trial 38 at seed 9 draws a member X whose straight path from 0 crosses
+    # the singular set twice; the plain 0.6 shrink lands between the two
+    # crossings, outside the zero component, and the suite used to raise.
+    report = run_suite("congruence-orbit", seed=9, trials=39)
+    assert report.passed, report.failures[:1]
+    assert report.details["rescaled"] == 1
