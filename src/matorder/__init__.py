@@ -63,7 +63,6 @@ from .halfplane import (
     normalize_phase,
 )
 from .localiso import (
-    LocalIsoSpec,
     PathSearchResult,
     apply_local_iso,
     congruence_orbit,

@@ -10,7 +10,8 @@ is equivalent to exactly one such map, which makes the ordered pair (m, p)
 a complete invariant. The effect-algebra section implements the two
 canonical automorphism forms of the unit operator interval [0, I] and the
 almost-everywhere-continuous order embeddings with overridable endpoint
-values.
+values. The frame form and the embedding interior are MobiusAutomorphism
+maps evaluated on effects.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.linalg import sqrtm
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
+from .halfplane import MobiusAutomorphism, _mobius_eval, _shifted
 from .linalg import (
     _eigh,
     _inertia,
@@ -262,36 +264,25 @@ def as_effect(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return H
 
 
-@dataclasses.dataclass(frozen=True)
-class EffectAutoSpec:
-    """Automorphism of the effect interval: X -> T (X(T*T - I) + I)^{-1} X T*."""
-
-    frame: np.ndarray
-    transpose: bool = False
-
-    def __post_init__(self) -> None:
-        frame = as_square(self.frame, "frame")
-        if not _is_invertible(frame, DEFAULT_TOL):
-            raise MalformedInputError("frame must be invertible")
-        object.__setattr__(self, "frame", frame)
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[0]
+def EffectAutoSpec(frame: Iterable, transpose: bool = False) -> MobiusAutomorphism:
+    """The effect automorphism X -> T (X'(T*T - I) + I)^{-1} X' T*: the map (T, A = T*T - I)."""
+    T = as_square(frame, "frame")
+    return MobiusAutomorphism(
+        frame=T, A=herm_part(T.conj().T @ T - np.eye(T.shape[0])), transpose=transpose
+    )
 
 
-def effect_automorphism(spec: EffectAutoSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Apply the frame form; fixes 0 and I and preserves order both ways."""
-    H = as_effect(X, tol)
-    if H.shape[0] != spec.dim:
-        raise MalformedInputError("dimension mismatch")
-    Y = H.T if spec.transpose else H
-    T = spec.frame
-    base = herm_part(T.conj().T @ T - np.eye(spec.dim))
-    M = Y @ base + np.eye(spec.dim)
+def effect_automorphism(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Evaluate on an effect; EffectAutoSpec maps fix 0 and I and preserve order both ways."""
+    return _effect_automorphism(m, as_effect(X, tol), tol)
+
+
+def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    W = _shifted(m, H)
+    M = W @ m.A + np.eye(m.dim)
     if not _is_invertible(M, tol):
         raise DomainViolationError("effect is outside the map's domain")
-    return herm_part(T @ np.linalg.solve(M, Y) @ T.conj().T)
+    return herm_part(_mobius_eval(m, W, M))
 
 
 def _scaling_fn(p: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -395,10 +386,10 @@ def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -
 class EffectEmbeddingSpec:
     """Order embedding of the effect interval with overridable endpoints.
 
-    Interior formula T (X base + I)^{-1} X T* + offset with base > -I; the
-    values at 0 and I may be overridden provided value_at_zero <= offset
-    and value_at_one >= the interior formula at I. Overrides are the only
-    discontinuities the form admits.
+    Interior formula T (X base + I)^{-1} X T* + offset with base > -I, the
+    map (frame, A=base, C=offset); the values at 0 and I may be overridden
+    provided value_at_zero <= offset and value_at_one >= the interior
+    formula at I. Overrides are the only discontinuities the form admits.
     """
 
     frame: np.ndarray
@@ -406,41 +397,31 @@ class EffectEmbeddingSpec:
     offset: np.ndarray
     value_at_zero: Optional[np.ndarray] = None
     value_at_one: Optional[np.ndarray] = None
+    interior: MobiusAutomorphism = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        frame = as_square(self.frame, "frame")
-        base = as_hermitian(self.base, name="base")
-        offset = as_hermitian(self.offset, name="offset")
-        if frame.shape != base.shape or base.shape != offset.shape:
-            raise MalformedInputError("frame / base / offset dimension mismatch")
-        if not _is_invertible(frame, DEFAULT_TOL):
-            raise MalformedInputError("frame must be invertible")
-        n = base.shape[0]
-        low = float(_eigh(base).values[0])
-        if low <= -1.0 + DEFAULT_TOL.inv_margin:
+        interior = MobiusAutomorphism(frame=self.frame, A=self.base, C=self.offset)
+        if float(_eigh(interior.A).values[0]) <= -1.0 + DEFAULT_TOL.inv_margin:
             raise MalformedInputError("base must be > -I")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "frame", interior.frame)
+        object.__setattr__(self, "base", interior.A)
+        object.__setattr__(self, "offset", interior.C)
         if self.value_at_zero is not None:
             v0 = as_hermitian(self.value_at_zero, name="value_at_zero")
-            if not loewner_compare(v0, offset).leq:
+            if not loewner_compare(v0, interior.C).leq:
                 raise MalformedInputError("value_at_zero must be <= offset")
             object.__setattr__(self, "value_at_zero", v0)
         if self.value_at_one is not None:
             v1 = as_hermitian(self.value_at_one, name="value_at_one")
-            top = self._interior(np.eye(n))
+            top = _effect_automorphism(interior, np.eye(self.dim), DEFAULT_TOL)
             if not loewner_compare(top, v1).leq:
                 raise MalformedInputError("value_at_one must be >= the interior value at I")
             object.__setattr__(self, "value_at_one", v1)
 
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
-
-    def _interior(self, X: np.ndarray) -> np.ndarray:
-        M = X @ self.base + np.eye(self.dim)
-        return herm_part(self.frame @ np.linalg.solve(M, X) @ self.frame.conj().T + self.offset)
+        return self.interior.dim
 
 
 def effect_embedding_map(spec: EffectEmbeddingSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -448,14 +429,11 @@ def effect_embedding_map(spec: EffectEmbeddingSpec, X: Iterable, tol: ToleranceC
     H = as_effect(X, tol)
     if H.shape[0] != spec.dim:
         raise MalformedInputError("dimension mismatch")
-    eye = np.eye(spec.dim)
     if spec.value_at_zero is not None and float(np.linalg.norm(H)) <= tol.psd_tol:
         return spec.value_at_zero.copy()
-    if spec.value_at_one is not None and float(np.linalg.norm(H - eye)) <= tol.psd_tol:
+    if spec.value_at_one is not None and float(np.linalg.norm(H - np.eye(spec.dim))) <= tol.psd_tol:
         return spec.value_at_one.copy()
-    if not _is_invertible(H @ spec.base + eye, tol):
-        raise DomainViolationError("effect is outside the interior formula's domain")
-    return spec._interior(H)
+    return _effect_automorphism(spec.interior, H, tol)
 
 
 def endpoint_continuity(spec: EffectEmbeddingSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Dict[str, bool]:
@@ -464,7 +442,7 @@ def endpoint_continuity(spec: EffectEmbeddingSpec, tol: ToleranceConfig = DEFAUL
     report = {}
     for key, point, override in (("zero", np.zeros((spec.dim, spec.dim)), spec.value_at_zero),
                                  ("one", eye, spec.value_at_one)):
-        limit = spec._interior(point)
+        limit = _effect_automorphism(spec.interior, point, tol)
         value = limit if override is None else override
         scale = 1.0 + opnorm(limit)
         report[key] = bool(opnorm(value - limit) <= 1e-8 * scale)

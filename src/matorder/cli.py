@@ -103,12 +103,11 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
     elif args.map == "mobius":
         frame = parse_matrix_file(_require(args.frame, "--frame", "mobius"))
         n = frame.shape[0]
-        zero = np.zeros((n, n))
         mob = MobiusAutomorphism(
             frame=frame,
-            A=parse_matrix_file(args.base, hermitian=True) if args.base else zero,
-            B=parse_matrix_file(args.shift_in, hermitian=True) if args.shift_in else zero,
-            C=parse_matrix_file(args.shift_out, hermitian=True) if args.shift_out else zero,
+            A=parse_matrix_file(args.base, hermitian=True) if args.base else np.zeros((n, n)),
+            B=parse_matrix_file(args.shift_in, hermitian=True) if args.shift_in else None,
+            C=parse_matrix_file(args.shift_out, hermitian=True) if args.shift_out else None,
             transpose=args.transpose,
         )
         out = apply_mobius(mob, X, tol)

@@ -3,14 +3,16 @@
 Points are complex square matrices whose imaginary part (Z - Z*)/(2i) is
 positive definite. Primitives: Cayley transform from the open unit ball,
 negated inversion, Hermitian translations, congruences, the rational family
-fixing 0 and 1, and the canonical four-parameter automorphism form together
-with black-box recovery of its parameters.
+fixing 0 and 1, and the canonical four-parameter automorphism form
+(MobiusAutomorphism, the one map type, which localiso and classify evaluate
+on their own domains through one kernel) with black-box recovery of its
+parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import DomainViolationError, MalformedInputError, ModelMismatchErro
 from .linalg import (
     _eigh,
     _invertibility_margin,
+    _is_invertible,
     as_hermitian,
     as_square,
     herm_part,
@@ -150,53 +153,66 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
 
 @dataclasses.dataclass(frozen=True)
 class MobiusAutomorphism:
-    """Parameters of a half-plane automorphism.
+    """Congruence after shear after shift, the library's one map type.
 
-    apply(Z) = frame ((Z' - B)^{-1} + A)^{-1} frame* + C with Z' = Z (or its
-    transpose when the flag is set); A, B, C Hermitian, frame invertible.
+    Z -> C + frame (W A + I)^{-1} W frame* with W = Z' - B, where Z' is
+    Z or, when the flag is set, its transpose; A, B, C Hermitian (B, C zero
+    when omitted), frame invertible. Where W is invertible the shear equals
+    (W^{-1} + A)^{-1}, the canonical half-plane automorphism form. The
+    evaluators apply_mobius, localiso.apply_local_iso and
+    classify.effect_automorphism differ only in the domain they gate on.
     """
 
     frame: np.ndarray
     A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    B: Optional[np.ndarray] = None
+    C: Optional[np.ndarray] = None
     transpose: bool = False
 
     def __post_init__(self) -> None:
         frame = as_square(self.frame, "frame")
-        tol = DEFAULT_TOL
-        if _invertibility_margin(frame) <= tol.inv_margin:
+        zero = np.zeros(frame.shape)
+        params = {"frame": frame, "A": as_hermitian(self.A, name="A"),
+                  "B": as_hermitian(zero if self.B is None else self.B, name="B"),
+                  "C": as_hermitian(zero if self.C is None else self.C, name="C")}
+        if any(M.shape != frame.shape for M in params.values()):
+            raise MalformedInputError("frame / A / B / C dimension mismatch")
+        if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be invertible")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "A", as_hermitian(self.A, name="A"))
-        object.__setattr__(self, "B", as_hermitian(self.B, name="B"))
-        object.__setattr__(self, "C", as_hermitian(self.C, name="C"))
+        for key, value in params.items():
+            object.__setattr__(self, key, value)
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
 
-    def apply(self, Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        return apply_mobius(self, Z, tol)
+
+def _shifted(m: MobiusAutomorphism, M: np.ndarray) -> np.ndarray:
+    """W = Z' - B for a validated square point Z of the map's dimension."""
+    if M.shape != m.frame.shape:
+        raise MalformedInputError(f"dimension mismatch: point is {M.shape}, map is {m.frame.shape}")
+    # the difference is a new C-contiguous array; matmul may round a transposed view differently
+    return (M.T if m.transpose else M) - m.B
+
+
+def _mobius_eval(m: MobiusAutomorphism, W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """C + frame (W A + I)^{-1} W frame*, given W = Z' - B and M = W A + I from the caller's gate."""
+    return m.C + m.frame @ np.linalg.solve(M, W) @ m.frame.conj().T
 
 
 def apply_mobius(m: MobiusAutomorphism, Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate the automorphism as a chain of half-plane primitives.
+    """Evaluate the automorphism at a half-plane or Hermitian point.
 
-    transpose -> subtract B -> negated inverse -> subtract A -> negated
-    inverse -> congruence by the frame -> add C. Valid on the half-plane and
-    on Hermitian arguments whose two intermediate inverses exist.
+    Raises DomainViolationError where W = Z' - B or W A + I is numerically
+    singular (sigma_min <= inv_margin), so where ((Z' - B)^{-1} + A)^{-1} fails.
     """
-    M = as_square(Z)
-    if M.shape != m.frame.shape:
-        raise MalformedInputError(f"dimension mismatch: point is {M.shape}, map is {m.frame.shape}")
-    step = M.T if m.transpose else M
-    step = step - m.B
-    step = _neg_inverse(step, tol)
-    step = step - m.A
-    step = _neg_inverse(step, tol)
-    step = m.frame @ step @ m.frame.conj().T
-    return step + m.C
+    W = _shifted(m, as_square(Z))
+    if _invertibility_margin(W) <= tol.inv_margin:
+        raise DomainViolationError("Z' - B is numerically singular")
+    M = W @ m.A + np.eye(m.dim)
+    if _invertibility_margin(M) <= tol.inv_margin:
+        raise DomainViolationError("(Z' - B) A + I is numerically singular")
+    return _mobius_eval(m, W, M)
 
 
 def normalize_phase(T: np.ndarray) -> np.ndarray:
@@ -221,6 +237,54 @@ def _canonical_inverse(T: np.ndarray, A: np.ndarray) -> Callable[[np.ndarray], n
     return inverse
 
 
+def _congruence_from_probes(
+    respond: Callable[[np.ndarray], np.ndarray], dim: int, tol: ToleranceConfig
+) -> Tuple[np.ndarray, bool, float, float]:
+    """(T, transpose, residual, scale) of a linear response E -> T E' T*.
+
+    Probes e1e1*, H = e1ej* + eje1* and K = i(e1ej* - eje1*): the rank-one
+    response to e1e1* gives t1, and (R(H) - iR(K))/2 is t1 tj* without the
+    transpose, tj t1* with it. The candidate frame with the smaller worst
+    probe residual wins; scale = 1 + the largest response norm.
+    """
+    E11 = np.zeros((dim, dim), dtype=complex)
+    E11[0, 0] = 1.0
+    D11 = respond(E11)
+    decomp = hermitian_eigen(D11, tol)
+    t1 = decomp.vectors[:, -1] * np.sqrt(max(float(decomp.values[-1]), 0.0))
+    t1_sq = float(np.vdot(t1, t1).real)
+    if t1_sq <= tol.inv_margin:
+        raise ModelMismatchError("probe response at e1 is degenerate")
+
+    probes = [(E11, D11)]
+    cols_linear = [t1]
+    cols_transpose = [t1]
+    for j in range(1, dim):
+        H = np.zeros((dim, dim), dtype=complex)
+        H[0, j] = 1.0
+        H[j, 0] = 1.0
+        K = np.zeros((dim, dim), dtype=complex)
+        K[0, j] = 1j
+        K[j, 0] = -1j
+        DH = respond(H)
+        DK = respond(K)
+        probes += [(H, DH), (K, DK)]
+        C = (DH - 1j * DK) / 2.0
+        cols_linear.append(C.conj().T @ t1 / t1_sq)
+        cols_transpose.append(C @ t1 / t1_sq)
+
+    def congruence_residual(T: np.ndarray, transpose: bool) -> float:
+        return max(opnorm(D - T @ (E.T if transpose else E) @ T.conj().T) for E, D in probes)
+
+    T_lin = np.column_stack(cols_linear)
+    T_trp = np.column_stack(cols_transpose)
+    res_lin = congruence_residual(T_lin, False)
+    res_trp = congruence_residual(T_trp, True) if dim > 1 else np.inf
+    transpose = res_trp < res_lin
+    scale = 1.0 + max(opnorm(D) for _, D in probes)
+    return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
+
+
 def fit_canonical(
     evaluator: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -235,12 +299,12 @@ def fit_canonical(
     first recenters Z -> evaluator(Z + X0) - Y0 and reports B = X0, C = Y0.
 
     Steps: read A and a provisional frame off the value at iI, peel the
-    provisional map off to leave a unitary similarity fixing iI, recover the
-    unitary column by column from exact congruence probes near iI (a phased
-    pair of probes per column also decides the transpose flag), then fold the
-    unitary into the parameters. The result is validated against 20 random
-    half-plane samples; residual beyond 1e-7 relative raises
-    ModelMismatchError.
+    provisional map off to leave a unitary similarity fixing iI, which acts
+    exactly linearly on offsets from iI; recover the unitary and the
+    transpose flag from its responses to congruence probes
+    (_congruence_from_probes), then fold the unitary into the parameters.
+    The result is validated against 20 random half-plane samples; residual
+    beyond 1e-7 relative raises ModelMismatchError.
     """
     if dim < 1:
         raise MalformedInputError("dim must be positive")
@@ -263,48 +327,20 @@ def fit_canonical(
     A2h = sqrt_psd(A2, tol)
     A2hinv = np.linalg.inv(A2h)
     A = herm_part(A2hinv @ A1 @ A2hinv)
-    T = A2h @ sqrt_psd(A @ A + np.eye(dim), tol)
+    # (A^2 + I)^{1/2} from the eigenvalues of A: A^2 + I >= I, and a rank cut
+    # relative to ||A||^2 would zero its eigenvalues near 1 when ||A|| is large
+    lam, V = _eigh(A)
+    T = A2h @ (V * np.sqrt(lam**2 + 1.0)) @ V.conj().T
     peel = _canonical_inverse(T, A)
 
     def probe(E: np.ndarray) -> np.ndarray:
-        # unitary similarity fixing iI acts exactly linearly on offsets
         return herm_part(peel(evaluator(1j * eye + E)) - 1j * eye)
 
-    E11 = np.zeros((dim, dim), dtype=complex)
-    E11[0, 0] = 1.0
-    S = probe(E11)
-    decomp = hermitian_eigen(S, tol)
-    s = decomp.vectors[:, -1] * np.sqrt(max(float(decomp.values[-1]), 0.0))
-
-    columns = [s]
-    flips = []
-    for j in range(1, dim):
-        H = np.zeros((dim, dim), dtype=complex)
-        H[0, j] = 1.0
-        H[j, 0] = 1.0
-        K = np.zeros((dim, dim), dtype=complex)
-        K[0, j] = 1j
-        K[j, 0] = -1j
-        M = probe(H)
-        N = probe(K)
-        t = M @ s
-        columns.append(t)
-        # K flips sign under transposition while H does not
-        linear = 1j * (np.outer(s, t.conj()) - np.outer(t, s.conj()))
-        flips.append((float(np.linalg.norm(N - linear)), float(np.linalg.norm(N + linear))))
-    u = np.column_stack(columns)
+    u, transpose, _, _ = _congruence_from_probes(probe, dim, tol)
     if np.linalg.norm(u.conj().T @ u - eye) > 1e-6 * dim:
         raise ModelMismatchError("probe responses are not a unitary similarity")
-    transpose = False
-    if flips:
-        res_lin = max(r[0] for r in flips)
-        res_trp = max(r[1] for r in flips)
-        transpose = res_trp < res_lin
-
-    A_final = herm_part(u.conj().T @ A @ u)
-    T_final = normalize_phase(T @ u)
     fitted = MobiusAutomorphism(
-        frame=T_final, A=A_final, B=np.zeros((dim, dim)), C=np.zeros((dim, dim)), transpose=transpose
+        frame=normalize_phase(T @ u), A=herm_part(u.conj().T @ A @ u), transpose=transpose
     )
 
     rng = np.random.default_rng(validation_seed)
@@ -312,7 +348,7 @@ def fit_canonical(
     for _ in range(20):
         Z = random_half_plane(rng, dim, tol)
         want = evaluator(Z)
-        got = fitted.apply(Z, tol)
+        got = apply_mobius(fitted, Z, tol)
         worst = max(worst, float(np.linalg.norm(want - got)) / (1.0 + float(np.linalg.norm(want))))
     if worst > FIT_RESIDUAL_TOL:
         raise ModelMismatchError(f"fitted automorphism residual {worst:.3e} exceeds {FIT_RESIDUAL_TOL}")

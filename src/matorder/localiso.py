@@ -9,16 +9,15 @@ defined on the shear domain {X : X base + I invertible}. Restricted to the
 connected component of 0 inside the Hermitian part of that domain it is an
 order isomorphism onto the corresponding component for -base; composing with
 congruences, transposition, and offsets yields the general local order
-isomorphism form (LocalIsoSpec). This module provides the membership tests
-(including the inertia-based zero-component criterion and a randomized
-path-search oracle for cross-validation), the map itself, translation and
-conjugation identities, congruence orbits, and black-box parameter
-identification.
+isomorphism, a MobiusAutomorphism evaluated by apply_local_iso. This module
+provides the membership tests (including the inertia-based zero-component
+criterion and a randomized path-search oracle for cross-validation), the
+map itself, translation and conjugation identities, congruence orbits, and
+black-box parameter identification from derivatives at 0.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     ModelMismatchError,
     PathSearchError,
 )
-from .halfplane import normalize_phase
+from .halfplane import MobiusAutomorphism, _congruence_from_probes, _mobius_eval, _shifted, normalize_phase
 from .linalg import (
     _eigh,
     _inertia,
@@ -41,7 +40,6 @@ from .linalg import (
     as_hermitian,
     as_square,
     herm_part,
-    hermitian_eigen,
     is_invertible,
     opnorm,
     sqrt_psd,
@@ -49,7 +47,6 @@ from .linalg import (
 from .sampling import random_hermitian
 
 __all__ = [
-    "LocalIsoSpec",
     "PathSearchResult",
     "in_shear_domain",
     "shear_apply",
@@ -303,53 +300,16 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     return span(0.0, 1.0, 0)
 
 
-@dataclasses.dataclass(frozen=True)
-class LocalIsoSpec:
-    """Parameters of a general local order isomorphism.
+def apply_local_iso(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The map as a local order isomorphism: C + frame Phi_A(X' - B) frame*.
 
-    apply(X) = output_offset + frame Phi((X - input_offset)') frame*, where
-    Phi is the canonical map for `base` and ' is an optional transpose.
+    Requires X' - B in the zero component of A, where Phi_A is
+    order_iso_apply; Hermitian in, Hermitian out.
     """
-
-    base: np.ndarray
-    frame: np.ndarray
-    transpose: bool = False
-    input_offset: Optional[np.ndarray] = None
-    output_offset: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        base = as_hermitian(self.base, name="base")
-        frame = as_square(self.frame, "frame")
-        if frame.shape != base.shape:
-            raise MalformedInputError("frame / base dimension mismatch")
-        if not _is_invertible(frame, DEFAULT_TOL):
-            raise MalformedInputError("frame must be invertible")
-        n = base.shape[0]
-        input_offset = np.zeros((n, n)) if self.input_offset is None else as_hermitian(self.input_offset, name="input_offset")
-        output_offset = np.zeros((n, n)) if self.output_offset is None else as_hermitian(self.output_offset, name="output_offset")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "input_offset", input_offset)
-        object.__setattr__(self, "output_offset", output_offset)
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[0]
-
-    def apply(self, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        return apply_local_iso(self, X, tol)
-
-
-def apply_local_iso(spec: LocalIsoSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    H = as_hermitian(X, tol, "X")
-    if H.shape != spec.base.shape:
-        raise MalformedInputError("dimension mismatch")
-    Y = H - spec.input_offset
-    if spec.transpose:
-        # contiguous, as the validated copy was: matmul may round a transposed view differently
-        Y = np.ascontiguousarray(Y.T)
-    inner = _order_iso_apply(spec.base, Y, tol)
-    return herm_part(spec.output_offset + spec.frame @ inner @ spec.frame.conj().T)
+    W = _shifted(m, as_hermitian(X, tol, "X"))
+    if not _in_zero_component(m.A, W, tol):
+        raise DomainViolationError("X' - B is outside the zero component of A")
+    return herm_part(_mobius_eval(m, W, W @ m.A + np.eye(m.dim)))
 
 
 def _five_point_derivative(evaluator, E: np.ndarray, h: float) -> np.ndarray:
@@ -364,15 +324,14 @@ def identify_parameters(
     dim: int,
     step: Optional[float] = None,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> LocalIsoSpec:
-    """Recover (base, frame, transpose flag) from a black-box map fixing 0.
+) -> MobiusAutomorphism:
+    """Recover (A, frame, transpose flag) from a black-box map fixing 0.
 
-    The derivative at 0 of the model map is Y -> frame Y' frame*; finite
-    differences over the probe directions e1e1*, e1ej* + eje1*, and
-    i(e1ej* - eje1*) determine the frame columns, the phased probes flip
-    sign under transposition and decide the flag, and the base is then read
-    off algebraically at a small invertible sample. Two independent samples
-    must agree on the base, otherwise the evaluator is not of the model form.
+    The derivative at 0 of the model map is Y -> frame Y' frame*; its
+    five-point differences along the congruence probes give the frame and
+    the flag (halfplane._congruence_from_probes), and A is then read off
+    algebraically at a small invertible sample. Two independent samples must
+    agree on A, otherwise the evaluator is not of the model form.
     """
     if dim < 1:
         raise MalformedInputError("dim must be positive")
@@ -384,49 +343,10 @@ def identify_parameters(
     if at_zero > 1e-8 * (1.0 + probe_gain):
         raise ModelMismatchError(f"evaluator(0) = {at_zero:.3e}, expected 0")
 
-    E11 = np.zeros((dim, dim), dtype=complex)
-    E11[0, 0] = 1.0
-    D11 = _five_point_derivative(evaluator, E11, h)
-    decomp = hermitian_eigen(D11, tol)
-    t1 = decomp.vectors[:, -1] * np.sqrt(max(float(decomp.values[-1]), 0.0))
-    t1_sq = float(np.vdot(t1, t1).real)
-    if t1_sq <= tol.inv_margin:
-        raise ModelMismatchError("derivative probe at e1 is degenerate")
-
-    probes = []  # (H_j direction derivative, K_j direction derivative)
-    cols_linear = [t1]
-    cols_transpose = [t1]
-    for j in range(1, dim):
-        H = np.zeros((dim, dim), dtype=complex)
-        H[0, j] = 1.0
-        H[j, 0] = 1.0
-        K = np.zeros((dim, dim), dtype=complex)
-        K[0, j] = 1j
-        K[j, 0] = -1j
-        DH = _five_point_derivative(evaluator, H, h)
-        DK = _five_point_derivative(evaluator, K, h)
-        probes.append((H, K, DH, DK))
-        C = (DH - 1j * DK) / 2.0
-        cols_linear.append(C.conj().T @ t1 / t1_sq)
-        cols_transpose.append(C @ t1 / t1_sq)
-
-    scale = 1.0 + max([opnorm(D11)] + [max(opnorm(DH), opnorm(DK)) for _, _, DH, DK in probes], default=1.0)
-
-    def congruence_residual(T: np.ndarray, transpose: bool) -> float:
-        worst = opnorm(D11 - T @ E11 @ T.conj().T)
-        for H, K, DH, DK in probes:
-            HH, KK = (H.T, K.T) if transpose else (H, K)
-            worst = max(worst, opnorm(DH - T @ HH @ T.conj().T))
-            worst = max(worst, opnorm(DK - T @ KK @ T.conj().T))
-        return worst
-
-    T_lin = np.column_stack(cols_linear)
-    T_trp = np.column_stack(cols_transpose)
-    res_lin = congruence_residual(T_lin, False)
-    res_trp = congruence_residual(T_trp, True) if dim > 1 else np.inf
-    transpose = res_trp < res_lin
-    T = T_trp if transpose else T_lin
-    if min(res_lin, res_trp) > DERIVATIVE_RESIDUAL_TOL * scale:
+    T, transpose, residual, scale = _congruence_from_probes(
+        lambda E: _five_point_derivative(evaluator, E, h), dim, tol
+    )
+    if residual > DERIVATIVE_RESIDUAL_TOL * scale:
         raise ModelMismatchError("derivative at 0 is not of congruence form")
     if not is_invertible(T, tol):
         raise ModelMismatchError("recovered frame is singular")
@@ -446,7 +366,7 @@ def identify_parameters(
     if opnorm(A1 - A2) > BASE_CONSISTENCY_TOL * (1.0 + opnorm(A1)):
         raise ModelMismatchError("base parameter is inconsistent across samples; evaluator is not of the model form")
 
-    return LocalIsoSpec(base=A1, frame=normalize_phase(T), transpose=transpose)
+    return MobiusAutomorphism(frame=normalize_phase(T), A=A1, transpose=transpose)
 
 
 class PathSearchResult(NamedTuple):

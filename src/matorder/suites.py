@@ -65,7 +65,6 @@ from .linalg import (
     sqrt_psd,
 )
 from .localiso import (
-    LocalIsoSpec,
     apply_local_iso,
     congruence_orbit,
     conjugated_base,
@@ -870,15 +869,14 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
         T = normalize_phase(random_invertible(rng, n, max_cond=8.0))
         transpose = bool(rng.integers(2))
         scaleA = 1.0 + opnorm(A)
-        spec = LocalIsoSpec(base=A, frame=T, transpose=transpose)
+        mob = MobiusAutomorphism(frame=T, A=A, transpose=transpose)
 
-        got = identify_parameters(lambda H: apply_local_iso(spec, H, tol), n, tol=tol)
-        rec.check_residual(opnorm(got.base - A) / scaleA, 1e-5, t, "derivative-probe base recovery", A=A, T=T)
+        got = identify_parameters(lambda H: apply_local_iso(mob, H, tol), n, tol=tol)
+        rec.check_residual(opnorm(got.A - A) / scaleA, 1e-5, t, "derivative-probe base recovery", A=A, T=T)
         rec.check_residual(opnorm(got.frame - T) / (1.0 + opnorm(T)), 1e-5,
                            t, "derivative-probe frame recovery", A=A, T=T)
         rec.check(got.transpose == transpose, t, "derivative-probe transpose flag wrong", A=A, T=T)
 
-        mob = MobiusAutomorphism(frame=T, A=A, B=np.zeros((n, n)), C=np.zeros((n, n)), transpose=transpose)
         fitted = fit_canonical(lambda Z: apply_mobius(mob, Z, tol), n, tol=tol)
         rec.check_residual(opnorm(fitted.A - A) / scaleA, 1e-7, t, "half-plane base recovery", A=A, T=T)
         rec.check_residual(opnorm(fitted.frame - T) / (1.0 + opnorm(T)), 1e-7,

@@ -178,6 +178,19 @@ def test_effect_automorphism_stays_in_interval_and_preserves_order():
         assert loewner_compare(FX, FY).leq
 
 
+def test_effect_automorphism_matches_explicit_inverse_formula():
+    rng = np.random.default_rng(59)
+    for transpose in (False, True):
+        T = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2 * np.eye(3)
+        spec = EffectAutoSpec(frame=T, transpose=transpose)
+        for _ in range(5):
+            X = random_effect(rng, 3)
+            Xp = X.T if transpose else X
+            inner = np.linalg.inv(Xp @ (T.conj().T @ T - np.eye(3)) + np.eye(3))
+            want = T @ inner @ Xp @ T.conj().T
+            assert opnorm(effect_automorphism(spec, X) - want) <= 1e-10 * (1.0 + opnorm(want))
+
+
 def test_rational_effect_four_factor_route_agrees():
     # oracle: the composition of the four published factors, built from
     # independent spectral scalings, must equal the direct resolvent form

@@ -156,3 +156,22 @@ def test_matrix_stdout_round_trip(tmp_path):
     r = run_cli("gen", "--kind", "hermitian", "--dim", "3", "--seed", "13")
     M = parse_matrix_text(r.stdout)
     assert matrix_to_text(M) == r.stdout
+
+
+def test_apply_mobius_default_shifts_and_domain_exit(tmp_path):
+    frame, base, shift, z = (tmp_path / k for k in ("t.json", "a.json", "b.json", "z.json"))
+    T = np.array([[1.0, 0.5j], [0.0, 2.0]])
+    A = np.array([[0.3, 0.1], [0.1, -0.4]], dtype=complex)
+    B = np.array([[0.2, 0.1j], [-0.1j, 0.5]])
+    Z = np.array([[0.1, 0.2], [0.2, -0.3]]) + 1j * np.eye(2)
+    for path, M in ((frame, T), (base, A), (shift, B), (z, Z)):
+        write_matrix_file(path, M)
+    # omitted --shift-in / --shift-out act as zero shifts
+    r = run_cli("apply", "--map", "mobius", "--frame", str(frame), "--base", str(base), str(z))
+    assert r.returncode == 0
+    want = T @ np.linalg.inv(np.linalg.inv(Z) + A) @ T.conj().T
+    assert np.linalg.norm(parse_matrix_text(r.stdout) - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+    # Z = B: Z - B is singular, a domain violation
+    r = run_cli("apply", "--map", "mobius", "--frame", str(frame), "--base", str(base),
+                "--shift-in", str(shift), str(shift))
+    assert r.returncode == 3

@@ -165,3 +165,43 @@ def test_fit_canonical_flags_non_model_maps():
     crooked = lambda Z: Z + 0.05 * (Z @ Z)
     with pytest.raises(ModelMismatchError):
         fit_canonical(crooked, 2)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_apply_mobius_raises_where_an_inverse_fails(transpose):
+    rng = np.random.default_rng(28)
+    m = MobiusAutomorphism(
+        frame=random_invertible(rng, 3),
+        A=np.diag([0.8, -1.5, 2.0]).astype(complex),
+        B=random_hermitian(rng, 3) * 0.5,
+        C=random_hermitian(rng, 3) * 0.5,
+        transpose=transpose,
+    )
+    prime = (lambda M: M.T) if transpose else (lambda M: M)
+    # Z' - B = 0: the inner inverse fails
+    with pytest.raises(DomainViolationError):
+        apply_mobius(m, prime(m.B))
+    # Z' - B = -A^{-1}: (Z' - B)^{-1} + A = 0, the outer inverse fails
+    with pytest.raises(DomainViolationError):
+        apply_mobius(m, prime(m.B - np.linalg.inv(m.A)))
+
+
+@pytest.mark.parametrize("a", [2e4, 1e5])
+def test_fit_canonical_recovers_map_with_large_base(a):
+    # A^2 + I has eigenvalues near 1 far below ||A||^2; the frame must not lose them
+    m = MobiusAutomorphism(frame=np.diag([np.sqrt(1.0 + a * a), 1.0]), A=np.diag([a, 0.5]))
+    fit = fit_canonical(lambda Z: apply_mobius(m, Z), 2)
+    assert opnorm(fit.A - m.A) <= 1e-7 * (1.0 + opnorm(m.A))
+    assert opnorm(fit.frame - m.frame) <= 1e-7 * (1.0 + opnorm(m.frame))
+    assert not fit.transpose
+
+
+def test_fit_canonical_recovers_planted_map_in_dimension_one():
+    m = MobiusAutomorphism(frame=[[1.5 * np.exp(0.3j)]], A=[[-0.7]])
+    fit = fit_canonical(lambda Z: apply_mobius(m, Z), 1)
+    assert opnorm(fit.A - m.A) <= 1e-10
+    assert abs(abs(fit.frame[0, 0]) - 1.5) <= 1e-10
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        Z = random_half_plane(rng, 1)
+        assert opnorm(apply_mobius(fit, Z) - apply_mobius(m, Z)) <= 1e-10 * (1.0 + opnorm(Z))

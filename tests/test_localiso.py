@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from matorder.errors import DomainViolationError, ModelMismatchError
+from matorder.halfplane import MobiusAutomorphism
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.localiso import (
-    LocalIsoSpec,
     apply_local_iso,
     congruence_orbit,
     conjugated_base,
@@ -271,7 +271,7 @@ def test_identify_parameters_recovers_planted_spec():
     rng = np.random.default_rng(40)
     base = random_hermitian(rng, 2) * 0.5
     frame = random_invertible(rng, 2)
-    spec = LocalIsoSpec(base=base, frame=frame, transpose=False)
+    spec = MobiusAutomorphism(frame=frame, A=base, transpose=False)
     fn = lambda X: apply_local_iso(spec, X)
     got = identify_parameters(fn, 2)
     for _ in range(10):
@@ -283,3 +283,33 @@ def test_identify_parameters_rejects_non_model():
     crooked = lambda X: X + 0.05 * (X @ X)
     with pytest.raises(ModelMismatchError):
         identify_parameters(crooked, 2)
+
+
+def test_apply_local_iso_raises_outside_the_zero_component():
+    rng = np.random.default_rng(41)
+    A = random_psd(rng, 3) + 0.5 * np.eye(3)
+    m = MobiusAutomorphism(frame=random_invertible(rng, 3), A=A)
+    # X A + I = -I is invertible, but X lies in another component than 0
+    with pytest.raises(DomainViolationError):
+        apply_local_iso(m, herm_part(-2.0 * np.linalg.inv(A)))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_apply_local_iso_matches_congruence_of_order_iso(transpose):
+    rng = np.random.default_rng(42)
+    A = random_hermitian(rng, 3) * 0.5
+    m = MobiusAutomorphism(frame=random_invertible(rng, 3), A=A, B=random_hermitian(rng, 3) * 0.1,
+                           C=random_hermitian(rng, 3), transpose=transpose)
+    for _ in range(10):
+        E = random_hermitian(rng, 3) * 0.1
+        X = (m.B + E).T if transpose else m.B + E  # X' - B = E
+        want = m.C + m.frame @ order_iso_apply(A, E) @ m.frame.conj().T
+        assert opnorm(apply_local_iso(m, X) - want) <= 1e-12 * (1.0 + opnorm(want))
+
+
+def test_identify_parameters_recovers_planted_spec_in_dimension_one():
+    spec = MobiusAutomorphism(frame=[[0.8 * np.exp(-1.1j)]], A=[[1.3]])
+    got = identify_parameters(lambda X: apply_local_iso(spec, X), 1)
+    assert opnorm(got.A - spec.A) <= 1e-5 * (1.0 + opnorm(spec.A))
+    assert abs(got.frame[0, 0] - 0.8) <= 1e-5
+    assert not got.transpose
