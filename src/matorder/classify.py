@@ -20,7 +20,6 @@ import dataclasses
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
@@ -30,7 +29,9 @@ from .linalg import (
     _inertia,
     _is_invertible,
     _loewner_compare,
+    _principal_sqrt,
     _rank_cut,
+    _spectrum_inertia,
     as_hermitian,
     as_square,
     herm_part,
@@ -193,14 +194,11 @@ def signature_class(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Signatur
 
 def _signature_class(H: np.ndarray, tol: ToleranceConfig) -> SignatureClass:
     values = _eigh(H).values
-    if values.size == 0:
-        return SignatureClass(0, 0, False)
+    sig = _spectrum_inertia(values, tol)
     cut = _rank_cut(values, tol)
-    p = int(np.count_nonzero(values > cut))
-    neg = int(np.count_nonzero(values < -cut))
     magnitudes = np.abs(values)
     borderline = bool(((magnitudes > cut / 10.0) & (magnitudes < cut * 10.0)).any())
-    return SignatureClass(p + neg, p, borderline)
+    return SignatureClass(sig.n_pos + sig.n_neg, sig.n_pos, borderline)
 
 
 def are_equivalent(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -342,7 +340,7 @@ def rational_effect_automorphism(spec: FpqSpec, X: Iterable, tol: ToleranceConfi
     Y = H.T if spec.transpose else H
     T = spec.frame
     S = _resolvent_scaling(spec.p, herm_part(T @ T.conj().T))
-    root = np.asarray(sqrtm(S), dtype=complex)
+    root = _principal_sqrt(S)
     if not _is_invertible(root, tol):
         raise DomainViolationError("frame scaling is numerically singular")
     inner = herm_part(T @ Y @ T.conj().T)

@@ -198,7 +198,11 @@ def _rank_cut(values: np.ndarray, tol: ToleranceConfig) -> float:
 
 def _inertia(H: np.ndarray, tol: ToleranceConfig) -> Inertia:
     """Kernel of inertia on an exactly Hermitian array."""
-    values = np.linalg.eigh(H)[0]
+    return _spectrum_inertia(np.linalg.eigh(H)[0], tol)
+
+
+def _spectrum_inertia(values: np.ndarray, tol: ToleranceConfig) -> Inertia:
+    """Inertia of an eigenvalue array under the rank cutoff, for callers that hold one."""
     if values.size == 0:
         return Inertia(0, 0, 0)
     cut = _rank_cut(values, tol)
@@ -351,7 +355,11 @@ def spectral_pinv(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     Eigenvalues above psd_tol*(1+||A||_2) in magnitude are inverted, the
     rest are zeroed.
     """
-    decomp = hermitian_eigen(A, tol)
+    return _spectral_pinv(hermitian_eigen(A, tol), tol)
+
+
+def _spectral_pinv(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of spectral_pinv on the eigendecomposition of its argument."""
     values = decomp.values
     if values.size == 0:
         return np.zeros((0, 0), dtype=complex)
@@ -376,3 +384,10 @@ def sqrt_psd(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         raise DomainViolationError(f"matrix is not PSD: min eigenvalue {values[0]:.3e}")
     root = np.sqrt(np.where(values > cut, values, 0.0))
     return herm_part((decomp.vectors * root) @ decomp.vectors.conj().T)
+
+
+def _principal_sqrt(M: np.ndarray) -> np.ndarray:
+    """Principal root of M (no eigenvalue on (-inf, 0]); scipy.linalg is imported on first use."""
+    from scipy.linalg import sqrtm
+
+    return np.asarray(sqrtm(M), dtype=complex)

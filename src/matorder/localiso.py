@@ -18,10 +18,9 @@ black-box parameter identification from derivatives at 0.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
@@ -36,6 +35,7 @@ from .linalg import (
     _inertia,
     _is_invertible,
     _loewner_compare,
+    _principal_sqrt,
     _rank_cut,
     as_hermitian,
     as_square,
@@ -182,14 +182,12 @@ def _segment_in_shear_domain(A: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: T
     return not bool(_segment_crossings(A, P, Q[None, :, :])[0])
 
 
-def segment_in_zero_component(
-    base: Iterable, X: Iterable, Y: Iterable, steps: int = 32, tol: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    """Grid test of the segment condition used to gate monotonicity checks.
+def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Exact test of the segment condition used to gate monotonicity checks.
 
-    Both endpoints must lie in the zero component; the segment passes iff
-    every convex combination on a `steps`-point grid (plus the endpoints)
-    stays inside the shear domain.
+    Both endpoints must lie in the zero component (DomainViolationError
+    otherwise); the segment passes iff it stays inside the shear domain,
+    decided exactly as in segment_in_shear_domain.
     """
     A = as_hermitian(base, tol, "base")
     P = as_hermitian(X, tol, "X")
@@ -198,10 +196,7 @@ def segment_in_zero_component(
         raise MalformedInputError("dimension mismatch")
     if not (_in_zero_component(A, P, tol) and _in_zero_component(A, Q, tol)):
         raise DomainViolationError("segment endpoints must lie in the zero component")
-    for c in np.linspace(0.0, 1.0, steps + 2):
-        if not _in_shear_domain(A, (1.0 - c) * P + c * Q, tol):
-            return False
-    return True
+    return _segment_in_shear_domain(A, P, Q, tol)
 
 
 def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -264,40 +259,22 @@ def conjugated_base(base: Iterable, frame: Iterable, tol: ToleranceConfig = DEFA
     return herm_part(T @ A @ T.conj().T)
 
 
-def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, max_depth: int = 20) -> np.ndarray:
+def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Invertible T with shear_apply(X, base) = T base T*.
 
-    Built along the straight path t -> tX by accumulating principal square
-    roots of the consecutive factors (base tX_j + I)^{-1}(base tX_{j-1} + I);
-    segments are bisected adaptively whenever a factor strays further than
-    1/2 from the identity, failing after `max_depth` levels. Requires the
-    straight segment to stay inside the shear domain.
+    T = ((base X + I)^{-1})^{1/2}, the principal root: A f(XA) = f(AX) A for
+    every matrix function f, so T A T* = (AX + I)^{-1} A. The root exists iff
+    no eigenvalue of AX is real and <= -1, that is iff the straight segment
+    from 0 to X stays inside the shear domain; PathSearchError otherwise.
+    The root is taken of the inverse, not inverted after: near-singular
+    AX + I loses an order of magnitude in the congruence residual that way.
     """
     A, H = _base_and_hermitian(base, X, tol)
     if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
-    n = A.shape[0]
-    eye = np.eye(n)
-    if float(np.linalg.norm(A)) <= tol.psd_tol or float(np.linalg.norm(H)) == 0.0:
-        return eye.astype(complex)
-    AX = A @ H
-
-    def node(t: float) -> np.ndarray:
-        M = eye + t * AX
-        if not _is_invertible(M, tol):
-            raise PathSearchError(f"straight path leaves the shear domain at t={t:.6g}")
-        return M
-
-    def span(t0: float, t1: float, depth: int) -> np.ndarray:
-        G = np.linalg.solve(node(t1), node(t0))
-        if opnorm(G - eye) <= 0.5:
-            return np.asarray(sqrtm(G), dtype=complex)
-        if depth >= max_depth:
-            raise PathSearchError(f"no admissible subdivision within {max_depth} bisection levels")
-        mid = (t0 + t1) / 2.0
-        return span(mid, t1, depth + 1) @ span(t0, mid, depth + 1)
-
-    return span(0.0, 1.0, 0)
+    if _segment_crossings(A, np.zeros_like(H), H[None, :, :])[0]:
+        raise PathSearchError("the straight path from 0 to X leaves the shear domain")
+    return _principal_sqrt(np.linalg.inv(A @ H + np.eye(A.shape[0])))
 
 
 def apply_local_iso(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

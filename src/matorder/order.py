@@ -17,12 +17,12 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
 from .linalg import (
     _eigh,
-    _inertia,
     _loewner_compare,
     _rank_cut,
+    _spectral_pinv,
+    _spectrum_inertia,
     as_hermitian,
     herm_part,
-    spectral_pinv,
 )
 
 __all__ = [
@@ -98,24 +98,22 @@ def rank_one_leq(R: Iterable, A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -
     A = as_hermitian(A, tol, "A")
     if R.shape != A.shape:
         raise MalformedInputError("dimension mismatch")
-    sig = _inertia(R, tol)
+    decompR, decompA = _eigh(R), _eigh(A)
+    sig = _spectrum_inertia(decompR.values, tol)
     if sig.n_neg != 0 or sig.n_pos != 1:
         raise MalformedInputError(f"R must be PSD of rank one, inertia is {tuple(sig)}")
-    sigA = _inertia(A, tol)
-    if sigA.n_neg != 0:
+    cutA = _rank_cut(decompA.values, tol)
+    if np.any(decompA.values < -cutA):
         raise MalformedInputError("A must be PSD")
 
-    decompR = _eigh(R)
     weight = float(decompR.values[-1])
     vec = decompR.vectors[:, -1] * math.sqrt(max(weight, 0.0))
 
-    decompA = _eigh(A)
-    cutA = _rank_cut(decompA.values, tol)
     kernel = decompA.vectors[:, np.abs(decompA.values) <= cutA]
     leak = float(np.linalg.norm(kernel.conj().T @ vec))
     if leak > math.sqrt(tol.psd_tol) * (1.0 + float(np.linalg.norm(vec))):
         return False
-    trace = float(np.real(np.vdot(vec, spectral_pinv(A, tol) @ vec)))
+    trace = float(np.real(np.vdot(vec, _spectral_pinv(decompA, tol) @ vec)))
     return trace <= 1.0 + tol.psd_tol
 
 

@@ -61,7 +61,6 @@ from .linalg import (
     loewner_compare,
     opnorm,
     spectral_apply,
-    spectral_pinv,
     sqrt_psd,
 )
 from .localiso import (

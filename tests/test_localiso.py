@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matorder.errors import DomainViolationError, ModelMismatchError
+from matorder.errors import DomainViolationError, ModelMismatchError, PathSearchError
 from matorder.halfplane import MobiusAutomorphism
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.localiso import (
@@ -129,6 +129,12 @@ def test_grid_segment_gate_basics():
     with pytest.raises(DomainViolationError):
         segment_in_zero_component(np.diag([2.0, -1.0, 0.5]).astype(complex),
                                   np.zeros((3, 3)), X_out)
+    # both endpoints are members, but the segment is singular at t = 0.505 and
+    # t = 0.51, between two points of any 32-step grid
+    A = np.diag([1.0, -1.0]).astype(complex)
+    Y = np.diag([-1.0 / 0.505, 1.0 / 0.51]).astype(complex)
+    assert in_zero_component(A, Y)
+    assert segment_in_zero_component(A, np.zeros((2, 2)), Y) is False
 
 
 def test_membership_matches_path_search_oracle():
@@ -215,8 +221,30 @@ def test_congruence_orbit_reproduces_image():
         got = herm_part(T @ A @ T.conj().T)
         assert opnorm(got - want) <= 1e-8 * (1.0 + opnorm(A))
         assert tuple(inertia(got)) == tuple(inertia(herm_part(want)))
+        # T is the principal square root of (AX + I)^{-1}
+        assert opnorm(T @ T @ (A @ X + np.eye(3)) - np.eye(3)) <= 1e-10
+        assert np.all(np.linalg.eigvals(T).real > 0.0)
         done += 1
     assert done >= 15
+
+
+def test_congruence_orbit_fails_exactly_where_the_straight_path_leaves():
+    rng = np.random.default_rng(41)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        A = random_hermitian(rng, 3)
+        X = random_hermitian(rng, 3) * rng.uniform(0.5, 4.0)
+        if not in_zero_component(A, X):
+            continue
+        straight = segment_in_shear_domain(A, np.zeros((3, 3)), X)
+        try:
+            congruence_orbit(A, X)
+            raised = False
+        except PathSearchError:
+            raised = True
+        assert raised == (not straight)
+        seen[straight] += 1
+    assert seen[True] >= 50 and seen[False] >= 5
 
 
 def test_interval_below_criterion_matches_sampling():
