@@ -186,7 +186,7 @@ def _cmd_gen(args, tol: ToleranceConfig) -> int:
     elif args.kind == "effect":
         M = random_effect(rng, args.dim)
     elif args.kind == "halfplane":
-        M = random_half_plane(rng, args.dim, tol)
+        M = random_half_plane(rng, args.dim)
     else:  # pragma: no cover - argparse restricts choices
         raise MalformedInputError(f"unknown kind {args.kind}")
     _emit_matrix(M, args.out)

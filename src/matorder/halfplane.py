@@ -346,7 +346,7 @@ def fit_canonical(
     rng = np.random.default_rng(validation_seed)
     worst = 0.0
     for _ in range(20):
-        Z = random_half_plane(rng, dim, tol)
+        Z = random_half_plane(rng, dim)
         want = evaluator(Z)
         got = apply_mobius(fitted, Z, tol)
         worst = max(worst, float(np.linalg.norm(want - got)) / (1.0 + float(np.linalg.norm(want))))

@@ -68,6 +68,11 @@ __all__ = [
 DERIVATIVE_RESIDUAL_TOL = 1e-6
 BASE_CONSISTENCY_TOL = 1e-6
 
+# Cushion of the exact segment test, so that rounding cannot hide a crossing:
+# an eigenvalue mu with |Im mu| <= REAL_EIG_MARGIN (1 + |Re mu|) counts as
+# real, and a real one with Re mu <= -1 + REAL_EIG_MARGIN as a crossing.
+REAL_EIG_MARGIN = 1e-7
+
 
 def _base_and_square(base: Iterable, X: Iterable, tol: ToleranceConfig):
     """Validated (Hermitian base, square X) of one dimension."""
@@ -147,7 +152,7 @@ def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> bo
     return tuple(_inertia(M, tol)) == (p, 0, k - p)
 
 
-def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, eig_margin: float = 1e-7) -> np.ndarray:
+def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """Vectorized exact test: does the segment P -> Q leave the shear domain?
 
     Parameterizing (P + tD) base + I = (P base + I)(I + t G) with
@@ -161,8 +166,8 @@ def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, eig_marg
     D = Qs - P[None, :, :]
     G = np.linalg.solve(M[None, :, :], D @ base)
     eigs = np.linalg.eigvals(G)
-    real_like = np.abs(eigs.imag) <= eig_margin * (1.0 + np.abs(eigs.real))
-    bad = real_like & (eigs.real <= -1.0 + eig_margin)
+    real_like = np.abs(eigs.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(eigs.real))
+    bad = real_like & (eigs.real <= -1.0 + REAL_EIG_MARGIN)
     return np.any(bad, axis=1)
 
 
@@ -352,7 +357,7 @@ class PathSearchResult(NamedTuple):
     nodes_used: int
 
 
-def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray], tol: ToleranceConfig) -> Optional[List[int]]:
+def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[int]]:
     """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges."""
     total = len(nodes)
     stacked = np.stack(nodes)
@@ -425,7 +430,7 @@ def path_to_zero(
         used += pool
         if candidates:
             nodes = [zero, H] + candidates
-            order = _bfs_over_pool(A, nodes, tol)
+            order = _bfs_over_pool(A, nodes)
             if order is not None:
                 return PathSearchResult(True, [nodes[i] for i in order], used)
         pool *= 2

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import MatOrderError
 from .linalg import herm_part, opnorm
 
@@ -71,7 +70,7 @@ def random_contraction(rng: np.random.Generator, n: int, strict_margin: float = 
     return T * ((1.0 - strict_margin) / opnorm(T))
 
 
-def random_half_plane(rng: np.random.Generator, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def random_half_plane(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random point with positive definite imaginary part, margin >= 0.1."""
     X = random_hermitian(rng, n)
     Y = random_hermitian_with_spectrum(rng, n, 0.1, 1.5)

@@ -4,6 +4,11 @@ Every library-level invariant is exercised by exactly one named suite.
 run_suite(name, seed, trials) replays a suite deterministically; two runs
 with the same arguments produce byte-identical reports up to the timing
 field. Failures carry serialized matrix witnesses.
+
+Writing a suite: loop `for t, n in _trials(rng, trials, lo, hi)`, draw gated
+samples with `_first(attempts, draw, accept)`, which returns None once every
+attempt is rejected, and return skip counters in the `details` dict. Keep the
+rng draws in order: generators stay lazy, so `any`/`next` short-circuit.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .linalg import (
     sqrt_psd,
 )
 from .localiso import (
+    REAL_EIG_MARGIN,
     apply_local_iso,
     congruence_orbit,
     conjugated_base,
@@ -103,7 +109,7 @@ from .sampling import (
     random_unitary,
 )
 
-__all__ = ["RunReport", "run_suite", "run_all", "suite_names", "suite_description"]
+__all__ = ["RunReport", "run_suite", "suite_names", "suite_description"]
 
 MAX_STORED_FAILURES = 16
 
@@ -180,8 +186,45 @@ class _Recorder:
 # shared samplers
 
 
-def _rand_dim(rng: np.random.Generator, lo: int = 2, hi: int = 6) -> int:
+def _rand_dim(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(rng.integers(lo, hi + 1))
+
+
+def _trials(rng: np.random.Generator, trials: int, lo: int = 2, hi: int = 6):
+    """Yield (t, n) per trial; n is drawn as trial t starts, before its other draws."""
+    for t in range(trials):
+        yield t, _rand_dim(rng, lo, hi)
+
+
+def _first(attempts: int, draw: Callable, accept: Callable):
+    """The first of `attempts` draws that `accept` passes, or None."""
+    for _ in range(attempts):
+        cand = draw()
+        if accept(cand):
+            return cand
+    return None
+
+
+def _rel(got: np.ndarray, want: np.ndarray) -> float:
+    """Relative error ||got - want|| / (1 + ||want||) in the spectral norm."""
+    return opnorm(got - want) / (1.0 + opnorm(want))
+
+
+def _gap(P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> float:
+    """Smallest eigenvalue of Q - P: nonnegative iff P <= Q."""
+    return float(hermitian_eigen(herm_part(Q - P), tol).values[0])
+
+
+def _in_interval(M: np.ndarray, lo: float, hi: float, tol: ToleranceConfig) -> bool:
+    """Whether the spectrum of the Hermitian M lies in [lo, hi]."""
+    vals = hermitian_eigen(M, tol).values
+    return float(vals[0]) >= lo and float(vals[-1]) <= hi
+
+
+def _with_spectrum(rng: np.random.Generator, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V* for a random unitary V, drawn after vals."""
+    V = random_unitary(rng, len(vals))
+    return herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
 
 
 def _mixed_rank_hermitian(rng: np.random.Generator, n: int, zero_prob: float = 0.3,
@@ -192,33 +235,26 @@ def _mixed_rank_hermitian(rng: np.random.Generator, n: int, zero_prob: float = 0
         0.0,
         rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n),
     )
-    V = random_unitary(rng, n)
-    return herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+    return _with_spectrum(rng, vals)
 
 
-def _well_margined(M: np.ndarray, rel: float = 1e-3) -> bool:
-    return invertibility_margin(M) > rel * (1.0 + opnorm(M))
+def _well_margined(M: np.ndarray) -> bool:
+    return invertibility_margin(M) > 1e-3 * (1.0 + opnorm(M))
 
 
-def _sample_shear_member(rng: np.random.Generator, A: np.ndarray, tol: ToleranceConfig,
-                         attempts: int = 200, margin: float = 1e-3) -> Optional[np.ndarray]:
+def _sample_shear_member(rng: np.random.Generator, A: np.ndarray) -> Optional[np.ndarray]:
+    n = A.shape[0]
+    return _first(200, lambda: random_hermitian(rng, n, scale=rng.uniform(0.3, 1.6)),
+                  lambda X: _well_margined(X @ A + np.eye(n)))
+
+
+def _sample_component_member(rng: np.random.Generator, A: np.ndarray, tol: ToleranceConfig) -> Optional[np.ndarray]:
     n = A.shape[0]
     eye = np.eye(n)
-    for _ in range(attempts):
-        X = random_hermitian(rng, n, scale=rng.uniform(0.3, 1.6))
-        if _well_margined(X @ A + eye, margin):
-            return X
-    return None
-
-
-def _sample_component_member(rng: np.random.Generator, A: np.ndarray, tol: ToleranceConfig,
-                             attempts: int = 300, margin: float = 1e-3) -> Optional[np.ndarray]:
-    n = A.shape[0]
-    eye = np.eye(n)
-    for k in range(attempts):
+    for k in range(300):
         scale = rng.uniform(0.1, 1.2) if k % 2 else rng.uniform(0.05, 0.5)
         X = random_hermitian(rng, n, scale=scale)
-        if _well_margined(X @ A + eye, margin) and in_zero_component(A, X, tol):
+        if _well_margined(X @ A + eye) and in_zero_component(A, X, tol):
             return X
     return None
 
@@ -242,8 +278,7 @@ def _indefinite_step(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
         rng.uniform(0.05, 0.5, size=k) * s,
         -rng.uniform(0.05, 0.5, size=n - k) * s,
     ])
-    V = random_unitary(rng, n)
-    return herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+    return _with_spectrum(rng, vals)
 
 
 def _block_sample(rng: np.random.Generator, spec: BlockMapSpec) -> np.ndarray:
@@ -252,8 +287,7 @@ def _block_sample(rng: np.random.Generator, spec: BlockMapSpec) -> np.ndarray:
     X = random_hermitian(rng, n, scale=0.8)
     if m > 0:
         vals = np.concatenate([rng.uniform(0.3, 2.0, size=p), -rng.uniform(0.3, 2.0, size=m - p)])
-        V = random_unitary(rng, m)
-        X[:m, :m] = herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+        X[:m, :m] = _with_spectrum(rng, vals)
     return herm_part(X)
 
 
@@ -297,12 +331,10 @@ def _suite_eigen_residual(rng, trials, tol, rec):
             got = hermitian_eigen(D, tol).values
             rec.check_residual(float(np.max(np.abs(got - np.sort(np.diag(D).real)))), tol.eig_tol,
                                t, "diagonal eigenvalues", X=D)
-    return {}
 
 
 def _suite_inertia_congruence(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         n_pos = int(rng.integers(0, n + 1))
         n_zero = int(rng.integers(0, n - n_pos + 1))
         n_neg = n - n_pos - n_zero
@@ -318,12 +350,10 @@ def _suite_inertia_congruence(rng, trials, tol, rec):
                   f"congruence changed inertia {(n_pos, n_zero, n_neg)} -> {got}", X=X, S=S)
         for c in (1e-3, 1.0, 1e3):
             rec.check(tuple(inertia(c * X, tol)) == got, t, f"inertia not scale invariant at c={c}", X=X)
-    return {}
 
 
 def _suite_order_antisymmetry(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
         P = _psd_step(rng, X, strict=(t % 2 == 0))
         v = loewner_compare(X, X + P, tol)
@@ -340,33 +370,27 @@ def _suite_order_antisymmetry(rng, trials, tol, rec):
         D = _indefinite_step(rng, X)
         rec.check(loewner_compare(X, X + D, tol).incomparable, t,
                   "indefinite step not incomparable", X=X, D=D)
-    return {}
 
 
 def _suite_spectral_composition(rng, trials, tol, rec):
     bound = 1e-9
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
         inner = spectral_apply(X, lambda x: x * x, tol=tol)
         two_step = spectral_apply(inner, lambda x: math.sqrt(x + 1.0), domain=(-0.5, math.inf), tol=tol)
         one_step = spectral_apply(X, lambda x: math.sqrt(x * x + 1.0), tol=tol)
-        rec.check_residual(opnorm(two_step - one_step) / (1.0 + opnorm(one_step)), bound,
-                           t, "sqrt(x^2+1) composition", X=X)
+        rec.check_residual(_rel(two_step, one_step), bound, t, "sqrt(x^2+1) composition", X=X)
         P = herm_part(random_psd(rng, n) + 0.3 * np.eye(n))
         back = spectral_apply(spectral_apply(P, math.log, domain=(0.0, math.inf), tol=tol), math.exp, tol=tol)
-        rec.check_residual(opnorm(back - P) / (1.0 + opnorm(P)), bound, t, "exp(log(P)) identity", P=P)
+        rec.check_residual(_rel(back, P), bound, t, "exp(log(P)) identity", P=P)
         if n <= 6:
             alt = spectral_apply(X, lambda x: math.sqrt(x * x + 1.0), tol=tol, engine="jacobi")
-            rec.check_residual(opnorm(alt - one_step) / (1.0 + opnorm(one_step)), bound,
-                               t, "engine cross-check", X=X)
-    return {}
+            rec.check_residual(_rel(alt, one_step), bound, t, "engine cross-check", X=X)
 
 
 def _suite_rank_one_trace(rng, trials, tol, rec):
     skipped = 0
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nv2 = float(np.vdot(v, v).real)
         c = rng.uniform(0.1, 1.4) / nv2
@@ -384,8 +408,7 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
             A = herm_part(random_psd(rng, n) + 0.1 * np.eye(n))
         else:
             vals = np.concatenate([rng.uniform(0.2, 2.0, size=n - 1), [0.0]])
-            V = random_unitary(rng, n)
-            A = herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+            A = _with_spectrum(rng, vals)
             if t % 2 == 0:
                 w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 u = A @ w
@@ -394,7 +417,7 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
                     u = u / nu
                     cc = rng.uniform(0.1, 1.4)
                     R = herm_part(cc * np.outer(u, u.conj()))
-        gap = float(hermitian_eigen(herm_part(A - R), tol).values[0])
+        gap = _gap(R, A, tol)
         scale = 1.0 + opnorm(A) + opnorm(R)
         if abs(gap) <= 1e-6 * scale:
             skipped += 1
@@ -405,8 +428,7 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
 
 
 def _suite_interval_iso(rng, trials, tol, rec):
-    for t in range(trials):
-        n = int(rng.integers(2, 6))
+    for t, n in _trials(rng, trials, 2, 5):
         L = random_hermitian(rng, n)
         if t % 2 == 0:
             D = herm_part(random_psd(rng, n) + 0.2 * np.eye(n))
@@ -414,8 +436,7 @@ def _suite_interval_iso(rng, trials, tol, rec):
             # rank-deficient gap with well-separated positive part
             r = int(rng.integers(1, n))
             vals = np.concatenate([rng.uniform(0.3, 2.0, size=r), np.zeros(n - r)])
-            V = random_unitary(rng, n)
-            D = herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+            D = _with_spectrum(rng, vals)
         U = herm_part(L + D)
         iso = affine_interval_iso(L, U, tol)
         eye_r = np.eye(iso.rank)
@@ -425,21 +446,18 @@ def _suite_interval_iso(rng, trials, tol, rec):
         E1 = random_effect(rng, n)
         X1 = herm_part(L + Dh @ E1 @ Dh)
         F1 = iso.forward(X1, tol)
-        vals = hermitian_eigen(F1, tol).values
-        rec.check(float(vals[0]) >= -1e-8 and float(vals[-1]) <= 1.0 + 1e-8, t,
+        rec.check(_in_interval(F1, -1e-8, 1.0 + 1e-8, tol), t,
                   "forward image leaves the effect interval", X=X1)
-        rec.check_residual(opnorm(iso.backward(F1, tol) - X1) / (1.0 + opnorm(X1)), 1e-9,
-                           t, "backward(forward) identity", X=X1)
+        rec.check_residual(_rel(iso.backward(F1, tol), X1), 1e-9, t, "backward(forward) identity", X=X1)
         G2 = sqrt_psd(np.eye(n) - E1, tol)
         E2 = herm_part(E1 + rng.uniform(0.2, 0.8) * G2 @ random_effect(rng, n) @ G2)
         X2 = herm_part(L + Dh @ E2 @ Dh)
-        gap = float(hermitian_eigen(herm_part(iso.forward(X2, tol) - F1), tol).values[0])
+        gap = _gap(F1, iso.forward(X2, tol), tol)
         rec.check(gap >= -1e-8 * (1.0 + opnorm(F1)), t, "forward not order preserving", X1=X1, X2=X2)
         J = OperatorInterval(L, U)
         rec.check(interval_contains(J, X1, tol), t, "sampled point not contained", X=X1)
         rec.check(not interval_contains(J, herm_part(U + 0.1 * (1.0 + opnorm(U)) * np.eye(n)), tol),
                   t, "point beyond upper reported contained", U=U)
-    return {}
 
 
 def _suite_projection_dominance(rng, trials, tol, rec):
@@ -472,27 +490,22 @@ def _suite_projection_dominance(rng, trials, tol, rec):
 
 
 def _suite_halfplane_roundtrip(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 5)
+    for t, n in _trials(rng, trials, 2, 5):
         Z = random_half_plane(rng, n)
         M = inverse_cayley(Z, tol)
         rec.check(opnorm(M) < 1.0, t, "ball image is not a strict contraction", Z=Z)
-        rec.check_residual(opnorm(cayley(M, tol) - Z) / (1.0 + opnorm(Z)), 1e-10,
-                           t, "half-plane round trip", Z=Z)
+        rec.check_residual(_rel(cayley(M, tol), Z), 1e-10, t, "half-plane round trip", Z=Z)
         W = random_contraction(rng, n)
         Z2 = cayley(W, tol)
         rec.check(bool(in_half_plane(Z2, tol)), t, "cayley left the half-plane", W=W)
-        rec.check_residual(opnorm(inverse_cayley(Z2, tol) - W) / (1.0 + opnorm(W)), 1e-10,
-                           t, "contraction round trip", W=W)
+        rec.check_residual(_rel(inverse_cayley(Z2, tol), W), 1e-10, t, "contraction round trip", W=W)
         N = neg_inverse(Z, tol)
         rec.check(bool(in_half_plane(N, tol)), t, "negated inverse left the half-plane", Z=Z)
-        rec.check_residual(opnorm(neg_inverse(N, tol) - Z) / (1.0 + opnorm(Z)), 1e-10,
-                           t, "negated inverse involution", Z=Z)
+        rec.check_residual(_rel(neg_inverse(N, tol), Z), 1e-10, t, "negated inverse involution", Z=Z)
         X = random_hermitian(rng, n)
         if invertibility_margin(X) > 0.05 * (1.0 + opnorm(X)):
-            rec.check_residual(opnorm(neg_inverse(neg_inverse(X, tol), tol) - X) / (1.0 + opnorm(X)),
+            rec.check_residual(_rel(neg_inverse(neg_inverse(X, tol), tol), X),
                                1e-10, t, "Hermitian involution", X=X)
-    return {}
 
 
 _FIX01_WINDOWS = {
@@ -512,21 +525,19 @@ def _suite_rational_inverse(rng, trials, tol, rec):
         rec.check_residual(abs(mobius_fix01(r, 0.0)), 1e-12, t, f"f_{r} does not fix 0")
         rec.check_residual(abs(mobius_fix01(r, 1.0) - 1.0), 1e-12, t, f"f_{r} does not fix 1")
         xs = np.sort(rng.uniform(lo, hi, size=3))
-        for x in xs:
-            y = mobius_fix01(r, float(x))
+        ys = [mobius_fix01(r, float(x)) for x in xs]
+        for x, y in zip(xs, ys):
             rec.check_residual(abs(mobius_fix01(r_inv, y) - x) / (1.0 + abs(x)), 1e-9,
                                t, f"scalar inverse law at r={r}")
-        ys = [mobius_fix01(r, float(x)) for x in xs]
         rec.check(ys[0] < ys[1] < ys[2], t, f"f_{r} not increasing on its window")
         n = _rand_dim(rng, 2, 5)
         X = random_hermitian_with_spectrum(rng, n, lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
         Y = mobius_fix01_matrix(r, X, tol)
-        rec.check_residual(opnorm(mobius_fix01_matrix(r_inv, Y, tol) - X) / (1.0 + opnorm(X)), 1e-9,
+        rec.check_residual(_rel(mobius_fix01_matrix(r_inv, Y, tol), X), 1e-9,
                            t, f"matrix inverse law at r={r}", X=X)
         Z = random_half_plane(rng, n)
         rec.check(bool(in_half_plane(mobius_fix01_matrix(r, Z, tol), tol)), t,
                   f"f_{r} left the half-plane", Z=Z)
-    return {}
 
 
 def _random_mobius(rng: np.random.Generator, n: int) -> MobiusAutomorphism:
@@ -539,24 +550,23 @@ def _random_mobius(rng: np.random.Generator, n: int) -> MobiusAutomorphism:
     )
 
 
+def _hermitian_anchor(rng: np.random.Generator, h: Callable, n: int) -> Optional[tuple]:
+    """(X0, h(X0)) for the first of 60 Hermitian draws X0 that h accepts, or None."""
+    for _ in range(60):
+        X0 = random_hermitian(rng, n, scale=0.6)
+        try:
+            return X0, herm_part(h(X0))
+        except DomainViolationError:
+            pass
+    return None
+
+
 def _suite_mobius_closure(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         g1 = _random_mobius(rng, n)
         g2 = _random_mobius(rng, n)
-
-        def h(Z):
-            return apply_mobius(g2, apply_mobius(g1, Z, tol), tol)
-
-        anchor_in = None
-        for _ in range(60):
-            X0 = random_hermitian(rng, n, scale=0.6)
-            try:
-                Y0 = h(X0)
-            except DomainViolationError:
-                continue
-            anchor_in = (X0, herm_part(Y0))
-            break
+        h = lambda Z: apply_mobius(g2, apply_mobius(g1, Z, tol), tol)
+        anchor_in = _hermitian_anchor(rng, h, n)
         if anchor_in is None:
             rec.fail(t, "no Hermitian anchor found for the composition")
             continue
@@ -571,17 +581,14 @@ def _suite_mobius_closure(rng, trials, tol, rec):
             Z = random_half_plane(rng, n)
             want = h(Z)
             rec.check(bool(in_half_plane(want, tol)), t, "composition left the half-plane", Z=Z)
-            got = apply_mobius(fitted, Z, tol)
-            worst = max(worst, opnorm(got - want) / (1.0 + opnorm(want)))
+            worst = max(worst, _rel(apply_mobius(fitted, Z, tol), want))
         rec.check_residual(worst, 1e-6, t, "refit composition mismatch",
                            frame1=g1.frame, frame2=g2.frame)
-    return {}
 
 
 def _suite_mobius_hermitian(rng, trials, tol, rec):
     skipped = 0
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 5)
+    for t, n in _trials(rng, trials, 2, 5):
         m = _random_mobius(rng, n)
         X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
         try:
@@ -605,12 +612,11 @@ def _suite_theta_inversion(rng, trials, tol, rec):
     singular_bases = 0
     worst_inverse = 0.0
     worst_two_sided = 0.0
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n) if t % 20 else np.zeros((n, n), dtype=complex)
         if invertibility_margin(A) <= tol.inv_margin * (1.0 + opnorm(A)):
             singular_bases += 1
-        X = _sample_shear_member(rng, A, tol)
+        X = _sample_shear_member(rng, A)
         if X is None:
             rec.fail(t, "no shear-domain sample found", A=A)
             continue
@@ -618,7 +624,7 @@ def _suite_theta_inversion(rng, trials, tol, rec):
         Y = shear_apply(A, X, tol)
         rec.check(in_shear_domain(-A, Y, tol), t, "image not in the mirrored domain", A=A, X=X)
         back = shear_apply(-A, Y, tol)
-        r1 = opnorm(back - X) / (1.0 + opnorm(X))
+        r1 = _rel(back, X)
         worst_inverse = max(worst_inverse, r1)
         rec.check_residual(r1, 1e-9, t, "inversion identity", A=A, X=X)
         left = np.linalg.solve(X @ A + eye, X)
@@ -637,57 +643,40 @@ def _suite_order_embedding(rng, trials, tol, rec):
     skipped = 0
     strict_checked = 0
     min_strict_margin = math.inf
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2)
         base = A if t % 4 != 2 else -A
         X = _sample_component_member(rng, base, tol)
         if X is None:
             skipped += 1
             continue
-        kind = t % 4
-        if kind in (0, 1, 2):
-            strict = kind == 1
-            Y = None
-            for _ in range(60):
-                cand = herm_part(X + _psd_step(rng, X, strict=strict))
-                if _well_margined(cand @ base + np.eye(n)) and segment_in_shear_domain(base, X, cand, tol):
-                    Y = cand
-                    break
-            if Y is None:
-                skipped += 1
-                continue
-            P = order_iso_apply(base, X, tol)
-            Q = order_iso_apply(base, Y, tol)
-            scale = 1.0 + max(opnorm(P), opnorm(Q))
-            gap = float(hermitian_eigen(herm_part(Q - P), tol).values[0])
-            rec.check(gap >= -1e-8 * scale, t,
-                      f"ordered pair lost order (margin {gap:.3e})", A=base, X=X, Y=Y)
-            if strict:
-                strict_checked += 1
-                min_strict_margin = min(min_strict_margin, gap / scale)
-                rec.check(loewner_compare(P, Q, tol).lt, t,
-                          "strict pair no longer strict", A=base, X=X, Y=Y)
-            back_X = order_iso_apply(-base, P, tol)
-            back_Y = order_iso_apply(-base, Q, tol)
-            rec.check(float(hermitian_eigen(herm_part(back_Y - back_X), tol).values[0])
-                      >= -1e-8 * (1.0 + max(opnorm(back_X), opnorm(back_Y))), t,
-                      "pulled-back pair lost order", A=base, X=X, Y=Y)
-        else:
-            Y = None
-            for _ in range(60):
-                cand = herm_part(X + _indefinite_step(rng, X))
-                if (_well_margined(cand @ base + np.eye(n))
-                        and segment_in_shear_domain(base, X, cand, tol)):
-                    Y = cand
-                    break
-            if Y is None:
-                skipped += 1
-                continue
-            P = order_iso_apply(base, X, tol)
-            Q = order_iso_apply(base, Y, tol)
+        strict = t % 4 == 1
+        indefinite = t % 4 == 3
+        Y = _first(60, lambda: herm_part(X + (_indefinite_step(rng, X) if indefinite
+                                               else _psd_step(rng, X, strict=strict))),
+                   lambda Y: _well_margined(Y @ base + np.eye(n)) and segment_in_shear_domain(base, X, Y, tol))
+        if Y is None:
+            skipped += 1
+            continue
+        P = order_iso_apply(base, X, tol)
+        Q = order_iso_apply(base, Y, tol)
+        if indefinite:
             rec.check(loewner_compare(P, Q, tol).incomparable, t,
                       "incomparable pair became comparable", A=base, X=X, Y=Y)
+            continue
+        scale = 1.0 + max(opnorm(P), opnorm(Q))
+        gap = _gap(P, Q, tol)
+        rec.check(gap >= -1e-8 * scale, t,
+                  f"ordered pair lost order (margin {gap:.3e})", A=base, X=X, Y=Y)
+        if strict:
+            strict_checked += 1
+            min_strict_margin = min(min_strict_margin, gap / scale)
+            rec.check(loewner_compare(P, Q, tol).lt, t,
+                      "strict pair no longer strict", A=base, X=X, Y=Y)
+        back_X = order_iso_apply(-base, P, tol)
+        back_Y = order_iso_apply(-base, Q, tol)
+        rec.check(_gap(back_X, back_Y, tol) >= -1e-8 * (1.0 + max(opnorm(back_X), opnorm(back_Y))), t,
+                  "pulled-back pair lost order", A=base, X=X, Y=Y)
     if strict_checked:
         return {"skipped": skipped, "strict_checked": strict_checked,
                 "min_strict_margin": min_strict_margin}
@@ -698,15 +687,10 @@ def _suite_interval_criterion(rng, trials, tol, rec):
     skipped = 0
     true_count = 0
     samples_per_instance = 50
-    for t in range(trials):
-        n = int(rng.integers(2, 6))
+    for t, n in _trials(rng, trials, 2, 5):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2, lo=0.4, hi=2.0)
-        X = None
-        for _ in range(200):
-            cand = herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4))
-            if in_zero_component(A, cand, tol):
-                X = cand
-                break
+        X = _first(200, lambda: herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4)),
+                   lambda X: in_zero_component(A, X, tol))
         if X is None:
             skipped += 1
             continue
@@ -720,18 +704,11 @@ def _suite_interval_criterion(rng, trials, tol, rec):
         rec.check(crit == (lam > -1.0), t, "criterion disagrees with its spectral form", A=A, X=X)
         if crit:
             true_count += 1
-            ok = True
-            for j in range(samples_per_instance):
-                if j < 8:
-                    S = herm_part((j + 1) / 8.0 * X)
-                else:
-                    S = herm_part(Xh @ random_effect(rng, n) @ Xh)
-                if not in_zero_component(A, S, tol):
-                    rec.fail(t, "interval point escaped although criterion holds", A=A, X=X, S=S)
-                    ok = False
-                    break
-            if not ok:
-                continue
+            samples = (herm_part((j + 1) / 8.0 * X) if j < 8 else herm_part(Xh @ random_effect(rng, n) @ Xh)
+                       for j in range(samples_per_instance))
+            S = next((S for S in samples if not in_zero_component(A, S, tol)), None)
+            if S is not None:
+                rec.fail(t, "interval point escaped although criterion holds", A=A, X=X, S=S)
         else:
             t_star = -1.0 / lam
             t_w = min(1.0, t_star + 0.5 * (1.0 - t_star))
@@ -742,21 +719,16 @@ def _suite_interval_criterion(rng, trials, tol, rec):
 
 
 def _suite_translation_identity(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n)
         eye = np.eye(n)
-        X0 = _sample_shear_member(rng, A, tol)
+        X0 = _sample_shear_member(rng, A)
         if X0 is None:
             rec.fail(t, "no shear-domain anchor found", A=A)
             continue
         A2 = translated_base(A, X0, tol)
-        X = None
-        for _ in range(200):
-            cand = random_hermitian(rng, n, scale=rng.uniform(0.2, 1.0))
-            if _well_margined((X0 + cand) @ A + eye) and _well_margined(cand @ A2 + eye):
-                X = cand
-                break
+        X = _first(200, lambda: random_hermitian(rng, n, scale=rng.uniform(0.2, 1.0)),
+                   lambda X: _well_margined((X0 + X) @ A + eye) and _well_margined(X @ A2 + eye))
         if X is None:
             rec.fail(t, "no translated sample found", A=A, X0=X0)
             continue
@@ -765,25 +737,21 @@ def _suite_translation_identity(rng, trials, tol, rec):
         rhs = Mi @ shear_apply(A2, X, tol) @ Mi.conj().T
         rec.check_residual(opnorm(lhs - rhs) / (1.0 + opnorm(lhs)), 1e-9,
                            t, "translation identity", A=A, X0=X0, X=X)
-    return {}
 
 
 def _suite_conjugation_identity(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng)
+    for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n)
         T = random_invertible(rng, n, max_cond=15.0)
         A2 = conjugated_base(A, T, tol)
-        X = _sample_shear_member(rng, A, tol)
+        X = _sample_shear_member(rng, A)
         if X is None:
             rec.fail(t, "no shear-domain sample found", A=A)
             continue
         S = np.linalg.inv(T).conj().T
         lhs = shear_apply(A2, herm_part(S @ X @ S.conj().T), tol)
         rhs = S @ shear_apply(A, X, tol) @ S.conj().T
-        rec.check_residual(opnorm(lhs - rhs) / (1.0 + opnorm(rhs)), 1e-9,
-                           t, "conjugation identity", A=A, T=T, X=X)
-    return {}
+        rec.check_residual(_rel(lhs, rhs), 1e-9, t, "conjugation identity", A=A, T=T, X=X)
 
 
 def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -799,26 +767,20 @@ def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> 
     if in_zero_component(A, shrunk, tol):
         return shrunk
     mu = np.linalg.eigvals(X @ A)
-    real = mu.real[np.abs(mu.imag) <= 1e-7 * (1.0 + np.abs(mu.real))]
+    real = mu.real[np.abs(mu.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(mu.real))]
     t_star = -1.0 / float(real.min())
     return herm_part(0.6 * t_star * X)
 
 
 def _suite_congruence_orbit(rng, trials, tol, rec):
     rescaled = 0
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n)
-        X = None
-        for _ in range(200):
-            cand = random_hermitian(rng, n, scale=rng.uniform(0.2, 0.8))
-            if in_zero_component(A, cand, tol):
-                X = cand
-                break
+        X = _first(200, lambda: random_hermitian(rng, n, scale=rng.uniform(0.2, 0.8)),
+                   lambda X: in_zero_component(A, X, tol))
         if X is None:
             rec.fail(t, "no component sample found", A=A)
             continue
-        G = None
         for _ in range(6):
             try:
                 G = congruence_orbit(A, X, tol)
@@ -826,7 +788,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
             except PathSearchError:
                 X = _shrink_in_component(A, X, tol)
                 rescaled += 1
-        if G is None:
+        else:
             rec.fail(t, "orbit factor failed even after shrinking", A=A, X=X)
             continue
         target = shear_apply(X, A, tol)
@@ -842,8 +804,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
 def _suite_component_criterion(rng, trials, tol, rec):
     members = 0
     max_nodes_seen = 0
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.25)
         if opnorm(A) <= tol.psd_tol:
             A = herm_part(A + np.eye(n))
@@ -862,8 +823,7 @@ def _suite_component_criterion(rng, trials, tol, rec):
 
 def _suite_parameter_recovery(rng, trials, tol, rec):
     mismatch_checked = 0
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n) if t % 10 else np.zeros((n, n), dtype=complex)
         T = normalize_phase(random_invertible(rng, n, max_cond=8.0))
         transpose = bool(rng.integers(2))
@@ -872,35 +832,25 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
 
         got = identify_parameters(lambda H: apply_local_iso(mob, H, tol), n, tol=tol)
         rec.check_residual(opnorm(got.A - A) / scaleA, 1e-5, t, "derivative-probe base recovery", A=A, T=T)
-        rec.check_residual(opnorm(got.frame - T) / (1.0 + opnorm(T)), 1e-5,
-                           t, "derivative-probe frame recovery", A=A, T=T)
+        rec.check_residual(_rel(got.frame, T), 1e-5, t, "derivative-probe frame recovery", A=A, T=T)
         rec.check(got.transpose == transpose, t, "derivative-probe transpose flag wrong", A=A, T=T)
 
         fitted = fit_canonical(lambda Z: apply_mobius(mob, Z, tol), n, tol=tol)
         rec.check_residual(opnorm(fitted.A - A) / scaleA, 1e-7, t, "half-plane base recovery", A=A, T=T)
-        rec.check_residual(opnorm(fitted.frame - T) / (1.0 + opnorm(T)), 1e-7,
-                           t, "half-plane frame recovery", A=A, T=T)
+        rec.check_residual(_rel(fitted.frame, T), 1e-7, t, "half-plane frame recovery", A=A, T=T)
         rec.check(fitted.transpose == transpose, t, "half-plane transpose flag wrong", A=A, T=T)
 
         if t % 3 == 0:
             full = _random_mobius(rng, n)
-            X0 = None
-            for _ in range(60):
-                cand = random_hermitian(rng, n, scale=0.6)
-                try:
-                    Y0 = apply_mobius(full, cand, tol)
-                except DomainViolationError:
-                    continue
-                X0 = cand
-                break
-            if X0 is not None:
-                refit = fit_canonical(lambda Z: apply_mobius(full, Z, tol), n,
-                                      anchor=(X0, herm_part(Y0)), tol=tol)
+            g = lambda Z: apply_mobius(full, Z, tol)
+            anchor = _hermitian_anchor(rng, g, n)
+            if anchor is not None:
+                refit = fit_canonical(g, n, anchor=anchor, tol=tol)
                 worst = 0.0
                 for _ in range(5):
                     Z = random_half_plane(rng, n)
-                    want = apply_mobius(full, Z, tol)
-                    worst = max(worst, opnorm(apply_mobius(refit, Z, tol) - want) / (1.0 + opnorm(want)))
+                    want = g(Z)
+                    worst = max(worst, _rel(apply_mobius(refit, Z, tol), want))
                 rec.check_residual(worst, 1e-7, t, "anchored refit mismatch", frame=full.frame)
 
         if t % 10 == 5:
@@ -923,9 +873,7 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
 
 
 def _suite_block_involution(rng, trials, tol, rec):
-    example_checked = False
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 5)
+    for t, n in _trials(rng, trials, 2, 5):
         m = int(rng.integers(0, n + 1))
         p = int(rng.integers(0, m + 1))
         spec = BlockMapSpec(n, m, p)
@@ -935,15 +883,12 @@ def _suite_block_involution(rng, trials, tol, rec):
         rec.check(in_block_domain(spec.dual, Y, tol), t,
                   f"image corner inertia is not ({m - p}, 0, {p})", X=X, Y=Y)
         back = block_map_apply(spec.dual, Y, tol)
-        rec.check_residual(opnorm(back - X) / (1.0 + opnorm(X)), 1e-9,
-                           t, f"involution on class (m={m}, p={p})", X=X)
-        if not example_checked:
-            example_checked = True
+        rec.check_residual(_rel(back, X), 1e-9, t, f"involution on class (m={m}, p={p})", X=X)
+        if t == 0:
             W = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
             want = np.array([[-0.5, 0.5j], [-0.5j, 2.5]], dtype=complex)
             gotW = block_map_apply(BlockMapSpec(2, 1, 1), W, tol)
             rec.check_residual(opnorm(gotW - want), 1e-12, t, "worked 2x2 example", W=W)
-    return {}
 
 
 def _suite_bordered_identity(rng, trials, tol, rec):
@@ -967,25 +912,20 @@ def _suite_bordered_identity(rng, trials, tol, rec):
 
 def _suite_block_monotonicity(rng, trials, tol, rec):
     skipped = 0
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         m = int(rng.integers(1, n + 1))
         p = int(rng.integers(0, m + 1))
         spec = BlockMapSpec(n, m, p)
         X = _block_sample(rng, spec)
         strict = t % 3 == 1
         indefinite = t % 3 == 2
-        Y = None
-        for _ in range(60):
-            D = _indefinite_step(rng, X) if indefinite else _psd_step(rng, X, strict=strict)
-            cand = herm_part(X + D)
-            if all(in_block_domain(spec, herm_part(X + tau * D), tol)
-                   for tau in np.linspace(0.0, 1.0, 9)):
-                Y = cand
-                break
-        if Y is None:
+        D = _first(60, lambda: _indefinite_step(rng, X) if indefinite else _psd_step(rng, X, strict=strict),
+                   lambda D: all(in_block_domain(spec, herm_part(X + tau * D), tol)
+                                 for tau in np.linspace(0.0, 1.0, 9)))
+        if D is None:
             skipped += 1
             continue
+        Y = herm_part(X + D)
         FX = block_map_apply(spec, X, tol)
         FY = block_map_apply(spec, Y, tol)
         scale = 1.0 + max(opnorm(FX), opnorm(FY))
@@ -993,13 +933,12 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
             rec.check(loewner_compare(FX, FY, tol).incomparable, t,
                       "incomparable pair became comparable", X=X, Y=Y)
             continue
-        gap = float(hermitian_eigen(herm_part(FY - FX), tol).values[0])
+        gap = _gap(FX, FY, tol)
         rec.check(gap >= -1e-8 * scale, t,
                   f"ordered pair lost order under the block map (margin {gap:.3e})", X=X, Y=Y)
         if strict:
             rec.check(loewner_compare(FX, FY, tol).lt, t, "strict pair no longer strict", X=X, Y=Y)
-        back_gap = float(hermitian_eigen(herm_part(
-            block_map_apply(spec.dual, FY, tol) - block_map_apply(spec.dual, FX, tol)), tol).values[0])
+        back_gap = _gap(block_map_apply(spec.dual, FX, tol), block_map_apply(spec.dual, FY, tol), tol)
         rec.check(back_gap >= -1e-8 * (1.0 + opnorm(X) + opnorm(Y)), t,
                   "pulled-back pair lost order", X=X, Y=Y)
     return {"skipped": skipped}
@@ -1012,7 +951,8 @@ def _suite_growth_ranks(rng, trials, tol, rec):
     for n in range(2, 5):
         for (m, p) in _all_classes(n):
             spec = BlockMapSpec(n, m, p)
-            for j in range(max(1, trials // 4)):
+            rank_pairs[(n, m, p)] = (n + p - m, n - p)
+            for _ in range(max(1, trials // 4)):
                 X = _block_sample(rng, spec)
                 for positive in (True, False):
                     Y = growth_direction(spec, X, positive=positive, tol=tol)
@@ -1022,12 +962,9 @@ def _suite_growth_ranks(rng, trials, tol, rec):
                     semidef_ok = (sig.n_neg == 0) if positive else (sig.n_pos == 0)
                     rec.check(semidef_ok and got_rank == want_rank, 0,
                               f"direction rank {got_rank} != {want_rank} on (n={n}, m={m}, p={p})", X=X, Y=Y)
-                    for c in grid_stay:
-                        if not in_block_domain(spec, herm_part(X + c * Y), tol):
-                            rec.fail(0, f"stable direction exited at c={c} on (n={n}, m={m}, p={p})", X=X, Y=Y)
-                            break
-                if j == 0:
-                    rank_pairs[(n, m, p)] = (n + p - m, n - p)
+                    c = next((c for c in grid_stay if not in_block_domain(spec, herm_part(X + c * Y), tol)), None)
+                    if c is not None:
+                        rec.fail(0, f"stable direction exited at c={c} on (n={n}, m={m}, p={p})", X=X, Y=Y)
             if n <= 3:
                 X = _block_sample(rng, spec)
                 for positive in (True, False):
@@ -1076,87 +1013,69 @@ def _suite_class_count(rng, trials, tol, rec):
 # effect-algebra suites
 
 
-def _random_effect_auto(rng: np.random.Generator, n: int) -> EffectAutoSpec:
-    return EffectAutoSpec(frame=random_invertible(rng, n, max_cond=10.0), transpose=bool(rng.integers(2)))
-
-
 def _random_fpq(rng: np.random.Generator, n: int) -> FpqSpec:
-    for _ in range(100):
-        T = random_contraction(rng, n, strict_margin=0.05)
-        if is_invertible(T) and invertibility_margin(T) > 0.05:
-            return FpqSpec(p=float(rng.uniform(0.15, 0.85)), q=float(-rng.uniform(0.3, 3.0)),
-                           frame=T, transpose=bool(rng.integers(2)))
-    raise RuntimeError("failed to draw a bijective contraction")
+    T = _first(100, lambda: random_contraction(rng, n, strict_margin=0.05),
+               lambda T: is_invertible(T) and invertibility_margin(T) > 0.05)
+    if T is None:
+        raise RuntimeError("failed to draw a bijective contraction")
+    return FpqSpec(p=float(rng.uniform(0.15, 0.85)), q=float(-rng.uniform(0.3, 3.0)),
+                   frame=T, transpose=bool(rng.integers(2)))
+
+
+def _random_effect_map(rng: np.random.Generator, n: int, frame_form: bool, tol: ToleranceConfig):
+    """(spec, evaluator) of a random effect automorphism: the frame form, or the fpq family."""
+    if frame_form:
+        spec = EffectAutoSpec(frame=random_invertible(rng, n, max_cond=10.0), transpose=bool(rng.integers(2)))
+        return spec, lambda X: effect_automorphism(spec, X, tol)
+    spec = _random_fpq(rng, n)
+    return spec, lambda X: rational_effect_automorphism(spec, X, tol)
 
 
 def _suite_effect_fixpoints(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 5)
+    for t, n in _trials(rng, trials, 2, 5):
         zero = np.zeros((n, n))
         eye = np.eye(n)
-        if t % 2 == 0:
-            spec = _random_effect_auto(rng, n)
-            phi = lambda X: effect_automorphism(spec, X, tol)
-            frame = spec.frame
-        else:
-            spec = _random_fpq(rng, n)
-            phi = lambda X: rational_effect_automorphism(spec, X, tol)
-            frame = spec.frame
-        rec.check_residual(opnorm(phi(zero)), 1e-10, t, "zero endpoint moved", frame=frame)
-        rec.check_residual(opnorm(phi(eye) - eye), 1e-10, t, "identity endpoint moved", frame=frame)
+        spec, phi = _random_effect_map(rng, n, t % 2 == 0, tol)
+        rec.check_residual(opnorm(phi(zero)), 1e-10, t, "zero endpoint moved", frame=spec.frame)
+        rec.check_residual(opnorm(phi(eye) - eye), 1e-10, t, "identity endpoint moved", frame=spec.frame)
         X = random_effect(rng, n)
-        vals = hermitian_eigen(phi(X), tol).values
-        rec.check(float(vals[0]) >= -1e-8 and float(vals[-1]) <= 1.0 + 1e-8, t,
-                  "image left the effect interval", X=X, frame=frame)
-    return {}
+        rec.check(_in_interval(phi(X), -1e-8, 1.0 + 1e-8, tol), t,
+                  "image left the effect interval", X=X, frame=spec.frame)
 
 
 def _suite_effect_order(rng, trials, tol, rec):
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 5)
+    for t, n in _trials(rng, trials, 2, 5):
         use_frame_form = t % 2 == 0
-        if use_frame_form:
-            spec = _random_effect_auto(rng, n)
-            phi = lambda M: effect_automorphism(spec, M, tol)
-        else:
-            spec = _random_fpq(rng, n)
-            phi = lambda M: rational_effect_automorphism(spec, M, tol)
+        spec, phi = _random_effect_map(rng, n, use_frame_form, tol)
         strict = t % 4 == 1
         X, Y = _effect_pair(rng, n, strict=strict)
         FX, FY = phi(X), phi(Y)
         scale = 1.0 + max(opnorm(FX), opnorm(FY))
-        gap = float(hermitian_eigen(herm_part(FY - FX), tol).values[0])
+        gap = _gap(FX, FY, tol)
         rec.check(gap >= -1e-8 * scale, t, f"ordered effects lost order (margin {gap:.3e})", X=X, Y=Y)
         if strict:
             rec.check(loewner_compare(FX, FY, tol).lt, t, "strict effect pair no longer strict", X=X, Y=Y)
         if use_frame_form and not spec.transpose:
             inv_spec = EffectAutoSpec(frame=np.linalg.inv(spec.frame))
             back = effect_automorphism(inv_spec, FX, tol)
-            rec.check_residual(opnorm(back - X) / (1.0 + opnorm(X)), 1e-9,
+            rec.check_residual(_rel(back, X), 1e-9,
                                t, "inverse frame does not undo the map", X=X, frame=spec.frame)
         if not use_frame_form:
             f1, f2, f3, f4 = rational_effect_factors(spec, tol)
             chained = f4(f3(f2(f1(X))))
-            rec.check_residual(opnorm(chained - FX) / (1.0 + opnorm(FX)), 1e-9,
+            rec.check_residual(_rel(chained, FX), 1e-9,
                                t, "four-factor route disagrees with direct route", X=X, frame=spec.frame)
             sx, sy = X, Y
             for stage, f in enumerate((f1, f2, f3, f4)):
                 sx, sy = f(sx), f(sy)
-                stage_gap = float(hermitian_eigen(herm_part(sy - sx), tol).values[0])
+                stage_gap = _gap(sx, sy, tol)
                 rec.check(stage_gap >= -1e-8 * (1.0 + max(opnorm(sx), opnorm(sy))), t,
                           f"factor {stage + 1} lost order", X=X, Y=Y)
-        D = None
-        for _ in range(60):
-            cand_step = _indefinite_step(rng, X) * 0.3
-            cand = herm_part(X + cand_step)
-            vals = hermitian_eigen(cand, tol).values
-            if float(vals[0]) >= 1e-3 and float(vals[-1]) <= 1.0 - 1e-3:
-                D = cand
-                break
+        D = _first(60, lambda: herm_part(X + _indefinite_step(rng, X) * 0.3),
+                   lambda D: _in_interval(D, 1e-3, 1.0 - 1e-3, tol))
         if D is not None and loewner_compare(X, D, tol).incomparable:
             rec.check(loewner_compare(phi(X), phi(D), tol).incomparable, t,
                       "incomparable effects became comparable", X=X, D=D)
-    return {}
 
 
 def _suite_effect_embedding(rng, trials, tol, rec):
@@ -1174,8 +1093,7 @@ def _suite_effect_embedding(rng, trials, tol, rec):
     rec.check_residual(opnorm(effect_embedding_map(fixture, eye2, tol) - 2.0 * eye2), 1e-12,
                        0, "fixture override at the identity not honored")
 
-    for t in range(trials):
-        n = _rand_dim(rng, 2, 4)
+    for t, n in _trials(rng, trials, 2, 4):
         eye = np.eye(n)
         frame = random_invertible(rng, n, max_cond=10.0)
         base = random_hermitian_with_spectrum(rng, n, -0.8, 2.0)
@@ -1187,17 +1105,14 @@ def _suite_effect_embedding(rng, trials, tol, rec):
         spec = EffectEmbeddingSpec(frame=frame, base=base, offset=offset,
                                    value_at_zero=v0, value_at_one=v1)
         pick = rng.random()
+        X, Y = _effect_pair(rng, n)
         if pick < 0.25:
             X = np.zeros((n, n))
-            _, Y = _effect_pair(rng, n)
         elif pick < 0.5:
-            X, _ = _effect_pair(rng, n)
             Y = eye
-        else:
-            X, Y = _effect_pair(rng, n)
         FX = effect_embedding_map(spec, X, tol)
         FY = effect_embedding_map(spec, Y, tol)
-        gap = float(hermitian_eigen(herm_part(FY - FX), tol).values[0])
+        gap = _gap(FX, FY, tol)
         rec.check(gap >= -1e-8 * (1.0 + max(opnorm(FX), opnorm(FY))), t,
                   f"embedding lost order (margin {gap:.3e})", X=X, Y=Y)
         flags = endpoint_continuity(spec, tol)
@@ -1206,13 +1121,8 @@ def _suite_effect_embedding(rng, trials, tol, rec):
         rec.check(flags["zero"] == want_zero and flags["one"] == want_one, t,
                   f"continuity flags {flags} disagree with construction", frame=frame)
         A, B = _effect_pair(rng, n)
-        C = None
-        for _ in range(60):
-            cand = herm_part(A + 0.3 * _indefinite_step(rng, A))
-            vals = hermitian_eigen(cand, tol).values
-            if float(vals[0]) >= 1e-3 and float(vals[-1]) <= 1.0 - 1e-3 and loewner_compare(A, cand, tol).incomparable:
-                C = cand
-                break
+        C = _first(60, lambda: herm_part(A + 0.3 * _indefinite_step(rng, A)),
+                   lambda C: _in_interval(C, 1e-3, 1.0 - 1e-3, tol) and loewner_compare(A, C, tol).incomparable)
         if C is not None:
             rec.check(loewner_compare(effect_embedding_map(spec, A, tol),
                                       effect_embedding_map(spec, C, tol), tol).incomparable, t,
@@ -1227,29 +1137,28 @@ def _suite_effect_embedding(rng, trials, tol, rec):
 def _suite_loewner_consistency(rng, trials, tol, rec):
     per_order = max(trials // 5, 20)
     worst_sqrt = math.inf
+
+    def monotone(f, order, k):
+        return is_matrix_monotone(f, order, trials=k, seed=int(rng.integers(0, 2**31)), tol=tol)
+
     for order in range(2, 7):
-        report = is_matrix_monotone(builtin_function("sqrt"), order, trials=per_order,
-                                    seed=int(rng.integers(0, 2**31)), tol=tol)
+        report = monotone(builtin_function("sqrt"), order, per_order)
         worst_sqrt = min(worst_sqrt, report.min_loewner_eigenvalue)
         rec.check(report.passed and report.conclusive, order,
                   f"sqrt failed the monotonicity test at order {order}")
 
-    log_report = is_matrix_monotone(builtin_function("log"), 3, trials=max(trials // 10, 20),
-                                    seed=int(rng.integers(0, 2**31)), tol=tol)
+    log_report = monotone(builtin_function("log"), 3, max(trials // 10, 20))
     rec.check(log_report.passed, 0, "log failed the monotonicity test")
 
     for p in (0.25, 0.5, 0.75):
-        rep = is_matrix_monotone(builtin_function(f"fp:{p}"), 3, trials=max(trials // 10, 20),
-                                 seed=int(rng.integers(0, 2**31)), tol=tol)
+        rep = monotone(builtin_function(f"fp:{p}"), 3, max(trials // 10, 20))
         rec.check(rep.passed and rep.conclusive, 0, f"fp:{p} failed the monotonicity test")
 
-    rep = is_matrix_monotone(builtin_function("rational:0.5"), 3, trials=max(trials // 10, 20),
-                             seed=int(rng.integers(0, 2**31)), tol=tol)
+    rep = monotone(builtin_function("rational:0.5"), 3, max(trials // 10, 20))
     rec.check(rep.passed, 0, "rational:0.5 failed the monotonicity test")
 
     square = builtin_function("square")
-    sq_report = is_matrix_monotone(square, 2, trials=max(trials // 5, 50),
-                                   seed=int(rng.integers(0, 2**31)), tol=tol)
+    sq_report = monotone(square, 2, max(trials // 5, 50))
     rec.check(not sq_report.passed and sq_report.conclusive, 0, "square slipped through at order 2")
     if sq_report.witness_nodes is not None:
         lm = loewner_matrix(square, sq_report.witness_nodes)
@@ -1257,31 +1166,25 @@ def _suite_loewner_consistency(rng, trials, tol, rec):
     if sq_report.witness_pair is not None:
         X, Y = sq_report.witness_pair
         rec.check(loewner_compare(X, Y, tol).leq, 0, "square witness pair is not ordered", X=X, Y=Y)
-        gap = float(hermitian_eigen(herm_part(Y @ Y - X @ X), tol).values[0])
+        gap = _gap(X @ X, Y @ Y, tol)
         rec.check(gap < 0.0, 0, "square witness pair does not refute", X=X, Y=Y)
     rec.check(sq_report.witness_nodes is not None or sq_report.witness_pair is not None,
               0, "square refutation carries no witness")
 
-    found_nodes = False
-    found_pair = False
     sub = np.random.default_rng(int(rng.integers(0, 2**31)))
-    for _ in range(400):
-        nodes = np.sort(sub.uniform(0.05, 4.0, size=2))
-        if nodes[1] - nodes[0] > 1e-6 and loewner_matrix(square, nodes).min_eigenvalue < -1e-10:
-            found_nodes = True
-            break
-    for _ in range(400):
+    nodes = _first(400, lambda: np.sort(sub.uniform(0.05, 4.0, size=2)),
+                   lambda x: x[1] - x[0] > 1e-6 and loewner_matrix(square, x).min_eigenvalue < -1e-10)
+
+    def ordered_pair():
         X = random_hermitian_with_spectrum(sub, 2, 0.05, 4.0)
-        D = random_psd(sub, 2)
-        Y = herm_part(X + D)
-        if float(hermitian_eigen(herm_part(Y @ Y - X @ X), tol).values[0]) < -1e-10:
-            found_pair = True
-            break
-    rec.check(found_nodes and found_pair, 0,
+        return X, herm_part(X + random_psd(sub, 2))
+
+    pair = _first(400, ordered_pair, lambda XY: _gap(XY[0] @ XY[0], XY[1] @ XY[1], tol) < -1e-10)
+    rec.check(nodes is not None and pair is not None, 0,
               "the two refutation routes disagree about the square function")
 
     fuzzy = ScalarFunction(math.sqrt, (0.0, math.inf), name="sqrt-table", approximate=True)
-    rep = is_matrix_monotone(fuzzy, 2, trials=40, seed=int(rng.integers(0, 2**31)), tol=tol)
+    rep = monotone(fuzzy, 2, 40)
     rec.check(not rep.conclusive, 0, "approximate function produced a conclusive verdict")
     return {"min_sqrt_loewner_eigenvalue": worst_sqrt}
 
@@ -1367,7 +1270,6 @@ def _suite_serialization_roundtrip(rng, trials, tol, rec):
             rec.fail(0, f"malformed input accepted: {label}")
         except MalformedInputError:
             pass
-    return {}
 
 
 def _suite_report_determinism(rng, trials, tol, rec):
@@ -1384,7 +1286,6 @@ def _suite_report_determinism(rng, trials, tol, rec):
         d1.pop("elapsed_seconds"), d2.pop("elapsed_seconds")
         rec.check(json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True), t,
                   f"non-timing fields of '{name}' differ")
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -1498,8 +1399,3 @@ def run_suite(name: str, seed: int = 0, trials: Optional[int] = None,
         details=details,
         elapsed_seconds=elapsed,
     )
-
-
-def run_all(seed: int = 0, trials: Optional[int] = None,
-            tol: ToleranceConfig = DEFAULT_TOL) -> List[RunReport]:
-    return [run_suite(name, seed=seed, trials=trials, tol=tol) for name in SUITES]

@@ -23,6 +23,43 @@ _SMOKE_TRIALS = {
 }
 
 
+# the `details` keys each suite reports at its smoke count, besides failure_count;
+# a refactor must not drop or rename a skip counter silently
+_DETAIL_KEYS = {
+    "eigen-residual": (),
+    "inertia-congruence": (),
+    "order-antisymmetry": (),
+    "spectral-composition": (),
+    "rank-one-trace": ("skipped_borderline",),
+    "interval-iso": (),
+    "projection-dominance": ("skipped_borderline",),
+    "halfplane-roundtrip": (),
+    "rational-inverse": (),
+    "mobius-closure": (),
+    "mobius-hermitian": ("skipped_outside_domain",),
+    "theta-inversion": ("max_inversion_residual", "max_two_sided_residual", "singular_bases"),
+    "order-embedding": ("min_strict_margin", "skipped", "strict_checked"),
+    "interval-criterion": ("criterion_true", "skipped_borderline"),
+    "translation-identity": (),
+    "conjugation-identity": (),
+    "congruence-orbit": ("rescaled",),
+    "component-criterion": ("max_nodes_used", "members"),
+    "parameter-recovery": ("mismatch_checked",),
+    "block-involution": (),
+    "bordered-identity": ("instances",),
+    "block-monotonicity": ("skipped",),
+    "growth-ranks": ("classes_tested",),
+    "class-count": ("counts",),
+    "effect-fixpoints": (),
+    "effect-order": (),
+    "effect-embedding": ("fixture_flags",),
+    "loewner-consistency": ("min_sqrt_loewner_eigenvalue",),
+    "pick-evaluation": ("min_half_plane_margin",),
+    "serialization-roundtrip": (),
+    "report-determinism": (),
+}
+
+
 @pytest.mark.parametrize("name", suite_names())
 def test_every_suite_passes_smoke(name):
     trials = _SMOKE_TRIALS.get(name, 40)
@@ -30,6 +67,7 @@ def test_every_suite_passes_smoke(name):
     assert report.passed, report.failures[:1]
     assert report.suite == name
     assert report.seed == 1
+    assert set(report.details) == {"failure_count", *_DETAIL_KEYS[name]}
 
 
 def test_unknown_suite_is_rejected():
