@@ -26,7 +26,7 @@ from .errors import DomainViolationError, MalformedInputError
 from .halfplane import MobiusAutomorphism, _mobius_eval, _shifted
 from .linalg import (
     _eigh,
-    _inertia,
+    _has_inertia,
     _is_invertible,
     _loewner_compare,
     _principal_sqrt,
@@ -63,6 +63,14 @@ __all__ = [
     "endpoint_continuity",
 ]
 
+# FpqSpec accepts a frame with ||T||_2 <= 1 + CONTRACTION_SLACK, so that a
+# contraction scaled to norm exactly 1 is not refused for a rounding excess.
+CONTRACTION_SLACK = 1e-10
+
+# endpoint_continuity calls an endpoint value continuous when it is within
+# ENDPOINT_CONTINUITY_TOL * (1 + ||limit||_2) of the interior limit.
+ENDPOINT_CONTINUITY_TOL = 1e-8
+
 
 @dataclasses.dataclass(frozen=True)
 class BlockMapSpec:
@@ -84,7 +92,7 @@ class BlockMapSpec:
 
 def in_block_domain(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff the leading m x m corner of X has inertia (p, 0, m - p)."""
-    return _in_block_domain(spec, _block_argument(spec, X, tol), tol)
+    return bool(_in_block_domain(spec, _block_argument(spec, X, tol), tol))
 
 
 def _block_argument(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig) -> np.ndarray:
@@ -95,11 +103,11 @@ def _block_argument(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig) -> np
     return H
 
 
-def _in_block_domain(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig) -> bool:
+def _in_block_domain(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig):
+    """Kernel of in_block_domain; one verdict per member of a stack (..., n, n)."""
     if spec.m == 0:
-        return spec.p == 0
-    corner = H[: spec.m, : spec.m]
-    return tuple(_inertia(corner, tol)) == (spec.p, 0, spec.m - spec.p)
+        return np.ones(H.shape[:-2], dtype=bool)
+    return _has_inertia(H[..., : spec.m, : spec.m], spec.p, tol)
 
 
 def block_map_apply(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -111,23 +119,33 @@ def block_map_apply(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig = DEFA
     Maps the (m, p) domain onto the (m, m-p) domain; applying the map for
     the flipped count undoes it.
     """
-    H = _block_argument(spec, X, tol)
+    return _block_map(spec, _block_argument(spec, X, tol), tol)
+
+
+def _block_map(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of block_map_apply on an exactly Hermitian array or stack (..., n, n).
+
+    Raises DomainViolationError if any member's corner has the wrong inertia
+    or is numerically singular, exactly where the map of that member alone
+    raises.
+    """
     m = spec.m
     if m == 0:
         return H.copy()
-    if not _in_block_domain(spec, H, tol):
+    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
+    if not all(_in_block_domain(spec, H, tol).flat):
         raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
-    X11 = H[:m, :m]
-    if not _is_invertible(X11, tol):
+    X11 = H[..., :m, :m]
+    if not all(_is_invertible(X11, tol).flat):
         raise DomainViolationError("corner is numerically singular")
-    X12 = H[:m, m:]
-    X22 = H[m:, m:]
+    X12 = H[..., :m, m:]
+    X22 = H[..., m:, m:]
     K = np.linalg.solve(X11, X12)  # X11^{-1} X12
     out = np.zeros_like(H)
-    out[:m, :m] = -np.linalg.inv(X11)
-    out[:m, m:] = 1j * K
-    out[m:, :m] = -1j * K.conj().T
-    out[m:, m:] = X22 - X12.conj().T @ K
+    out[..., :m, :m] = -np.linalg.inv(X11)
+    out[..., :m, m:] = 1j * K
+    out[..., m:, :m] = -1j * K.conj().swapaxes(-1, -2)
+    out[..., m:, m:] = X22 - X12.conj().swapaxes(-1, -2) @ K
     return herm_part(out)
 
 
@@ -141,14 +159,19 @@ def bordered_embedding(m: int, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) 
     bordered_arrangement), and its inertia is (n + p - m, 0, n - p).
     """
     H = as_hermitian(X, tol, "X")
-    n = H.shape[0]
-    if not 0 <= m <= n:
+    if not 0 <= m <= H.shape[0]:
         raise MalformedInputError("need 0 <= m <= dim(X)")
+    return _bordered_embedding(m, H)
+
+
+def _bordered_embedding(m: int, H: np.ndarray) -> np.ndarray:
+    """Body of bordered_embedding on a Hermitian array or stack (..., n, n)."""
+    n = H.shape[-1]
     k = n - m
-    out = np.zeros((2 * n - m, 2 * n - m), dtype=complex)
-    out[:n, :n] = H
-    out[m:n, n:] = 1j * np.eye(k)
-    out[n:, m:n] = -1j * np.eye(k)
+    out = np.zeros(H.shape[:-2] + (2 * n - m, 2 * n - m), dtype=complex)
+    out[..., :n, :n] = H
+    out[..., m:n, n:] = 1j * np.eye(k)
+    out[..., n:, m:n] = -1j * np.eye(k)
     return out
 
 
@@ -160,17 +183,22 @@ def bordered_arrangement(m: int, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL
     with Y = block_map_apply(spec, X) carved into the usual corner blocks.
     """
     H = as_hermitian(Y, tol, "Y")
-    n = H.shape[0]
-    if not 0 <= m <= n:
+    if not 0 <= m <= H.shape[0]:
         raise MalformedInputError("need 0 <= m <= dim(Y)")
+    return _bordered_arrangement(m, H)
+
+
+def _bordered_arrangement(m: int, H: np.ndarray) -> np.ndarray:
+    """Body of bordered_arrangement on a Hermitian array or stack (..., n, n)."""
+    n = H.shape[-1]
     k = n - m
-    out = np.zeros((2 * n - m, 2 * n - m), dtype=complex)
-    out[:m, :m] = H[:m, :m]
-    out[:m, n:] = H[:m, m:]
-    out[n:, :m] = H[m:, :m]
-    out[n:, n:] = H[m:, m:]
-    out[m:n, n:] = -1j * np.eye(k)
-    out[n:, m:n] = 1j * np.eye(k)
+    out = np.zeros(H.shape[:-2] + (2 * n - m, 2 * n - m), dtype=complex)
+    out[..., :m, :m] = H[..., :m, :m]
+    out[..., :m, n:] = H[..., :m, m:]
+    out[..., n:, :m] = H[..., m:, :m]
+    out[..., n:, n:] = H[..., m:, m:]
+    out[..., m:n, n:] = -1j * np.eye(k)
+    out[..., n:, m:n] = 1j * np.eye(k)
     return out
 
 
@@ -310,7 +338,7 @@ class FpqSpec:
         if not self.q < 0.0:
             raise MalformedInputError("q must be negative")
         frame = as_square(self.frame, "frame")
-        if opnorm(frame) > 1.0 + 1e-10:
+        if opnorm(frame) > 1.0 + CONTRACTION_SLACK:
             raise MalformedInputError("frame must be a contraction")
         if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be bijective")
@@ -443,5 +471,5 @@ def endpoint_continuity(spec: EffectEmbeddingSpec, tol: ToleranceConfig = DEFAUL
         limit = _effect_automorphism(spec.interior, point, tol)
         value = limit if override is None else override
         scale = 1.0 + opnorm(limit)
-        report[key] = bool(opnorm(value - limit) <= 1e-8 * scale)
+        report[key] = bool(opnorm(value - limit) <= ENDPOINT_CONTINUITY_TOL * scale)
     return report

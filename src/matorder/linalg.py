@@ -18,6 +18,18 @@ the public function computes on the same argument, and makes the same
 LAPACK call (eigh, svd, solve, inv) on the same matrix. Library code that
 has validated its arguments calls kernels, never the shells; a kernel does
 not re-check finiteness of intermediates it is handed.
+
+The contract extends to stacks. A stacked kernel takes a (k, n, n) array
+and returns, for each j, bit for bit what the per-matrix kernel returns on
+S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
+same LAPACK or BLAS call on each member as on a single matrix. Here
+_inertia_many (counts of _inertia), _has_inertia (the test that those
+counts are (p, 0, n - p)), _opnorm_many (opnorm), _is_invertible, herm_part
+and _rank_cut reduce over the last axes; localiso._in_zero_component and
+classify._block_map take stacks the same way. _as_hermitian_many applies
+as_hermitian's tests to every member. Suites draw their samples in order
+and then check them in one call per stack; public functions stay
+per-matrix.
 """
 
 from __future__ import annotations
@@ -82,8 +94,9 @@ def as_square(X: Iterable, name: str = "matrix") -> np.ndarray:
 
 
 def herm_part(M: np.ndarray) -> np.ndarray:
+    """(M + M*)/2, member by member on a stack (..., n, n)."""
     M = np.asarray(M, dtype=complex)
-    return (M + M.conj().T) / 2.0
+    return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
 def frob(M: np.ndarray) -> float:
@@ -109,6 +122,35 @@ def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "m
     if dev > tol.herm_tol * (1.0 + frob(M)):
         raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {dev:.3e}")
     return herm_part(M)
+
+
+def _as_hermitian_many(S: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+    """as_hermitian on every member of a stack (..., n, n), in one vectorized pass.
+
+    The same finiteness test and ||X - X*||_F <= herm_tol*(1 + ||X||_F) on
+    each member; the first member that fails is named in the error. The norms
+    are summed in another order than frob's, so only a member within ulps of
+    the threshold can be decided otherwise than by as_hermitian. The result
+    is herm_part of the stack, bit for bit as_hermitian's on each member.
+    """
+    M = np.asarray(S, dtype=complex)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise MalformedInputError(f"{name} must be a stack of square matrices, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise MalformedInputError(f"{name} has non-finite entries")
+    dev = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bad = np.argwhere(dev > tol.herm_tol * (1.0 + np.linalg.norm(M, axis=(-2, -1))))
+    if bad.size:
+        j = tuple(bad[0])
+        raise MalformedInputError(f"{name}[{', '.join(map(str, j))}] is not Hermitian: ||X - X*||_F = {dev[j]:.3e}")
+    return herm_part(M)
+
+
+def _opnorm_many(S: np.ndarray) -> np.ndarray:
+    """opnorm of every member of a stack (..., n, n), from one svd call."""
+    if 0 in S.shape[-2:]:
+        return np.zeros(S.shape[:-2])
+    return np.linalg.svd(S, compute_uv=False)[..., 0]
 
 
 def _sorted_eigen(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
@@ -191,14 +233,44 @@ def inertia(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     return _inertia(as_hermitian(X, tol), tol)
 
 
-def _rank_cut(values: np.ndarray, tol: ToleranceConfig) -> float:
-    """The rank cutoff psd_tol*(1 + max|lambda|) of a spectrum; psd_tol when it is empty."""
-    return tol.psd_tol * (1.0 + float(np.abs(values).max(initial=0.0)))
+def _rank_cut(values: np.ndarray, tol: ToleranceConfig):
+    """The rank cutoff psd_tol*(1 + max|lambda|) of each spectrum along the last axis; psd_tol when it is empty."""
+    return tol.psd_tol * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
 
 
 def _inertia(H: np.ndarray, tol: ToleranceConfig) -> Inertia:
     """Kernel of inertia on an exactly Hermitian array."""
     return _spectrum_inertia(np.linalg.eigh(H)[0], tol)
+
+
+def _inertia_many(S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of inertia on a stack (..., n, n): (..., 3) counts (n_pos, n_zero, n_neg).
+
+    eigh, not eigvalsh, so that each spectrum is bit for bit _inertia's.
+    """
+    values = np.linalg.eigh(S)[0]
+    cut = _rank_cut(values, tol)[..., None]
+    n_pos = (values > cut).sum(axis=-1)
+    n_neg = (values < -cut).sum(axis=-1)
+    return np.stack((n_pos, values.shape[-1] - n_pos - n_neg, n_neg), axis=-1)
+
+
+def _has_inertia(S: np.ndarray, p: int, tol: ToleranceConfig):
+    """Whether each member of a stack (..., n, n), n >= 1, has inertia (p, 0, n - p).
+
+    The same verdict as comparing _inertia_many's counts, at the cost of one
+    comparison per side: eigh returns each spectrum ascending, so the counts
+    are (p, 0, n - p) iff the (n - p)-th eigenvalue is below -cut and the one
+    after it above cut.
+    """
+    values = np.linalg.eigh(S)[0]
+    q = values.shape[-1] - p
+    cut = _rank_cut(values, tol)
+    if p == 0:
+        return values[..., -1] < -cut
+    if q == 0:
+        return values[..., 0] > cut
+    return (values[..., q - 1] < -cut) & (values[..., q] > cut)
 
 
 def _spectrum_inertia(values: np.ndarray, tol: ToleranceConfig) -> Inertia:
@@ -338,15 +410,17 @@ def _invertibility_margin(M: np.ndarray) -> float:
 
 def is_invertible(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """sigma_min above the relative margin inv_margin*(1+||X||_2)."""
-    return _is_invertible(as_square(X), tol)
+    return bool(_is_invertible(as_square(X), tol))
 
 
-def _is_invertible(M: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Kernel of is_invertible on a square finite array."""
-    if M.shape[0] == 0:
-        return True
-    sv = np.linalg.svd(M, compute_uv=False)
-    return float(sv[-1]) > tol.inv_margin * (1.0 + float(sv[0]))
+def _is_invertible(M: np.ndarray, tol: ToleranceConfig):
+    """Kernel of is_invertible on a square finite array; one verdict per member of a stack (..., n, n)."""
+    if M.shape[-1] == 0:
+        return np.ones(M.shape[:-2], dtype=bool)
+    # singular values on the first axis: on a single matrix the comparison is
+    # between scalars, on a stack the transposes put the members back in order
+    sv = np.linalg.svd(M, compute_uv=False).T
+    return (sv[-1] > tol.inv_margin * (1.0 + sv[0])).T
 
 
 def spectral_pinv(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
 from .halfplane import MobiusAutomorphism, _congruence_from_probes, _mobius_eval, _shifted, normalize_phase
 from .linalg import (
     _eigh,
-    _inertia,
+    _has_inertia,
     _is_invertible,
     _loewner_compare,
     _principal_sqrt,
@@ -94,7 +94,7 @@ def _base_and_hermitian(base: Iterable, X: Iterable, tol: ToleranceConfig):
 
 def in_shear_domain(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff X base + I is invertible (relative inv_margin on sigma_min)."""
-    return _in_shear_domain(*_base_and_square(base, X, tol), tol)
+    return bool(_in_shear_domain(*_base_and_square(base, X, tol), tol))
 
 
 def _in_shear_domain(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> bool:
@@ -136,20 +136,24 @@ def in_zero_component(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAUL
     criterion exact. It is nevertheless cross-validated against the
     randomized path oracle in the verification suites.
     """
-    return _in_zero_component(*_base_and_hermitian(base, X, tol), tol)
+    return bool(_in_zero_component(*_base_and_hermitian(base, X, tol), tol))
 
 
-def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> bool:
+def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig):
+    """Kernel of in_zero_component; H may be a stack (..., n, n), answered member by member.
+
+    The range of A is compressed once for the whole stack.
+    """
     V, lam = _range_compression(A, tol)
     k = lam.size
     if k == 0:
-        return True
+        return np.ones(H.shape[:-2], dtype=bool)
     p = int(np.count_nonzero(lam > 0))
     signs = np.sign(lam)
     w = np.sqrt(np.abs(lam))
     Xk = V.conj().T @ H @ V
     M = herm_part((w[:, None] * Xk) * w[None, :] + np.diag(signs))
-    return tuple(_inertia(M, tol)) == (p, 0, k - p)
+    return _has_inertia(M, p, tol)
 
 
 def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.ndarray:

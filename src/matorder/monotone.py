@@ -49,13 +49,23 @@ __all__ = [
 # Unbounded interval ends are truncated to a window of this width for sampling.
 UNBOUNDED_WINDOW = 10.0
 
+# Step of the central difference (f(x + h) - f(x - h)) / 2h that stands in for
+# a missing derivative; about the cube root of eps, where the truncation and
+# rounding errors of the difference balance.
+SLOPE_STEP = 1e-5
+
+# is_matrix_monotone refutes monotonicity when a Loewner matrix has an
+# eigenvalue below -LOEWNER_MATRIX_CUT * (1 + ||L||_2); the cushion absorbs
+# rounding in the divided differences of a monotone function.
+LOEWNER_MATRIX_CUT = 1e-10
+
 
 @dataclasses.dataclass(frozen=True)
 class ScalarFunction:
     """A real function on an open interval, with an optional derivative.
 
     When no derivative is supplied, a central finite difference with step
-    1e-5 stands in. `approximate` marks interpolated (tabulated) functions
+    SLOPE_STEP stands in. `approximate` marks interpolated (tabulated) functions
     whose monotonicity verdicts are not conclusive.
     """
 
@@ -79,7 +89,7 @@ class ScalarFunction:
     def slope(self, x: float) -> float:
         if self.derivative is not None:
             return float(self.derivative(x))
-        h = 1e-5
+        h = SLOPE_STEP
         return (self(x + h) - self(x - h)) / (2.0 * h)
 
 
@@ -184,7 +194,7 @@ def is_matrix_monotone(
         report = loewner_matrix(f, _draw_nodes(rng, order, lo, hi))
         scale = 1.0 + opnorm(report.matrix)
         worst = min(worst, report.min_eigenvalue)
-        if report.min_eigenvalue < -1e-10 * scale:
+        if report.min_eigenvalue < -LOEWNER_MATRIX_CUT * scale:
             return MonotoneReport(f.name, order, False, not f.approximate, trials, 0,
                                   float(worst), report.nodes, None, seed)
 

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matorder.classify import (
     BlockMapSpec,
+    _block_map,
+    _bordered_arrangement,
+    _bordered_embedding,
+    _in_block_domain,
     EffectAutoSpec,
     EffectEmbeddingSpec,
     FpqSpec,
@@ -24,9 +30,10 @@ from matorder.classify import (
     rational_effect_factors,
     signature_class,
 )
+from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
-from matorder.sampling import random_contraction, random_effect, random_hermitian, random_psd
+from matorder.sampling import random_contraction, random_effect, random_hermitian, random_psd, random_unitary
 
 
 def _domain_sample(rng, spec):
@@ -236,3 +243,61 @@ def test_effect_embedding_fixture_flags():
     FX = effect_embedding_map(fixture, X)
     FY = effect_embedding_map(fixture, Y)
     assert loewner_compare(FX, FY).leq
+
+
+# ---------------------------------------------------------------------------
+# the block map on stacks: member j is bit for bit the map of S[j] alone
+
+# corner eigenvalue placements relative to the rank cutoff psd_tol * (1 + max|lambda|):
+# 0.999 counts as zero (wrong inertia), 1.001 keeps its sign, -1 flips it
+NEAR_CUT = (-1.001, -0.999, 0.999, 1.001)
+
+
+@st.composite
+def block_stacks(draw):
+    """A spec with n from 1 to 10 and m from 0, and a stack of (mostly) domain samples."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, n))
+    p = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        X = random_hermitian(rng, n)
+        if m:
+            vals = np.concatenate([rng.uniform(0.3, 2.0, size=p), -rng.uniform(0.3, 2.0, size=m - p)])
+            near = draw(st.lists(st.sampled_from(NEAR_CUT), max_size=m))
+            k = len(near)
+            vals[:k] = np.asarray(near) * DEFAULT_TOL.psd_tol * (1.0 + np.abs(vals[k:]).max(initial=0.0))
+            V = random_unitary(rng, m)
+            X[:m, :m] = herm_part((V * vals) @ V.conj().T)
+        members.append(herm_part(X))
+    return BlockMapSpec(n, m, p), np.stack(members)
+
+
+_M0_STACK = np.stack([herm_part(random_hermitian(np.random.default_rng(s), 3)) for s in range(3)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_stacks())
+@example((BlockMapSpec(3, 0, 0), _M0_STACK))
+def test_stacked_block_map_agrees_with_per_matrix_map(case):
+    spec, S = case
+    singles = []
+    for X in S:
+        try:
+            singles.append(block_map_apply(spec, X))
+        except DomainViolationError:
+            singles.append(None)
+    assert _in_block_domain(spec, S, DEFAULT_TOL).tolist() == [in_block_domain(spec, X) for X in S]
+    if any(Y is None for Y in singles):
+        with pytest.raises(DomainViolationError):
+            _block_map(spec, S, DEFAULT_TOL)
+    else:
+        stacked = _block_map(spec, S, DEFAULT_TOL)
+        for j, Y in enumerate(singles):
+            assert stacked[j].tobytes() == Y.tobytes()
+    E = _bordered_embedding(spec.m, S)
+    R = _bordered_arrangement(spec.m, S)
+    for j, X in enumerate(S):
+        assert E[j].tobytes() == bordered_embedding(spec.m, X).tobytes()
+        assert R[j].tobytes() == bordered_arrangement(spec.m, X).tobytes()

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import (
+    _as_hermitian_many,
+    _has_inertia,
+    _inertia,
+    _inertia_many,
+    _is_invertible,
+    _opnorm_many,
     as_hermitian,
     frob,
     herm_part,
@@ -19,7 +27,8 @@ from matorder.linalg import (
     spectral_pinv,
     sqrt_psd,
 )
-from matorder.sampling import random_hermitian, random_psd
+from matorder.localiso import _in_zero_component, in_zero_component
+from matorder.sampling import random_hermitian, random_psd, random_unitary
 
 
 def charpoly_roots_2x2(A):
@@ -166,3 +175,86 @@ def test_norm_helpers():
     A = np.array([[3.0, 4.0], [0.0, 0.0]], dtype=complex)
     assert frob(A) == pytest.approx(5.0)
     assert opnorm(np.diag([2.0, -7.0]).astype(complex)) == pytest.approx(7.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: member j of every answer is the per-matrix kernel's on S[j]
+
+# eigenvalue placements relative to the rank cutoff psd_tol * (1 + max|lambda|)
+NEAR_CUT = (-1.001, -0.999, 0.999, 1.001)
+
+
+def spectrum_near_cut(rng, n, near):
+    """Eigenvalues in [-3, 3], some exactly zero, the first len(near) at near[i] * cut."""
+    vals = rng.uniform(-3.0, 3.0, n) * (rng.random(n) < 0.8)
+    k = min(len(near), n)
+    vals[:k] = np.asarray(near[:k]) * DEFAULT_TOL.psd_tol * (1.0 + np.abs(vals[k:]).max(initial=0.0))
+    return vals
+
+
+def hermitian_near_cut(draw, rng, n):
+    V = random_unitary(rng, n)
+    near = draw(st.lists(st.sampled_from(NEAR_CUT), max_size=n))
+    return herm_part((V * spectrum_near_cut(rng, n, near)) @ V.conj().T)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(k, n, n) stacks, n from 1 to 10, of Hermitian matrices with eigenvalues on both sides of the cutoff."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([hermitian_near_cut(draw, rng, n) for _ in range(draw(st.integers(1, 6)))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(hermitian_stacks())
+def test_stacked_kernels_agree_with_per_matrix_kernels(S):
+    n = S.shape[-1]
+    counts = _inertia_many(S, DEFAULT_TOL)
+    norms = _opnorm_many(S)
+    invertible = _is_invertible(S, DEFAULT_TOL)
+    assert counts.shape == (len(S), 3)
+    for j, H in enumerate(S):
+        assert tuple(counts[j].tolist()) == tuple(_inertia(H, DEFAULT_TOL))
+        assert norms[j] == opnorm(H)
+        assert invertible[j] == _is_invertible(H, DEFAULT_TOL)
+    for p in range(n + 1):
+        want = [tuple(c) == (p, 0, n - p) for c in counts.tolist()]
+        assert _has_inertia(S, p, DEFAULT_TOL).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks(), st.data())
+def test_stacked_validation_matches_as_hermitian(S, data):
+    j = data.draw(st.integers(0, len(S) - 1))
+    S = S.copy()
+    S[j, 0, 0] += 1j * data.draw(st.sampled_from([0.0, 1e-13, 1e-6]))
+    singles = []
+    for M in S:
+        try:
+            singles.append(as_hermitian(M))
+        except MalformedInputError:
+            singles.append(None)
+    if any(H is None for H in singles):
+        with pytest.raises(MalformedInputError):
+            _as_hermitian_many(S)
+    else:
+        assert _as_hermitian_many(S).tobytes() == np.stack(singles).tobytes()
+
+
+def test_stacked_validation_rejects_non_finite_and_non_square():
+    with pytest.raises(MalformedInputError):
+        _as_hermitian_many(np.full((2, 3, 3), np.nan))
+    with pytest.raises(MalformedInputError):
+        _as_hermitian_many(np.zeros((2, 3, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_stacks(), st.data())
+def test_stacked_zero_component_matches_per_matrix(S, data):
+    n = S.shape[-1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = hermitian_near_cut(data.draw, rng, n)
+    S = S * data.draw(st.sampled_from([0.05, 0.3, 1.0]))
+    got = _in_zero_component(A, S, DEFAULT_TOL)
+    assert got.tolist() == [in_zero_component(A, H) for H in S]

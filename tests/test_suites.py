@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from matorder import suites
+from matorder.config import DEFAULT_TOL
 from matorder.errors import MalformedInputError
+from matorder.fileio import matrix_to_payload
 from matorder.suites import SUITES, run_suite, suite_description, suite_names
 
 # heavier suites get a reduced smoke count; the acceptance tests run the
@@ -129,3 +133,40 @@ def test_congruence_orbit_roots_the_inverse():
     # root of AX + I there leaves a residual of 7.9e-8, above the 1e-8 bound
     report = run_suite("congruence-orbit", seed=56)
     assert report.passed, report.failures[:1]
+
+
+def test_order_embedding_reports_the_same_keys_at_any_trial_count():
+    keys = {trials: set(run_suite("order-embedding", seed=1, trials=trials).details) for trials in (1, 2, 80)}
+    assert keys[1] == keys[2] == keys[80] == {"failure_count", *_DETAIL_KEYS["order-embedding"]}
+    assert run_suite("order-embedding", seed=1, trials=1).details["min_strict_margin"] is None
+
+
+def test_interval_criterion_replays_the_generator_to_the_first_escape(monkeypatch):
+    # The suite tests its 50 interval samples as one stack. Samples 0-7 are
+    # multiples of X and samples 8-49 draw one random effect each, so a lazy
+    # scan stopping at an escape in sample 12 would have drawn 5 effects.
+    stacks, states = [], []
+    draw_effect = suites.random_effect
+
+    def recording_effect(rng, n):
+        E = draw_effect(rng, n)
+        states.append(rng.bit_generator.state)
+        return E
+
+    def escape_at_12(A, S, tol):
+        stacks.append(S)
+        inside = np.ones(len(S), dtype=bool)
+        inside[12] = False
+        return inside
+
+    monkeypatch.setattr(suites, "random_effect", recording_effect)
+    monkeypatch.setattr(suites, "_in_zero_component", escape_at_12)
+    rng = np.random.default_rng(0)
+    rec = suites._Recorder()
+    details = suites._suite_interval_criterion(rng, 1, DEFAULT_TOL, rec)
+    assert details["criterion_true"] == 1 and len(stacks) == 1
+    assert rec.failure_count == 1
+    assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
+    assert len(states) == 42 + 5
+    assert states[42:] == states[:5]
+    assert rng.bit_generator.state == states[4]
