@@ -17,13 +17,14 @@ maps evaluated on effects.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
-from .halfplane import MobiusAutomorphism, _mobius_eval, _shifted
+from .halfplane import MobiusAutomorphism, _mobius_eval, _shifted, mobius_fix01
 from .linalg import (
     _eigh,
     _has_inertia,
@@ -31,6 +32,7 @@ from .linalg import (
     _loewner_compare,
     _principal_sqrt,
     _rank_cut,
+    _same_dim,
     _spectrum_inertia,
     as_hermitian,
     as_square,
@@ -231,10 +233,7 @@ def _signature_class(H: np.ndarray, tol: ToleranceConfig) -> SignatureClass:
 
 def are_equivalent(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Bases are equivalent iff their (m, p) signature classes coincide."""
-    a = as_hermitian(A, tol, "A")
-    b = as_hermitian(B, tol, "B")
-    if a.shape != b.shape:
-        raise MalformedInputError("dimension mismatch")
+    a, b = _same_dim(as_hermitian(A, tol, "A"), as_hermitian(B, tol, "B"))
     return _signature_class(a, tol)[:2] == _signature_class(b, tol)[:2]
 
 
@@ -311,15 +310,6 @@ def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceCon
     return herm_part(_mobius_eval(m, W, M))
 
 
-def _scaling_fn(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> x / (px + 1 - p), the order automorphism of [0, 1] with weight p."""
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return x / (p * x + 1.0 - p)
-
-    return fn
-
-
 @dataclasses.dataclass(frozen=True)
 class FpqSpec:
     """Effect automorphism built from two scalar reweightings and a contraction.
@@ -362,11 +352,8 @@ def rational_effect_automorphism(spec: FpqSpec, X: Iterable, tol: ToleranceConfi
     four-factor spectral decomposition below is an independent route to the
     same value.
     """
-    H = as_effect(X, tol)
-    if H.shape[0] != spec.dim:
-        raise MalformedInputError("dimension mismatch")
+    H, T = _same_dim(as_effect(X, tol), spec.frame)
     Y = H.T if spec.transpose else H
-    T = spec.frame
     S = _resolvent_scaling(spec.p, herm_part(T @ T.conj().T))
     root = _principal_sqrt(S)
     if not _is_invertible(root, tol):
@@ -389,7 +376,7 @@ def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -
     T = spec.frame
     p_pole = -(1.0 - spec.p) / spec.p
     q_pole = -(1.0 - spec.q) / spec.q
-    S = spectral_apply(herm_part(T @ T.conj().T), _scaling_fn(spec.p), poles=(p_pole,), tol=tol)
+    S = spectral_apply(herm_part(T @ T.conj().T), partial(mobius_fix01, spec.p), poles=(p_pole,), tol=tol)
     inv_root = spectral_apply(S, lambda x: 1.0 / np.sqrt(x), domain=(0.0, np.inf), tol=tol)
 
     def factor1(X: np.ndarray) -> np.ndarray:
@@ -397,13 +384,13 @@ def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -
         return herm_part(T @ (Y.T if spec.transpose else Y) @ T.conj().T)
 
     def factor2(X: np.ndarray) -> np.ndarray:
-        return spectral_apply(X, _scaling_fn(spec.p), poles=(p_pole,), tol=tol)
+        return spectral_apply(X, partial(mobius_fix01, spec.p), poles=(p_pole,), tol=tol)
 
     def factor3(X: np.ndarray) -> np.ndarray:
         return herm_part(inv_root @ np.asarray(X) @ inv_root)
 
     def factor4(X: np.ndarray) -> np.ndarray:
-        return spectral_apply(X, _scaling_fn(spec.q), poles=(q_pole,), tol=tol)
+        return spectral_apply(X, partial(mobius_fix01, spec.q), poles=(q_pole,), tol=tol)
 
     return factor1, factor2, factor3, factor4
 
@@ -452,9 +439,7 @@ class EffectEmbeddingSpec:
 
 def effect_embedding_map(spec: EffectEmbeddingSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the embedding, honoring endpoint overrides at 0 and I."""
-    H = as_effect(X, tol)
-    if H.shape[0] != spec.dim:
-        raise MalformedInputError("dimension mismatch")
+    H = _same_dim(as_effect(X, tol), spec.frame)[0]
     if spec.value_at_zero is not None and float(np.linalg.norm(H)) <= tol.psd_tol:
         return spec.value_at_zero.copy()
     if spec.value_at_one is not None and float(np.linalg.norm(H - np.eye(spec.dim))) <= tol.psd_tol:

@@ -54,7 +54,7 @@ def _emit_matrix(M: np.ndarray, out: Optional[str]) -> None:
 
 
 def _cmd_classify(args, tol: ToleranceConfig) -> int:
-    A = parse_matrix_file(args.matrix, hermitian=True)
+    A = parse_matrix_file(args.matrix)
     cls = signature_class(A, tol)
     sig = inertia(A, tol)
     print(json.dumps({
@@ -74,15 +74,16 @@ def _require(value, flag: str, map_name: str):
 
 
 def _cmd_apply(args, tol: ToleranceConfig) -> int:
-    X = parse_matrix_file(args.matrix, hermitian=args.map not in ("mobius", "pick"))
+    X = parse_matrix_file(args.matrix)
     if args.map == "theta":
-        base = as_hermitian(parse_matrix_file(_require(args.base, "--base", "theta")), tol, "base")
-        out = shear_apply(base, X, tol)
+        base = parse_matrix_file(_require(args.base, "--base", "theta"))
+        out = shear_apply(base, as_hermitian(X, tol, "X"), tol)
     elif args.map == "phi":
-        base = as_hermitian(parse_matrix_file(_require(args.base, "--base", "phi")), tol, "base")
+        base = parse_matrix_file(_require(args.base, "--base", "phi"))
         out = order_iso_apply(base, X, tol)
     elif args.map == "phi-mp":
         m = _require(args.corner, "--corner", "phi-mp")
+        X = as_hermitian(X, tol, "X")
         n = X.shape[0]
         if not 0 <= m <= n:
             raise MalformedInputError(f"--corner must lie in [0, {n}]")
@@ -105,9 +106,9 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
         n = frame.shape[0]
         mob = MobiusAutomorphism(
             frame=frame,
-            A=parse_matrix_file(args.base, hermitian=True) if args.base else np.zeros((n, n)),
-            B=parse_matrix_file(args.shift_in, hermitian=True) if args.shift_in else None,
-            C=parse_matrix_file(args.shift_out, hermitian=True) if args.shift_out else None,
+            A=parse_matrix_file(args.base) if args.base else np.zeros((n, n)),
+            B=parse_matrix_file(args.shift_in) if args.shift_in else None,
+            C=parse_matrix_file(args.shift_out) if args.shift_out else None,
             transpose=args.transpose,
         )
         out = apply_mobius(mob, X, tol)

@@ -2,7 +2,8 @@
 
 UTF-8 JSON, schema {"rows": n, "cols": m, "data": [[[re, im], ...], ...]}
 row-major, numbers written with 17 significant digits so doubles round-trip
-bit-exactly.
+bit-exactly. Parsing checks the format only; the function a parsed matrix
+is passed to decides whether it is square, Hermitian and of its dimension.
 """
 
 from __future__ import annotations
@@ -76,25 +77,20 @@ def matrix_to_text(M: Iterable) -> str:
     return f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": [{body}]}}\n'
 
 
-def parse_matrix_text(text: str, hermitian: bool = False) -> np.ndarray:
+def parse_matrix_text(text: str) -> np.ndarray:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"matrix parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    M = payload_to_matrix(payload)
-    if hermitian:
-        from .linalg import as_hermitian
-
-        return as_hermitian(M, name="matrix file")
-    return M
+    return payload_to_matrix(payload)
 
 
 def write_matrix_file(path: Union[str, Path], M: Iterable) -> None:
     Path(path).write_text(matrix_to_text(M), encoding="utf-8")
 
 
-def parse_matrix_file(path: Union[str, Path], hermitian: bool = False) -> np.ndarray:
+def parse_matrix_file(path: Union[str, Path]) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise MalformedInputError(f"no such file: {p}")
-    return parse_matrix_text(p.read_text(encoding="utf-8"), hermitian=hermitian)
+    return parse_matrix_text(p.read_text(encoding="utf-8"))

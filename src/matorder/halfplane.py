@@ -21,7 +21,9 @@ from .errors import DomainViolationError, MalformedInputError, ModelMismatchErro
 from .linalg import (
     _eigh,
     _invertibility_margin,
+    _is_hermitian,
     _is_invertible,
+    _same_dim,
     as_hermitian,
     as_square,
     herm_part,
@@ -48,6 +50,9 @@ __all__ = [
 
 # Relative residual allowed when validating a fitted automorphism at samples.
 FIT_RESIDUAL_TOL = 1e-7
+
+# Seed of the 20 half-plane samples that fit_canonical validates its fit at.
+FIT_VALIDATION_SEED = 7
 
 
 def imag_part(Z: Iterable) -> np.ndarray:
@@ -138,17 +143,15 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
     n = M.shape[0]
     pole = _fix01_pole(r)
     shifted = M - pole * np.eye(n)
-    herm_dev = opnorm(M - M.conj().T)
-    if herm_dev <= tol.herm_tol * (1.0 + opnorm(M)):
+    hermitian = _is_hermitian(M, tol)
+    if hermitian:
         values = _eigh(herm_part(M)).values
         if np.any(np.abs(values - pole) <= tol.inv_margin):
             raise DomainViolationError("spectrum touches the pole of the map")
     elif _invertibility_margin(shifted) <= tol.inv_margin * (1.0 + opnorm(shifted)):
         raise DomainViolationError("resolvent of the map is numerically singular")
     out = (1.0 / r) * np.eye(n) - ((1.0 - r) / r**2) * np.linalg.inv(shifted)
-    if herm_dev <= tol.herm_tol * (1.0 + opnorm(M)):
-        return herm_part(out)
-    return out
+    return herm_part(out) if hermitian else out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,14 +175,12 @@ class MobiusAutomorphism:
     def __post_init__(self) -> None:
         frame = as_square(self.frame, "frame")
         zero = np.zeros(frame.shape)
-        params = {"frame": frame, "A": as_hermitian(self.A, name="A"),
-                  "B": as_hermitian(zero if self.B is None else self.B, name="B"),
-                  "C": as_hermitian(zero if self.C is None else self.C, name="C")}
-        if any(M.shape != frame.shape for M in params.values()):
-            raise MalformedInputError("frame / A / B / C dimension mismatch")
+        params = _same_dim(frame, as_hermitian(self.A, name="A"),
+                           as_hermitian(zero if self.B is None else self.B, name="B"),
+                           as_hermitian(zero if self.C is None else self.C, name="C"))
         if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be invertible")
-        for key, value in params.items():
+        for key, value in zip(("frame", "A", "B", "C"), params):
             object.__setattr__(self, key, value)
 
     @property
@@ -188,9 +189,8 @@ class MobiusAutomorphism:
 
 
 def _shifted(m: MobiusAutomorphism, M: np.ndarray) -> np.ndarray:
-    """W = Z' - B for a validated square point Z of the map's dimension."""
-    if M.shape != m.frame.shape:
-        raise MalformedInputError(f"dimension mismatch: point is {M.shape}, map is {m.frame.shape}")
+    """W = Z' - B for a validated square point Z, once it has the map's dimension."""
+    _same_dim(M, m.frame)
     # the difference is a new C-contiguous array; matmul may round a transposed view differently
     return (M.T if m.transpose else M) - m.B
 
@@ -290,7 +290,6 @@ def fit_canonical(
     dim: int,
     anchor: Optional[tuple] = None,
     tol: ToleranceConfig = DEFAULT_TOL,
-    validation_seed: int = 7,
 ) -> MobiusAutomorphism:
     """Recover automorphism parameters from a black-box evaluator.
 
@@ -303,15 +302,16 @@ def fit_canonical(
     exactly linearly on offsets from iI; recover the unitary and the
     transpose flag from its responses to congruence probes
     (_congruence_from_probes), then fold the unitary into the parameters.
-    The result is validated against 20 random half-plane samples; residual
-    beyond 1e-7 relative raises ModelMismatchError.
+    The result is validated against 20 random half-plane samples drawn from
+    FIT_VALIDATION_SEED; residual beyond FIT_RESIDUAL_TOL relative raises
+    ModelMismatchError.
     """
     if dim < 1:
         raise MalformedInputError("dim must be positive")
     if anchor is not None:
-        X0 = as_hermitian(anchor[0], tol, "anchor input")
-        Y0 = as_hermitian(anchor[1], tol, "anchor output")
-        centered = fit_canonical(lambda Z: evaluator(Z + X0) - Y0, dim, None, tol, validation_seed)
+        _, X0, Y0 = _same_dim(np.zeros((dim, dim)), as_hermitian(anchor[0], tol, "anchor input"),
+                              as_hermitian(anchor[1], tol, "anchor output"))
+        centered = fit_canonical(lambda Z: evaluator(Z + X0) - Y0, dim, None, tol)
         # the shift meets the argument after the optional transpose
         B = X0.T if centered.transpose else X0
         return MobiusAutomorphism(
@@ -343,7 +343,7 @@ def fit_canonical(
         frame=normalize_phase(T @ u), A=herm_part(u.conj().T @ A @ u), transpose=transpose
     )
 
-    rng = np.random.default_rng(validation_seed)
+    rng = np.random.default_rng(FIT_VALIDATION_SEED)
     worst = 0.0
     for _ in range(20):
         Z = random_half_plane(rng, dim)

@@ -1,35 +1,38 @@
 """Dense complex Hermitian kernel.
 
-Eigendecomposition (numpy engine plus a self-contained cyclic Jacobi),
+Eigendecomposition (LAPACK, plus a self-contained cyclic Jacobi as a reference),
 inertia, Loewner-order comparison, spectral functional calculus, and
 invertibility margins. All operations are pure functions; arrays passed in
 are never mutated.
 
 Validation happens once, at the public boundary. A public function is a
 validating shell: it coerces each matrix argument with as_square or
-as_hermitian, checks that the dimensions agree, and then calls a private
-trusted kernel (_inertia, _is_invertible, _loewner_compare, ...). A kernel
-takes complex ndarrays that are already square and finite and, where it
-asks for Hermitian input, exactly Hermitian: the output of as_hermitian or
-herm_part, or an expression that keeps exact symmetry (sums, differences
-and real multiples of such arrays, and their leading corner blocks).
-herm_part is exact on such arrays, so a kernel computes bit for bit what
-the public function computes on the same argument, and makes the same
-LAPACK call (eigh, svd, solve, inv) on the same matrix. Library code that
-has validated its arguments calls kernels, never the shells; a kernel does
-not re-check finiteness of intermediates it is handed.
+as_hermitian, checks that the dimensions agree with _same_dim, and then
+calls a private trusted kernel (_inertia, _is_invertible, _loewner_compare,
+...). Hermiticity is decided by _is_hermitian alone: as_hermitian raises on
+it, and functions that accept both Hermitian and non-Hermitian points
+branch on it. A kernel takes complex ndarrays that are already square and
+finite and, where it asks for Hermitian input, exactly Hermitian: the
+output of as_hermitian or herm_part, or an expression that keeps exact
+symmetry (sums, differences and real multiples of such arrays, and their
+leading corner blocks). herm_part is exact on such arrays, so a kernel
+computes bit for bit what the public function computes on the same
+argument, and makes the same LAPACK call (eigh, svd, solve, inv) on the
+same matrix. Library code that has validated its arguments calls kernels,
+never the shells; a kernel does not re-check finiteness of intermediates it
+is handed.
 
 The contract extends to stacks. A stacked kernel takes a (k, n, n) array
 and returns, for each j, bit for bit what the per-matrix kernel returns on
 S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
 same LAPACK or BLAS call on each member as on a single matrix. Here
-_inertia_many (counts of _inertia), _has_inertia (the test that those
-counts are (p, 0, n - p)), _opnorm_many (opnorm), _is_invertible, herm_part
-and _rank_cut reduce over the last axes; localiso._in_zero_component and
-classify._block_map take stacks the same way. _as_hermitian_many applies
-as_hermitian's tests to every member. Suites draw their samples in order
-and then check them in one call per stack; public functions stay
-per-matrix.
+_has_inertia (whether _inertia's counts are (p, 0, n - p)), _is_invertible,
+herm_part and _rank_cut reduce over the last axes, and
+np.linalg.norm(S, 2, axis=(-2, -1)) is opnorm member by member;
+localiso._in_zero_component and classify._block_map take stacks the same
+way. _as_hermitian_many applies as_hermitian's tests to every member.
+Suites draw their samples in order and then check them in one call per
+stack; public functions stay per-matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
+
+# jacobi_eigen stops after this many sweeps even if not yet converged.
+JACOBI_MAX_SWEEPS = 60
 
 __all__ = [
     "EigenDecomposition",
@@ -118,10 +124,22 @@ def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "m
     matrix is returned so downstream code can rely on exact symmetry.
     """
     M = as_square(X, name)
-    dev = frob(M - M.conj().T)
-    if dev > tol.herm_tol * (1.0 + frob(M)):
-        raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {dev:.3e}")
+    if not _is_hermitian(M, tol):
+        raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {frob(M - M.conj().T):.3e}")
     return herm_part(M)
+
+
+def _is_hermitian(M: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The library's one hermiticity test, on a square finite array: ||M - M*||_F <= herm_tol*(1 + ||M||_F)."""
+    return frob(M - M.conj().T) <= tol.herm_tol * (1.0 + frob(M))
+
+
+def _same_dim(*Ms: np.ndarray) -> tuple:
+    """The validated square arrays Ms, unchanged, once they share one dimension; MalformedInputError otherwise."""
+    for M in Ms:
+        if M.shape != Ms[0].shape:
+            raise MalformedInputError("dimension mismatch: " + " vs ".join(f"{M.shape[0]}x{M.shape[1]}" for M in Ms))
+    return Ms
 
 
 def _as_hermitian_many(S: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
@@ -146,25 +164,18 @@ def _as_hermitian_many(S: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: st
     return herm_part(M)
 
 
-def _opnorm_many(S: np.ndarray) -> np.ndarray:
-    """opnorm of every member of a stack (..., n, n), from one svd call."""
-    if 0 in S.shape[-2:]:
-        return np.zeros(S.shape[:-2])
-    return np.linalg.svd(S, compute_uv=False)[..., 0]
-
-
 def _sorted_eigen(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
     order = np.argsort(values, kind="stable")
     return EigenDecomposition(np.ascontiguousarray(values[order].real), np.ascontiguousarray(vectors[:, order]))
 
 
-def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, max_sweeps: int = 60) -> EigenDecomposition:
+def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
 
     Each rotation zeroes one off-diagonal pair: a diagonal phase makes the
     pivot entry real, then a real Givens rotation annihilates it. Sweeps
     repeat until the off-diagonal Frobenius mass falls below
-    eig_tol * ||X||_F / 10.
+    eig_tol * ||X||_F / 10, at most JACOBI_MAX_SWEEPS times.
     """
     A = as_hermitian(X, tol).copy()
     n = A.shape[0]
@@ -175,7 +186,7 @@ def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, max_sweeps: in
     if scale == 0.0:
         return EigenDecomposition(np.zeros(n), V)
     target = tol.eig_tol * scale / 10.0
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # direct off-diagonal mass; the difference frob(A)^2 - sum(diag^2)
         # cancels catastrophically once the sweeps are nearly converged
         off = frob(A - np.diag(np.diag(A)))
@@ -204,22 +215,17 @@ def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, max_sweeps: in
     return _sorted_eigen(np.diag(A).real, V)
 
 
-def hermitian_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, engine: str = "numpy") -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, values ascending.
+def hermitian_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (np.linalg.eigh), values ascending.
 
-    engine="numpy" uses LAPACK via np.linalg.eigh; engine="jacobi" is the
-    self-contained cyclic Jacobi solver. Both satisfy the same residual
-    contract (checked in the verification suites).
+    jacobi_eigen satisfies the same residual contract and is the reference
+    the verification suites check it against.
     """
-    if engine == "jacobi":
-        return jacobi_eigen(X, tol)
-    if engine != "numpy":
-        raise MalformedInputError(f"unknown eigen engine {engine!r}")
     return _eigh(as_hermitian(X, tol))
 
 
 def _eigh(H: np.ndarray) -> EigenDecomposition:
-    """Kernel of hermitian_eigen (numpy engine) on an exactly Hermitian array."""
+    """Kernel of hermitian_eigen on an exactly Hermitian array."""
     values, vectors = np.linalg.eigh(H)
     return EigenDecomposition(values, vectors)
 
@@ -243,22 +249,10 @@ def _inertia(H: np.ndarray, tol: ToleranceConfig) -> Inertia:
     return _spectrum_inertia(np.linalg.eigh(H)[0], tol)
 
 
-def _inertia_many(S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Kernel of inertia on a stack (..., n, n): (..., 3) counts (n_pos, n_zero, n_neg).
-
-    eigh, not eigvalsh, so that each spectrum is bit for bit _inertia's.
-    """
-    values = np.linalg.eigh(S)[0]
-    cut = _rank_cut(values, tol)[..., None]
-    n_pos = (values > cut).sum(axis=-1)
-    n_neg = (values < -cut).sum(axis=-1)
-    return np.stack((n_pos, values.shape[-1] - n_pos - n_neg, n_neg), axis=-1)
-
-
 def _has_inertia(S: np.ndarray, p: int, tol: ToleranceConfig):
     """Whether each member of a stack (..., n, n), n >= 1, has inertia (p, 0, n - p).
 
-    The same verdict as comparing _inertia_many's counts, at the cost of one
+    The same verdict as comparing _inertia's counts, at the cost of one
     comparison per side: eigh returns each spectrum ascending, so the counts
     are (p, 0, n - p) iff the (n - p)-th eigenvalue is below -cut and the one
     after it above cut.
@@ -379,7 +373,6 @@ def spectral_apply(
     domain: Optional[tuple] = None,
     poles: Sequence[float] = (),
     tol: ToleranceConfig = DEFAULT_TOL,
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Functional calculus: V diag(fn(lambda_i)) V* for Hermitian X.
 
@@ -387,7 +380,17 @@ def spectral_apply(
     `poles` lists excluded points; eigenvalues within inv_margin of an edge
     or pole raise DomainViolationError. Real-valued fn gives Hermitian output.
     """
-    decomp = hermitian_eigen(X, tol, engine=engine)
+    return _spectral_apply(hermitian_eigen(X, tol), fn, domain, poles, tol)
+
+
+def _spectral_apply(
+    decomp: EigenDecomposition,
+    fn: Callable[[float], float],
+    domain: Optional[tuple],
+    poles: Sequence[float],
+    tol: ToleranceConfig,
+) -> np.ndarray:
+    """Kernel of spectral_apply on the eigendecomposition of its argument."""
     _check_guard(decomp.values, domain, poles, tol.inv_margin)
     mapped = np.array([float(fn(float(v))) for v in decomp.values])
     if not np.all(np.isfinite(mapped)):

@@ -37,6 +37,7 @@ from .linalg import (
     _loewner_compare,
     _principal_sqrt,
     _rank_cut,
+    _same_dim,
     as_hermitian,
     as_square,
     herm_part,
@@ -68,6 +69,9 @@ __all__ = [
 DERIVATIVE_RESIDUAL_TOL = 1e-6
 BASE_CONSISTENCY_TOL = 1e-6
 
+# Waypoints drawn in path_to_zero's first pool; each later pool doubles it.
+PATH_POOL_SIZE = 48
+
 # Cushion of the exact segment test, so that rounding cannot hide a crossing:
 # an eigenvalue mu with |Im mu| <= REAL_EIG_MARGIN (1 + |Re mu|) counts as
 # real, and a real one with Re mu <= -1 + REAL_EIG_MARGIN as a crossing.
@@ -76,20 +80,12 @@ REAL_EIG_MARGIN = 1e-7
 
 def _base_and_square(base: Iterable, X: Iterable, tol: ToleranceConfig):
     """Validated (Hermitian base, square X) of one dimension."""
-    A = as_hermitian(base, tol, "base")
-    M = as_square(X, "X")
-    if A.shape != M.shape:
-        raise MalformedInputError("dimension mismatch")
-    return A, M
+    return _same_dim(as_hermitian(base, tol, "base"), as_square(X, "X"))
 
 
 def _base_and_hermitian(base: Iterable, X: Iterable, tol: ToleranceConfig):
     """Validated (Hermitian base, Hermitian X) of one dimension."""
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X, tol, "X")
-    if A.shape != H.shape:
-        raise MalformedInputError("dimension mismatch")
-    return A, H
+    return _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X, tol, "X"))
 
 
 def in_shear_domain(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -177,11 +173,7 @@ def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.nd
 
 def segment_in_shear_domain(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Exact membership of the whole segment [X, Y] in the shear domain."""
-    A = as_hermitian(base, tol, "base")
-    P = as_square(X, "X")
-    Q = as_square(Y, "Y")
-    if not A.shape == P.shape == Q.shape:
-        raise MalformedInputError("dimension mismatch")
+    A, P, Q = _same_dim(as_hermitian(base, tol, "base"), as_square(X, "X"), as_square(Y, "Y"))
     return _segment_in_shear_domain(A, P, Q, tol)
 
 
@@ -198,11 +190,7 @@ def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: Tol
     otherwise); the segment passes iff it stays inside the shear domain,
     decided exactly as in segment_in_shear_domain.
     """
-    A = as_hermitian(base, tol, "base")
-    P = as_hermitian(X, tol, "X")
-    Q = as_hermitian(Y, tol, "Y")
-    if not A.shape == P.shape == Q.shape:
-        raise MalformedInputError("dimension mismatch")
+    A, P, Q = _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X, tol, "X"), as_hermitian(Y, tol, "Y"))
     if not (_in_zero_component(A, P, tol) and _in_zero_component(A, Q, tol)):
         raise DomainViolationError("segment endpoints must lie in the zero component")
     return _segment_in_shear_domain(A, P, Q, tol)
@@ -214,12 +202,9 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     Holds iff the smallest eigenvalue of X^{1/2} base X^{1/2} stays above
     -1 + inv_margin.
     """
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X, tol, "X")
+    A, H = _base_and_hermitian(base, X, tol)
     if not _loewner_compare(np.zeros_like(H), H, tol).leq:
         raise DomainViolationError("X must be PSD")
-    if A.shape != H.shape:
-        raise MalformedInputError("dimension mismatch")
     if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
     R = sqrt_psd(H, tol)
@@ -249,10 +234,7 @@ def translated_base(base: Iterable, X0: Iterable, tol: ToleranceConfig = DEFAULT
     equivalent, up to fixed congruence and offset, to the map with this
     translated base.
     """
-    A = as_hermitian(base, tol, "base")
-    H = as_hermitian(X0, tol, "X0")
-    if A.shape != H.shape:
-        raise MalformedInputError("dimension mismatch")
+    A, H = _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X0, tol, "X0"))
     if not _in_shear_domain(A, H, tol):
         raise DomainViolationError("X0 is outside the shear domain of this base")
     M = H @ A + np.eye(A.shape[0])
@@ -261,8 +243,7 @@ def translated_base(base: Iterable, X0: Iterable, tol: ToleranceConfig = DEFAULT
 
 def conjugated_base(base: Iterable, frame: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Base parameter for the congruence-conjugated map: frame base frame*."""
-    A = as_hermitian(base, tol, "base")
-    T = as_square(frame, "frame")
+    A, T = _same_dim(as_hermitian(base, tol, "base"), as_square(frame, "frame"))
     if not _is_invertible(T, tol):
         raise DomainViolationError("frame must be invertible")
     return herm_part(T @ A @ T.conj().T)
@@ -308,7 +289,6 @@ def _five_point_derivative(evaluator, E: np.ndarray, h: float) -> np.ndarray:
 def identify_parameters(
     evaluator: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    step: Optional[float] = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MobiusAutomorphism:
     """Recover (A, frame, transpose flag) from a black-box map fixing 0.
@@ -317,13 +297,14 @@ def identify_parameters(
     five-point differences along the congruence probes give the frame and
     the flag (halfplane._congruence_from_probes), and A is then read off
     algebraically at a small invertible sample. Two independent samples must
-    agree on A, otherwise the evaluator is not of the model form.
+    agree on A, otherwise the evaluator is not of the model form. The
+    difference step is 1e-4 (1 + the evaluator's gain at 0).
     """
     if dim < 1:
         raise MalformedInputError("dim must be positive")
     eye = np.eye(dim, dtype=complex)
     probe_gain = float(np.linalg.norm(evaluator(1e-6 * eye))) / 1e-6
-    h = step if step is not None else 1e-4 * (1.0 + probe_gain)
+    h = 1e-4 * (1.0 + probe_gain)
 
     at_zero = float(np.linalg.norm(evaluator(np.zeros((dim, dim)))))
     if at_zero > 1e-8 * (1.0 + probe_gain):
@@ -397,16 +378,15 @@ def path_to_zero(
     X: Iterable,
     tol: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
-    pool_size: int = 48,
     max_nodes: int = 10_000,
 ) -> PathSearchResult:
     """Randomized piecewise-linear path search from 0 to X inside the domain.
 
     Independent oracle for in_zero_component: uses only exact segment tests.
-    Tries the straight segment, then breadth-first search over growing pools
-    of random Hermitian waypoints until a path is found or the node budget is
-    exhausted. A found path certifies membership; exhaustion is (only)
-    evidence of non-membership.
+    Tries the straight segment, then breadth-first search over pools of
+    random Hermitian waypoints, PATH_POOL_SIZE at first and doubling, until
+    a path is found or the node budget is exhausted. A found path certifies
+    membership; exhaustion is (only) evidence of non-membership.
     """
     A, H = _base_and_hermitian(base, X, tol)
     if not _in_shear_domain(A, H, tol):
@@ -417,7 +397,7 @@ def path_to_zero(
     rng = np.random.default_rng(seed)
     spread = max(1.0, opnorm(H))
     used = 2
-    pool = pool_size
+    pool = PATH_POOL_SIZE
     while used < max_nodes:
         pool = min(pool, max_nodes - used)
         candidates = []

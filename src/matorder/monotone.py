@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
@@ -21,9 +22,10 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
-from .halfplane import _in_half_plane
+from .halfplane import _in_half_plane, mobius_fix01
 from .linalg import (
     _eigh,
+    _is_hermitian,
     _is_invertible,
     _loewner_compare,
     as_square,
@@ -284,9 +286,7 @@ def pick_eval(
             raise DomainViolationError(f"scalar argument {x} outside ({a}, {b})")
         return rep.scalar_function()(x)
     Z = as_square(argument, "argument")
-    herm_gap = float(np.linalg.norm(Z - Z.conj().T))
-    # the test as_hermitian makes, so herm_part(Z) is what it would return
-    if herm_gap <= tol.herm_tol * (1.0 + float(np.linalg.norm(Z))):
+    if _is_hermitian(Z, tol):
         H = herm_part(Z)
         values = _eigh(H).values
         if values.size and not (a < float(values[0]) and float(values[-1]) < b):
@@ -323,6 +323,11 @@ def _tabulated(path: str) -> ScalarFunction:
     )
 
 
+def _fix01_function(r: float, domain: Tuple[float, float], name: str) -> ScalarFunction:
+    """halfplane.mobius_fix01 at parameter r, x/(rx + 1 - r), with its derivative, on domain."""
+    return ScalarFunction(partial(mobius_fix01, r), domain, lambda x: (1.0 - r) / (r * x + 1.0 - r) ** 2, name=name)
+
+
 def builtin_function(name: str) -> ScalarFunction:
     """Named scalar functions for the CLI and the suites.
 
@@ -340,24 +345,13 @@ def builtin_function(name: str) -> ScalarFunction:
         p = float(name.split(":", 1)[1])
         if not 0.0 < p < 1.0:
             raise MalformedInputError("fp parameter must lie in (0, 1)")
-        return ScalarFunction(
-            lambda x: x / (p * x + 1.0 - p),
-            (0.0, 1.0),
-            lambda x: (1.0 - p) / (p * x + 1.0 - p) ** 2,
-            name=name,
-        )
+        return _fix01_function(p, (0.0, 1.0), name)
     if name.startswith("rational:"):
         r = float(name.split(":", 1)[1])
         if not (r < 1.0 and r != 0.0):
             raise MalformedInputError("rational parameter must satisfy r < 1, r != 0")
         pole = 1.0 - 1.0 / r
-        domain = (pole, math.inf) if r > 0 else (-math.inf, pole)
-        return ScalarFunction(
-            lambda x: x / (r * x + 1.0 - r),
-            domain,
-            lambda x: (1.0 - r) / (r * x + 1.0 - r) ** 2,
-            name=name,
-        )
+        return _fix01_function(r, (pole, math.inf) if r > 0 else (-math.inf, pole), name)
     if name.startswith("table:"):
         return _tabulated(name.split(":", 1)[1])
     raise MalformedInputError(f"unknown function name: {name!r}")

@@ -19,6 +19,7 @@ from .linalg import (
     _eigh,
     _loewner_compare,
     _rank_cut,
+    _same_dim,
     _spectral_pinv,
     _spectrum_inertia,
     as_hermitian,
@@ -53,28 +54,17 @@ class OperatorInterval:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if lower is not None and upper is not None:
-            if lower.shape != upper.shape:
-                raise MalformedInputError("interval bounds have mismatched dimensions")
-            cmp = _loewner_compare(lower, upper, DEFAULT_TOL)
+            cmp = _loewner_compare(*_same_dim(lower, upper), DEFAULT_TOL)
             if self.lower_closed and self.upper_closed:
                 if not cmp.leq:
                     raise MalformedInputError("need lower <= upper for a closed interval")
             elif not cmp.lt:
                 raise MalformedInputError("need lower < upper when an endpoint is open")
 
-    @property
-    def dim(self) -> Optional[int]:
-        for bound in (self.lower, self.upper):
-            if bound is not None:
-                return bound.shape[0]
-        return None
-
 
 def interval_contains(J: OperatorInterval, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Membership of Hermitian X in the interval per its closedness flags."""
-    H = as_hermitian(X, tol)
-    if J.dim is not None and H.shape[0] != J.dim:
-        raise MalformedInputError(f"dimension mismatch: X is {H.shape[0]}, interval is {J.dim}")
+    H = _same_dim(as_hermitian(X, tol), *(b for b in (J.lower, J.upper) if b is not None))[0]
     if J.lower is not None:
         cmp = _loewner_compare(J.lower, H, tol)
         if not (cmp.leq if J.lower_closed else cmp.lt):
@@ -94,10 +84,7 @@ def rank_one_leq(R: Iterable, A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -
     eigenvectors of A below the psd_tol rank cutoff, which avoids forming an
     ill-conditioned pseudo-inverse of a nearly singular A.
     """
-    R = as_hermitian(R, tol, "R")
-    A = as_hermitian(A, tol, "A")
-    if R.shape != A.shape:
-        raise MalformedInputError("dimension mismatch")
+    R, A = _same_dim(as_hermitian(R, tol, "R"), as_hermitian(A, tol, "A"))
     decompR, decompA = _eigh(R), _eigh(A)
     sig = _spectrum_inertia(decompR.values, tol)
     if sig.n_neg != 0 or sig.n_pos != 1:
@@ -133,7 +120,7 @@ class AffineIntervalIso:
     scaling: np.ndarray         # positive eigenvalues mu_1..mu_r of upper - lower
 
     def forward(self, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        H = as_hermitian(X, tol)
+        H = _same_dim(as_hermitian(X, tol), self.lower)[0]
         S = self.isometry / np.sqrt(self.scaling)
         return herm_part(S.conj().T @ (H - self.lower) @ S)
 
@@ -147,10 +134,7 @@ class AffineIntervalIso:
 
 def affine_interval_iso(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> AffineIntervalIso:
     """Build the affine order isomorphism [A, B] -> E_r, r = rank(B - A)."""
-    A = as_hermitian(A, tol, "A")
-    B = as_hermitian(B, tol, "B")
-    if A.shape != B.shape:
-        raise MalformedInputError("dimension mismatch")
+    A, B = _same_dim(as_hermitian(A, tol, "A"), as_hermitian(B, tol, "B"))
     cmp = _loewner_compare(A, B, tol)
     if not cmp.leq:
         raise DomainViolationError("need A <= B")

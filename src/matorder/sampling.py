@@ -24,6 +24,9 @@ __all__ = [
     "random_hermitian_with_spectrum",
 ]
 
+# Draws random_invertible makes before it gives up.
+INVERTIBLE_ATTEMPTS = 200
+
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
@@ -55,8 +58,8 @@ def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_hermitian_with_spectrum(rng, n, 0.02, 0.98)
 
 
-def random_invertible(rng: np.random.Generator, n: int, max_cond: float = 40.0, attempts: int = 200) -> np.ndarray:
-    for _ in range(attempts):
+def random_invertible(rng: np.random.Generator, n: int, max_cond: float = 40.0) -> np.ndarray:
+    for _ in range(INVERTIBLE_ATTEMPTS):
         T = complex_gaussian(rng, n, n)
         sv = np.linalg.svd(T, compute_uv=False)
         if sv[-1] > 0 and sv[0] / sv[-1] <= max_cond:
@@ -64,10 +67,10 @@ def random_invertible(rng: np.random.Generator, n: int, max_cond: float = 40.0, 
     raise MatOrderError("failed to sample a well-conditioned invertible matrix")
 
 
-def random_contraction(rng: np.random.Generator, n: int, strict_margin: float = 0.05) -> np.ndarray:
-    """Invertible strict contraction: ||T||_2 <= 1 - strict_margin."""
+def random_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Invertible strict contraction: ||T||_2 = 0.95."""
     T = random_invertible(rng, n)
-    return T * ((1.0 - strict_margin) / opnorm(T))
+    return T * (0.95 / opnorm(T))
 
 
 def random_half_plane(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -11,7 +11,8 @@ attempt is rejected, and return every counter in the `details` dict at every
 trial count. Keep the rng draws in order: generators stay lazy, so
 `any`/`next` short-circuit. Where no draw depends on a check, draw the samples
 in order, then check them in a stack with the stacked kernels (_block_map,
-_in_zero_component, _inertia_many, _opnorm_many) and record per sample; a
+_in_zero_component, _has_inertia, np.linalg.norm(S, 2, axis=(-2, -1))) and
+record per sample, computing a failure message only for a failed member; a
 check that stops early rewinds the generator to where a lazy scan would have
 stopped (see interval-criterion).
 """
@@ -64,14 +65,16 @@ from .halfplane import (
 )
 from .linalg import (
     _as_hermitian_many,
-    _inertia_many,
-    _opnorm_many,
+    _has_inertia,
+    _spectral_apply,
+    as_hermitian,
     frob,
     herm_part,
     hermitian_eigen,
     inertia,
     invertibility_margin,
     is_invertible,
+    jacobi_eigen,
     loewner_compare,
     opnorm,
     spectral_apply,
@@ -326,10 +329,10 @@ def _suite_eigen_residual(rng, trials, tol, rec):
     for t in range(trials):
         n = sizes[t % len(sizes)]
         X = random_hermitian(rng, n, scale=10.0 ** rng.uniform(-1.0, 1.0))
+        engines = [("numpy", hermitian_eigen), ("jacobi", jacobi_eigen)]
         # jacobi on every small matrix, but only every 4th large one (it is O(n^4))
-        engines = ["numpy", "jacobi"] if n <= 8 or t % 4 == 0 else ["numpy"]
-        for engine in engines:
-            decomp = hermitian_eigen(X, tol, engine=engine)
+        for engine, eigen in engines if n <= 8 or t % 4 == 0 else engines[:1]:
+            decomp = eigen(X, tol)
             V, vals = decomp.vectors, decomp.values
             res = frob(X @ V - V * vals) / (1.0 + frob(X))
             rec.check_residual(res, tol.eig_tol, t, f"{engine} eigen residual", X=X)
@@ -394,7 +397,7 @@ def _suite_spectral_composition(rng, trials, tol, rec):
         back = spectral_apply(spectral_apply(P, math.log, domain=(0.0, math.inf), tol=tol), math.exp, tol=tol)
         rec.check_residual(_rel(back, P), bound, t, "exp(log(P)) identity", P=P)
         if n <= 6:
-            alt = spectral_apply(X, lambda x: math.sqrt(x * x + 1.0), tol=tol, engine="jacobi")
+            alt = _spectral_apply(jacobi_eigen(X, tol), lambda x: math.sqrt(x * x + 1.0), None, (), tol)
             rec.check_residual(_rel(alt, one_step), bound, t, "engine cross-check", X=X)
 
 
@@ -917,15 +920,15 @@ def _suite_bordered_identity(rng, trials, tol, rec):
             X = _as_hermitian_many([_block_sample(rng, spec) for _ in range(trials)], tol, "X")
             E = _bordered_embedding(m, X)
             R = _bordered_arrangement(m, _block_map(spec, X, tol))
-            scale = 1.0 + _opnorm_many(E) * _opnorm_many(R)
-            res = _opnorm_many(E @ R + np.eye(2 * n - m)) / scale
-            counts = _inertia_many(herm_part(E), tol)
+            scale = 1.0 + np.linalg.norm(E, 2, axis=(-2, -1)) * np.linalg.norm(R, 2, axis=(-2, -1))
+            res = np.linalg.norm(E @ R + np.eye(2 * n - m), 2, axis=(-2, -1)) / scale
+            want = (n + p - m, 0, n - p)
+            fixed = _has_inertia(herm_part(E), n + p - m, tol)
             for j in range(trials):
                 instances += 1
                 rec.check_residual(res[j], 1e-9, instances, f"bordered identity (n={n}, m={m}, p={p})", X=X[j])
-                got = tuple(counts[j].tolist())
-                rec.check(got == (n + p - m, 0, n - p), instances,
-                          f"bordered inertia {got} != ({n + p - m}, 0, {n - p})", X=X[j])
+                if not fixed[j]:
+                    rec.fail(instances, f"bordered inertia {tuple(inertia(E[j], tol))} != {want}", X=X[j])
     return {"instances": instances}
 
 
@@ -1033,7 +1036,7 @@ def _suite_class_count(rng, trials, tol, rec):
 
 
 def _random_fpq(rng: np.random.Generator, n: int) -> FpqSpec:
-    T = _first(100, lambda: random_contraction(rng, n, strict_margin=0.05),
+    T = _first(100, lambda: random_contraction(rng, n),
                lambda T: is_invertible(T) and invertibility_margin(T) > 0.05)
     if T is None:
         raise RuntimeError("failed to draw a bijective contraction")
@@ -1275,7 +1278,7 @@ def _suite_serialization_roundtrip(rng, trials, tol, rec):
                   "serialization is not bit-exact", M=M)
         if rows == cols:
             H = random_hermitian(rng, rows)
-            back_h = parse_matrix_text(matrix_to_text(H), hermitian=True)
+            back_h = as_hermitian(parse_matrix_text(matrix_to_text(H)), tol)
             rec.check(bool(np.array_equal(back_h, H)), t, "Hermitian round trip not exact", H=H)
     for bad, label in [
         ('{"rows": 1, "cols": 1', "truncated JSON"),

@@ -4,7 +4,9 @@ Each of these functions validates its matrix arguments once, on entry, and
 hands exactly Hermitian (or square) arrays to a private kernel. The first
 group of tests pins what the boundary rejects: every malformed argument
 raises MalformedInputError with the message naming the argument. The second
-group counts validations per call.
+group sweeps every public function that takes two or more matrices with one
+of them resized, and checks that the tolerances passed reach validation.
+The third group counts validations per call.
 """
 
 import sys
@@ -14,22 +16,39 @@ import pytest
 
 from matorder.classify import (
     BlockMapSpec,
+    EffectAutoSpec,
+    EffectEmbeddingSpec,
     FpqSpec,
+    are_equivalent,
     block_map_apply,
+    bordered_arrangement,
+    bordered_embedding,
+    effect_automorphism,
+    effect_embedding_map,
     in_block_domain,
     rational_effect_automorphism,
     signature_class,
 )
+from matorder.config import DEFAULT_TOL
 from matorder.errors import MalformedInputError
-from matorder.halfplane import MobiusAutomorphism, apply_mobius, in_half_plane
+from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
+from matorder.linalg import is_psd, loewner_compare, spectral_pinv
 from matorder.localiso import (
+    apply_local_iso,
+    congruence_orbit,
+    conjugated_base,
+    in_shear_domain,
     in_zero_component,
+    interval_below_criterion,
     order_iso_apply,
+    path_to_zero,
     segment_in_shear_domain,
     segment_in_zero_component,
     shear_apply,
+    translated_base,
 )
 from matorder.monotone import PickRepresentation, pick_eval
+from matorder.order import OperatorInterval, affine_interval_iso, interval_contains, rank_one_leq
 
 BASE = np.diag([1.0, -0.5]).astype(complex)
 SMALL = 0.1 * np.array([[0.5, 0.2j], [-0.2j, 0.3]])
@@ -98,6 +117,108 @@ def test_boundary_calls_accept_a_well_formed_argument():
     # each malformed case above differs from an accepted call in one argument only
     for _, _, call, _, accepted in BOUNDARY:
         call(accepted)
+
+
+# ---------------------------------------------------------------------------
+# one dimension check
+
+EYE = np.eye(2, dtype=complex)
+RANK_ONE = np.outer([0.3, 0.1j], [0.3, -0.1j])
+
+# every public function, and every constructor behind it, that takes two or
+# more matrices: (name, call, 2x2 arguments the call accepts)
+MULTI_MATRIX = [
+    ("loewner_compare", loewner_compare, (SMALL, BASE)),
+    ("interval_contains", lambda lo, hi, X: interval_contains(OperatorInterval(lo, hi), X),
+     (0 * EYE, EYE, 0.5 * EYE)),
+    ("rank_one_leq", rank_one_leq, (RANK_ONE, EYE)),
+    ("affine_interval_iso", lambda A, B, X: affine_interval_iso(A, B).forward(X), (0 * EYE, EYE, 0.5 * EYE)),
+    ("in_shear_domain", in_shear_domain, (BASE, SMALL)),
+    ("shear_apply", shear_apply, (BASE, SMALL)),
+    ("in_zero_component", in_zero_component, (BASE, SMALL)),
+    ("segment_in_shear_domain", segment_in_shear_domain, (BASE, SMALL, 0.5 * SMALL)),
+    ("segment_in_zero_component", segment_in_zero_component, (BASE, SMALL, 0.5 * SMALL)),
+    ("interval_below_criterion", interval_below_criterion, (BASE, 0.1 * EYE)),
+    ("order_iso_apply", order_iso_apply, (BASE, SMALL)),
+    ("translated_base", translated_base, (BASE, SMALL)),
+    ("conjugated_base", conjugated_base, (BASE, 2.0 * EYE)),
+    ("congruence_orbit", congruence_orbit, (BASE, SMALL)),
+    ("path_to_zero", path_to_zero, (BASE, SMALL)),
+    ("apply_local_iso", lambda T, A, X: apply_local_iso(MobiusAutomorphism(frame=T, A=A), X), (EYE, BASE, SMALL)),
+    ("apply_mobius", lambda T, A, B, C, Z: apply_mobius(MobiusAutomorphism(T, A, B, C), Z),
+     (EYE, 0.1 * EYE, SMALL, SMALL, HALF_PLANE_POINT)),
+    ("fit_canonical", lambda X0, Y0: fit_canonical(lambda Z: apply_mobius(MOBIUS, Z), 2, anchor=(X0, Y0)),
+     (SMALL, apply_mobius(MOBIUS, SMALL))),
+    ("are_equivalent", are_equivalent, (BASE, SMALL)),
+    ("effect_automorphism", lambda T, X: effect_automorphism(EffectAutoSpec(T), X), (2.0 * EYE, 0.5 * EYE)),
+    ("rational_effect_automorphism", lambda T, X: rational_effect_automorphism(FpqSpec(0.5, -1.0, T), X),
+     (0.8 * EYE, 0.5 * EYE)),
+    ("effect_embedding_map",
+     lambda T, A, C, v0, v1, X: effect_embedding_map(EffectEmbeddingSpec(T, A, C, v0, v1), X),
+     (EYE, 0 * EYE, 0 * EYE, -EYE, 2.0 * EYE, 0.5 * EYE)),
+]
+
+
+def grown(M):
+    """M as the leading corner of a 3x3 matrix of the same kind (Hermitian, effect, frame, half-plane point)."""
+    out = np.zeros((3, 3), dtype=complex)
+    out[:2, :2] = M
+    out[2, 2] = M[0, 0]
+    return out
+
+
+def shrunk(M):
+    """The 1x1 leading corner of M, which numpy would broadcast against a 2x2 operand."""
+    return M[:1, :1]
+
+
+@pytest.mark.parametrize(
+    "call, arguments",
+    [
+        pytest.param(call, args[:i] + (resize(args[i]),) + args[i + 1:], id=f"{name}-{i}-{resize.__name__}")
+        for name, call, args in MULTI_MATRIX
+        for i in range(len(args))
+        for resize in (grown, shrunk)
+    ],
+)
+def test_matrix_of_another_dimension_is_malformed(call, arguments):
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        call(*arguments)
+
+
+def test_multi_matrix_calls_accept_matching_dimensions():
+    # each mismatched case above differs from an accepted call in one argument only
+    for _, call, args in MULTI_MATRIX:
+        call(*args)
+
+
+def test_dimension_defects_raise_malformed_input():
+    # both used to reach numpy: a raw ValueError, and a 1x1 argument broadcast to a 3x3 result
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        conjugated_base(np.eye(2), np.eye(3))
+    with pytest.raises(MalformedInputError, match="dimension mismatch"):
+        affine_interval_iso(np.zeros((3, 3)), np.eye(3)).forward([[0.5]])
+
+
+NEAR_HERMITIAN = np.diag([0.5, 0.25]).astype(complex) + np.array([[0.0, 7e-9], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda tol: is_psd(NEAR_HERMITIAN, tol), id="is_psd"),
+        pytest.param(lambda tol: spectral_pinv(NEAR_HERMITIAN, tol), id="spectral_pinv"),
+        pytest.param(lambda tol: segment_in_zero_component(BASE, NEAR_HERMITIAN, SMALL, tol),
+                     id="segment_in_zero_component"),
+        pytest.param(lambda tol: bordered_embedding(1, NEAR_HERMITIAN, tol), id="bordered_embedding"),
+        pytest.param(lambda tol: bordered_arrangement(1, NEAR_HERMITIAN, tol), id="bordered_arrangement"),
+    ],
+)
+def test_tolerances_reach_validation(call):
+    # ||X - X*||_F = 1e-8: beyond the default herm_tol, inside a loosened one
+    with pytest.raises(MalformedInputError, match="is not Hermitian"):
+        call(DEFAULT_TOL)
+    call(DEFAULT_TOL.replace(herm_tol=1e-6))
 
 
 # ---------------------------------------------------------------------------

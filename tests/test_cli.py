@@ -175,3 +175,15 @@ def test_apply_mobius_default_shifts_and_domain_exit(tmp_path):
     r = run_cli("apply", "--map", "mobius", "--frame", str(frame), "--base", str(base),
                 "--shift-in", str(shift), str(shift))
     assert r.returncode == 3
+
+
+def test_tolerance_env_reaches_matrix_file_validation(tmp_path):
+    near = tmp_path / "near.json"
+    X = np.diag([1.0, -2.0]).astype(complex)
+    X[0, 1] = 1e-8  # ||X - X*||_F = 1.4e-8
+    write_matrix_file(near, X)
+    strict = run_cli("classify", str(near))
+    assert strict.returncode == 2 and "A is not Hermitian" in strict.stderr
+    loose = run_cli("classify", str(near), env_extra={"MATORDER_TOLERANCES": "herm_tol=1e-6"})
+    assert loose.returncode == 0
+    assert json.loads(loose.stdout)["inertia"] == [1, 0, 1]

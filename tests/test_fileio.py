@@ -12,6 +12,7 @@ from matorder.fileio import (
     payload_to_matrix,
     write_matrix_file,
 )
+from matorder.linalg import as_hermitian
 from matorder.sampling import random_hermitian
 
 
@@ -70,10 +71,11 @@ def test_rejects_missing_file():
         parse_matrix_file("/nonexistent/matrix.json")
 
 
-def test_hermitian_flag_validates(tmp_path):
+def test_parsing_leaves_hermitian_validation_to_as_hermitian(tmp_path):
     Z = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
     path = tmp_path / "z.json"
     write_matrix_file(path, Z)
-    parse_matrix_file(path)  # fine without the flag
-    with pytest.raises(MalformedInputError):
-        parse_matrix_file(path, hermitian=True)
+    parsed = parse_matrix_file(path)
+    assert parsed.tobytes() == Z.tobytes()
+    with pytest.raises(MalformedInputError, match="Z is not Hermitian"):
+        as_hermitian(parsed, name="Z")

@@ -1,7 +1,8 @@
-"""Code hygiene: no dead module-level imports, no parameter a function never reads, and scipy
-stays off the CLI's import path."""
+"""Code hygiene: no dead module-level imports, no parameter a function never reads, no default
+that no caller overrides, and scipy stays off the CLI's import path."""
 
 import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -76,6 +77,95 @@ def test_unused_parameter_scan_sees_an_unread_parameter():
         (1, "f", "args"),
         (1, "f", "kw"),
         (5, "inner", "y"),
+    ]
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+CALLERS = ("src", "tests", "demos", "bench")
+# their fields are deployment settings, set through MATORDER_TOLERANCES
+DEPLOYMENT_SETTINGS = ("ToleranceConfig",)
+
+
+def _init_false(value) -> bool:
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False for kw in value.keywords)
+
+
+def _defaulted_parameters(source: str):
+    """(line, callable, parameter, position or None) of every parameter or dataclass field with a default.
+
+    Position counts the arguments a call passes before it (self and cls
+    excluded); None marks a keyword-only parameter. A `_`-prefixed parameter
+    binds a value when the function is defined, and is no option.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name not in DEPLOYMENT_SETTINGS \
+                and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and not _init_false(f.value)]
+            found += [(f.lineno, node.name, f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not node.name.startswith(FIXED_SIGNATURE_PREFIXES):
+            a = node.args
+            params = a.posonlyargs + a.args
+            skip = 1 if params and params[0].arg in ("self", "cls") else 0
+            found += [(node.lineno, node.name, p.arg, i - skip)
+                      for i, p in enumerate(params) if i >= len(params) - len(a.defaults)]
+            found += [(node.lineno, node.name, p.arg, None)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return [f for f in found if not f[2].startswith("_")]
+
+
+def _passed_arguments(sources):
+    """Per called name (a function, method or class): the most positional arguments any call passes,
+    and every keyword any call passes (None for **kwargs)."""
+    positional, keywords = {}, {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            count = math.inf if any(isinstance(x, ast.Starred) for x in node.args) else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    return positional, keywords
+
+
+def _unset_defaults(definitions: str, sources):
+    """Defaulted parameters of `definitions` that no call in `sources` passes, by keyword or by position.
+
+    Calls are matched by name only, so a call to another callable of the
+    same name counts too: the scan can miss an unset option, never invent one.
+    """
+    positional, keywords = _passed_arguments(sources)
+    return sorted((line, name, p) for line, name, p, i in _defaulted_parameters(definitions)
+                  if not ({p, None} & keywords.get(name, set()) or (i is not None and positional.get(name, 0) > i)))
+
+
+def test_every_default_is_overridden_somewhere():
+    sources = [path.read_text() for d in CALLERS for path in sorted((REPO / d).rglob("*.py"))]
+    unset = {path.name: _unset_defaults(path.read_text(), sources)
+             for path in sorted((REPO / "src" / "matorder").glob("*.py"))}
+    assert {k: v for k, v in unset.items() if v} == {}
+
+
+def test_unset_default_scan_sees_an_option_nobody_sets():
+    definitions = (
+        "def f(a, b=1, c=2, *, d=3, e=4, _s=5):\n    pass\n"
+        "class K:\n    def m(self, x, y=0):\n        pass\n"
+        "@dataclasses.dataclass\nclass D:\n    u: int\n    v: int = 0\n    w: int = field(init=False)\n"
+        "    z: int = 1\n"
+        "@dataclasses.dataclass\nclass ToleranceConfig:\n    herm_tol: float = 1e-10\n"
+        "def _suite_x(rng, trials=1):\n    pass\n"
+    )
+    callers = ["f(1, 2, e=0)\nK().m(1)\nD(1, 2)\n"]
+    assert _unset_defaults(definitions, callers) == [
+        (1, "f", "c"),
+        (1, "f", "d"),
+        (4, "m", "y"),
+        (11, "D", "z"),
     ]
 
 
