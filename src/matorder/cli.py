@@ -104,13 +104,11 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
     elif args.map == "mobius":
         frame = parse_matrix_file(_require(args.frame, "--frame", "mobius"))
         n = frame.shape[0]
-        mob = MobiusAutomorphism(
-            frame=frame,
-            A=parse_matrix_file(args.base) if args.base else np.zeros((n, n)),
-            B=parse_matrix_file(args.shift_in) if args.shift_in else None,
-            C=parse_matrix_file(args.shift_out) if args.shift_out else None,
-            transpose=args.transpose,
-        )
+        # validated under MATORDER_TOLERANCES here; the map type checks them with the defaults
+        A, B, C = (None if path is None else as_hermitian(parse_matrix_file(path), tol, name)
+                   for path, name in ((args.base, "A"), (args.shift_in, "B"), (args.shift_out, "C")))
+        mob = MobiusAutomorphism(frame=frame, A=np.zeros((n, n)) if A is None else A, B=B, C=C,
+                                 transpose=args.transpose)
         out = apply_mobius(mob, X, tol)
     elif args.map == "pick":
         rep = _load_pick(_require(args.rep, "--rep", "pick"))

@@ -72,6 +72,11 @@ BASE_CONSISTENCY_TOL = 1e-6
 # Waypoints drawn in path_to_zero's first pool; each later pool doubles it.
 PATH_POOL_SIZE = 48
 
+# Most segments one _segment_crossings call of the path search tests, so that
+# a 3,000-node pool never asks for a frontier x pool table in one call; at
+# n = 4 each complex temporary of a call stays near 0.5 MB.
+PATH_SEGMENTS_PER_CALL = 2048
+
 # Cushion of the exact segment test, so that rounding cannot hide a crossing:
 # an eigenvalue mu with |Im mu| <= REAL_EIG_MARGIN (1 + |Re mu|) counts as
 # real, and a real one with Re mu <= -1 + REAL_EIG_MARGIN as a crossing.
@@ -93,7 +98,8 @@ def in_shear_domain(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
     return bool(_in_shear_domain(*_base_and_square(base, X, tol), tol))
 
 
-def _in_shear_domain(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> bool:
+def _in_shear_domain(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig):
+    """Kernel of in_shear_domain; one verdict per member of a stack M (..., n, n)."""
     return _is_invertible(M @ A + np.eye(A.shape[0]), tol)
 
 
@@ -158,17 +164,17 @@ def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.nd
     Parameterizing (P + tD) base + I = (P base + I)(I + t G) with
     G = (P base + I)^{-1} D base shows the segment hits a singular point at
     t = -1/mu for each real eigenvalue mu <= -1 of G. Returns a boolean array
-    (True = crossing) for the stacked segment targets Qs (shape (k, n, n));
-    P itself must already be inside the domain.
+    (True = crossing) over the broadcast stack shape of the starts P and the
+    targets Qs, e.g. P (n, n) against Qs (k, n, n), or P (f, 1, n, n) against
+    Qs (u, n, n) for an (f, u) table; every start must already be inside the
+    domain.
     """
-    n = base.shape[0]
-    M = P @ base + np.eye(n)
-    D = Qs - P[None, :, :]
-    G = np.linalg.solve(M[None, :, :], D @ base)
+    M = P @ base + np.eye(base.shape[0])
+    G = np.linalg.solve(M, (Qs - P) @ base)
     eigs = np.linalg.eigvals(G)
     real_like = np.abs(eigs.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(eigs.real))
     bad = real_like & (eigs.real <= -1.0 + REAL_EIG_MARGIN)
-    return np.any(bad, axis=1)
+    return np.any(bad, axis=-1)
 
 
 def segment_in_shear_domain(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -343,32 +349,39 @@ class PathSearchResult(NamedTuple):
 
 
 def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[int]]:
-    """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges."""
-    total = len(nodes)
+    """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges.
+
+    Frontier nodes are expanded in order, each claiming, in index order, every
+    node still unvisited that it reaches by a segment. The crossing table of a
+    block of frontier nodes against the nodes unvisited when the block starts
+    is one _segment_crossings call of at most PATH_SEGMENTS_PER_CALL segments
+    (one frontier node's row where that is longer). Replaying the claims over
+    the table gives the parents that testing node by node gives, since a node
+    claimed earlier in the block is skipped either way.
+    """
     stacked = np.stack(nodes)
-    visited = {0}
+    unvisited = np.ones(len(nodes), dtype=bool)
+    unvisited[0] = False
     parents = {0: -1}
     frontier = [0]
     while frontier:
         next_frontier: List[int] = []
-        for v in frontier:
-            others = [i for i in range(total) if i not in visited]
-            if not others:
-                break
-            crossings = _segment_crossings(base, nodes[v], stacked[others])
-            for idx, crossed in zip(others, crossings):
-                # crossed: segment leaves the domain somewhere strictly inside
-                if crossed or idx in visited:
-                    continue
-                visited.add(idx)
-                parents[idx] = v
-                if idx == 1:
-                    path = [1]
-                    while path[-1] != -1 and parents[path[-1]] != -1:
-                        path.append(parents[path[-1]])
-                    path.append(0)
-                    return list(dict.fromkeys(reversed(path)))
-                next_frontier.append(idx)
+        start = 0
+        while start < len(frontier):
+            others = np.flatnonzero(unvisited)  # never empty: node 1 stays unvisited until the return
+            block = frontier[start:start + max(1, PATH_SEGMENTS_PER_CALL // others.size)]
+            start += len(block)
+            crossings = _segment_crossings(base, stacked[block][:, None], stacked[others])
+            for v, crossed_row in zip(block, crossings):
+                for idx in others[~crossed_row & unvisited[others]].tolist():
+                    unvisited[idx] = False
+                    parents[idx] = v
+                    if idx == 1:
+                        path = [1]
+                        while parents[path[-1]] != -1:
+                            path.append(parents[path[-1]])
+                        return path[::-1]
+                    next_frontier.append(idx)
         frontier = next_frontier
     return None
 
@@ -400,20 +413,19 @@ def path_to_zero(
     pool = PATH_POOL_SIZE
     while used < max_nodes:
         pool = min(pool, max_nodes - used)
-        candidates = []
-        for _ in range(pool):
+        draws = np.empty((pool,) + H.shape, dtype=complex)
+        for i in range(pool):
             kind = rng.integers(0, 3)
             if kind == 0:
-                W = random_hermitian(rng, H.shape[0], scale=spread * rng.choice([0.5, 1.0, 2.0]))
+                draws[i] = random_hermitian(rng, H.shape[0], scale=spread * rng.choice([0.5, 1.0, 2.0]))
             elif kind == 1:
-                W = rng.uniform(0.1, 0.9) * H + random_hermitian(rng, H.shape[0], scale=0.7 * spread)
+                draws[i] = rng.uniform(0.1, 0.9) * H + random_hermitian(rng, H.shape[0], scale=0.7 * spread)
             else:
-                W = rng.uniform(-0.5, 1.5) * H * rng.uniform(0.2, 0.8)
-            if _in_shear_domain(A, W, tol):
-                candidates.append(W)
+                draws[i] = rng.uniform(-0.5, 1.5) * H * rng.uniform(0.2, 0.8)
+        candidates = draws[_in_shear_domain(A, draws, tol)]
         used += pool
-        if candidates:
-            nodes = [zero, H] + candidates
+        if len(candidates):
+            nodes = [zero, H, *candidates]
             order = _bfs_over_pool(A, nodes)
             if order is not None:
                 return PathSearchResult(True, [nodes[i] for i in order], used)

@@ -3,6 +3,15 @@
 Everything takes an explicit numpy Generator so suites and tests are
 deterministic per seed. Gated samplers rejection-sample against the
 membership predicates they advertise.
+
+The samplers draw raw values from the generator (real normals, uniforms)
+and then finish them in numpy: complex Gaussians, QR and phase fix,
+V diag V*. The finishing bodies (_complex_from_normals,
+_unitary_from_gaussians, _with_spectra) take stacks and draw nothing, so a
+caller that needs many samples draws each sample's raw values in the
+single-sample rng order (as _spectrum_draws does), finishes all of them with
+one call of each body, and gets every member bit for bit as the
+single-sample sampler returns it, with the generator left in the same state.
 """
 
 from __future__ import annotations
@@ -28,34 +37,63 @@ __all__ = [
 INVERTIBLE_ATTEMPTS = 200
 
 
+def _complex_from_normals(N: np.ndarray) -> np.ndarray:
+    """The complex Gaussians (N[..., 0, :, :] + i N[..., 1, :, :]) / sqrt(2) of a stack of real normal pairs."""
+    return (N[..., 0, :, :] + 1j * N[..., 1, :, :]) / np.sqrt(2.0)
+
+
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    return _complex_from_normals(rng.standard_normal((2, rows, cols)))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     return herm_part(complex_gaussian(rng, n, n)) * scale
 
 
+def _unitary_from_gaussians(G: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (..., n, n) of complex Gaussians: QR, with the phases of diag(R) moved into Q."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    Q, R = np.linalg.qr(complex_gaussian(rng, n, n))
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return _unitary_from_gaussians(complex_gaussian(rng, n, n))
+
+
+def _with_spectra(values: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Q diag(values) Q* member by member, Q the unitary of the Gaussians G; values (..., n), G (..., n, n)."""
+    Q = _unitary_from_gaussians(G)
+    return herm_part((Q * values[..., None, :]) @ Q.conj().swapaxes(-1, -2))
+
+
+def _spectrum_draws(rng: np.random.Generator, n: int, lo: float, hi: float, k: int):
+    """The draws of k random_hermitian_with_spectrum calls in their rng order: values (k, n), Gaussians (k, n, n)."""
+    values = np.empty((k, n))
+    normals = np.empty((k, 2, n, n))
+    for i in range(k):
+        values[i] = rng.uniform(lo, hi, size=n)
+        rng.standard_normal(out=normals[i])
+    return values, _complex_from_normals(normals)
 
 
 def random_hermitian_with_spectrum(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
     """Random Hermitian with i.i.d. uniform eigenvalues in (lo, hi)."""
     values = rng.uniform(lo, hi, size=n)
-    Q = random_unitary(rng, n)
-    return herm_part((Q * values) @ Q.conj().T)
+    return _with_spectra(values, complex_gaussian(rng, n, n))
 
 
 def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     return random_hermitian_with_spectrum(rng, n, 0.0, scale)
 
 
+# The open interval random_effect draws its eigenvalues from.
+EFFECT_SPECTRUM = (0.02, 0.98)
+
+
 def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random point of the effect algebra [0, I] (spectrum strictly inside)."""
-    return random_hermitian_with_spectrum(rng, n, 0.02, 0.98)
+    return random_hermitian_with_spectrum(rng, n, *EFFECT_SPECTRUM)
 
 
 def random_invertible(rng: np.random.Generator, n: int, max_cond: float = 40.0) -> np.ndarray:

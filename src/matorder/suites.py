@@ -9,12 +9,16 @@ Writing a suite: loop `for t, n in _trials(rng, trials, lo, hi)`, draw gated
 samples with `_first(attempts, draw, accept)`, which returns None once every
 attempt is rejected, and return every counter in the `details` dict at every
 trial count. Keep the rng draws in order: generators stay lazy, so
-`any`/`next` short-circuit. Where no draw depends on a check, draw the samples
-in order, then check them in a stack with the stacked kernels (_block_map,
-_in_zero_component, _has_inertia, np.linalg.norm(S, 2, axis=(-2, -1))) and
-record per sample, computing a failure message only for a failed member; a
-check that stops early rewinds the generator to where a lazy scan would have
-stopped (see interval-criterion).
+`any`/`next` short-circuit. Where no draw depends on a check, draw in rng
+order and finish in a stack: draw each sample's raw values (normals,
+uniforms) in the order the per-sample sampler draws them, then build all
+samples with the stacked finishing bodies of `sampling` (one QR, one
+V diag V*, one herm_part; see _block_samples and interval-criterion), check
+them with the stacked kernels (_block_map, _in_zero_component, _has_inertia,
+np.linalg.norm(S, 2, axis=(-2, -1))) and record per sample, computing a
+failure message only for a failed member. A check that stops early rewinds
+the generator to where a lazy scan would have stopped (see
+interval-criterion).
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ from .order import (
     rank_one_leq,
 )
 from .sampling import (
+    EFFECT_SPECTRUM,
+    _complex_from_normals,
+    _spectrum_draws,
+    _unitary_from_gaussians,
+    _with_spectra,
     random_contraction,
     random_effect,
     random_half_plane,
@@ -234,10 +243,17 @@ def _in_interval(M: np.ndarray, lo: float, hi: float, tol: ToleranceConfig) -> b
     return float(vals[0]) >= lo and float(vals[-1]) <= hi
 
 
+def _conjugated_diag(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """herm_part(V diag(vals) V*) member by member; V (..., n, n), vals (..., n)."""
+    n = vals.shape[-1]
+    D = np.zeros(vals.shape + (n,), dtype=complex)
+    D.reshape(vals.shape[:-1] + (n * n,))[..., :: n + 1] = vals
+    return herm_part(V @ D @ V.conj().swapaxes(-1, -2))
+
+
 def _with_spectrum(rng: np.random.Generator, vals: np.ndarray) -> np.ndarray:
     """V diag(vals) V* for a random unitary V, drawn after vals."""
-    V = random_unitary(rng, len(vals))
-    return herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+    return _conjugated_diag(random_unitary(rng, len(vals)), np.asarray(vals))
 
 
 def _mixed_rank_hermitian(rng: np.random.Generator, n: int, zero_prob: float = 0.3,
@@ -294,14 +310,32 @@ def _indefinite_step(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
     return _with_spectrum(rng, vals)
 
 
-def _block_sample(rng: np.random.Generator, spec: BlockMapSpec) -> np.ndarray:
-    """Random point of the (m, p) block domain with a well-margined corner."""
+def _block_samples(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> np.ndarray:
+    """k random points of the (m, p) block domain with a well-margined corner, as a stack.
+
+    Each sample draws a Gaussian X, then the corner's p positive and m - p
+    negative eigenvalues and the Gaussian of its unitary; the stack is
+    finished after all draws with one QR and one V diag V*.
+    """
     n, m, p = spec.n, spec.m, spec.p
-    X = random_hermitian(rng, n, scale=0.8)
+    normals = np.empty((k, 2, n, n))
+    vals = np.empty((k, m))
+    corner_normals = np.empty((k, 2, m, m))
+    for i in range(k):
+        rng.standard_normal(out=normals[i])
+        if m > 0:
+            vals[i, :p] = rng.uniform(0.3, 2.0, size=p)
+            vals[i, p:] = -rng.uniform(0.3, 2.0, size=m - p)
+            rng.standard_normal(out=corner_normals[i])
+    X = herm_part(_complex_from_normals(normals)) * 0.8
     if m > 0:
-        vals = np.concatenate([rng.uniform(0.3, 2.0, size=p), -rng.uniform(0.3, 2.0, size=m - p)])
-        X[:m, :m] = _with_spectrum(rng, vals)
+        X[:, :m, :m] = _conjugated_diag(_unitary_from_gaussians(_complex_from_normals(corner_normals)), vals)
     return herm_part(X)
+
+
+def _block_sample(rng: np.random.Generator, spec: BlockMapSpec) -> np.ndarray:
+    """One point of _block_samples."""
+    return _block_samples(rng, spec, 1)[0]
 
 
 def _effect_pair(rng: np.random.Generator, n: int, strict: bool = False):
@@ -720,15 +754,15 @@ def _suite_interval_criterion(rng, trials, tol, rec):
             # random effect; all are tested as one stack, and on an escape the
             # generator is rewound to where a lazy scan stopping there would be
             state = rng.bit_generator.state
-            S = _as_hermitian_many([herm_part((j + 1) / ramp * X) if j < ramp
-                                    else herm_part(Xh @ random_effect(rng, n) @ Xh)
-                                    for j in range(samples_per_instance)], tol, "S")
+            E = _with_spectra(*_spectrum_draws(rng, n, *EFFECT_SPECTRUM, samples_per_instance - ramp))
+            steps = (np.arange(ramp) + 1.0) / ramp
+            S = _as_hermitian_many(np.concatenate([herm_part(steps[:, None, None] * X),
+                                                   herm_part(Xh @ E @ Xh)]), tol, "S")
             inside = _in_zero_component(A, S, tol)
             if not inside.all():
                 j = int(np.argmin(inside))
                 rng.bit_generator.state = state
-                for _ in range(ramp, j + 1):
-                    random_effect(rng, n)
+                _spectrum_draws(rng, n, *EFFECT_SPECTRUM, max(0, j + 1 - ramp))
                 rec.fail(t, "interval point escaped although criterion holds", A=A, X=X, S=S[j])
         else:
             t_star = -1.0 / lam
@@ -917,7 +951,7 @@ def _suite_bordered_identity(rng, trials, tol, rec):
     for n in range(2, 6):
         for (m, p) in _all_classes(n):
             spec = BlockMapSpec(n, m, p)
-            X = _as_hermitian_many([_block_sample(rng, spec) for _ in range(trials)], tol, "X")
+            X = _as_hermitian_many(_block_samples(rng, spec, trials), tol, "X")
             E = _bordered_embedding(m, X)
             R = _bordered_arrangement(m, _block_map(spec, X, tol))
             scale = 1.0 + np.linalg.norm(E, 2, axis=(-2, -1)) * np.linalg.norm(R, 2, axis=(-2, -1))

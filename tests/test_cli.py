@@ -187,3 +187,18 @@ def test_tolerance_env_reaches_matrix_file_validation(tmp_path):
     loose = run_cli("classify", str(near), env_extra={"MATORDER_TOLERANCES": "herm_tol=1e-6"})
     assert loose.returncode == 0
     assert json.loads(loose.stdout)["inertia"] == [1, 0, 1]
+
+
+def test_tolerance_env_reaches_mobius_parameter_files(tmp_path):
+    frame, near, z = (tmp_path / k for k in ("t.json", "near.json", "z.json"))
+    A = np.diag([0.3, -0.4]).astype(complex)
+    A[0, 1] = 1e-8  # ||A - A*||_F = 1.4e-8
+    write_matrix_file(frame, np.eye(2))
+    write_matrix_file(near, A)
+    write_matrix_file(z, np.array([[0.1, 0.2], [0.2, -0.3]]) + 1j * np.eye(2))
+    strict = run_cli("apply", "--map", "mobius", "--frame", str(frame), "--base", str(near), str(z))
+    assert strict.returncode == 2 and "A is not Hermitian" in strict.stderr
+    loose = run_cli("apply", "--map", "mobius", "--frame", str(frame), "--base", str(near),
+                    "--shift-in", str(near), "--shift-out", str(near), str(z),
+                    env_extra={"MATORDER_TOLERANCES": "herm_tol=1e-6"})
+    assert loose.returncode == 0, loose.stderr

@@ -1,12 +1,19 @@
 """Shear maps on matrix domains: inversion, identities, components, recovery."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from matorder import localiso
+from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, ModelMismatchError, PathSearchError
 from matorder.halfplane import MobiusAutomorphism
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.localiso import (
+    _bfs_over_pool,
+    _in_shear_domain,
+    _segment_crossings,
     apply_local_iso,
     congruence_orbit,
     conjugated_base,
@@ -155,6 +162,105 @@ def test_membership_matches_path_search_oracle():
             assert not found, "claimed non-member reached 0"
         agree += 1
     assert agree >= 25
+
+
+def _bfs_per_node(base, nodes, crossings=_segment_crossings):
+    """Reference search: one crossing call per frontier node, against the nodes unvisited at that moment."""
+    total = len(nodes)
+    stacked = np.stack(nodes)
+    visited = {0}
+    parents = {0: -1}
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for v in frontier:
+            others = [i for i in range(total) if i not in visited]
+            if not others:
+                break
+            for idx, crossed in zip(others, crossings(base, nodes[v], stacked[others])):
+                if crossed or idx in visited:
+                    continue
+                visited.add(idx)
+                parents[idx] = v
+                if idx == 1:
+                    path = [1]
+                    while parents[path[-1]] != -1:
+                        path.append(parents[path[-1]])
+                    return path[::-1]
+                next_frontier.append(idx)
+        frontier = next_frontier
+    return None
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64, localiso.PATH_SEGMENTS_PER_CALL])
+def test_level_batched_search_returns_the_per_node_path(cap):
+    # Targets alternate between members whose straight path from 0 leaves the
+    # shear domain (so a path needs waypoints) and non-members (unreachable);
+    # small caps split every level into many blocks.
+    rng = np.random.default_rng(37)
+    hops = unreachable = 0
+    with mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
+        for case in range(16):
+            member = case % 2 == 0
+            while True:
+                n = int(rng.integers(2, 5))
+                A = random_hermitian(rng, n)
+                H = random_hermitian(rng, n) * rng.uniform(0.5, 3.0)
+                if (in_shear_domain(A, H) and in_zero_component(A, H) == member
+                        and not segment_in_shear_domain(A, np.zeros((n, n)), H)):
+                    break
+            draws = [rng.uniform(-0.5, 1.5) * H + random_hermitian(rng, n) * rng.uniform(0.1, 1.5)
+                     for _ in range(int(rng.integers(10, 80)))]
+            nodes = [np.zeros((n, n), dtype=complex), H] + [W for W in draws if in_shear_domain(A, W)]
+            want = _bfs_per_node(A, nodes)
+            assert _bfs_over_pool(A, nodes) == want
+            hops += want is not None and len(want) > 2
+            unreachable += want is None and not member
+    assert hops >= 5 and unreachable == 8
+
+
+@pytest.mark.parametrize("cap", [1, 3, 50, localiso.PATH_SEGMENTS_PER_CALL])
+def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(cap):
+    # Node i is the 1x1 matrix [i] and a random symmetric adjacency table
+    # stands in for the segment test, so that searches run many levels deep
+    # and claims race inside a block.
+    rng = np.random.default_rng(39)
+    deep = unreachable = 0
+    for _ in range(150):
+        size = int(rng.integers(2, 60))
+        upper = np.triu(rng.random((size, size)) < rng.uniform(0.02, 0.3), 1)
+        adjacent = upper | upper.T
+        nodes = [np.full((1, 1), i, dtype=complex) for i in range(size)]
+
+        def table(base, P, Qs):
+            return ~adjacent[P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)]
+
+        want = _bfs_per_node(None, nodes, table)
+        with mock.patch.object(localiso, "_segment_crossings", table), \
+                mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
+            assert _bfs_over_pool(None, nodes) == want
+        deep += want is not None and len(want) >= 5
+        unreachable += want is None
+    assert deep >= 10 and unreachable >= 10
+
+
+def test_stacked_shear_gate_keeps_what_the_single_gate_keeps():
+    # members near the singular set -A^{-1} put the gate's margin to work
+    rng = np.random.default_rng(38)
+    kept = rejected = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        A = random_hermitian(rng, n)
+        edge = -np.linalg.inv(A)
+        W = np.stack([random_hermitian(rng, n) * rng.uniform(0.2, 2.0) if j % 2
+                      else herm_part(edge + 10.0 ** rng.uniform(-14, -4) * random_hermitian(rng, n))
+                      for j in range(12)])
+        got = _in_shear_domain(A, W, DEFAULT_TOL)
+        want = [in_shear_domain(A, M) for M in W]
+        assert got.tolist() == want
+        kept += sum(want)
+        rejected += len(want) - sum(want)
+    assert kept >= 40 and rejected >= 40
 
 
 def test_order_iso_preserves_order_on_members():
