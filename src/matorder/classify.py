@@ -101,7 +101,7 @@ def _block_argument(spec: BlockMapSpec, X: Iterable, tol: ToleranceConfig) -> np
     """X validated as Hermitian of the spec's ambient dimension."""
     H = as_hermitian(X, tol, "X")
     if H.shape[0] != spec.n:
-        raise MalformedInputError("dimension mismatch")
+        raise MalformedInputError(f"dimension mismatch: {H.shape[0]}x{H.shape[1]} vs spec n={spec.n}")
     return H
 
 

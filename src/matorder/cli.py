@@ -35,7 +35,7 @@ from .classify import (
 )
 from .config import DEFAULT_TOL, ToleranceConfig, parse_tolerance_overrides
 from .errors import DomainViolationError, MalformedInputError, PathSearchError
-from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_file, write_matrix_file
+from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_file, read_text_file, write_matrix_file
 from .halfplane import MobiusAutomorphism, apply_mobius
 from .linalg import as_hermitian, inertia
 from .localiso import order_iso_apply, shear_apply
@@ -120,17 +120,16 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
 
 
 def _load_pick(path: str) -> PickRepresentation:
+    text = read_text_file(path)
     try:
-        payload = json.loads(open(path, encoding="utf-8").read())
+        payload = json.loads(text)
         return PickRepresentation(
             c=float(payload.get("c", 0.0)),
             d=float(payload.get("d", 0.0)),
             atoms=tuple((float(y), float(w)) for y, w in payload.get("atoms", [])),
             interval=(float(payload["interval"][0]), float(payload["interval"][1])),
         )
-    except FileNotFoundError as exc:
-        raise MalformedInputError(f"no such file: {path}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad representation file {path}: {exc}") from exc
 
 

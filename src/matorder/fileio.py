@@ -23,6 +23,7 @@ __all__ = [
     "parse_matrix_text",
     "write_matrix_file",
     "parse_matrix_file",
+    "read_text_file",
 ]
 
 
@@ -89,8 +90,17 @@ def write_matrix_file(path: Union[str, Path], M: Iterable) -> None:
     Path(path).write_text(matrix_to_text(M), encoding="utf-8")
 
 
+def read_text_file(path: Union[str, Path]) -> str:
+    """The UTF-8 text of the file at path; MalformedInputError naming the path if it cannot be read as such."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise MalformedInputError(f"no such file: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def parse_matrix_file(path: Union[str, Path]) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise MalformedInputError(f"no such file: {p}")
-    return parse_matrix_text(p.read_text(encoding="utf-8"))
+    return parse_matrix_text(read_text_file(path))

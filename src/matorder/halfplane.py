@@ -103,10 +103,7 @@ def inverse_cayley(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
 
 def neg_inverse(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The involution Z -> -Z^{-1}; preserves the half-plane."""
-    return _neg_inverse(as_square(Z), tol)
-
-
-def _neg_inverse(M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    M = as_square(Z)
     if _invertibility_margin(M) <= tol.inv_margin:
         raise DomainViolationError("operand is numerically singular")
     return -np.linalg.inv(M)

@@ -30,9 +30,9 @@ _has_inertia (whether _inertia's counts are (p, 0, n - p)), _is_invertible,
 herm_part and _rank_cut reduce over the last axes, and
 np.linalg.norm(S, 2, axis=(-2, -1)) is opnorm member by member;
 localiso._in_zero_component and classify._block_map take stacks the same
-way. _as_hermitian_many applies as_hermitian's tests to every member.
-Suites draw their samples in order and then check them in one call per
-stack; public functions stay per-matrix.
+way. Suites draw their samples in order, finish them with herm_part (so a
+stack is exactly Hermitian without a second hermiticity test) and then
+check them in one call per stack; public functions stay per-matrix.
 """
 
 from __future__ import annotations
@@ -142,33 +142,6 @@ def _same_dim(*Ms: np.ndarray) -> tuple:
     return Ms
 
 
-def _as_hermitian_many(S: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    """as_hermitian on every member of a stack (..., n, n), in one vectorized pass.
-
-    The same finiteness test and ||X - X*||_F <= herm_tol*(1 + ||X||_F) on
-    each member; the first member that fails is named in the error. The norms
-    are summed in another order than frob's, so only a member within ulps of
-    the threshold can be decided otherwise than by as_hermitian. The result
-    is herm_part of the stack, bit for bit as_hermitian's on each member.
-    """
-    M = np.asarray(S, dtype=complex)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise MalformedInputError(f"{name} must be a stack of square matrices, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise MalformedInputError(f"{name} has non-finite entries")
-    dev = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=(-2, -1))
-    bad = np.argwhere(dev > tol.herm_tol * (1.0 + np.linalg.norm(M, axis=(-2, -1))))
-    if bad.size:
-        j = tuple(bad[0])
-        raise MalformedInputError(f"{name}[{', '.join(map(str, j))}] is not Hermitian: ||X - X*||_F = {dev[j]:.3e}")
-    return herm_part(M)
-
-
-def _sorted_eigen(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(np.ascontiguousarray(values[order].real), np.ascontiguousarray(vectors[:, order]))
-
-
 def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
 
@@ -212,7 +185,9 @@ def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomp
                 A[p, q] = 0.0
                 A[q, p] = 0.0
                 V[:, [p, q]] = V[:, [p, q]] @ J
-    return _sorted_eigen(np.diag(A).real, V)
+    values = np.diag(A).real
+    order = np.argsort(values, kind="stable")
+    return EigenDecomposition(values[order], np.ascontiguousarray(V[:, order]))
 
 
 def hermitian_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
@@ -332,11 +307,7 @@ class OrderVerdict:
 
 def loewner_compare(X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Compare Hermitian X, Y in the Loewner order via eigenvalues of Y - X."""
-    A = as_hermitian(X, tol, "X")
-    B = as_hermitian(Y, tol, "Y")
-    if A.shape != B.shape:
-        raise MalformedInputError(f"dimension mismatch {A.shape} vs {B.shape}")
-    return _loewner_compare(A, B, tol)
+    return _loewner_compare(*_same_dim(as_hermitian(X, tol, "X"), as_hermitian(Y, tol, "Y")), tol)
 
 
 def _loewner_compare(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:

@@ -224,10 +224,7 @@ def order_iso_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
     Same formula as shear_apply but gated on component membership and
     symmetrized; the image lies in the zero component of -base.
     """
-    return _order_iso_apply(*_base_and_hermitian(base, X, tol), tol)
-
-
-def _order_iso_apply(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    A, H = _base_and_hermitian(base, X, tol)
     if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X is outside the zero component of this base")
     return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[0]), H))

@@ -15,13 +15,13 @@ import dataclasses
 import json
 import math
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
+from .fileio import read_text_file
 from .halfplane import _in_half_plane, mobius_fix01
 from .linalg import (
     _eigh,
@@ -301,18 +301,21 @@ def _tabulated(path: str) -> ScalarFunction:
     """Monotone cubic interpolation of tabulated samples, flagged approximate."""
     from scipy.interpolate import PchipInterpolator
 
-    text = Path(path).read_text()
+    text = read_text_file(path)
     try:
-        payload = json.loads(text)
-        xs = np.asarray(payload["x"], dtype=float)
-        ys = np.asarray(payload["y"], dtype=float)
-    except json.JSONDecodeError:
-        rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
-        data = np.asarray([[float(c) for c in row] for row in rows])
-        xs, ys = data[:, 0], data[:, 1]
-    if xs.size < 2 or np.any(np.diff(xs) <= 0):
-        raise MalformedInputError("table needs at least two strictly increasing x values")
-    spline = PchipInterpolator(xs, ys)
+        try:
+            payload = json.loads(text)
+            xs = np.asarray(payload["x"], dtype=float)
+            ys = np.asarray(payload["y"], dtype=float)
+        except json.JSONDecodeError:
+            rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
+            data = np.asarray([[float(c) for c in row] for row in rows])
+            xs, ys = data[:, 0], data[:, 1]
+        if xs.size < 2 or np.any(np.diff(xs) <= 0):
+            raise MalformedInputError("table needs at least two strictly increasing x values")
+        spline = PchipInterpolator(xs, ys)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise MalformedInputError(f"bad table file {path}: {exc}") from exc
     dspline = spline.derivative()
     return ScalarFunction(
         lambda t: float(spline(t)),

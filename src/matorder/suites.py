@@ -12,13 +12,13 @@ trial count. Keep the rng draws in order: generators stay lazy, so
 `any`/`next` short-circuit. Where no draw depends on a check, draw in rng
 order and finish in a stack: draw each sample's raw values (normals,
 uniforms) in the order the per-sample sampler draws them, then build all
-samples with the stacked finishing bodies of `sampling` (one QR, one
-V diag V*, one herm_part; see _block_samples and interval-criterion), check
-them with the stacked kernels (_block_map, _in_zero_component, _has_inertia,
-np.linalg.norm(S, 2, axis=(-2, -1))) and record per sample, computing a
-failure message only for a failed member. A check that stops early rewinds
-the generator to where a lazy scan would have stopped (see
-interval-criterion).
+samples with the stacked finishing bodies of `sampling` (one QR and one
+V diag V* in _with_spectra, one herm_part; see _block_samples and
+interval-criterion), check them with the stacked kernels (_block_map,
+_in_zero_component, _has_inertia, np.linalg.norm(S, 2, axis=(-2, -1))) and
+record per sample, computing a failure message only for a failed member.
+Such a stack is drawn whole even when a member fails, so a failure never
+shifts the draws of later trials.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .halfplane import (
     normalize_phase,
 )
 from .linalg import (
-    _as_hermitian_many,
     _has_inertia,
     _spectral_apply,
     as_hermitian,
@@ -119,8 +118,8 @@ from .sampling import (
     EFFECT_SPECTRUM,
     _complex_from_normals,
     _spectrum_draws,
-    _unitary_from_gaussians,
     _with_spectra,
+    complex_gaussian,
     random_contraction,
     random_effect,
     random_half_plane,
@@ -243,17 +242,9 @@ def _in_interval(M: np.ndarray, lo: float, hi: float, tol: ToleranceConfig) -> b
     return float(vals[0]) >= lo and float(vals[-1]) <= hi
 
 
-def _conjugated_diag(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """herm_part(V diag(vals) V*) member by member; V (..., n, n), vals (..., n)."""
-    n = vals.shape[-1]
-    D = np.zeros(vals.shape + (n,), dtype=complex)
-    D.reshape(vals.shape[:-1] + (n * n,))[..., :: n + 1] = vals
-    return herm_part(V @ D @ V.conj().swapaxes(-1, -2))
-
-
 def _with_spectrum(rng: np.random.Generator, vals: np.ndarray) -> np.ndarray:
     """V diag(vals) V* for a random unitary V, drawn after vals."""
-    return _conjugated_diag(random_unitary(rng, len(vals)), np.asarray(vals))
+    return _with_spectra(vals, complex_gaussian(rng, len(vals), len(vals)))
 
 
 def _mixed_rank_hermitian(rng: np.random.Generator, n: int, zero_prob: float = 0.3,
@@ -329,13 +320,8 @@ def _block_samples(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> np.n
             rng.standard_normal(out=corner_normals[i])
     X = herm_part(_complex_from_normals(normals)) * 0.8
     if m > 0:
-        X[:, :m, :m] = _conjugated_diag(_unitary_from_gaussians(_complex_from_normals(corner_normals)), vals)
+        X[:, :m, :m] = _with_spectra(vals, _complex_from_normals(corner_normals))
     return herm_part(X)
-
-
-def _block_sample(rng: np.random.Generator, spec: BlockMapSpec) -> np.ndarray:
-    """One point of _block_samples."""
-    return _block_samples(rng, spec, 1)[0]
 
 
 def _effect_pair(rng: np.random.Generator, n: int, strict: bool = False):
@@ -751,18 +737,13 @@ def _suite_interval_criterion(rng, trials, tol, rec):
         if crit:
             true_count += 1
             # samples below `ramp` are multiples of X, each later one draws a
-            # random effect; all are tested as one stack, and on an escape the
-            # generator is rewound to where a lazy scan stopping there would be
-            state = rng.bit_generator.state
+            # random effect; all are tested as one stack
             E = _with_spectra(*_spectrum_draws(rng, n, *EFFECT_SPECTRUM, samples_per_instance - ramp))
             steps = (np.arange(ramp) + 1.0) / ramp
-            S = _as_hermitian_many(np.concatenate([herm_part(steps[:, None, None] * X),
-                                                   herm_part(Xh @ E @ Xh)]), tol, "S")
+            S = np.concatenate([herm_part(steps[:, None, None] * X), herm_part(Xh @ E @ Xh)])
             inside = _in_zero_component(A, S, tol)
             if not inside.all():
                 j = int(np.argmin(inside))
-                rng.bit_generator.state = state
-                _spectrum_draws(rng, n, *EFFECT_SPECTRUM, max(0, j + 1 - ramp))
                 rec.fail(t, "interval point escaped although criterion holds", A=A, X=X, S=S[j])
         else:
             t_star = -1.0 / lam
@@ -932,7 +913,7 @@ def _suite_block_involution(rng, trials, tol, rec):
         m = int(rng.integers(0, n + 1))
         p = int(rng.integers(0, m + 1))
         spec = BlockMapSpec(n, m, p)
-        X = _block_sample(rng, spec)
+        X = _block_samples(rng, spec, 1)[0]
         rec.check(in_block_domain(spec, X, tol), t, "constructed sample missed the domain", X=X)
         Y = block_map_apply(spec, X, tol)
         rec.check(in_block_domain(spec.dual, Y, tol), t,
@@ -951,7 +932,7 @@ def _suite_bordered_identity(rng, trials, tol, rec):
     for n in range(2, 6):
         for (m, p) in _all_classes(n):
             spec = BlockMapSpec(n, m, p)
-            X = _as_hermitian_many(_block_samples(rng, spec, trials), tol, "X")
+            X = _block_samples(rng, spec, trials)
             E = _bordered_embedding(m, X)
             R = _bordered_arrangement(m, _block_map(spec, X, tol))
             scale = 1.0 + np.linalg.norm(E, 2, axis=(-2, -1)) * np.linalg.norm(R, 2, axis=(-2, -1))
@@ -972,7 +953,7 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
         m = int(rng.integers(1, n + 1))
         p = int(rng.integers(0, m + 1))
         spec = BlockMapSpec(n, m, p)
-        X = _block_sample(rng, spec)
+        X = _block_samples(rng, spec, 1)[0]
         strict = t % 3 == 1
         indefinite = t % 3 == 2
         D = _first(60, lambda: _indefinite_step(rng, X) if indefinite else _psd_step(rng, X, strict=strict),
@@ -1009,7 +990,7 @@ def _suite_growth_ranks(rng, trials, tol, rec):
             spec = BlockMapSpec(n, m, p)
             rank_pairs[(n, m, p)] = (n + p - m, n - p)
             for _ in range(max(1, trials // 4)):
-                X = _block_sample(rng, spec)
+                X = _block_samples(rng, spec, 1)[0]
                 for positive in (True, False):
                     Y = growth_direction(spec, X, positive=positive, tol=tol)
                     sig = inertia(Y, tol)
@@ -1022,7 +1003,7 @@ def _suite_growth_ranks(rng, trials, tol, rec):
                     if c is not None:
                         rec.fail(0, f"stable direction exited at c={c} on (n={n}, m={m}, p={p})", X=X, Y=Y)
             if n <= 3:
-                X = _block_sample(rng, spec)
+                X = _block_samples(rng, spec, 1)[0]
                 for positive in (True, False):
                     k = (n + p - m) if positive else (n - p)
                     if k >= n:

@@ -200,6 +200,14 @@ def test_dimension_defects_raise_malformed_input():
         affine_interval_iso(np.zeros((3, 3)), np.eye(3)).forward([[0.5]])
 
 
+def test_dimension_messages_name_both_sizes():
+    # README's form `dimension mismatch: 2x2 vs 3x3`; both used to print less
+    with pytest.raises(MalformedInputError, match=r"^dimension mismatch: 2x2 vs 3x3$"):
+        loewner_compare(np.eye(2), np.eye(3))
+    with pytest.raises(MalformedInputError, match=r"^dimension mismatch: 3x3 vs spec n=2$"):
+        in_block_domain(BLOCK, np.eye(3))
+
+
 NEAR_HERMITIAN = np.diag([0.5, 0.25]).astype(complex) + np.array([[0.0, 7e-9], [0.0, 0.0]])
 
 

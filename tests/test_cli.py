@@ -127,6 +127,46 @@ def test_exit_code_2_on_malformed_input(tmp_path):
     assert r.returncode == 2 and "no such file" in r.stderr
 
 
+def _file(tmp_path, name, content):
+    path = tmp_path / name
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    return str(path)
+
+
+def _pick_call(tmp_path, rep):
+    x = tmp_path / "x.json"
+    write_matrix_file(x, np.diag([0.5, 2.0]).astype(complex))
+    return ["apply", "--map", "pick", "--rep", rep, str(x)], "rep.json"
+
+
+def _table_call(tmp_path, name, content=None):
+    path = str(tmp_path / name) if content is None else _file(tmp_path, name, content)
+    return ["check-monotone", "--fn", "table:" + path, "--order", "2"], name
+
+
+NOT_UTF8 = b'{"rows": 1, "cols": 1, "data": [[[1, 0]]]}\xff\n'
+
+# (command line, the file name the error must show) for files that cannot be
+# read or parsed; each must exit 2 like any malformed input, not end in a traceback
+UNREADABLE_FILES = {
+    "directory": lambda tmp: (["classify", str(tmp)], str(tmp)),
+    "non-utf8 matrix": lambda tmp: (["classify", _file(tmp, "m.json", NOT_UTF8)], "m.json"),
+    "non-utf8 rep": lambda tmp: _pick_call(tmp, _file(tmp, "rep.json", NOT_UTF8)),
+    "missing table": lambda tmp: _table_call(tmp, "missing.json"),
+    "non-numeric table": lambda tmp: _table_call(tmp, "t.csv", "a,b\n1,2\n"),
+    "table without y": lambda tmp: _table_call(tmp, "t.json", json.dumps({"x": [0.0, 1.0]})),
+    "ragged table": lambda tmp: _table_call(tmp, "t.csv", "0,0\n1,1,1\n2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_exit_code_2_on_unreadable_files(tmp_path, case):
+    args, named = UNREADABLE_FILES[case](tmp_path)
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and named in r.stderr
+
+
 def test_exit_code_2_on_usage_errors():
     assert run_cli("apply", "--map", "nosuch", "x.json").returncode == 2
     assert run_cli().returncode == 2

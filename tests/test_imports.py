@@ -133,20 +133,22 @@ def _passed_arguments(sources):
     return positional, keywords
 
 
-def _unset_defaults(definitions: str, sources):
-    """Defaulted parameters of `definitions` that no call in `sources` passes, by keyword or by position.
+def _unset_defaults(definitions: str, passed):
+    """Defaulted parameters of `definitions` that no call counted in `passed` passes, by keyword or by position.
 
-    Calls are matched by name only, so a call to another callable of the
-    same name counts too: the scan can miss an unset option, never invent one.
+    `passed` is _passed_arguments of the callers, parsed once for every
+    module scanned. Calls are matched by name only, so a call to another
+    callable of the same name counts too: the scan can miss an unset option,
+    never invent one.
     """
-    positional, keywords = _passed_arguments(sources)
+    positional, keywords = passed
     return sorted((line, name, p) for line, name, p, i in _defaulted_parameters(definitions)
                   if not ({p, None} & keywords.get(name, set()) or (i is not None and positional.get(name, 0) > i)))
 
 
 def test_every_default_is_overridden_somewhere():
-    sources = [path.read_text() for d in CALLERS for path in sorted((REPO / d).rglob("*.py"))]
-    unset = {path.name: _unset_defaults(path.read_text(), sources)
+    passed = _passed_arguments(path.read_text() for d in CALLERS for path in sorted((REPO / d).rglob("*.py")))
+    unset = {path.name: _unset_defaults(path.read_text(), passed)
              for path in sorted((REPO / "src" / "matorder").glob("*.py"))}
     assert {k: v for k, v in unset.items() if v} == {}
 
@@ -161,7 +163,7 @@ def test_unset_default_scan_sees_an_option_nobody_sets():
         "def _suite_x(rng, trials=1):\n    pass\n"
     )
     callers = ["f(1, 2, e=0)\nK().m(1)\nD(1, 2)\n"]
-    assert _unset_defaults(definitions, callers) == [
+    assert _unset_defaults(definitions, _passed_arguments(callers)) == [
         (1, "f", "c"),
         (1, "f", "d"),
         (4, "m", "y"),

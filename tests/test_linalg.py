@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import (
-    _as_hermitian_many,
     _has_inertia,
     _inertia,
     _is_invertible,
@@ -217,32 +216,6 @@ def test_stacked_kernels_agree_with_per_matrix_kernels(S):
     for p in range(n + 1):
         want = [c == (p, 0, n - p) for c in counts]
         assert _has_inertia(S, p, DEFAULT_TOL).tolist() == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(hermitian_stacks(), st.data())
-def test_stacked_validation_matches_as_hermitian(S, data):
-    j = data.draw(st.integers(0, len(S) - 1))
-    S = S.copy()
-    S[j, 0, 0] += 1j * data.draw(st.sampled_from([0.0, 1e-13, 1e-6]))
-    singles = []
-    for M in S:
-        try:
-            singles.append(as_hermitian(M))
-        except MalformedInputError:
-            singles.append(None)
-    if any(H is None for H in singles):
-        with pytest.raises(MalformedInputError):
-            _as_hermitian_many(S)
-    else:
-        assert _as_hermitian_many(S).tobytes() == np.stack(singles).tobytes()
-
-
-def test_stacked_validation_rejects_non_finite_and_non_square():
-    with pytest.raises(MalformedInputError):
-        _as_hermitian_many(np.full((2, 3, 3), np.nan))
-    with pytest.raises(MalformedInputError):
-        _as_hermitian_many(np.zeros((2, 3, 2)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -37,6 +37,11 @@ def _effect_ref(rng, n):
     return herm_part((Q * values) @ Q.conj().T)
 
 
+def _with_spectrum_ref(rng, vals):
+    V = _unitary_ref(rng, len(vals))
+    return herm_part(V @ np.diag(vals).astype(complex) @ V.conj().T)
+
+
 def _block_sample_ref(rng, n, m, p):
     X = herm_part(_gaussian_ref(rng, n)) * 0.8
     if m > 0:
@@ -83,4 +88,18 @@ def test_stacked_class_draw_matches_per_sample_draws(data, n, k, seed):
     rng, ref = (np.random.default_rng(seed) for _ in range(2))
     got = suites._block_samples(rng, BlockMapSpec(n, m, p), k)
     assert _same(got, np.stack([_block_sample_ref(ref, n, m, p) for _ in range(k)]))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# eigenvalues of both signs, with exact zeros of both signs among them
+spectra = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.05, 3.0), st.floats(-3.0, -0.05)),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(spectra, min_size=1, max_size=5), seeds)
+def test_with_spectrum_matches_a_per_sample_diagonal_product(spectra_drawn, seed):
+    rng, ref = (np.random.default_rng(seed) for _ in range(2))
+    for vals in map(np.array, spectra_drawn):
+        assert _same(suites._with_spectrum(rng, vals), _with_spectrum_ref(ref, vals))
     assert rng.bit_generator.state == ref.bit_generator.state

@@ -9,7 +9,6 @@ from matorder import suites
 from matorder.config import DEFAULT_TOL
 from matorder.errors import MalformedInputError
 from matorder.fileio import matrix_to_payload
-from matorder.sampling import EFFECT_SPECTRUM, random_effect
 from matorder.suites import SUITES, run_suite, suite_description, suite_names
 
 # heavier suites get a reduced smoke count; the acceptance tests run the
@@ -142,16 +141,15 @@ def test_order_embedding_reports_the_same_keys_at_any_trial_count():
     assert run_suite("order-embedding", seed=1, trials=1).details["min_strict_margin"] is None
 
 
-def test_interval_criterion_replays_the_generator_to_the_first_escape(monkeypatch):
+def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     # The suite tests its 50 interval samples as one stack. Samples 0-7 are
-    # multiples of X and samples 8-49 are random effects, drawn in one call,
-    # so a lazy scan stopping at an escape in sample 12 would have drawn 5.
-    stacks, calls = [], []
-    draws = suites._spectrum_draws
-
-    def recording_draws(rng, n, lo, hi, k):
-        calls.append((rng.bit_generator.state, n, (lo, hi), k))
-        return draws(rng, n, lo, hi, k)
+    # multiples of X and samples 8-49 are random effects, all 42 drawn even
+    # when sample 12 escapes, so the generator ends where a clean run ends.
+    clean = np.random.default_rng(0)
+    clean_rec = suites._Recorder()
+    assert suites._suite_interval_criterion(clean, 1, DEFAULT_TOL, clean_rec)["criterion_true"] == 1
+    assert clean_rec.failure_count == 0
+    stacks = []
 
     def escape_at_12(A, S, tol):
         stacks.append(S)
@@ -159,20 +157,11 @@ def test_interval_criterion_replays_the_generator_to_the_first_escape(monkeypatc
         inside[12] = False
         return inside
 
-    monkeypatch.setattr(suites, "_spectrum_draws", recording_draws)
     monkeypatch.setattr(suites, "_in_zero_component", escape_at_12)
     rng = np.random.default_rng(0)
     rec = suites._Recorder()
     details = suites._suite_interval_criterion(rng, 1, DEFAULT_TOL, rec)
-    assert details["criterion_true"] == 1 and len(stacks) == 1
+    assert details["criterion_true"] == 1 and len(stacks) == 1 and len(stacks[0]) == 50
     assert rec.failure_count == 1
     assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
-    # 42 effects drawn for the stack, then a replay of 5 from the same state
-    (state, n, spectrum, k), replay = calls[0], calls[1]
-    assert spectrum == EFFECT_SPECTRUM and k == 42 and len(calls) == 2
-    assert replay[0] == state and replay[3] == 5
-    ref = np.random.default_rng()
-    ref.bit_generator.state = state
-    for _ in range(5):
-        random_effect(ref, n)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.bit_generator.state == clean.bit_generator.state
