@@ -4,7 +4,8 @@ Every invertible frame T gives an automorphism X -> T(X(T*T - I) + I)^{-1}XT*
 of the effect interval; it fixes both endpoints, preserves order in both
 directions, and composes by the frame product. A second construction chains
 two scalar rational reweightings with a contraction conjugation and factors
-into four explicit stages.
+into four explicit stages; composed, the stages are again a frame
+automorphism, the one FpqSpec carries as `spec.automorphism`.
 
 Run: python3 demos/05_effect_automorphisms.py
 """
@@ -45,13 +46,15 @@ inv = EffectAutoSpec(frame=np.linalg.inv(T))
 print("inverse frame undoes the map:",
       f"{opnorm(effect_automorphism(inv, FX) - X):.2e}")
 
-# the rational construction and its four-factor decomposition
+# the rational construction, its frame form and its four-factor decomposition
 spec = FpqSpec(p=0.35, q=-1.2, frame=random_contraction(rng, n))
-direct = rational_effect_automorphism(spec, X)
+framed = effect_automorphism(spec.automorphism, X)
 f1, f2, f3, f4 = rational_effect_factors(spec)
 chained = f4(f3(f2(f1(X))))
-print("\nrational form vs four chained factors:",
-      f"{opnorm(direct - chained):.2e}")
+print("\nframe form vs four chained factors:",
+      f"{opnorm(framed - chained):.2e}")
+print("rational_effect_automorphism is the frame form:",
+      f"{opnorm(rational_effect_automorphism(spec, X) - framed):.2e}")
 
 # an embedding may override the value at I; continuity flags expose that
 fixture = EffectEmbeddingSpec(

@@ -10,8 +10,9 @@ is equivalent to exactly one such map, which makes the ordered pair (m, p)
 a complete invariant. The effect-algebra section implements the two
 canonical automorphism forms of the unit operator interval [0, I] and the
 almost-everywhere-continuous order embeddings with overridable endpoint
-values. The frame form and the embedding interior are MobiusAutomorphism
-maps evaluated on effects.
+values. Both automorphism forms and the embedding interior are
+MobiusAutomorphism maps, evaluated on effects by one kernel: an FpqSpec
+carries the frame form of its four-factor map, built once at construction.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from .linalg import (
     _has_inertia,
     _is_invertible,
     _loewner_compare,
-    _principal_sqrt,
     _rank_cut,
     _same_dim,
     _spectrum_inertia,
     as_hermitian,
     as_square,
     herm_part,
-    loewner_compare,
     opnorm,
     spectral_apply,
 )
@@ -314,13 +313,21 @@ def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceCon
 class FpqSpec:
     """Effect automorphism built from two scalar reweightings and a contraction.
 
-    Parameters p in (0,1), q < 0, and a bijective T with ||T|| <= 1.
+    Parameters p in (0,1), q < 0, and a bijective T with ||T|| <= 1. The map
+    f_q(f_p(TT*)^{-1/2} f_p(T X' T*) f_p(TT*)^{-1/2}), with f_r(x) =
+    x/(rx + 1 - r), is the frame form EffectAutoSpec(F, transpose) stored in
+    `automorphism`: write c_r = 1/(1 - r), so f_r(M) = c_r (M^{-1} + r c_r I)^{-1};
+    composing the four factors gives F (X'^{-1} + F*F - I)^{-1} F* with
+    F = ((1-p)(1-q))^{-1/2} f_p(TT*)^{-1/2} T. From the SVD T = U diag(s) W*,
+    F = U diag(sqrt((p s^2 + 1 - p)/((1-p)(1-q)))) W*, so F's singular
+    values lie in [(1-q)^{-1/2}, ((1-p)(1-q))^{-1/2}] and A = F*F - I > -I.
     """
 
     p: float
     q: float
     frame: np.ndarray
     transpose: bool = False
+    automorphism: MobiusAutomorphism = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
@@ -333,36 +340,22 @@ class FpqSpec:
         if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be bijective")
         object.__setattr__(self, "frame", frame)
+        U, s, Wh = np.linalg.svd(frame)
+        F = (U * np.sqrt((self.p * s**2 + 1.0 - self.p) / ((1.0 - self.p) * (1.0 - self.q)))) @ Wh
+        object.__setattr__(self, "automorphism", EffectAutoSpec(F, self.transpose))
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
 
 
-def _resolvent_scaling(w: float, M: np.ndarray) -> np.ndarray:
-    """Matrix version of x -> x/(wx + 1 - w) through a single linear solve."""
-    n = M.shape[0]
-    return np.linalg.solve(w * M + (1.0 - w) * np.eye(n), M)
-
-
 def rational_effect_automorphism(spec: FpqSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Direct evaluation: f_q(f_p(TT*)^{-1/2} f_p(T X' T*) f_p(TT*)^{-1/2}).
+    """f_q(f_p(TT*)^{-1/2} f_p(T X' T*) f_p(TT*)^{-1/2}), evaluated as its frame form spec.automorphism.
 
-    Uses resolvent solves and a Schur-based matrix square root only, so the
-    four-factor spectral decomposition below is an independent route to the
-    same value.
+    The four-factor spectral route of rational_effect_factors is an
+    independent check of the same value.
     """
-    H, T = _same_dim(as_effect(X, tol), spec.frame)
-    Y = H.T if spec.transpose else H
-    S = _resolvent_scaling(spec.p, herm_part(T @ T.conj().T))
-    root = _principal_sqrt(S)
-    if not _is_invertible(root, tol):
-        raise DomainViolationError("frame scaling is numerically singular")
-    inner = herm_part(T @ Y @ T.conj().T)
-    W = herm_part(np.linalg.solve(root, _resolvent_scaling(spec.p, inner)) @ np.linalg.inv(root))
-    if not _is_invertible(spec.q * W + (1.0 - spec.q) * np.eye(spec.dim), tol):
-        raise DomainViolationError("argument is too close to the final reweighting pole")
-    return herm_part(_resolvent_scaling(spec.q, W))
+    return _effect_automorphism(spec.automorphism, as_effect(X, tol), tol)
 
 
 def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Tuple[Callable, Callable, Callable, Callable]:
@@ -422,13 +415,13 @@ class EffectEmbeddingSpec:
         object.__setattr__(self, "offset", interior.C)
         if self.value_at_zero is not None:
             v0 = as_hermitian(self.value_at_zero, name="value_at_zero")
-            if not loewner_compare(v0, interior.C).leq:
+            if not _loewner_compare(*_same_dim(v0, interior.C), DEFAULT_TOL).leq:
                 raise MalformedInputError("value_at_zero must be <= offset")
             object.__setattr__(self, "value_at_zero", v0)
         if self.value_at_one is not None:
             v1 = as_hermitian(self.value_at_one, name="value_at_one")
             top = _effect_automorphism(interior, np.eye(self.dim), DEFAULT_TOL)
-            if not loewner_compare(top, v1).leq:
+            if not _loewner_compare(*_same_dim(top, v1), DEFAULT_TOL).leq:
                 raise MalformedInputError("value_at_one must be >= the interior value at I")
             object.__setattr__(self, "value_at_one", v1)
 

@@ -30,7 +30,6 @@ from .classify import (
     FpqSpec,
     block_map_apply,
     effect_automorphism,
-    rational_effect_automorphism,
     signature_class,
 )
 from .config import DEFAULT_TOL, ToleranceConfig, parse_tolerance_overrides
@@ -92,15 +91,14 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
         else:
             p = args.positive
         out = block_map_apply(BlockMapSpec(n, m, p), X, tol)
-    elif args.map == "effect":
-        frame = parse_matrix_file(_require(args.frame, "--frame", "effect"))
-        out = effect_automorphism(EffectAutoSpec(frame=frame, transpose=args.transpose), X, tol)
-    elif args.map == "fpq":
-        frame = parse_matrix_file(_require(args.frame, "--frame", "fpq"))
-        p = _require(args.p, "--p", "fpq")
-        q = _require(args.q, "--q", "fpq")
-        out = rational_effect_automorphism(
-            FpqSpec(p=p, q=q, frame=frame, transpose=args.transpose), X, tol)
+    elif args.map in ("effect", "fpq"):
+        frame = parse_matrix_file(_require(args.frame, "--frame", args.map))
+        if args.map == "effect":
+            m = EffectAutoSpec(frame=frame, transpose=args.transpose)
+        else:
+            m = FpqSpec(p=_require(args.p, "--p", "fpq"), q=_require(args.q, "--q", "fpq"), frame=frame,
+                        transpose=args.transpose).automorphism
+        out = effect_automorphism(m, X, tol)
     elif args.map == "mobius":
         frame = parse_matrix_file(_require(args.frame, "--frame", "mobius"))
         n = frame.shape[0]

@@ -87,7 +87,12 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 def write_matrix_file(path: Union[str, Path], M: Iterable) -> None:
-    Path(path).write_text(matrix_to_text(M), encoding="utf-8")
+    """Write M's text to path; MalformedInputError naming the path if it cannot be written."""
+    text = matrix_to_text(M)
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def read_text_file(path: Union[str, Path]) -> str:

@@ -8,7 +8,7 @@ are never mutated.
 Validation happens once, at the public boundary. A public function is a
 validating shell: it coerces each matrix argument with as_square or
 as_hermitian, checks that the dimensions agree with _same_dim, and then
-calls a private trusted kernel (_inertia, _is_invertible, _loewner_compare,
+calls a private trusted kernel (_eigh, _is_invertible, _loewner_compare,
 ...). Hermiticity is decided by _is_hermitian alone: as_hermitian raises on
 it, and functions that accept both Hermitian and non-Hermitian points
 branch on it. A kernel takes complex ndarrays that are already square and
@@ -26,7 +26,7 @@ The contract extends to stacks. A stacked kernel takes a (k, n, n) array
 and returns, for each j, bit for bit what the per-matrix kernel returns on
 S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
 same LAPACK or BLAS call on each member as on a single matrix. Here
-_has_inertia (whether _inertia's counts are (p, 0, n - p)), _is_invertible,
+_has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
 herm_part and _rank_cut reduce over the last axes, and
 np.linalg.norm(S, 2, axis=(-2, -1)) is opnorm member by member;
 localiso._in_zero_component and classify._block_map take stacks the same
@@ -211,7 +211,7 @@ def inertia(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     Eigenvalues above psd_tol*(1+||X||_2) count positive, below the negated
     cutoff negative, the rest zero.
     """
-    return _inertia(as_hermitian(X, tol), tol)
+    return _spectrum_inertia(np.linalg.eigh(as_hermitian(X, tol))[0], tol)
 
 
 def _rank_cut(values: np.ndarray, tol: ToleranceConfig):
@@ -219,15 +219,10 @@ def _rank_cut(values: np.ndarray, tol: ToleranceConfig):
     return tol.psd_tol * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
 
 
-def _inertia(H: np.ndarray, tol: ToleranceConfig) -> Inertia:
-    """Kernel of inertia on an exactly Hermitian array."""
-    return _spectrum_inertia(np.linalg.eigh(H)[0], tol)
-
-
 def _has_inertia(S: np.ndarray, p: int, tol: ToleranceConfig):
     """Whether each member of a stack (..., n, n), n >= 1, has inertia (p, 0, n - p).
 
-    The same verdict as comparing _inertia's counts, at the cost of one
+    The same verdict as comparing inertia's counts, at the cost of one
     comparison per side: eigh returns each spectrum ascending, so the counts
     are (p, 0, n - p) iff the (n - p)-th eigenvalue is below -cut and the one
     after it above cut.

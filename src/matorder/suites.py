@@ -48,7 +48,6 @@ from .classify import (
     enumerate_signatures,
     growth_direction,
     in_block_domain,
-    rational_effect_automorphism,
     rational_effect_factors,
     signature_class,
 )
@@ -1050,40 +1049,37 @@ def _suite_class_count(rng, trials, tol, rec):
 # effect-algebra suites
 
 
-def _random_fpq(rng: np.random.Generator, n: int) -> FpqSpec:
+def _random_effect_map(rng: np.random.Generator, n: int, frame_form: bool):
+    """(map, fpq) of a random effect automorphism: the frame form with fpq None, or
+    the fpq family's FpqSpec and its frame form."""
+    if frame_form:
+        return EffectAutoSpec(frame=random_invertible(rng, n, max_cond=10.0), transpose=bool(rng.integers(2))), None
     T = _first(100, lambda: random_contraction(rng, n),
                lambda T: is_invertible(T) and invertibility_margin(T) > 0.05)
     if T is None:
         raise RuntimeError("failed to draw a bijective contraction")
-    return FpqSpec(p=float(rng.uniform(0.15, 0.85)), q=float(-rng.uniform(0.3, 3.0)),
-                   frame=T, transpose=bool(rng.integers(2)))
-
-
-def _random_effect_map(rng: np.random.Generator, n: int, frame_form: bool, tol: ToleranceConfig):
-    """(spec, evaluator) of a random effect automorphism: the frame form, or the fpq family."""
-    if frame_form:
-        spec = EffectAutoSpec(frame=random_invertible(rng, n, max_cond=10.0), transpose=bool(rng.integers(2)))
-        return spec, lambda X: effect_automorphism(spec, X, tol)
-    spec = _random_fpq(rng, n)
-    return spec, lambda X: rational_effect_automorphism(spec, X, tol)
+    fpq = FpqSpec(p=float(rng.uniform(0.15, 0.85)), q=float(-rng.uniform(0.3, 3.0)),
+                  frame=T, transpose=bool(rng.integers(2)))
+    return fpq.automorphism, fpq
 
 
 def _suite_effect_fixpoints(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         zero = np.zeros((n, n))
         eye = np.eye(n)
-        spec, phi = _random_effect_map(rng, n, t % 2 == 0, tol)
-        rec.check_residual(opnorm(phi(zero)), 1e-10, t, "zero endpoint moved", frame=spec.frame)
-        rec.check_residual(opnorm(phi(eye) - eye), 1e-10, t, "identity endpoint moved", frame=spec.frame)
+        m, _ = _random_effect_map(rng, n, t % 2 == 0)
+        phi = lambda X: effect_automorphism(m, X, tol)
+        rec.check_residual(opnorm(phi(zero)), 1e-10, t, "zero endpoint moved", frame=m.frame)
+        rec.check_residual(opnorm(phi(eye) - eye), 1e-10, t, "identity endpoint moved", frame=m.frame)
         X = random_effect(rng, n)
         rec.check(_in_interval(phi(X), -1e-8, 1.0 + 1e-8, tol), t,
-                  "image left the effect interval", X=X, frame=spec.frame)
+                  "image left the effect interval", X=X, frame=m.frame)
 
 
 def _suite_effect_order(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
-        use_frame_form = t % 2 == 0
-        spec, phi = _random_effect_map(rng, n, use_frame_form, tol)
+        m, fpq = _random_effect_map(rng, n, t % 2 == 0)
+        phi = lambda X: effect_automorphism(m, X, tol)
         strict = t % 4 == 1
         X, Y = _effect_pair(rng, n, strict=strict)
         FX, FY = phi(X), phi(Y)
@@ -1092,16 +1088,16 @@ def _suite_effect_order(rng, trials, tol, rec):
         rec.check(gap >= -1e-8 * scale, t, f"ordered effects lost order (margin {gap:.3e})", X=X, Y=Y)
         if strict:
             rec.check(loewner_compare(FX, FY, tol).lt, t, "strict effect pair no longer strict", X=X, Y=Y)
-        if use_frame_form and not spec.transpose:
-            inv_spec = EffectAutoSpec(frame=np.linalg.inv(spec.frame))
+        if fpq is None and not m.transpose:
+            inv_spec = EffectAutoSpec(frame=np.linalg.inv(m.frame))
             back = effect_automorphism(inv_spec, FX, tol)
             rec.check_residual(_rel(back, X), 1e-9,
-                               t, "inverse frame does not undo the map", X=X, frame=spec.frame)
-        if not use_frame_form:
-            f1, f2, f3, f4 = rational_effect_factors(spec, tol)
+                               t, "inverse frame does not undo the map", X=X, frame=m.frame)
+        if fpq is not None:
+            f1, f2, f3, f4 = rational_effect_factors(fpq, tol)
             chained = f4(f3(f2(f1(X))))
             rec.check_residual(_rel(chained, FX), 1e-9,
-                               t, "four-factor route disagrees with direct route", X=X, frame=spec.frame)
+                               t, "four-factor route disagrees with direct route", X=X, frame=fpq.frame)
             sx, sy = X, Y
             for stage, f in enumerate((f1, f2, f3, f4)):
                 sx, sy = f(sx), f(sy)

@@ -30,7 +30,7 @@ from matorder.classify import (
     rational_effect_factors,
     signature_class,
 )
-from matorder.config import DEFAULT_TOL
+from matorder.config import DEFAULT_TOL, ToleranceConfig
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.sampling import random_contraction, random_effect, random_hermitian, random_psd, random_unitary
@@ -200,7 +200,7 @@ def test_effect_automorphism_matches_explicit_inverse_formula():
 
 def test_rational_effect_four_factor_route_agrees():
     # oracle: the composition of the four published factors, built from
-    # independent spectral scalings, must equal the direct resolvent form
+    # independent spectral scalings, must equal the frame form
     rng = np.random.default_rng(57)
     for _ in range(15):
         T = random_contraction(rng, 3)
@@ -212,6 +212,70 @@ def test_rational_effect_four_factor_route_agrees():
         assert opnorm(chained - direct) <= 1e-9 * (1.0 + opnorm(direct))
         lam = np.linalg.eigvalsh(direct)
         assert lam[0] >= -1e-8 and lam[-1] <= 1.0 + 1e-8
+
+
+def _fpq_resolvent_reference(spec, X):
+    """The fpq map by resolvent solves and a Schur square root: f_q(S^{-1/2} f_p(T X' T*) S^{-1/2}), S = f_p(TT*)."""
+    from scipy.linalg import sqrtm
+
+    T, eye = spec.frame, np.eye(spec.dim)
+    scaling = lambda w, M: np.linalg.solve(w * M + (1.0 - w) * eye, M)  # x -> x/(wx + 1 - w)
+    root = sqrtm(scaling(spec.p, herm_part(T @ T.conj().T)))
+    inner = scaling(spec.p, herm_part(T @ (X.T if spec.transpose else X) @ T.conj().T))
+    return herm_part(scaling(spec.q, herm_part(np.linalg.solve(root, inner) @ np.linalg.inv(root))))
+
+
+@st.composite
+def fpq_cases(draw):
+    """(spec, X, sigma_min): n from 1 to 8, frames U diag(s) W* with s in [sigma_min, 1], sigma_min from 1e-4 to 1."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma_min = 10.0 ** draw(st.floats(-4.0, 0.0))
+    s = rng.uniform(sigma_min, 1.0, n)
+    s[0] = sigma_min
+    T = (random_unitary(rng, n) * s) @ random_unitary(rng, n)
+    spec = FpqSpec(p=draw(st.floats(0.02, 0.98)), q=draw(st.floats(-5.0, -0.02)), frame=T,
+                   transpose=draw(st.booleans()))
+    values = rng.uniform(0.0, 1.0, n)
+    values[: draw(st.integers(0, n))] = draw(st.sampled_from([0.0, 1.0]))  # effects on the boundary of [0, I]
+    V = random_unitary(rng, n)
+    return spec, herm_part((V * values) @ V.conj().T), sigma_min
+
+
+@settings(max_examples=300, deadline=None)
+@given(fpq_cases())
+def test_fpq_frame_form_matches_resolvent_route(case):
+    spec, X, sigma_min = case
+    got, want = rational_effect_automorphism(spec, X, DEFAULT_TOL), _fpq_resolvent_reference(spec, X)
+    rel = opnorm(got - want) / max(opnorm(want), 1e-300)
+    assert rel <= (1e-12 if sigma_min >= 0.05 else 1e-6)
+    eye = np.eye(spec.dim)
+    assert opnorm(rational_effect_automorphism(spec, eye) - eye) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(fpq_cases())
+def test_fpq_frame_form_closed_forms(case):
+    # A = F*F - I = q/(1-q) I + p/((1-p)(1-q)) T*T, and F's singular values
+    # lie in [(1-q)^{-1/2}, ((1-p)(1-q))^{-1/2}]
+    spec, _, _ = case
+    p, q, T, m = spec.p, spec.q, spec.frame, spec.automorphism
+    assert m.transpose == spec.transpose and not m.B.any() and not m.C.any()
+    F = m.frame
+    assert opnorm(m.A - (F.conj().T @ F - np.eye(spec.dim))) <= 1e-14 * (1.0 + opnorm(m.A))
+    want = q / (1.0 - q) * np.eye(spec.dim) + p / ((1.0 - p) * (1.0 - q)) * (T.conj().T @ T)
+    assert opnorm(m.A - want) <= 1e-13 * (1.0 + opnorm(want))
+    s = np.linalg.svd(F, compute_uv=False)
+    assert (1.0 - q) ** -0.5 * (1.0 - 1e-14) <= s.min() <= s.max() <= ((1.0 - p) * (1.0 - q)) ** -0.5 * (1.0 + 1e-14)
+
+
+def test_rational_effect_automorphism_honours_tol():
+    spec = FpqSpec(p=0.5, q=-1.0, frame=0.8 * np.eye(2))
+    X = np.diag([1.0 + 1e-6, 0.5])  # above I by more than the default psd_tol cushion
+    with pytest.raises(DomainViolationError):
+        rational_effect_automorphism(spec, X)
+    got = rational_effect_automorphism(spec, X, ToleranceConfig(psd_tol=1e-5))
+    assert opnorm(got - effect_automorphism(spec.automorphism, np.diag([1.0, 0.5]))) <= 1e-5
 
 
 def test_fpq_spec_validates_parameters():

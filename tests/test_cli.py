@@ -167,6 +167,26 @@ def test_exit_code_2_on_unreadable_files(tmp_path, case):
     assert r.stderr.startswith("error: ") and named in r.stderr
 
 
+# (command line, the path the error must show) for outputs that cannot be written
+UNWRITABLE_OUTPUTS = {
+    "gen into a directory": lambda tmp: (["gen", "--kind", "psd", "--dim", "2", "--out", str(tmp)], str(tmp)),
+    "gen into a missing directory": lambda tmp: (
+        ["gen", "--kind", "psd", "--dim", "2", "--out", str(tmp / "missing" / "x.json")], "missing"),
+    "apply into a directory": lambda tmp: (
+        ["apply", "--map", "effect", "--frame", _file(tmp, "t.json", matrix_to_text(np.eye(2))),
+         _file(tmp, "x.json", matrix_to_text(0.5 * np.eye(2))), "--out", str(tmp)], str(tmp)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_exit_code_2_on_unwritable_outputs(tmp_path, case):
+    args, named = UNWRITABLE_OUTPUTS[case](tmp_path)
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot write ") and named in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_exit_code_2_on_usage_errors():
     assert run_cli("apply", "--map", "nosuch", "x.json").returncode == 2
     assert run_cli().returncode == 2

@@ -1,5 +1,6 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
-that no caller overrides, and scipy stays off the CLI's import path."""
+that no caller overrides, no private kernel that only its own public shell calls, and scipy stays
+off the CLI's import path and off an fpq apply."""
 
 import ast
 import math
@@ -8,9 +9,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import matorder
+from matorder.fileio import write_matrix_file
 
 PACKAGE = pathlib.Path(matorder.__file__).parent
 # __init__ imports names only to re-export them
@@ -171,8 +174,71 @@ def test_unset_default_scan_sees_an_option_nobody_sets():
     ]
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, matorder.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _references(tree):
+    """(name, owner) of every name a module reads, imports or looks up as an attribute; the owner is
+    the module-level function or method whose body holds the reference, or "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef) and owner == "<module>":
+            owner = node.name
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) \
+            else node.name if isinstance(node, ast.alias) else None
+        if name is not None:
+            found.append((name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _shell_only_kernels(sources):
+    """(module, _f) for each module-level private function _f whose one reference in `sources`
+    (module name -> text) is in the body of the public function f of its own module."""
+    defined, refs = {}, {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined[module] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for name, owner in _references(tree):
+            refs.setdefault(name, []).append((module, owner))
+    return sorted((module, f) for module, names in defined.items() for f in names
+                  if f.startswith("_") and f[1:] in names and refs.get(f) == [(module, f[1:])])
+
+
+def test_no_kernel_only_its_public_shell_calls():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _shell_only_kernels(sources) == []
+
+
+def test_shell_only_kernel_scan_sees_a_kernel_with_one_caller():
+    sources = {
+        "a": "def f(x):\n    return _f(x)\ndef _f(x):\n    return x\n"
+             "def g(x):\n    return _g(x)\ndef _g(x):\n    return x\ndef h(x):\n    return _g(x)\n"
+             "def k(x):\n    return _k(x)\ndef _k(x):\n    return x\nTABLE = {'k': _k}\n"
+             "def m(x):\n    return _m(x)\ndef _m(x):\n    return x\n",
+        "b": "from .a import _m\nclass C:\n    def f(self):\n        return _m(1)\n",
+    }
+    assert _shell_only_kernels(sources) == [("a", "_f")]
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The sorted scipy modules loaded once `code` has run in a fresh interpreter with matorder importable."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import matorder.cli") == "[]"
+
+
+def test_fpq_apply_loads_no_scipy(tmp_path):
+    frame, x, y = (str(tmp_path / k) for k in ("t.json", "x.json", "y.json"))
+    write_matrix_file(frame, np.array([[0.6, 0.2j], [0.1, 0.5]]))
+    write_matrix_file(x, np.diag([0.3, 0.7]))
+    argv = ["apply", "--map", "fpq", "--frame", frame, "--p", "0.4", "--q", "-1.5", "--transpose", x, "--out", y]
+    code = f"import matorder.cli\nassert matorder.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+    assert pathlib.Path(y).exists()

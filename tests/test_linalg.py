@@ -9,7 +9,6 @@ from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import (
     _has_inertia,
-    _inertia,
     _is_invertible,
     as_hermitian,
     frob,
@@ -207,7 +206,7 @@ def hermitian_stacks(draw):
 @given(hermitian_stacks())
 def test_stacked_kernels_agree_with_per_matrix_kernels(S):
     n = S.shape[-1]
-    counts = [tuple(_inertia(H, DEFAULT_TOL)) for H in S]
+    counts = [tuple(inertia(H)) for H in S]
     norms = np.linalg.norm(S, 2, axis=(-2, -1))
     invertible = _is_invertible(S, DEFAULT_TOL)
     for j, H in enumerate(S):
