@@ -298,7 +298,7 @@ def EffectAutoSpec(frame: Iterable, transpose: bool = False) -> MobiusAutomorphi
 
 def effect_automorphism(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Evaluate on an effect; EffectAutoSpec maps fix 0 and I and preserve order both ways."""
-    return _effect_automorphism(m, as_effect(X, tol), tol)
+    return _effect_automorphism(m, _same_dim(as_effect(X, tol), m.frame)[0], tol)
 
 
 def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -335,12 +335,14 @@ class FpqSpec:
         if not self.q < 0.0:
             raise MalformedInputError("q must be negative")
         frame = as_square(self.frame, "frame")
-        if opnorm(frame) > 1.0 + CONTRACTION_SLACK:
+        # one SVD decides both, at opnorm's and _is_invertible's thresholds
+        U, s, Wh = np.linalg.svd(frame)
+        top = s.max(initial=0.0)
+        if top > 1.0 + CONTRACTION_SLACK:
             raise MalformedInputError("frame must be a contraction")
-        if not _is_invertible(frame, DEFAULT_TOL):
+        if not s.min(initial=np.inf) > DEFAULT_TOL.inv_margin * (1.0 + top):
             raise MalformedInputError("frame must be bijective")
         object.__setattr__(self, "frame", frame)
-        U, s, Wh = np.linalg.svd(frame)
         F = (U * np.sqrt((self.p * s**2 + 1.0 - self.p) / ((1.0 - self.p) * (1.0 - self.q)))) @ Wh
         object.__setattr__(self, "automorphism", EffectAutoSpec(F, self.transpose))
 
@@ -355,7 +357,7 @@ def rational_effect_automorphism(spec: FpqSpec, X: Iterable, tol: ToleranceConfi
     The four-factor spectral route of rational_effect_factors is an
     independent check of the same value.
     """
-    return _effect_automorphism(spec.automorphism, as_effect(X, tol), tol)
+    return _effect_automorphism(spec.automorphism, _same_dim(as_effect(X, tol), spec.frame)[0], tol)
 
 
 def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Tuple[Callable, Callable, Callable, Callable]:

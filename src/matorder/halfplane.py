@@ -31,7 +31,7 @@ from .linalg import (
     opnorm,
     sqrt_psd,
 )
-from .sampling import random_half_plane
+from .sampling import _seeded_draws, random_half_plane
 
 __all__ = [
     "HalfPlaneMembership",
@@ -51,8 +51,9 @@ __all__ = [
 # Relative residual allowed when validating a fitted automorphism at samples.
 FIT_RESIDUAL_TOL = 1e-7
 
-# Seed of the 20 half-plane samples that fit_canonical validates its fit at.
+# Seed and count of the half-plane samples that fit_canonical validates its fit at.
 FIT_VALIDATION_SEED = 7
+FIT_VALIDATION_POINTS = 20
 
 
 def imag_part(Z: Iterable) -> np.ndarray:
@@ -185,11 +186,10 @@ class MobiusAutomorphism:
         return self.frame.shape[0]
 
 
-def _shifted(m: MobiusAutomorphism, M: np.ndarray) -> np.ndarray:
-    """W = Z' - B for a validated square point Z, once it has the map's dimension."""
-    _same_dim(M, m.frame)
+def _shifted(m: MobiusAutomorphism, Z: np.ndarray) -> np.ndarray:
+    """W = Z' - B member by member, for a validated stack (..., n, n) of points of the map's dimension."""
     # the difference is a new C-contiguous array; matmul may round a transposed view differently
-    return (M.T if m.transpose else M) - m.B
+    return (Z.swapaxes(-1, -2) if m.transpose else Z) - m.B
 
 
 def _mobius_eval(m: MobiusAutomorphism, W: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -203,11 +203,20 @@ def apply_mobius(m: MobiusAutomorphism, Z: Iterable, tol: ToleranceConfig = DEFA
     Raises DomainViolationError where W = Z' - B or W A + I is numerically
     singular (sigma_min <= inv_margin), so where ((Z' - B)^{-1} + A)^{-1} fails.
     """
-    W = _shifted(m, as_square(Z))
-    if _invertibility_margin(W) <= tol.inv_margin:
+    return _apply_mobius(m, _same_dim(as_square(Z), m.frame)[0], tol)
+
+
+def _apply_mobius(m: MobiusAutomorphism, Z: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of apply_mobius on a validated stack (..., n, n) of points of the map's dimension.
+
+    Raises, with apply_mobius's message, when either gate fails on any member.
+    """
+    W = _shifted(m, Z)
+    # the smallest singular value of the stack is the smallest sigma_min of its members
+    if np.linalg.svd(W, compute_uv=False).min(initial=np.inf) <= tol.inv_margin:
         raise DomainViolationError("Z' - B is numerically singular")
     M = W @ m.A + np.eye(m.dim)
-    if _invertibility_margin(M) <= tol.inv_margin:
+    if np.linalg.svd(M, compute_uv=False).min(initial=np.inf) <= tol.inv_margin:
         raise DomainViolationError("(Z' - B) A + I is numerically singular")
     return _mobius_eval(m, W, M)
 
@@ -253,7 +262,7 @@ def _congruence_from_probes(
     if t1_sq <= tol.inv_margin:
         raise ModelMismatchError("probe response at e1 is degenerate")
 
-    probes = [(E11, D11)]
+    probes, responses = [E11], [D11]
     cols_linear = [t1]
     cols_transpose = [t1]
     for j in range(1, dim):
@@ -265,20 +274,25 @@ def _congruence_from_probes(
         K[j, 0] = -1j
         DH = respond(H)
         DK = respond(K)
-        probes += [(H, DH), (K, DK)]
+        probes += [H, K]
+        responses += [DH, DK]
         C = (DH - 1j * DK) / 2.0
         cols_linear.append(C.conj().T @ t1 / t1_sq)
         cols_transpose.append(C @ t1 / t1_sq)
+    E, D = np.stack(probes), np.stack(responses)
+
+    def worst_opnorm(S: np.ndarray) -> float:
+        return float(np.linalg.norm(S, 2, axis=(-2, -1)).max())
 
     def congruence_residual(T: np.ndarray, transpose: bool) -> float:
-        return max(opnorm(D - T @ (E.T if transpose else E) @ T.conj().T) for E, D in probes)
+        return worst_opnorm(D - T @ (E.swapaxes(-1, -2) if transpose else E) @ T.conj().T)
 
     T_lin = np.column_stack(cols_linear)
     T_trp = np.column_stack(cols_transpose)
     res_lin = congruence_residual(T_lin, False)
     res_trp = congruence_residual(T_trp, True) if dim > 1 else np.inf
     transpose = res_trp < res_lin
-    scale = 1.0 + max(opnorm(D) for _, D in probes)
+    scale = 1.0 + worst_opnorm(D)
     return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
 
 
@@ -299,24 +313,39 @@ def fit_canonical(
     exactly linearly on offsets from iI; recover the unitary and the
     transpose flag from its responses to congruence probes
     (_congruence_from_probes), then fold the unitary into the parameters.
-    The result is validated against 20 random half-plane samples drawn from
-    FIT_VALIDATION_SEED; residual beyond FIT_RESIDUAL_TOL relative raises
-    ModelMismatchError.
+    The result is validated against 20 random half-plane samples of
+    FIT_VALIDATION_SEED, drawn once per dimension and shared by every fit
+    (sampling._seeded_draws): the evaluator is called at each sample, the
+    fitted map evaluated at all of them in one stacked call, and a worst
+    residual beyond FIT_RESIDUAL_TOL relative raises ModelMismatchError.
+    Every evaluator value must be a finite dim x dim matrix
+    (MalformedInputError otherwise).
     """
     if dim < 1:
         raise MalformedInputError("dim must be positive")
-    if anchor is not None:
-        _, X0, Y0 = _same_dim(np.zeros((dim, dim)), as_hermitian(anchor[0], tol, "anchor input"),
-                              as_hermitian(anchor[1], tol, "anchor output"))
-        centered = fit_canonical(lambda Z: evaluator(Z + X0) - Y0, dim, None, tol)
-        # the shift meets the argument after the optional transpose
-        B = X0.T if centered.transpose else X0
-        return MobiusAutomorphism(
-            frame=centered.frame, A=centered.A, B=B, C=Y0, transpose=centered.transpose
-        )
-
     eye = np.eye(dim, dtype=complex)
-    W = as_square(evaluator(1j * eye), "evaluator value")
+
+    def value(Z: np.ndarray) -> np.ndarray:
+        return _same_dim(as_square(evaluator(Z), "evaluator value"), eye)[0]
+
+    if anchor is None:
+        return _fit_centered(value, eye, tol)
+    _, X0, Y0 = _same_dim(eye, as_hermitian(anchor[0], tol, "anchor input"),
+                          as_hermitian(anchor[1], tol, "anchor output"))
+    centered = _fit_centered(lambda Z: value(Z + X0) - Y0, eye, tol)
+    # the shift meets the argument after the optional transpose
+    B = X0.T if centered.transpose else X0
+    return MobiusAutomorphism(
+        frame=centered.frame, A=centered.A, B=B, C=Y0, transpose=centered.transpose
+    )
+
+
+def _fit_centered(
+    value: Callable[[np.ndarray], np.ndarray], eye: np.ndarray, tol: ToleranceConfig
+) -> MobiusAutomorphism:
+    """fit_canonical without an anchor, for an evaluator whose values are validated dim x dim arrays."""
+    dim = eye.shape[0]
+    W = value(1j * eye)
     A2 = _imag_part(W)
     if float(_eigh(A2).values[0]) <= tol.inv_margin:
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
@@ -331,7 +360,7 @@ def fit_canonical(
     peel = _canonical_inverse(T, A)
 
     def probe(E: np.ndarray) -> np.ndarray:
-        return herm_part(peel(evaluator(1j * eye + E)) - 1j * eye)
+        return herm_part(peel(value(1j * eye + E)) - 1j * eye)
 
     u, transpose, _, _ = _congruence_from_probes(probe, dim, tol)
     if np.linalg.norm(u.conj().T @ u - eye) > 1e-6 * dim:
@@ -340,12 +369,10 @@ def fit_canonical(
         frame=normalize_phase(T @ u), A=herm_part(u.conj().T @ A @ u), transpose=transpose
     )
 
-    rng = np.random.default_rng(FIT_VALIDATION_SEED)
+    points = _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, dim, FIT_VALIDATION_POINTS)
+    wants = [value(Z) for Z in points]
     worst = 0.0
-    for _ in range(20):
-        Z = random_half_plane(rng, dim)
-        want = evaluator(Z)
-        got = apply_mobius(fitted, Z, tol)
+    for want, got in zip(wants, _apply_mobius(fitted, points, tol)):
         worst = max(worst, float(np.linalg.norm(want - got)) / (1.0 + float(np.linalg.norm(want))))
     if worst > FIT_RESIDUAL_TOL:
         raise ModelMismatchError(f"fitted automorphism residual {worst:.3e} exceeds {FIT_RESIDUAL_TOL}")

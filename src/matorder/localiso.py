@@ -45,7 +45,7 @@ from .linalg import (
     opnorm,
     sqrt_psd,
 )
-from .sampling import random_hermitian
+from .sampling import _seeded_draws, random_hermitian
 
 __all__ = [
     "PathSearchResult",
@@ -68,6 +68,9 @@ __all__ = [
 # agreement of the base recovered at two distinct samples).
 DERIVATIVE_RESIDUAL_TOL = 1e-6
 BASE_CONSISTENCY_TOL = 1e-6
+
+# Seed of the Hermitian direction of identify_parameters' second sample.
+DIRECTION_SEED = 3
 
 # Waypoints drawn in path_to_zero's first pool; each later pool doubles it.
 PATH_POOL_SIZE = 48
@@ -276,7 +279,7 @@ def apply_local_iso(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = D
     Requires X' - B in the zero component of A, where Phi_A is
     order_iso_apply; Hermitian in, Hermitian out.
     """
-    W = _shifted(m, as_hermitian(X, tol, "X"))
+    W = _shifted(m, _same_dim(as_hermitian(X, tol, "X"), m.frame)[0])
     if not _in_zero_component(m.A, W, tol):
         raise DomainViolationError("X' - B is outside the zero component of A")
     return herm_part(_mobius_eval(m, W, W @ m.A + np.eye(m.dim)))
@@ -329,7 +332,7 @@ def identify_parameters(
         return herm_part(np.linalg.inv(inner) - np.linalg.inv(S))
 
     c = 5.0 * h
-    direction = random_hermitian(np.random.default_rng(3), dim)
+    direction = _seeded_draws(random_hermitian, DIRECTION_SEED, dim, 1)[0]
     direction = direction / max(opnorm(direction), 1e-12)
     A1 = recover_base(c * np.eye(dim))
     A2 = recover_base(c * (np.eye(dim) + 0.6 * direction))

@@ -12,9 +12,17 @@ caller that needs many samples draws each sample's raw values in the
 single-sample rng order (as _spectrum_draws does), finishes all of them with
 one call of each body, and gets every member bit for bit as the
 single-sample sampler returns it, with the generator left in the same state.
+_half_plane_stack does the same for random_half_plane.
+
+A fixed-seed stack that library code checks against (fit_canonical's
+validation points, identify_parameters' direction) is drawn once per
+dimension by _seeded_draws and shared read-only.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -111,8 +119,37 @@ def random_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     return T * (0.95 / opnorm(T))
 
 
+# The open interval random_half_plane draws the eigenvalues of the imaginary part from.
+HALF_PLANE_SPECTRUM = (0.1, 1.5)
+
+
 def random_half_plane(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random point with positive definite imaginary part, margin >= 0.1."""
     X = random_hermitian(rng, n)
-    Y = random_hermitian_with_spectrum(rng, n, 0.1, 1.5)
+    Y = random_hermitian_with_spectrum(rng, n, *HALF_PLANE_SPECTRUM)
     return X + 1j * Y
+
+
+def _half_plane_stack(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k random_half_plane points (k, n, n), drawn in their rng order and finished as one stack."""
+    real = np.empty((k, 2, n, n))
+    values = np.empty((k, n))
+    imag = np.empty((k, 2, n, n))
+    for i in range(k):
+        rng.standard_normal(out=real[i])
+        values[i] = rng.uniform(*HALF_PLANE_SPECTRUM, size=n)
+        rng.standard_normal(out=imag[i])
+    return herm_part(_complex_from_normals(real)) + 1j * _with_spectra(values, _complex_from_normals(imag))
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded_draws(sampler: Callable, seed: int, n: int, k: int) -> np.ndarray:
+    """The k samples sampler(rng, n) of default_rng(seed), in order, as one read-only stack (k, n, n).
+
+    Cached: the draws are built once per argument tuple (in practice, once
+    per dimension) and every caller shares the same array.
+    """
+    rng = np.random.default_rng(seed)
+    stack = np.stack([sampler(rng, n) for _ in range(k)])
+    stack.flags.writeable = False
+    return stack

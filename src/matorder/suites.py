@@ -56,6 +56,7 @@ from .errors import DomainViolationError, MalformedInputError, ModelMismatchErro
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_text
 from .halfplane import (
     MobiusAutomorphism,
+    _apply_mobius,
     apply_mobius,
     cayley,
     fit_canonical,
@@ -116,6 +117,7 @@ from .order import (
 from .sampling import (
     EFFECT_SPECTRUM,
     _complex_from_normals,
+    _half_plane_stack,
     _spectrum_draws,
     _with_spectra,
     complex_gaussian,
@@ -608,12 +610,12 @@ def _suite_mobius_closure(rng, trials, tol, rec):
             rec.fail(t, f"composition did not refit: {exc}",
                      frame1=g1.frame, frame2=g2.frame)
             continue
+        points = _half_plane_stack(rng, n, 15)
+        wants = _apply_mobius(g2, _apply_mobius(g1, points, tol), tol)
         worst = 0.0
-        for k in range(15):
-            Z = random_half_plane(rng, n)
-            want = h(Z)
+        for Z, want, got in zip(points, wants, _apply_mobius(fitted, points, tol)):
             rec.check(bool(in_half_plane(want, tol)), t, "composition left the half-plane", Z=Z)
-            worst = max(worst, _rel(apply_mobius(fitted, Z, tol), want))
+            worst = max(worst, _rel(got, want))
         rec.check_residual(worst, 1e-6, t, "refit composition mismatch",
                            frame1=g1.frame, frame2=g2.frame)
 
@@ -881,11 +883,10 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
             anchor = _hermitian_anchor(rng, g, n)
             if anchor is not None:
                 refit = fit_canonical(g, n, anchor=anchor, tol=tol)
+                points = _half_plane_stack(rng, n, 5)
                 worst = 0.0
-                for _ in range(5):
-                    Z = random_half_plane(rng, n)
-                    want = g(Z)
-                    worst = max(worst, _rel(apply_mobius(refit, Z, tol), want))
+                for want, got in zip(_apply_mobius(full, points, tol), _apply_mobius(refit, points, tol)):
+                    worst = max(worst, _rel(got, want))
                 rec.check_residual(worst, 1e-7, t, "anchored refit mismatch", frame=full.frame)
 
         if t % 10 == 5:

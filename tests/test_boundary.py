@@ -193,11 +193,15 @@ def test_multi_matrix_calls_accept_matching_dimensions():
 
 
 def test_dimension_defects_raise_malformed_input():
-    # both used to reach numpy: a raw ValueError, and a 1x1 argument broadcast to a 3x3 result
+    # each used to reach numpy: a raw ValueError, a 1x1 argument broadcast to a 3x3 result,
+    # and an evaluator value of the wrong size met in a broadcast
     with pytest.raises(MalformedInputError, match="dimension mismatch"):
         conjugated_base(np.eye(2), np.eye(3))
     with pytest.raises(MalformedInputError, match="dimension mismatch"):
         affine_interval_iso(np.zeros((3, 3)), np.eye(3)).forward([[0.5]])
+    for anchor in (None, (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(MalformedInputError, match=r"^dimension mismatch: 3x3 vs 2x2$"):
+            fit_canonical(lambda Z: 1j * np.eye(3), 2, anchor=anchor)
 
 
 def test_dimension_messages_name_both_sizes():

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, ModelMismatchError
 from matorder.halfplane import (
+    FIT_VALIDATION_SEED,
     MobiusAutomorphism,
+    _apply_mobius,
     apply_mobius,
     cayley,
     fit_canonical,
@@ -19,6 +24,7 @@ from matorder.halfplane import (
 )
 from matorder.linalg import herm_part, opnorm
 from matorder.sampling import (
+    _seeded_draws,
     random_contraction,
     random_half_plane,
     random_hermitian,
@@ -205,3 +211,67 @@ def test_fit_canonical_recovers_planted_map_in_dimension_one():
     for _ in range(5):
         Z = random_half_plane(rng, 1)
         assert opnorm(apply_mobius(fit, Z) - apply_mobius(m, Z)) <= 1e-10 * (1.0 + opnorm(Z))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_mobius_body_matches_each_member(n, k, transpose, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_mobius(rng, n)
+    m = MobiusAutomorphism(frame=m.frame, A=m.A, B=m.B, C=m.C, transpose=transpose)
+    assert np.any(m.B) and np.any(m.C)
+    Zs = np.stack([random_half_plane(rng, n) for _ in range(k)])
+    got = _apply_mobius(m, Zs, DEFAULT_TOL)
+    assert got.shape == Zs.shape
+    for j in range(k):
+        assert got[j].tobytes() == apply_mobius(m, Zs[j]).tobytes()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_stacked_mobius_body_raises_where_one_member_fails(transpose):
+    rng = np.random.default_rng(30)
+    m = MobiusAutomorphism(frame=random_invertible(rng, 3), A=random_hermitian(rng, 3) * 0.5,
+                           B=random_hermitian(rng, 3) * 0.5, transpose=transpose)
+    Zs = np.stack([random_half_plane(rng, 3) for _ in range(4)])
+    Zs[2] = m.B.T if transpose else m.B
+    with pytest.raises(DomainViolationError, match=r"^Z' - B is numerically singular$"):
+        apply_mobius(m, Zs[2])
+    with pytest.raises(DomainViolationError, match=r"^Z' - B is numerically singular$"):
+        _apply_mobius(m, Zs, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fit_validates_at_the_seeded_draws_made_once_per_dimension(dim):
+    rng = np.random.default_rng(32)
+    m = MobiusAutomorphism(frame=random_invertible(rng, dim), A=random_hermitian(rng, dim) * 0.4)
+    seen = []
+    fit_canonical(lambda Z: seen.append(Z) or apply_mobius(m, Z), dim)
+    points = _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, dim, 20)
+    rng = np.random.default_rng(FIT_VALIDATION_SEED)
+    assert points.tobytes() == np.stack([random_half_plane(rng, dim) for _ in range(20)]).tobytes()
+    assert np.stack(seen[-20:]).tobytes() == points.tobytes()
+    assert not points.flags.writeable
+    assert _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, dim, 20) is points
+
+
+def test_fit_canonical_rejects_a_map_that_departs_only_at_the_validation_points():
+    # the planted map at iI and at every congruence probe iI + E, another map elsewhere
+    rng = np.random.default_rng(31)
+    n = 2
+    m = MobiusAutomorphism(frame=random_invertible(rng, n), A=random_hermitian(rng, n) * 0.4)
+    other = MobiusAutomorphism(frame=m.frame, A=m.A + 0.3 * np.eye(n))
+    eye = np.eye(n, dtype=complex)
+    E11, H, K = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    E11[0, 0] = 1.0
+    H[0, 1], H[1, 0] = 1.0, 1.0
+    K[0, 1], K[1, 0] = 1j, -1j
+    probes = [1j * eye] + [1j * eye + E for E in (E11, H, K)]
+
+    def evaluator(Z):
+        planted = any(np.array_equal(Z, P) for P in probes)
+        return apply_mobius(m if planted else other, Z)
+
+    with pytest.raises(ModelMismatchError, match="fitted automorphism residual"):
+        fit_canonical(evaluator, n)
+    # the planted map alone fits
+    fit_canonical(lambda Z: apply_mobius(m, Z), n)

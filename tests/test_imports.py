@@ -1,6 +1,6 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
-that no caller overrides, no private kernel that only its own public shell calls, and scipy stays
-off the CLI's import path and off an fpq apply."""
+that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
+draw outside the one cache, and scipy stays off the CLI's import path and off an fpq apply."""
 
 import ast
 import math
@@ -220,6 +220,53 @@ def test_shell_only_kernel_scan_sees_a_kernel_with_one_caller():
         "b": "from .a import _m\nclass C:\n    def f(self):\n        return _m(1)\n",
     }
     assert _shell_only_kernels(sources) == [("a", "_f")]
+
+
+# draws of a fixed seed are made once per argument tuple there, and shared read-only
+SEEDED_CACHE = "_seeded_draws"
+
+
+def _fixed_seed_generators(source: str):
+    """(line, function) of each default_rng call in a function or method body, the seeded cache's
+    excepted, whose seed is a literal or a module constant (bound at module level, or upper case)."""
+    tree = ast.parse(source)
+    constants = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)}
+
+    def fixed(seed) -> bool:
+        if isinstance(seed, ast.Name):
+            return seed.id in constants or seed.id.isupper()
+        return isinstance(seed, ast.Constant) or (isinstance(seed, ast.Attribute) and seed.attr.isupper())
+
+    methods = [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
+    found = []
+    for body in tree.body + methods:
+        if not isinstance(body, ast.FunctionDef) or body.name == SEEDED_CACHE:
+            continue
+        for node in ast.walk(body):
+            name = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (getattr(name, "id", None) or getattr(name, "attr", None)) == "default_rng":
+                seeds = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "seed"]
+                if any(fixed(seed) for seed in seeds):
+                    found.append((node.lineno, body.name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_fixed_seed_draw_outside_the_seeded_cache(path):
+    assert _fixed_seed_generators(path.read_text()) == []
+
+
+def test_fixed_seed_scan_sees_a_redrawn_constant_seed():
+    source = (
+        "import numpy as np\nfrom numpy.random import default_rng\nfrom .x import OTHER_SEED\nSEED = 7\n"
+        "def f(seed):\n    a = np.random.default_rng(3)\n    b = np.random.default_rng(seed)\n"
+        "    return default_rng(SEED), np.random.default_rng(int(seed))\n"
+        "class K:\n    def m(self):\n        return np.random.default_rng(seed=OTHER_SEED)\n"
+        "def _seeded_draws(sampler, seed):\n    return np.random.default_rng(4)\n"
+        "RNG = np.random.default_rng(0)\n"
+    )
+    assert _fixed_seed_generators(source) == [(6, "f"), (8, "f"), (11, "m")]
 
 
 def _scipy_modules_after(code: str) -> str:

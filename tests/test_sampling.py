@@ -9,11 +9,13 @@ from matorder.classify import BlockMapSpec
 from matorder.linalg import herm_part
 from matorder.sampling import (
     EFFECT_SPECTRUM,
+    _half_plane_stack,
     _spectrum_draws,
     _unitary_from_gaussians,
     _with_spectra,
     complex_gaussian,
     random_effect,
+    random_half_plane,
     random_unitary,
 )
 
@@ -77,6 +79,23 @@ def test_stacked_effect_draw_matches_per_sample_effects(n, k, seed):
     got = _with_spectra(*_spectrum_draws(rng, n, *EFFECT_SPECTRUM, k))
     assert _same(got, np.stack([random_effect(each, n) for _ in range(k)]))
     assert _same(got, np.stack([_effect_ref(ref, n) for _ in range(k)]))
+    assert rng.bit_generator.state == each.bit_generator.state == ref.bit_generator.state
+
+
+def _half_plane_ref(rng, n):
+    X = herm_part(_gaussian_ref(rng, n))
+    values = rng.uniform(0.1, 1.5, size=n)
+    Q = _unitary_ref(rng, n)
+    return X + 1j * herm_part((Q * values) @ Q.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims, stack_sizes, seeds)
+def test_stacked_half_plane_draw_matches_per_sample_points(n, k, seed):
+    rng, each, ref = (np.random.default_rng(seed) for _ in range(3))
+    got = _half_plane_stack(rng, n, k)
+    assert _same(got, np.stack([random_half_plane(each, n) for _ in range(k)]))
+    assert _same(got, np.stack([_half_plane_ref(ref, n) for _ in range(k)]))
     assert rng.bit_generator.state == each.bit_generator.state == ref.bit_generator.state
 
 
