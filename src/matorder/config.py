@@ -18,7 +18,7 @@ class ToleranceConfig:
     herm_tol    relative hermiticity cushion ||X - X*||_F <= herm_tol*(1+||X||_F)
     eig_tol     eigendecomposition residual/unitarity bound (relative)
     psd_tol     relative eigenvalue cutoff for order comparisons and rank
-    inv_margin  invertibility margin for sigma_min / half-plane membership
+    inv_margin  invertible iff sigma_min > inv_margin*(1+sigma_max); absolute half-plane/guard margin
     """
 
     herm_tol: float = 1e-10

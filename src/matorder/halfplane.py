@@ -20,7 +20,6 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from .linalg import (
     _eigh,
-    _invertibility_margin,
     _is_hermitian,
     _is_invertible,
     _same_dim,
@@ -103,9 +102,12 @@ def inverse_cayley(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
 
 
 def neg_inverse(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The involution Z -> -Z^{-1}; preserves the half-plane."""
+    """The involution Z -> -Z^{-1}; preserves the half-plane.
+
+    Raises DomainViolationError where sigma_min <= inv_margin*(1 + sigma_max).
+    """
     M = as_square(Z)
-    if _invertibility_margin(M) <= tol.inv_margin:
+    if not _is_invertible(M, tol):
         raise DomainViolationError("operand is numerically singular")
     return -np.linalg.inv(M)
 
@@ -146,7 +148,7 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
         values = _eigh(herm_part(M)).values
         if np.any(np.abs(values - pole) <= tol.inv_margin):
             raise DomainViolationError("spectrum touches the pole of the map")
-    elif _invertibility_margin(shifted) <= tol.inv_margin * (1.0 + opnorm(shifted)):
+    elif not _is_invertible(shifted, tol):
         raise DomainViolationError("resolvent of the map is numerically singular")
     out = (1.0 / r) * np.eye(n) - ((1.0 - r) / r**2) * np.linalg.inv(shifted)
     return herm_part(out) if hermitian else out
@@ -201,7 +203,8 @@ def apply_mobius(m: MobiusAutomorphism, Z: Iterable, tol: ToleranceConfig = DEFA
     """Evaluate the automorphism at a half-plane or Hermitian point.
 
     Raises DomainViolationError where W = Z' - B or W A + I is numerically
-    singular (sigma_min <= inv_margin), so where ((Z' - B)^{-1} + A)^{-1} fails.
+    singular (sigma_min <= inv_margin*(1 + sigma_max), linalg._is_invertible),
+    so where ((Z' - B)^{-1} + A)^{-1} fails.
     """
     return _apply_mobius(m, _same_dim(as_square(Z), m.frame)[0], tol)
 
@@ -212,11 +215,11 @@ def _apply_mobius(m: MobiusAutomorphism, Z: np.ndarray, tol: ToleranceConfig) ->
     Raises, with apply_mobius's message, when either gate fails on any member.
     """
     W = _shifted(m, Z)
-    # the smallest singular value of the stack is the smallest sigma_min of its members
-    if np.linalg.svd(W, compute_uv=False).min(initial=np.inf) <= tol.inv_margin:
+    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
+    if not all(_is_invertible(W, tol).flat):
         raise DomainViolationError("Z' - B is numerically singular")
     M = W @ m.A + np.eye(m.dim)
-    if np.linalg.svd(M, compute_uv=False).min(initial=np.inf) <= tol.inv_margin:
+    if not all(_is_invertible(M, tol).flat):
         raise DomainViolationError("(Z' - B) A + I is numerically singular")
     return _mobius_eval(m, W, M)
 
@@ -296,6 +299,11 @@ def _congruence_from_probes(
     return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
 
 
+def _checked_evaluator(evaluator: Callable, eye: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator, each value checked to be a finite matrix of eye's dimension (MalformedInputError otherwise)."""
+    return lambda Z: _same_dim(as_square(evaluator(Z), "evaluator value"), eye)[0]
+
+
 def fit_canonical(
     evaluator: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -324,10 +332,7 @@ def fit_canonical(
     if dim < 1:
         raise MalformedInputError("dim must be positive")
     eye = np.eye(dim, dtype=complex)
-
-    def value(Z: np.ndarray) -> np.ndarray:
-        return _same_dim(as_square(evaluator(Z), "evaluator value"), eye)[0]
-
+    value = _checked_evaluator(evaluator, eye)
     if anchor is None:
         return _fit_centered(value, eye, tol)
     _, X0, Y0 = _same_dim(eye, as_hermitian(anchor[0], tol, "anchor input"),

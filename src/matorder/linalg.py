@@ -11,7 +11,9 @@ as_hermitian, checks that the dimensions agree with _same_dim, and then
 calls a private trusted kernel (_eigh, _is_invertible, _loewner_compare,
 ...). Hermiticity is decided by _is_hermitian alone: as_hermitian raises on
 it, and functions that accept both Hermitian and non-Hermitian points
-branch on it. A kernel takes complex ndarrays that are already square and
+branch on it. Invertibility is decided by _is_invertible alone, relative to
+the scale of the matrix: sigma_min > inv_margin*(1 + sigma_max), from one
+SVD. A kernel takes complex ndarrays that are already square and
 finite and, where it asks for Hermitian input, exactly Hermitian: the
 output of as_hermitian or herm_part, or an expression that keeps exact
 symmetry (sums, differences and real multiples of such arrays, and their
@@ -254,7 +256,7 @@ class OrderVerdict:
     """Loewner comparison of a Hermitian pair, driven by eigenvalues of Y - X.
 
     scale = 1 + ||Y - X||_2. The boolean views overlap by design (equal
-    implies leq and geq); `verdict` reports the most specific label.
+    implies leq and geq).
     """
 
     min_eig: float
@@ -280,26 +282,8 @@ class OrderVerdict:
         return self.min_eig >= self.inv_margin * self.scale
 
     @property
-    def gt(self) -> bool:
-        return self.max_eig <= -self.inv_margin * self.scale
-
-    @property
     def incomparable(self) -> bool:
         return self.min_eig < -self.psd_tol * self.scale and self.max_eig > self.psd_tol * self.scale
-
-    @property
-    def verdict(self) -> str:
-        if self.equal:
-            return "equal"
-        if self.lt:
-            return "lt"
-        if self.gt:
-            return "gt"
-        if self.leq:
-            return "leq"
-        if self.geq:
-            return "geq"
-        return "incomparable"
 
 
 def loewner_compare(X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
@@ -369,11 +353,7 @@ def _spectral_apply(
 
 def invertibility_margin(X: Iterable) -> float:
     """Smallest singular value (0 means exactly singular)."""
-    return _invertibility_margin(as_square(X))
-
-
-def _invertibility_margin(M: np.ndarray) -> float:
-    """Kernel of invertibility_margin on a square finite array."""
+    M = as_square(X)
     if M.shape[0] == 0:
         return np.inf
     return float(np.linalg.svd(M, compute_uv=False)[-1])

@@ -29,7 +29,7 @@ from .errors import (
     ModelMismatchError,
     PathSearchError,
 )
-from .halfplane import MobiusAutomorphism, _congruence_from_probes, _mobius_eval, _shifted, normalize_phase
+from .halfplane import MobiusAutomorphism, _checked_evaluator, _congruence_from_probes, _mobius_eval, _shifted, normalize_phase
 from .linalg import (
     _eigh,
     _has_inertia,
@@ -41,7 +41,6 @@ from .linalg import (
     as_hermitian,
     as_square,
     herm_part,
-    is_invertible,
     opnorm,
     sqrt_psd,
 )
@@ -304,11 +303,13 @@ def identify_parameters(
     the flag (halfplane._congruence_from_probes), and A is then read off
     algebraically at a small invertible sample. Two independent samples must
     agree on A, otherwise the evaluator is not of the model form. The
-    difference step is 1e-4 (1 + the evaluator's gain at 0).
+    difference step is 1e-4 (1 + the evaluator's gain at 0). Every evaluator
+    value must be a finite dim x dim matrix (MalformedInputError otherwise).
     """
     if dim < 1:
         raise MalformedInputError("dim must be positive")
     eye = np.eye(dim, dtype=complex)
+    evaluator = _checked_evaluator(evaluator, eye)
     probe_gain = float(np.linalg.norm(evaluator(1e-6 * eye))) / 1e-6
     h = 1e-4 * (1.0 + probe_gain)
 
@@ -321,7 +322,7 @@ def identify_parameters(
     )
     if residual > DERIVATIVE_RESIDUAL_TOL * scale:
         raise ModelMismatchError("derivative at 0 is not of congruence form")
-    if not is_invertible(T, tol):
+    if not _is_invertible(T, tol):
         raise ModelMismatchError("recovered frame is singular")
 
     Tinv = np.linalg.inv(T)

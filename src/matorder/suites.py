@@ -259,8 +259,13 @@ def _mixed_rank_hermitian(rng: np.random.Generator, n: int, zero_prob: float = 0
     return _with_spectrum(rng, vals)
 
 
+# invertibility cushions: samples kept well inside a domain, Hermitian samples whose inverse is checked to 1e-10
+WELL_MARGINED = ToleranceConfig(inv_margin=1e-3)
+INVOLUTION_MARGIN = ToleranceConfig(inv_margin=0.05)
+
+
 def _well_margined(M: np.ndarray) -> bool:
-    return invertibility_margin(M) > 1e-3 * (1.0 + opnorm(M))
+    return is_invertible(M, WELL_MARGINED)
 
 
 def _sample_shear_member(rng: np.random.Generator, A: np.ndarray) -> Optional[np.ndarray]:
@@ -537,7 +542,7 @@ def _suite_halfplane_roundtrip(rng, trials, tol, rec):
         rec.check(bool(in_half_plane(N, tol)), t, "negated inverse left the half-plane", Z=Z)
         rec.check_residual(_rel(neg_inverse(N, tol), Z), 1e-10, t, "negated inverse involution", Z=Z)
         X = random_hermitian(rng, n)
-        if invertibility_margin(X) > 0.05 * (1.0 + opnorm(X)):
+        if is_invertible(X, INVOLUTION_MARGIN):
             rec.check_residual(_rel(neg_inverse(neg_inverse(X, tol), tol), X),
                                1e-10, t, "Hermitian involution", X=X)
 
@@ -648,7 +653,7 @@ def _suite_theta_inversion(rng, trials, tol, rec):
     worst_two_sided = 0.0
     for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n) if t % 20 else np.zeros((n, n), dtype=complex)
-        if invertibility_margin(A) <= tol.inv_margin * (1.0 + opnorm(A)):
+        if not is_invertible(A, tol):
             singular_bases += 1
         X = _sample_shear_member(rng, A)
         if X is None:
@@ -1056,7 +1061,7 @@ def _random_effect_map(rng: np.random.Generator, n: int, frame_form: bool):
     if frame_form:
         return EffectAutoSpec(frame=random_invertible(rng, n, max_cond=10.0), transpose=bool(rng.integers(2))), None
     T = _first(100, lambda: random_contraction(rng, n),
-               lambda T: is_invertible(T) and invertibility_margin(T) > 0.05)
+               lambda T: invertibility_margin(T) > 0.05)
     if T is None:
         raise RuntimeError("failed to draw a bijective contraction")
     fpq = FpqSpec(p=float(rng.uniform(0.15, 0.85)), q=float(-rng.uniform(0.3, 3.0)),

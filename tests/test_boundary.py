@@ -37,6 +37,7 @@ from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
     conjugated_base,
+    identify_parameters,
     in_shear_domain,
     in_zero_component,
     interval_below_criterion,
@@ -202,6 +203,17 @@ def test_dimension_defects_raise_malformed_input():
     for anchor in (None, (np.zeros((2, 2)), np.zeros((2, 2)))):
         with pytest.raises(MalformedInputError, match=r"^dimension mismatch: 3x3 vs 2x2$"):
             fit_canonical(lambda Z: 1j * np.eye(3), 2, anchor=anchor)
+
+
+@pytest.mark.parametrize("recover", [fit_canonical, identify_parameters], ids=lambda f: f.__name__)
+def test_evaluator_values_are_checked_as_evaluator_values(recover):
+    # identify_parameters used to fail on an intermediate: `matrix must be square, got shape (3, 2)`
+    with pytest.raises(MalformedInputError, match=r"^dimension mismatch: 3x3 vs 2x2$"):
+        recover(lambda Z: np.eye(3), 2)
+    with pytest.raises(MalformedInputError, match=r"^evaluator value must be square, got shape \(2, 3\)$"):
+        recover(lambda Z: np.ones((2, 3)), 2)
+    with pytest.raises(MalformedInputError, match=r"^evaluator value has non-finite entries$"):
+        recover(lambda Z: np.full((2, 2), np.nan), 2)
 
 
 def test_dimension_messages_name_both_sizes():

@@ -22,7 +22,7 @@ from matorder.halfplane import (
     neg_inverse,
     normalize_phase,
 )
-from matorder.linalg import herm_part, opnorm
+from matorder.linalg import herm_part, is_invertible, opnorm
 from matorder.sampling import (
     _seeded_draws,
     random_contraction,
@@ -238,6 +238,25 @@ def test_stacked_mobius_body_raises_where_one_member_fails(transpose):
         apply_mobius(m, Zs[2])
     with pytest.raises(DomainViolationError, match=r"^Z' - B is numerically singular$"):
         _apply_mobius(m, Zs, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("sigma_min, invertible", [(5e-6, False), (2e-5, True)])
+def test_singular_value_gates_agree_with_is_invertible(sigma_min, invertible):
+    # sigma_max = 1e3: the relative threshold 1e-8 (1 + 1e3) lies between the two sigma_min,
+    # the absolute inv_margin 1e-8 below both
+    rotation = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    W = rotation @ np.diag([1e3, sigma_min]) @ rotation.T
+    B = np.diag([1.0, -2.0]).astype(complex)
+    m = MobiusAutomorphism(frame=np.eye(2), A=np.zeros((2, 2)), B=B)
+    assert is_invertible(W) is invertible
+    if invertible:
+        apply_mobius(m, W + B)
+        neg_inverse(W)
+        return
+    with pytest.raises(DomainViolationError, match=r"^Z' - B is numerically singular$"):
+        apply_mobius(m, W + B)
+    with pytest.raises(DomainViolationError, match="numerically singular"):
+        neg_inverse(W)
 
 
 @pytest.mark.parametrize("dim", [1, 3])

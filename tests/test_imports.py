@@ -1,6 +1,7 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
-draw outside the one cache, and scipy stays off the CLI's import path and off an fpq apply."""
+draw outside the one cache, no singular values taken outside linalg and two allowed owners, and scipy
+stays off the CLI's import path and off an fpq apply."""
 
 import ast
 import math
@@ -220,6 +221,47 @@ def test_shell_only_kernel_scan_sees_a_kernel_with_one_caller():
         "b": "from .a import _m\nclass C:\n    def f(self):\n        return _m(1)\n",
     }
     assert _shell_only_kernels(sources) == [("a", "_f")]
+
+
+# sigma_min decisions go through linalg._is_invertible; outside linalg only the sampler's condition gate
+# and FpqSpec's one SVD, which gives both its gates and its factor, take singular values
+SVD_OWNERS = {("sampling", "random_invertible"), ("classify", "FpqSpec.__post_init__")}
+
+
+def _svd_calls(sources):
+    """(module, owner, line) of each svd call in `sources` (module name -> text) outside linalg and
+    SVD_OWNERS; the owner is the dotted name of the enclosing classes and functions, or "<module>"."""
+    found = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "svd" \
+                and module != "linalg" and (module, owner) not in SVD_OWNERS:
+            found.append((module, owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(found)
+
+
+def test_singular_values_are_taken_only_where_allowed():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _svd_calls(sources) == []
+
+
+def test_svd_scan_sees_a_planted_call():
+    sources = {
+        "linalg": "import numpy as np\ndef _k(M):\n    return np.linalg.svd(M)\n",
+        "sampling": "import numpy as np\ndef random_invertible(T):\n    return np.linalg.svd(T)\n"
+                    "def other(T):\n    return np.linalg.svd(T)[-1] > 0\n",
+        "classify": "from numpy.linalg import svd\nclass FpqSpec:\n    def __post_init__(self):\n        svd(self.frame)\n"
+                    "class K:\n    def __post_init__(self):\n        svd(self.frame)\nS = svd([[1.0]])\n",
+    }
+    assert _svd_calls(sources) == [("classify", "<module>", 8), ("classify", "K.__post_init__", 7),
+                                   ("sampling", "other", 5)]
 
 
 # draws of a fixed seed are made once per argument tuple there, and shared read-only
