@@ -27,10 +27,10 @@ class ToleranceConfig:
     inv_margin: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("herm_tol", "eig_tol", "psd_tol", "inv_margin"):
-            value = getattr(self, name)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
             if not (value > 0.0):
-                raise MalformedInputError(f"{name} must be strictly positive, got {value}")
+                raise MalformedInputError(f"{field.name} must be strictly positive, got {value}")
 
     def replace(self, **kwargs: float) -> "ToleranceConfig":
         return dataclasses.replace(self, **kwargs)
@@ -47,7 +47,7 @@ def parse_tolerance_overrides(text: str, base: ToleranceConfig = DEFAULT_TOL) ->
     text = text.strip()
     if not text:
         return base
-    allowed = {"herm_tol", "eig_tol", "psd_tol", "inv_margin"}
+    allowed = {field.name for field in dataclasses.fields(ToleranceConfig)}
     overrides: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()

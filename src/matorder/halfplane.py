@@ -19,6 +19,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from .linalg import (
+    _check_guard,
     _eigh,
     _is_hermitian,
     _is_invertible,
@@ -145,9 +146,7 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
     shifted = M - pole * np.eye(n)
     hermitian = _is_hermitian(M, tol)
     if hermitian:
-        values = _eigh(herm_part(M)).values
-        if np.any(np.abs(values - pole) <= tol.inv_margin):
-            raise DomainViolationError("spectrum touches the pole of the map")
+        _check_guard(_eigh(herm_part(M)).values, None, (pole,), tol.inv_margin)
     elif not _is_invertible(shifted, tol):
         raise DomainViolationError("resolvent of the map is numerically singular")
     out = (1.0 / r) * np.eye(n) - ((1.0 - r) / r**2) * np.linalg.inv(shifted)
@@ -351,9 +350,9 @@ def _fit_centered(
     """fit_canonical without an anchor, for an evaluator whose values are validated dim x dim arrays."""
     dim = eye.shape[0]
     W = value(1j * eye)
-    A2 = _imag_part(W)
-    if float(_eigh(A2).values[0]) <= tol.inv_margin:
+    if not _in_half_plane(W, tol):
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
+    A2 = _imag_part(W)
     A1 = herm_part((W + W.conj().T) / 2.0)
     A2h = sqrt_psd(A2, tol)
     A2hinv = np.linalg.inv(A2h)

@@ -150,7 +150,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures and int(self.details.get("failure_count", 0)) == 0
+        return self.details["failure_count"] == 0
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -158,7 +158,7 @@ class RunReport:
             "seed": self.seed,
             "trials": self.trials,
             "passed": self.passed,
-            "failure_count": int(self.details.get("failure_count", len(self.failures))),
+            "failure_count": self.details["failure_count"],
             "failures": self.failures,
             "max_residual": float(self.max_residual),
             "details": self.details,
@@ -235,6 +235,20 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
 def _gap(P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> float:
     """Smallest eigenvalue of Q - P: nonnegative iff P <= Q."""
     return float(hermitian_eigen(herm_part(Q - P), tol).values[0])
+
+
+def _check_order(rec: _Recorder, t: int, P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig,
+                 what: str, /, strict: bool = False, **witnesses) -> float:
+    """Check that the images P <= Q of an ordered pair stay ordered, and strictly so if `strict`.
+
+    The cushion is 1e-8 * (1 + max(||P||, ||Q||)); returns the scaled gap.
+    """
+    scale = 1.0 + max(opnorm(P), opnorm(Q))
+    gap = _gap(P, Q, tol)
+    rec.check(gap >= -1e-8 * scale, t, f"ordered {what} lost order (margin {gap:.3e})", **witnesses)
+    if strict:
+        rec.check(loewner_compare(P, Q, tol).lt, t, f"strict {what} no longer strict", **witnesses)
+    return gap / scale
 
 
 def _in_interval(M: np.ndarray, lo: float, hi: float, tol: ToleranceConfig) -> bool:
@@ -703,19 +717,12 @@ def _suite_order_embedding(rng, trials, tol, rec):
             rec.check(loewner_compare(P, Q, tol).incomparable, t,
                       "incomparable pair became comparable", A=base, X=X, Y=Y)
             continue
-        scale = 1.0 + max(opnorm(P), opnorm(Q))
-        gap = _gap(P, Q, tol)
-        rec.check(gap >= -1e-8 * scale, t,
-                  f"ordered pair lost order (margin {gap:.3e})", A=base, X=X, Y=Y)
+        margin = _check_order(rec, t, P, Q, tol, "pair", strict, A=base, X=X, Y=Y)
         if strict:
             strict_checked += 1
-            min_strict_margin = min(min_strict_margin, gap / scale)
-            rec.check(loewner_compare(P, Q, tol).lt, t,
-                      "strict pair no longer strict", A=base, X=X, Y=Y)
-        back_X = order_iso_apply(-base, P, tol)
-        back_Y = order_iso_apply(-base, Q, tol)
-        rec.check(_gap(back_X, back_Y, tol) >= -1e-8 * (1.0 + max(opnorm(back_X), opnorm(back_Y))), t,
-                  "pulled-back pair lost order", A=base, X=X, Y=Y)
+            min_strict_margin = min(min_strict_margin, margin)
+        _check_order(rec, t, order_iso_apply(-base, P, tol), order_iso_apply(-base, Q, tol), tol,
+                     "pulled-back pair", A=base, X=X, Y=Y)
     return {"skipped": skipped, "strict_checked": strict_checked,
             "min_strict_margin": min_strict_margin if strict_checked else None}
 
@@ -970,16 +977,11 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
         Y = herm_part(X + D)
         FX = block_map_apply(spec, X, tol)
         FY = block_map_apply(spec, Y, tol)
-        scale = 1.0 + max(opnorm(FX), opnorm(FY))
         if indefinite:
             rec.check(loewner_compare(FX, FY, tol).incomparable, t,
                       "incomparable pair became comparable", X=X, Y=Y)
             continue
-        gap = _gap(FX, FY, tol)
-        rec.check(gap >= -1e-8 * scale, t,
-                  f"ordered pair lost order under the block map (margin {gap:.3e})", X=X, Y=Y)
-        if strict:
-            rec.check(loewner_compare(FX, FY, tol).lt, t, "strict pair no longer strict", X=X, Y=Y)
+        _check_order(rec, t, FX, FY, tol, "pair under the block map", strict, X=X, Y=Y)
         back_gap = _gap(block_map_apply(spec.dual, FX, tol), block_map_apply(spec.dual, FY, tol), tol)
         rec.check(back_gap >= -1e-8 * (1.0 + opnorm(X) + opnorm(Y)), t,
                   "pulled-back pair lost order", X=X, Y=Y)
@@ -1089,11 +1091,7 @@ def _suite_effect_order(rng, trials, tol, rec):
         strict = t % 4 == 1
         X, Y = _effect_pair(rng, n, strict=strict)
         FX, FY = phi(X), phi(Y)
-        scale = 1.0 + max(opnorm(FX), opnorm(FY))
-        gap = _gap(FX, FY, tol)
-        rec.check(gap >= -1e-8 * scale, t, f"ordered effects lost order (margin {gap:.3e})", X=X, Y=Y)
-        if strict:
-            rec.check(loewner_compare(FX, FY, tol).lt, t, "strict effect pair no longer strict", X=X, Y=Y)
+        _check_order(rec, t, FX, FY, tol, "effect pair", strict, X=X, Y=Y)
         if fpq is None and not m.transpose:
             inv_spec = EffectAutoSpec(frame=np.linalg.inv(m.frame))
             back = effect_automorphism(inv_spec, FX, tol)
@@ -1107,9 +1105,7 @@ def _suite_effect_order(rng, trials, tol, rec):
             sx, sy = X, Y
             for stage, f in enumerate((f1, f2, f3, f4)):
                 sx, sy = f(sx), f(sy)
-                stage_gap = _gap(sx, sy, tol)
-                rec.check(stage_gap >= -1e-8 * (1.0 + max(opnorm(sx), opnorm(sy))), t,
-                          f"factor {stage + 1} lost order", X=X, Y=Y)
+                _check_order(rec, t, sx, sy, tol, f"effect pair after factor {stage + 1}", X=X, Y=Y)
         D = _first(60, lambda: herm_part(X + _indefinite_step(rng, X) * 0.3),
                    lambda D: _in_interval(D, 1e-3, 1.0 - 1e-3, tol))
         if D is not None and loewner_compare(X, D, tol).incomparable:
@@ -1151,9 +1147,7 @@ def _suite_effect_embedding(rng, trials, tol, rec):
             Y = eye
         FX = effect_embedding_map(spec, X, tol)
         FY = effect_embedding_map(spec, Y, tol)
-        gap = _gap(FX, FY, tol)
-        rec.check(gap >= -1e-8 * (1.0 + max(opnorm(FX), opnorm(FY))), t,
-                  f"embedding lost order (margin {gap:.3e})", X=X, Y=Y)
+        _check_order(rec, t, FX, FY, tol, "effect pair under the embedding", X=X, Y=Y)
         flags = endpoint_continuity(spec, tol)
         want_zero = v0 is None or opnorm(v0 - offset) <= 1e-8 * (1.0 + opnorm(offset))
         want_one = v1 is None or opnorm(v1 - interior_top) <= 1e-8 * (1.0 + opnorm(interior_top))

@@ -1,9 +1,10 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
-draw outside the one cache, no singular values taken outside linalg and two allowed owners, and scipy
-stays off the CLI's import path and off an fpq apply."""
+draw outside the one cache, no singular values taken outside linalg and two allowed owners, scipy
+stays off the CLI's import path and off an fpq apply, and the package binds every module's __all__."""
 
 import ast
+import importlib
 import math
 import os
 import pathlib
@@ -19,6 +20,12 @@ from matorder.fileio import write_matrix_file
 PACKAGE = pathlib.Path(matorder.__file__).parent
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", ["linalg", "order", "halfplane", "localiso", "classify", "monotone"])
+def test_package_binds_each_public_name_of_the_module(module):
+    mod = importlib.import_module(f"matorder.{module}")
+    assert [name for name in mod.__all__ if getattr(matorder, name, None) is not getattr(mod, name)] == []
 
 
 def _unused_imports(source: str):

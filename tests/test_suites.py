@@ -165,3 +165,21 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     assert rec.failure_count == 1
     assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
     assert rng.bit_generator.state == clean.bit_generator.state
+
+
+def test_check_order_fails_past_its_cushion_and_on_lost_strictness():
+    # scale = 1 + max(||P||, ||Q||) = 2 for P = I and Q = I - c e1 e1*; the gap is -c
+    P = np.eye(2)
+
+    def recorded(c, strict=False):
+        rec = suites._Recorder()
+        margin = suites._check_order(rec, 0, P, P - np.diag([c, 0.0]), DEFAULT_TOL, "pair", strict, P=P)
+        return rec, margin
+
+    rec, margin = recorded(4e-8)
+    assert rec.failure_count == 1 and "lost order (margin" in rec.failures[0]["description"]
+    assert margin == pytest.approx(-2e-8)
+    assert recorded(1e-8)[0].failure_count == 0
+    rec, margin = recorded(0.0, strict=True)
+    assert rec.failure_count == 1 and rec.failures[0]["description"] == "strict pair no longer strict"
+    assert margin == 0.0
