@@ -12,6 +12,7 @@ parameters.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -235,7 +236,7 @@ def normalize_phase(T: np.ndarray) -> np.ndarray:
 
 
 def _canonical_inverse(T: np.ndarray, A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of Z -> T(Z^{-1} + A)^{-1}T* as a closure."""
+    """Inverse of Z -> T(Z^{-1} + A)^{-1}T* as a closure, member by member on a stack."""
     Tinv = np.linalg.inv(T)
 
     def inverse(Y: np.ndarray) -> np.ndarray:
@@ -250,38 +251,30 @@ def _congruence_from_probes(
 ) -> Tuple[np.ndarray, bool, float, float]:
     """(T, transpose, residual, scale) of a linear response E -> T E' T*.
 
-    Probes e1e1*, H = e1ej* + eje1* and K = i(e1ej* - eje1*): the rank-one
+    Probes e1e1*, H = e1ej* + eje1* and K = i(e1ej* - eje1*), one stack
+    (2 dim - 1, dim, dim) answered by one respond call: the rank-one
     response to e1e1* gives t1, and (R(H) - iR(K))/2 is t1 tj* without the
     transpose, tj t1* with it. The candidate frame with the smaller worst
     probe residual wins; scale = 1 + the largest response norm.
     """
-    E11 = np.zeros((dim, dim), dtype=complex)
-    E11[0, 0] = 1.0
-    D11 = respond(E11)
-    decomp = hermitian_eigen(D11, tol)
+    E = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
+    E[0, 0, 0] = 1.0
+    for j in range(1, dim):
+        E[2 * j - 1, 0, j] = E[2 * j - 1, j, 0] = 1.0
+        E[2 * j, 0, j], E[2 * j, j, 0] = 1j, -1j
+    D = respond(E)
+    decomp = hermitian_eigen(D[0], tol)
     t1 = decomp.vectors[:, -1] * np.sqrt(max(float(decomp.values[-1]), 0.0))
     t1_sq = float(np.vdot(t1, t1).real)
     if t1_sq <= tol.inv_margin:
         raise ModelMismatchError("probe response at e1 is degenerate")
 
-    probes, responses = [E11], [D11]
     cols_linear = [t1]
     cols_transpose = [t1]
     for j in range(1, dim):
-        H = np.zeros((dim, dim), dtype=complex)
-        H[0, j] = 1.0
-        H[j, 0] = 1.0
-        K = np.zeros((dim, dim), dtype=complex)
-        K[0, j] = 1j
-        K[j, 0] = -1j
-        DH = respond(H)
-        DK = respond(K)
-        probes += [H, K]
-        responses += [DH, DK]
-        C = (DH - 1j * DK) / 2.0
+        C = (D[2 * j - 1] - 1j * D[2 * j]) / 2.0
         cols_linear.append(C.conj().T @ t1 / t1_sq)
         cols_transpose.append(C @ t1 / t1_sq)
-    E, D = np.stack(probes), np.stack(responses)
 
     def worst_opnorm(S: np.ndarray) -> float:
         return float(np.linalg.norm(S, 2, axis=(-2, -1)).max())
@@ -298,9 +291,22 @@ def _congruence_from_probes(
     return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
 
 
-def _checked_evaluator(evaluator: Callable, eye: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The evaluator, each value checked to be a finite matrix of eye's dimension (MalformedInputError otherwise)."""
-    return lambda Z: _same_dim(as_square(evaluator(Z), "evaluator value"), eye)[0]
+def _checked_dim(dim) -> int:
+    """dim as a positive int; MalformedInputError for a non-integer or one below 1."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise MalformedInputError(f"dim must be an integer, got {type(dim).__name__}") from None
+    if dim < 1:
+        raise MalformedInputError("dim must be positive")
+    return dim
+
+
+def _checked_evaluator(evaluator: Callable, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A per-matrix evaluator as a stacked one: called once per member of a stack (k, dim, dim), each
+    value checked to be a finite dim x dim matrix (MalformedInputError otherwise), the values stacked."""
+    eye = np.eye(dim)
+    return lambda Z: np.stack([_same_dim(as_square(evaluator(X), "evaluator value"), eye)[0] for X in Z])
 
 
 def fit_canonical(
@@ -322,21 +328,29 @@ def fit_canonical(
     (_congruence_from_probes), then fold the unitary into the parameters.
     The result is validated against 20 random half-plane samples of
     FIT_VALIDATION_SEED, drawn once per dimension and shared by every fit
-    (sampling._seeded_draws): the evaluator is called at each sample, the
-    fitted map evaluated at all of them in one stacked call, and a worst
-    residual beyond FIT_RESIDUAL_TOL relative raises ModelMismatchError.
-    Every evaluator value must be a finite dim x dim matrix
-    (MalformedInputError otherwise).
+    (sampling._seeded_draws): a worst residual beyond FIT_RESIDUAL_TOL
+    relative raises ModelMismatchError.
+
+    The shell calls the evaluator once per point, 1 + (2 dim - 1) + 20 times,
+    and checks that each value is a finite dim x dim matrix (MalformedInputError
+    otherwise); the body, _fit_canonical, evaluates iI, the probes and the samples as one stack each.
     """
-    if dim < 1:
-        raise MalformedInputError("dim must be positive")
+    dim = _checked_dim(dim)
+    return _fit_canonical(_checked_evaluator(evaluator, dim), dim, anchor, tol)
+
+
+def _fit_canonical(values: Callable[[np.ndarray], np.ndarray], dim: int, anchor: Optional[tuple],
+                   tol: ToleranceConfig) -> MobiusAutomorphism:
+    """Body of fit_canonical for a stacked evaluator: values maps a stack (k, dim, dim) to its stack of values."""
     eye = np.eye(dim, dtype=complex)
-    value = _checked_evaluator(evaluator, eye)
     if anchor is None:
-        return _fit_centered(value, eye, tol)
-    _, X0, Y0 = _same_dim(eye, as_hermitian(anchor[0], tol, "anchor input"),
-                          as_hermitian(anchor[1], tol, "anchor output"))
-    centered = _fit_centered(lambda Z: value(Z + X0) - Y0, eye, tol)
+        return _fit_centered(values, eye, tol)
+    try:
+        X0, Y0 = anchor
+    except (TypeError, ValueError):
+        raise MalformedInputError("anchor must be a pair (X0, Y0)") from None
+    _, X0, Y0 = _same_dim(eye, as_hermitian(X0, tol, "anchor input"), as_hermitian(Y0, tol, "anchor output"))
+    centered = _fit_centered(lambda Z: values(Z + X0) - Y0, eye, tol)
     # the shift meets the argument after the optional transpose
     B = X0.T if centered.transpose else X0
     return MobiusAutomorphism(
@@ -345,11 +359,11 @@ def fit_canonical(
 
 
 def _fit_centered(
-    value: Callable[[np.ndarray], np.ndarray], eye: np.ndarray, tol: ToleranceConfig
+    values: Callable[[np.ndarray], np.ndarray], eye: np.ndarray, tol: ToleranceConfig
 ) -> MobiusAutomorphism:
-    """fit_canonical without an anchor, for an evaluator whose values are validated dim x dim arrays."""
+    """fit_canonical without an anchor, for a stacked evaluator whose values are validated stacks."""
     dim = eye.shape[0]
-    W = value(1j * eye)
+    W = values((1j * eye)[None])[0]
     if not _in_half_plane(W, tol):
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
     A2 = _imag_part(W)
@@ -364,7 +378,7 @@ def _fit_centered(
     peel = _canonical_inverse(T, A)
 
     def probe(E: np.ndarray) -> np.ndarray:
-        return herm_part(peel(value(1j * eye + E)) - 1j * eye)
+        return herm_part(peel(values(1j * eye + E)) - 1j * eye)
 
     u, transpose, _, _ = _congruence_from_probes(probe, dim, tol)
     if np.linalg.norm(u.conj().T @ u - eye) > 1e-6 * dim:
@@ -374,7 +388,7 @@ def _fit_centered(
     )
 
     points = _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, dim, FIT_VALIDATION_POINTS)
-    wants = [value(Z) for Z in points]
+    wants = values(points)
     worst = 0.0
     for want, got in zip(wants, _apply_mobius(fitted, points, tol)):
         worst = max(worst, float(np.linalg.norm(want - got)) / (1.0 + float(np.linalg.norm(want))))

@@ -31,12 +31,14 @@ same LAPACK or BLAS call on each member as on a single matrix. Here
 _has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
 herm_part and _rank_cut reduce over the last axes, and
 np.linalg.norm(S, 2, axis=(-2, -1)) is opnorm member by member;
-localiso._in_zero_component, classify._block_map and
+localiso._in_zero_component, classify._block_map,
 halfplane._apply_mobius (the shift, both singular-value gates and the
-Mobius evaluation) take stacks the same way. Suites draw their samples in
-order, finish them with herm_part (so a stack is exactly Hermitian without
-a second hermiticity test) and then check them in one call per stack;
-public functions stay per-matrix.
+Mobius evaluation) and localiso._apply_local_iso take stacks the same way,
+and the recovery bodies halfplane._fit_canonical and
+localiso._identify_parameters evaluate their probes and sample points as
+stacks. Suites draw their samples in order, finish them with herm_part (so
+a stack is exactly Hermitian without a second hermiticity test) and then
+check them in one call per stack; public functions stay per-matrix.
 """
 
 from __future__ import annotations

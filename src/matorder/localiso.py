@@ -23,13 +23,9 @@ from typing import Callable, Iterable, List, NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import (
-    DomainViolationError,
-    MalformedInputError,
-    ModelMismatchError,
-    PathSearchError,
-)
-from .halfplane import MobiusAutomorphism, _checked_evaluator, _congruence_from_probes, _mobius_eval, _shifted, normalize_phase
+from .errors import DomainViolationError, ModelMismatchError, PathSearchError
+from .halfplane import (MobiusAutomorphism, _checked_dim, _checked_evaluator, _congruence_from_probes, _mobius_eval,
+                        _shifted, normalize_phase)
 from .linalg import (
     _eigh,
     _has_inertia,
@@ -278,17 +274,24 @@ def apply_local_iso(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = D
     Requires X' - B in the zero component of A, where Phi_A is
     order_iso_apply; Hermitian in, Hermitian out.
     """
-    W = _shifted(m, _same_dim(as_hermitian(X, tol, "X"), m.frame)[0])
-    if not _in_zero_component(m.A, W, tol):
+    return _apply_local_iso(m, _same_dim(as_hermitian(X, tol, "X"), m.frame)[0], tol)
+
+
+def _apply_local_iso(m: MobiusAutomorphism, X: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of apply_local_iso on an exactly Hermitian stack (..., n, n) of points of the map's dimension.
+
+    Raises, with apply_local_iso's message, when any member is outside the zero component.
+    """
+    W = _shifted(m, X)
+    if not all(_in_zero_component(m.A, W, tol).flat):
         raise DomainViolationError("X' - B is outside the zero component of A")
     return herm_part(_mobius_eval(m, W, W @ m.A + np.eye(m.dim)))
 
 
-def _five_point_derivative(evaluator, E: np.ndarray, h: float) -> np.ndarray:
-    """O(h^4) central difference of t -> evaluator(tE) at t = 0."""
-    direct = evaluator(h * E) - evaluator(-h * E)
-    wide = evaluator(2.0 * h * E) - evaluator(-2.0 * h * E)
-    return herm_part((8.0 * direct - wide) / (12.0 * h))
+def _five_point_derivatives(values: Callable[[np.ndarray], np.ndarray], E: np.ndarray, h: float) -> np.ndarray:
+    """O(h^4) central differences of t -> values(tE) at t = 0 for a stack E (k, n, n), from one call of 4k points."""
+    plus, minus, wide_plus, wide_minus = np.split(values(np.concatenate([h * E, -h * E, 2.0 * h * E, -2.0 * h * E])), 4)
+    return herm_part((8.0 * (plus - minus) - (wide_plus - wide_minus)) / (12.0 * h))
 
 
 def identify_parameters(
@@ -303,40 +306,43 @@ def identify_parameters(
     the flag (halfplane._congruence_from_probes), and A is then read off
     algebraically at a small invertible sample. Two independent samples must
     agree on A, otherwise the evaluator is not of the model form. The
-    difference step is 1e-4 (1 + the evaluator's gain at 0). Every evaluator
-    value must be a finite dim x dim matrix (MalformedInputError otherwise).
+    difference step is 1e-4 (1 + the evaluator's gain at 0).
+
+    The shell calls the evaluator once per point, 2 + 4 (2 dim - 1) + 2 times,
+    and checks that each value is a finite dim x dim matrix (MalformedInputError
+    otherwise); the body, _identify_parameters, evaluates the gain and zero
+    samples, the differences of all probes and the two base samples as one stack each.
     """
-    if dim < 1:
-        raise MalformedInputError("dim must be positive")
+    dim = _checked_dim(dim)
+    return _identify_parameters(_checked_evaluator(evaluator, dim), dim, tol)
+
+
+def _identify_parameters(values: Callable[[np.ndarray], np.ndarray], dim: int, tol: ToleranceConfig) -> MobiusAutomorphism:
+    """Body of identify_parameters for a stacked evaluator: values maps a stack (k, dim, dim) to its stack of values."""
     eye = np.eye(dim, dtype=complex)
-    evaluator = _checked_evaluator(evaluator, eye)
-    probe_gain = float(np.linalg.norm(evaluator(1e-6 * eye))) / 1e-6
+    gain_value, zero_value = values(np.stack([1e-6 * eye, np.zeros((dim, dim))]))
+    probe_gain = float(np.linalg.norm(gain_value)) / 1e-6
     h = 1e-4 * (1.0 + probe_gain)
 
-    at_zero = float(np.linalg.norm(evaluator(np.zeros((dim, dim)))))
+    at_zero = float(np.linalg.norm(zero_value))
     if at_zero > 1e-8 * (1.0 + probe_gain):
         raise ModelMismatchError(f"evaluator(0) = {at_zero:.3e}, expected 0")
 
     T, transpose, residual, scale = _congruence_from_probes(
-        lambda E: _five_point_derivative(evaluator, E, h), dim, tol
+        lambda E: _five_point_derivatives(values, E, h), dim, tol
     )
     if residual > DERIVATIVE_RESIDUAL_TOL * scale:
         raise ModelMismatchError("derivative at 0 is not of congruence form")
     if not _is_invertible(T, tol):
         raise ModelMismatchError("recovered frame is singular")
 
-    Tinv = np.linalg.inv(T)
-
-    def recover_base(sample: np.ndarray) -> np.ndarray:
-        S = sample.T if transpose else sample
-        inner = Tinv @ evaluator(sample) @ Tinv.conj().T
-        return herm_part(np.linalg.inv(inner) - np.linalg.inv(S))
-
     c = 5.0 * h
     direction = _seeded_draws(random_hermitian, DIRECTION_SEED, dim, 1)[0]
     direction = direction / max(opnorm(direction), 1e-12)
-    A1 = recover_base(c * np.eye(dim))
-    A2 = recover_base(c * (np.eye(dim) + 0.6 * direction))
+    samples = np.stack([c * np.eye(dim), c * (np.eye(dim) + 0.6 * direction)])
+    Tinv = np.linalg.inv(T)
+    inner = Tinv @ values(samples) @ Tinv.conj().T
+    A1, A2 = herm_part(np.linalg.inv(inner) - np.linalg.inv(samples.swapaxes(-1, -2) if transpose else samples))
     if opnorm(A1 - A2) > BASE_CONSISTENCY_TOL * (1.0 + opnorm(A1)):
         raise ModelMismatchError("base parameter is inconsistent across samples; evaluator is not of the model form")
 

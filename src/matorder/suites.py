@@ -57,9 +57,9 @@ from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_text
 from .halfplane import (
     MobiusAutomorphism,
     _apply_mobius,
+    _fit_canonical,
     apply_mobius,
     cayley,
-    fit_canonical,
     in_half_plane,
     inverse_cayley,
     mobius_fix01,
@@ -85,11 +85,11 @@ from .linalg import (
 )
 from .localiso import (
     REAL_EIG_MARGIN,
+    _apply_local_iso,
+    _identify_parameters,
     _in_zero_component,
-    apply_local_iso,
     congruence_orbit,
     conjugated_base,
-    identify_parameters,
     in_shear_domain,
     in_zero_component,
     interval_below_criterion,
@@ -618,19 +618,19 @@ def _suite_mobius_closure(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 4):
         g1 = _random_mobius(rng, n)
         g2 = _random_mobius(rng, n)
-        h = lambda Z: apply_mobius(g2, apply_mobius(g1, Z, tol), tol)
+        h = lambda Z: _apply_mobius(g2, _apply_mobius(g1, Z, tol), tol)
         anchor_in = _hermitian_anchor(rng, h, n)
         if anchor_in is None:
             rec.fail(t, "no Hermitian anchor found for the composition")
             continue
         try:
-            fitted = fit_canonical(h, n, anchor=anchor_in, tol=tol)
+            fitted = _fit_canonical(h, n, anchor_in, tol)
         except (ModelMismatchError, DomainViolationError) as exc:
             rec.fail(t, f"composition did not refit: {exc}",
                      frame1=g1.frame, frame2=g2.frame)
             continue
         points = _half_plane_stack(rng, n, 15)
-        wants = _apply_mobius(g2, _apply_mobius(g1, points, tol), tol)
+        wants = h(points)
         worst = 0.0
         for Z, want, got in zip(points, wants, _apply_mobius(fitted, points, tol)):
             rec.check(bool(in_half_plane(want, tol)), t, "composition left the half-plane", Z=Z)
@@ -879,25 +879,25 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
         scaleA = 1.0 + opnorm(A)
         mob = MobiusAutomorphism(frame=T, A=A, transpose=transpose)
 
-        got = identify_parameters(lambda H: apply_local_iso(mob, H, tol), n, tol=tol)
+        got = _identify_parameters(lambda H: _apply_local_iso(mob, H, tol), n, tol)
         rec.check_residual(opnorm(got.A - A) / scaleA, 1e-5, t, "derivative-probe base recovery", A=A, T=T)
         rec.check_residual(_rel(got.frame, T), 1e-5, t, "derivative-probe frame recovery", A=A, T=T)
         rec.check(got.transpose == transpose, t, "derivative-probe transpose flag wrong", A=A, T=T)
 
-        fitted = fit_canonical(lambda Z: apply_mobius(mob, Z, tol), n, tol=tol)
+        fitted = _fit_canonical(lambda Z: _apply_mobius(mob, Z, tol), n, None, tol)
         rec.check_residual(opnorm(fitted.A - A) / scaleA, 1e-7, t, "half-plane base recovery", A=A, T=T)
         rec.check_residual(_rel(fitted.frame, T), 1e-7, t, "half-plane frame recovery", A=A, T=T)
         rec.check(fitted.transpose == transpose, t, "half-plane transpose flag wrong", A=A, T=T)
 
         if t % 3 == 0:
             full = _random_mobius(rng, n)
-            g = lambda Z: apply_mobius(full, Z, tol)
+            g = lambda Z: _apply_mobius(full, Z, tol)
             anchor = _hermitian_anchor(rng, g, n)
             if anchor is not None:
-                refit = fit_canonical(g, n, anchor=anchor, tol=tol)
+                refit = _fit_canonical(g, n, anchor, tol)
                 points = _half_plane_stack(rng, n, 5)
                 worst = 0.0
-                for want, got in zip(_apply_mobius(full, points, tol), _apply_mobius(refit, points, tol)):
+                for want, got in zip(g(points), _apply_mobius(refit, points, tol)):
                     worst = max(worst, _rel(got, want))
                 rec.check_residual(worst, 1e-7, t, "anchored refit mismatch", frame=full.frame)
 
@@ -909,7 +909,7 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
                 return herm_part(M + 0.05 * _s * M @ M)
 
             try:
-                identify_parameters(crooked, n, tol=tol)
+                _identify_parameters(crooked, n, tol)
                 rec.fail(t, "non-model evaluator was not rejected")
             except ModelMismatchError:
                 pass

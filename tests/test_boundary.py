@@ -32,7 +32,7 @@ from matorder.classify import (
 from matorder.config import DEFAULT_TOL
 from matorder.errors import MalformedInputError
 from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
-from matorder.linalg import is_psd, loewner_compare, spectral_pinv
+from matorder.linalg import herm_part, is_psd, loewner_compare, spectral_pinv
 from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
@@ -216,6 +216,26 @@ def test_evaluator_values_are_checked_as_evaluator_values(recover):
         recover(lambda Z: np.full((2, 2), np.nan), 2)
 
 
+@pytest.mark.parametrize("recover", [fit_canonical, identify_parameters], ids=lambda f: f.__name__)
+def test_a_dimension_that_is_no_integer_is_malformed(recover):
+    # each used to raise TypeError from numpy or from the comparison with 1
+    evaluator = lambda Z: np.zeros((2, 2))
+    for dim, kind in ((2.0, "float"), (2.5, "float"), ("2", "str"), (None, "NoneType")):
+        with pytest.raises(MalformedInputError, match=rf"^dim must be an integer, got {kind}$"):
+            recover(evaluator, dim)
+    with pytest.raises(MalformedInputError, match=r"^dim must be positive$"):
+        recover(evaluator, np.int64(0))
+    # a numpy integer is an integer
+    assert recover(lambda Z: apply_mobius(MOBIUS, Z) if recover is fit_canonical else Z, np.int64(2)).dim == 2
+
+
+def test_an_anchor_that_is_no_pair_is_malformed():
+    # used to raise IndexError: tuple index out of range
+    for anchor in ((SMALL,), (SMALL, SMALL, SMALL), SMALL[0, 0]):
+        with pytest.raises(MalformedInputError, match=r"^anchor must be a pair \(X0, Y0\)$"):
+            fit_canonical(lambda Z: apply_mobius(MOBIUS, Z), 2, anchor=anchor)
+
+
 def test_dimension_messages_name_both_sizes():
     # README's form `dimension mismatch: 2x2 vs 3x3`; both used to print less
     with pytest.raises(MalformedInputError, match=r"^dimension mismatch: 2x2 vs 3x3$"):
@@ -236,6 +256,11 @@ NEAR_HERMITIAN = np.diag([0.5, 0.25]).astype(complex) + np.array([[0.0, 7e-9], [
                      id="segment_in_zero_component"),
         pytest.param(lambda tol: bordered_embedding(1, NEAR_HERMITIAN, tol), id="bordered_embedding"),
         pytest.param(lambda tol: bordered_arrangement(1, NEAR_HERMITIAN, tol), id="bordered_arrangement"),
+        pytest.param(lambda tol: apply_local_iso(MobiusAutomorphism(frame=EYE, A=BASE), NEAR_HERMITIAN, tol),
+                     id="apply_local_iso"),
+        pytest.param(lambda tol: fit_canonical(lambda Z: apply_mobius(MOBIUS, Z), 2,
+                                               (NEAR_HERMITIAN, apply_mobius(MOBIUS, herm_part(NEAR_HERMITIAN))), tol),
+                     id="fit_canonical-anchor"),
     ],
 )
 def test_tolerances_reach_validation(call):

@@ -1,7 +1,8 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
-draw outside the one cache, no singular values taken outside linalg and two allowed owners, scipy
-stays off the CLI's import path and off an fpq apply, and the package binds every module's __all__."""
+draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
+per-matrix recovery call in the suites, scipy stays off the CLI's import path and off an fpq apply,
+and the package binds every module's __all__."""
 
 import ast
 import importlib
@@ -269,6 +270,31 @@ def test_svd_scan_sees_a_planted_call():
     }
     assert _svd_calls(sources) == [("classify", "<module>", 8), ("classify", "K.__post_init__", 7),
                                    ("sampling", "other", 5)]
+
+
+# the suites hand the recoverers stacked kernels; the public functions loop over single matrices
+PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"}
+
+
+def _per_matrix_recovery_calls(source: str):
+    """(line, name) of each call of a PER_MATRIX_RECOVERY function in `source`."""
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+                  if name in PER_MATRIX_RECOVERY)
+
+
+def test_suites_call_the_stacked_recovery_bodies():
+    assert _per_matrix_recovery_calls((PACKAGE / "suites.py").read_text()) == []
+
+
+def test_per_matrix_recovery_scan_sees_a_planted_call():
+    source = (
+        "from .halfplane import _fit_canonical, fit_canonical\nfrom . import localiso\n"
+        "def f(m, n, tol):\n    _fit_canonical(g, n, None, tol)\n    fit_canonical(g, n)\n"
+        "    return localiso.identify_parameters(lambda H: localiso.apply_local_iso(m, H), n)\n"
+    )
+    assert _per_matrix_recovery_calls(source) == [(5, "fit_canonical"), (6, "apply_local_iso"),
+                                                  (6, "identify_parameters")]
 
 
 # draws of a fixed seed are made once per argument tuple there, and shared read-only

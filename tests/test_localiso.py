@@ -4,14 +4,27 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matorder import localiso
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, ModelMismatchError, PathSearchError
-from matorder.halfplane import MobiusAutomorphism
+from matorder.halfplane import (
+    FIT_VALIDATION_POINTS,
+    FIT_VALIDATION_SEED,
+    MobiusAutomorphism,
+    _apply_mobius,
+    _fit_canonical,
+    apply_mobius,
+    fit_canonical,
+)
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.localiso import (
+    DIRECTION_SEED,
+    _apply_local_iso,
     _bfs_over_pool,
+    _identify_parameters,
     _in_shear_domain,
     _segment_crossings,
     apply_local_iso,
@@ -28,7 +41,7 @@ from matorder.localiso import (
     shear_apply,
     translated_base,
 )
-from matorder.sampling import random_hermitian, random_invertible, random_psd
+from matorder.sampling import _seeded_draws, random_half_plane, random_hermitian, random_invertible, random_psd
 
 
 def _member(rng, A, scale=0.3):
@@ -447,3 +460,109 @@ def test_identify_parameters_recovers_planted_spec_in_dimension_one():
     assert opnorm(got.A - spec.A) <= 1e-5 * (1.0 + opnorm(spec.A))
     assert abs(got.frame[0, 0] - 0.8) <= 1e-5
     assert not got.transpose
+
+
+def test_identify_parameters_gates_with_the_tolerances_passed():
+    # the response at e1 of X -> 1e-7 X has norm 1e-7: above the default inv_margin 1e-8, below 1e-6
+    got = identify_parameters(lambda X: 1e-7 * X, 2, DEFAULT_TOL)
+    assert opnorm(got.frame - np.sqrt(1e-7) * np.eye(2)) <= 1e-12
+    with pytest.raises(ModelMismatchError, match=r"^probe response at e1 is degenerate$"):
+        identify_parameters(lambda X: 1e-7 * X, 2, DEFAULT_TOL.replace(inv_margin=1e-6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_local_iso_body_matches_each_member(n, k, transpose, seed):
+    rng = np.random.default_rng(seed)
+    m = MobiusAutomorphism(frame=random_invertible(rng, n), A=random_hermitian(rng, n) * 0.5,
+                           B=random_hermitian(rng, n) * 0.3, C=random_hermitian(rng, n), transpose=transpose)
+    assert np.any(m.B) and np.any(m.C)
+    # X' - B = E, small enough that the segment from 0 to E stays in the shear domain
+    Es = np.stack([random_hermitian(rng, n) * 0.05 for _ in range(k)])
+    Xs = (m.B + Es).swapaxes(-1, -2).copy() if transpose else m.B + Es
+    got = _apply_local_iso(m, Xs, DEFAULT_TOL)
+    assert got.shape == Xs.shape
+    for j in range(k):
+        assert got[j].tobytes() == apply_local_iso(m, Xs[j]).tobytes()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_stacked_local_iso_body_raises_where_one_member_fails(transpose):
+    rng = np.random.default_rng(43)
+    A = random_psd(rng, 3) + 0.5 * np.eye(3)
+    m = MobiusAutomorphism(frame=random_invertible(rng, 3), A=A, B=random_hermitian(rng, 3) * 0.2, transpose=transpose)
+    Xs = np.stack([m.B + random_hermitian(rng, 3) * 0.05 for _ in range(4)])
+    # X' - B = -2 A^{-1}: X A + I = -I is invertible, but X lies in another component than 0
+    Xs[2] = m.B + herm_part(-2.0 * np.linalg.inv(A))
+    if transpose:
+        Xs = Xs.swapaxes(-1, -2).copy()
+    with pytest.raises(DomainViolationError, match=r"^X' - B is outside the zero component of A$"):
+        apply_local_iso(m, Xs[2])
+    with pytest.raises(DomainViolationError, match=r"^X' - B is outside the zero component of A$"):
+        _apply_local_iso(m, Xs, DEFAULT_TOL)
+    _apply_local_iso(m, Xs[[0, 1, 3]], DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_public_recovery_matches_the_stacked_route(n, anchored):
+    rng = np.random.default_rng(60 + n)
+    m = MobiusAutomorphism(frame=random_invertible(rng, n, max_cond=8.0), A=random_hermitian(rng, n) * 0.5,
+                           transpose=bool(rng.integers(2)))
+    full = MobiusAutomorphism(frame=m.frame, A=m.A, B=random_hermitian(rng, n) * 0.3,
+                              C=random_hermitian(rng, n), transpose=m.transpose) if anchored else m
+    X0 = random_hermitian(rng, n) * 0.1
+    anchor = (X0, herm_part(apply_mobius(full, X0))) if anchored else None
+    pairs = [
+        (identify_parameters(lambda X: apply_local_iso(m, X), n),
+         _identify_parameters(lambda X: _apply_local_iso(m, X, DEFAULT_TOL), n, DEFAULT_TOL)),
+        (fit_canonical(lambda Z: apply_mobius(full, Z), n, anchor),
+         _fit_canonical(lambda Z: _apply_mobius(full, Z, DEFAULT_TOL), n, anchor, DEFAULT_TOL)),
+    ]
+    for public, stacked in pairs:
+        for key in ("frame", "A", "B", "C"):
+            assert getattr(public, key).tobytes() == getattr(stacked, key).tobytes(), key
+        assert public.transpose == stacked.transpose
+
+
+def _congruence_probes(n):
+    """e1e1*, then H = e1ej* + eje1* and K = i(e1ej* - eje1*) for j = 2..n."""
+    probes = [np.zeros((n, n), dtype=complex)]
+    probes[0][0, 0] = 1.0
+    for j in range(1, n):
+        H, K = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+        H[0, j] = H[j, 0] = 1.0
+        K[0, j], K[j, 0] = 1j, -1j
+        probes += [H, K]
+    return probes
+
+
+def _multiset(points):
+    # + 0.0 turns -0 into +0
+    return sorted((np.asarray(Z, dtype=complex) + 0.0).tobytes() for Z in points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_per_matrix_evaluator_sees_one_call_per_point(n):
+    rng = np.random.default_rng(70 + n)
+    m = MobiusAutomorphism(frame=random_invertible(rng, n, max_cond=8.0), A=random_hermitian(rng, n) * 0.5)
+    eye = np.eye(n, dtype=complex)
+    probes = _congruence_probes(n)
+
+    seen = []
+    fit_canonical(lambda Z: seen.append(Z) or apply_mobius(m, Z), n)
+    samples = _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, n, FIT_VALIDATION_POINTS)
+    want = [1j * eye] + [1j * eye + E for E in probes] + list(samples)
+    assert len(seen) == 1 + (2 * n - 1) + 20
+    assert _multiset(seen) == _multiset(want)
+
+    seen = []
+    identify_parameters(lambda X: seen.append(X) or apply_local_iso(m, X), n)
+    h = 1e-4 * (1.0 + float(np.linalg.norm(apply_local_iso(m, 1e-6 * eye))) / 1e-6)
+    c = 5.0 * h
+    direction = _seeded_draws(random_hermitian, DIRECTION_SEED, n, 1)[0]
+    direction = direction / max(opnorm(direction), 1e-12)
+    want = [1e-6 * eye, np.zeros((n, n))] + [s * h * E for E in probes for s in (1.0, -1.0, 2.0, -2.0)]
+    want += [c * np.eye(n), c * (np.eye(n) + 0.6 * direction)]
+    assert len(seen) == 2 + 4 * (2 * n - 1) + 2
+    assert _multiset(seen) == _multiset(want)
