@@ -302,9 +302,15 @@ def effect_automorphism(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig
 
 
 def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of effect_automorphism on a stack (..., n, n) of effects of the map's dimension.
+
+    Raises, with effect_automorphism's message, when W A + I is numerically
+    singular for any member.
+    """
     W = _shifted(m, H)
     M = W @ m.A + np.eye(m.dim)
-    if not _is_invertible(M, tol):
+    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
+    if not all(_is_invertible(M, tol).flat):
         raise DomainViolationError("effect is outside the map's domain")
     return herm_part(_mobius_eval(m, W, M))
 
@@ -434,21 +440,36 @@ class EffectEmbeddingSpec:
 
 def effect_embedding_map(spec: EffectEmbeddingSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the embedding, honoring endpoint overrides at 0 and I."""
-    H = _same_dim(as_effect(X, tol), spec.frame)[0]
-    if spec.value_at_zero is not None and float(np.linalg.norm(H)) <= tol.psd_tol:
-        return spec.value_at_zero.copy()
-    if spec.value_at_one is not None and float(np.linalg.norm(H - np.eye(spec.dim))) <= tol.psd_tol:
-        return spec.value_at_one.copy()
-    return _effect_automorphism(spec.interior, H, tol)
+    return _effect_embedding(spec, _same_dim(as_effect(X, tol), spec.frame)[0][None], tol)[0]
+
+
+def _effect_embedding(spec: EffectEmbeddingSpec, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Body of effect_embedding_map on a stack (k, n, n) of effects of the spec's dimension.
+
+    Member by member, a point within psd_tol (Frobenius) of 0 or I takes the
+    override there, if the spec has one; the other members go through the
+    interior map in one call, which raises if any of them is outside its domain.
+    """
+    eye = np.eye(spec.dim)
+    out = np.empty(H.shape, dtype=complex)
+    interior = []
+    for j, h in enumerate(H):
+        if spec.value_at_zero is not None and float(np.linalg.norm(h)) <= tol.psd_tol:
+            out[j] = spec.value_at_zero
+        elif spec.value_at_one is not None and float(np.linalg.norm(h - eye)) <= tol.psd_tol:
+            out[j] = spec.value_at_one
+        else:
+            interior.append(j)
+    if interior:
+        out[interior] = _effect_automorphism(spec.interior, H[interior], tol)
+    return out
 
 
 def endpoint_continuity(spec: EffectEmbeddingSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Dict[str, bool]:
     """Whether the (possibly overridden) endpoint values match the interior limits."""
-    eye = np.eye(spec.dim)
+    limits = _effect_automorphism(spec.interior, np.stack([np.zeros((spec.dim, spec.dim)), np.eye(spec.dim)]), tol)
     report = {}
-    for key, point, override in (("zero", np.zeros((spec.dim, spec.dim)), spec.value_at_zero),
-                                 ("one", eye, spec.value_at_one)):
-        limit = _effect_automorphism(spec.interior, point, tol)
+    for key, limit, override in zip(("zero", "one"), limits, (spec.value_at_zero, spec.value_at_one)):
         value = limit if override is None else override
         scale = 1.0 + opnorm(limit)
         report[key] = bool(opnorm(value - limit) <= ENDPOINT_CONTINUITY_TOL * scale)

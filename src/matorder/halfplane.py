@@ -24,6 +24,7 @@ from .linalg import (
     _eigh,
     _is_hermitian,
     _is_invertible,
+    _opnorms,
     _same_dim,
     as_hermitian,
     as_square,
@@ -277,7 +278,7 @@ def _congruence_from_probes(
         cols_transpose.append(C @ t1 / t1_sq)
 
     def worst_opnorm(S: np.ndarray) -> float:
-        return float(np.linalg.norm(S, 2, axis=(-2, -1)).max())
+        return float(_opnorms(S).max())
 
     def congruence_residual(T: np.ndarray, transpose: bool) -> float:
         return worst_opnorm(D - T @ (E.swapaxes(-1, -2) if transpose else E) @ T.conj().T)

@@ -29,16 +29,18 @@ and returns, for each j, bit for bit what the per-matrix kernel returns on
 S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
 same LAPACK or BLAS call on each member as on a single matrix. Here
 _has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
-herm_part and _rank_cut reduce over the last axes, and
-np.linalg.norm(S, 2, axis=(-2, -1)) is opnorm member by member;
-localiso._in_zero_component, classify._block_map,
+herm_part and _rank_cut reduce over the last axes, and _opnorms is opnorm
+member by member; localiso._in_zero_component, classify._block_map,
 halfplane._apply_mobius (the shift, both singular-value gates and the
-Mobius evaluation) and localiso._apply_local_iso take stacks the same way,
-and the recovery bodies halfplane._fit_canonical and
-localiso._identify_parameters evaluate their probes and sample points as
-stacks. Suites draw their samples in order, finish them with herm_part (so
-a stack is exactly Hermitian without a second hermiticity test) and then
-check them in one call per stack; public functions stay per-matrix.
+Mobius evaluation), localiso._apply_local_iso and
+classify._effect_automorphism take stacks the same way, and
+classify._effect_embedding decides the endpoint overrides member by member
+and evaluates the other members as one stack. The recovery bodies
+halfplane._fit_canonical and localiso._identify_parameters evaluate their
+probes and sample points as stacks. Suites draw their samples in order,
+finish them with herm_part (so a stack is exactly Hermitian without a
+second hermiticity test) and then check them with the kernels, in one call
+per stack; public functions stay per-matrix.
 """
 
 from __future__ import annotations
@@ -67,11 +69,9 @@ __all__ = [
     "jacobi_eigen",
     "inertia",
     "loewner_compare",
-    "is_psd",
     "spectral_apply",
     "invertibility_margin",
     "is_invertible",
-    "spectral_pinv",
     "sqrt_psd",
 ]
 
@@ -120,7 +120,17 @@ def opnorm(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(_opnorms(M))
+
+
+def _opnorms(S: np.ndarray):
+    """Largest singular value of each member of a stack (..., r, c), r, c >= 1.
+
+    The same LAPACK call as np.linalg.norm(S, 2, axis=(-2, -1)), and the
+    same bits: svd returns the values in descending order, so its first
+    value is the maximum that norm takes, without norm's Python overhead.
+    """
+    return np.linalg.svd(S, compute_uv=False)[..., 0]
 
 
 def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
@@ -304,11 +314,6 @@ def _loewner_compare(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> Orde
     return OrderVerdict(lo, hi, scale, tol.psd_tol, tol.inv_margin)
 
 
-def is_psd(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    H = as_hermitian(X, tol)
-    return _loewner_compare(np.zeros_like(H), H, tol).leq
-
-
 def _check_guard(values: np.ndarray, domain: Optional[tuple], poles: Sequence[float], margin: float) -> None:
     if domain is not None:
         a, b = domain
@@ -376,17 +381,12 @@ def _is_invertible(M: np.ndarray, tol: ToleranceConfig):
     return (sv[-1] > tol.inv_margin * (1.0 + sv[0])).T
 
 
-def spectral_pinv(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian matrix, computed spectrally.
-
-    Eigenvalues above psd_tol*(1+||A||_2) in magnitude are inverted, the
-    rest are zeroed.
-    """
-    return _spectral_pinv(hermitian_eigen(A, tol), tol)
-
-
 def _spectral_pinv(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
-    """Kernel of spectral_pinv on the eigendecomposition of its argument."""
+    """Moore-Penrose inverse of a Hermitian matrix from its eigendecomposition.
+
+    Eigenvalues above the rank cutoff psd_tol*(1+||A||_2) in magnitude are
+    inverted, the rest are zeroed.
+    """
     values = decomp.values
     if values.size == 0:
         return np.zeros((0, 0), dtype=complex)
@@ -399,7 +399,7 @@ def sqrt_psd(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
     Eigenvalues below the rank cutoff psd_tol*(1+||A||_2) are treated as
-    exact zeros (same rank decision as spectral_pinv); taking square roots
+    exact zeros (same rank decision as _spectral_pinv); taking square roots
     of eps-level noise would otherwise smear sqrt(eps) into the kernel.
     """
     decomp = hermitian_eigen(A, tol)

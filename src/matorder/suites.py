@@ -15,10 +15,10 @@ uniforms) in the order the per-sample sampler draws them, then build all
 samples with the stacked finishing bodies of `sampling` (one QR and one
 V diag V* in _with_spectra, one herm_part; see _block_samples and
 interval-criterion), check them with the stacked kernels (_block_map,
-_in_zero_component, _has_inertia, np.linalg.norm(S, 2, axis=(-2, -1))) and
-record per sample, computing a failure message only for a failed member.
-Such a stack is drawn whole even when a member fails, so a failure never
-shifts the draws of later trials.
+_in_zero_component, _has_inertia, _opnorms) and record per sample,
+computing a failure message only for a failed member. Such a stack is
+drawn whole even when a member fails, so a failure never shifts the draws
+of later trials.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ from .classify import (
     _block_map,
     _bordered_arrangement,
     _bordered_embedding,
+    _effect_automorphism,
+    _effect_embedding,
     block_map_apply,
     class_count,
     are_equivalent,
-    effect_automorphism,
     effect_embedding_map,
     endpoint_continuity,
     enumerate_signatures,
@@ -58,7 +59,6 @@ from .halfplane import (
     MobiusAutomorphism,
     _apply_mobius,
     _fit_canonical,
-    apply_mobius,
     cayley,
     in_half_plane,
     inverse_cayley,
@@ -68,8 +68,13 @@ from .halfplane import (
     normalize_phase,
 )
 from .linalg import (
+    _eigh,
     _has_inertia,
+    _is_invertible,
+    _loewner_compare,
+    _opnorms,
     _spectral_apply,
+    _spectrum_inertia,
     as_hermitian,
     frob,
     herm_part,
@@ -232,28 +237,29 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
     return opnorm(got - want) / (1.0 + opnorm(want))
 
 
-def _gap(P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> float:
+def _gap(P: np.ndarray, Q: np.ndarray) -> float:
     """Smallest eigenvalue of Q - P: nonnegative iff P <= Q."""
-    return float(hermitian_eigen(herm_part(Q - P), tol).values[0])
+    return float(_eigh(herm_part(Q - P)).values[0])
 
 
 def _check_order(rec: _Recorder, t: int, P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig,
                  what: str, /, strict: bool = False, **witnesses) -> float:
     """Check that the images P <= Q of an ordered pair stay ordered, and strictly so if `strict`.
 
-    The cushion is 1e-8 * (1 + max(||P||, ||Q||)); returns the scaled gap.
+    P and Q are exactly Hermitian (finished with herm_part). The cushion is
+    1e-8 * (1 + max(||P||, ||Q||)); returns the scaled gap.
     """
     scale = 1.0 + max(opnorm(P), opnorm(Q))
-    gap = _gap(P, Q, tol)
+    gap = _gap(P, Q)
     rec.check(gap >= -1e-8 * scale, t, f"ordered {what} lost order (margin {gap:.3e})", **witnesses)
     if strict:
-        rec.check(loewner_compare(P, Q, tol).lt, t, f"strict {what} no longer strict", **witnesses)
+        rec.check(_loewner_compare(P, Q, tol).lt, t, f"strict {what} no longer strict", **witnesses)
     return gap / scale
 
 
-def _in_interval(M: np.ndarray, lo: float, hi: float, tol: ToleranceConfig) -> bool:
-    """Whether the spectrum of the Hermitian M lies in [lo, hi]."""
-    vals = hermitian_eigen(M, tol).values
+def _in_interval(M: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether the spectrum of the exactly Hermitian M lies in [lo, hi]."""
+    vals = _eigh(M).values
     return float(vals[0]) >= lo and float(vals[-1]) <= hi
 
 
@@ -411,7 +417,7 @@ def _suite_order_antisymmetry(rng, trials, tol, rec):
         P = _psd_step(rng, X, strict=(t % 2 == 0))
         v = loewner_compare(X, X + P, tol)
         rec.check(v.leq, t, "X <= X + PSD failed", X=X, P=P)
-        min_p = float(hermitian_eigen(P, tol).values[0])
+        min_p = float(_eigh(P).values[0])
         scale = 1.0 + opnorm(X) + opnorm(X + P)
         if min_p > 1e-4 * scale:
             rec.check(v.lt, t, "strict step not detected as strict", X=X, P=P)
@@ -470,7 +476,7 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
                     u = u / nu
                     cc = rng.uniform(0.1, 1.4)
                     R = herm_part(cc * np.outer(u, u.conj()))
-        gap = _gap(R, A, tol)
+        gap = _gap(R, A)
         scale = 1.0 + opnorm(A) + opnorm(R)
         if abs(gap) <= 1e-6 * scale:
             skipped += 1
@@ -499,13 +505,13 @@ def _suite_interval_iso(rng, trials, tol, rec):
         E1 = random_effect(rng, n)
         X1 = herm_part(L + Dh @ E1 @ Dh)
         F1 = iso.forward(X1, tol)
-        rec.check(_in_interval(F1, -1e-8, 1.0 + 1e-8, tol), t,
+        rec.check(_in_interval(F1, -1e-8, 1.0 + 1e-8), t,
                   "forward image leaves the effect interval", X=X1)
         rec.check_residual(_rel(iso.backward(F1, tol), X1), 1e-9, t, "backward(forward) identity", X=X1)
         G2 = sqrt_psd(np.eye(n) - E1, tol)
         E2 = herm_part(E1 + rng.uniform(0.2, 0.8) * G2 @ random_effect(rng, n) @ G2)
         X2 = herm_part(L + Dh @ E2 @ Dh)
-        gap = _gap(F1, iso.forward(X2, tol), tol)
+        gap = _gap(F1, iso.forward(X2, tol))
         rec.check(gap >= -1e-8 * (1.0 + opnorm(F1)), t, "forward not order preserving", X1=X1, X2=X2)
         J = OperatorInterval(L, U)
         rec.check(interval_contains(J, X1, tol), t, "sampled point not contained", X=X1)
@@ -532,7 +538,8 @@ def _suite_projection_dominance(rng, trials, tol, rec):
         if abs(dist - radius) < 1e-4:
             skipped += 1
             continue
-        dominated = loewner_compare(d * E, P + c * Q, tol).leq
+        # outer products are Hermitian only up to rounding: finish them as a draw
+        dominated = _loewner_compare(herm_part(d * E), herm_part(P + c * Q), tol).leq
         rec.check(dominated == (dist <= radius), t,
                   f"dominance mismatch at distance {dist:.6f}, radius {radius:.6f}", E=E, P=P)
     return {"skipped_borderline": skipped}
@@ -556,7 +563,7 @@ def _suite_halfplane_roundtrip(rng, trials, tol, rec):
         rec.check(bool(in_half_plane(N, tol)), t, "negated inverse left the half-plane", Z=Z)
         rec.check_residual(_rel(neg_inverse(N, tol), Z), 1e-10, t, "negated inverse involution", Z=Z)
         X = random_hermitian(rng, n)
-        if is_invertible(X, INVOLUTION_MARGIN):
+        if _is_invertible(X, INVOLUTION_MARGIN):
             rec.check_residual(_rel(neg_inverse(neg_inverse(X, tol), tol), X),
                                1e-10, t, "Hermitian involution", X=X)
 
@@ -645,14 +652,14 @@ def _suite_mobius_hermitian(rng, trials, tol, rec):
         m = _random_mobius(rng, n)
         X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
         try:
-            Y = apply_mobius(m, X, tol)
+            Y = _apply_mobius(m, X, tol)
         except DomainViolationError:
             skipped += 1
             continue
         rec.check_residual(opnorm(Y - Y.conj().T) / (1.0 + opnorm(Y)), 1e-9,
                            t, "Hermitian input produced non-Hermitian output", X=X)
         Z = random_half_plane(rng, n)
-        out = apply_mobius(m, Z, tol)
+        out = _apply_mobius(m, Z, tol)
         rec.check(bool(in_half_plane(out, tol)), t, "half-plane point left the half-plane", Z=Z)
     return {"skipped_outside_domain": skipped}
 
@@ -714,7 +721,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
         P = order_iso_apply(base, X, tol)
         Q = order_iso_apply(base, Y, tol)
         if indefinite:
-            rec.check(loewner_compare(P, Q, tol).incomparable, t,
+            rec.check(_loewner_compare(P, Q, tol).incomparable, t,
                       "incomparable pair became comparable", A=base, X=X, Y=Y)
             continue
         margin = _check_order(rec, t, P, Q, tol, "pair", strict, A=base, X=X, Y=Y)
@@ -741,7 +748,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
             continue
         Xh = sqrt_psd(X, tol)
         K = herm_part(Xh @ A @ Xh)
-        lam = float(hermitian_eigen(K, tol).values[0])
+        lam = float(_eigh(K).values[0])
         if abs(lam + 1.0) < 1e-4:
             skipped += 1
             continue
@@ -813,7 +820,7 @@ def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> 
     crossing-free part of the path.
     """
     shrunk = herm_part(0.6 * X)
-    if in_zero_component(A, shrunk, tol):
+    if _in_zero_component(A, shrunk, tol):
         return shrunk
     mu = np.linalg.eigvals(X @ A)
     real = mu.real[np.abs(mu.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(mu.real))]
@@ -826,7 +833,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n)
         X = _first(200, lambda: random_hermitian(rng, n, scale=rng.uniform(0.2, 0.8)),
-                   lambda X: in_zero_component(A, X, tol))
+                   lambda X: _in_zero_component(A, X, tol))
         if X is None:
             rec.fail(t, "no component sample found", A=A)
             continue
@@ -844,9 +851,9 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
         got = herm_part(G @ A @ G.conj().T)
         rec.check_residual(opnorm(got - target) / (1.0 + opnorm(A)), 1e-8,
                            t, "orbit congruence residual", A=A, X=X)
-        rec.check(tuple(inertia(target, tol)) == tuple(inertia(A, tol)), t,
+        rec.check(tuple(inertia(target, tol)) == _spectrum_inertia(_eigh(A).values, tol), t,
                   "orbit image changed inertia", A=A, X=X)
-        rec.check(is_invertible(G, tol), t, "orbit factor is singular", A=A, X=X)
+        rec.check(_is_invertible(G, tol), t, "orbit factor is singular", A=A, X=X)
     return {"rescaled": rescaled}
 
 
@@ -947,8 +954,8 @@ def _suite_bordered_identity(rng, trials, tol, rec):
             X = _block_samples(rng, spec, trials)
             E = _bordered_embedding(m, X)
             R = _bordered_arrangement(m, _block_map(spec, X, tol))
-            scale = 1.0 + np.linalg.norm(E, 2, axis=(-2, -1)) * np.linalg.norm(R, 2, axis=(-2, -1))
-            res = np.linalg.norm(E @ R + np.eye(2 * n - m), 2, axis=(-2, -1)) / scale
+            scale = 1.0 + _opnorms(E) * _opnorms(R)
+            res = _opnorms(E @ R + np.eye(2 * n - m)) / scale
             want = (n + p - m, 0, n - p)
             fixed = _has_inertia(herm_part(E), n + p - m, tol)
             for j in range(trials):
@@ -978,11 +985,11 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
         FX = block_map_apply(spec, X, tol)
         FY = block_map_apply(spec, Y, tol)
         if indefinite:
-            rec.check(loewner_compare(FX, FY, tol).incomparable, t,
+            rec.check(_loewner_compare(FX, FY, tol).incomparable, t,
                       "incomparable pair became comparable", X=X, Y=Y)
             continue
         _check_order(rec, t, FX, FY, tol, "pair under the block map", strict, X=X, Y=Y)
-        back_gap = _gap(block_map_apply(spec.dual, FX, tol), block_map_apply(spec.dual, FY, tol), tol)
+        back_gap = _gap(block_map_apply(spec.dual, FX, tol), block_map_apply(spec.dual, FY, tol))
         rec.check(back_gap >= -1e-8 * (1.0 + opnorm(X) + opnorm(Y)), t,
                   "pulled-back pair lost order", X=X, Y=Y)
     return {"skipped": skipped}
@@ -1073,28 +1080,29 @@ def _random_effect_map(rng: np.random.Generator, n: int, frame_form: bool):
 
 def _suite_effect_fixpoints(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
-        zero = np.zeros((n, n))
         eye = np.eye(n)
         m, _ = _random_effect_map(rng, n, t % 2 == 0)
-        phi = lambda X: effect_automorphism(m, X, tol)
-        rec.check_residual(opnorm(phi(zero)), 1e-10, t, "zero endpoint moved", frame=m.frame)
-        rec.check_residual(opnorm(phi(eye) - eye), 1e-10, t, "identity endpoint moved", frame=m.frame)
         X = random_effect(rng, n)
-        rec.check(_in_interval(phi(X), -1e-8, 1.0 + 1e-8, tol), t,
+        F0, FI, FX = _effect_automorphism(m, np.stack([np.zeros((n, n)), eye, X]), tol)
+        rec.check_residual(opnorm(F0), 1e-10, t, "zero endpoint moved", frame=m.frame)
+        rec.check_residual(opnorm(FI - eye), 1e-10, t, "identity endpoint moved", frame=m.frame)
+        rec.check(_in_interval(FX, -1e-8, 1.0 + 1e-8), t,
                   "image left the effect interval", X=X, frame=m.frame)
 
 
 def _suite_effect_order(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         m, fpq = _random_effect_map(rng, n, t % 2 == 0)
-        phi = lambda X: effect_automorphism(m, X, tol)
         strict = t % 4 == 1
         X, Y = _effect_pair(rng, n, strict=strict)
-        FX, FY = phi(X), phi(Y)
+        D = _first(60, lambda: herm_part(X + _indefinite_step(rng, X) * 0.3),
+                   lambda D: _in_interval(D, 1e-3, 1.0 - 1e-3))
+        incomparable = D is not None and _loewner_compare(X, D, tol).incomparable
+        FX, FY, *FD = _effect_automorphism(m, np.stack([X, Y, D] if incomparable else [X, Y]), tol)
         _check_order(rec, t, FX, FY, tol, "effect pair", strict, X=X, Y=Y)
         if fpq is None and not m.transpose:
             inv_spec = EffectAutoSpec(frame=np.linalg.inv(m.frame))
-            back = effect_automorphism(inv_spec, FX, tol)
+            back = _effect_automorphism(inv_spec, FX, tol)
             rec.check_residual(_rel(back, X), 1e-9,
                                t, "inverse frame does not undo the map", X=X, frame=m.frame)
         if fpq is not None:
@@ -1106,10 +1114,8 @@ def _suite_effect_order(rng, trials, tol, rec):
             for stage, f in enumerate((f1, f2, f3, f4)):
                 sx, sy = f(sx), f(sy)
                 _check_order(rec, t, sx, sy, tol, f"effect pair after factor {stage + 1}", X=X, Y=Y)
-        D = _first(60, lambda: herm_part(X + _indefinite_step(rng, X) * 0.3),
-                   lambda D: _in_interval(D, 1e-3, 1.0 - 1e-3, tol))
-        if D is not None and loewner_compare(X, D, tol).incomparable:
-            rec.check(loewner_compare(phi(X), phi(D), tol).incomparable, t,
+        if incomparable:
+            rec.check(_loewner_compare(FX, FD[0], tol).incomparable, t,
                       "incomparable effects became comparable", X=X, D=D)
 
 
@@ -1135,7 +1141,7 @@ def _suite_effect_embedding(rng, trials, tol, rec):
         offset = random_hermitian(rng, n, scale=0.5)
         v0 = herm_part(offset - random_psd(rng, n)) if rng.random() < 0.5 else None
         spec_plain = EffectEmbeddingSpec(frame=frame, base=base, offset=offset)
-        interior_top = effect_embedding_map(spec_plain, eye, tol)
+        interior_top = _effect_automorphism(spec_plain.interior, eye, tol)
         v1 = herm_part(interior_top + random_psd(rng, n)) if rng.random() < 0.5 else None
         spec = EffectEmbeddingSpec(frame=frame, base=base, offset=offset,
                                    value_at_zero=v0, value_at_one=v1)
@@ -1145,20 +1151,18 @@ def _suite_effect_embedding(rng, trials, tol, rec):
             X = np.zeros((n, n))
         elif pick < 0.5:
             Y = eye
-        FX = effect_embedding_map(spec, X, tol)
-        FY = effect_embedding_map(spec, Y, tol)
+        A, B = _effect_pair(rng, n)
+        C = _first(60, lambda: herm_part(A + 0.3 * _indefinite_step(rng, A)),
+                   lambda C: _in_interval(C, 1e-3, 1.0 - 1e-3) and _loewner_compare(A, C, tol).incomparable)
+        FX, FY, *FAC = _effect_embedding(spec, np.stack([X, Y] if C is None else [X, Y, A, C]), tol)
         _check_order(rec, t, FX, FY, tol, "effect pair under the embedding", X=X, Y=Y)
         flags = endpoint_continuity(spec, tol)
         want_zero = v0 is None or opnorm(v0 - offset) <= 1e-8 * (1.0 + opnorm(offset))
         want_one = v1 is None or opnorm(v1 - interior_top) <= 1e-8 * (1.0 + opnorm(interior_top))
         rec.check(flags["zero"] == want_zero and flags["one"] == want_one, t,
                   f"continuity flags {flags} disagree with construction", frame=frame)
-        A, B = _effect_pair(rng, n)
-        C = _first(60, lambda: herm_part(A + 0.3 * _indefinite_step(rng, A)),
-                   lambda C: _in_interval(C, 1e-3, 1.0 - 1e-3, tol) and loewner_compare(A, C, tol).incomparable)
         if C is not None:
-            rec.check(loewner_compare(effect_embedding_map(spec, A, tol),
-                                      effect_embedding_map(spec, C, tol), tol).incomparable, t,
+            rec.check(_loewner_compare(*FAC, tol).incomparable, t,
                       "incomparable effects embedded comparably", A=A, C=C)
     return {"fixture_flags": {"zero": True, "one": False}}
 
@@ -1198,8 +1202,8 @@ def _suite_loewner_consistency(rng, trials, tol, rec):
         rec.check(lm.min_eigenvalue < 0.0, 0, "square witness nodes are not a refutation")
     if sq_report.witness_pair is not None:
         X, Y = sq_report.witness_pair
-        rec.check(loewner_compare(X, Y, tol).leq, 0, "square witness pair is not ordered", X=X, Y=Y)
-        gap = _gap(X @ X, Y @ Y, tol)
+        rec.check(_loewner_compare(X, Y, tol).leq, 0, "square witness pair is not ordered", X=X, Y=Y)
+        gap = _gap(X @ X, Y @ Y)
         rec.check(gap < 0.0, 0, "square witness pair does not refute", X=X, Y=Y)
     rec.check(sq_report.witness_nodes is not None or sq_report.witness_pair is not None,
               0, "square refutation carries no witness")
@@ -1212,7 +1216,7 @@ def _suite_loewner_consistency(rng, trials, tol, rec):
         X = random_hermitian_with_spectrum(sub, 2, 0.05, 4.0)
         return X, herm_part(X + random_psd(sub, 2))
 
-    pair = _first(400, ordered_pair, lambda XY: _gap(XY[0] @ XY[0], XY[1] @ XY[1], tol) < -1e-10)
+    pair = _first(400, ordered_pair, lambda XY: _gap(XY[0] @ XY[0], XY[1] @ XY[1]) < -1e-10)
     rec.check(nodes is not None and pair is not None, 0,
               "the two refutation routes disagree about the square function")
 
@@ -1247,7 +1251,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
         n = _rand_dim(rng, 2, 4)
         Z = random_half_plane(rng, n)
         out = pick_eval(rep, Z, tol)
-        margin = float(hermitian_eigen(herm_part((out - out.conj().T) / 2j), tol).values[0])
+        margin = float(_eigh(herm_part((out - out.conj().T) / 2j)).values[0])
         min_margin = min(min_margin, margin)
         rec.check(margin > 0.0, t, f"half-plane image margin {margin:.3e} <= 0", Z=Z)
         a, b = rep.interval
@@ -1255,7 +1259,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
         X = random_hermitian_with_spectrum(rng, n, a + pad, b - pad)
         direct = pick_eval(rep, X, tol)
         f = rep.scalar_function()
-        via_spectrum = spectral_apply(X, f, domain=f.domain, tol=tol)
+        via_spectrum = _spectral_apply(_eigh(X), f, f.domain, (), tol)
         rec.check_residual(opnorm(direct - via_spectrum) / (1.0 + opnorm(direct)), 1e-9,
                            t, "matrix value disagrees with the spectral route", X=X)
         x = float(rng.uniform(a + pad, b - pad))

@@ -32,7 +32,7 @@ from matorder.classify import (
 from matorder.config import DEFAULT_TOL
 from matorder.errors import MalformedInputError
 from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
-from matorder.linalg import herm_part, is_psd, loewner_compare, spectral_pinv
+from matorder.linalg import herm_part, loewner_compare
 from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
@@ -250,8 +250,6 @@ NEAR_HERMITIAN = np.diag([0.5, 0.25]).astype(complex) + np.array([[0.0, 7e-9], [
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda tol: is_psd(NEAR_HERMITIAN, tol), id="is_psd"),
-        pytest.param(lambda tol: spectral_pinv(NEAR_HERMITIAN, tol), id="spectral_pinv"),
         pytest.param(lambda tol: segment_in_zero_component(BASE, NEAR_HERMITIAN, SMALL, tol),
                      id="segment_in_zero_component"),
         pytest.param(lambda tol: bordered_embedding(1, NEAR_HERMITIAN, tol), id="bordered_embedding"),

@@ -10,6 +10,8 @@ from matorder.classify import (
     _block_map,
     _bordered_arrangement,
     _bordered_embedding,
+    _effect_automorphism,
+    _effect_embedding,
     _in_block_domain,
     EffectAutoSpec,
     EffectEmbeddingSpec,
@@ -33,7 +35,15 @@ from matorder.classify import (
 from matorder.config import DEFAULT_TOL, ToleranceConfig
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
-from matorder.sampling import random_contraction, random_effect, random_hermitian, random_psd, random_unitary
+from matorder.sampling import (
+    random_contraction,
+    random_effect,
+    random_hermitian,
+    random_hermitian_with_spectrum,
+    random_invertible,
+    random_psd,
+    random_unitary,
+)
 
 
 def _domain_sample(rng, spec):
@@ -365,3 +375,53 @@ def test_stacked_block_map_agrees_with_per_matrix_map(case):
     for j, X in enumerate(S):
         assert E[j].tobytes() == bordered_embedding(spec.m, X).tobytes()
         assert R[j].tobytes() == bordered_arrangement(spec.m, X).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the effect maps on stacks: member j is bit for bit the public map of S[j] alone
+
+
+@st.composite
+def effect_stacks(draw):
+    """An effect automorphism, an embedding with or without each override, and a stack (k from 1 to 8,
+    n from 1 to 5) of effects with exact 0 and I members mixed in."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = random_invertible(rng, n, max_cond=10.0)
+    auto = EffectAutoSpec(frame=frame, transpose=draw(st.booleans()))
+    base = random_hermitian_with_spectrum(rng, n, -0.8, 2.0)
+    offset = random_hermitian(rng, n, scale=0.5)
+    interior = EffectEmbeddingSpec(frame=frame, base=base, offset=offset).interior
+    top = _effect_automorphism(interior, np.eye(n), DEFAULT_TOL)
+    v0 = herm_part(offset - random_psd(rng, n)) if draw(st.booleans()) else None
+    v1 = herm_part(top + random_psd(rng, n)) if draw(st.booleans()) else None
+    spec = EffectEmbeddingSpec(frame=frame, base=base, offset=offset, value_at_zero=v0, value_at_one=v1)
+    kinds = draw(st.lists(st.sampled_from(["effect", "zero", "one"]), min_size=1, max_size=8))
+    points = {"zero": np.zeros((n, n)), "one": np.eye(n)}
+    return auto, spec, np.stack([points[kind] if kind in points else random_effect(rng, n) for kind in kinds])
+
+
+@settings(max_examples=150, deadline=None)
+@given(effect_stacks())
+def test_stacked_effect_maps_agree_with_per_matrix_maps(case):
+    auto, spec, S = case
+    autos = _effect_automorphism(auto, S, DEFAULT_TOL)
+    embedded = _effect_embedding(spec, S, DEFAULT_TOL)
+    for j, X in enumerate(S):
+        assert autos[j].tobytes() == effect_automorphism(auto, X).tobytes()
+        assert embedded[j].tobytes() == effect_embedding_map(spec, X).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(effect_stacks(), st.data())
+def test_a_stack_with_one_member_outside_the_domain_raises_the_per_matrix_error(case, data):
+    auto, spec, S = case
+    for m, body in ((auto, lambda T: _effect_automorphism(auto, T, DEFAULT_TOL)),
+                    (spec.interior, lambda T: _effect_embedding(spec, T, DEFAULT_TOL))):
+        # W A + I = 0 at W = -A^{-1}, W the (transposed) point; the bodies do not ask for an effect
+        bad = herm_part(-np.linalg.inv(m.A).T if m.transpose else -np.linalg.inv(m.A))
+        with pytest.raises(DomainViolationError) as single:
+            body(bad[None])
+        j = data.draw(st.integers(0, len(S)))
+        with pytest.raises(DomainViolationError, match=f"^{single.value}$"):
+            body(np.concatenate([S[:j], bad[None], S[j:]]))

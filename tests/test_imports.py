@@ -1,8 +1,9 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
 draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
-per-matrix recovery call in the suites, scipy stays off the CLI's import path and off an fpq apply,
-and the package binds every module's __all__."""
+per-matrix recovery call in the suites, no validating shell on the suites' own draws outside the
+listed sites, scipy stays off the CLI's import path and off an fpq apply, and the package binds
+every module's __all__."""
 
 import ast
 import importlib
@@ -274,17 +275,34 @@ def test_svd_scan_sees_a_planted_call():
 
 # the suites hand the recoverers stacked kernels; the public functions loop over single matrices
 PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"}
+# the suites check their own herm_part-finished draws with kernels; these shells would validate them again
+VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare"}
+# (suite, shell): reads at the sites whose claim is about the public function itself
+SHELL_SITES = {
+    # the public eigensolver is the engine under test, next to jacobi_eigen
+    ("_suite_eigen_residual", "hermitian_eigen"): 2,
+    # reflexivity, antisymmetry, negation and strictness of the public comparison
+    ("_suite_order_antisymmetry", "loewner_compare"): 6,
+    # the fixture pins the public override path at 0 and I
+    ("_suite_effect_embedding", "effect_embedding_map"): 3,
+}
 
 
-def _per_matrix_recovery_calls(source: str):
-    """(line, name) of each call of a PER_MATRIX_RECOVERY function in `source`."""
-    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-                  for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
-                  if name in PER_MATRIX_RECOVERY)
+def _shell_reads(source: str, names):
+    """Per (owner, name): how often `source` reads one of `names` (a call, or the function as a value),
+    imports excepted; the owner is the module-level function holding the read, or "<module>"."""
+    found = {}
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        for n in ast.walk(node):
+            name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+            if name in names:
+                found[(owner, name)] = found.get((owner, name), 0) + 1
+    return found
 
 
 def test_suites_call_the_stacked_recovery_bodies():
-    assert _per_matrix_recovery_calls((PACKAGE / "suites.py").read_text()) == []
+    assert _shell_reads((PACKAGE / "suites.py").read_text(), PER_MATRIX_RECOVERY) == {}
 
 
 def test_per_matrix_recovery_scan_sees_a_planted_call():
@@ -293,8 +311,24 @@ def test_per_matrix_recovery_scan_sees_a_planted_call():
         "def f(m, n, tol):\n    _fit_canonical(g, n, None, tol)\n    fit_canonical(g, n)\n"
         "    return localiso.identify_parameters(lambda H: localiso.apply_local_iso(m, H), n)\n"
     )
-    assert _per_matrix_recovery_calls(source) == [(5, "fit_canonical"), (6, "apply_local_iso"),
-                                                  (6, "identify_parameters")]
+    assert _shell_reads(source, PER_MATRIX_RECOVERY) == {
+        ("f", "fit_canonical"): 1, ("f", "apply_local_iso"): 1, ("f", "identify_parameters"): 1}
+
+
+def test_suites_check_their_own_draws_with_kernels():
+    assert _shell_reads((PACKAGE / "suites.py").read_text(), VALIDATING_SHELLS) == SHELL_SITES
+
+
+def test_validating_shell_scan_sees_a_planted_read():
+    source = (
+        "from .linalg import _eigh, hermitian_eigen, loewner_compare\n"
+        "ENGINES = [hermitian_eigen]\n"
+        "def _suite_a(rng, trials, tol, rec):\n    loewner_compare(X, Y, tol)\n    _eigh(X)\n"
+        "    return [linalg.loewner_compare(P, Q).lt for P, Q in pairs]\n"
+        "def _suite_b(rng, trials, tol, rec):\n    return min(map(hermitian_eigen, Xs))\n"
+    )
+    assert _shell_reads(source, VALIDATING_SHELLS) == {
+        ("<module>", "hermitian_eigen"): 1, ("_suite_a", "loewner_compare"): 2, ("_suite_b", "hermitian_eigen"): 1}
 
 
 # draws of a fixed seed are made once per argument tuple there, and shared read-only

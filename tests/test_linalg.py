@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import (
+    _eigh,
     _has_inertia,
     _is_invertible,
+    _opnorms,
+    _spectral_pinv,
     as_hermitian,
     frob,
     herm_part,
@@ -20,7 +23,6 @@ from matorder.linalg import (
     jacobi_eigen,
     opnorm,
     spectral_apply,
-    spectral_pinv,
     sqrt_psd,
 )
 from matorder.localiso import _in_zero_component, in_zero_component
@@ -138,7 +140,7 @@ def test_spectral_pinv_moore_penrose():
     rng = np.random.default_rng(6)
     V = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
     A = herm_part(V @ np.diag([2.0, 1.0, 0.5, 0.0, 0.0]) @ V.conj().T)
-    P = spectral_pinv(A)
+    P = _spectral_pinv(_eigh(A), DEFAULT_TOL)
     assert frob(A @ P @ A - A) <= 1e-10
     assert frob(P @ A @ P - P) <= 1e-10
     assert frob(herm_part(A @ P) - A @ P) <= 1e-10
@@ -207,7 +209,7 @@ def hermitian_stacks(draw):
 def test_stacked_kernels_agree_with_per_matrix_kernels(S):
     n = S.shape[-1]
     counts = [tuple(inertia(H)) for H in S]
-    norms = np.linalg.norm(S, 2, axis=(-2, -1))
+    norms = _opnorms(S)
     invertible = _is_invertible(S, DEFAULT_TOL)
     for j, H in enumerate(S):
         assert norms[j] == opnorm(H)
@@ -215,6 +217,19 @@ def test_stacked_kernels_agree_with_per_matrix_kernels(S):
     for p in range(n + 1):
         want = [c == (p, 0, n - p) for c in counts]
         assert _has_inertia(S, p, DEFAULT_TOL).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 6), st.sampled_from([1e-8, 1.0, 1e8]),
+       st.integers(0, 2**32 - 1))
+def test_opnorms_take_the_bits_of_the_two_norm(rows, cols, k, scale, seed):
+    # oracle: np.linalg.norm(M, 2), the maximum of the same svd's values
+    rng = np.random.default_rng(seed)
+    S = scale * (rng.standard_normal((k, rows, cols)) + 1j * rng.standard_normal((k, rows, cols)))
+    norms = _opnorms(S)
+    assert norms.tobytes() == np.linalg.norm(S, 2, axis=(-2, -1)).tobytes()
+    for j, M in enumerate(S):
+        assert opnorm(M) == norms[j] == np.linalg.norm(M, 2)
 
 
 @settings(max_examples=80, deadline=None)
