@@ -32,8 +32,8 @@ _has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
 herm_part and _rank_cut reduce over the last axes, and _opnorms is opnorm
 member by member; localiso._in_zero_component, classify._block_map,
 halfplane._apply_mobius (the shift, both singular-value gates and the
-Mobius evaluation), localiso._apply_local_iso and
-classify._effect_automorphism take stacks the same way, and
+Mobius evaluation), localiso._apply_local_iso, localiso._order_iso_apply
+and classify._effect_automorphism take stacks the same way, and
 classify._effect_embedding decides the endpoint overrides member by member
 and evaluates the other members as one stack. The recovery bodies
 halfplane._fit_canonical and localiso._identify_parameters evaluate their

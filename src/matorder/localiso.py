@@ -70,9 +70,11 @@ DIRECTION_SEED = 3
 # Waypoints drawn in path_to_zero's first pool; each later pool doubles it.
 PATH_POOL_SIZE = 48
 
-# Most segments one _segment_crossings call of the path search tests, so that
-# a 3,000-node pool never asks for a frontier x pool table in one call; at
-# n = 4 each complex temporary of a call stays near 0.5 MB.
+# Most segments one crossing table of the path search covers, so that a
+# 3,000-node pool never asks for a frontier x pool table in one call; at
+# n = 4 each complex temporary of a call stays near 0.5 MB. A table's
+# _segment_crossings call takes only its segments between nodes whose
+# determinants det(node base + I) have one sign (_certified_crossings).
 PATH_SEGMENTS_PER_CALL = 2048
 
 # Cushion of the exact segment test, so that rounding cannot hide a crossing:
@@ -222,8 +224,15 @@ def order_iso_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
     Same formula as shear_apply but gated on component membership and
     symmetrized; the image lies in the zero component of -base.
     """
-    A, H = _base_and_hermitian(base, X, tol)
-    if not _in_zero_component(A, H, tol):
+    return _order_iso_apply(*_base_and_hermitian(base, X, tol), tol)
+
+
+def _order_iso_apply(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of order_iso_apply; H may be a stack (..., n, n), mapped member by member.
+
+    Raises, with order_iso_apply's message, when any member is outside the zero component.
+    """
+    if not all(_in_zero_component(A, H, tol).flat):
         raise DomainViolationError("X is outside the zero component of this base")
     return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[0]), H))
 
@@ -355,18 +364,55 @@ class PathSearchResult(NamedTuple):
     nodes_used: int
 
 
+def _det_signs(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """Whether det(node base + I) > 0, for each node of a stack that passed the shear gate.
+
+    For Hermitian X and base the determinant is real: its conjugate is
+    det(base X + I) = det(X base + I) (Sylvester). LU with partial pivoting
+    returns the determinant of M + E with ||E|| of order n eps ||M||, while
+    the gate keeps sigma_min(M) > inv_margin (1 + sigma_max(M)); so
+    ||M^{-1} E|| is of order n eps / inv_margin, about n 2e-8 at the
+    default inv_margin of 1e-8, the ratio
+    det(M + E) / det(M) = det(I + M^{-1} E) stays near 1, and the real part
+    of the computed determinant has the sign of det(M). The gate and this
+    sign read the same computed M = node base + I.
+    """
+    return np.linalg.det(stacked @ base + np.eye(base.shape[0])).real > 0
+
+
+def _certified_crossings(base: np.ndarray, stacked: np.ndarray, signs: np.ndarray,
+                         starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Crossing table of the segments stacked[starts[i]] -> stacked[ends[j]], given the nodes' _det_signs.
+
+    A segment between nodes of opposite sign is a crossing without further
+    test: t -> det((P + tD) base + I) is a real polynomial that changes sign
+    on [0, 1], so it vanishes inside (the intermediate value theorem). The
+    same-sign segments go to the exact eigenvalue test, in one
+    _segment_crossings call. Near a singular start this is the sharper test:
+    there the eigenvalue test can read a real eigenvalue as complex and miss
+    a crossing.
+    """
+    crossings = signs[starts][:, None] != signs[ends][None, :]
+    i, j = np.nonzero(~crossings)
+    if i.size:
+        crossings[i, j] = _segment_crossings(base, stacked[starts[i]], stacked[ends[j]])
+    return crossings
+
+
 def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[int]]:
     """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges.
 
     Frontier nodes are expanded in order, each claiming, in index order, every
     node still unvisited that it reaches by a segment. The crossing table of a
     block of frontier nodes against the nodes unvisited when the block starts
-    is one _segment_crossings call of at most PATH_SEGMENTS_PER_CALL segments
-    (one frontier node's row where that is longer). Replaying the claims over
-    the table gives the parents that testing node by node gives, since a node
-    claimed earlier in the block is skipped either way.
+    covers at most PATH_SEGMENTS_PER_CALL segments (one frontier node's row
+    where that is longer). Replaying the claims over the table gives the
+    parents that testing node by node gives, since a node claimed earlier in
+    the block is skipped either way. Each table is _certified_crossings over
+    the signs that _det_signs takes once per pool.
     """
     stacked = np.stack(nodes)
+    signs = _det_signs(base, stacked)
     unvisited = np.ones(len(nodes), dtype=bool)
     unvisited[0] = False
     parents = {0: -1}
@@ -376,10 +422,10 @@ def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[i
         start = 0
         while start < len(frontier):
             others = np.flatnonzero(unvisited)  # never empty: node 1 stays unvisited until the return
-            block = frontier[start:start + max(1, PATH_SEGMENTS_PER_CALL // others.size)]
-            start += len(block)
-            crossings = _segment_crossings(base, stacked[block][:, None], stacked[others])
-            for v, crossed_row in zip(block, crossings):
+            block = np.array(frontier[start:start + max(1, PATH_SEGMENTS_PER_CALL // others.size)])
+            start += block.size
+            crossings = _certified_crossings(base, stacked, signs, block, others)
+            for v, crossed_row in zip(block.tolist(), crossings):
                 for idx in others[~crossed_row & unvisited[others]].tolist():
                     unvisited[idx] = False
                     parents[idx] = v
@@ -402,11 +448,18 @@ def path_to_zero(
 ) -> PathSearchResult:
     """Randomized piecewise-linear path search from 0 to X inside the domain.
 
-    Independent oracle for in_zero_component: uses only exact segment tests.
-    Tries the straight segment, then breadth-first search over pools of
-    random Hermitian waypoints, PATH_POOL_SIZE at first and doubling, until
-    a path is found or the node budget is exhausted. A found path certifies
-    membership; exhaustion is (only) evidence of non-membership.
+    Independent oracle for in_zero_component: uses only segment tests, no
+    inertia theory. Tries the straight segment, then breadth-first search over
+    pools of random Hermitian waypoints, PATH_POOL_SIZE at first and doubling,
+    until a path is found or the node budget is exhausted. A found path
+    certifies membership; exhaustion is (only) evidence of non-membership.
+
+    Within a pool most segments are settled by a determinant sign: det(X base
+    + I) is real for Hermitian X, so a segment between waypoints whose
+    determinants differ in sign crosses the singular set (the intermediate
+    value theorem). The signs are exact, since every waypoint passed the
+    shear gate (_det_signs), and the rest go to the exact eigenvalue test
+    (_bfs_over_pool).
     """
     A, H = _base_and_hermitian(base, X, tol)
     if not _in_shear_domain(A, H, tol):

@@ -81,7 +81,6 @@ from .linalg import (
     hermitian_eigen,
     inertia,
     invertibility_margin,
-    is_invertible,
     jacobi_eigen,
     loewner_compare,
     opnorm,
@@ -93,14 +92,14 @@ from .localiso import (
     _apply_local_iso,
     _identify_parameters,
     _in_zero_component,
+    _order_iso_apply,
+    _segment_in_shear_domain,
     congruence_orbit,
     conjugated_base,
     in_shear_domain,
     in_zero_component,
     interval_below_criterion,
-    order_iso_apply,
     path_to_zero,
-    segment_in_shear_domain,
     shear_apply,
     translated_base,
 )
@@ -285,7 +284,7 @@ INVOLUTION_MARGIN = ToleranceConfig(inv_margin=0.05)
 
 
 def _well_margined(M: np.ndarray) -> bool:
-    return is_invertible(M, WELL_MARGINED)
+    return _is_invertible(M, WELL_MARGINED)
 
 
 def _sample_shear_member(rng: np.random.Generator, A: np.ndarray) -> Optional[np.ndarray]:
@@ -300,7 +299,7 @@ def _sample_component_member(rng: np.random.Generator, A: np.ndarray, tol: Toler
     for k in range(300):
         scale = rng.uniform(0.1, 1.2) if k % 2 else rng.uniform(0.05, 0.5)
         X = random_hermitian(rng, n, scale=scale)
-        if _well_margined(X @ A + eye) and in_zero_component(A, X, tol):
+        if _well_margined(X @ A + eye) and _in_zero_component(A, X, tol):
             return X
     return None
 
@@ -674,7 +673,7 @@ def _suite_theta_inversion(rng, trials, tol, rec):
     worst_two_sided = 0.0
     for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n) if t % 20 else np.zeros((n, n), dtype=complex)
-        if not is_invertible(A, tol):
+        if not _is_invertible(A, tol):
             singular_bases += 1
         X = _sample_shear_member(rng, A)
         if X is None:
@@ -714,12 +713,11 @@ def _suite_order_embedding(rng, trials, tol, rec):
         indefinite = t % 4 == 3
         Y = _first(60, lambda: herm_part(X + (_indefinite_step(rng, X) if indefinite
                                                else _psd_step(rng, X, strict=strict))),
-                   lambda Y: _well_margined(Y @ base + np.eye(n)) and segment_in_shear_domain(base, X, Y, tol))
+                   lambda Y: _well_margined(Y @ base + np.eye(n)) and _segment_in_shear_domain(base, X, Y, tol))
         if Y is None:
             skipped += 1
             continue
-        P = order_iso_apply(base, X, tol)
-        Q = order_iso_apply(base, Y, tol)
+        P, Q = _order_iso_apply(base, np.stack([X, Y]), tol)
         if indefinite:
             rec.check(_loewner_compare(P, Q, tol).incomparable, t,
                       "incomparable pair became comparable", A=base, X=X, Y=Y)
@@ -728,7 +726,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
         if strict:
             strict_checked += 1
             min_strict_margin = min(min_strict_margin, margin)
-        _check_order(rec, t, order_iso_apply(-base, P, tol), order_iso_apply(-base, Q, tol), tol,
+        _check_order(rec, t, *_order_iso_apply(-base, np.stack([P, Q]), tol), tol,
                      "pulled-back pair", A=base, X=X, Y=Y)
     return {"skipped": skipped, "strict_checked": strict_checked,
             "min_strict_margin": min_strict_margin if strict_checked else None}
@@ -742,7 +740,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2, lo=0.4, hi=2.0)
         X = _first(200, lambda: herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4)),
-                   lambda X: in_zero_component(A, X, tol))
+                   lambda X: _in_zero_component(A, X, tol))
         if X is None:
             skipped += 1
             continue
@@ -769,7 +767,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
             t_star = -1.0 / lam
             t_w = min(1.0, t_star + 0.5 * (1.0 - t_star))
             W = herm_part(t_w * X)
-            rec.check(not in_zero_component(A, W, tol), t,
+            rec.check(not _in_zero_component(A, W, tol), t,
                       "criterion refuted but witness still inside", A=A, X=X, W=W)
     return {"skipped_borderline": skipped, "criterion_true": true_count}
 

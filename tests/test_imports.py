@@ -276,7 +276,8 @@ def test_svd_scan_sees_a_planted_call():
 # the suites hand the recoverers stacked kernels; the public functions loop over single matrices
 PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"}
 # the suites check their own herm_part-finished draws with kernels; these shells would validate them again
-VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare"}
+VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare",
+                     "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible"}
 # (suite, shell): reads at the sites whose claim is about the public function itself
 SHELL_SITES = {
     # the public eigensolver is the engine under test, next to jacobi_eigen
@@ -285,6 +286,8 @@ SHELL_SITES = {
     ("_suite_order_antisymmetry", "loewner_compare"): 6,
     # the fixture pins the public override path at 0 and I
     ("_suite_effect_embedding", "effect_embedding_map"): 3,
+    # the public criterion is what the path oracle cross-checks
+    ("_suite_component_criterion", "in_zero_component"): 1,
 }
 
 

@@ -167,6 +167,9 @@ def test_invertibility_margin_and_flag():
     assert invertibility_margin(np.eye(3)) == pytest.approx(1.0)
     assert is_invertible(np.eye(3))
     assert not is_invertible(np.diag([1.0, 0.0]).astype(complex))
+    # sigma_min 1e-6 against inv_margin (1 + sigma_max): above 2e-8, below 2e-5
+    assert is_invertible(np.diag([1.0, 1e-6]), DEFAULT_TOL)
+    assert not is_invertible(np.diag([1.0, 1e-6]), DEFAULT_TOL.replace(inv_margin=1e-5))
 
 
 def test_norm_helpers():

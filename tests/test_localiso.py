@@ -2,9 +2,10 @@
 
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matorder import localiso
@@ -24,6 +25,8 @@ from matorder.localiso import (
     DIRECTION_SEED,
     _apply_local_iso,
     _bfs_over_pool,
+    _certified_crossings,
+    _det_signs,
     _identify_parameters,
     _in_shear_domain,
     _segment_crossings,
@@ -234,27 +237,37 @@ def test_level_batched_search_returns_the_per_node_path(cap):
 
 @pytest.mark.parametrize("cap", [1, 3, 50, localiso.PATH_SEGMENTS_PER_CALL])
 def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(cap):
-    # Node i is the 1x1 matrix [i] and a random symmetric adjacency table
-    # stands in for the segment test, so that searches run many levels deep
-    # and claims race inside a block.
+    # Node i is the 1x1 matrix [i] with a random determinant sign, and a random
+    # symmetric adjacency table, which crosses wherever the signs differ,
+    # stands in for the segment test, so that searches run many levels deep,
+    # claims race inside a block, and certified entries mix with tested ones.
     rng = np.random.default_rng(39)
-    deep = unreachable = 0
+    deep = unreachable = mixed = 0
     for _ in range(150):
         size = int(rng.integers(2, 60))
+        signs = rng.random(size) < 0.9
         upper = np.triu(rng.random((size, size)) < rng.uniform(0.02, 0.3), 1)
-        adjacent = upper | upper.T
+        adjacent = (upper | upper.T) & (signs[:, None] == signs[None, :])
         nodes = [np.full((1, 1), i, dtype=complex) for i in range(size)]
 
         def table(base, P, Qs):
             return ~adjacent[P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)]
 
+        def tested(base, P, Qs):
+            # the search asks the segment test only about same-sign pairs
+            i, j = P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)
+            assert (signs[i] == signs[j]).all()
+            return table(base, P, Qs)
+
         want = _bfs_per_node(None, nodes, table)
-        with mock.patch.object(localiso, "_segment_crossings", table), \
+        with mock.patch.object(localiso, "_segment_crossings", tested), \
+                mock.patch.object(localiso, "_det_signs", lambda base, stacked: signs), \
                 mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
             assert _bfs_over_pool(None, nodes) == want
         deep += want is not None and len(want) >= 5
         unreachable += want is None
-    assert deep >= 10 and unreachable >= 10
+        mixed += bool(signs.any() and not signs.all())
+    assert deep >= 10 and unreachable >= 10 and mixed >= 10
 
 
 def test_stacked_shear_gate_keeps_what_the_single_gate_keeps():
@@ -274,6 +287,45 @@ def test_stacked_shear_gate_keeps_what_the_single_gate_keeps():
         kept += sum(want)
         rejected += len(want) - sum(want)
     assert kept >= 40 and rejected >= 40
+
+
+def _relative_sigma_min(M):
+    sv = np.linalg.svd(M, compute_uv=False)
+    return sv[-1] / (1.0 + sv[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(3, 187)
+def test_determinant_certificate_matches_the_eigen_test(n, seed):
+    # Pools as in the stacked shear gate test: nodes 1e-14..1e-4 from the
+    # singular point -A^{-1} mixed with far nodes, all passing the shear gate.
+    # The example has a start 1.8e-8 from singular (relative sigma_min) where
+    # the eigen test misses crossings: G's eigenvalue near -3e7 + 4.7i fails the
+    # REAL_EIG_MARGIN realness test, while the 50-digit determinants of the
+    # ends have opposite signs.
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(rng, n)
+    edge = -np.linalg.inv(A)
+    near = np.stack([herm_part(edge + 10.0 ** rng.uniform(-14, -4) * random_hermitian(rng, n)) for _ in range(12)])
+    far = np.stack([random_hermitian(rng, n) * rng.uniform(0.2, 3.0) for _ in range(12)])
+    nodes = np.concatenate([np.zeros((1, n, n), dtype=complex), near, far])
+    nodes = nodes[_in_shear_domain(A, nodes, DEFAULT_TOL)]
+    signs = _det_signs(A, nodes)
+    every = np.arange(len(nodes))
+    plain = _segment_crossings(A, nodes[:, None], nodes)
+    certified = _certified_crossings(A, nodes, signs, every, every)
+    opposite = signs[:, None] != signs[None, :]
+    assert (certified[~opposite] == plain[~opposite]).all() and certified[opposite].all()
+    # oracle: the 50-digit determinant of the same double entries
+    with mpmath.workdps(50):
+        exact = [mpmath.re(mpmath.det(mpmath.matrix(X.tolist()) * mpmath.matrix(A.tolist()) + mpmath.eye(n))) > 0
+                 for X in nodes]
+    assert signs.tolist() == exact
+    # the eigen test reports every certified crossing but those at an end
+    # within 1e-6 of singular
+    margins = [_relative_sigma_min(X @ A + np.eye(n)) for X in nodes]
+    assert all(min(margins[i], margins[j]) < 1e-6 for i, j in zip(*np.nonzero(opposite & ~plain)))
 
 
 def test_order_iso_preserves_order_on_members():
