@@ -9,11 +9,12 @@ Run: python3 demos/01_shear_map_basics.py
 
 import numpy as np
 
-from matorder.linalg import opnorm
+from matorder.linalg import is_invertible, opnorm
 from matorder.localiso import (
     in_shear_domain,
     in_zero_component,
     path_to_zero,
+    segment_in_shear_domain,
     shear_apply,
 )
 from matorder.sampling import random_hermitian
@@ -26,6 +27,8 @@ X = random_hermitian(rng, n) * 0.4
 
 print("base A eigenvalues:", np.round(np.linalg.eigvalsh(A), 3))
 print("in shear domain:", in_shear_domain(A, X))
+# the domain is exactly where X A + I is invertible
+print("X A + I invertible:", is_invertible(X @ A + np.eye(n)))
 print("in the connected component of 0:", in_zero_component(A, X))
 
 Y = shear_apply(A, X)
@@ -56,3 +59,6 @@ X_far = np.diag([-3.0, 0.0, 0.0]).astype(complex)
 A_diag = np.diag([2.0, -1.0, 0.5]).astype(complex)
 print("\nfar point: in domain =", in_shear_domain(A_diag, X_far),
       "| in zero component =", in_zero_component(A_diag, X_far))
+# the straight segment from 0 to it crosses the surface where X A + I is singular
+print("segment [0, X_far] inside the shear domain:",
+      segment_in_shear_domain(A_diag, np.zeros((n, n)), X_far))

@@ -3,20 +3,25 @@
 On the connected component of 0 the map preserves the semidefinite order in
 both directions whenever the segment between two points stays inside the
 domain. This script samples gated pairs, maps them, and checks the order
-before and after, including strictness and incomparability.
+before and after, including strictness and incomparability. A congruence of
+the shear map, X -> T Phi_A(X) T*, is again a local order isomorphism, and
+its parameters can be read back from the map alone.
 
 Run: python3 demos/02_order_preservation.py
 """
 
 import numpy as np
 
-from matorder.linalg import loewner_compare
+from matorder.halfplane import MobiusAutomorphism
+from matorder.linalg import loewner_compare, opnorm
 from matorder.localiso import (
+    apply_local_iso,
+    identify_parameters,
     in_zero_component,
     order_iso_apply,
     segment_in_zero_component,
 )
-from matorder.sampling import random_hermitian, random_psd
+from matorder.sampling import random_hermitian, random_invertible, random_psd
 
 rng = np.random.default_rng(11)
 n = 3
@@ -60,3 +65,13 @@ print(f"ordered pairs mapped to ordered pairs : {ordered}")
 print(f"  of which strict stayed strict       : {strict}")
 print(f"incomparable pairs stayed incomparable: {incomparable}")
 print("\nevery gated pair preserved its order relation through the map")
+
+# the congruence X -> T Phi_A(X) T* of the map, evaluated as a black box;
+# identify_parameters recovers (A, T) from its values near 0
+iso = MobiusAutomorphism(frame=random_invertible(rng, n), A=A)
+black_box = lambda X: apply_local_iso(iso, X)
+refit = identify_parameters(black_box, n)
+points = [member(0.2) for _ in range(20)]
+worst = max(opnorm(apply_local_iso(refit, X) - black_box(X)) for X in points)
+print(f"\nrecovered base error: {opnorm(refit.A - A):.2e}")
+print(f"recovered map, worst error over 20 members: {worst:.2e}")

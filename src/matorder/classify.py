@@ -56,7 +56,6 @@ __all__ = [
     "EffectAutoSpec",
     "FpqSpec",
     "EffectEmbeddingSpec",
-    "as_effect",
     "effect_automorphism",
     "rational_effect_automorphism",
     "rational_effect_factors",
@@ -279,7 +278,7 @@ def growth_direction(spec: BlockMapSpec, X: Iterable, positive: bool = True, tol
     return herm_part(D if positive else -D)
 
 
-def as_effect(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _as_effect(X: Iterable, tol: ToleranceConfig) -> np.ndarray:
     """Validate 0 <= X <= I (psd_tol cushion) and return the Hermitian part."""
     H = as_hermitian(X, tol, "X")
     eye = np.eye(H.shape[0])
@@ -298,7 +297,7 @@ def EffectAutoSpec(frame: Iterable, transpose: bool = False) -> MobiusAutomorphi
 
 def effect_automorphism(m: MobiusAutomorphism, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Evaluate on an effect; EffectAutoSpec maps fix 0 and I and preserve order both ways."""
-    return _effect_automorphism(m, _same_dim(as_effect(X, tol), m.frame)[0], tol)
+    return _effect_automorphism(m, _same_dim(_as_effect(X, tol), m.frame)[0], tol)
 
 
 def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -363,7 +362,7 @@ def rational_effect_automorphism(spec: FpqSpec, X: Iterable, tol: ToleranceConfi
     The four-factor spectral route of rational_effect_factors is an
     independent check of the same value.
     """
-    return _effect_automorphism(spec.automorphism, _same_dim(as_effect(X, tol), spec.frame)[0], tol)
+    return _effect_automorphism(spec.automorphism, _same_dim(_as_effect(X, tol), spec.frame)[0], tol)
 
 
 def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Tuple[Callable, Callable, Callable, Callable]:
@@ -440,7 +439,7 @@ class EffectEmbeddingSpec:
 
 def effect_embedding_map(spec: EffectEmbeddingSpec, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the embedding, honoring endpoint overrides at 0 and I."""
-    return _effect_embedding(spec, _same_dim(as_effect(X, tol), spec.frame)[0][None], tol)[0]
+    return _effect_embedding(spec, _same_dim(_as_effect(X, tol), spec.frame)[0][None], tol)[0]
 
 
 def _effect_embedding(spec: EffectEmbeddingSpec, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -18,7 +18,6 @@ from .errors import MalformedInputError
 
 __all__ = [
     "matrix_to_payload",
-    "payload_to_matrix",
     "matrix_to_text",
     "parse_matrix_text",
     "write_matrix_file",
@@ -43,7 +42,7 @@ def matrix_to_payload(M: Iterable) -> dict:
     }
 
 
-def payload_to_matrix(payload: dict) -> np.ndarray:
+def _payload_to_matrix(payload: dict) -> np.ndarray:
     try:
         rows = int(payload["rows"])
         cols = int(payload["cols"])
@@ -83,7 +82,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"matrix parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return payload_to_matrix(payload)
+    return _payload_to_matrix(payload)
 
 
 def write_matrix_file(path: Union[str, Path], M: Iterable) -> None:

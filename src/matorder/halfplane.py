@@ -38,7 +38,6 @@ from .sampling import _seeded_draws, random_half_plane
 __all__ = [
     "HalfPlaneMembership",
     "MobiusAutomorphism",
-    "imag_part",
     "in_half_plane",
     "cayley",
     "inverse_cayley",
@@ -58,12 +57,8 @@ FIT_VALIDATION_SEED = 7
 FIT_VALIDATION_POINTS = 20
 
 
-def imag_part(Z: Iterable) -> np.ndarray:
-    """Hermitian imaginary part (Z - Z*)/(2i)."""
-    return _imag_part(as_square(Z))
-
-
 def _imag_part(M: np.ndarray) -> np.ndarray:
+    """Hermitian imaginary part (M - M*)/(2i)."""
     return herm_part((M - M.conj().T) / 2j)
 
 

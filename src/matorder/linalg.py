@@ -30,8 +30,8 @@ S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
 same LAPACK or BLAS call on each member as on a single matrix. Here
 _has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
 herm_part and _rank_cut reduce over the last axes, and _opnorms is opnorm
-member by member; localiso._in_zero_component, classify._block_map,
-halfplane._apply_mobius (the shift, both singular-value gates and the
+member by member; localiso._in_zero_component, localiso._in_shear_domain,
+classify._in_block_domain, classify._block_map, halfplane._apply_mobius (the shift, both singular-value gates and the
 Mobius evaluation), localiso._apply_local_iso, localiso._order_iso_apply
 and classify._effect_automorphism take stacks the same way, and
 classify._effect_embedding decides the endpoint overrides member by member

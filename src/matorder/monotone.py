@@ -41,11 +41,9 @@ __all__ = [
     "LoewnerMatrixReport",
     "MonotoneReport",
     "builtin_function",
-    "divided_difference",
     "loewner_matrix",
     "is_matrix_monotone",
     "pick_eval",
-    "sample_window",
 ]
 
 # Unbounded interval ends are truncated to a window of this width for sampling.
@@ -95,7 +93,7 @@ class ScalarFunction:
         return (self(x + h) - self(x - h)) / (2.0 * h)
 
 
-def sample_window(domain: Tuple[float, float]) -> Tuple[float, float]:
+def _sample_window(domain: Tuple[float, float]) -> Tuple[float, float]:
     """Compact sampling window inside an open interval.
 
     Finite ends are pulled in by 1e-3 of the length; unbounded ends are
@@ -112,7 +110,7 @@ def sample_window(domain: Tuple[float, float]) -> Tuple[float, float]:
     return a + delta, b - delta
 
 
-def divided_difference(f: ScalarFunction, x: float, y: float) -> float:
+def _divided_difference(f: ScalarFunction, x: float, y: float) -> float:
     """First divided difference, switching to the derivative near the diagonal."""
     switch = 1e-6 * (1.0 + abs(x))
     if abs(y - x) > switch:
@@ -136,7 +134,7 @@ def loewner_matrix(f: ScalarFunction, nodes: Sequence[float]) -> LoewnerMatrixRe
     L = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
-            L[i, j] = L[j, i] = divided_difference(f, pts[i], pts[j])
+            L[i, j] = L[j, i] = _divided_difference(f, pts[i], pts[j])
     lowest = float(np.linalg.eigvalsh(L)[0]) if k else 0.0
     return LoewnerMatrixReport(tuple(pts), L, lowest)
 
@@ -188,7 +186,7 @@ def is_matrix_monotone(
     if order < 1:
         raise MalformedInputError("order must be >= 1")
     rng = np.random.default_rng(seed)
-    lo, hi = sample_window(f.domain)
+    lo, hi = _sample_window(f.domain)
     worst = np.inf
     pair_trials = max(trials // 2, 1)
 

@@ -9,10 +9,11 @@ and then finish them in numpy: complex Gaussians, QR and phase fix,
 V diag V*. The finishing bodies (_complex_from_normals,
 _unitary_from_gaussians, _with_spectra) take stacks and draw nothing, so a
 caller that needs many samples draws each sample's raw values in the
-single-sample rng order (as _spectrum_draws does), finishes all of them with
-one call of each body, and gets every member bit for bit as the
-single-sample sampler returns it, with the generator left in the same state.
-_half_plane_stack does the same for random_half_plane.
+single-sample rng order, finishes all of them with one call of each body,
+and gets every member bit for bit as the single-sample sampler returns it,
+with the generator left in the same state. _spectrum_draws and
+_half_plane_stack hold that order, and random_hermitian_with_spectrum and
+random_half_plane are their one-sample case, so each order is written once.
 
 A fixed-seed stack that library code checks against (fit_canonical's
 validation points, identify_parameters' direction) is drawn once per
@@ -87,8 +88,7 @@ def _spectrum_draws(rng: np.random.Generator, n: int, lo: float, hi: float, k: i
 
 def random_hermitian_with_spectrum(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
     """Random Hermitian with i.i.d. uniform eigenvalues in (lo, hi)."""
-    values = rng.uniform(lo, hi, size=n)
-    return _with_spectra(values, complex_gaussian(rng, n, n))
+    return _with_spectra(*_spectrum_draws(rng, n, lo, hi, 1))[0]
 
 
 def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -125,9 +125,7 @@ HALF_PLANE_SPECTRUM = (0.1, 1.5)
 
 def random_half_plane(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random point with positive definite imaginary part, margin >= 0.1."""
-    X = random_hermitian(rng, n)
-    Y = random_hermitian_with_spectrum(rng, n, *HALF_PLANE_SPECTRUM)
-    return X + 1j * Y
+    return _half_plane_stack(rng, n, 1)[0]
 
 
 def _half_plane_stack(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

@@ -41,6 +41,8 @@ from .classify import (
     _bordered_embedding,
     _effect_automorphism,
     _effect_embedding,
+    _in_block_domain,
+    _signature_class,
     block_map_apply,
     class_count,
     are_equivalent,
@@ -48,7 +50,6 @@ from .classify import (
     endpoint_continuity,
     enumerate_signatures,
     growth_direction,
-    in_block_domain,
     rational_effect_factors,
     signature_class,
 )
@@ -403,7 +404,7 @@ def _suite_inertia_congruence(rng, trials, tol, rec):
         ])
         S = random_invertible(rng, n, max_cond=30.0)
         X = herm_part(S @ np.diag(vals).astype(complex) @ S.conj().T)
-        got = tuple(inertia(X, tol))
+        got = tuple(_spectrum_inertia(_eigh(X).values, tol))
         rec.check(got == (n_pos, n_zero, n_neg), t,
                   f"congruence changed inertia {(n_pos, n_zero, n_neg)} -> {got}", X=X, S=S)
         for c in (1e-3, 1.0, 1e3):
@@ -931,11 +932,11 @@ def _suite_block_involution(rng, trials, tol, rec):
         p = int(rng.integers(0, m + 1))
         spec = BlockMapSpec(n, m, p)
         X = _block_samples(rng, spec, 1)[0]
-        rec.check(in_block_domain(spec, X, tol), t, "constructed sample missed the domain", X=X)
-        Y = block_map_apply(spec, X, tol)
-        rec.check(in_block_domain(spec.dual, Y, tol), t,
+        rec.check(_in_block_domain(spec, X, tol), t, "constructed sample missed the domain", X=X)
+        Y = _block_map(spec, X, tol)
+        rec.check(_in_block_domain(spec.dual, Y, tol), t,
                   f"image corner inertia is not ({m - p}, 0, {p})", X=X, Y=Y)
-        back = block_map_apply(spec.dual, Y, tol)
+        back = _block_map(spec.dual, Y, tol)
         rec.check_residual(_rel(back, X), 1e-9, t, f"involution on class (m={m}, p={p})", X=X)
         if t == 0:
             W = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
@@ -960,12 +961,15 @@ def _suite_bordered_identity(rng, trials, tol, rec):
                 instances += 1
                 rec.check_residual(res[j], 1e-9, instances, f"bordered identity (n={n}, m={m}, p={p})", X=X[j])
                 if not fixed[j]:
-                    rec.fail(instances, f"bordered inertia {tuple(inertia(E[j], tol))} != {want}", X=X[j])
+                    got = tuple(_spectrum_inertia(_eigh(E[j]).values, tol))
+                    rec.fail(instances, f"bordered inertia {got} != {want}", X=X[j])
     return {"instances": instances}
 
 
 def _suite_block_monotonicity(rng, trials, tol, rec):
     skipped = 0
+    # the segment [X, X + D] is gated at these nine points, one stack
+    taus = np.linspace(0.0, 1.0, 9)[:, None, None]
     for t, n in _trials(rng, trials, 2, 4):
         m = int(rng.integers(1, n + 1))
         p = int(rng.integers(0, m + 1))
@@ -974,28 +978,27 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
         strict = t % 3 == 1
         indefinite = t % 3 == 2
         D = _first(60, lambda: _indefinite_step(rng, X) if indefinite else _psd_step(rng, X, strict=strict),
-                   lambda D: all(in_block_domain(spec, herm_part(X + tau * D), tol)
-                                 for tau in np.linspace(0.0, 1.0, 9)))
+                   lambda D: all(_in_block_domain(spec, herm_part(X + taus * D), tol)))
         if D is None:
             skipped += 1
             continue
         Y = herm_part(X + D)
-        FX = block_map_apply(spec, X, tol)
-        FY = block_map_apply(spec, Y, tol)
+        FX = _block_map(spec, X, tol)
+        FY = _block_map(spec, Y, tol)
         if indefinite:
             rec.check(_loewner_compare(FX, FY, tol).incomparable, t,
                       "incomparable pair became comparable", X=X, Y=Y)
             continue
         _check_order(rec, t, FX, FY, tol, "pair under the block map", strict, X=X, Y=Y)
-        back_gap = _gap(block_map_apply(spec.dual, FX, tol), block_map_apply(spec.dual, FY, tol))
+        back_gap = _gap(_block_map(spec.dual, FX, tol), _block_map(spec.dual, FY, tol))
         rec.check(back_gap >= -1e-8 * (1.0 + opnorm(X) + opnorm(Y)), t,
                   "pulled-back pair lost order", X=X, Y=Y)
     return {"skipped": skipped}
 
 
 def _suite_growth_ranks(rng, trials, tol, rec):
-    grid_stay = [0.5, 1.0, 10.0, 100.0, 1e4]
-    grid_exit = [0.5, 1.0, 10.0, 100.0, 1e4, 1e6]
+    grid_stay = np.array([0.5, 1.0, 10.0, 100.0, 1e4])
+    grid_exit = np.array([0.5, 1.0, 10.0, 100.0, 1e4, 1e6])
     rank_pairs: Dict[tuple, tuple] = {}
     for n in range(2, 5):
         for (m, p) in _all_classes(n):
@@ -1005,15 +1008,15 @@ def _suite_growth_ranks(rng, trials, tol, rec):
                 X = _block_samples(rng, spec, 1)[0]
                 for positive in (True, False):
                     Y = growth_direction(spec, X, positive=positive, tol=tol)
-                    sig = inertia(Y, tol)
+                    sig = _spectrum_inertia(_eigh(Y).values, tol)
                     want_rank = n + p - m if positive else n - p
                     got_rank = sig.n_pos if positive else sig.n_neg
                     semidef_ok = (sig.n_neg == 0) if positive else (sig.n_pos == 0)
                     rec.check(semidef_ok and got_rank == want_rank, 0,
                               f"direction rank {got_rank} != {want_rank} on (n={n}, m={m}, p={p})", X=X, Y=Y)
-                    c = next((c for c in grid_stay if not in_block_domain(spec, herm_part(X + c * Y), tol)), None)
-                    if c is not None:
-                        rec.fail(0, f"stable direction exited at c={c} on (n={n}, m={m}, p={p})", X=X, Y=Y)
+                    exits = grid_stay[~_in_block_domain(spec, herm_part(X + grid_stay[:, None, None] * Y), tol)]
+                    if exits.size:
+                        rec.fail(0, f"stable direction exited at c={exits[0]} on (n={n}, m={m}, p={p})", X=X, Y=Y)
             if n <= 3:
                 X = _block_samples(rng, spec, 1)[0]
                 for positive in (True, False):
@@ -1025,8 +1028,7 @@ def _suite_growth_ranks(rng, trials, tol, rec):
                         D = herm_part(V @ np.diag(rng.uniform(0.3, 1.0, size=k + 1)).astype(complex) @ V.conj().T)
                         if not positive:
                             D = -D
-                        exited = any(not in_block_domain(spec, herm_part(X + c * D), tol)
-                                     for c in grid_exit)
+                        exited = not all(_in_block_domain(spec, herm_part(X + grid_exit[:, None, None] * D), tol))
                         rec.check(exited, 0,
                                   f"rank-{k + 1} {'PSD' if positive else 'NSD'} direction never exited "
                                   f"(n={n}, m={m}, p={p})", X=X, D=D)
@@ -1052,7 +1054,7 @@ def _suite_class_count(rng, trials, tol, rec):
                     rec.fail(n, "distinct representatives reported equivalent", R=R, Q=Q)
         for R in reps[:: max(1, len(reps) // 4)]:
             S = random_invertible(rng, n, max_cond=20.0)
-            rec.check(are_equivalent(R, herm_part(S @ R @ S.conj().T), tol), n,
+            rec.check(_signature_class(R, tol)[:2] == _signature_class(herm_part(S @ R @ S.conj().T), tol)[:2], n,
                       "congruence changed the signature class", R=R, S=S)
         counts[str(n)] = class_count(n)
     return {"counts": counts}

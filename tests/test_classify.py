@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from matorder.classify import (
     BlockMapSpec,
+    _as_effect,
     _block_map,
     _bordered_arrangement,
     _bordered_embedding,
@@ -17,7 +18,6 @@ from matorder.classify import (
     EffectEmbeddingSpec,
     FpqSpec,
     are_equivalent,
-    as_effect,
     block_map_apply,
     bordered_arrangement,
     bordered_embedding,
@@ -298,9 +298,9 @@ def test_fpq_spec_validates_parameters():
 
 
 def test_as_effect_accepts_and_rejects():
-    assert as_effect(0.5 * np.eye(2)) is not None
+    assert _as_effect(0.5 * np.eye(2), DEFAULT_TOL) is not None
     with pytest.raises(DomainViolationError):
-        as_effect(1.5 * np.eye(2))
+        _as_effect(1.5 * np.eye(2), DEFAULT_TOL)
 
 
 def test_effect_embedding_fixture_flags():

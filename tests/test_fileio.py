@@ -5,11 +5,11 @@ import pytest
 
 from matorder.errors import MalformedInputError
 from matorder.fileio import (
+    _payload_to_matrix,
     matrix_to_payload,
     matrix_to_text,
     parse_matrix_file,
     parse_matrix_text,
-    payload_to_matrix,
     write_matrix_file,
 )
 from matorder.linalg import as_hermitian
@@ -18,7 +18,7 @@ from matorder.sampling import random_hermitian
 
 def test_identity_payload_round_trip():
     I = np.eye(2, dtype=complex)
-    M = payload_to_matrix(matrix_to_payload(I))
+    M = _payload_to_matrix(matrix_to_payload(I))
     assert np.array_equal(M, I)
 
 

@@ -11,10 +11,10 @@ from matorder.halfplane import (
     FIT_VALIDATION_SEED,
     MobiusAutomorphism,
     _apply_mobius,
+    _imag_part,
     apply_mobius,
     cayley,
     fit_canonical,
-    imag_part,
     in_half_plane,
     inverse_cayley,
     mobius_fix01,
@@ -77,7 +77,7 @@ def test_neg_inverse_is_an_involution_preserving_half_plane():
 
 def test_imag_part_sign():
     Z = np.array([[1.0 + 2.0j, 0.0], [0.0, 3.0 - 0.5j]])
-    lam = np.linalg.eigvalsh(imag_part(Z))
+    lam = np.linalg.eigvalsh(_imag_part(Z))
     assert lam[0] == pytest.approx(-0.5)
     assert lam[-1] == pytest.approx(2.0)
 

@@ -2,8 +2,8 @@
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
 draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
 per-matrix recovery call in the suites, no validating shell on the suites' own draws outside the
-listed sites, scipy stays off the CLI's import path and off an fpq apply, and the package binds
-every module's __all__."""
+listed sites, scipy stays off the CLI's import path and off an fpq apply, the package binds
+every module's __all__, and every __all__ name is read outside its module."""
 
 import ast
 import importlib
@@ -184,6 +184,48 @@ def test_unset_default_scan_sees_an_option_nobody_sets():
     ]
 
 
+def _loads(node):
+    """Every name `node` reads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_exports(modules, callers):
+    """(module, name) of each __all__ name of `modules` (module name -> text) that neither another module
+    nor one of `callers` (texts) reads, and that no public function of its module names in its return
+    annotation. Imports and strings are no reads."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    reads = {module: _loads(tree) for module, tree in trees.items()}
+    by_callers = set().union(*(_loads(ast.parse(source)) for source in callers))
+    found = []
+    for module, tree in trees.items():
+        exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__" for target in node.targets)]
+        returned = [_loads(node.returns) for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_") and node.returns is not None]
+        read = by_callers.union(*returned, *(r for other, r in reads.items() if other != module))
+        found += [(module, name) for names in exported for name in names if name not in read]
+    return sorted(found)
+
+
+def test_every_exported_name_is_read_outside_its_module():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [path.read_text() for d in ("demos", "bench") for path in sorted((REPO / d).rglob("*.py"))]
+    assert _unread_exports(modules, callers) == []
+
+
+def test_unread_export_scan_sees_a_name_only_its_module_reads():
+    modules = {
+        "a": "__all__ = ['Result', 'Hidden', 'f', 'g', 'helper', 'unread', 'kept']\n"
+             "class Result:\n    pass\nclass Hidden:\n    pass\n"
+             "def f(x) -> Result:\n    return helper(x)\ndef g(x):\n    return x\ndef helper(x):\n    return x\n"
+             "def unread(x):\n    return x\ndef kept(x):\n    return x\ndef _h(x) -> Hidden:\n    return x\n",
+        "b": "from .a import unread, g\n__all__ = ['k']\ndef k(x):\n    return g(x)\n",
+    }
+    callers = ["import a, b\na.kept(b.k(a.f(1)))\nHOT = ['a.unread']\n"]
+    assert _unread_exports(modules, callers) == [("a", "Hidden"), ("a", "helper"), ("a", "unread")]
+
+
 def _references(tree):
     """(name, owner) of every name a module reads, imports or looks up as an attribute; the owner is
     the module-level function or method whose body holds the reference, or "<module>"."""
@@ -277,7 +319,8 @@ def test_svd_scan_sees_a_planted_call():
 PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"}
 # the suites check their own herm_part-finished draws with kernels; these shells would validate them again
 VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare",
-                     "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible"}
+                     "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible",
+                     "in_block_domain", "block_map_apply", "inertia", "are_equivalent"}
 # (suite, shell): reads at the sites whose claim is about the public function itself
 SHELL_SITES = {
     # the public eigensolver is the engine under test, next to jacobi_eigen
@@ -288,6 +331,14 @@ SHELL_SITES = {
     ("_suite_effect_embedding", "effect_embedding_map"): 3,
     # the public criterion is what the path oracle cross-checks
     ("_suite_component_criterion", "in_zero_component"): 1,
+    # the worked 2x2 example pins the public map
+    ("_suite_block_involution", "block_map_apply"): 1,
+    # scale invariance of the public inertia
+    ("_suite_inertia_congruence", "inertia"): 1,
+    # shear_apply's output is Hermitian only up to rounding; the public inertia validates it
+    ("_suite_congruence_orbit", "inertia"): 1,
+    # the census: distinct representatives are inequivalent under the public test
+    ("_suite_class_count", "are_equivalent"): 1,
 }
 
 

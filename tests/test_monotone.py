@@ -8,14 +8,14 @@ import pytest
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import herm_part, loewner_compare, opnorm, spectral_apply
 from matorder.monotone import (
+    _divided_difference,
+    _sample_window,
     PickRepresentation,
     ScalarFunction,
     builtin_function,
-    divided_difference,
     is_matrix_monotone,
     loewner_matrix,
     pick_eval,
-    sample_window,
 )
 from matorder.sampling import random_half_plane, random_hermitian_with_spectrum
 
@@ -23,11 +23,11 @@ from matorder.sampling import random_half_plane, random_hermitian_with_spectrum
 def test_divided_difference_closed_forms():
     # oracle: (x^2 - y^2)/(x - y) = x + y, and the derivative on the diagonal
     square = builtin_function("square")
-    assert divided_difference(square, 2.0, 5.0) == pytest.approx(7.0)
-    assert divided_difference(square, 3.0, 3.0) == pytest.approx(6.0)
+    assert _divided_difference(square, 2.0, 5.0) == pytest.approx(7.0)
+    assert _divided_difference(square, 3.0, 3.0) == pytest.approx(6.0)
     sqrt = builtin_function("sqrt")
-    assert divided_difference(sqrt, 1.0, 4.0) == pytest.approx(1.0 / 3.0)
-    assert divided_difference(sqrt, 4.0, 4.0) == pytest.approx(0.25)
+    assert _divided_difference(sqrt, 1.0, 4.0) == pytest.approx(1.0 / 3.0)
+    assert _divided_difference(sqrt, 4.0, 4.0) == pytest.approx(0.25)
 
 
 def test_loewner_matrix_square_entrywise():
@@ -105,9 +105,9 @@ def test_tabulated_function_is_not_conclusive(tmp_path):
 
 
 def test_sample_window_stays_inside_domain():
-    lo, hi = sample_window((0.0, math.inf))
+    lo, hi = _sample_window((0.0, math.inf))
     assert 0.0 < lo < hi < math.inf
-    lo2, hi2 = sample_window((-1.0, 1.0))
+    lo2, hi2 = _sample_window((-1.0, 1.0))
     assert -1.0 < lo2 < hi2 < 1.0
 
 
