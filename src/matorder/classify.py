@@ -266,6 +266,11 @@ def growth_direction(spec: BlockMapSpec, X: Iterable, positive: bool = True, tol
     H = _block_argument(spec, X, tol)
     if not _in_block_domain(spec, H, tol):
         raise DomainViolationError("X is outside the block domain")
+    return _growth_direction(spec, H, positive, tol)
+
+
+def _growth_direction(spec: BlockMapSpec, H: np.ndarray, positive: bool, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of growth_direction on an exactly Hermitian H that lies in the block domain; H is not re-checked."""
     n, m = spec.n, spec.m
     D = np.zeros((n, n), dtype=complex)
     D[m:, m:] = np.eye(n - m)

@@ -30,10 +30,13 @@ S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
 same LAPACK or BLAS call on each member as on a single matrix. Here
 _has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
 herm_part and _rank_cut reduce over the last axes, and _opnorms is opnorm
-member by member; localiso._in_zero_component, localiso._in_shear_domain,
+member by member; _jacobi_eigen runs each member's rotations, in the
+order of a run on it alone, as stacked matmuls over the members still
+sweeping; localiso._in_zero_component, localiso._in_shear_domain,
 classify._in_block_domain, classify._block_map, halfplane._apply_mobius (the shift, both singular-value gates and the
-Mobius evaluation), localiso._apply_local_iso, localiso._order_iso_apply
-and classify._effect_automorphism take stacks the same way, and
+Mobius evaluation), localiso._apply_local_iso, localiso._order_iso_apply,
+localiso._shear_apply and classify._effect_automorphism take stacks the
+same way, and
 classify._effect_embedding decides the endpoint overrides member by member
 and evaluates the other members as one stack. The recovery bodies
 halfplane._fit_canonical and localiso._identify_parameters evaluate their
@@ -166,44 +169,74 @@ def jacobi_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomp
     repeat until the off-diagonal Frobenius mass falls below
     eig_tol * ||X||_F / 10, at most JACOBI_MAX_SWEEPS times.
     """
-    A = as_hermitian(X, tol).copy()
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
+    values, vectors = _jacobi_eigen(as_hermitian(X, tol)[None], tol)
+    return EigenDecomposition(values[0], vectors[0])
+
+
+def _jacobi_eigen(S: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
+    """Kernel of jacobi_eigen on an exactly Hermitian stack (k, n, n): values (k, n), vectors (k, n, n).
+
+    Every member takes the rotations, in the same order and with the same
+    arithmetic, of a run on it alone: it stops at the first sweep whose
+    start finds its off-diagonal mass at or below its own target, and the
+    rotation of a pair (p, q) is one stacked matmul over the members still
+    sweeping whose pivot is above their skip threshold. |a_pq| is taken as
+    hypot of its parts, which is abs of a complex scalar bit for bit (np.abs
+    of a complex array is not), and each member's mass is frob of that
+    member alone.
+    """
+    A = np.array(S, dtype=complex)
+    n = A.shape[-1]
+    V = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
     if n <= 1:
-        return EigenDecomposition(np.diag(A).real.copy(), V)
-    scale = frob(A)
-    if scale == 0.0:
-        return EigenDecomposition(np.zeros(n), V)
+        return EigenDecomposition(np.diagonal(A, axis1=-2, axis2=-1).real.copy(), V)
+    scale = np.array([frob(M) for M in A])
     target = tol.eig_tol * scale / 10.0
+    skip = target / (n * n)
+    sweeping = scale != 0.0
+    diag = np.arange(n)
     for _ in range(JACOBI_MAX_SWEEPS):
         # direct off-diagonal mass; the difference frob(A)^2 - sum(diag^2)
         # cancels catastrophically once the sweeps are nearly converged
-        off = frob(A - np.diag(np.diag(A)))
-        if off <= target:
+        off = A.copy()
+        off[:, diag, diag] = 0.0
+        for j in np.flatnonzero(sweeping):
+            sweeping[j] = frob(off[j]) > target[j]
+        if not sweeping.any():
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= target / (n * n):
+                apq = A[:, p, q]
+                b = np.hypot(apq.real, apq.imag)
+                rows = np.flatnonzero(sweeping & (b > skip))
+                if rows.size == 0:
                     continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                ph = np.conj(apq) / abs(apq)
-                b = abs(apq)
+                apq, b = apq[rows], b[rows]
+                app = A[rows, p, p].real
+                aqq = A[rows, q, q].real
+                ph = np.conj(apq) / b
                 tau = (aqq - app) / (2.0 * b)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+                t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
                 c = 1.0 / np.hypot(1.0, t)
                 s = t * c
                 # 2x2 unitary [[c, s], [-ph*s, ph*c]] zeroes the (p,q) entry
-                J = np.array([[c, s], [-ph * s, ph * c]], dtype=complex)
-                A[:, [p, q]] = A[:, [p, q]] @ J
-                A[[p, q], :] = J.conj().T @ A[[p, q], :]
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                V[:, [p, q]] = V[:, [p, q]] @ J
-    values = np.diag(A).real
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], np.ascontiguousarray(V[:, order]))
+                J = np.empty((rows.size, 2, 2), dtype=complex)
+                J[:, 0, 0] = c
+                J[:, 0, 1] = s
+                J[:, 1, 0] = -ph * s
+                J[:, 1, 1] = ph * c
+                pq = np.array([p, q])
+                cols = (rows[:, None, None], diag[:, None], pq)
+                A[cols] = A[cols] @ J
+                pair = (rows[:, None, None], pq[:, None], diag)
+                A[pair] = J.conj().swapaxes(-1, -2) @ A[pair]
+                A[rows, p, q] = 0.0
+                A[rows, q, p] = 0.0
+                V[cols] = V[cols] @ J
+    values = np.diagonal(A, axis1=-2, axis2=-1).real.copy()
+    values[scale == 0.0] = 0.0
+    order = np.argsort(values, axis=-1, kind="stable")
+    return EigenDecomposition(np.take_along_axis(values, order, -1), np.take_along_axis(V, order[:, None, :], -1))
 
 
 def hermitian_eigen(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:

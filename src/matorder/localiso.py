@@ -40,7 +40,7 @@ from .linalg import (
     opnorm,
     sqrt_psd,
 )
-from .sampling import _seeded_draws, random_hermitian
+from .sampling import _complex_from_normals, _seeded_draws, random_hermitian
 
 __all__ = [
     "PathSearchResult",
@@ -105,9 +105,16 @@ def _in_shear_domain(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig):
 
 def shear_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(X base + I)^{-1} X on the shear domain; Hermitian in, Hermitian out."""
-    A, M = _base_and_square(base, X, tol)
+    return _shear_apply(*_base_and_square(base, X, tol), tol)
+
+
+def _shear_apply(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of shear_apply; M may be a stack (..., n, n), mapped member by member.
+
+    Raises, with shear_apply's message, when any member is outside the shear domain.
+    """
     shifted = M @ A + np.eye(A.shape[0])
-    if not _is_invertible(shifted, tol):
+    if not all(_is_invertible(shifted, tol).flat):
         raise DomainViolationError("X is outside the shear domain of this base")
     return np.linalg.solve(shifted, M)
 
@@ -439,6 +446,36 @@ def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[i
     return None
 
 
+def _waypoints(rng: np.random.Generator, H: np.ndarray, spread: float, pool: int) -> np.ndarray:
+    """A pool of path_to_zero's random waypoints (pool, n, n), drawn in order and finished as one stack.
+
+    Each waypoint draws its kind, then its weights and normals: a random
+    Hermitian of scale spread times a choice of {0.5, 1, 2}; a point
+    u H, u in (0.1, 0.9), plus a random Hermitian of scale 0.7 spread; or a
+    multiple u v H, u in (-0.5, 1.5), v in (0.2, 0.8). The Hermitian parts
+    are finished with one _complex_from_normals and one herm_part, bit for
+    bit as random_hermitian finishes each alone.
+    """
+    n = H.shape[0]
+    kinds = np.empty(pool, dtype=np.int64)
+    weights = np.zeros((pool, 2))
+    normals = np.zeros((pool, 2, n, n))
+    for i in range(pool):
+        kinds[i] = rng.integers(0, 3)
+        if kinds[i] == 0:
+            weights[i, 0] = rng.choice([0.5, 1.0, 2.0])
+            rng.standard_normal(out=normals[i])
+        elif kinds[i] == 1:
+            weights[i, 0] = rng.uniform(0.1, 0.9)
+            rng.standard_normal(out=normals[i])
+        else:
+            weights[i, 0] = rng.uniform(-0.5, 1.5)
+            weights[i, 1] = rng.uniform(0.2, 0.8)
+    R = herm_part(_complex_from_normals(normals))
+    kind, u, v = kinds[:, None, None], weights[:, 0, None, None], weights[:, 1, None, None]
+    return np.where(kind == 0, R * (spread * u), np.where(kind == 1, u * H + R * (0.7 * spread), u * H * v))
+
+
 def path_to_zero(
     base: Iterable,
     X: Iterable,
@@ -473,15 +510,7 @@ def path_to_zero(
     pool = PATH_POOL_SIZE
     while used < max_nodes:
         pool = min(pool, max_nodes - used)
-        draws = np.empty((pool,) + H.shape, dtype=complex)
-        for i in range(pool):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                draws[i] = random_hermitian(rng, H.shape[0], scale=spread * rng.choice([0.5, 1.0, 2.0]))
-            elif kind == 1:
-                draws[i] = rng.uniform(0.1, 0.9) * H + random_hermitian(rng, H.shape[0], scale=0.7 * spread)
-            else:
-                draws[i] = rng.uniform(-0.5, 1.5) * H * rng.uniform(0.2, 0.8)
+        draws = _waypoints(rng, H, spread, pool)
         candidates = draws[_in_shear_domain(A, draws, tol)]
         used += pool
         if len(candidates):

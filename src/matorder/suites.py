@@ -15,10 +15,14 @@ uniforms) in the order the per-sample sampler draws them, then build all
 samples with the stacked finishing bodies of `sampling` (one QR and one
 V diag V* in _with_spectra, one herm_part; see _block_samples and
 interval-criterion), check them with the stacked kernels (_block_map,
-_in_zero_component, _has_inertia, _opnorms) and record per sample,
-computing a failure message only for a failed member. Such a stack is
-drawn whole even when a member fails, so a failure never shifts the draws
-of later trials.
+_in_zero_component, _has_inertia, _opnorms, _shear_apply, _jacobi_eigen)
+and record per sample, computing a failure message only for a failed
+member. Such a stack is drawn whole even when a member fails, so a failure
+never shifts the draws of later trials. A suite whose trials draw nothing
+after their checks may draw every trial first, run a kernel once per
+dimension, and then check trial by trial, so that its failures are
+recorded in the order the per-trial loop records them (eigen-residual and
+spectral-composition with _jacobi_by_trial).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .classify import (
     _bordered_embedding,
     _effect_automorphism,
     _effect_embedding,
+    _growth_direction,
     _in_block_domain,
     _signature_class,
     block_map_apply,
@@ -49,7 +54,6 @@ from .classify import (
     effect_embedding_map,
     endpoint_continuity,
     enumerate_signatures,
-    growth_direction,
     rational_effect_factors,
     signature_class,
 )
@@ -69,9 +73,11 @@ from .halfplane import (
     normalize_phase,
 )
 from .linalg import (
+    EigenDecomposition,
     _eigh,
     _has_inertia,
     _is_invertible,
+    _jacobi_eigen,
     _loewner_compare,
     _opnorms,
     _spectral_apply,
@@ -82,7 +88,6 @@ from .linalg import (
     hermitian_eigen,
     inertia,
     invertibility_margin,
-    jacobi_eigen,
     loewner_compare,
     opnorm,
     spectral_apply,
@@ -92,16 +97,16 @@ from .localiso import (
     REAL_EIG_MARGIN,
     _apply_local_iso,
     _identify_parameters,
+    _in_shear_domain,
     _in_zero_component,
     _order_iso_apply,
     _segment_in_shear_domain,
+    _shear_apply,
     congruence_orbit,
     conjugated_base,
-    in_shear_domain,
     in_zero_component,
     interval_below_criterion,
     path_to_zero,
-    shear_apply,
     translated_base,
 )
 from .monotone import (
@@ -370,15 +375,25 @@ def _all_classes(n: int):
 # core linear algebra suites
 
 
+def _jacobi_by_trial(draws: Dict[int, np.ndarray], tol: ToleranceConfig) -> Dict[int, EigenDecomposition]:
+    """_jacobi_eigen of each exactly Hermitian draw, keyed by trial like `draws`, in one call per dimension."""
+    out = {}
+    for n in sorted({X.shape[0] for X in draws.values()}):
+        ts = [t for t, X in draws.items() if X.shape[0] == n]
+        values, vectors = _jacobi_eigen(np.stack([draws[t] for t in ts]), tol)
+        out.update((t, EigenDecomposition(values[j], vectors[j])) for j, t in enumerate(ts))
+    return out
+
+
 def _suite_eigen_residual(rng, trials, tol, rec):
     sizes = [2, 3, 4, 5, 6, 8, 12, 16]
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        X = random_hermitian(rng, n, scale=10.0 ** rng.uniform(-1.0, 1.0))
-        engines = [("numpy", hermitian_eigen), ("jacobi", jacobi_eigen)]
-        # jacobi on every small matrix, but only every 4th large one (it is O(n^4))
-        for engine, eigen in engines if n <= 8 or t % 4 == 0 else engines[:1]:
-            decomp = eigen(X, tol)
+    draws = [random_hermitian(rng, sizes[t % len(sizes)], scale=10.0 ** rng.uniform(-1.0, 1.0)) for t in range(trials)]
+    # jacobi on every small matrix, but only every 4th large one (it is O(n^4))
+    jacobi = _jacobi_by_trial({t: X for t, X in enumerate(draws) if X.shape[0] <= 8 or t % 4 == 0}, tol)
+    for t, X in enumerate(draws):
+        n = X.shape[0]
+        engines = [("numpy", hermitian_eigen(X, tol))] + ([("jacobi", jacobi[t])] if t in jacobi else [])
+        for engine, decomp in engines:
             V, vals = decomp.vectors, decomp.values
             res = frob(X @ V - V * vals) / (1.0 + frob(X))
             rec.check_residual(res, tol.eig_tol, t, f"{engine} eigen residual", X=X)
@@ -433,17 +448,18 @@ def _suite_order_antisymmetry(rng, trials, tol, rec):
 
 def _suite_spectral_composition(rng, trials, tol, rec):
     bound = 1e-9
-    for t, n in _trials(rng, trials):
-        X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
+    draws = [(random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0)), herm_part(random_psd(rng, n) + 0.3 * np.eye(n)))
+             for _, n in _trials(rng, trials)]
+    jacobi = _jacobi_by_trial({t: X for t, (X, _) in enumerate(draws) if X.shape[0] <= 6}, tol)
+    for t, (X, P) in enumerate(draws):
         inner = spectral_apply(X, lambda x: x * x, tol=tol)
         two_step = spectral_apply(inner, lambda x: math.sqrt(x + 1.0), domain=(-0.5, math.inf), tol=tol)
         one_step = spectral_apply(X, lambda x: math.sqrt(x * x + 1.0), tol=tol)
         rec.check_residual(_rel(two_step, one_step), bound, t, "sqrt(x^2+1) composition", X=X)
-        P = herm_part(random_psd(rng, n) + 0.3 * np.eye(n))
         back = spectral_apply(spectral_apply(P, math.log, domain=(0.0, math.inf), tol=tol), math.exp, tol=tol)
         rec.check_residual(_rel(back, P), bound, t, "exp(log(P)) identity", P=P)
-        if n <= 6:
-            alt = _spectral_apply(jacobi_eigen(X, tol), lambda x: math.sqrt(x * x + 1.0), None, (), tol)
+        if t in jacobi:
+            alt = _spectral_apply(jacobi[t], lambda x: math.sqrt(x * x + 1.0), None, (), tol)
             rec.check_residual(_rel(alt, one_step), bound, t, "engine cross-check", X=X)
 
 
@@ -681,9 +697,9 @@ def _suite_theta_inversion(rng, trials, tol, rec):
             rec.fail(t, "no shear-domain sample found", A=A)
             continue
         eye = np.eye(n)
-        Y = shear_apply(A, X, tol)
-        rec.check(in_shear_domain(-A, Y, tol), t, "image not in the mirrored domain", A=A, X=X)
-        back = shear_apply(-A, Y, tol)
+        Y = _shear_apply(A, X, tol)
+        rec.check(_in_shear_domain(-A, Y, tol), t, "image not in the mirrored domain", A=A, X=X)
+        back = _shear_apply(-A, Y, tol)
         r1 = _rel(back, X)
         worst_inverse = max(worst_inverse, r1)
         rec.check_residual(r1, 1e-9, t, "inversion identity", A=A, X=X)
@@ -787,9 +803,10 @@ def _suite_translation_identity(rng, trials, tol, rec):
         if X is None:
             rec.fail(t, "no translated sample found", A=A, X0=X0)
             continue
-        lhs = shear_apply(A, herm_part(X0 + X), tol) - shear_apply(A, X0, tol)
+        shifted, anchor = _shear_apply(A, np.stack([herm_part(X0 + X), X0]), tol)
+        lhs = shifted - anchor
         Mi = np.linalg.inv(X0 @ A + eye)
-        rhs = Mi @ shear_apply(A2, X, tol) @ Mi.conj().T
+        rhs = Mi @ _shear_apply(A2, X, tol) @ Mi.conj().T
         rec.check_residual(opnorm(lhs - rhs) / (1.0 + opnorm(lhs)), 1e-9,
                            t, "translation identity", A=A, X0=X0, X=X)
 
@@ -804,8 +821,8 @@ def _suite_conjugation_identity(rng, trials, tol, rec):
             rec.fail(t, "no shear-domain sample found", A=A)
             continue
         S = np.linalg.inv(T).conj().T
-        lhs = shear_apply(A2, herm_part(S @ X @ S.conj().T), tol)
-        rhs = S @ shear_apply(A, X, tol) @ S.conj().T
+        lhs = _shear_apply(A2, herm_part(S @ X @ S.conj().T), tol)
+        rhs = S @ _shear_apply(A, X, tol) @ S.conj().T
         rec.check_residual(_rel(lhs, rhs), 1e-9, t, "conjugation identity", A=A, T=T, X=X)
 
 
@@ -846,7 +863,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
         else:
             rec.fail(t, "orbit factor failed even after shrinking", A=A, X=X)
             continue
-        target = shear_apply(X, A, tol)
+        target = _shear_apply(X, A, tol)
         got = herm_part(G @ A @ G.conj().T)
         rec.check_residual(opnorm(got - target) / (1.0 + opnorm(A)), 1e-8,
                            t, "orbit congruence residual", A=A, X=X)
@@ -1004,10 +1021,9 @@ def _suite_growth_ranks(rng, trials, tol, rec):
         for (m, p) in _all_classes(n):
             spec = BlockMapSpec(n, m, p)
             rank_pairs[(n, m, p)] = (n + p - m, n - p)
-            for _ in range(max(1, trials // 4)):
-                X = _block_samples(rng, spec, 1)[0]
+            for X in _block_samples(rng, spec, max(1, trials // 4)):
                 for positive in (True, False):
-                    Y = growth_direction(spec, X, positive=positive, tol=tol)
+                    Y = _growth_direction(spec, X, positive, tol)
                     sig = _spectrum_inertia(_eigh(Y).values, tol)
                     want_rank = n + p - m if positive else n - p
                     got_rank = sig.n_pos if positive else sig.n_neg

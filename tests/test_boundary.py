@@ -25,6 +25,7 @@ from matorder.classify import (
     bordered_embedding,
     effect_automorphism,
     effect_embedding_map,
+    growth_direction,
     in_block_domain,
     rational_effect_automorphism,
     signature_class,
@@ -32,7 +33,7 @@ from matorder.classify import (
 from matorder.config import DEFAULT_TOL
 from matorder.errors import MalformedInputError
 from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
-from matorder.linalg import herm_part, loewner_compare
+from matorder.linalg import herm_part, jacobi_eigen, loewner_compare
 from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
@@ -254,7 +255,10 @@ NEAR_HERMITIAN = np.diag([0.5, 0.25]).astype(complex) + np.array([[0.0, 7e-9], [
                      id="segment_in_zero_component"),
         pytest.param(lambda tol: segment_in_shear_domain(NEAR_HERMITIAN, SMALL, 0.5 * SMALL, tol),
                      id="segment_in_shear_domain"),
+        pytest.param(lambda tol: in_shear_domain(NEAR_HERMITIAN, SMALL, tol), id="in_shear_domain"),
         pytest.param(lambda tol: in_block_domain(BLOCK, NEAR_HERMITIAN, tol), id="in_block_domain"),
+        pytest.param(lambda tol: growth_direction(BLOCK, NEAR_HERMITIAN, True, tol), id="growth_direction"),
+        pytest.param(lambda tol: jacobi_eigen(NEAR_HERMITIAN, tol), id="jacobi_eigen"),
         pytest.param(lambda tol: bordered_embedding(1, NEAR_HERMITIAN, tol), id="bordered_embedding"),
         pytest.param(lambda tol: bordered_arrangement(1, NEAR_HERMITIAN, tol), id="bordered_arrangement"),
         pytest.param(lambda tol: apply_local_iso(MobiusAutomorphism(frame=EYE, A=BASE), NEAR_HERMITIAN, tol),

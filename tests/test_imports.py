@@ -320,7 +320,8 @@ PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"
 # the suites check their own herm_part-finished draws with kernels; these shells would validate them again
 VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare",
                      "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible",
-                     "in_block_domain", "block_map_apply", "inertia", "are_equivalent"}
+                     "in_block_domain", "block_map_apply", "inertia", "are_equivalent",
+                     "jacobi_eigen", "shear_apply", "in_shear_domain", "growth_direction"}
 # (suite, shell): reads at the sites whose claim is about the public function itself
 SHELL_SITES = {
     # the public eigensolver is the engine under test, next to jacobi_eigen

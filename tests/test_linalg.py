@@ -1,10 +1,13 @@
 """Eigendecomposition, inertia, and functional calculus against closed-form oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matorder import linalg
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import (
@@ -81,6 +84,75 @@ def test_jacobi_agrees_with_default_engine():
             V, w = d.vectors, d.values
             assert frob((V * w) @ V.conj().T - A) <= 1e-9 * (1.0 + frob(A))
             assert frob(V.conj().T @ V - np.eye(n)) <= 1e-10 * n
+
+
+def _jacobi_per_matrix(X, tol):
+    """The per-matrix cyclic Jacobi loop that the stacked kernel replaced, kept as its reference."""
+    A = np.array(X, dtype=complex)
+    n = A.shape[0]
+    V = np.eye(n, dtype=complex)
+    if n <= 1:
+        return np.diag(A).real.copy(), V
+    scale = frob(A)
+    if scale == 0.0:
+        return np.zeros(n), V
+    target = tol.eig_tol * scale / 10.0
+    for _ in range(linalg.JACOBI_MAX_SWEEPS):
+        if frob(A - np.diag(np.diag(A))) <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= target / (n * n):
+                    continue
+                ph = np.conj(apq) / abs(apq)
+                tau = (A[q, q].real - A[p, p].real) / (2.0 * abs(apq))
+                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                J = np.array([[c, s], [-ph * s, ph * c]], dtype=complex)
+                A[:, [p, q]] = A[:, [p, q]] @ J
+                A[[p, q], :] = J.conj().T @ A[[p, q], :]
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                V[:, [p, q]] = V[:, [p, q]] @ J
+    values = np.diag(A).real
+    order = np.argsort(values, kind="stable")
+    return values[order], np.ascontiguousarray(V[:, order])
+
+
+def _bits(M):
+    return np.ascontiguousarray(M).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=20),
+       st.sampled_from(["random", "zero", "diagonal", "repeated"]), st.sampled_from([1e-10, 1e-30]),
+       st.sampled_from([None, 1, 2]), st.integers(0, 2**32 - 1))
+def test_stacked_jacobi_is_the_per_matrix_loop_bit_for_bit(n, exponents, kind, eig_tol, sweeps, seed):
+    # members of one stack converge after different numbers of sweeps; eig_tol 1e-30 still converges
+    # within about ten (quadratically), so a lowered sweep cap stops members before convergence
+    rng = np.random.default_rng(seed)
+    S = np.stack([random_hermitian(rng, n, scale=10.0 ** e) for e in exponents])
+    if kind == "zero":
+        S[0] = 0.0
+    elif kind == "diagonal":
+        S = S * np.eye(n)
+    elif kind == "repeated":
+        values = np.repeat(rng.uniform(-1.0, 1.0, size=(len(exponents), n)), 2, axis=1)[:, :n]
+        values = values * 10.0 ** np.array(exponents)[:, None]
+        U = random_unitary(rng, n)
+        S = herm_part((U * values[:, None, :]) @ U.conj().T)
+    tol = DEFAULT_TOL.replace(eig_tol=eig_tol)
+    with mock.patch.object(linalg, "JACOBI_MAX_SWEEPS", sweeps or linalg.JACOBI_MAX_SWEEPS):
+        got = linalg._jacobi_eigen(S, tol)
+        for j, X in enumerate(S):
+            values, vectors = _jacobi_per_matrix(X, tol)
+            assert np.array_equal(_bits(got.values[j]), _bits(values))
+            assert np.array_equal(_bits(got.vectors[j]), _bits(vectors))
+        single = jacobi_eigen(S[0], tol)
+    assert np.array_equal(_bits(single.values), _bits(got.values[0]))
+    assert np.array_equal(_bits(single.vectors), _bits(got.vectors[0]))
 
 
 def test_eigen_on_diagonal_is_exact():

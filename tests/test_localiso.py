@@ -180,6 +180,68 @@ def test_membership_matches_path_search_oracle():
     assert agree >= 25
 
 
+def _waypoints_per_draw(rng, H, spread, pool):
+    """path_to_zero's waypoints drawn and finished one at a time, the reference for the stacked pool."""
+    draws = np.empty((pool,) + H.shape, dtype=complex)
+    for i in range(pool):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            draws[i] = random_hermitian(rng, H.shape[0], scale=spread * rng.choice([0.5, 1.0, 2.0]))
+        elif kind == 1:
+            draws[i] = rng.uniform(0.1, 0.9) * H + random_hermitian(rng, H.shape[0], scale=0.7 * spread)
+        else:
+            draws[i] = rng.uniform(-0.5, 1.5) * H * rng.uniform(0.2, 0.8)
+    return draws
+
+
+def _same_bits(P, Q):
+    return P.shape == Q.shape and np.array_equal(P.view(np.uint64), Q.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 200), st.sampled_from([1.0, 2.5, 40.0]), st.integers(0, 2**32 - 1))
+def test_stacked_waypoints_are_the_per_draw_waypoints(n, pool, spread, seed):
+    H = random_hermitian(np.random.default_rng(seed), n, scale=spread)
+    rng, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert _same_bits(localiso._waypoints(rng, H, spread, pool), _waypoints_per_draw(reference, H, spread, pool))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([2.5, 4.0]), st.booleans(),
+       st.sampled_from([3, 30, 50, 96, 200, 1000]), st.integers(0, 2**32 - 1))
+def test_path_search_replays_the_per_draw_waypoints(n, scale, member, max_nodes, seed):
+    # budgets of 3, 30 and 200 nodes cut a pool short (the pools hold 48, 96, 192, ... waypoints); X is
+    # drawn until the straight segment from 0 leaves the domain, so that the search draws pools, and
+    # until its membership is `member`, so that members are reached through waypoints
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(rng, n, scale=1.5)
+    for _ in range(300):
+        X = random_hermitian(rng, n, scale=scale)
+        if not segment_in_shear_domain(A, np.zeros((n, n)), X) and in_zero_component(A, X) == member:
+            break
+    got = path_to_zero(A, X, seed=seed, max_nodes=max_nodes)
+    with mock.patch.object(localiso, "_waypoints", _waypoints_per_draw):
+        want = path_to_zero(A, X, seed=seed, max_nodes=max_nodes)
+    assert (got.found, got.nodes_used) == (want.found, want.nodes_used)
+    assert (got.path is None) == (want.path is None)
+    if got.path is not None:
+        assert len(got.path) == len(want.path)
+        assert all(_same_bits(P, Q) for P, Q in zip(got.path, want.path))
+
+
+def test_stacked_shear_map_is_the_per_matrix_map():
+    rng = np.random.default_rng(12)
+    A = random_hermitian(rng, 3)
+    S = np.stack([random_hermitian(rng, 3, scale=0.4) for _ in range(6)])
+    got = localiso._shear_apply(A, S, DEFAULT_TOL)
+    assert all(_same_bits(Y, shear_apply(A, X)) for X, Y in zip(S, got))
+    # one member on the singular set: the stack raises with the shell's message
+    S[4] = -np.linalg.inv(A)
+    with pytest.raises(DomainViolationError, match="outside the shear domain"):
+        localiso._shear_apply(A, S, DEFAULT_TOL)
+
+
 def _bfs_per_node(base, nodes, crossings=_segment_crossings):
     """Reference search: one crossing call per frontier node, against the nodes unvisited at that moment."""
     total = len(nodes)

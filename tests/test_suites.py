@@ -186,3 +186,24 @@ def test_check_order_fails_past_its_cushion_and_on_lost_strictness():
     rec, margin = recorded(0.0, strict=True)
     assert rec.failure_count == 1 and rec.failures[0]["description"] == "strict pair no longer strict"
     assert margin == 0.0
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7])
+@pytest.mark.parametrize("name", ["eigen-residual", "spectral-composition", "component-criterion", "theta-inversion",
+                                  "translation-identity", "conjugation-identity", "congruence-orbit", "growth-ranks"])
+def test_suites_pass_when_their_dimension_groups_are_small(name, trials):
+    # eigen-residual and spectral-composition draw every trial first and run the Jacobi engine once per
+    # dimension: at these counts most groups hold one member and some dimensions none (eigen-residual
+    # meets size 12 only at the seventh trial, which it does not give to Jacobi, and 16 not at all)
+    report = run_suite(name, seed=3, trials=trials)
+    assert report.passed, report.failures[:1]
+    assert set(report.details) == {"failure_count", *_DETAIL_KEYS[name]}
+
+
+def test_impossible_tolerance_failures_come_in_trial_order():
+    # the Jacobi engine runs before any check, yet each trial records its numpy checks, then its jacobi checks
+    tol = DEFAULT_TOL.replace(eig_tol=1e-30, psd_tol=1e-30, herm_tol=1e-30)
+    report = run_suite("eigen-residual", seed=0, trials=3, tol=tol)
+    order = [(f["trial"], f["description"].split()[0]) for f in report.failures]
+    assert order == sorted(order, key=lambda entry: (entry[0], ["numpy", "jacobi"].index(entry[1])))
+    assert {trial for trial, _ in order} == {0, 1, 2} and {engine for _, engine in order} == {"numpy", "jacobi"}
