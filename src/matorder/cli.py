@@ -162,12 +162,10 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
     failed = 0
     for name in names:
         report = run_suite(name, seed=args.seed, trials=args.trials, tol=tol)
-        line = report.to_dict(include_timing=not args.no_timing)
-        print(json.dumps(line, sort_keys=True, separators=(",", ":")))
+        print(report.to_json(include_timing=not args.no_timing))
         if not report.passed:
             failed += 1
-    summary = {"suites": len(names), "failed": failed}
-    print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+    print(json.dumps({"suites": len(names), "failed": failed}, sort_keys=True, separators=(",", ":")))
     return 0 if failed == 0 else 1
 
 

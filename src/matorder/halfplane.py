@@ -26,12 +26,12 @@ from .linalg import (
     _is_invertible,
     _opnorms,
     _same_dim,
+    _sqrt_psd,
     as_hermitian,
     as_square,
     herm_part,
     hermitian_eigen,
     opnorm,
-    sqrt_psd,
 )
 from .sampling import _seeded_draws, random_half_plane
 
@@ -170,10 +170,9 @@ class MobiusAutomorphism:
 
     def __post_init__(self) -> None:
         frame = as_square(self.frame, "frame")
-        zero = np.zeros(frame.shape)
         params = _same_dim(frame, as_hermitian(self.A, name="A"),
-                           as_hermitian(zero if self.B is None else self.B, name="B"),
-                           as_hermitian(zero if self.C is None else self.C, name="C"))
+                           *(np.zeros(frame.shape, dtype=complex) if M is None else as_hermitian(M, name=name)
+                             for M, name in ((self.B, "B"), (self.C, "C"))))
         if not _is_invertible(frame, DEFAULT_TOL):
             raise MalformedInputError("frame must be invertible")
         for key, value in zip(("frame", "A", "B", "C"), params):
@@ -364,7 +363,7 @@ def _fit_centered(
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
     A2 = _imag_part(W)
     A1 = herm_part((W + W.conj().T) / 2.0)
-    A2h = sqrt_psd(A2, tol)
+    A2h = _sqrt_psd(_eigh(A2), tol)
     A2hinv = np.linalg.inv(A2h)
     A = herm_part(A2hinv @ A1 @ A2hinv)
     # (A^2 + I)^{1/2} from the eigenvalues of A: A^2 + I >= I, and a rank cut

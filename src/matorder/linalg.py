@@ -13,16 +13,20 @@ calls a private trusted kernel (_eigh, _is_invertible, _loewner_compare,
 it, and functions that accept both Hermitian and non-Hermitian points
 branch on it. Invertibility is decided by _is_invertible alone, relative to
 the scale of the matrix: sigma_min > inv_margin*(1 + sigma_max), from one
-SVD. A kernel takes complex ndarrays that are already square and
-finite and, where it asks for Hermitian input, exactly Hermitian: the
-output of as_hermitian or herm_part, or an expression that keeps exact
-symmetry (sums, differences and real multiples of such arrays, and their
-leading corner blocks). herm_part is exact on such arrays, so a kernel
-computes bit for bit what the public function computes on the same
-argument, and makes the same LAPACK call (eigh, svd, solve, inv) on the
-same matrix. Library code that has validated its arguments calls kernels,
-never the shells; a kernel does not re-check finiteness of intermediates it
-is handed.
+SVD. A kernel takes complex ndarrays that are already square and finite
+and, where it asks for Hermitian input, exactly Hermitian: the output of
+as_hermitian or herm_part, or an expression that keeps exact symmetry
+(sums, differences and real multiples of such arrays, and their leading
+corner blocks). herm_part is exact on such arrays, so a kernel computes bit
+for bit what the public function computes on the same argument, and makes
+the same LAPACK call (eigh, svd, solve, inv) on the same matrix. Library
+code that has validated its arguments calls kernels, never the shells
+(_sqrt_psd is a kernel only: its callers hand it an _eigh); a kernel does
+not re-check finiteness of intermediates it is handed. The shell calls that
+stay take outside input: classify.rational_effect_factors' spectral_apply
+(its factors are callable on any matrix), halfplane._congruence_from_probes'
+hermitian_eigen (a non-finite probe response stays a MalformedInputError)
+and spectral_apply's own hermitian_eigen.
 
 The contract extends to stacks. A stacked kernel takes a (k, n, n) array
 and returns, for each j, bit for bit what the per-matrix kernel returns on
@@ -75,7 +79,6 @@ __all__ = [
     "spectral_apply",
     "invertibility_margin",
     "is_invertible",
-    "sqrt_psd",
 ]
 
 
@@ -428,14 +431,14 @@ def _spectral_pinv(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarr
     return herm_part((decomp.vectors * inv) @ decomp.vectors.conj().T)
 
 
-def sqrt_psd(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+def _sqrt_psd(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix, from its eigendecomposition.
 
-    Eigenvalues below the rank cutoff psd_tol*(1+||A||_2) are treated as
-    exact zeros (same rank decision as _spectral_pinv); taking square roots
-    of eps-level noise would otherwise smear sqrt(eps) into the kernel.
+    Eigenvalues within the rank cutoff psd_tol*(1+||A||_2) of zero are treated
+    as exact zeros (same rank decision as _spectral_pinv), since roots of
+    eps-level noise would smear sqrt(eps) into the kernel; one below the
+    negated cutoff, where _loewner_compare(0, A, tol).leq fails, raises.
     """
-    decomp = hermitian_eigen(A, tol)
     values = decomp.values
     if values.size == 0:
         return np.zeros((0, 0), dtype=complex)

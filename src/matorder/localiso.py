@@ -30,15 +30,14 @@ from .linalg import (
     _eigh,
     _has_inertia,
     _is_invertible,
-    _loewner_compare,
     _principal_sqrt,
     _rank_cut,
     _same_dim,
+    _sqrt_psd,
     as_hermitian,
     as_square,
     herm_part,
     opnorm,
-    sqrt_psd,
 )
 from .sampling import _complex_from_normals, _seeded_draws, random_hermitian
 
@@ -70,11 +69,13 @@ DIRECTION_SEED = 3
 # Waypoints drawn in path_to_zero's first pool; each later pool doubles it.
 PATH_POOL_SIZE = 48
 
+# Scales of a random-Hermitian waypoint. Indexed by rng.integers(0, 3), they give
+# rng.choice's value and generator state at a quarter of its cost.
+WAYPOINT_SCALES = np.array([0.5, 1.0, 2.0])
+
 # Most segments one crossing table of the path search covers, so that a
 # 3,000-node pool never asks for a frontier x pool table in one call; at
-# n = 4 each complex temporary of a call stays near 0.5 MB. A table's
-# _segment_crossings call takes only its segments between nodes whose
-# determinants det(node base + I) have one sign (_certified_crossings).
+# n = 4 each complex temporary of a call stays near 0.5 MB.
 PATH_SEGMENTS_PER_CALL = 2048
 
 # Cushion of the exact segment test, so that rounding cannot hide a crossing:
@@ -172,9 +173,8 @@ def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.nd
     G = (P base + I)^{-1} D base shows the segment hits a singular point at
     t = -1/mu for each real eigenvalue mu <= -1 of G. Returns a boolean array
     (True = crossing) over the broadcast stack shape of the starts P and the
-    targets Qs, e.g. P (n, n) against Qs (k, n, n), or P (f, 1, n, n) against
-    Qs (u, n, n) for an (f, u) table; every start must already be inside the
-    domain.
+    ends Qs; every start must be inside the domain. Only _certified_crossings
+    calls it, on the segments between ends of one determinant sign.
     """
     M = P @ base + np.eye(base.shape[0])
     G = np.linalg.solve(M, (Qs - P) @ base)
@@ -185,15 +185,17 @@ def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.nd
 
 
 def segment_in_shear_domain(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Exact membership of the whole segment [X, Y] in the shear domain."""
-    A, P, Q = _same_dim(as_hermitian(base, tol, "base"), as_square(X, "X"), as_square(Y, "Y"))
+    """Exact membership of the whole segment [X, Y] of Hermitian ends in the shear domain."""
+    A, P, Q = _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X, tol, "X"), as_hermitian(Y, tol, "Y"))
     return _segment_in_shear_domain(A, P, Q, tol)
 
 
 def _segment_in_shear_domain(A: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> bool:
-    if not _in_shear_domain(A, P, tol):
+    """Kernel of segment_in_shear_domain: both ends pass the shear gate, then _certified_crossings decides."""
+    ends = np.stack([P, Q])
+    if not all(_in_shear_domain(A, ends, tol).flat):
         return False
-    return not bool(_segment_crossings(A, P, Q[None, :, :])[0])
+    return not bool(_certified_crossings(A, ends, _det_signs(A, ends), np.array([0]), np.array([1]))[0, 0])
 
 
 def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -213,14 +215,12 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     """Criterion for the whole interval [0, X] (X PSD) to lie in the zero component.
 
     Holds iff the smallest eigenvalue of X^{1/2} base X^{1/2} stays above
-    -1 + inv_margin.
+    -1 + inv_margin. A non-PSD X raises _sqrt_psd's DomainViolationError.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    if not _loewner_compare(np.zeros_like(H), H, tol).leq:
-        raise DomainViolationError("X must be PSD")
+    R = _sqrt_psd(_eigh(H), tol)
     if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
-    R = sqrt_psd(H, tol)
     lowest = float(_eigh(herm_part(R @ A @ R)).values[0])
     return lowest > -1.0 + tol.inv_margin
 
@@ -279,7 +279,7 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     A, H = _base_and_hermitian(base, X, tol)
     if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
-    if _segment_crossings(A, np.zeros_like(H), H[None, :, :])[0]:
+    if not _segment_in_shear_domain(A, np.zeros_like(H), H, tol):
         raise PathSearchError("the straight path from 0 to X leaves the shear domain")
     return _principal_sqrt(np.linalg.inv(A @ H + np.eye(A.shape[0])))
 
@@ -463,7 +463,7 @@ def _waypoints(rng: np.random.Generator, H: np.ndarray, spread: float, pool: int
     for i in range(pool):
         kinds[i] = rng.integers(0, 3)
         if kinds[i] == 0:
-            weights[i, 0] = rng.choice([0.5, 1.0, 2.0])
+            weights[i, 0] = WAYPOINT_SCALES[rng.integers(0, 3)]
             rng.standard_normal(out=normals[i])
         elif kinds[i] == 1:
             weights[i, 0] = rng.uniform(0.1, 0.9)

@@ -1,8 +1,7 @@
 """Seeded random instance generators.
 
 Everything takes an explicit numpy Generator so suites and tests are
-deterministic per seed. Gated samplers rejection-sample against the
-membership predicates they advertise.
+deterministic per seed.
 
 The samplers draw raw values from the generator (real normals, uniforms)
 and then finish them in numpy: complex Gaussians, QR and phase fix,

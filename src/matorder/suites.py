@@ -82,6 +82,7 @@ from .linalg import (
     _opnorms,
     _spectral_apply,
     _spectrum_inertia,
+    _sqrt_psd,
     as_hermitian,
     frob,
     herm_part,
@@ -90,8 +91,6 @@ from .linalg import (
     invertibility_margin,
     loewner_compare,
     opnorm,
-    spectral_apply,
-    sqrt_psd,
 )
 from .localiso import (
     REAL_EIG_MARGIN,
@@ -355,9 +354,9 @@ def _block_samples(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> np.n
     return herm_part(X)
 
 
-def _effect_pair(rng: np.random.Generator, n: int, strict: bool = False):
+def _effect_pair(rng: np.random.Generator, n: int, tol: ToleranceConfig, strict: bool = False):
     X = random_effect(rng, n)
-    G = sqrt_psd(np.eye(n) - X)
+    G = _sqrt_psd(_eigh(np.eye(n) - X), tol)
     if strict:
         R = herm_part(random_hermitian_with_spectrum(rng, n, 0.2, 0.9))
     else:
@@ -452,11 +451,13 @@ def _suite_spectral_composition(rng, trials, tol, rec):
              for _, n in _trials(rng, trials)]
     jacobi = _jacobi_by_trial({t: X for t, (X, _) in enumerate(draws) if X.shape[0] <= 6}, tol)
     for t, (X, P) in enumerate(draws):
-        inner = spectral_apply(X, lambda x: x * x, tol=tol)
-        two_step = spectral_apply(inner, lambda x: math.sqrt(x + 1.0), domain=(-0.5, math.inf), tol=tol)
-        one_step = spectral_apply(X, lambda x: math.sqrt(x * x + 1.0), tol=tol)
+        decomp = _eigh(X)
+        inner = _spectral_apply(decomp, lambda x: x * x, None, (), tol)
+        two_step = _spectral_apply(_eigh(inner), lambda x: math.sqrt(x + 1.0), (-0.5, math.inf), (), tol)
+        one_step = _spectral_apply(decomp, lambda x: math.sqrt(x * x + 1.0), None, (), tol)
         rec.check_residual(_rel(two_step, one_step), bound, t, "sqrt(x^2+1) composition", X=X)
-        back = spectral_apply(spectral_apply(P, math.log, domain=(0.0, math.inf), tol=tol), math.exp, tol=tol)
+        log_p = _spectral_apply(_eigh(P), math.log, (0.0, math.inf), (), tol)
+        back = _spectral_apply(_eigh(log_p), math.exp, None, (), tol)
         rec.check_residual(_rel(back, P), bound, t, "exp(log(P)) identity", P=P)
         if t in jacobi:
             alt = _spectral_apply(jacobi[t], lambda x: math.sqrt(x * x + 1.0), None, (), tol)
@@ -517,14 +518,14 @@ def _suite_interval_iso(rng, trials, tol, rec):
         eye_r = np.eye(iso.rank)
         rec.check_residual(opnorm(iso.forward(L, tol)), 1e-10, t, "forward(lower) != 0", L=L, U=U)
         rec.check_residual(opnorm(iso.forward(U, tol) - eye_r), 1e-10, t, "forward(upper) != I", L=L, U=U)
-        Dh = sqrt_psd(D, tol)
+        Dh = _sqrt_psd(_eigh(D), tol)
         E1 = random_effect(rng, n)
         X1 = herm_part(L + Dh @ E1 @ Dh)
         F1 = iso.forward(X1, tol)
         rec.check(_in_interval(F1, -1e-8, 1.0 + 1e-8), t,
                   "forward image leaves the effect interval", X=X1)
         rec.check_residual(_rel(iso.backward(F1, tol), X1), 1e-9, t, "backward(forward) identity", X=X1)
-        G2 = sqrt_psd(np.eye(n) - E1, tol)
+        G2 = _sqrt_psd(_eigh(np.eye(n) - E1), tol)
         E2 = herm_part(E1 + rng.uniform(0.2, 0.8) * G2 @ random_effect(rng, n) @ G2)
         X2 = herm_part(L + Dh @ E2 @ Dh)
         gap = _gap(F1, iso.forward(X2, tol))
@@ -761,7 +762,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
         if X is None:
             skipped += 1
             continue
-        Xh = sqrt_psd(X, tol)
+        Xh = _sqrt_psd(_eigh(X), tol)
         K = herm_part(Xh @ A @ Xh)
         lam = float(_eigh(K).values[0])
         if abs(lam + 1.0) < 1e-4:
@@ -1110,7 +1111,7 @@ def _suite_effect_order(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         m, fpq = _random_effect_map(rng, n, t % 2 == 0)
         strict = t % 4 == 1
-        X, Y = _effect_pair(rng, n, strict=strict)
+        X, Y = _effect_pair(rng, n, tol, strict=strict)
         D = _first(60, lambda: herm_part(X + _indefinite_step(rng, X) * 0.3),
                    lambda D: _in_interval(D, 1e-3, 1.0 - 1e-3))
         incomparable = D is not None and _loewner_compare(X, D, tol).incomparable
@@ -1162,12 +1163,12 @@ def _suite_effect_embedding(rng, trials, tol, rec):
         spec = EffectEmbeddingSpec(frame=frame, base=base, offset=offset,
                                    value_at_zero=v0, value_at_one=v1)
         pick = rng.random()
-        X, Y = _effect_pair(rng, n)
+        X, Y = _effect_pair(rng, n, tol)
         if pick < 0.25:
             X = np.zeros((n, n))
         elif pick < 0.5:
             Y = eye
-        A, B = _effect_pair(rng, n)
+        A, B = _effect_pair(rng, n, tol)
         C = _first(60, lambda: herm_part(A + 0.3 * _indefinite_step(rng, A)),
                    lambda C: _in_interval(C, 1e-3, 1.0 - 1e-3) and _loewner_compare(A, C, tol).incomparable)
         FX, FY, *FAC = _effect_embedding(spec, np.stack([X, Y] if C is None else [X, Y, A, C]), tol)

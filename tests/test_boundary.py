@@ -84,6 +84,9 @@ BOUNDARY = [
     ("order_iso_apply", "X", lambda M: order_iso_apply(BASE, M), HERMITIAN_SIZED, SMALL),
     ("shear_apply", "base", lambda M: shear_apply(M, SMALL), HERMITIAN_SIZED, BASE),
     ("shear_apply", "X", lambda M: shear_apply(BASE, M), SQUARE_SIZED, SMALL),
+    # the determinant-sign certificate of a segment holds for Hermitian ends only
+    ("segment_in_shear_domain", "X", lambda M: segment_in_shear_domain(BASE, M, SMALL), HERMITIAN_SIZED, SMALL),
+    ("segment_in_shear_domain", "Y", lambda M: segment_in_shear_domain(BASE, SMALL, M), HERMITIAN_SIZED, SMALL),
     ("in_block_domain", "X", lambda M: in_block_domain(BLOCK, M), HERMITIAN_SIZED, CORNER_POSITIVE),
     ("block_map_apply", "X", lambda M: block_map_apply(BLOCK, M), HERMITIAN_SIZED, CORNER_POSITIVE),
     ("in_half_plane", "matrix", lambda M: in_half_plane(M), SQUARE, HALF_PLANE_POINT),

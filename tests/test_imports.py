@@ -1,7 +1,7 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
 draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
-per-matrix recovery call in the suites, no validating shell on the suites' own draws outside the
+per-matrix recovery call in the suites, no validating shell read in library code outside the
 listed sites, scipy stays off the CLI's import path and off an fpq apply, the package binds
 every module's __all__, and every __all__ name is read outside its module."""
 
@@ -317,30 +317,39 @@ def test_svd_scan_sees_a_planted_call():
 
 # the suites hand the recoverers stacked kernels; the public functions loop over single matrices
 PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"}
-# the suites check their own herm_part-finished draws with kernels; these shells would validate them again
+# library code checks what it built or already validated with kernels; these shells would validate it again
 VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare",
                      "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible",
                      "in_block_domain", "block_map_apply", "inertia", "are_equivalent",
-                     "jacobi_eigen", "shear_apply", "in_shear_domain", "growth_direction"}
-# (suite, shell): reads at the sites whose claim is about the public function itself
+                     "jacobi_eigen", "shear_apply", "in_shear_domain", "growth_direction", "spectral_apply"}
+# (module, owner, shell): reads at the sites whose claim is about the public function itself, or whose
+# argument comes from outside the library
 SHELL_SITES = {
     # the public eigensolver is the engine under test, next to jacobi_eigen
-    ("_suite_eigen_residual", "hermitian_eigen"): 2,
+    ("suites", "_suite_eigen_residual", "hermitian_eigen"): 2,
     # reflexivity, antisymmetry, negation and strictness of the public comparison
-    ("_suite_order_antisymmetry", "loewner_compare"): 6,
+    ("suites", "_suite_order_antisymmetry", "loewner_compare"): 6,
     # the fixture pins the public override path at 0 and I
-    ("_suite_effect_embedding", "effect_embedding_map"): 3,
+    ("suites", "_suite_effect_embedding", "effect_embedding_map"): 3,
     # the public criterion is what the path oracle cross-checks
-    ("_suite_component_criterion", "in_zero_component"): 1,
+    ("suites", "_suite_component_criterion", "in_zero_component"): 1,
     # the worked 2x2 example pins the public map
-    ("_suite_block_involution", "block_map_apply"): 1,
+    ("suites", "_suite_block_involution", "block_map_apply"): 1,
     # scale invariance of the public inertia
-    ("_suite_inertia_congruence", "inertia"): 1,
+    ("suites", "_suite_inertia_congruence", "inertia"): 1,
     # shear_apply's output is Hermitian only up to rounding; the public inertia validates it
-    ("_suite_congruence_orbit", "inertia"): 1,
+    ("suites", "_suite_congruence_orbit", "inertia"): 1,
     # the census: distinct representatives are inequivalent under the public test
-    ("_suite_class_count", "are_equivalent"): 1,
+    ("suites", "_suite_class_count", "are_equivalent"): 1,
+    # the factors 2 and 4, and the two roots they share, are callable on outside input
+    ("classify", "rational_effect_factors", "spectral_apply"): 4,
+    # the evaluator's probe response comes from outside: a non-finite one stays a MalformedInputError
+    ("halfplane", "_congruence_from_probes", "hermitian_eigen"): 1,
+    # a shell over a shell: spectral_apply validates through hermitian_eigen
+    ("linalg", "spectral_apply", "hermitian_eigen"): 1,
 }
+# the CLI is where outside input enters; it may call every shell
+SHELL_SCAN_SKIPS = {"cli"}
 
 
 def _shell_reads(source: str, names):
@@ -370,8 +379,27 @@ def test_per_matrix_recovery_scan_sees_a_planted_call():
         ("f", "fit_canonical"): 1, ("f", "apply_local_iso"): 1, ("f", "identify_parameters"): 1}
 
 
-def test_suites_check_their_own_draws_with_kernels():
-    assert _shell_reads((PACKAGE / "suites.py").read_text(), VALIDATING_SHELLS) == SHELL_SITES
+def _library_shell_reads(sources):
+    """Per (module, owner, shell): how often the modules of `sources` (module name -> text) read a
+    validating shell, the modules in SHELL_SCAN_SKIPS excepted."""
+    return {(module, owner, name): count for module, source in sources.items() if module not in SHELL_SCAN_SKIPS
+            for (owner, name), count in _shell_reads(source, VALIDATING_SHELLS).items()}
+
+
+def test_library_checks_what_it_holds_with_kernels():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _library_shell_reads(sources) == SHELL_SITES
+
+
+def test_library_shell_scan_sees_a_planted_read_in_any_module():
+    sources = {
+        "order": "from .linalg import spectral_apply\ndef f(X, tol):\n    return spectral_apply(X, abs, tol=tol)\n",
+        "halfplane": "from . import linalg\ndef _g(Z, tol):\n    return linalg.hermitian_eigen(Z, tol)\n",
+        "cli": "from .linalg import inertia\ndef _cmd_x(args, tol):\n    return inertia(args.X, tol)\n",
+        "sampling": "from .linalg import _eigh\ndef h(X):\n    return _eigh(X)\n",
+    }
+    assert _library_shell_reads(sources) == {("order", "f", "spectral_apply"): 1,
+                                             ("halfplane", "_g", "hermitian_eigen"): 1}
 
 
 def test_validating_shell_scan_sees_a_planted_read():

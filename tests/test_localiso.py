@@ -198,6 +198,16 @@ def _same_bits(P, Q):
     return P.shape == Q.shape and np.array_equal(P.view(np.uint64), Q.view(np.uint64))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_waypoint_scale_draw_is_the_choice_draw(seed):
+    # indexing the scales with rng.integers(0, 3) gives rng.choice's value and leaves the generator in its state
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        assert localiso.WAYPOINT_SCALES[rng.integers(0, 3)] == reference.choice([0.5, 1.0, 2.0])
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 200), st.sampled_from([1.0, 2.5, 40.0]), st.integers(0, 2**32 - 1))
 def test_stacked_waypoints_are_the_per_draw_waypoints(n, pool, spread, seed):
@@ -356,23 +366,27 @@ def _relative_sigma_min(M):
     return sv[-1] / (1.0 + sv[0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-@example(3, 187)
-def test_determinant_certificate_matches_the_eigen_test(n, seed):
-    # Pools as in the stacked shear gate test: nodes 1e-14..1e-4 from the
-    # singular point -A^{-1} mixed with far nodes, all passing the shear gate.
-    # The example has a start 1.8e-8 from singular (relative sigma_min) where
-    # the eigen test misses crossings: G's eigenvalue near -3e7 + 4.7i fails the
-    # REAL_EIG_MARGIN realness test, while the 50-digit determinants of the
-    # ends have opposite signs.
+def _near_singular_pool(n, seed):
+    """A base and the nodes of a pool that pass the shear gate: 0, nodes 1e-14..1e-4 from the
+    singular point -A^{-1}, and far nodes."""
     rng = np.random.default_rng(seed)
     A = random_hermitian(rng, n)
     edge = -np.linalg.inv(A)
     near = np.stack([herm_part(edge + 10.0 ** rng.uniform(-14, -4) * random_hermitian(rng, n)) for _ in range(12)])
     far = np.stack([random_hermitian(rng, n) * rng.uniform(0.2, 3.0) for _ in range(12)])
     nodes = np.concatenate([np.zeros((1, n, n), dtype=complex), near, far])
-    nodes = nodes[_in_shear_domain(A, nodes, DEFAULT_TOL)]
+    return A, nodes[_in_shear_domain(A, nodes, DEFAULT_TOL)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(3, 187)
+def test_determinant_certificate_matches_the_eigen_test(n, seed):
+    # The example has a start 1.8e-8 from singular (relative sigma_min) where
+    # the eigen test misses crossings: G's eigenvalue near -3e7 + 4.7i fails the
+    # REAL_EIG_MARGIN realness test, while the 50-digit determinants of the
+    # ends have opposite signs.
+    A, nodes = _near_singular_pool(n, seed)
     signs = _det_signs(A, nodes)
     every = np.arange(len(nodes))
     plain = _segment_crossings(A, nodes[:, None], nodes)
@@ -388,6 +402,18 @@ def test_determinant_certificate_matches_the_eigen_test(n, seed):
     # within 1e-6 of singular
     margins = [_relative_sigma_min(X @ A + np.eye(n)) for X in nodes]
     assert all(min(margins[i], margins[j]) < 1e-6 for i, j in zip(*np.nonzero(opposite & ~plain)))
+
+
+def test_public_segment_test_reports_the_crossings_the_eigen_test_misses():
+    # in the certificate test's pinned pool the bare eigen test misses 11
+    # segments whose ends differ in determinant sign; the public test decides
+    # them through the certificate
+    A, nodes = _near_singular_pool(3, 187)
+    signs = _det_signs(A, nodes)
+    plain = _segment_crossings(A, nodes[:, None], nodes)
+    missed = list(zip(*np.nonzero((signs[:, None] != signs[None, :]) & ~plain)))
+    assert len(missed) == 11
+    assert [segment_in_shear_domain(A, nodes[i], nodes[j]) for i, j in missed] == [False] * 11
 
 
 def test_order_iso_preserves_order_on_members():
@@ -504,6 +530,11 @@ def test_interval_below_criterion_matches_sampling():
             )
         tested += 1
     assert tested >= 40
+
+
+def test_interval_criterion_quotes_the_lowest_eigenvalue_of_an_indefinite_x():
+    with pytest.raises(DomainViolationError, match=r"not PSD: min eigenvalue -5\.000e-01$"):
+        interval_below_criterion(np.eye(2), np.diag([1.0, -0.5]))
 
 
 def test_psd_points_beyond_the_crossing_leave_the_component():
