@@ -28,16 +28,19 @@ from .errors import DomainViolationError, MalformedInputError
 from .halfplane import MobiusAutomorphism, _mobius_eval, _shifted, mobius_fix01
 from .linalg import (
     _eigh,
+    _eigvalsh,
     _has_inertia,
+    _hermitian_opnorms,
     _is_invertible,
     _loewner_compare,
     _rank_cut,
     _same_dim,
+    _spectra_have_inertia,
+    _spectra_invertible,
     _spectrum_inertia,
     as_hermitian,
     as_square,
     herm_part,
-    opnorm,
     spectral_apply,
 )
 
@@ -127,16 +130,18 @@ def _block_map(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig) -> np.nd
 
     Raises DomainViolationError if any member's corner has the wrong inertia
     or is numerically singular, exactly where the map of that member alone
-    raises.
+    raises. One spectrum of the Hermitian corner decides both, each at its
+    own threshold (psd_tol, inv_margin).
     """
     m = spec.m
     if m == 0:
         return H.copy()
-    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
-    if not all(_in_block_domain(spec, H, tol).flat):
-        raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
     X11 = H[..., :m, :m]
-    if not all(_is_invertible(X11, tol).flat):
+    values = _eigvalsh(X11)
+    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
+    if not all(_spectra_have_inertia(values, spec.p, tol).flat):
+        raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
+    if not all(_spectra_invertible(values, tol).flat):
         raise DomainViolationError("corner is numerically singular")
     X12 = H[..., :m, m:]
     X22 = H[..., m:, m:]
@@ -221,7 +226,7 @@ def signature_class(A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Signatur
 
 
 def _signature_class(H: np.ndarray, tol: ToleranceConfig) -> SignatureClass:
-    values = _eigh(H).values
+    values = _eigvalsh(H)
     sig = _spectrum_inertia(values, tol)
     cut = _rank_cut(values, tol)
     magnitudes = np.abs(values)
@@ -419,7 +424,7 @@ class EffectEmbeddingSpec:
 
     def __post_init__(self) -> None:
         interior = MobiusAutomorphism(frame=self.frame, A=self.base, C=self.offset)
-        if float(_eigh(interior.A).values[0]) <= -1.0 + DEFAULT_TOL.inv_margin:
+        if float(_eigvalsh(interior.A)[0]) <= -1.0 + DEFAULT_TOL.inv_margin:
             raise MalformedInputError("base must be > -I")
         object.__setattr__(self, "interior", interior)
         object.__setattr__(self, "frame", interior.frame)
@@ -475,6 +480,6 @@ def endpoint_continuity(spec: EffectEmbeddingSpec, tol: ToleranceConfig = DEFAUL
     report = {}
     for key, limit, override in zip(("zero", "one"), limits, (spec.value_at_zero, spec.value_at_one)):
         value = limit if override is None else override
-        scale = 1.0 + opnorm(limit)
-        report[key] = bool(opnorm(value - limit) <= ENDPOINT_CONTINUITY_TOL * scale)
+        gap, norm = _hermitian_opnorms(np.stack([value - limit, limit]))
+        report[key] = bool(gap <= ENDPOINT_CONTINUITY_TOL * (1.0 + norm))
     return report

@@ -7,6 +7,7 @@ defaults can be overridden globally (CLI environment variable) or per call.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import MalformedInputError
 
@@ -29,8 +30,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not (value > 0.0):
-                raise MalformedInputError(f"{field.name} must be strictly positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise MalformedInputError(f"{field.name} must be strictly positive and finite, got {value}")
 
     def replace(self, **kwargs: float) -> "ToleranceConfig":
         return dataclasses.replace(self, **kwargs)

@@ -22,6 +22,7 @@ from .errors import DomainViolationError, MalformedInputError, ModelMismatchErro
 from .linalg import (
     _check_guard,
     _eigh,
+    _eigvalsh,
     _is_hermitian,
     _is_invertible,
     _opnorms,
@@ -76,7 +77,7 @@ def in_half_plane(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> HalfPlaneM
 
 
 def _in_half_plane(M: np.ndarray, tol: ToleranceConfig) -> HalfPlaneMembership:
-    margin = float(_eigh(_imag_part(M)).values[0])
+    margin = float(_eigvalsh(_imag_part(M))[0])
     return HalfPlaneMembership(margin > tol.inv_margin, margin)
 
 
@@ -143,7 +144,7 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
     shifted = M - pole * np.eye(n)
     hermitian = _is_hermitian(M, tol)
     if hermitian:
-        _check_guard(_eigh(herm_part(M)).values, None, (pole,), tol.inv_margin)
+        _check_guard(_eigvalsh(herm_part(M)), None, (pole,), tol.inv_margin)
     elif not _is_invertible(shifted, tol):
         raise DomainViolationError("resolvent of the map is numerically singular")
     out = (1.0 / r) * np.eye(n) - ((1.0 - r) / r**2) * np.linalg.inv(shifted)

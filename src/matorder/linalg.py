@@ -8,46 +8,43 @@ are never mutated.
 Validation happens once, at the public boundary. A public function is a
 validating shell: it coerces each matrix argument with as_square or
 as_hermitian, checks that the dimensions agree with _same_dim, and then
-calls a private trusted kernel (_eigh, _is_invertible, _loewner_compare,
-...). Hermiticity is decided by _is_hermitian alone: as_hermitian raises on
-it, and functions that accept both Hermitian and non-Hermitian points
-branch on it. Invertibility is decided by _is_invertible alone, relative to
-the scale of the matrix: sigma_min > inv_margin*(1 + sigma_max), from one
-SVD. A kernel takes complex ndarrays that are already square and finite
-and, where it asks for Hermitian input, exactly Hermitian: the output of
+calls a private trusted kernel (_eigh, _eigvalsh, _is_invertible,
+_loewner_compare, ...). Hermiticity is decided by _is_hermitian alone.
+Invertibility is sigma_min > inv_margin*(1 + sigma_max), relative to the
+scale of the matrix: _is_invertible decides it from one SVD, and
+_spectra_invertible from the spectrum of a Hermitian matrix, whose singular
+values are the |lambda|. One eigenvalue call answers each Hermitian
+question: _eigvalsh (values only) serves inertia, the Loewner order,
+membership and margins, _hermitian_opnorms reads a norm off it, and
+classify._block_map decides its corner's inertia and invertibility from one
+_eigvalsh, each at its own threshold (psd_tol, inv_margin); _eigh serves
+where eigenvectors are read, and svd serves non-Hermitian matrices.
+
+A kernel takes complex ndarrays that are already square and finite and,
+where it asks for Hermitian input, exactly Hermitian: the output of
 as_hermitian or herm_part, or an expression that keeps exact symmetry
 (sums, differences and real multiples of such arrays, and their leading
-corner blocks). herm_part is exact on such arrays, so a kernel computes bit
-for bit what the public function computes on the same argument, and makes
-the same LAPACK call (eigh, svd, solve, inv) on the same matrix. Library
-code that has validated its arguments calls kernels, never the shells
-(_sqrt_psd is a kernel only: its callers hand it an _eigh); a kernel does
-not re-check finiteness of intermediates it is handed. The shell calls that
-stay take outside input: classify.rational_effect_factors' spectral_apply
-(its factors are callable on any matrix), halfplane._congruence_from_probes'
-hermitian_eigen (a non-finite probe response stays a MalformedInputError)
-and spectral_apply's own hermitian_eigen.
+corner blocks). herm_part is exact on such arrays, so a kernel makes the
+same LAPACK call (eigh, eigvalsh, svd, solve, inv) on the same matrix as the
+public function. Library code that has validated its arguments calls
+kernels, never the shells (_sqrt_psd is a kernel only: its callers hand it
+an _eigh), and a kernel does not re-check finiteness of intermediates it is
+handed. The shell calls that stay take outside input:
+classify.rational_effect_factors' spectral_apply (its factors are callable
+on any matrix), halfplane._congruence_from_probes' hermitian_eigen (a
+non-finite probe response stays a MalformedInputError) and spectral_apply's
+own hermitian_eigen.
 
 The contract extends to stacks. A stacked kernel takes a (k, n, n) array
-and returns, for each j, bit for bit what the per-matrix kernel returns on
-S[j]: numpy's linalg gufuncs (eigh, svd, solve, inv) and matmul make the
-same LAPACK or BLAS call on each member as on a single matrix. Here
-_has_inertia (whether inertia's counts are (p, 0, n - p)), _is_invertible,
-herm_part and _rank_cut reduce over the last axes, and _opnorms is opnorm
-member by member; _jacobi_eigen runs each member's rotations, in the
-order of a run on it alone, as stacked matmuls over the members still
-sweeping; localiso._in_zero_component, localiso._in_shear_domain,
-classify._in_block_domain, classify._block_map, halfplane._apply_mobius (the shift, both singular-value gates and the
-Mobius evaluation), localiso._apply_local_iso, localiso._order_iso_apply,
-localiso._shear_apply and classify._effect_automorphism take stacks the
-same way, and
-classify._effect_embedding decides the endpoint overrides member by member
-and evaluates the other members as one stack. The recovery bodies
-halfplane._fit_canonical and localiso._identify_parameters evaluate their
-probes and sample points as stacks. Suites draw their samples in order,
-finish them with herm_part (so a stack is exactly Hermitian without a
-second hermiticity test) and then check them with the kernels, in one call
-per stack; public functions stay per-matrix.
+and returns, for each j, bit for bit what it returns on S[j] alone: numpy's
+linalg gufuncs and matmul make the same LAPACK or BLAS call on each member.
+So do _has_inertia, _is_invertible, _opnorms, _hermitian_opnorms, herm_part
+and the kernels built on them (membership, the shear, block and Mobius maps,
+the effect maps); _jacobi_eigen runs each member's rotations, in the order
+of a run on it alone, as stacked matmuls over the members still sweeping.
+Suites draw their samples in order, finish them with herm_part (so a stack
+is exactly Hermitian without a second hermiticity test) and check them with
+the kernels, in one call per stack; public functions stay per-matrix.
 """
 
 from __future__ import annotations
@@ -257,13 +254,28 @@ def _eigh(H: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """Ascending spectra of an exactly Hermitian stack (..., n, n); _eigh's values to the last bits, without vectors."""
+    return np.linalg.eigvalsh(S)
+
+
+def _hermitian_opnorms(S: np.ndarray):
+    """_opnorms of an exactly Hermitian stack (..., n, n), n >= 1, read off its spectra."""
+    return _spectra_norms(_eigvalsh(S))
+
+
+def _spectra_norms(values: np.ndarray):
+    """Spectral norms from ascending spectra (..., n), n >= 1: max(-lambda_0, lambda_{n-1}), as sigma = |lambda|."""
+    return np.maximum(-values[..., 0], values[..., -1])
+
+
 def inertia(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Signature of a Hermitian matrix with the relative psd_tol cutoff.
 
     Eigenvalues above psd_tol*(1+||X||_2) count positive, below the negated
     cutoff negative, the rest zero.
     """
-    return _spectrum_inertia(np.linalg.eigh(as_hermitian(X, tol))[0], tol)
+    return _spectrum_inertia(_eigvalsh(as_hermitian(X, tol)), tol)
 
 
 def _rank_cut(values: np.ndarray, tol: ToleranceConfig):
@@ -275,11 +287,15 @@ def _has_inertia(S: np.ndarray, p: int, tol: ToleranceConfig):
     """Whether each member of a stack (..., n, n), n >= 1, has inertia (p, 0, n - p).
 
     The same verdict as comparing inertia's counts, at the cost of one
-    comparison per side: eigh returns each spectrum ascending, so the counts
-    are (p, 0, n - p) iff the (n - p)-th eigenvalue is below -cut and the one
+    comparison per side: each spectrum is ascending, so the counts are
+    (p, 0, n - p) iff the (n - p)-th eigenvalue is below -cut and the one
     after it above cut.
     """
-    values = np.linalg.eigh(S)[0]
+    return _spectra_have_inertia(_eigvalsh(S), p, tol)
+
+
+def _spectra_have_inertia(values: np.ndarray, p: int, tol: ToleranceConfig):
+    """_has_inertia from ascending spectra (..., n), n >= 1, that the caller already holds."""
     q = values.shape[-1] - p
     cut = _rank_cut(values, tol)
     if p == 0:
@@ -341,7 +357,11 @@ def loewner_compare(X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL
 
 def _loewner_compare(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
     """Kernel of loewner_compare on exactly Hermitian arrays of one shape."""
-    values = np.linalg.eigh(B - A)[0]
+    return _order_verdict(_eigvalsh(B - A), tol)
+
+
+def _order_verdict(values: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
+    """The OrderVerdict of Y - X from its ascending spectrum, for callers that hold one."""
     if values.size == 0:
         return OrderVerdict(0.0, 0.0, 1.0, tol.psd_tol, tol.inv_margin)
     lo = float(values[0])
@@ -415,6 +435,12 @@ def _is_invertible(M: np.ndarray, tol: ToleranceConfig):
     # between scalars, on a stack the transposes put the members back in order
     sv = np.linalg.svd(M, compute_uv=False).T
     return (sv[-1] > tol.inv_margin * (1.0 + sv[0])).T
+
+
+def _spectra_invertible(values: np.ndarray, tol: ToleranceConfig):
+    """_is_invertible of Hermitian matrices from ascending spectra (..., n), n >= 1, as sigma = |lambda|."""
+    magnitudes = np.abs(values)
+    return magnitudes.min(axis=-1) > tol.inv_margin * (1.0 + magnitudes.max(axis=-1))
 
 
 def _spectral_pinv(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:

@@ -28,7 +28,9 @@ from .halfplane import (MobiusAutomorphism, _checked_dim, _checked_evaluator, _c
                         _shifted, normalize_phase)
 from .linalg import (
     _eigh,
+    _eigvalsh,
     _has_inertia,
+    _hermitian_opnorms,
     _is_invertible,
     _principal_sqrt,
     _rank_cut,
@@ -166,17 +168,18 @@ def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig):
     return _has_inertia(M, p, tol)
 
 
-def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
+def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, M: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized exact test: does the segment P -> Q leave the shear domain?
 
     Parameterizing (P + tD) base + I = (P base + I)(I + t G) with
     G = (P base + I)^{-1} D base shows the segment hits a singular point at
     t = -1/mu for each real eigenvalue mu <= -1 of G. Returns a boolean array
     (True = crossing) over the broadcast stack shape of the starts P and the
-    ends Qs; every start must be inside the domain. Only _certified_crossings
-    calls it, on the segments between ends of one determinant sign.
+    ends Qs; every start must be inside the domain, and M is P base + I where
+    the caller holds it. _certified_crossings and _segment_from call it, on
+    the segments between ends of one determinant sign.
     """
-    M = P @ base + np.eye(base.shape[0])
+    M = P @ base + np.eye(base.shape[0]) if M is None else M
     G = np.linalg.solve(M, (Qs - P) @ base)
     eigs = np.linalg.eigvals(G)
     real_like = np.abs(eigs.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(eigs.real))
@@ -191,11 +194,23 @@ def segment_in_shear_domain(base: Iterable, X: Iterable, Y: Iterable, tol: Toler
 
 
 def _segment_in_shear_domain(A: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Kernel of segment_in_shear_domain: both ends pass the shear gate, then _certified_crossings decides."""
-    ends = np.stack([P, Q])
-    if not all(_in_shear_domain(A, ends, tol).flat):
+    """Kernel of segment_in_shear_domain: P's shifted end P A + I passes the shear gate, then _segment_from decides."""
+    shifted = P @ A + np.eye(A.shape[0])
+    return bool(_is_invertible(shifted, tol)) and _segment_from(A, P, shifted, Q, tol)
+
+
+def _segment_from(A: np.ndarray, P: np.ndarray, shifted: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Whether P -> Q stays in the shear domain, given P's shifted end `shifted` that passed the shear gate.
+
+    Q's shifted end is built once, for the gate and for _det_signs' sign: ends
+    of opposite sign are a crossing (_certified_crossings' rule for one
+    segment), and _segment_crossings decides the rest.
+    """
+    shifted_q = Q @ A + np.eye(A.shape[0])
+    if not _is_invertible(shifted_q, tol):
         return False
-    return not bool(_certified_crossings(A, ends, _det_signs(A, ends), np.array([0]), np.array([1]))[0, 0])
+    sign_p, sign_q = np.linalg.det(np.stack([shifted, shifted_q])).real > 0
+    return bool(sign_p == sign_q) and not bool(_segment_crossings(A, P, Q, shifted))
 
 
 def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -221,7 +236,7 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     R = _sqrt_psd(_eigh(H), tol)
     if not _in_zero_component(A, H, tol):
         raise DomainViolationError("X must lie in the zero component")
-    lowest = float(_eigh(herm_part(R @ A @ R)).values[0])
+    lowest = float(_eigvalsh(herm_part(R @ A @ R))[0])
     return lowest > -1.0 + tol.inv_margin
 
 
@@ -359,7 +374,8 @@ def _identify_parameters(values: Callable[[np.ndarray], np.ndarray], dim: int, t
     Tinv = np.linalg.inv(T)
     inner = Tinv @ values(samples) @ Tinv.conj().T
     A1, A2 = herm_part(np.linalg.inv(inner) - np.linalg.inv(samples.swapaxes(-1, -2) if transpose else samples))
-    if opnorm(A1 - A2) > BASE_CONSISTENCY_TOL * (1.0 + opnorm(A1)):
+    gap, norm = _hermitian_opnorms(np.stack([A1 - A2, A1]))
+    if gap > BASE_CONSISTENCY_TOL * (1.0 + norm):
         raise ModelMismatchError("base parameter is inconsistent across samples; evaluator is not of the model form")
 
     return MobiusAutomorphism(frame=normalize_phase(T), A=A1, transpose=transpose)
@@ -505,7 +521,7 @@ def path_to_zero(
     if _segment_in_shear_domain(A, zero, H, tol):
         return PathSearchResult(True, [zero, H], 2)
     rng = np.random.default_rng(seed)
-    spread = max(1.0, opnorm(H))
+    spread = max(1.0, float(_hermitian_opnorms(H)))
     used = 2
     pool = PATH_POOL_SIZE
     while used < max_nodes:

@@ -25,10 +25,11 @@ from .fileio import read_text_file
 from .halfplane import _in_half_plane, mobius_fix01
 from .linalg import (
     _eigh,
+    _eigvalsh,
+    _hermitian_opnorms,
     _is_hermitian,
     _is_invertible,
     _loewner_compare,
-    _opnorms,
     _spectral_apply,
     as_square,
     herm_part,
@@ -135,7 +136,7 @@ def loewner_matrix(f: ScalarFunction, nodes: Sequence[float]) -> LoewnerMatrixRe
     for i in range(k):
         for j in range(i, k):
             L[i, j] = L[j, i] = _divided_difference(f, pts[i], pts[j])
-    lowest = float(np.linalg.eigvalsh(L)[0]) if k else 0.0
+    lowest = float(_eigvalsh(L)[0]) if k else 0.0
     return LoewnerMatrixReport(tuple(pts), L, lowest)
 
 
@@ -165,10 +166,10 @@ def _draw_nodes(rng: np.random.Generator, order: int, lo: float, hi: float) -> n
 
 def _draw_pair(rng: np.random.Generator, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
     X = random_hermitian_with_spectrum(rng, order, lo, hi)
-    top = float(_eigh(X).values[-1])
+    top = float(_eigvalsh(X)[-1])
     room = max(hi - top, 0.0)
     D = random_psd(rng, order)
-    norm = float(_opnorms(D))
+    norm = float(_hermitian_opnorms(D))
     if norm > 0.0:
         D = D * (0.9 * room * rng.uniform(0.1, 1.0) / max(norm, 1e-12))
     return X, herm_part(X + D)
@@ -192,7 +193,7 @@ def is_matrix_monotone(
 
     for _ in range(trials):
         report = loewner_matrix(f, _draw_nodes(rng, order, lo, hi))
-        scale = 1.0 + float(_opnorms(report.matrix))
+        scale = 1.0 + float(_hermitian_opnorms(report.matrix))
         worst = min(worst, report.min_eigenvalue)
         if report.min_eigenvalue < -LOEWNER_MATRIX_CUT * scale:
             return MonotoneReport(f.name, order, False, not f.approximate, trials, 0,
@@ -286,7 +287,7 @@ def pick_eval(
     Z = as_square(argument, "argument")
     if _is_hermitian(Z, tol):
         H = herm_part(Z)
-        values = _eigh(H).values
+        values = _eigvalsh(H)
         if values.size and not (a < float(values[0]) and float(values[-1]) < b):
             raise DomainViolationError("matrix spectrum outside the interval")
         return herm_part(_pick_matrix(rep, H, tol))

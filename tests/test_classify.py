@@ -377,6 +377,52 @@ def test_stacked_block_map_agrees_with_per_matrix_map(case):
         assert R[j].tobytes() == bordered_arrangement(spec.m, X).tobytes()
 
 
+def _two_decomposition_gate(spec, S, tol):
+    """_block_map's corner gate as it read with two decompositions: eigh's values for the inertia, then an SVD."""
+    corner = S[..., : spec.m, : spec.m]
+    values = np.linalg.eigh(corner)[0]
+    q = spec.m - spec.p
+    cut = tol.psd_tol * (1.0 + np.abs(values).max(axis=-1))
+    if not np.all((values[..., q - 1] < -cut if q else True) & (values[..., q] > cut if spec.p else True)):
+        raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {q})")
+    sv = np.linalg.svd(corner, compute_uv=False)
+    if not np.all(sv[..., -1] > tol.inv_margin * (1.0 + sv[..., 0])):
+        raise DomainViolationError("corner is numerically singular")
+
+
+def _raised(body):
+    try:
+        body()
+    except DomainViolationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_one_decomposition_gate_raises_where_the_two_decomposition_gate_raised(n, data):
+    # a member whose corner has a flipped eigenvalue (wrong inertia), an exact zero one (singular and
+    # wrong inertia) or one at 1e-6 of its scale (singular at inv_margin 1e-4 only) is planted at any
+    # position of a stack of domain samples; psd_tol and inv_margin are set apart in the second tol
+    m = data.draw(st.integers(1, n))
+    spec = BlockMapSpec(n, m, data.draw(st.integers(0, m)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    S = np.stack([_domain_sample(rng, spec) for _ in range(data.draw(st.integers(1, 6)))])
+    kind = data.draw(st.sampled_from(["none", "flipped", "zero", "small"]))
+    if kind != "none":
+        vals = np.concatenate([rng.uniform(0.3, 2.0, size=spec.p), -rng.uniform(0.3, 2.0, size=m - spec.p)])
+        vals[0] = {"flipped": -vals[0], "zero": 0.0, "small": 1e-6 * vals[0]}[kind]
+        U = random_unitary(rng, m)
+        bad = _domain_sample(rng, spec)
+        bad[:m, :m] = herm_part((U * vals) @ U.conj().T)
+        j = data.draw(st.integers(0, len(S)))
+        S = np.concatenate([S[:j], herm_part(bad)[None], S[j:]])
+    for tol in (DEFAULT_TOL, ToleranceConfig(inv_margin=1e-4)):
+        want = _raised(lambda: _two_decomposition_gate(spec, S, tol))
+        assert _raised(lambda: _block_map(spec, S, tol)) == want
+        assert (want is None) == (kind == "none" or (kind == "small" and tol is DEFAULT_TOL))
+
+
 # ---------------------------------------------------------------------------
 # the effect maps on stacks: member j is bit for bit the public map of S[j] alone
 

@@ -212,6 +212,14 @@ def test_tolerance_env_override(tmp_path):
     assert bad.returncode == 2
 
 
+def test_non_finite_tolerance_is_a_usage_error():
+    # 1e999 parses as inf, under which every invertibility gate is meaningless
+    r = run_cli("verify", "class-count", "--no-timing", env_extra={"MATORDER_TOLERANCES": "inv_margin=1e999"})
+    assert r.returncode == 2
+    assert "inv_margin must be strictly positive and finite" in r.stderr
+    assert r.stdout == ""
+
+
 def test_matrix_stdout_round_trip(tmp_path):
     r = run_cli("gen", "--kind", "hermitian", "--dim", "3", "--seed", "13")
     M = parse_matrix_text(r.stdout)

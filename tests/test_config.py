@@ -1,6 +1,7 @@
-"""Tolerance configuration: every field is positive and settable through the override list."""
+"""Tolerance configuration: every field is positive, finite and settable through the override list."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -25,5 +26,18 @@ def test_overrides_reject_unknown_keys_and_bad_values(text):
 
 @pytest.mark.parametrize("name", FIELDS)
 def test_every_field_must_be_positive(name):
-    with pytest.raises(MalformedInputError, match=f"{name} must be strictly positive"):
+    with pytest.raises(MalformedInputError, match=f"{name} must be strictly positive and finite"):
         ToleranceConfig(**{name: 0})
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_every_field_must_be_finite(name, value):
+    with pytest.raises(MalformedInputError, match=f"{name} must be strictly positive and finite"):
+        ToleranceConfig(**{name: value})
+
+
+@pytest.mark.parametrize("text", ["inv_margin=1e999", "psd_tol=inf", "herm_tol=nan"])
+def test_overrides_reject_non_finite_values(text):
+    with pytest.raises(MalformedInputError, match=text.partition("=")[0]):
+        parse_tolerance_overrides(text)

@@ -274,22 +274,26 @@ def test_shell_only_kernel_scan_sees_a_kernel_with_one_caller():
     assert _shell_only_kernels(sources) == [("a", "_f")]
 
 
-# sigma_min decisions go through linalg._is_invertible; outside linalg only the sampler's condition gate
-# and FpqSpec's one SVD, which gives both its gates and its factor, take singular values
-SVD_OWNERS = {("sampling", "random_invertible"), ("classify", "FpqSpec.__post_init__")}
+# sigma_min decisions go through linalg._is_invertible, and Hermitian spectra through linalg._eigh and
+# linalg._eigvalsh; outside linalg only the sampler's condition gate and FpqSpec's one SVD, which gives
+# both its gates and its factor, take a decomposition of their own
+DECOMPOSITIONS = {"svd", "eigh", "eigvalsh"}
+DECOMPOSITION_OWNERS = {("sampling", "random_invertible", "svd"), ("classify", "FpqSpec.__post_init__", "svd")}
 
 
-def _svd_calls(sources):
-    """(module, owner, line) of each svd call in `sources` (module name -> text) outside linalg and
-    SVD_OWNERS; the owner is the dotted name of the enclosing classes and functions, or "<module>"."""
+def _decomposition_calls(sources):
+    """(module, owner, call, line) of each svd, eigh or eigvalsh call in `sources` (module name -> text)
+    outside linalg and DECOMPOSITION_OWNERS; the owner is the dotted name of the enclosing classes and
+    functions, or "<module>"."""
     found = []
 
     def visit(node, module, owner):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
-        if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "svd" \
-                and module != "linalg" and (module, owner) not in SVD_OWNERS:
-            found.append((module, owner, node.lineno))
+        if isinstance(node, ast.Call):
+            call = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if call in DECOMPOSITIONS and module != "linalg" and (module, owner, call) not in DECOMPOSITION_OWNERS:
+                found.append((module, owner, call, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
@@ -300,7 +304,7 @@ def _svd_calls(sources):
 
 def test_singular_values_are_taken_only_where_allowed():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _svd_calls(sources) == []
+    assert _decomposition_calls(sources) == []
 
 
 def test_svd_scan_sees_a_planted_call():
@@ -311,8 +315,20 @@ def test_svd_scan_sees_a_planted_call():
         "classify": "from numpy.linalg import svd\nclass FpqSpec:\n    def __post_init__(self):\n        svd(self.frame)\n"
                     "class K:\n    def __post_init__(self):\n        svd(self.frame)\nS = svd([[1.0]])\n",
     }
-    assert _svd_calls(sources) == [("classify", "<module>", 8), ("classify", "K.__post_init__", 7),
-                                   ("sampling", "other", 5)]
+    assert _decomposition_calls(sources) == [("classify", "<module>", "svd", 8),
+                                             ("classify", "K.__post_init__", "svd", 7), ("sampling", "other", "svd", 5)]
+
+
+def test_decomposition_scan_sees_planted_eigen_calls():
+    # an SVD owner may not take a Hermitian spectrum of its own, and linalg's kernels are the one place for them
+    sources = {
+        "linalg": "import numpy as np\ndef _eigvalsh(S):\n    return np.linalg.eigvalsh(S)\n",
+        "monotone": "import numpy as np\ndef loewner_matrix(L):\n    return np.linalg.eigvalsh(L)[0]\n",
+        "sampling": "from numpy.linalg import eigh\ndef random_invertible(T):\n    return eigh(T @ T.conj().T)\n",
+        "suites": "from .linalg import _eigvalsh\ndef _gap(P, Q):\n    return _eigvalsh(Q - P)[0]\n",
+    }
+    assert _decomposition_calls(sources) == [("monotone", "loewner_matrix", "eigvalsh", 3),
+                                             ("sampling", "random_invertible", "eigh", 3)]
 
 
 # the suites hand the recoverers stacked kernels; the public functions loop over single matrices

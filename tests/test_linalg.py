@@ -12,7 +12,9 @@ from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import (
     _eigh,
+    _eigvalsh,
     _has_inertia,
+    _hermitian_opnorms,
     _is_invertible,
     _opnorms,
     _spectral_pinv,
@@ -316,3 +318,65 @@ def test_stacked_zero_component_matches_per_matrix(S, data):
     S = S * data.draw(st.sampled_from([0.05, 0.3, 1.0]))
     got = _in_zero_component(A, S, DEFAULT_TOL)
     assert got.tolist() == [in_zero_component(A, H) for H in S]
+
+
+# ---------------------------------------------------------------------------
+# values-only kernels: _eigvalsh and the norms read off its spectra
+
+
+@st.composite
+def scaled_hermitian_stacks(draw):
+    """(k, n, n) stacks, n and k from 1 to 8, of Hermitian matrices scaled by 1e-8 to 1e8, with exact
+    zero eigenvalues mixed in (and now and then a zero member)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(k):
+        vals = rng.uniform(-3.0, 3.0, n) * (rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])))
+        V = random_unitary(rng, n)
+        members.append(herm_part((V * vals) @ V.conj().T) * 10.0 ** draw(st.floats(-8.0, 8.0)))
+    return np.stack(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_hermitian_stacks())
+def test_stacked_eigvalsh_is_the_per_matrix_call_bit_for_bit(S):
+    values = _eigvalsh(S)
+    for j, H in enumerate(S):
+        assert values[j].tobytes() == _eigvalsh(H).tobytes() == np.linalg.eigvalsh(H).tobytes()
+    assert (np.diff(values, axis=-1) >= 0).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_hermitian_stacks())
+def test_hermitian_opnorms_are_opnorms_to_a_few_ulps(S):
+    # oracle: the largest singular value, which for a Hermitian matrix is the largest |lambda|
+    n = S.shape[-1]
+    got = _hermitian_opnorms(S)
+    want = _opnorms(S)
+    assert (np.abs(got - want) <= 8 * n * np.finfo(float).eps * want).all()
+    for j, H in enumerate(S):
+        assert _hermitian_opnorms(H) == got[j]
+
+
+def _has_inertia_by_eigh(S, p, tol):
+    """_has_inertia as it read with eigh's values: the reference for the values-only kernel."""
+    values = np.linalg.eigh(S)[0]
+    q = values.shape[-1] - p
+    cut = tol.psd_tol * (1.0 + np.abs(values).max(axis=-1))
+    below = values[..., q - 1] < -cut if q else True
+    above = values[..., q] > cut if p else True
+    return below & above
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_hermitian_stacks())
+def test_has_inertia_keeps_its_verdicts_away_from_the_cutoff(S):
+    # members whose every eigenvalue is a factor 10 or more from the cutoff psd_tol (1 + max|lambda|)
+    values = np.linalg.eigh(S)[0]
+    cut = DEFAULT_TOL.psd_tol * (1.0 + np.abs(values).max(axis=-1, keepdims=True))
+    clear = ((np.abs(values) < cut / 10.0) | (np.abs(values) > cut * 10.0)).all(axis=-1)
+    for p in range(S.shape[-1] + 1):
+        got = _has_inertia(S, p, DEFAULT_TOL)
+        assert (got[clear] == _has_inertia_by_eigh(S, p, DEFAULT_TOL)[clear]).all()

@@ -30,6 +30,8 @@ from matorder.localiso import (
     _identify_parameters,
     _in_shear_domain,
     _segment_crossings,
+    _segment_from,
+    _segment_in_shear_domain,
     apply_local_iso,
     congruence_orbit,
     conjugated_base,
@@ -402,6 +404,26 @@ def test_determinant_certificate_matches_the_eigen_test(n, seed):
     # within 1e-6 of singular
     margins = [_relative_sigma_min(X @ A + np.eye(n)) for X in nodes]
     assert all(min(margins[i], margins[j]) < 1e-6 for i, j in zip(*np.nonzero(opposite & ~plain)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(3, 187)
+def test_a_lone_segment_is_decided_as_the_certified_table_decides_it(n, seed):
+    # every node passed the shear gate, so the lone-segment kernels must give the table's entries
+    A, nodes = _near_singular_pool(n, seed)
+    every = np.arange(len(nodes))
+    crossings = _certified_crossings(A, nodes, _det_signs(A, nodes), every, every)
+    shifted = nodes @ A + np.eye(n)
+    for i, P in enumerate(nodes):
+        for j, Q in enumerate(nodes):
+            assert _segment_in_shear_domain(A, P, Q, DEFAULT_TOL) is (not crossings[i, j])
+            assert _segment_from(A, P, shifted[i], Q, DEFAULT_TOL) is (not crossings[i, j])
+    # a far end outside the gate ends the test before any sign is read
+    edge = herm_part(-np.linalg.inv(A)) if abs(np.linalg.det(A)) > 1e-12 else None
+    if edge is not None and not _in_shear_domain(A, edge, DEFAULT_TOL):
+        assert not _segment_in_shear_domain(A, nodes[0], edge, DEFAULT_TOL)
+        assert not _segment_in_shear_domain(A, edge, nodes[0], DEFAULT_TOL)
 
 
 def test_public_segment_test_reports_the_crossings_the_eigen_test_misses():
