@@ -44,6 +44,9 @@ from .suites import run_suite, suite_description, suite_names
 
 __all__ = ["main"]
 
+# gen checks --dim before drawing: a 1024 x 1024 draw already writes 45 MB, and far larger ones fail to allocate
+GEN_MAX_DIM = 1024
+
 
 def _emit_matrix(M: np.ndarray, out: Optional[str]) -> None:
     if out:
@@ -171,8 +174,8 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
 
 def _cmd_gen(args, tol: ToleranceConfig) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.dim < 1:
-        raise MalformedInputError("--dim must be positive")
+    if not 1 <= args.dim <= GEN_MAX_DIM:
+        raise MalformedInputError(f"--dim must lie in [1, {GEN_MAX_DIM}], got {args.dim}")
     if args.kind == "hermitian":
         M = random_hermitian(rng, args.dim, scale=args.scale)
     elif args.kind == "psd":

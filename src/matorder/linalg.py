@@ -93,10 +93,6 @@ class Inertia(NamedTuple):
     n_zero: int
     n_neg: int
 
-    @property
-    def dim(self) -> int:
-        return self.n_pos + self.n_zero + self.n_neg
-
 
 def as_square(X: Iterable, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex ndarray; reject non-finite entries."""

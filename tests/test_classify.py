@@ -11,6 +11,7 @@ from matorder.classify import (
     _block_map,
     _bordered_arrangement,
     _bordered_embedding,
+    _corner_inversion,
     _effect_automorphism,
     _effect_embedding,
     _in_block_domain,
@@ -34,10 +35,12 @@ from matorder.classify import (
 )
 from matorder.config import DEFAULT_TOL, ToleranceConfig
 from matorder.errors import DomainViolationError, MalformedInputError
+from matorder.halfplane import apply_mobius, in_half_plane
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.sampling import (
     random_contraction,
     random_effect,
+    random_half_plane,
     random_hermitian,
     random_hermitian_with_spectrum,
     random_invertible,
@@ -228,7 +231,7 @@ def _fpq_resolvent_reference(spec, X):
     """The fpq map by resolvent solves and a Schur square root: f_q(S^{-1/2} f_p(T X' T*) S^{-1/2}), S = f_p(TT*)."""
     from scipy.linalg import sqrtm
 
-    T, eye = spec.frame, np.eye(spec.dim)
+    T, eye = spec.frame, np.eye(spec.frame.shape[0])
     scaling = lambda w, M: np.linalg.solve(w * M + (1.0 - w) * eye, M)  # x -> x/(wx + 1 - w)
     root = sqrtm(scaling(spec.p, herm_part(T @ T.conj().T)))
     inner = scaling(spec.p, herm_part(T @ (X.T if spec.transpose else X) @ T.conj().T))
@@ -259,7 +262,7 @@ def test_fpq_frame_form_matches_resolvent_route(case):
     got, want = rational_effect_automorphism(spec, X, DEFAULT_TOL), _fpq_resolvent_reference(spec, X)
     rel = opnorm(got - want) / max(opnorm(want), 1e-300)
     assert rel <= (1e-12 if sigma_min >= 0.05 else 1e-6)
-    eye = np.eye(spec.dim)
+    eye = np.eye(spec.frame.shape[0])
     assert opnorm(rational_effect_automorphism(spec, eye) - eye) <= 1e-12
 
 
@@ -272,8 +275,8 @@ def test_fpq_frame_form_closed_forms(case):
     p, q, T, m = spec.p, spec.q, spec.frame, spec.automorphism
     assert m.transpose == spec.transpose and not m.B.any() and not m.C.any()
     F = m.frame
-    assert opnorm(m.A - (F.conj().T @ F - np.eye(spec.dim))) <= 1e-14 * (1.0 + opnorm(m.A))
-    want = q / (1.0 - q) * np.eye(spec.dim) + p / ((1.0 - p) * (1.0 - q)) * (T.conj().T @ T)
+    assert opnorm(m.A - (F.conj().T @ F - np.eye(spec.frame.shape[0]))) <= 1e-14 * (1.0 + opnorm(m.A))
+    want = q / (1.0 - q) * np.eye(spec.frame.shape[0]) + p / ((1.0 - p) * (1.0 - q)) * (T.conj().T @ T)
     assert opnorm(m.A - want) <= 1e-13 * (1.0 + opnorm(want))
     s = np.linalg.svd(F, compute_uv=False)
     assert (1.0 - q) ** -0.5 * (1.0 - 1e-14) <= s.min() <= s.max() <= ((1.0 - p) * (1.0 - q)) ** -0.5 * (1.0 + 1e-14)
@@ -375,6 +378,45 @@ def test_stacked_block_map_agrees_with_per_matrix_map(case):
     for j, X in enumerate(S):
         assert E[j].tobytes() == bordered_embedding(spec.m, X).tobytes()
         assert R[j].tobytes() == bordered_arrangement(spec.m, X).tobytes()
+
+
+def _corner_formula(spec, S):
+    """The block map by its corner inverse, coupling strip and Schur complement, block by block."""
+    m = spec.m
+    X11, X12, X22 = S[..., :m, :m], S[..., :m, m:], S[..., m:, m:]
+    K = np.linalg.solve(X11, X12)
+    out = np.zeros_like(S)
+    out[..., :m, :m] = -np.linalg.inv(X11)
+    out[..., :m, m:] = 1j * K
+    out[..., m:, :m] = -1j * K.conj().swapaxes(-1, -2)
+    out[..., m:, m:] = X22 - X12.conj().swapaxes(-1, -2) @ K
+    return herm_part(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_block_map_in_frame_form_agrees_with_the_corner_formula(n, data):
+    # corner eigenvalues in [0.3, 2]: test_stacked_block_map_agrees_with_per_matrix_map plants them at
+    # the cutoff, where the corner's condition number (~1e8) leaves no formula accurate to 1e-12
+    m = data.draw(st.integers(0, n))
+    spec = BlockMapSpec(n, m, data.draw(st.integers(0, m)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    S = np.stack([_domain_sample(rng, spec) for _ in range(data.draw(st.integers(1, 5)))])
+    got, want = _block_map(spec, S, DEFAULT_TOL), _corner_formula(spec, S)
+    for j, X in enumerate(S):
+        assert np.linalg.norm(got[j] - want[j]) <= 1e-12 * np.linalg.norm(want[j])
+        assert got[j].tobytes() == _block_map(spec, X, DEFAULT_TOL).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_corner_inversion_is_a_half_plane_automorphism(n):
+    # the maximal maps are restrictions of automorphisms of the generalized upper half-plane
+    rng = np.random.default_rng(n)
+    for m in range(n + 1):
+        g = _corner_inversion(n, m)
+        assert _corner_inversion(n, m) is g and not any(M.flags.writeable for M in (g.frame, g.A, g.B, g.C))
+        for _ in range(20):
+            assert in_half_plane(apply_mobius(g, random_half_plane(rng, n)))
 
 
 def _two_decomposition_gate(spec, S, tol):

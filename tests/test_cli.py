@@ -220,6 +220,15 @@ def test_non_finite_tolerance_is_a_usage_error():
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("dim", ["0", "-3", "1025", "100000000"])
+def test_gen_refuses_a_dimension_outside_its_range(dim):
+    # the cap is checked before anything is drawn, so no matrix of this size is allocated
+    r = run_cli("gen", "--kind", "psd", "--dim", dim)
+    assert r.returncode == 2
+    assert f"--dim must lie in [1, 1024], got {dim}" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_matrix_stdout_round_trip(tmp_path):
     r = run_cli("gen", "--kind", "hermitian", "--dim", "3", "--seed", "13")
     M = parse_matrix_text(r.stdout)

@@ -7,7 +7,7 @@ import pytest
 
 from matorder import suites
 from matorder.config import DEFAULT_TOL
-from matorder.errors import MalformedInputError
+from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.fileio import matrix_to_payload
 from matorder.suites import SUITES, run_suite, suite_description, suite_names
 
@@ -168,6 +168,24 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     assert rec.failure_count == 1
     assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
     assert rng.bit_generator.state == clean.bit_generator.state
+
+
+def test_theta_inversion_records_a_refused_mirrored_image(monkeypatch):
+    # the image Y is gated once, by the call that maps it back under -A; when that gate
+    # refuses, the trial records a failure and the suite goes on instead of raising
+    kernel = suites._shear_apply
+    images = []
+
+    def refuse_mirrored(A, M, tol):
+        if any(M is Y for Y in images):
+            raise DomainViolationError("X is outside the shear domain of this base")
+        images.append(kernel(A, M, tol))
+        return images[-1]
+
+    monkeypatch.setattr(suites, "_shear_apply", refuse_mirrored)
+    report = run_suite("theta-inversion", seed=0, trials=6)
+    assert len(images) == 6 and report.details["failure_count"] == 6
+    assert [f["description"] for f in report.failures] == ["image not in the mirrored domain"] * 6
 
 
 def test_check_order_fails_past_its_cushion_and_on_lost_strictness():
