@@ -3,15 +3,16 @@
 The block map for corner size m acts on Hermitian matrices whose leading
 m x m corner has a fixed inertia (p, 0, m-p): it inverts the corner with a
 sign flip, twists the off-diagonal strip by +-i, and takes a Schur
-complement in the lower block. It is the MobiusAutomorphism with frame
-diag(I_m, i I_{n-m}), A = B = -E1 and C = E1 = diag(I_m, 0), an involution
-up to swapping p with m - p, reproduced blockwise by negating the inverse of
-a bordered embedding into dimension 2n - m, and every maximal local order
-isomorphism is equivalent to exactly one such map, which makes the ordered
-pair (m, p) a complete invariant. The effect-algebra section implements the
-two canonical automorphism forms of the unit operator interval [0, I] and
-the almost-everywhere-continuous order embeddings with overridable endpoint
-values. Both automorphism forms and the embedding interior are
+complement in the lower block. It is an involution up to swapping p with
+m - p, is reproduced blockwise by negating the inverse of a bordered
+embedding into dimension 2n - m, and every maximal local order isomorphism
+is equivalent to exactly one such map, which makes the ordered pair (m, p)
+a complete invariant. It is also the MobiusAutomorphism with frame
+diag(I_m, i I_{n-m}), A = B = -E1 and C = E1 = diag(I_m, 0), which
+_block_map evaluates blockwise. The effect-algebra section implements
+the two canonical automorphism forms of the unit operator interval [0, I]
+and the almost-everywhere-continuous order embeddings with overridable
+endpoint values. Both automorphism forms and the embedding interior are
 MobiusAutomorphism maps, evaluated on effects by one kernel: an FpqSpec
 carries the frame form of its four-factor map, built once at construction.
 """
@@ -19,7 +20,7 @@ carries the frame form of its four-factor map, built once at construction.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -132,31 +133,29 @@ def _block_map(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig) -> np.nd
     Raises DomainViolationError if any member's corner has the wrong inertia
     or is numerically singular, exactly where the map of that member alone
     raises. One spectrum of the Hermitian corner decides both, each at its
-    own threshold (psd_tol, inv_margin). The value is _corner_inversion(n, m)'s, with frame diag(I_m, i I_{n-m}),
-    A = B = -E1 and C = E1 = diag(I_m, 0): W = X + E1 gives W A + I = [[-X11, 0], [-X21, I]], invertible iff X11 is.
+    own threshold (psd_tol, inv_margin). The frame form in the module
+    docstring gives the same value, but it adds E1 to the corner and takes
+    it away again, losing the corner's relative accuracy off unit scale.
     """
     m = spec.m
     if m == 0:
         return H.copy()
-    values = _eigvalsh(H[..., :m, :m])
+    X11 = H[..., :m, :m]
+    values = _eigvalsh(X11)
     # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
     if not all(_spectra_have_inertia(values, spec.p, tol).flat):
         raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
     if not all(_spectra_invertible(values, tol).flat):
         raise DomainViolationError("corner is numerically singular")
-    g = _corner_inversion(spec.n, m)
-    W = _shifted(g, H)
-    return herm_part(_mobius_eval(g, W, W @ g.A + np.eye(spec.n)))
-
-
-@lru_cache(maxsize=64)
-def _corner_inversion(n: int, m: int) -> MobiusAutomorphism:
-    """The block map in frame form, one per (n, m) for every p and the dual; its arrays are read-only and shared."""
-    E1 = np.diag(np.arange(n) < m).astype(complex)
-    g = MobiusAutomorphism(frame=np.diag(np.where(np.arange(n) < m, 1.0, 1j)), A=-E1, B=-E1, C=E1)
-    for M in (g.frame, g.A, g.B, g.C):
-        M.flags.writeable = False
-    return g
+    X12 = H[..., :m, m:]
+    X22 = H[..., m:, m:]
+    K = np.linalg.solve(X11, X12)  # X11^{-1} X12
+    out = np.zeros_like(H)
+    out[..., :m, :m] = -np.linalg.inv(X11)
+    out[..., :m, m:] = 1j * K
+    out[..., m:, :m] = -1j * K.conj().swapaxes(-1, -2)
+    out[..., m:, m:] = X22 - X12.conj().swapaxes(-1, -2) @ K
+    return herm_part(out)
 
 
 def bordered_embedding(m: int, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

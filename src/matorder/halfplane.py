@@ -159,8 +159,8 @@ class MobiusAutomorphism:
     Z or, when the flag is set, its transpose; A, B, C Hermitian (B, C zero
     when omitted), frame invertible. Where W is invertible the shear equals
     (W^{-1} + A)^{-1}, the canonical half-plane automorphism form. The
-    evaluators apply_mobius, localiso.apply_local_iso, classify.effect_automorphism
-    and classify._block_map (the block map) differ only in the domain they gate on.
+    evaluators apply_mobius, localiso.apply_local_iso and
+    classify.effect_automorphism differ only in the domain they gate on.
     """
 
     frame: np.ndarray

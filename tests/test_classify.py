@@ -11,7 +11,6 @@ from matorder.classify import (
     _block_map,
     _bordered_arrangement,
     _bordered_embedding,
-    _corner_inversion,
     _effect_automorphism,
     _effect_embedding,
     _in_block_domain,
@@ -35,7 +34,7 @@ from matorder.classify import (
 )
 from matorder.config import DEFAULT_TOL, ToleranceConfig
 from matorder.errors import DomainViolationError, MalformedInputError
-from matorder.halfplane import apply_mobius, in_half_plane
+from matorder.halfplane import MobiusAutomorphism, _mobius_eval, _shifted, apply_mobius, in_half_plane
 from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
 from matorder.sampling import (
     random_contraction,
@@ -380,41 +379,58 @@ def test_stacked_block_map_agrees_with_per_matrix_map(case):
         assert R[j].tobytes() == bordered_arrangement(spec.m, X).tobytes()
 
 
-def _corner_formula(spec, S):
-    """The block map by its corner inverse, coupling strip and Schur complement, block by block."""
-    m = spec.m
-    X11, X12, X22 = S[..., :m, :m], S[..., :m, m:], S[..., m:, m:]
-    K = np.linalg.solve(X11, X12)
-    out = np.zeros_like(S)
-    out[..., :m, :m] = -np.linalg.inv(X11)
-    out[..., :m, m:] = 1j * K
-    out[..., m:, :m] = -1j * K.conj().swapaxes(-1, -2)
-    out[..., m:, m:] = X22 - X12.conj().swapaxes(-1, -2) @ K
-    return herm_part(out)
+def _frame_form(n, m):
+    """The (n, m) block map as a half-plane automorphism: frame diag(I_m, i I_{n-m}), A = B = -E1, C = E1."""
+    E1 = np.diag(np.arange(n) < m).astype(complex)
+    return MobiusAutomorphism(frame=np.diag(np.where(np.arange(n) < m, 1.0, 1j)), A=-E1, B=-E1, C=E1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.data())
-def test_block_map_in_frame_form_agrees_with_the_corner_formula(n, data):
-    # corner eigenvalues in [0.3, 2]: test_stacked_block_map_agrees_with_per_matrix_map plants them at
-    # the cutoff, where the corner's condition number (~1e8) leaves no formula accurate to 1e-12
+def test_block_map_equals_its_frame_form(n, data):
+    # _domain_sample's corner eigenvalues lie in [0.3, 2], so the corner's condition number is below 7;
+    # the frame form adds E1 to the corner and takes it away, so it is accurate to eps at unit scale only
     m = data.draw(st.integers(0, n))
     spec = BlockMapSpec(n, m, data.draw(st.integers(0, m)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     S = np.stack([_domain_sample(rng, spec) for _ in range(data.draw(st.integers(1, 5)))])
-    got, want = _block_map(spec, S, DEFAULT_TOL), _corner_formula(spec, S)
-    for j, X in enumerate(S):
+    g = _frame_form(n, m)
+    W = _shifted(g, S)
+    want = herm_part(_mobius_eval(g, W, W @ g.A + np.eye(n)))
+    got = _block_map(spec, S, DEFAULT_TOL)
+    for j in range(len(S)):
         assert np.linalg.norm(got[j] - want[j]) <= 1e-12 * np.linalg.norm(want[j])
-        assert got[j].tobytes() == _block_map(spec, X, DEFAULT_TOL).tobytes()
+
+
+@pytest.mark.parametrize("k", range(-7, 9))
+def test_block_map_is_accurate_at_every_scale(k):
+    # scaling X by 10^k scales the image corner -X11^{-1} by 10^-k and leaves its condition number (< 7)
+    # alone, so the relative error must not grow with |k|; the involution is checked where the image
+    # corner clears the gate's absolute floor (psd_tol * (1 + |lambda|max) = 1e-8)
+    rng = np.random.default_rng(600 + k)
+    s = 10.0**k
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for p in range(m + 1):
+                spec = BlockMapSpec(n, m, p)
+                V = random_unitary(rng, m)
+                vals = s * np.concatenate([rng.uniform(0.3, 2.0, size=p), -rng.uniform(0.3, 2.0, size=m - p)])
+                X = random_hermitian(rng, n)
+                X[:m, :m] = (V * (vals / s)) @ V.conj().T
+                X = herm_part(s * X)
+                Y = block_map_apply(spec, X)
+                want = -(V / vals) @ V.conj().T
+                assert opnorm(Y[:m, :m] - want) <= 1e-13 * opnorm(want)
+                if k < 8:
+                    assert opnorm(block_map_apply(spec.dual, Y) - X) <= 1e-13 * opnorm(X)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_corner_inversion_is_a_half_plane_automorphism(n):
+def test_block_map_frame_form_is_a_half_plane_automorphism(n):
     # the maximal maps are restrictions of automorphisms of the generalized upper half-plane
     rng = np.random.default_rng(n)
     for m in range(n + 1):
-        g = _corner_inversion(n, m)
-        assert _corner_inversion(n, m) is g and not any(M.flags.writeable for M in (g.frame, g.A, g.B, g.C))
+        g = _frame_form(n, m)
         for _ in range(20):
             assert in_half_plane(apply_mobius(g, random_half_plane(rng, n)))
 
