@@ -356,10 +356,10 @@ class FpqSpec:
         frame = as_square(self.frame, "frame")
         # one SVD decides both, at opnorm's and _is_invertible's thresholds
         U, s, Wh = np.linalg.svd(frame)
-        top = s.max(initial=0.0)
+        top = s.max()
         if top > 1.0 + CONTRACTION_SLACK:
             raise MalformedInputError("frame must be a contraction")
-        if not s.min(initial=np.inf) > DEFAULT_TOL.inv_margin * (1.0 + top):
+        if not s.min() > DEFAULT_TOL.inv_margin * (1.0 + top):
             raise MalformedInputError("frame must be bijective")
         object.__setattr__(self, "frame", frame)
         F = (U * np.sqrt((self.p * s**2 + 1.0 - self.p) / ((1.0 - self.p) * (1.0 - self.q)))) @ Wh

@@ -47,6 +47,14 @@ __all__ = ["main"]
 # gen checks --dim before drawing: a 1024 x 1024 draw already writes 45 MB, and far larger ones fail to allocate
 GEN_MAX_DIM = 1024
 
+# gen's kinds, the choices of --kind: each draws a matrix from (rng, dim, scale)
+GEN_KINDS = {
+    "hermitian": lambda rng, dim, scale: random_hermitian(rng, dim, scale=scale),
+    "psd": lambda rng, dim, scale: random_psd(rng, dim, scale=scale),
+    "effect": lambda rng, dim, scale: random_effect(rng, dim),
+    "halfplane": lambda rng, dim, scale: random_half_plane(rng, dim),
+}
+
 
 def _emit_matrix(M: np.ndarray, out: Optional[str]) -> None:
     if out:
@@ -58,13 +66,13 @@ def _emit_matrix(M: np.ndarray, out: Optional[str]) -> None:
 def _cmd_classify(args, tol: ToleranceConfig) -> int:
     A = parse_matrix_file(args.matrix)
     cls = signature_class(A, tol)
-    sig = inertia(A, tol)
+    dim = int(A.shape[0])
     print(json.dumps({
-        "dim": int(A.shape[0]),
+        "dim": dim,
         "m": cls.m,
         "p": cls.p,
         "borderline": cls.borderline,
-        "inertia": [sig.n_pos, sig.n_zero, sig.n_neg],
+        "inertia": [cls.p, dim - cls.m, cls.m - cls.p],
     }, sort_keys=True))
     return 0
 
@@ -111,11 +119,9 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
         mob = MobiusAutomorphism(frame=frame, A=np.zeros((n, n)) if A is None else A, B=B, C=C,
                                  transpose=args.transpose)
         out = apply_mobius(mob, X, tol)
-    elif args.map == "pick":
+    else:  # "pick", the last of --map's choices
         rep = _load_pick(_require(args.rep, "--rep", "pick"))
         out = np.atleast_2d(pick_eval(rep, X, tol))
-    else:  # pragma: no cover - argparse restricts choices
-        raise MalformedInputError(f"unknown map {args.map}")
     _emit_matrix(np.asarray(out, dtype=complex), args.out)
     return 0
 
@@ -176,17 +182,7 @@ def _cmd_gen(args, tol: ToleranceConfig) -> int:
     rng = np.random.default_rng(args.seed)
     if not 1 <= args.dim <= GEN_MAX_DIM:
         raise MalformedInputError(f"--dim must lie in [1, {GEN_MAX_DIM}], got {args.dim}")
-    if args.kind == "hermitian":
-        M = random_hermitian(rng, args.dim, scale=args.scale)
-    elif args.kind == "psd":
-        M = random_psd(rng, args.dim, scale=args.scale)
-    elif args.kind == "effect":
-        M = random_effect(rng, args.dim)
-    elif args.kind == "halfplane":
-        M = random_half_plane(rng, args.dim)
-    else:  # pragma: no cover - argparse restricts choices
-        raise MalformedInputError(f"unknown kind {args.kind}")
-    _emit_matrix(M, args.out)
+    _emit_matrix(GEN_KINDS[args.kind](rng, args.dim, args.scale), args.out)
     return 0
 
 
@@ -238,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="emit a random matrix")
-    p_gen.add_argument("--kind", required=True, choices=["hermitian", "psd", "effect", "halfplane"])
+    p_gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--scale", type=float, default=1.0)

@@ -322,10 +322,12 @@ def fit_canonical(
     exactly linearly on offsets from iI; recover the unitary and the
     transpose flag from its responses to congruence probes
     (_congruence_from_probes), then fold the unitary into the parameters.
-    The result is validated against 20 random half-plane samples of
-    FIT_VALIDATION_SEED, drawn once per dimension and shared by every fit
-    (sampling._seeded_draws): a worst residual beyond FIT_RESIDUAL_TOL
-    relative raises ModelMismatchError.
+    The result, anchored or not, is validated against the evaluator itself, in
+    the caller's coordinates (recentred values are large for an anchor near a
+    pole of the map, and would let a poor fit pass), at 20 random half-plane
+    samples of FIT_VALIDATION_SEED, drawn once per dimension and shared by
+    every fit (sampling._seeded_draws); a worst residual beyond
+    FIT_RESIDUAL_TOL relative raises ModelMismatchError.
 
     The shell calls the evaluator once per point, 1 + (2 dim - 1) + 20 times,
     and checks that each value is a finite dim x dim matrix (MalformedInputError
@@ -340,24 +342,31 @@ def _fit_canonical(values: Callable[[np.ndarray], np.ndarray], dim: int, anchor:
     """Body of fit_canonical for a stacked evaluator: values maps a stack (k, dim, dim) to its stack of values."""
     eye = np.eye(dim, dtype=complex)
     if anchor is None:
-        return _fit_centered(values, eye, tol)
-    try:
-        X0, Y0 = anchor
-    except (TypeError, ValueError):
-        raise MalformedInputError("anchor must be a pair (X0, Y0)") from None
-    _, X0, Y0 = _same_dim(eye, as_hermitian(X0, tol, "anchor input"), as_hermitian(Y0, tol, "anchor output"))
-    centered = _fit_centered(lambda Z: values(Z + X0) - Y0, eye, tol)
-    # the shift meets the argument after the optional transpose
-    B = X0.T if centered.transpose else X0
-    return MobiusAutomorphism(
-        frame=centered.frame, A=centered.A, B=B, C=Y0, transpose=centered.transpose
-    )
+        fitted = _fit_centered(values, eye, tol)
+    else:
+        try:
+            X0, Y0 = anchor
+        except (TypeError, ValueError):
+            raise MalformedInputError("anchor must be a pair (X0, Y0)") from None
+        _, X0, Y0 = _same_dim(eye, as_hermitian(X0, tol, "anchor input"), as_hermitian(Y0, tol, "anchor output"))
+        centered = _fit_centered(lambda Z: values(Z + X0) - Y0, eye, tol)
+        # the shift meets the argument after the optional transpose
+        B = X0.T if centered.transpose else X0
+        fitted = MobiusAutomorphism(frame=centered.frame, A=centered.A, B=B, C=Y0, transpose=centered.transpose)
+    points = _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, dim, FIT_VALIDATION_POINTS)
+    wants = values(points)
+    worst = 0.0
+    for want, got in zip(wants, _apply_mobius(fitted, points, tol)):
+        worst = max(worst, float(np.linalg.norm(want - got)) / (1.0 + float(np.linalg.norm(want))))
+    if worst > FIT_RESIDUAL_TOL:
+        raise ModelMismatchError(f"fitted automorphism residual {worst:.3e} exceeds {FIT_RESIDUAL_TOL}")
+    return fitted
 
 
 def _fit_centered(
     values: Callable[[np.ndarray], np.ndarray], eye: np.ndarray, tol: ToleranceConfig
 ) -> MobiusAutomorphism:
-    """fit_canonical without an anchor, for a stacked evaluator whose values are validated stacks."""
+    """fit_canonical without an anchor and before validation, for a stacked evaluator of validated stacks."""
     dim = eye.shape[0]
     W = values((1j * eye)[None])[0]
     if not _in_half_plane(W, tol):
@@ -379,15 +388,6 @@ def _fit_centered(
     u, transpose, _, _ = _congruence_from_probes(probe, dim, tol)
     if np.linalg.norm(u.conj().T @ u - eye) > 1e-6 * dim:
         raise ModelMismatchError("probe responses are not a unitary similarity")
-    fitted = MobiusAutomorphism(
+    return MobiusAutomorphism(
         frame=normalize_phase(T @ u), A=herm_part(u.conj().T @ A @ u), transpose=transpose
     )
-
-    points = _seeded_draws(random_half_plane, FIT_VALIDATION_SEED, dim, FIT_VALIDATION_POINTS)
-    wants = values(points)
-    worst = 0.0
-    for want, got in zip(wants, _apply_mobius(fitted, points, tol)):
-        worst = max(worst, float(np.linalg.norm(want - got)) / (1.0 + float(np.linalg.norm(want))))
-    if worst > FIT_RESIDUAL_TOL:
-        raise ModelMismatchError(f"fitted automorphism residual {worst:.3e} exceeds {FIT_RESIDUAL_TOL}")
-    return fitted

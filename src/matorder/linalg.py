@@ -20,11 +20,12 @@ classify._block_map decides its corner's inertia and invertibility from one
 _eigvalsh, each at its own threshold (psd_tol, inv_margin); _eigh serves
 where eigenvectors are read, and svd serves non-Hermitian matrices.
 
-A kernel takes complex ndarrays that are already square and finite and,
-where it asks for Hermitian input, exactly Hermitian: the output of
-as_hermitian or herm_part, or an expression that keeps exact symmetry
-(sums, differences and real multiples of such arrays, and their leading
-corner blocks). herm_part is exact on such arrays, so a kernel makes the
+A kernel takes complex ndarrays that are already square, of dimension
+n >= 1 (as_square refuses an empty matrix), and finite and, where it asks
+for Hermitian input, exactly Hermitian: the output of as_hermitian or
+herm_part, or an expression that keeps exact symmetry (sums, differences
+and real multiples of such arrays, and their nonempty leading corner
+blocks). herm_part is exact on such arrays, so a kernel makes the
 same LAPACK call (eigh, eigvalsh, svd, solve, inv) on the same matrix as the
 public function. Library code that has validated its arguments calls
 kernels, never the shells (_sqrt_psd is a kernel only: its callers hand it
@@ -95,10 +96,12 @@ class Inertia(NamedTuple):
 
 
 def as_square(X: Iterable, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray; reject non-finite entries."""
+    """Coerce to a square complex ndarray of dimension n >= 1; reject non-finite entries."""
     M = np.asarray(X, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise MalformedInputError(f"{name} must be square, got shape {M.shape}")
+    if not M.size:
+        raise MalformedInputError(f"{name} is empty")
     if not np.isfinite(M).all():
         raise MalformedInputError(f"{name} has non-finite entries")
     return M
@@ -115,11 +118,8 @@ def frob(M: np.ndarray) -> float:
 
 
 def opnorm(M: np.ndarray) -> float:
-    """Spectral (largest singular value) norm."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0.0
-    return float(_opnorms(M))
+    """Spectral (largest singular value) norm of a nonempty matrix."""
+    return float(_opnorms(np.asarray(M, dtype=complex)))
 
 
 def _opnorms(S: np.ndarray):
@@ -275,8 +275,8 @@ def inertia(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
 
 
 def _rank_cut(values: np.ndarray, tol: ToleranceConfig):
-    """The rank cutoff psd_tol*(1 + max|lambda|) of each spectrum along the last axis; psd_tol when it is empty."""
-    return tol.psd_tol * (1.0 + np.abs(values).max(axis=-1, initial=0.0))
+    """The rank cutoff psd_tol*(1 + max|lambda|) of each spectrum along the last axis."""
+    return tol.psd_tol * (1.0 + np.abs(values).max(axis=-1))
 
 
 def _has_inertia(S: np.ndarray, p: int, tol: ToleranceConfig):
@@ -303,8 +303,6 @@ def _spectra_have_inertia(values: np.ndarray, p: int, tol: ToleranceConfig):
 
 def _spectrum_inertia(values: np.ndarray, tol: ToleranceConfig) -> Inertia:
     """Inertia of an eigenvalue array under the rank cutoff, for callers that hold one."""
-    if values.size == 0:
-        return Inertia(0, 0, 0)
     cut = _rank_cut(values, tol)
     n_pos = int(np.count_nonzero(values > cut))
     n_neg = int(np.count_nonzero(values < -cut))
@@ -358,8 +356,6 @@ def _loewner_compare(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> Orde
 
 def _order_verdict(values: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
     """The OrderVerdict of Y - X from its ascending spectrum, for callers that hold one."""
-    if values.size == 0:
-        return OrderVerdict(0.0, 0.0, 1.0, tol.psd_tol, tol.inv_margin)
     lo = float(values[0])
     hi = float(values[-1])
     scale = 1.0 + max(abs(lo), abs(hi))
@@ -412,10 +408,7 @@ def _spectral_apply(
 
 def invertibility_margin(X: Iterable) -> float:
     """Smallest singular value (0 means exactly singular)."""
-    M = as_square(X)
-    if M.shape[0] == 0:
-        return np.inf
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    return float(np.linalg.svd(as_square(X), compute_uv=False)[-1])
 
 
 def is_invertible(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -425,8 +418,6 @@ def is_invertible(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def _is_invertible(M: np.ndarray, tol: ToleranceConfig):
     """Kernel of is_invertible on a square finite array; one verdict per member of a stack (..., n, n)."""
-    if M.shape[-1] == 0:
-        return np.ones(M.shape[:-2], dtype=bool)
     # singular values on the first axis: on a single matrix the comparison is
     # between scalars, on a stack the transposes put the members back in order
     sv = np.linalg.svd(M, compute_uv=False).T
@@ -446,8 +437,6 @@ def _spectral_pinv(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarr
     inverted, the rest are zeroed.
     """
     values = decomp.values
-    if values.size == 0:
-        return np.zeros((0, 0), dtype=complex)
     cut = _rank_cut(values, tol)
     inv = np.where(np.abs(values) > cut, 1.0 / np.where(np.abs(values) > cut, values, 1.0), 0.0)
     return herm_part((decomp.vectors * inv) @ decomp.vectors.conj().T)
@@ -462,8 +451,6 @@ def _sqrt_psd(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
     negated cutoff, where _loewner_compare(0, A, tol).leq fails, raises.
     """
     values = decomp.values
-    if values.size == 0:
-        return np.zeros((0, 0), dtype=complex)
     cut = _rank_cut(values, tol)
     if float(values[0]) < -cut:
         raise DomainViolationError(f"matrix is not PSD: min eigenvalue {values[0]:.3e}")

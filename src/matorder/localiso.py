@@ -125,8 +125,6 @@ def _shear_apply(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> np.ndarr
 def _range_compression(base: np.ndarray, tol: ToleranceConfig):
     """Eigenvectors and eigenvalues of the base above the rank cutoff."""
     decomp = _eigh(base)
-    if decomp.values.size == 0:
-        return decomp.vectors[:, :0], decomp.values[:0]
     cut = _rank_cut(decomp.values, tol)
     mask = np.abs(decomp.values) > cut
     return decomp.vectors[:, mask], decomp.values[mask]
@@ -157,8 +155,7 @@ def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig):
     The range of A is compressed once for the whole stack.
     """
     V, lam = _range_compression(A, tol)
-    k = lam.size
-    if k == 0:
+    if lam.size == 0:
         return np.ones(H.shape[:-2], dtype=bool)
     p = int(np.count_nonzero(lam > 0))
     signs = np.sign(lam)
@@ -168,18 +165,17 @@ def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig):
     return _has_inertia(M, p, tol)
 
 
-def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, M: Optional[np.ndarray] = None) -> np.ndarray:
+def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Vectorized exact test: does the segment P -> Q leave the shear domain?
 
     Parameterizing (P + tD) base + I = (P base + I)(I + t G) with
     G = (P base + I)^{-1} D base shows the segment hits a singular point at
     t = -1/mu for each real eigenvalue mu <= -1 of G. Returns a boolean array
     (True = crossing) over the broadcast stack shape of the starts P and the
-    ends Qs; every start must be inside the domain, and M is P base + I where
-    the caller holds it. _certified_crossings and _segment_from call it, on
-    the segments between ends of one determinant sign.
+    ends Qs; every start must be inside the domain, and M is P base + I, which
+    the caller built for the shear gate. _certified_crossings and _segment_from
+    call it, on the segments between ends of one determinant sign.
     """
-    M = P @ base + np.eye(base.shape[0]) if M is None else M
     G = np.linalg.solve(M, (Qs - P) @ base)
     eigs = np.linalg.eigvals(G)
     real_like = np.abs(eigs.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(eigs.real))
@@ -387,8 +383,8 @@ class PathSearchResult(NamedTuple):
     nodes_used: int
 
 
-def _det_signs(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """Whether det(node base + I) > 0, for each node of a stack that passed the shear gate.
+def _det_signs(shifts: np.ndarray) -> np.ndarray:
+    """Whether det(M) > 0, for each shift M = node base + I of a stack of nodes that passed the shear gate.
 
     For Hermitian X and base the determinant is real: its conjugate is
     det(base X + I) = det(X base + I) (Sylvester). LU with partial pivoting
@@ -398,14 +394,15 @@ def _det_signs(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     default inv_margin of 1e-8, the ratio
     det(M + E) / det(M) = det(I + M^{-1} E) stays near 1, and the real part
     of the computed determinant has the sign of det(M). The gate and this
-    sign read the same computed M = node base + I.
+    sign read the same computed shifts M = node base + I.
     """
-    return np.linalg.det(stacked @ base + np.eye(base.shape[0])).real > 0
+    return np.linalg.det(shifts).real > 0
 
 
-def _certified_crossings(base: np.ndarray, stacked: np.ndarray, signs: np.ndarray,
+def _certified_crossings(base: np.ndarray, stacked: np.ndarray, shifts: np.ndarray, signs: np.ndarray,
                          starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Crossing table of the segments stacked[starts[i]] -> stacked[ends[j]], given the nodes' _det_signs.
+    """Crossing table of the segments stacked[starts[i]] -> stacked[ends[j]], given each node's shift
+    stacked[k] base + I and the nodes' _det_signs.
 
     A segment between nodes of opposite sign is a crossing without further
     test: t -> det((P + tD) base + I) is a real polynomial that changes sign
@@ -418,13 +415,14 @@ def _certified_crossings(base: np.ndarray, stacked: np.ndarray, signs: np.ndarra
     crossings = signs[starts][:, None] != signs[ends][None, :]
     i, j = np.nonzero(~crossings)
     if i.size:
-        crossings[i, j] = _segment_crossings(base, stacked[starts[i]], stacked[ends[j]])
+        crossings[i, j] = _segment_crossings(base, stacked[starts[i]], stacked[ends[j]], shifts[starts[i]])
     return crossings
 
 
-def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[int]]:
+def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray], shifts: np.ndarray) -> Optional[List[int]]:
     """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges.
 
+    shifts[k] is nodes[k] base + I, and every node passed the shear gate.
     Frontier nodes are expanded in order, each claiming, in index order, every
     node still unvisited that it reaches by a segment. The crossing table of a
     block of frontier nodes against the nodes unvisited when the block starts
@@ -435,7 +433,7 @@ def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[i
     the signs that _det_signs takes once per pool.
     """
     stacked = np.stack(nodes)
-    signs = _det_signs(base, stacked)
+    signs = _det_signs(shifts)
     unvisited = np.ones(len(nodes), dtype=bool)
     unvisited[0] = False
     parents = {0: -1}
@@ -447,7 +445,7 @@ def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray]) -> Optional[List[i
             others = np.flatnonzero(unvisited)  # never empty: node 1 stays unvisited until the return
             block = np.array(frontier[start:start + max(1, PATH_SEGMENTS_PER_CALL // others.size)])
             start += block.size
-            crossings = _certified_crossings(base, stacked, signs, block, others)
+            crossings = _certified_crossings(base, stacked, shifts, signs, block, others)
             for v, crossed_row in zip(block.tolist(), crossings):
                 for idx in others[~crossed_row & unvisited[others]].tolist():
                     unvisited[idx] = False
@@ -512,7 +510,8 @@ def path_to_zero(
     determinants differ in sign crosses the singular set (the intermediate
     value theorem). The signs are exact, since every waypoint passed the
     shear gate (_det_signs), and the rest go to the exact eigenvalue test
-    (_bfs_over_pool).
+    (_bfs_over_pool). Each node's shift X base + I is built once, for the
+    gate, the sign and the segments that start at it.
     """
     A, H = _base_and_hermitian(base, X, tol)
     if not _in_shear_domain(A, H, tol):
@@ -522,16 +521,19 @@ def path_to_zero(
         return PathSearchResult(True, [zero, H], 2)
     rng = np.random.default_rng(seed)
     spread = max(1.0, float(_hermitian_opnorms(H)))
+    eye = np.eye(A.shape[0])
+    end_shifts = np.stack([zero, H]) @ A + eye
     used = 2
     pool = PATH_POOL_SIZE
     while used < max_nodes:
         pool = min(pool, max_nodes - used)
         draws = _waypoints(rng, H, spread, pool)
-        candidates = draws[_in_shear_domain(A, draws, tol)]
+        shifts = draws @ A + eye
+        inside = _is_invertible(shifts, tol)
         used += pool
-        if len(candidates):
-            nodes = [zero, H, *candidates]
-            order = _bfs_over_pool(A, nodes)
+        if inside.any():
+            nodes = [zero, H, *draws[inside]]
+            order = _bfs_over_pool(A, nodes, np.concatenate([end_shifts, shifts[inside]]))
             if order is not None:
                 return PathSearchResult(True, [nodes[i] for i in order], used)
         pool *= 2

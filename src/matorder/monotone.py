@@ -288,7 +288,7 @@ def pick_eval(
     if _is_hermitian(Z, tol):
         H = herm_part(Z)
         values = _eigvalsh(H)
-        if values.size and not (a < float(values[0]) and float(values[-1]) < b):
+        if not (a < float(values[0]) and float(values[-1]) < b):
             raise DomainViolationError("matrix spectrum outside the interval")
         return herm_part(_pick_matrix(rep, H, tol))
     if _in_half_plane(Z, tol):

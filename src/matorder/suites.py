@@ -5,23 +5,26 @@ run_suite(name, seed, trials) replays a suite deterministically; two runs
 with the same arguments produce byte-identical reports up to the timing
 field. Failures carry serialized matrix witnesses.
 
-Writing a suite: loop `for t, n in _trials(rng, trials, lo, hi)`, draw gated
-samples with `_first(attempts, draw, accept)`, which returns None once every
-attempt is rejected, and return every counter in the `details` dict at every
-trial count. Keep the rng draws in order: generators stay lazy, so
-`any`/`next` short-circuit. Where no draw depends on a check, draw in rng
-order and finish in a stack: draw each sample's raw values (normals,
+Writing a suite: decorate its body `_suite_<name>(rng, trials, tol, rec)`
+with `@_suite(default_trials, description)`, which registers it as <name>
+(underscores read as hyphens); suite_names() lists the suites in the order
+their bodies are defined. Loop `for t, n in _trials(rng, trials, lo, hi)`,
+draw gated samples with `_first(attempts, draw, accept)`, which returns None
+once every attempt is rejected, and return every counter in the `details`
+dict at every trial count. Keep the rng draws in order: generators stay
+lazy, so `any`/`next` short-circuit. Where no draw depends on a check, draw
+in rng order and finish in a stack: draw each sample's raw values (normals,
 uniforms) in the order the per-sample sampler draws them, then build all
 samples with the stacked finishing bodies of `sampling` (one QR and one
 V diag V* in _with_spectra, one herm_part; see _block_samples and
 interval-criterion), check them with the stacked kernels (_block_map,
-_in_zero_component, _has_inertia, _opnorms, _shear_apply, _jacobi_eigen)
-and record per sample, computing a failure message only for a failed
-member. Such a stack is drawn whole even when a member fails, so a failure
-never shifts the draws of later trials. A suite whose trials draw nothing
-after their checks may draw every trial first, run a kernel once per
-dimension, and then check trial by trial, so that its failures are
-recorded in the order the per-trial loop records them (eigen-residual and
+_in_zero_component, _has_inertia, _opnorms, _shear_apply, _jacobi_eigen) and
+record per sample, computing a failure message only for a failed member.
+Such a stack is drawn whole even when a member fails, so a failure never
+shifts the draws of later trials. A suite whose trials draw nothing after
+their checks may draw every trial first, run a kernel once per dimension,
+and then check trial by trial, so that its failures are recorded in the
+order the per-trial loop records them (eigen-residual and
 spectral-composition with _jacobi_by_trial).
 """
 
@@ -31,7 +34,7 @@ import dataclasses
 import json
 import math
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -130,6 +133,28 @@ class _Recorder:
     def check_residual(self, value: float, bound: float, trial: int, description: str, **witnesses) -> bool:
         v = self.residual(value)
         return self.check(v <= bound, trial, f"{description}: residual {v:.3e} > {bound:.3e}", **witnesses)
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+class _SuiteDef(NamedTuple):
+    fn: Callable
+    default_trials: int
+    description: str
+
+
+# filled by @_suite, in the order the suite bodies are defined
+SUITES: Dict[str, _SuiteDef] = {}
+
+
+def _suite(default_trials: int, description: str) -> Callable:
+    """Register the decorated body _suite_<name> as the suite <name>, its underscores read as hyphens."""
+    def register(fn: Callable) -> Callable:
+        SUITES[fn.__name__[len("_suite_"):].replace("_", "-")] = _SuiteDef(fn, default_trials, description)
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +343,7 @@ def _jacobi_by_trial(draws: Dict[int, np.ndarray], tol: ToleranceConfig) -> Dict
     return out
 
 
+@_suite(120, "eigendecomposition residual and unitarity, both engines, dims up to 16")
 def _suite_eigen_residual(rng, trials, tol, rec):
     sizes = [2, 3, 4, 5, 6, 8, 12, 16]
     draws = [random_hermitian(rng, sizes[t % len(sizes)], scale=10.0 ** rng.uniform(-1.0, 1.0)) for t in range(trials)]
@@ -340,6 +366,7 @@ def _suite_eigen_residual(rng, trials, tol, rec):
                                t, "diagonal eigenvalues", X=D)
 
 
+@_suite(300, "inertia invariance under congruence and scaling")
 def _suite_inertia_congruence(rng, trials, tol, rec):
     for t, n in _trials(rng, trials):
         n_pos = int(rng.integers(0, n + 1))
@@ -359,6 +386,7 @@ def _suite_inertia_congruence(rng, trials, tol, rec):
             rec.check(tuple(inertia(c * X, tol)) == got, t, f"inertia not scale invariant at c={c}", X=X)
 
 
+@_suite(300, "semidefinite order: reflexivity, antisymmetry, negation flip, strictness")
 def _suite_order_antisymmetry(rng, trials, tol, rec):
     for t, n in _trials(rng, trials):
         X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
@@ -379,6 +407,7 @@ def _suite_order_antisymmetry(rng, trials, tol, rec):
                   "indefinite step not incomparable", X=X, D=D)
 
 
+@_suite(200, "functional calculus composes and matches across engines")
 def _suite_spectral_composition(rng, trials, tol, rec):
     bound = 1e-9
     draws = [(random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0)), herm_part(random_psd(rng, n) + 0.3 * np.eye(n)))
@@ -398,6 +427,7 @@ def _suite_spectral_composition(rng, trials, tol, rec):
             rec.check_residual(_rel_hermitian(alt, one_step), bound, t, "engine cross-check", X=X)
 
 
+@_suite(500, "rank-one domination criterion against the direct eigenvalue oracle")
 def _suite_rank_one_trace(rng, trials, tol, rec):
     skipped = 0
     for t, n in _trials(rng, trials):
@@ -437,6 +467,7 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
     return {"skipped_borderline": skipped}
 
 
+@_suite(200, "affine interval isomorphism: endpoints, inverse, order both ways")
 def _suite_interval_iso(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         L = random_hermitian(rng, n)
@@ -469,6 +500,7 @@ def _suite_interval_iso(rng, trials, tol, rec):
                   t, "point beyond upper reported contained", U=U)
 
 
+@_suite(200, "closed-form dominance radius against eigenvalue checks in dim 2")
 def _suite_projection_dominance(rng, trials, tol, rec):
     skipped = 0
     for t in range(trials):
@@ -499,6 +531,7 @@ def _suite_projection_dominance(rng, trials, tol, rec):
 # half-plane suites
 
 
+@_suite(300, "cayley transform round trips; negated inverse is an involution")
 def _suite_halfplane_roundtrip(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         Z = random_half_plane(rng, n)
@@ -526,6 +559,7 @@ _FIX01_WINDOWS = {
 }
 
 
+@_suite(200, "the 0,1-fixing rational family: inverse law, order, half-plane stability")
 def _suite_rational_inverse(rng, trials, tol, rec):
     params = sorted(_FIX01_WINDOWS)
     for t in range(trials):
@@ -560,31 +594,38 @@ def _random_mobius(rng: np.random.Generator, n: int) -> MobiusAutomorphism:
     )
 
 
-def _hermitian_anchor(rng: np.random.Generator, h: Callable, n: int) -> Optional[tuple]:
-    """(X0, h(X0)) for the first of 60 Hermitian draws X0 that h accepts, or None."""
+def _anchored_fit(rng: np.random.Generator, h: Callable, n: int, tol: ToleranceConfig) -> tuple:
+    """(fit, refused): _fit_canonical of h anchored at (X0, h(X0)) for the first of 60 Hermitian draws X0
+    that h accepts and whose fit is not refused (ModelMismatchError), or None; refused counts the refusals."""
+    refused = 0
     for _ in range(60):
         X0 = random_hermitian(rng, n, scale=0.6)
         try:
-            return X0, herm_part(h(X0))
+            anchor = X0, herm_part(h(X0))
         except DomainViolationError:
-            pass
-    return None
+            continue
+        try:
+            return _fit_canonical(h, n, anchor, tol), refused
+        except ModelMismatchError:
+            refused += 1
+    return None, refused
 
 
+@_suite(12, "compositions of upper-half-plane automorphisms refit in the same family")
 def _suite_mobius_closure(rng, trials, tol, rec):
+    anchors_refused = 0
     for t, n in _trials(rng, trials, 2, 4):
         g1 = _random_mobius(rng, n)
         g2 = _random_mobius(rng, n)
         h = lambda Z: _apply_mobius(g2, _apply_mobius(g1, Z, tol), tol)
-        anchor_in = _hermitian_anchor(rng, h, n)
-        if anchor_in is None:
-            rec.fail(t, "no Hermitian anchor found for the composition")
-            continue
         try:
-            fitted = _fit_canonical(h, n, anchor_in, tol)
-        except (ModelMismatchError, DomainViolationError) as exc:
-            rec.fail(t, f"composition did not refit: {exc}",
-                     frame1=g1.frame, frame2=g2.frame)
+            fitted, refused = _anchored_fit(rng, h, n, tol)
+        except DomainViolationError as exc:
+            rec.fail(t, f"composition did not refit: {exc}", frame1=g1.frame, frame2=g2.frame)
+            continue
+        anchors_refused += refused
+        if fitted is None:
+            rec.fail(t, f"no anchor refit the composition ({refused} refused)", frame1=g1.frame, frame2=g2.frame)
             continue
         points = _half_plane_stack(rng, n, 15)
         wants = h(points)
@@ -594,8 +635,10 @@ def _suite_mobius_closure(rng, trials, tol, rec):
             worst = max(worst, _rel(got, want))
         rec.check_residual(worst, 1e-6, t, "refit composition mismatch",
                            frame1=g1.frame, frame2=g2.frame)
+    return {"anchors_refused": anchors_refused}
 
 
+@_suite(200, "automorphisms send Hermitian points to Hermitian points")
 def _suite_mobius_hermitian(rng, trials, tol, rec):
     skipped = 0
     for t, n in _trials(rng, trials, 2, 5):
@@ -618,6 +661,7 @@ def _suite_mobius_hermitian(rng, trials, tol, rec):
 # local order isomorphism suites
 
 
+@_suite(500, "shear map: mirrored base inverts it; left and right formulas agree")
 def _suite_theta_inversion(rng, trials, tol, rec):
     singular_bases = 0
     worst_inverse = 0.0
@@ -652,6 +696,7 @@ def _suite_theta_inversion(rng, trials, tol, rec):
     }
 
 
+@_suite(500, "gated pairs stay ordered both ways; strict stays strict; incomparable stays so")
 def _suite_order_embedding(rng, trials, tol, rec):
     # a gate at the larger margin is both _well_margined and the shear gate at tol
     gate = max(WELL_MARGINED, tol, key=lambda c: c.inv_margin)
@@ -691,6 +736,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
             "min_strict_margin": min_strict_margin if strict_checked else None}
 
 
+@_suite(200, "spectral criterion for whole-interval membership vs dense sampling")
 def _suite_interval_criterion(rng, trials, tol, rec):
     skipped = 0
     true_count = 0
@@ -731,6 +777,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
     return {"skipped_borderline": skipped, "criterion_true": true_count}
 
 
+@_suite(200, "shifting the argument equals the translated-base map up to congruence")
 def _suite_translation_identity(rng, trials, tol, rec):
     for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n)
@@ -753,6 +800,7 @@ def _suite_translation_identity(rng, trials, tol, rec):
                            t, "translation identity", A=A, X0=X0, X=X)
 
 
+@_suite(200, "frame congruence commutes with the shear map via the conjugated base")
 def _suite_conjugation_identity(rng, trials, tol, rec):
     for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n)
@@ -786,6 +834,7 @@ def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> 
     return herm_part(0.6 * t_star * X)
 
 
+@_suite(200, "the shear image of the base is congruent to it; inertia is preserved")
 def _suite_congruence_orbit(rng, trials, tol, rec):
     rescaled = 0
     for t, n in _trials(rng, trials, 2, 4):
@@ -815,6 +864,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
     return {"rescaled": rescaled}
 
 
+@_suite(300, "inertia-based component membership against randomized path search")
 def _suite_component_criterion(rng, trials, tol, rec):
     members = 0
     max_nodes_seen = 0
@@ -835,8 +885,9 @@ def _suite_component_criterion(rng, trials, tol, rec):
     return {"members": members, "max_nodes_used": max_nodes_seen}
 
 
+@_suite(100, "black-box recovery of base, frame and transpose flag by both routes")
 def _suite_parameter_recovery(rng, trials, tol, rec):
-    mismatch_checked = 0
+    mismatch_checked = anchors_refused = 0
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n) if t % 10 else np.zeros((n, n), dtype=complex)
         T = normalize_phase(random_invertible(rng, n, max_cond=8.0))
@@ -857,9 +908,10 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
         if t % 3 == 0:
             full = _random_mobius(rng, n)
             g = lambda Z: _apply_mobius(full, Z, tol)
-            anchor = _hermitian_anchor(rng, g, n)
-            if anchor is not None:
-                refit = _fit_canonical(g, n, anchor, tol)
+            refit, refused = _anchored_fit(rng, g, n, tol)
+            anchors_refused += refused
+            rec.check(refit is not None or not refused, t, "every anchored refit was refused", frame=full.frame)
+            if refit is not None:
                 points = _half_plane_stack(rng, n, 5)
                 worst = 0.0
                 for want, got in zip(g(points), _apply_mobius(refit, points, tol)):
@@ -878,13 +930,14 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
                 rec.fail(t, "non-model evaluator was not rejected")
             except ModelMismatchError:
                 pass
-    return {"mismatch_checked": mismatch_checked}
+    return {"mismatch_checked": mismatch_checked, "anchors_refused": anchors_refused}
 
 
 # ---------------------------------------------------------------------------
 # block / classification suites
 
 
+@_suite(240, "corner-inverting block map is an involution between dual classes")
 def _suite_block_involution(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         m = int(rng.integers(0, n + 1))
@@ -904,6 +957,8 @@ def _suite_block_involution(rng, trials, tol, rec):
             rec.check_residual(_hnorm(gotW - want), 1e-12, t, "worked 2x2 example", W=W)
 
 
+@_suite(200, "bordered embedding: negated inverse reproduces the block map; fixed inertia "
+             "(trials per class, 52 classes for n = 2..5: 10,400 instances by default)")
 def _suite_bordered_identity(rng, trials, tol, rec):
     instances = 0
     for n in range(2, 6):
@@ -928,6 +983,7 @@ def _suite_bordered_identity(rng, trials, tol, rec):
     return {"instances": instances}
 
 
+@_suite(200, "block map preserves order both ways on inertia-stable segments")
 def _suite_block_monotonicity(rng, trials, tol, rec):
     skipped = 0
     # the segment [X, X + D] is gated at these nine points, one stack
@@ -956,6 +1012,7 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
     return {"skipped": skipped}
 
 
+@_suite(40, "extremal stable-direction ranks hold, higher ranks exit, ranks separate classes")
 def _suite_growth_ranks(rng, trials, tol, rec):
     grid_stay = np.array([0.5, 1.0, 10.0, 100.0, 1e4])
     grid_exit = np.array([0.5, 1.0, 10.0, 100.0, 1e4, 1e6])
@@ -998,6 +1055,7 @@ def _suite_growth_ranks(rng, trials, tol, rec):
     return {"classes_tested": len(rank_pairs)}
 
 
+@_suite(1, "class census: closed form, enumeration, congruence invariance")
 def _suite_class_count(rng, trials, tol, rec):
     counts = {}
     for n in range(2, 7):
@@ -1037,6 +1095,7 @@ def _random_effect_map(rng: np.random.Generator, n: int, frame_form: bool):
     return fpq.automorphism, fpq
 
 
+@_suite(500, "effect automorphisms fix 0 and I and stay inside the interval")
 def _suite_effect_fixpoints(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         eye = np.eye(n)
@@ -1049,6 +1108,7 @@ def _suite_effect_fixpoints(rng, trials, tol, rec):
                   "image left the effect interval", X=X, frame=m.frame)
 
 
+@_suite(200, "effect automorphisms preserve order both ways; four-factor route agrees")
 def _suite_effect_order(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         m, fpq = _random_effect_map(rng, n, t % 2 == 0)
@@ -1078,6 +1138,7 @@ def _suite_effect_order(rng, trials, tol, rec):
                       "incomparable effects became comparable", X=X, D=D)
 
 
+@_suite(200, "endpoint-overridable embeddings keep order; continuity flags are right")
 def _suite_effect_embedding(rng, trials, tol, rec):
     n_fix = 2
     eye2 = np.eye(n_fix)
@@ -1130,6 +1191,7 @@ def _suite_effect_embedding(rng, trials, tol, rec):
 # scalar monotonicity suites
 
 
+@_suite(1000, "divided-difference matrices and direct pairs agree on monotonicity")
 def _suite_loewner_consistency(rng, trials, tol, rec):
     per_order = max(trials // 5, 20)
     worst_sqrt = math.inf
@@ -1201,6 +1263,7 @@ def _random_pick(rng: np.random.Generator) -> PickRepresentation:
     )
 
 
+@_suite(200, "integral-representation evaluation: half-plane margin, spectral agreement")
 def _suite_pick_evaluation(rng, trials, tol, rec):
     min_margin = math.inf
     for t in range(trials):
@@ -1239,6 +1302,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
 # serialization / reporting suites
 
 
+@_suite(300, "matrix files round-trip bit-exactly; malformed inputs are rejected")
 def _suite_serialization_roundtrip(rng, trials, tol, rec):
     for t in range(trials):
         rows = int(rng.integers(1, 9))
@@ -1268,6 +1332,7 @@ def _suite_serialization_roundtrip(rng, trials, tol, rec):
             pass
 
 
+@_suite(4, "replayed suite runs serialize identically apart from timing")
 def _suite_report_determinism(rng, trials, tol, rec):
     names = ["halfplane-roundtrip", "rank-one-trace", "inertia-congruence", "class-count"]
     for t in range(trials):
@@ -1282,84 +1347,6 @@ def _suite_report_determinism(rng, trials, tol, rec):
         d1.pop("elapsed_seconds"), d2.pop("elapsed_seconds")
         rec.check(json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True), t,
                   f"non-timing fields of '{name}' differ")
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-@dataclasses.dataclass(frozen=True)
-class _SuiteDef:
-    fn: Callable
-    default_trials: int
-    description: str
-
-
-SUITES: Dict[str, _SuiteDef] = {
-    "eigen-residual": _SuiteDef(_suite_eigen_residual, 120,
-                                "eigendecomposition residual and unitarity, both engines, dims up to 16"),
-    "inertia-congruence": _SuiteDef(_suite_inertia_congruence, 300,
-                                    "inertia invariance under congruence and scaling"),
-    "order-antisymmetry": _SuiteDef(_suite_order_antisymmetry, 300,
-                                    "semidefinite order: reflexivity, antisymmetry, negation flip, strictness"),
-    "spectral-composition": _SuiteDef(_suite_spectral_composition, 200,
-                                      "functional calculus composes and matches across engines"),
-    "rank-one-trace": _SuiteDef(_suite_rank_one_trace, 500,
-                                "rank-one domination criterion against the direct eigenvalue oracle"),
-    "interval-iso": _SuiteDef(_suite_interval_iso, 200,
-                              "affine interval isomorphism: endpoints, inverse, order both ways"),
-    "projection-dominance": _SuiteDef(_suite_projection_dominance, 200,
-                                      "closed-form dominance radius against eigenvalue checks in dim 2"),
-    "halfplane-roundtrip": _SuiteDef(_suite_halfplane_roundtrip, 300,
-                                     "cayley transform round trips; negated inverse is an involution"),
-    "rational-inverse": _SuiteDef(_suite_rational_inverse, 200,
-                                  "the 0,1-fixing rational family: inverse law, order, half-plane stability"),
-    "mobius-closure": _SuiteDef(_suite_mobius_closure, 12,
-                                "compositions of upper-half-plane automorphisms refit in the same family"),
-    "mobius-hermitian": _SuiteDef(_suite_mobius_hermitian, 200,
-                                  "automorphisms send Hermitian points to Hermitian points"),
-    "theta-inversion": _SuiteDef(_suite_theta_inversion, 500,
-                                 "shear map: mirrored base inverts it; left and right formulas agree"),
-    "order-embedding": _SuiteDef(_suite_order_embedding, 500,
-                                 "gated pairs stay ordered both ways; strict stays strict; incomparable stays so"),
-    "interval-criterion": _SuiteDef(_suite_interval_criterion, 200,
-                                    "spectral criterion for whole-interval membership vs dense sampling"),
-    "translation-identity": _SuiteDef(_suite_translation_identity, 200,
-                                      "shifting the argument equals the translated-base map up to congruence"),
-    "conjugation-identity": _SuiteDef(_suite_conjugation_identity, 200,
-                                      "frame congruence commutes with the shear map via the conjugated base"),
-    "congruence-orbit": _SuiteDef(_suite_congruence_orbit, 200,
-                                  "the shear image of the base is congruent to it; inertia is preserved"),
-    "component-criterion": _SuiteDef(_suite_component_criterion, 300,
-                                     "inertia-based component membership against randomized path search"),
-    "parameter-recovery": _SuiteDef(_suite_parameter_recovery, 100,
-                                    "black-box recovery of base, frame and transpose flag by both routes"),
-    "block-involution": _SuiteDef(_suite_block_involution, 240,
-                                  "corner-inverting block map is an involution between dual classes"),
-    "bordered-identity": _SuiteDef(_suite_bordered_identity, 200,
-                                   "bordered embedding: negated inverse reproduces the block map; fixed inertia "
-                                   "(trials per class, 52 classes for n = 2..5: 10,400 instances by default)"),
-    "block-monotonicity": _SuiteDef(_suite_block_monotonicity, 200,
-                                    "block map preserves order both ways on inertia-stable segments"),
-    "growth-ranks": _SuiteDef(_suite_growth_ranks, 40,
-                              "extremal stable-direction ranks hold, higher ranks exit, ranks separate classes"),
-    "class-count": _SuiteDef(_suite_class_count, 1,
-                             "class census: closed form, enumeration, congruence invariance"),
-    "effect-fixpoints": _SuiteDef(_suite_effect_fixpoints, 500,
-                                  "effect automorphisms fix 0 and I and stay inside the interval"),
-    "effect-order": _SuiteDef(_suite_effect_order, 200,
-                              "effect automorphisms preserve order both ways; four-factor route agrees"),
-    "effect-embedding": _SuiteDef(_suite_effect_embedding, 200,
-                                  "endpoint-overridable embeddings keep order; continuity flags are right"),
-    "loewner-consistency": _SuiteDef(_suite_loewner_consistency, 1000,
-                                     "divided-difference matrices and direct pairs agree on monotonicity"),
-    "pick-evaluation": _SuiteDef(_suite_pick_evaluation, 200,
-                                 "integral-representation evaluation: half-plane margin, spectral agreement"),
-    "serialization-roundtrip": _SuiteDef(_suite_serialization_roundtrip, 300,
-                                         "matrix files round-trip bit-exactly; malformed inputs are rejected"),
-    "report-determinism": _SuiteDef(_suite_report_determinism, 4,
-                                    "replayed suite runs serialize identically apart from timing"),
-}
 
 
 def suite_names() -> List[str]:

@@ -64,13 +64,14 @@ BLOCK = BlockMapSpec(2, 1, 1)
 BAD = {
     "non-square": (np.zeros((2, 3)), "{} must be square"),
     "vector": (np.zeros(2), "{} must be square"),
+    "empty": (np.zeros((0, 0)), "{} is empty"),
     "nan": (np.diag([np.nan, 0.1]), "{} has non-finite entries"),
     "inf": (np.diag([0.1, np.inf]), "{} has non-finite entries"),
     "complex-inf": (np.diag([0.1, complex(0.0, np.inf)]), "{} has non-finite entries"),
     "non-hermitian": (0.1 * np.array([[0.0, 1.0], [-1.0, 0.0]]), "{} is not Hermitian"),
     "mismatch": (0.1 * np.eye(3), "dimension mismatch"),
 }
-SQUARE = ("non-square", "vector", "nan", "inf", "complex-inf")
+SQUARE = ("non-square", "vector", "empty", "nan", "inf", "complex-inf")
 SQUARE_SIZED = SQUARE + ("mismatch",)
 HERMITIAN = SQUARE + ("non-hermitian",)
 HERMITIAN_SIZED = HERMITIAN + ("mismatch",)

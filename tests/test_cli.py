@@ -127,6 +127,13 @@ def test_exit_code_2_on_malformed_input(tmp_path):
     assert r.returncode == 2 and "no such file" in r.stderr
 
 
+def test_exit_code_2_on_an_empty_matrix(tmp_path):
+    # the library's domains have dimension n >= 1; a 0 x 0 matrix used to classify as inertia [0, 0, 0]
+    empty = _file(tmp_path, "empty.json", '{"rows": 0, "cols": 0, "data": []}')
+    r = run_cli("classify", empty)
+    assert r.returncode == 2 and "A is empty" in r.stderr and r.stdout == ""
+
+
 def _file(tmp_path, name, content):
     path = tmp_path / name
     (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)

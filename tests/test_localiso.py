@@ -254,8 +254,9 @@ def test_stacked_shear_map_is_the_per_matrix_map():
         localiso._shear_apply(A, S, DEFAULT_TOL)
 
 
-def _bfs_per_node(base, nodes, crossings=_segment_crossings):
-    """Reference search: one crossing call per frontier node, against the nodes unvisited at that moment."""
+def _bfs_per_node(base, nodes, shifts, crossings=_segment_crossings):
+    """Reference search: one crossing call per frontier node, against the nodes unvisited at that moment;
+    shifts[k] is nodes[k] base + I."""
     total = len(nodes)
     stacked = np.stack(nodes)
     visited = {0}
@@ -267,7 +268,7 @@ def _bfs_per_node(base, nodes, crossings=_segment_crossings):
             others = [i for i in range(total) if i not in visited]
             if not others:
                 break
-            for idx, crossed in zip(others, crossings(base, nodes[v], stacked[others])):
+            for idx, crossed in zip(others, crossings(base, nodes[v], stacked[others], shifts[v])):
                 if crossed or idx in visited:
                     continue
                 visited.add(idx)
@@ -302,8 +303,9 @@ def test_level_batched_search_returns_the_per_node_path(cap):
             draws = [rng.uniform(-0.5, 1.5) * H + random_hermitian(rng, n) * rng.uniform(0.1, 1.5)
                      for _ in range(int(rng.integers(10, 80)))]
             nodes = [np.zeros((n, n), dtype=complex), H] + [W for W in draws if in_shear_domain(A, W)]
-            want = _bfs_per_node(A, nodes)
-            assert _bfs_over_pool(A, nodes) == want
+            shifts = np.stack(nodes) @ A + np.eye(n)
+            want = _bfs_per_node(A, nodes, shifts)
+            assert _bfs_over_pool(A, nodes, shifts) == want
             hops += want is not None and len(want) > 2
             unreachable += want is None and not member
     assert hops >= 5 and unreachable == 8
@@ -323,21 +325,23 @@ def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(cap):
         upper = np.triu(rng.random((size, size)) < rng.uniform(0.02, 0.3), 1)
         adjacent = (upper | upper.T) & (signs[:, None] == signs[None, :])
         nodes = [np.full((1, 1), i, dtype=complex) for i in range(size)]
+        # the stand-in segment test reads no shift, so the node stack stands in for the shifts too
+        shifts = np.stack(nodes)
 
-        def table(base, P, Qs):
+        def table(base, P, Qs, M):
             return ~adjacent[P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)]
 
-        def tested(base, P, Qs):
-            # the search asks the segment test only about same-sign pairs
+        def tested(base, P, Qs, M):
+            # the search asks the segment test only about same-sign pairs, each from its start's shift
             i, j = P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)
-            assert (signs[i] == signs[j]).all()
-            return table(base, P, Qs)
+            assert (signs[i] == signs[j]).all() and (M == shifts[i]).all()
+            return table(base, P, Qs, M)
 
-        want = _bfs_per_node(None, nodes, table)
+        want = _bfs_per_node(None, nodes, shifts, table)
         with mock.patch.object(localiso, "_segment_crossings", tested), \
-                mock.patch.object(localiso, "_det_signs", lambda base, stacked: signs), \
+                mock.patch.object(localiso, "_det_signs", lambda shifts: signs), \
                 mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
-            assert _bfs_over_pool(None, nodes) == want
+            assert _bfs_over_pool(None, nodes, shifts) == want
         deep += want is not None and len(want) >= 5
         unreachable += want is None
         mixed += bool(signs.any() and not signs.all())
@@ -389,10 +393,11 @@ def test_determinant_certificate_matches_the_eigen_test(n, seed):
     # REAL_EIG_MARGIN realness test, while the 50-digit determinants of the
     # ends have opposite signs.
     A, nodes = _near_singular_pool(n, seed)
-    signs = _det_signs(A, nodes)
+    shifts = nodes @ A + np.eye(n)
+    signs = _det_signs(shifts)
     every = np.arange(len(nodes))
-    plain = _segment_crossings(A, nodes[:, None], nodes)
-    certified = _certified_crossings(A, nodes, signs, every, every)
+    plain = _segment_crossings(A, nodes[:, None], nodes, shifts[:, None])
+    certified = _certified_crossings(A, nodes, shifts, signs, every, every)
     opposite = signs[:, None] != signs[None, :]
     assert (certified[~opposite] == plain[~opposite]).all() and certified[opposite].all()
     # oracle: the 50-digit determinant of the same double entries
@@ -413,8 +418,8 @@ def test_a_lone_segment_is_decided_as_the_certified_table_decides_it(n, seed):
     # every node passed the shear gate, so the lone-segment kernels must give the table's entries
     A, nodes = _near_singular_pool(n, seed)
     every = np.arange(len(nodes))
-    crossings = _certified_crossings(A, nodes, _det_signs(A, nodes), every, every)
     shifted = nodes @ A + np.eye(n)
+    crossings = _certified_crossings(A, nodes, shifted, _det_signs(shifted), every, every)
     for i, P in enumerate(nodes):
         for j, Q in enumerate(nodes):
             assert _segment_in_shear_domain(A, P, Q, DEFAULT_TOL) is (not crossings[i, j])
@@ -431,8 +436,9 @@ def test_public_segment_test_reports_the_crossings_the_eigen_test_misses():
     # segments whose ends differ in determinant sign; the public test decides
     # them through the certificate
     A, nodes = _near_singular_pool(3, 187)
-    signs = _det_signs(A, nodes)
-    plain = _segment_crossings(A, nodes[:, None], nodes)
+    shifts = nodes @ A + np.eye(3)
+    signs = _det_signs(shifts)
+    plain = _segment_crossings(A, nodes[:, None], nodes, shifts[:, None])
     missed = list(zip(*np.nonzero((signs[:, None] != signs[None, :]) & ~plain)))
     assert len(missed) == 11
     assert [segment_in_shear_domain(A, nodes[i], nodes[j]) for i, j in missed] == [False] * 11
