@@ -51,7 +51,7 @@ print("left vs right formula gap =", f"{opnorm(left - right):.2e}")
 # randomized piecewise-linear path search certifies it independently
 result = path_to_zero(A, X, seed=0)
 print("\npath search found a path:", result.found,
-      f"({result.nodes_used} waypoints explored)")
+      f"({result.nodes_used} nodes used: 0, X and the waypoints drawn)")
 if result.found:
     print("path length in segments:", len(result.path) - 1)
 

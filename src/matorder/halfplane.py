@@ -287,12 +287,17 @@ def _congruence_from_probes(
     return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
 
 
+def _checked_int(value, name: str) -> int:
+    """value as an int; MalformedInputError naming the argument for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MalformedInputError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def _checked_dim(dim) -> int:
     """dim as a positive int; MalformedInputError for a non-integer or one below 1."""
-    try:
-        dim = operator.index(dim)
-    except TypeError:
-        raise MalformedInputError(f"dim must be an integer, got {type(dim).__name__}") from None
+    dim = _checked_int(dim, "dim")
     if dim < 1:
         raise MalformedInputError("dim must be positive")
     return dim

@@ -18,14 +18,14 @@ black-box parameter identification from derivatives at 0.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DomainViolationError, ModelMismatchError, PathSearchError
-from .halfplane import (MobiusAutomorphism, _checked_dim, _checked_evaluator, _congruence_from_probes, _mobius_eval,
-                        _shifted, normalize_phase)
+from .errors import DomainViolationError, MalformedInputError, ModelMismatchError, PathSearchError
+from .halfplane import (MobiusAutomorphism, _checked_dim, _checked_evaluator, _checked_int, _congruence_from_probes,
+                        _mobius_eval, _shifted, normalize_phase)
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -146,15 +146,14 @@ def in_zero_component(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAUL
     criterion exact. It is nevertheless cross-validated against the
     randomized path oracle in the verification suites.
     """
-    return bool(_in_zero_component(*_base_and_hermitian(base, X, tol), tol))
+    A, H = _base_and_hermitian(base, X, tol)
+    return bool(_in_zero_component(_range_compression(A, tol), H, tol))
 
 
-def _in_zero_component(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig):
-    """Kernel of in_zero_component; H may be a stack (..., n, n), answered member by member.
-
-    The range of A is compressed once for the whole stack.
-    """
-    V, lam = _range_compression(A, tol)
+def _in_zero_component(compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray, tol: ToleranceConfig):
+    """Kernel of in_zero_component on the base's _range_compression, which a caller asking about many
+    points of one base computes once; H may be a stack (..., n, n), answered member by member."""
+    V, lam = compression
     if lam.size == 0:
         return np.ones(H.shape[:-2], dtype=bool)
     p = int(np.count_nonzero(lam > 0))
@@ -173,8 +172,8 @@ def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, M: np.nd
     t = -1/mu for each real eigenvalue mu <= -1 of G. Returns a boolean array
     (True = crossing) over the broadcast stack shape of the starts P and the
     ends Qs; every start must be inside the domain, and M is P base + I, which
-    the caller built for the shear gate. _certified_crossings and _segment_from
-    call it, on the segments between ends of one determinant sign.
+    the caller built for the shear gate. path_to_zero, _bfs_over_pool and
+    _segment_from call it, on the segments between ends of one determinant sign.
     """
     G = np.linalg.solve(M, (Qs - P) @ base)
     eigs = np.linalg.eigvals(G)
@@ -199,13 +198,14 @@ def _segment_from(A: np.ndarray, P: np.ndarray, shifted: np.ndarray, Q: np.ndarr
     """Whether P -> Q stays in the shear domain, given P's shifted end `shifted` that passed the shear gate.
 
     Q's shifted end is built once, for the gate and for _det_signs' sign: ends
-    of opposite sign are a crossing (_certified_crossings' rule for one
-    segment), and _segment_crossings decides the rest.
+    of opposite sign are a crossing (t -> det((P + tD) A + I) is real and
+    changes sign on [0, 1], so it vanishes inside), and _segment_crossings
+    decides the rest.
     """
     shifted_q = Q @ A + np.eye(A.shape[0])
     if not _is_invertible(shifted_q, tol):
         return False
-    sign_p, sign_q = np.linalg.det(np.stack([shifted, shifted_q])).real > 0
+    sign_p, sign_q = _det_signs(np.stack([shifted, shifted_q]))
     return bool(sign_p == sign_q) and not bool(_segment_crossings(A, P, Q, shifted))
 
 
@@ -217,7 +217,7 @@ def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: Tol
     decided exactly as in segment_in_shear_domain.
     """
     A, P, Q = _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X, tol, "X"), as_hermitian(Y, tol, "Y"))
-    if not (_in_zero_component(A, P, tol) and _in_zero_component(A, Q, tol)):
+    if not _in_zero_component(_range_compression(A, tol), np.stack([P, Q]), tol).all():
         raise DomainViolationError("segment endpoints must lie in the zero component")
     return _segment_in_shear_domain(A, P, Q, tol)
 
@@ -230,7 +230,7 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     """
     A, H = _base_and_hermitian(base, X, tol)
     R = _sqrt_psd(_eigh(H), tol)
-    if not _in_zero_component(A, H, tol):
+    if not _in_zero_component(_range_compression(A, tol), H, tol):
         raise DomainViolationError("X must lie in the zero component")
     lowest = float(_eigvalsh(herm_part(R @ A @ R))[0])
     return lowest > -1.0 + tol.inv_margin
@@ -242,15 +242,17 @@ def order_iso_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
     Same formula as shear_apply but gated on component membership and
     symmetrized; the image lies in the zero component of -base.
     """
-    return _order_iso_apply(*_base_and_hermitian(base, X, tol), tol)
+    A, H = _base_and_hermitian(base, X, tol)
+    return _order_iso_apply(A, _range_compression(A, tol), H, tol)
 
 
-def _order_iso_apply(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Kernel of order_iso_apply; H may be a stack (..., n, n), mapped member by member.
+def _order_iso_apply(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray,
+                     tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of order_iso_apply given A's _range_compression; H may be a stack, mapped member by member.
 
     Raises, with order_iso_apply's message, when any member is outside the zero component.
     """
-    if not all(_in_zero_component(A, H, tol).flat):
+    if not all(_in_zero_component(compression, H, tol).flat):
         raise DomainViolationError("X is outside the zero component of this base")
     return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[0]), H))
 
@@ -288,7 +290,7 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     AX + I loses an order of magnitude in the congruence residual that way.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    if not _in_zero_component(A, H, tol):
+    if not _in_zero_component(_range_compression(A, tol), H, tol):
         raise DomainViolationError("X must lie in the zero component")
     if not _segment_in_shear_domain(A, np.zeros_like(H), H, tol):
         raise PathSearchError("the straight path from 0 to X leaves the shear domain")
@@ -310,7 +312,7 @@ def _apply_local_iso(m: MobiusAutomorphism, X: np.ndarray, tol: ToleranceConfig)
     Raises, with apply_local_iso's message, when any member is outside the zero component.
     """
     W = _shifted(m, X)
-    if not all(_in_zero_component(m.A, W, tol).flat):
+    if not all(_in_zero_component(_range_compression(m.A, tol), W, tol).flat):
         raise DomainViolationError("X' - B is outside the zero component of A")
     return herm_part(_mobius_eval(m, W, W @ m.A + np.eye(m.dim)))
 
@@ -399,41 +401,20 @@ def _det_signs(shifts: np.ndarray) -> np.ndarray:
     return np.linalg.det(shifts).real > 0
 
 
-def _certified_crossings(base: np.ndarray, stacked: np.ndarray, shifts: np.ndarray, signs: np.ndarray,
-                         starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Crossing table of the segments stacked[starts[i]] -> stacked[ends[j]], given each node's shift
-    stacked[k] base + I and the nodes' _det_signs.
-
-    A segment between nodes of opposite sign is a crossing without further
-    test: t -> det((P + tD) base + I) is a real polynomial that changes sign
-    on [0, 1], so it vanishes inside (the intermediate value theorem). The
-    same-sign segments go to the exact eigenvalue test, in one
-    _segment_crossings call. Near a singular start this is the sharper test:
-    there the eigenvalue test can read a real eigenvalue as complex and miss
-    a crossing.
-    """
-    crossings = signs[starts][:, None] != signs[ends][None, :]
-    i, j = np.nonzero(~crossings)
-    if i.size:
-        crossings[i, j] = _segment_crossings(base, stacked[starts[i]], stacked[ends[j]], shifts[starts[i]])
-    return crossings
-
-
 def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray], shifts: np.ndarray) -> Optional[List[int]]:
     """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges.
 
-    shifts[k] is nodes[k] base + I, and every node passed the shear gate.
+    shifts[k] is nodes[k] base + I; every node passed the shear gate, and
+    path_to_zero hands over the nodes of one determinant sign only.
     Frontier nodes are expanded in order, each claiming, in index order, every
     node still unvisited that it reaches by a segment. The crossing table of a
     block of frontier nodes against the nodes unvisited when the block starts
     covers at most PATH_SEGMENTS_PER_CALL segments (one frontier node's row
-    where that is longer). Replaying the claims over the table gives the
-    parents that testing node by node gives, since a node claimed earlier in
-    the block is skipped either way. Each table is _certified_crossings over
-    the signs that _det_signs takes once per pool.
+    where that is longer) and is one _segment_crossings call. Replaying the
+    claims over the table gives the parents that testing node by node gives,
+    since a node claimed earlier in the block is skipped either way.
     """
     stacked = np.stack(nodes)
-    signs = _det_signs(shifts)
     unvisited = np.ones(len(nodes), dtype=bool)
     unvisited[0] = False
     parents = {0: -1}
@@ -445,7 +426,7 @@ def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray], shifts: np.ndarray
             others = np.flatnonzero(unvisited)  # never empty: node 1 stays unvisited until the return
             block = np.array(frontier[start:start + max(1, PATH_SEGMENTS_PER_CALL // others.size)])
             start += block.size
-            crossings = _certified_crossings(base, stacked, shifts, signs, block, others)
+            crossings = _segment_crossings(base, stacked[block, None], stacked[others], shifts[block, None])
             for v, crossed_row in zip(block.tolist(), crossings):
                 for idx in others[~crossed_row & unvisited[others]].tolist():
                     unvisited[idx] = False
@@ -499,41 +480,47 @@ def path_to_zero(
 ) -> PathSearchResult:
     """Randomized piecewise-linear path search from 0 to X inside the domain.
 
-    Independent oracle for in_zero_component: uses only segment tests, no
-    inertia theory. Tries the straight segment, then breadth-first search over
-    pools of random Hermitian waypoints, PATH_POOL_SIZE at first and doubling,
-    until a path is found or the node budget is exhausted. A found path
-    certifies membership; exhaustion is (only) evidence of non-membership.
-
-    Within a pool most segments are settled by a determinant sign: det(X base
-    + I) is real for Hermitian X, so a segment between waypoints whose
-    determinants differ in sign crosses the singular set (the intermediate
-    value theorem). The signs are exact, since every waypoint passed the
-    shear gate (_det_signs), and the rest go to the exact eigenvalue test
-    (_bfs_over_pool). Each node's shift X base + I is built once, for the
-    gate, the sign and the segments that start at it.
+    Independent oracle for in_zero_component: uses only segment tests and
+    determinant signs, no inertia theory. det(X base + I) is real for
+    Hermitian X, nonzero along a path inside the domain and 1 at 0, so an X
+    of negative sign (exact, since X passed the shear gate: _det_signs) is
+    unreachable: the search returns (False, None, 2) before drawing anything,
+    a certificate of non-membership. Otherwise it tries the straight segment,
+    then breadth-first search over pools of random Hermitian waypoints,
+    PATH_POOL_SIZE at first and doubling, until a path is found or the node
+    budget is exhausted. A found path certifies membership; exhaustion is
+    (only) evidence of non-membership. nodes_used counts 0, X and the
+    waypoints drawn. A pool keeps the waypoints that pass the shear gate with
+    0's positive sign, since no path reaches the others (_bfs_over_pool).
+    seed and max_nodes must be integers, seed non-negative.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    if not _in_shear_domain(A, H, tol):
-        return PathSearchResult(False, None, 0)
+    seed, max_nodes = _checked_int(seed, "seed"), _checked_int(max_nodes, "max_nodes")
+    if seed < 0:
+        raise MalformedInputError("seed must be non-negative")
     zero = np.zeros_like(H)
-    if _segment_in_shear_domain(A, zero, H, tol):
+    eye = np.eye(A.shape[0])
+    end_shifts = np.stack([zero, H]) @ A + eye
+    if not _is_invertible(end_shifts[1], tol):
+        return PathSearchResult(False, None, 0)
+    if not _det_signs(end_shifts[1]):
+        return PathSearchResult(False, None, 2)
+    if not _segment_crossings(A, zero, H, end_shifts[0]):
         return PathSearchResult(True, [zero, H], 2)
     rng = np.random.default_rng(seed)
     spread = max(1.0, float(_hermitian_opnorms(H)))
-    eye = np.eye(A.shape[0])
-    end_shifts = np.stack([zero, H]) @ A + eye
     used = 2
     pool = PATH_POOL_SIZE
     while used < max_nodes:
         pool = min(pool, max_nodes - used)
         draws = _waypoints(rng, H, spread, pool)
         shifts = draws @ A + eye
-        inside = _is_invertible(shifts, tol)
+        keep = _is_invertible(shifts, tol)
+        keep[keep] = _det_signs(shifts[keep])
         used += pool
-        if inside.any():
-            nodes = [zero, H, *draws[inside]]
-            order = _bfs_over_pool(A, nodes, np.concatenate([end_shifts, shifts[inside]]))
+        if keep.any():
+            nodes = [zero, H, *draws[keep]]
+            order = _bfs_over_pool(A, nodes, np.concatenate([end_shifts, shifts[keep]]))
             if order is not None:
                 return PathSearchResult(True, [nodes[i] for i in order], used)
         pool *= 2

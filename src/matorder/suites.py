@@ -53,8 +53,9 @@ from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _hermitian_opnorms, _
                      _spectra_norms, _spectral_apply, _spectrum_inertia, _sqrt_psd, as_hermitian, frob, herm_part,
                      hermitian_eigen, inertia, invertibility_margin, loewner_compare, opnorm)
 from .localiso import (REAL_EIG_MARGIN, _apply_local_iso, _identify_parameters, _in_zero_component,
-                       _order_iso_apply, _segment_from, _shear_apply, congruence_orbit, conjugated_base,
-                       in_zero_component, interval_below_criterion, path_to_zero, translated_base)
+                       _order_iso_apply, _range_compression, _segment_from, _shear_apply, congruence_orbit,
+                       conjugated_base, in_zero_component, interval_below_criterion, path_to_zero,
+                       translated_base)
 from .monotone import (PickRepresentation, ScalarFunction, builtin_function, is_matrix_monotone, loewner_matrix,
                        pick_eval)
 from .order import OperatorInterval, affine_interval_iso, interval_contains, projection_dominance_radius, rank_one_leq
@@ -256,13 +257,14 @@ def _sample_shear_member(rng: np.random.Generator, A: np.ndarray) -> Optional[np
                   lambda X: _well_margined(X @ A + np.eye(n)))
 
 
-def _sample_component_member(rng: np.random.Generator, A: np.ndarray, tol: ToleranceConfig) -> Optional[np.ndarray]:
+def _sample_component_member(rng: np.random.Generator, A: np.ndarray, compression,
+                             tol: ToleranceConfig) -> Optional[np.ndarray]:
     n = A.shape[0]
     eye = np.eye(n)
     for k in range(300):
         scale = rng.uniform(0.1, 1.2) if k % 2 else rng.uniform(0.05, 0.5)
         X = random_hermitian(rng, n, scale=scale)
-        if _well_margined(X @ A + eye) and _in_zero_component(A, X, tol):
+        if _well_margined(X @ A + eye) and _in_zero_component(compression, X, tol):
             return X
     return None
 
@@ -706,7 +708,8 @@ def _suite_order_embedding(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2)
         base = A if t % 4 != 2 else -A
-        X = _sample_component_member(rng, base, tol)
+        compression = _range_compression(base, tol)
+        X = _sample_component_member(rng, base, compression, tol)
         if X is None:
             skipped += 1
             continue
@@ -721,7 +724,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
         if Y is None:
             skipped += 1
             continue
-        P, Q = _order_iso_apply(base, np.stack([X, Y]), tol)
+        P, Q = _order_iso_apply(base, compression, np.stack([X, Y]), tol)
         if indefinite:
             rec.check(_loewner_compare(P, Q, tol).incomparable, t,
                       "incomparable pair became comparable", A=base, X=X, Y=Y)
@@ -730,7 +733,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
         if strict:
             strict_checked += 1
             min_strict_margin = min(min_strict_margin, margin)
-        _check_order(rec, t, *_order_iso_apply(-base, np.stack([P, Q]), tol), tol,
+        _check_order(rec, t, *_order_iso_apply(-base, _range_compression(-base, tol), np.stack([P, Q]), tol), tol,
                      "pulled-back pair", A=base, X=X, Y=Y)
     return {"skipped": skipped, "strict_checked": strict_checked,
             "min_strict_margin": min_strict_margin if strict_checked else None}
@@ -744,8 +747,9 @@ def _suite_interval_criterion(rng, trials, tol, rec):
     ramp = 8
     for t, n in _trials(rng, trials, 2, 5):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2, lo=0.4, hi=2.0)
+        compression = _range_compression(A, tol)
         X = _first(200, lambda: herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4)),
-                   lambda X: _in_zero_component(A, X, tol))
+                   lambda X: _in_zero_component(compression, X, tol))
         if X is None:
             skipped += 1
             continue
@@ -764,7 +768,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
             E = _with_spectra(*_spectrum_draws(rng, n, *EFFECT_SPECTRUM, samples_per_instance - ramp))
             steps = (np.arange(ramp) + 1.0) / ramp
             S = np.concatenate([herm_part(steps[:, None, None] * X), herm_part(Xh @ E @ Xh)])
-            inside = _in_zero_component(A, S, tol)
+            inside = _in_zero_component(compression, S, tol)
             if not inside.all():
                 j = int(np.argmin(inside))
                 rec.fail(t, "interval point escaped although criterion holds", A=A, X=X, S=S[j])
@@ -772,7 +776,7 @@ def _suite_interval_criterion(rng, trials, tol, rec):
             t_star = -1.0 / lam
             t_w = min(1.0, t_star + 0.5 * (1.0 - t_star))
             W = herm_part(t_w * X)
-            rec.check(not _in_zero_component(A, W, tol), t,
+            rec.check(not _in_zero_component(compression, W, tol), t,
                       "criterion refuted but witness still inside", A=A, X=X, W=W)
     return {"skipped_borderline": skipped, "criterion_true": true_count}
 
@@ -816,7 +820,7 @@ def _suite_conjugation_identity(rng, trials, tol, rec):
         rec.check_residual(_rel(lhs, rhs), 1e-9, t, "conjugation identity", A=A, T=T, X=X)
 
 
-def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _shrink_in_component(A: np.ndarray, compression, X: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """0.6 X, or 0.6 t* X when 0.6 X has left the zero component.
 
     A member X whose straight path from 0 crosses the singular set twice
@@ -826,7 +830,7 @@ def _shrink_in_component(A: np.ndarray, X: np.ndarray, tol: ToleranceConfig) -> 
     crossing-free part of the path.
     """
     shrunk = herm_part(0.6 * X)
-    if _in_zero_component(A, shrunk, tol):
+    if _in_zero_component(compression, shrunk, tol):
         return shrunk
     mu = np.linalg.eigvals(X @ A)
     real = mu.real[np.abs(mu.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(mu.real))]
@@ -839,8 +843,9 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
     rescaled = 0
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n)
+        compression = _range_compression(A, tol)
         X = _first(200, lambda: random_hermitian(rng, n, scale=rng.uniform(0.2, 0.8)),
-                   lambda X: _in_zero_component(A, X, tol))
+                   lambda X: _in_zero_component(compression, X, tol))
         if X is None:
             rec.fail(t, "no component sample found", A=A)
             continue
@@ -849,7 +854,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
                 G = congruence_orbit(A, X, tol)
                 break
             except PathSearchError:
-                X = _shrink_in_component(A, X, tol)
+                X = _shrink_in_component(A, compression, X, tol)
                 rescaled += 1
         else:
             rec.fail(t, "orbit factor failed even after shrinking", A=A, X=X)

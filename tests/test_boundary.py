@@ -234,6 +234,23 @@ def test_a_dimension_that_is_no_integer_is_malformed(recover):
     assert recover(lambda Z: apply_mobius(MOBIUS, Z) if recover is fit_canonical else Z, np.int64(2)).dim == 2
 
 
+def test_a_node_budget_or_seed_that_is_no_integer_is_malformed():
+    # X is reached through waypoints, whose draw used to end in numpy's
+    # `TypeError: expected a sequence of integers` at max_nodes=150.0
+    X = np.diag([-3.0, 3.0])
+    for kwargs, message in (({"max_nodes": 150.0}, r"^max_nodes must be an integer, got float$"),
+                            ({"max_nodes": "150"}, r"^max_nodes must be an integer, got str$"),
+                            ({"seed": 1.5}, r"^seed must be an integer, got float$"),
+                            ({"seed": None}, r"^seed must be an integer, got NoneType$"),
+                            ({"seed": -1}, r"^seed must be non-negative$")):
+        with pytest.raises(MalformedInputError, match=message):
+            path_to_zero(BASE, X, **kwargs)
+    # numpy integers are integers
+    got, want = path_to_zero(BASE, X, seed=np.int64(0), max_nodes=np.int64(150)), path_to_zero(BASE, X, max_nodes=150)
+    assert got.found and (got.nodes_used, len(got.path)) == (want.nodes_used, len(want.path))
+    assert all(np.array_equal(P, Q) for P, Q in zip(got.path, want.path))
+
+
 def test_an_anchor_that_is_no_pair_is_malformed():
     # used to raise IndexError: tuple index out of range
     for anchor in ((SMALL,), (SMALL, SMALL, SMALL), SMALL[0, 0]):

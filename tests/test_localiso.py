@@ -20,12 +20,12 @@ from matorder.halfplane import (
     apply_mobius,
     fit_canonical,
 )
-from matorder.linalg import herm_part, inertia, loewner_compare, opnorm
+from matorder.linalg import _hermitian_opnorms, herm_part, inertia, loewner_compare, opnorm
 from matorder.localiso import (
     DIRECTION_SEED,
     _apply_local_iso,
+    PathSearchResult,
     _bfs_over_pool,
-    _certified_crossings,
     _det_signs,
     _identify_parameters,
     _in_shear_domain,
@@ -254,22 +254,20 @@ def test_stacked_shear_map_is_the_per_matrix_map():
         localiso._shear_apply(A, S, DEFAULT_TOL)
 
 
-def _bfs_per_node(base, nodes, shifts, crossings=_segment_crossings):
-    """Reference search: one crossing call per frontier node, against the nodes unvisited at that moment;
-    shifts[k] is nodes[k] base + I."""
-    total = len(nodes)
-    stacked = np.stack(nodes)
+def _bfs_per_node(nodes, crossed):
+    """Reference search: one crossing row crossed(v, others) per frontier node v, against the nodes unvisited
+    at that moment."""
     visited = {0}
     parents = {0: -1}
     frontier = [0]
     while frontier:
         next_frontier = []
         for v in frontier:
-            others = [i for i in range(total) if i not in visited]
+            others = [i for i in range(len(nodes)) if i not in visited]
             if not others:
                 break
-            for idx, crossed in zip(others, crossings(base, nodes[v], stacked[others], shifts[v])):
-                if crossed or idx in visited:
+            for idx, crossing in zip(others, crossed(v, np.array(others))):
+                if crossing or idx in visited:
                     continue
                 visited.add(idx)
                 parents[idx] = v
@@ -281,6 +279,43 @@ def _bfs_per_node(base, nodes, shifts, crossings=_segment_crossings):
                 next_frontier.append(idx)
         frontier = next_frontier
     return None
+
+
+def _certified_crossings(base, stacked, shifts, signs, starts, ends):
+    """Crossing table of the segments stacked[starts[i]] -> stacked[ends[j]], given each node's shift
+    stacked[k] base + I and the nodes' _det_signs: ends of opposite sign are a crossing (t -> det((P + tD)
+    base + I) is real and changes sign on [0, 1]), the rest go to the exact eigenvalue test."""
+    crossings = signs[starts][:, None] != signs[ends][None, :]
+    i, j = np.nonzero(~crossings)
+    if i.size:
+        crossings[i, j] = _segment_crossings(base, stacked[starts[i]], stacked[ends[j]], shifts[starts[i]])
+    return crossings
+
+
+def _path_to_zero_unfiltered(A, H, seed, max_nodes):
+    """path_to_zero without the sign certificate of X and the sign filter of the pools: every waypoint that
+    passes the shear gate joins its pool's search, whose crossing rows are certified by the nodes' signs."""
+    zero = np.zeros_like(H)
+    if not _in_shear_domain(A, H, DEFAULT_TOL):
+        return PathSearchResult(False, None, 0)
+    if _segment_in_shear_domain(A, zero, H, DEFAULT_TOL):
+        return PathSearchResult(True, [zero, H], 2)
+    rng = np.random.default_rng(seed)
+    spread = max(1.0, float(_hermitian_opnorms(H)))
+    used, pool = 2, localiso.PATH_POOL_SIZE
+    while used < max_nodes:
+        pool = min(pool, max_nodes - used)
+        draws = localiso._waypoints(rng, H, spread, pool)
+        used += pool
+        stacked = np.concatenate([np.stack([zero, H]), draws[_in_shear_domain(A, draws, DEFAULT_TOL)]])
+        shifts = stacked @ A + np.eye(A.shape[0])
+        signs = _det_signs(shifts)
+        order = _bfs_per_node(stacked, lambda v, others: _certified_crossings(A, stacked, shifts, signs,
+                                                                              np.array([v]), others)[0])
+        if order is not None:
+            return PathSearchResult(True, [stacked[i] for i in order], used)
+        pool *= 2
+    return PathSearchResult(False, None, used)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 64, localiso.PATH_SEGMENTS_PER_CALL])
@@ -303,8 +338,9 @@ def test_level_batched_search_returns_the_per_node_path(cap):
             draws = [rng.uniform(-0.5, 1.5) * H + random_hermitian(rng, n) * rng.uniform(0.1, 1.5)
                      for _ in range(int(rng.integers(10, 80)))]
             nodes = [np.zeros((n, n), dtype=complex), H] + [W for W in draws if in_shear_domain(A, W)]
-            shifts = np.stack(nodes) @ A + np.eye(n)
-            want = _bfs_per_node(A, nodes, shifts)
+            stacked = np.stack(nodes)
+            shifts = stacked @ A + np.eye(n)
+            want = _bfs_per_node(nodes, lambda v, others: _segment_crossings(A, nodes[v], stacked[others], shifts[v]))
             assert _bfs_over_pool(A, nodes, shifts) == want
             hops += want is not None and len(want) > 2
             unreachable += want is None and not member
@@ -313,39 +349,95 @@ def test_level_batched_search_returns_the_per_node_path(cap):
 
 @pytest.mark.parametrize("cap", [1, 3, 50, localiso.PATH_SEGMENTS_PER_CALL])
 def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(cap):
-    # Node i is the 1x1 matrix [i] with a random determinant sign, and a random
-    # symmetric adjacency table, which crosses wherever the signs differ,
-    # stands in for the segment test, so that searches run many levels deep,
-    # claims race inside a block, and certified entries mix with tested ones.
+    # Node i is the 1x1 matrix [i], node 0 has 0's positive determinant sign and
+    # each other node a random one, and a random symmetric adjacency table, which
+    # crosses wherever the signs differ, stands in for the segment test. The
+    # whole graph is searched node by node, as the search did before it kept
+    # only the nodes of 0's sign; path_to_zero, given nodes 2.. as one pool,
+    # must filter them to the same claims, so that searches run many levels
+    # deep, claims race inside a block, and negative nodes and X drop out.
     rng = np.random.default_rng(39)
-    deep = unreachable = mixed = 0
+    deep = unreachable = mixed = negative_x = 0
     for _ in range(150):
         size = int(rng.integers(2, 60))
         signs = rng.random(size) < 0.9
+        signs[0] = True
         upper = np.triu(rng.random((size, size)) < rng.uniform(0.02, 0.3), 1)
         adjacent = (upper | upper.T) & (signs[:, None] == signs[None, :])
-        nodes = [np.full((1, 1), i, dtype=complex) for i in range(size)]
-        # the stand-in segment test reads no shift, so the node stack stands in for the shifts too
-        shifts = np.stack(nodes)
-
-        def table(base, P, Qs, M):
-            return ~adjacent[P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)]
+        stacked = np.arange(size, dtype=complex).reshape(size, 1, 1)
 
         def tested(base, P, Qs, M):
-            # the search asks the segment test only about same-sign pairs, each from its start's shift
+            # only segments between positive nodes are tested, each from its start's shift [i + 1]
             i, j = P[..., 0, 0].real.astype(int), Qs[..., 0, 0].real.astype(int)
-            assert (signs[i] == signs[j]).all() and (M == shifts[i]).all()
-            return table(base, P, Qs, M)
+            assert (signs[i] & signs[j]).all() and (M[..., 0, 0] == i + 1).all()
+            return ~adjacent[i, j]
 
-        want = _bfs_per_node(None, nodes, shifts, table)
+        want = _bfs_per_node(stacked, lambda v, others: ~adjacent[v, others])
+        sign_of_shift = lambda shifts: signs[shifts[..., 0, 0].real.astype(int) - 1]
         with mock.patch.object(localiso, "_segment_crossings", tested), \
-                mock.patch.object(localiso, "_det_signs", lambda shifts: signs), \
+                mock.patch.object(localiso, "_det_signs", sign_of_shift), \
+                mock.patch.object(localiso, "_waypoints", lambda rng, H, spread, pool: stacked[2:2 + pool]), \
+                mock.patch.object(localiso, "PATH_POOL_SIZE", size - 2), \
                 mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
-            assert _bfs_over_pool(None, nodes, shifts) == want
+            got = path_to_zero(np.eye(1), stacked[1], max_nodes=size)
+        assert got.found is (want is not None)
+        assert got.nodes_used == (size if signs[1] and want != [0, 1] else 2)
+        if want is not None:
+            assert [int(P[0, 0].real) for P in got.path] == want
         deep += want is not None and len(want) >= 5
         unreachable += want is None
-        mixed += bool(signs.any() and not signs.all())
-    assert deep >= 10 and unreachable >= 10 and mixed >= 10
+        mixed += bool(not signs.all())
+        negative_x += not signs[1]
+    assert deep >= 10 and unreachable >= 10 and mixed >= 10 and negative_x >= 5
+
+
+def test_a_negative_determinant_sign_settles_a_non_member_before_any_draw():
+    # det(X A + I) < 0 while det(0 A + I) = 1: no path from 0 reaches X, and the search says so at once
+    rng = np.random.default_rng(40)
+    settled = 0
+    with mock.patch.object(localiso, "_waypoints", mock.Mock(side_effect=AssertionError("a waypoint was drawn"))):
+        assert path_to_zero(np.eye(2), np.diag([-2.0, 0.5])) == (False, None, 2)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            A, X = random_hermitian(rng, n), random_hermitian(rng, n, scale=2.5)
+            if in_shear_domain(A, X) and np.linalg.det(X @ A + np.eye(n)).real < 0:
+                assert path_to_zero(A, X, seed=int(rng.integers(1000)), max_nodes=3000) == (False, None, 2)
+                assert not in_zero_component(A, X)
+                settled += 1
+    assert settled >= 40
+
+
+def _target_kind(A, X):
+    """member, a non-member of positive determinant sign, or a non-member of negative sign (or outside)."""
+    if in_zero_component(A, X):
+        return "member"
+    return "positive" if in_shear_domain(A, X) and _det_signs(X @ A + np.eye(A.shape[0])) else "negative"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([2.5, 4.0]), st.sampled_from(["member", "positive", "negative"]),
+       st.sampled_from([30, 96, 200, 400]), st.integers(0, 2**32 - 1))
+def test_sign_filtered_search_replays_the_unfiltered_search(n, scale, kind, max_nodes, seed):
+    # X is drawn until the straight segment from 0 leaves the domain, so that pools are drawn, with both
+    # determinant signs among their waypoints, and until it is of the kind asked for; wherever X's sign is
+    # positive the filtered search must find the path the unfiltered one finds, to the bit, after as many
+    # nodes, or exhaust the same budget
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(rng, n, scale=1.5)
+    for _ in range(300):
+        X = random_hermitian(rng, n, scale=scale)
+        if not segment_in_shear_domain(A, np.zeros((n, n)), X) and _target_kind(A, X) == kind:
+            break
+    got = path_to_zero(A, X, seed=seed, max_nodes=max_nodes)
+    want = _path_to_zero_unfiltered(A, X, seed, max_nodes)
+    if _target_kind(A, X) == "negative" and in_shear_domain(A, X):
+        assert got == (False, None, 2) and not want.found
+        return
+    assert (got.found, got.nodes_used) == (want.found, want.nodes_used)
+    assert (got.path is None) == (want.path is None)
+    if got.path is not None:
+        assert len(got.path) == len(want.path)
+        assert all(_same_bits(P, Q) for P, Q in zip(got.path, want.path))
 
 
 def test_stacked_shear_gate_keeps_what_the_single_gate_keeps():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from matorder import suites
+from matorder import localiso, suites
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.fileio import matrix_to_payload
@@ -190,6 +190,26 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     assert rec.failure_count == 1
     assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
     assert rng.bit_generator.state == clean.bit_generator.state
+
+
+def test_order_embedding_compresses_each_base_once(monkeypatch):
+    # the sampler's up to 300 membership tests and the forward map share one
+    # compression of the base, and the pulled-back map compresses -base once;
+    # the public predicate still compresses its base once per call
+    seen = []
+    kernel = localiso._range_compression
+
+    def counting(base, tol):
+        seen.append(base.tobytes())
+        return kernel(base, tol)
+
+    monkeypatch.setattr(suites, "_range_compression", counting)
+    monkeypatch.setattr(localiso, "_range_compression", counting)
+    details = suites._suite_order_embedding(np.random.default_rng(1), 40, DEFAULT_TOL, suites._Recorder())
+    assert details["skipped"] < 40 < len(seen) == len(set(seen))
+    seen.clear()
+    localiso.in_zero_component(np.diag([1.0, -0.5]), 0.1 * np.eye(2))
+    assert len(seen) == 1
 
 
 def test_theta_inversion_records_a_refused_mirrored_image(monkeypatch):
