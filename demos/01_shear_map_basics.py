@@ -11,8 +11,10 @@ import numpy as np
 
 from matorder.linalg import hermitian_eigen, is_invertible, jacobi_eigen, opnorm
 from matorder.localiso import (
+    congruence_orbit,
     in_shear_domain,
     in_zero_component,
+    interval_below_criterion,
     path_to_zero,
     segment_in_shear_domain,
     shear_apply,
@@ -54,6 +56,15 @@ print("\npath search found a path:", result.found,
       f"({result.nodes_used} nodes used: 0, X and the waypoints drawn)")
 if result.found:
     print("path length in segments:", len(result.path) - 1)
+
+# the whole interval [0, P] of a PSD member P lies in the component iff the
+# lowest eigenvalue of P^(1/2) A P^(1/2) stays above -1
+P = 0.3 * X @ X
+print("interval [0, P] inside the component:", interval_below_criterion(A, P))
+# the shear image of the base under X is congruent to the base, T A T*
+T = congruence_orbit(A, X)
+print("congruence gap |shear(X, A) - T A T*| =",
+      f"{opnorm(shear_apply(X, A) - T @ A @ T.conj().T):.2e}")
 
 # a point beyond the singular surface is outside the component even
 # though the map itself is still defined there

@@ -35,7 +35,7 @@ from .classify import (
 from .config import DEFAULT_TOL, ToleranceConfig, parse_tolerance_overrides
 from .errors import DomainViolationError, MalformedInputError, PathSearchError
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_file, read_text_file, write_matrix_file
-from .halfplane import MobiusAutomorphism, apply_mobius
+from .halfplane import MobiusAutomorphism, _checked_int, apply_mobius
 from .linalg import as_hermitian, inertia
 from .localiso import order_iso_apply, shear_apply
 from .monotone import PickRepresentation, builtin_function, is_matrix_monotone, pick_eval
@@ -44,8 +44,9 @@ from .suites import run_suite, suite_description, suite_names
 
 __all__ = ["main"]
 
-# gen checks --dim before drawing: a 1024 x 1024 draw already writes 45 MB, and far larger ones fail to allocate
-GEN_MAX_DIM = 1024
+# gen's --dim and check-monotone's --order are checked before anything is drawn: a 1024 x 1024 draw
+# already writes 45 MB, and far larger ones fail to allocate
+MAX_DIM = 1024
 
 # gen's kinds, the choices of --kind: each draws a matrix from (rng, dim, scale)
 GEN_KINDS = {
@@ -141,6 +142,8 @@ def _load_pick(path: str) -> PickRepresentation:
 
 
 def _cmd_check_monotone(args, tol: ToleranceConfig) -> int:
+    if not 1 <= args.order <= MAX_DIM:
+        raise MalformedInputError(f"--order must lie in [1, {MAX_DIM}], got {args.order}")
     f = builtin_function(args.fn)
     report = is_matrix_monotone(f, args.order, trials=args.trials, seed=args.seed, tol=tol)
     payload = {
@@ -179,9 +182,11 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_gen(args, tol: ToleranceConfig) -> int:
-    rng = np.random.default_rng(args.seed)
-    if not 1 <= args.dim <= GEN_MAX_DIM:
-        raise MalformedInputError(f"--dim must lie in [1, {GEN_MAX_DIM}], got {args.dim}")
+    rng = np.random.default_rng(_checked_int(args.seed, "--seed", 0))
+    if not 1 <= args.dim <= MAX_DIM:
+        raise MalformedInputError(f"--dim must lie in [1, {MAX_DIM}], got {args.dim}")
+    if not 0.0 < args.scale < np.inf:
+        raise MalformedInputError(f"--scale must be finite and positive, got {args.scale}")
     _emit_matrix(GEN_KINDS[args.kind](rng, args.dim, args.scale), args.out)
     return 0
 

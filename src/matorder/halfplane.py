@@ -287,20 +287,16 @@ def _congruence_from_probes(
     return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
 
 
-def _checked_int(value, name: str) -> int:
-    """value as an int; MalformedInputError naming the argument for a non-integer."""
+def _checked_int(value, name: str, minimum: Optional[int] = None) -> int:
+    """value as an int; MalformedInputError naming the argument for a non-integer, or for one below a
+    `minimum` of 0 (non-negative) or 1 (positive)."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise MalformedInputError(f"{name} must be an integer, got {type(value).__name__}") from None
-
-
-def _checked_dim(dim) -> int:
-    """dim as a positive int; MalformedInputError for a non-integer or one below 1."""
-    dim = _checked_int(dim, "dim")
-    if dim < 1:
-        raise MalformedInputError("dim must be positive")
-    return dim
+    if minimum is not None and value < minimum:
+        raise MalformedInputError(f"{name} must be {'positive' if minimum else 'non-negative'}")
+    return value
 
 
 def _checked_evaluator(evaluator: Callable, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -338,7 +334,7 @@ def fit_canonical(
     and checks that each value is a finite dim x dim matrix (MalformedInputError
     otherwise); the body, _fit_canonical, evaluates iI, the probes and the samples as one stack each.
     """
-    dim = _checked_dim(dim)
+    dim = _checked_int(dim, "dim", 1)
     return _fit_canonical(_checked_evaluator(evaluator, dim), dim, anchor, tol)
 
 

@@ -23,9 +23,9 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DomainViolationError, MalformedInputError, ModelMismatchError, PathSearchError
-from .halfplane import (MobiusAutomorphism, _checked_dim, _checked_evaluator, _checked_int, _congruence_from_probes,
-                        _mobius_eval, _shifted, normalize_phase)
+from .errors import DomainViolationError, ModelMismatchError, PathSearchError
+from .halfplane import (MobiusAutomorphism, _checked_evaluator, _checked_int, _congruence_from_probes, _mobius_eval,
+                        _shifted, normalize_phase)
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -229,8 +229,14 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     -1 + inv_margin. A non-PSD X raises _sqrt_psd's DomainViolationError.
     """
     A, H = _base_and_hermitian(base, X, tol)
+    return _interval_below_criterion(A, _range_compression(A, tol), H, tol)
+
+
+def _interval_below_criterion(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray,
+                              tol: ToleranceConfig) -> bool:
+    """Kernel of interval_below_criterion given A's _range_compression."""
     R = _sqrt_psd(_eigh(H), tol)
-    if not _in_zero_component(_range_compression(A, tol), H, tol):
+    if not _in_zero_component(compression, H, tol):
         raise DomainViolationError("X must lie in the zero component")
     lowest = float(_eigvalsh(herm_part(R @ A @ R))[0])
     return lowest > -1.0 + tol.inv_margin
@@ -290,7 +296,13 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     AX + I loses an order of magnitude in the congruence residual that way.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    if not _in_zero_component(_range_compression(A, tol), H, tol):
+    return _congruence_orbit(A, _range_compression(A, tol), H, tol)
+
+
+def _congruence_orbit(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray,
+                      tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of congruence_orbit given A's _range_compression."""
+    if not _in_zero_component(compression, H, tol):
         raise DomainViolationError("X must lie in the zero component")
     if not _segment_in_shear_domain(A, np.zeros_like(H), H, tol):
         raise PathSearchError("the straight path from 0 to X leaves the shear domain")
@@ -342,7 +354,7 @@ def identify_parameters(
     otherwise); the body, _identify_parameters, evaluates the gain and zero
     samples, the differences of all probes and the two base samples as one stack each.
     """
-    dim = _checked_dim(dim)
+    dim = _checked_int(dim, "dim", 1)
     return _identify_parameters(_checked_evaluator(evaluator, dim), dim, tol)
 
 
@@ -495,9 +507,7 @@ def path_to_zero(
     seed and max_nodes must be integers, seed non-negative.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    seed, max_nodes = _checked_int(seed, "seed"), _checked_int(max_nodes, "max_nodes")
-    if seed < 0:
-        raise MalformedInputError("seed must be non-negative")
+    seed, max_nodes = _checked_int(seed, "seed", 0), _checked_int(max_nodes, "max_nodes")
     zero = np.zeros_like(H)
     eye = np.eye(A.shape[0])
     end_shifts = np.stack([zero, H]) @ A + eye

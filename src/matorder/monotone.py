@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
 from .fileio import read_text_file
-from .halfplane import _in_half_plane, mobius_fix01
+from .halfplane import _checked_int, _in_half_plane, mobius_fix01
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -184,8 +184,8 @@ def is_matrix_monotone(
 ) -> MonotoneReport:
     """Two-phase test: Loewner matrices over random node tuples, then direct
     functional-calculus pair checks. PASS requires both phases clean."""
-    if order < 1:
-        raise MalformedInputError("order must be >= 1")
+    order, trials = _checked_int(order, "order", 1), _checked_int(trials, "trials", 1)
+    seed = _checked_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     lo, hi = _sample_window(f.domain)
     worst = np.inf

@@ -6,12 +6,13 @@ with the same arguments produce byte-identical reports up to the timing
 field. Failures carry serialized matrix witnesses.
 
 Writing a suite: decorate its body `_suite_<name>(rng, trials, tol, rec)`
-with `@_suite(default_trials, description)`, which registers it as <name>
-(underscores read as hyphens); suite_names() lists the suites in the order
-their bodies are defined. Loop `for t, n in _trials(rng, trials, lo, hi)`,
-draw gated samples with `_first(attempts, draw, accept)`, which returns None
-once every attempt is rejected, and return every counter in the `details`
-dict at every trial count. Keep the rng draws in order: generators stay
+with `@_suite(default_trials, description, **details)`, which registers it
+as <name> (underscores read as hyphens) and declares each report detail with
+its starting value; suite_names() lists the suites in definition order.
+Loop `for t, n in _trials(rng, trials, lo, hi)`, draw gated samples with
+`_first(attempts, draw, accept)`, which returns None once every attempt is
+rejected, and update the details through rec.count, rec.keep and rec.set;
+the body returns nothing. Keep the rng draws in order: generators stay
 lazy, so `any`/`next` short-circuit. Where no draw depends on a check, draw
 in rng order and finish in a stack: draw each sample's raw values (normals,
 uniforms) in the order the per-sample sampler draws them, then build all
@@ -30,6 +31,7 @@ spectral-composition with _jacobi_by_trial).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -46,16 +48,15 @@ from .classify import (BlockMapSpec, EffectAutoSpec, EffectEmbeddingSpec, FpqSpe
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError, PathSearchError
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_text
-from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, cayley, in_half_plane, inverse_cayley,
-                        mobius_fix01, mobius_fix01_matrix, neg_inverse, normalize_phase)
+from .halfplane import (MobiusAutomorphism, _apply_mobius, _checked_int, _fit_canonical, cayley, in_half_plane,
+                        inverse_cayley, mobius_fix01, mobius_fix01_matrix, neg_inverse, normalize_phase)
 from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _hermitian_opnorms, _is_invertible, _jacobi_eigen,
                      _loewner_compare, _opnorms, _order_verdict, _spectra_have_inertia, _spectra_invertible,
                      _spectra_norms, _spectral_apply, _spectrum_inertia, _sqrt_psd, as_hermitian, frob, herm_part,
                      hermitian_eigen, inertia, invertibility_margin, loewner_compare, opnorm)
-from .localiso import (REAL_EIG_MARGIN, _apply_local_iso, _identify_parameters, _in_zero_component,
-                       _order_iso_apply, _range_compression, _segment_from, _shear_apply, congruence_orbit,
-                       conjugated_base, in_zero_component, interval_below_criterion, path_to_zero,
-                       translated_base)
+from .localiso import (REAL_EIG_MARGIN, _apply_local_iso, _congruence_orbit, _identify_parameters,
+                       _in_zero_component, _interval_below_criterion, _order_iso_apply, _range_compression,
+                       _segment_from, _shear_apply, conjugated_base, in_zero_component, path_to_zero, translated_base)
 from .monotone import (PickRepresentation, ScalarFunction, builtin_function, is_matrix_monotone, loewner_matrix,
                        pick_eval)
 from .order import OperatorInterval, affine_interval_iso, interval_contains, projection_dominance_radius, rank_one_leq
@@ -104,10 +105,29 @@ class RunReport:
 
 
 class _Recorder:
-    def __init__(self) -> None:
+    """One run's failures, largest residual and details. The details start as a copy of the values the
+    suite declared on @_suite, so no run shares one; a key it did not declare raises KeyError."""
+
+    def __init__(self, details: Dict[str, object]) -> None:
         self.failures: List[dict] = []
         self.failure_count = 0
         self.max_residual = 0.0
+        self.details = copy.deepcopy(details)
+
+    def set(self, key: str, value):
+        if key not in self.details:
+            raise KeyError(f"detail '{key}' is not declared on @_suite")
+        self.details[key] = value
+        return value
+
+    def count(self, key: str, k: int = 1) -> int:
+        return self.set(key, self.details[key] + k)
+
+    def keep(self, key: str, value, extreme: Callable):
+        """Keep the running extreme (max or min) of key's values, a declared None meaning none yet; returns value."""
+        held = self.details[key]
+        self.set(key, value if held is None else extreme(held, value))
+        return value
 
     def residual(self, value: float) -> float:
         v = float(value)
@@ -144,16 +164,17 @@ class _SuiteDef(NamedTuple):
     fn: Callable
     default_trials: int
     description: str
+    details: Dict[str, object]
 
 
 # filled by @_suite, in the order the suite bodies are defined
 SUITES: Dict[str, _SuiteDef] = {}
 
 
-def _suite(default_trials: int, description: str) -> Callable:
-    """Register the decorated body _suite_<name> as the suite <name>, its underscores read as hyphens."""
+def _suite(default_trials: int, description: str, **details) -> Callable:
+    """Register the body _suite_<name> as the suite <name> (underscores read as hyphens) with its declared details."""
     def register(fn: Callable) -> Callable:
-        SUITES[fn.__name__[len("_suite_"):].replace("_", "-")] = _SuiteDef(fn, default_trials, description)
+        SUITES[fn.__name__[len("_suite_"):].replace("_", "-")] = _SuiteDef(fn, default_trials, description, details)
         return fn
     return register
 
@@ -429,9 +450,8 @@ def _suite_spectral_composition(rng, trials, tol, rec):
             rec.check_residual(_rel_hermitian(alt, one_step), bound, t, "engine cross-check", X=X)
 
 
-@_suite(500, "rank-one domination criterion against the direct eigenvalue oracle")
+@_suite(500, "rank-one domination criterion against the direct eigenvalue oracle", skipped_borderline=0)
 def _suite_rank_one_trace(rng, trials, tol, rec):
-    skipped = 0
     for t, n in _trials(rng, trials):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nv2 = float(np.vdot(v, v).real)
@@ -441,7 +461,7 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
         if kind == 0:
             A = herm_part(np.outer(v, v.conj()) / nv2)
             if abs(c * nv2 - 1.0) < 1e-3:
-                skipped += 1
+                rec.count("skipped_borderline")
                 continue
             rec.check(rank_one_leq(R, A, tol) == (c * nv2 <= 1.0), t,
                       "projection trace rule mismatch", R=R, A=A)
@@ -462,11 +482,10 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
         gap = _gap(R, A)
         scale = 1.0 + _hnorm(A, R)
         if abs(gap) <= 1e-6 * scale:
-            skipped += 1
+            rec.count("skipped_borderline")
             continue
         rec.check(rank_one_leq(R, A, tol) == (gap >= 0.0), t,
                   f"rank-one domination mismatch (gap {gap:.3e})", R=R, A=A)
-    return {"skipped_borderline": skipped}
 
 
 @_suite(200, "affine interval isomorphism: endpoints, inverse, order both ways")
@@ -502,9 +521,8 @@ def _suite_interval_iso(rng, trials, tol, rec):
                   t, "point beyond upper reported contained", U=U)
 
 
-@_suite(200, "closed-form dominance radius against eigenvalue checks in dim 2")
+@_suite(200, "closed-form dominance radius against eigenvalue checks in dim 2", skipped_borderline=0)
 def _suite_projection_dominance(rng, trials, tol, rec):
-    skipped = 0
     for t in range(trials):
         c = rng.uniform(0.0, 0.9)
         d = rng.uniform(c + 0.02, 1.0)
@@ -520,13 +538,12 @@ def _suite_projection_dominance(rng, trials, tol, rec):
         E = np.outer(u, u.conj())
         dist = abs(math.sin(alpha))
         if abs(dist - radius) < 1e-4:
-            skipped += 1
+            rec.count("skipped_borderline")
             continue
         # outer products are Hermitian only up to rounding: finish them as a draw
         dominated = _loewner_compare(herm_part(d * E), herm_part(P + c * Q), tol).leq
         rec.check(dominated == (dist <= radius), t,
                   f"dominance mismatch at distance {dist:.6f}, radius {radius:.6f}", E=E, P=P)
-    return {"skipped_borderline": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +630,8 @@ def _anchored_fit(rng: np.random.Generator, h: Callable, n: int, tol: ToleranceC
     return None, refused
 
 
-@_suite(12, "compositions of upper-half-plane automorphisms refit in the same family")
+@_suite(12, "compositions of upper-half-plane automorphisms refit in the same family", anchors_refused=0)
 def _suite_mobius_closure(rng, trials, tol, rec):
-    anchors_refused = 0
     for t, n in _trials(rng, trials, 2, 4):
         g1 = _random_mobius(rng, n)
         g2 = _random_mobius(rng, n)
@@ -625,7 +641,7 @@ def _suite_mobius_closure(rng, trials, tol, rec):
         except DomainViolationError as exc:
             rec.fail(t, f"composition did not refit: {exc}", frame1=g1.frame, frame2=g2.frame)
             continue
-        anchors_refused += refused
+        rec.count("anchors_refused", refused)
         if fitted is None:
             rec.fail(t, f"no anchor refit the composition ({refused} refused)", frame1=g1.frame, frame2=g2.frame)
             continue
@@ -637,41 +653,36 @@ def _suite_mobius_closure(rng, trials, tol, rec):
             worst = max(worst, _rel(got, want))
         rec.check_residual(worst, 1e-6, t, "refit composition mismatch",
                            frame1=g1.frame, frame2=g2.frame)
-    return {"anchors_refused": anchors_refused}
 
 
-@_suite(200, "automorphisms send Hermitian points to Hermitian points")
+@_suite(200, "automorphisms send Hermitian points to Hermitian points", skipped_outside_domain=0)
 def _suite_mobius_hermitian(rng, trials, tol, rec):
-    skipped = 0
     for t, n in _trials(rng, trials, 2, 5):
         m = _random_mobius(rng, n)
         X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
         try:
             Y = _apply_mobius(m, X, tol)
         except DomainViolationError:
-            skipped += 1
+            rec.count("skipped_outside_domain")
             continue
         rec.check_residual(opnorm(Y - Y.conj().T) / (1.0 + opnorm(Y)), 1e-9,
                            t, "Hermitian input produced non-Hermitian output", X=X)
         Z = random_half_plane(rng, n)
         out = _apply_mobius(m, Z, tol)
         rec.check(bool(in_half_plane(out, tol)), t, "half-plane point left the half-plane", Z=Z)
-    return {"skipped_outside_domain": skipped}
 
 
 # ---------------------------------------------------------------------------
 # local order isomorphism suites
 
 
-@_suite(500, "shear map: mirrored base inverts it; left and right formulas agree")
+@_suite(500, "shear map: mirrored base inverts it; left and right formulas agree",
+        singular_bases=0, max_inversion_residual=0.0, max_two_sided_residual=0.0)
 def _suite_theta_inversion(rng, trials, tol, rec):
-    singular_bases = 0
-    worst_inverse = 0.0
-    worst_two_sided = 0.0
     for t, n in _trials(rng, trials):
         A = _mixed_rank_hermitian(rng, n) if t % 20 else np.zeros((n, n), dtype=complex)
         if not _spectra_invertible(_eigvalsh(A), tol):
-            singular_bases += 1
+            rec.count("singular_bases")
         X = _sample_shear_member(rng, A)
         if X is None:
             rec.fail(t, "no shear-domain sample found", A=A)
@@ -683,35 +694,26 @@ def _suite_theta_inversion(rng, trials, tol, rec):
             rec.fail(t, "image not in the mirrored domain", A=A, X=X)
             continue
         scale = 1.0 + _hnorm(X)
-        r1 = opnorm(back - X) / scale
-        worst_inverse = max(worst_inverse, r1)
+        r1 = rec.keep("max_inversion_residual", opnorm(back - X) / scale, max)
         rec.check_residual(r1, 1e-9, t, "inversion identity", A=A, X=X)
         # Y is the left formula (X A + I)^{-1} X; the right one is X (A X + I)^{-1}
         right = np.linalg.solve((A @ X + np.eye(n)).T, X.T).T
-        r2 = opnorm(Y - right) / scale
-        worst_two_sided = max(worst_two_sided, r2)
+        r2 = rec.keep("max_two_sided_residual", opnorm(Y - right) / scale, max)
         rec.check_residual(r2, 1e-10, t, "two-sided formula", A=A, X=X)
-    return {
-        "max_inversion_residual": worst_inverse,
-        "max_two_sided_residual": worst_two_sided,
-        "singular_bases": singular_bases,
-    }
 
 
-@_suite(500, "gated pairs stay ordered both ways; strict stays strict; incomparable stays so")
+@_suite(500, "gated pairs stay ordered both ways; strict stays strict; incomparable stays so",
+        skipped=0, strict_checked=0, min_strict_margin=None)
 def _suite_order_embedding(rng, trials, tol, rec):
     # a gate at the larger margin is both _well_margined and the shear gate at tol
     gate = max(WELL_MARGINED, tol, key=lambda c: c.inv_margin)
-    skipped = 0
-    strict_checked = 0
-    min_strict_margin = math.inf
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2)
         base = A if t % 4 != 2 else -A
         compression = _range_compression(base, tol)
         X = _sample_component_member(rng, base, compression, tol)
         if X is None:
-            skipped += 1
+            rec.count("skipped")
             continue
         strict = t % 4 == 1
         indefinite = t % 4 == 3
@@ -722,7 +724,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
                                                else _psd_step(rng, X, strict=strict))),
                    lambda Y: x_gated and _segment_from(base, X, shifted, Y, gate))
         if Y is None:
-            skipped += 1
+            rec.count("skipped")
             continue
         P, Q = _order_iso_apply(base, compression, np.stack([X, Y]), tol)
         if indefinite:
@@ -731,18 +733,15 @@ def _suite_order_embedding(rng, trials, tol, rec):
             continue
         margin = _check_order(rec, t, P, Q, tol, "pair", strict, A=base, X=X, Y=Y)
         if strict:
-            strict_checked += 1
-            min_strict_margin = min(min_strict_margin, margin)
+            rec.count("strict_checked")
+            rec.keep("min_strict_margin", margin, min)
         _check_order(rec, t, *_order_iso_apply(-base, _range_compression(-base, tol), np.stack([P, Q]), tol), tol,
                      "pulled-back pair", A=base, X=X, Y=Y)
-    return {"skipped": skipped, "strict_checked": strict_checked,
-            "min_strict_margin": min_strict_margin if strict_checked else None}
 
 
-@_suite(200, "spectral criterion for whole-interval membership vs dense sampling")
+@_suite(200, "spectral criterion for whole-interval membership vs dense sampling",
+        skipped_borderline=0, criterion_true=0)
 def _suite_interval_criterion(rng, trials, tol, rec):
-    skipped = 0
-    true_count = 0
     samples_per_instance = 50
     ramp = 8
     for t, n in _trials(rng, trials, 2, 5):
@@ -751,18 +750,18 @@ def _suite_interval_criterion(rng, trials, tol, rec):
         X = _first(200, lambda: herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4)),
                    lambda X: _in_zero_component(compression, X, tol))
         if X is None:
-            skipped += 1
+            rec.count("skipped_borderline")
             continue
         Xh = _sqrt_psd(_eigh(X), tol)
         K = herm_part(Xh @ A @ Xh)
         lam = float(_eigvalsh(K)[0])
         if abs(lam + 1.0) < 1e-4:
-            skipped += 1
+            rec.count("skipped_borderline")
             continue
-        crit = interval_below_criterion(A, X, tol)
+        crit = _interval_below_criterion(A, compression, X, tol)
         rec.check(crit == (lam > -1.0), t, "criterion disagrees with its spectral form", A=A, X=X)
         if crit:
-            true_count += 1
+            rec.count("criterion_true")
             # samples below `ramp` are multiples of X, each later one draws a
             # random effect; all are tested as one stack
             E = _with_spectra(*_spectrum_draws(rng, n, *EFFECT_SPECTRUM, samples_per_instance - ramp))
@@ -778,7 +777,6 @@ def _suite_interval_criterion(rng, trials, tol, rec):
             W = herm_part(t_w * X)
             rec.check(not _in_zero_component(compression, W, tol), t,
                       "criterion refuted but witness still inside", A=A, X=X, W=W)
-    return {"skipped_borderline": skipped, "criterion_true": true_count}
 
 
 @_suite(200, "shifting the argument equals the translated-base map up to congruence")
@@ -838,9 +836,8 @@ def _shrink_in_component(A: np.ndarray, compression, X: np.ndarray, tol: Toleran
     return herm_part(0.6 * t_star * X)
 
 
-@_suite(200, "the shear image of the base is congruent to it; inertia is preserved")
+@_suite(200, "the shear image of the base is congruent to it; inertia is preserved", rescaled=0)
 def _suite_congruence_orbit(rng, trials, tol, rec):
-    rescaled = 0
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n)
         compression = _range_compression(A, tol)
@@ -851,11 +848,11 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
             continue
         for _ in range(6):
             try:
-                G = congruence_orbit(A, X, tol)
+                G = _congruence_orbit(A, compression, X, tol)
                 break
             except PathSearchError:
                 X = _shrink_in_component(A, compression, X, tol)
-                rescaled += 1
+                rec.count("rescaled")
         else:
             rec.fail(t, "orbit factor failed even after shrinking", A=A, X=X)
             continue
@@ -866,13 +863,10 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
         rec.check(tuple(inertia(target, tol)) == _spectrum_inertia(_eigvalsh(A), tol), t,
                   "orbit image changed inertia", A=A, X=X)
         rec.check(_is_invertible(G, tol), t, "orbit factor is singular", A=A, X=X)
-    return {"rescaled": rescaled}
 
 
-@_suite(300, "inertia-based component membership against randomized path search")
+@_suite(300, "inertia-based component membership against randomized path search", members=0, max_nodes_used=0)
 def _suite_component_criterion(rng, trials, tol, rec):
-    members = 0
-    max_nodes_seen = 0
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.25)
         if _hnorm(A) <= tol.psd_tol:
@@ -881,18 +875,17 @@ def _suite_component_criterion(rng, trials, tol, rec):
         X = random_hermitian(rng, n, scale=scale)
         crit = in_zero_component(A, X, tol)
         res = path_to_zero(A, X, tol, seed=1000 + t, max_nodes=3000 if crit else 96)
-        max_nodes_seen = max(max_nodes_seen, res.nodes_used)
+        rec.keep("max_nodes_used", res.nodes_used, max)
         if crit:
-            members += 1
+            rec.count("members")
             rec.check(res.found, t, "criterion says member but no path was found", A=A, X=X)
         else:
             rec.check(not res.found, t, "path found into a point the criterion rejects", A=A, X=X)
-    return {"members": members, "max_nodes_used": max_nodes_seen}
 
 
-@_suite(100, "black-box recovery of base, frame and transpose flag by both routes")
+@_suite(100, "black-box recovery of base, frame and transpose flag by both routes",
+        mismatch_checked=0, anchors_refused=0)
 def _suite_parameter_recovery(rng, trials, tol, rec):
-    mismatch_checked = anchors_refused = 0
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n) if t % 10 else np.zeros((n, n), dtype=complex)
         T = normalize_phase(random_invertible(rng, n, max_cond=8.0))
@@ -914,7 +907,7 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
             full = _random_mobius(rng, n)
             g = lambda Z: _apply_mobius(full, Z, tol)
             refit, refused = _anchored_fit(rng, g, n, tol)
-            anchors_refused += refused
+            rec.count("anchors_refused", refused)
             rec.check(refit is not None or not refused, t, "every anchored refit was refused", frame=full.frame)
             if refit is not None:
                 points = _half_plane_stack(rng, n, 5)
@@ -924,7 +917,7 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
                 rec.check_residual(worst, 1e-7, t, "anchored refit mismatch", frame=full.frame)
 
         if t % 10 == 5:
-            mismatch_checked += 1
+            rec.count("mismatch_checked")
 
             def crooked(H, _s=1.0 + 0.2 * float(rng.random())):
                 M = np.asarray(H, dtype=complex)
@@ -935,7 +928,6 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
                 rec.fail(t, "non-model evaluator was not rejected")
             except ModelMismatchError:
                 pass
-    return {"mismatch_checked": mismatch_checked, "anchors_refused": anchors_refused}
 
 
 # ---------------------------------------------------------------------------
@@ -963,9 +955,8 @@ def _suite_block_involution(rng, trials, tol, rec):
 
 
 @_suite(200, "bordered embedding: negated inverse reproduces the block map; fixed inertia "
-             "(trials per class, 52 classes for n = 2..5: 10,400 instances by default)")
+             "(trials per class, 52 classes for n = 2..5: 10,400 instances by default)", instances=0)
 def _suite_bordered_identity(rng, trials, tol, rec):
-    instances = 0
     for n in range(2, 6):
         for (m, p) in _all_classes(n):
             spec = BlockMapSpec(n, m, p)
@@ -980,17 +971,15 @@ def _suite_bordered_identity(rng, trials, tol, rec):
             want = (n + p - m, 0, n - p)
             fixed = _spectra_have_inertia(spectra, n + p - m, tol)
             for j in range(trials):
-                instances += 1
-                rec.check_residual(res[j], 1e-9, instances, f"bordered identity (n={n}, m={m}, p={p})", X=X[j])
+                instance = rec.count("instances")
+                rec.check_residual(res[j], 1e-9, instance, f"bordered identity (n={n}, m={m}, p={p})", X=X[j])
                 if not fixed[j]:
                     got = tuple(_spectrum_inertia(spectra[j], tol))
-                    rec.fail(instances, f"bordered inertia {got} != {want}", X=X[j])
-    return {"instances": instances}
+                    rec.fail(instance, f"bordered inertia {got} != {want}", X=X[j])
 
 
-@_suite(200, "block map preserves order both ways on inertia-stable segments")
+@_suite(200, "block map preserves order both ways on inertia-stable segments", skipped=0)
 def _suite_block_monotonicity(rng, trials, tol, rec):
-    skipped = 0
     # the segment [X, X + D] is gated at these nine points, one stack
     taus = np.linspace(0.0, 1.0, 9)[:, None, None]
     for t, n in _trials(rng, trials, 2, 4):
@@ -1003,7 +992,7 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
         D = _first(60, lambda: _indefinite_step(rng, X) if indefinite else _psd_step(rng, X, strict=strict),
                    lambda D: all(_in_block_domain(spec, herm_part(X + taus * D), tol)))
         if D is None:
-            skipped += 1
+            rec.count("skipped")
             continue
         Y = herm_part(X + D)
         FX, FY = _block_map(spec, np.stack([X, Y]), tol)
@@ -1014,10 +1003,9 @@ def _suite_block_monotonicity(rng, trials, tol, rec):
         _check_order(rec, t, FX, FY, tol, "pair under the block map", strict, X=X, Y=Y)
         _check_order(rec, t, *_block_map(spec.dual, np.stack([FX, FY]), tol), tol,
                      "pulled-back pair", X=X, Y=Y)
-    return {"skipped": skipped}
 
 
-@_suite(40, "extremal stable-direction ranks hold, higher ranks exit, ranks separate classes")
+@_suite(40, "extremal stable-direction ranks hold, higher ranks exit, ranks separate classes", classes_tested=0)
 def _suite_growth_ranks(rng, trials, tol, rec):
     grid_stay = np.array([0.5, 1.0, 10.0, 100.0, 1e4])
     grid_exit = np.array([0.5, 1.0, 10.0, 100.0, 1e4, 1e6])
@@ -1057,12 +1045,11 @@ def _suite_growth_ranks(rng, trials, tol, rec):
         pairs = [rank_pairs[(n, m, p)] for (m, p) in _all_classes(n)]
         rec.check(len(set(pairs)) == class_count(n), 0,
                   f"stable-rank invariants fail to separate the {class_count(n)} classes at n={n}")
-    return {"classes_tested": len(rank_pairs)}
+    rec.set("classes_tested", len(rank_pairs))
 
 
-@_suite(1, "class census: closed form, enumeration, congruence invariance")
+@_suite(1, "class census: closed form, enumeration, congruence invariance", counts=None)
 def _suite_class_count(rng, trials, tol, rec):
-    counts = {}
     for n in range(2, 7):
         want = (n + 2) * (n + 1) // 2
         rec.check(class_count(n) == want, n, f"closed-form count wrong at n={n}")
@@ -1078,8 +1065,7 @@ def _suite_class_count(rng, trials, tol, rec):
             S = random_invertible(rng, n, max_cond=20.0)
             rec.check(_signature_class(R, tol)[:2] == _signature_class(herm_part(S @ R @ S.conj().T), tol)[:2], n,
                       "congruence changed the signature class", R=R, S=S)
-        counts[str(n)] = class_count(n)
-    return {"counts": counts}
+    rec.set("counts", {str(n): class_count(n) for n in range(2, 7)})
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1129,8 @@ def _suite_effect_order(rng, trials, tol, rec):
                       "incomparable effects became comparable", X=X, D=D)
 
 
-@_suite(200, "endpoint-overridable embeddings keep order; continuity flags are right")
+@_suite(200, "endpoint-overridable embeddings keep order; continuity flags are right",
+        fixture_flags={"zero": True, "one": False})
 def _suite_effect_embedding(rng, trials, tol, rec):
     n_fix = 2
     eye2 = np.eye(n_fix)
@@ -1189,24 +1176,23 @@ def _suite_effect_embedding(rng, trials, tol, rec):
         if C is not None:
             rec.check(_loewner_compare(*FAC, tol).incomparable, t,
                       "incomparable effects embedded comparably", A=A, C=C)
-    return {"fixture_flags": {"zero": True, "one": False}}
 
 
 # ---------------------------------------------------------------------------
 # scalar monotonicity suites
 
 
-@_suite(1000, "divided-difference matrices and direct pairs agree on monotonicity")
+@_suite(1000, "divided-difference matrices and direct pairs agree on monotonicity",
+        min_sqrt_loewner_eigenvalue=math.inf)
 def _suite_loewner_consistency(rng, trials, tol, rec):
     per_order = max(trials // 5, 20)
-    worst_sqrt = math.inf
 
     def monotone(f, order, k):
         return is_matrix_monotone(f, order, trials=k, seed=int(rng.integers(0, 2**31)), tol=tol)
 
     for order in range(2, 7):
         report = monotone(builtin_function("sqrt"), order, per_order)
-        worst_sqrt = min(worst_sqrt, report.min_loewner_eigenvalue)
+        rec.keep("min_sqrt_loewner_eigenvalue", report.min_loewner_eigenvalue, min)
         rec.check(report.passed and report.conclusive, order,
                   f"sqrt failed the monotonicity test at order {order}")
 
@@ -1249,7 +1235,6 @@ def _suite_loewner_consistency(rng, trials, tol, rec):
     fuzzy = ScalarFunction(math.sqrt, (0.0, math.inf), name="sqrt-table", approximate=True)
     rep = monotone(fuzzy, 2, 40)
     rec.check(not rep.conclusive, 0, "approximate function produced a conclusive verdict")
-    return {"min_sqrt_loewner_eigenvalue": worst_sqrt}
 
 
 def _random_pick(rng: np.random.Generator) -> PickRepresentation:
@@ -1268,9 +1253,9 @@ def _random_pick(rng: np.random.Generator) -> PickRepresentation:
     )
 
 
-@_suite(200, "integral-representation evaluation: half-plane margin, spectral agreement")
+@_suite(200, "integral-representation evaluation: half-plane margin, spectral agreement",
+        min_half_plane_margin=math.inf)
 def _suite_pick_evaluation(rng, trials, tol, rec):
-    min_margin = math.inf
     for t in range(trials):
         rep = _random_pick(rng)
         if rep.d == 0.0 and not rep.atoms:
@@ -1278,8 +1263,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
         n = _rand_dim(rng, 2, 4)
         Z = random_half_plane(rng, n)
         out = pick_eval(rep, Z, tol)
-        margin = float(_eigvalsh(herm_part((out - out.conj().T) / 2j))[0])
-        min_margin = min(min_margin, margin)
+        margin = rec.keep("min_half_plane_margin", float(_eigvalsh(herm_part((out - out.conj().T) / 2j))[0]), min)
         rec.check(margin > 0.0, t, f"half-plane image margin {margin:.3e} <= 0", Z=Z)
         a, b = rep.interval
         pad = 0.05 * (b - a)
@@ -1300,7 +1284,6 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
         X = random_hermitian_with_spectrum(rng, 3, 0.5, 2.4)
         rec.check_residual(opnorm(pick_eval(atom, X, tol) + np.linalg.inv(X)) / (1.0 + opnorm(X)),
                            1e-10, t, "atom at the origin is not the negated inverse", X=X)
-    return {"min_half_plane_margin": min_margin}
 
 
 # ---------------------------------------------------------------------------
@@ -1344,14 +1327,8 @@ def _suite_report_determinism(rng, trials, tol, rec):
         name = names[t % len(names)]
         seed = int(rng.integers(0, 2**31))
         small = 1 if name == "class-count" else 20
-        r1 = run_suite(name, seed=seed, trials=small, tol=tol)
-        r2 = run_suite(name, seed=seed, trials=small, tol=tol)
-        rec.check(r1.to_json(include_timing=False) == r2.to_json(include_timing=False), t,
-                  f"replayed report for '{name}' differs")
-        d1, d2 = r1.to_dict(), r2.to_dict()
-        d1.pop("elapsed_seconds"), d2.pop("elapsed_seconds")
-        rec.check(json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True), t,
-                  f"non-timing fields of '{name}' differ")
+        replay = lambda: run_suite(name, seed=seed, trials=small, tol=tol).to_json(include_timing=False)
+        rec.check(replay() == replay(), t, f"replayed report for '{name}' differs")
 
 
 def suite_names() -> List[str]:
@@ -1370,21 +1347,19 @@ def run_suite(name: str, seed: int = 0, trials: Optional[int] = None,
     if name not in SUITES:
         raise MalformedInputError(f"unknown suite '{name}'; known: {', '.join(SUITES)}")
     spec = SUITES[name]
-    n_trials = spec.default_trials if trials is None else int(trials)
-    if n_trials < 1:
-        raise MalformedInputError("trials must be positive")
+    n_trials = spec.default_trials if trials is None else _checked_int(trials, "trials", 1)
+    seed = _checked_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    rec = _Recorder()
+    rec = _Recorder(spec.details)
     start = time.perf_counter()
-    details = spec.fn(rng, n_trials, tol, rec) or {}
+    spec.fn(rng, n_trials, tol, rec)
     elapsed = time.perf_counter() - start
-    details["failure_count"] = rec.failure_count
     return RunReport(
         suite=name,
-        seed=int(seed),
+        seed=seed,
         trials=n_trials,
         failures=rec.failures,
         max_residual=rec.max_residual,
-        details=details,
+        details={**rec.details, "failure_count": rec.failure_count},
         elapsed_seconds=elapsed,
     )

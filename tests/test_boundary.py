@@ -49,8 +49,9 @@ from matorder.localiso import (
     shear_apply,
     translated_base,
 )
-from matorder.monotone import PickRepresentation, pick_eval
+from matorder.monotone import PickRepresentation, builtin_function, is_matrix_monotone, pick_eval
 from matorder.order import OperatorInterval, affine_interval_iso, interval_contains, rank_one_leq
+from matorder.suites import run_suite
 
 BASE = np.diag([1.0, -0.5]).astype(complex)
 SMALL = 0.1 * np.array([[0.5, 0.2j], [-0.2j, 0.3]])
@@ -251,6 +252,28 @@ def test_a_node_budget_or_seed_that_is_no_integer_is_malformed():
     assert all(np.array_equal(P, Q) for P, Q in zip(got.path, want.path))
 
 
+SQRT = builtin_function("sqrt")
+
+
+@pytest.mark.parametrize("call, message", [
+    # numpy used to raise TypeError at order 2.5, and a negative seed ValueError
+    pytest.param(lambda: is_matrix_monotone(SQRT, 2.5), r"^order must be an integer, got float$", id="order-float"),
+    pytest.param(lambda: is_matrix_monotone(SQRT, 0), r"^order must be positive$", id="order-zero"),
+    pytest.param(lambda: is_matrix_monotone(SQRT, 2, trials=-3), r"^trials must be positive$", id="trials-negative"),
+    pytest.param(lambda: is_matrix_monotone(SQRT, 2, trials=2.0), r"^trials must be an integer, got float$",
+                 id="trials-float"),
+    pytest.param(lambda: is_matrix_monotone(SQRT, 2, seed=-1), r"^seed must be non-negative$", id="seed-negative"),
+    pytest.param(lambda: run_suite("class-count", seed=-1), r"^seed must be non-negative$", id="suite-seed-negative"),
+    # trials used to be truncated by int(), 2.5 running 2 trials
+    pytest.param(lambda: run_suite("class-count", trials=2.5), r"^trials must be an integer, got float$",
+                 id="suite-trials-float"),
+    pytest.param(lambda: run_suite("class-count", trials=0), r"^trials must be positive$", id="suite-trials-zero"),
+])
+def test_monotone_and_suite_integers_are_checked(call, message):
+    with pytest.raises(MalformedInputError, match=message):
+        call()
+
+
 def test_an_anchor_that_is_no_pair_is_malformed():
     # used to raise IndexError: tuple index out of range
     for anchor in ((SMALL,), (SMALL, SMALL, SMALL), SMALL[0, 0]):
@@ -277,6 +300,8 @@ NEAR_HERMITIAN = np.diag([0.5, 0.25]).astype(complex) + np.array([[0.0, 7e-9], [
         pytest.param(lambda tol: segment_in_shear_domain(NEAR_HERMITIAN, SMALL, 0.5 * SMALL, tol),
                      id="segment_in_shear_domain"),
         pytest.param(lambda tol: in_shear_domain(NEAR_HERMITIAN, SMALL, tol), id="in_shear_domain"),
+        pytest.param(lambda tol: interval_below_criterion(BASE, NEAR_HERMITIAN, tol), id="interval_below_criterion"),
+        pytest.param(lambda tol: congruence_orbit(BASE, NEAR_HERMITIAN, tol), id="congruence_orbit"),
         pytest.param(lambda tol: in_block_domain(BLOCK, NEAR_HERMITIAN, tol), id="in_block_domain"),
         pytest.param(lambda tol: growth_direction(BLOCK, NEAR_HERMITIAN, True, tol), id="growth_direction"),
         pytest.param(lambda tol: jacobi_eigen(NEAR_HERMITIAN, tol), id="jacobi_eigen"),

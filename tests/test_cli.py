@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from matorder.cli import main
 from matorder.fileio import matrix_to_text, parse_matrix_text, write_matrix_file
 
 CLI = [sys.executable, "-m", "matorder.cli"]
@@ -234,6 +235,33 @@ def test_gen_refuses_a_dimension_outside_its_range(dim):
     assert r.returncode == 2
     assert f"--dim must lie in [1, 1024], got {dim}" in r.stderr and "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+MONOTONE = ["check-monotone", "--fn", "sqrt", "--order", "2"]
+GEN = ["gen", "--kind", "hermitian", "--dim", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    # numpy used to raise `ValueError: expected non-negative integer` from its generator
+    (MONOTONE + ["--seed", "-1"], "seed must be non-negative"),
+    (["verify", "class-count", "--seed", "-1"], "seed must be non-negative"),
+    (GEN + ["--seed", "-1"], "--seed must be non-negative"),
+    # numpy's ValueError or OverflowError for psd, NaN entries written with exit 0 for hermitian
+    (["gen", "--kind", "psd", "--dim", "2", "--scale", "-1"], "--scale must be finite and positive, got -1.0"),
+    (["gen", "--kind", "psd", "--dim", "2", "--scale", "inf"], "--scale must be finite and positive, got inf"),
+    (GEN + ["--scale", "nan"], "--scale must be finite and positive, got nan"),
+    (GEN + ["--scale", "0"], "--scale must be finite and positive, got 0.0"),
+    # refused before anything is drawn: an order this large used to end in numpy's _ArrayMemoryError
+    (["check-monotone", "--fn", "sqrt", "--order", "100000"], "--order must lie in [1, 1024], got 100000"),
+    (["check-monotone", "--fn", "sqrt", "--order", "0"], "--order must lie in [1, 1024], got 0"),
+    # used to print a vacuous PASS with "node_trials": -3
+    (MONOTONE + ["--trials", "-3"], "trials must be positive"),
+    (["verify", "class-count", "--trials", "-3"], "trials must be positive"),
+])
+def test_integer_and_scale_arguments_out_of_range_are_usage_errors(capsys, args, message):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_matrix_stdout_round_trip(tmp_path):

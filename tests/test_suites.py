@@ -1,7 +1,9 @@
 """Suite runner: registry coverage, determinism, and report structure."""
 
+import ast
 import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
@@ -86,10 +88,60 @@ def test_registry_descriptions_exist():
         assert suite_description(name)
 
 
+def _returns_a_value(fn) -> bool:
+    """Whether fn's own body, not a function nested in it, has a `return` with a value."""
+    def scan(node):
+        return any((isinstance(child, ast.Return) and child.value is not None)
+                   or (not isinstance(child, ast.FunctionDef) and scan(child)) for child in ast.iter_child_nodes(node))
+    return scan(ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0])
+
+
 def test_every_suite_body_is_registered_in_definition_order():
     bodies = [fn for name, fn in vars(suites).items() if name.startswith("_suite_") and inspect.isfunction(fn)]
     assert [SUITES[name].fn for name in suite_names()] == bodies
     assert suite_names() == list(_DETAIL_KEYS)
+    # a body reports through its recorder: each detail is declared on @_suite, and no body returns one
+    assert [name for name in suite_names() if _returns_a_value(SUITES[name].fn)] == []
+    assert {name: set(SUITES[name].details) for name in suite_names()} == \
+        {name: set(keys) for name, keys in _DETAIL_KEYS.items()}
+
+
+def test_return_scan_sees_a_body_that_returns_its_details():
+    def _suite_returns(rng, trials, tol, rec):
+        skipped = 0
+        if trials:
+            return {"skipped": skipped}
+
+    def _suite_nested_only(rng, trials, tol, rec):
+        def helper():
+            return 1
+        rec.count("skipped", helper())
+        return
+
+    assert _returns_a_value(_suite_returns) and not _returns_a_value(_suite_nested_only)
+
+
+def test_recorder_refuses_an_undeclared_detail():
+    rec = suites._Recorder({"skipped": 0, "worst": None})
+    for update in (lambda: rec.count("skiped"), lambda: rec.set("other", 1), lambda: rec.keep("best", 1.0, max)):
+        with pytest.raises(KeyError):
+            update()
+    assert rec.count("skipped") == 1 and rec.count("skipped", 2) == 3
+    # None is "no value yet": the first value is kept whatever it is, later ones through the extreme
+    assert [rec.keep("worst", v, min) for v in (5.0, 7.0, 2.0)] == [5.0, 7.0, 2.0]
+    assert rec.details == {"skipped": 3, "worst": 2.0}
+
+
+@pytest.mark.parametrize("name", ["bordered-identity", "effect-embedding"])
+def test_runs_in_one_process_share_no_declared_detail(name):
+    # bordered-identity counts its instances from 0 in each run; effect-embedding's flags are a fresh
+    # dict per run, so a caller that edits one report's details edits nothing a later run reports
+    first = run_suite(name, seed=1, trials=1).details
+    want = json.dumps(first, sort_keys=True)
+    for value in first.values():
+        if isinstance(value, dict):
+            value.clear()
+    assert json.dumps(run_suite(name, seed=1, trials=1).details, sort_keys=True) == want
 
 
 @pytest.mark.parametrize("name", suite_names())
@@ -168,9 +220,10 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     # multiples of X and samples 8-49 are random effects, all 42 drawn even
     # when sample 12 escapes, so the generator ends where a clean run ends.
     clean = np.random.default_rng(0)
-    clean_rec = suites._Recorder()
-    assert suites._suite_interval_criterion(clean, 1, DEFAULT_TOL, clean_rec)["criterion_true"] == 1
-    assert clean_rec.failure_count == 0
+    declared = SUITES["interval-criterion"].details
+    clean_rec = suites._Recorder(declared)
+    suites._suite_interval_criterion(clean, 1, DEFAULT_TOL, clean_rec)
+    assert clean_rec.details["criterion_true"] == 1 and clean_rec.failure_count == 0
     stacks = []
     kernel = suites._in_zero_component
 
@@ -184,18 +237,20 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
 
     monkeypatch.setattr(suites, "_in_zero_component", escape_at_12)
     rng = np.random.default_rng(0)
-    rec = suites._Recorder()
-    details = suites._suite_interval_criterion(rng, 1, DEFAULT_TOL, rec)
-    assert details["criterion_true"] == 1 and len(stacks) == 1 and len(stacks[0]) == 50
+    rec = suites._Recorder(declared)
+    suites._suite_interval_criterion(rng, 1, DEFAULT_TOL, rec)
+    assert rec.details["criterion_true"] == 1 and len(stacks) == 1 and len(stacks[0]) == 50
     assert rec.failure_count == 1
     assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
     assert rng.bit_generator.state == clean.bit_generator.state
 
 
-def test_order_embedding_compresses_each_base_once(monkeypatch):
-    # the sampler's up to 300 membership tests and the forward map share one
-    # compression of the base, and the pulled-back map compresses -base once;
-    # the public predicate still compresses its base once per call
+@pytest.mark.parametrize("name", ["order-embedding", "interval-criterion", "congruence-orbit"])
+def test_suites_compress_each_base_once(monkeypatch, name):
+    # order-embedding's sampler (up to 300 membership tests) and forward map share one compression
+    # of the base, and the pulled-back map compresses -base once; interval-criterion's gate, criterion
+    # and interval stack share one, as do congruence-orbit's gate, orbit factor and shrinks; the
+    # public predicate still compresses its base once per call
     seen = []
     kernel = localiso._range_compression
 
@@ -205,8 +260,9 @@ def test_order_embedding_compresses_each_base_once(monkeypatch):
 
     monkeypatch.setattr(suites, "_range_compression", counting)
     monkeypatch.setattr(localiso, "_range_compression", counting)
-    details = suites._suite_order_embedding(np.random.default_rng(1), 40, DEFAULT_TOL, suites._Recorder())
-    assert details["skipped"] < 40 < len(seen) == len(set(seen))
+    report = run_suite(name, seed=1, trials=40)
+    # each of the 40 trials draws a base of its own (at default trials several draw the zero base)
+    assert report.passed and 40 <= len(seen) == len(set(seen))
     seen.clear()
     localiso.in_zero_component(np.diag([1.0, -0.5]), 0.1 * np.eye(2))
     assert len(seen) == 1
@@ -235,7 +291,7 @@ def test_check_order_fails_past_its_cushion_and_on_lost_strictness():
     P = np.eye(2)
 
     def recorded(c, strict=False):
-        rec = suites._Recorder()
+        rec = suites._Recorder({})
         margin = suites._check_order(rec, 0, P, P - np.diag([c, 0.0]), DEFAULT_TOL, "pair", strict, P=P)
         return rec, margin
 
