@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
-from .halfplane import MobiusAutomorphism, _mobius_eval, _shifted, mobius_fix01
+from .halfplane import MobiusAutomorphism, _checked_int, _fix01_pole, _mobius_eval, _shifted, mobius_fix01
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -86,7 +86,8 @@ class BlockMapSpec:
     p: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.p <= self.m <= self.n):
+        n, m, p = (_checked_int(getattr(self, key), key) for key in ("n", "m", "p"))
+        if not (0 <= p <= m <= n):
             raise MalformedInputError(f"need 0 <= p <= m <= n, got (n={self.n}, m={self.m}, p={self.p})")
 
     @property
@@ -167,10 +168,16 @@ def bordered_embedding(m: int, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) 
     reproduces every block of block_map_apply (in the arrangement built by
     bordered_arrangement), and its inertia is (n + p - m, 0, n - p).
     """
-    H = as_hermitian(X, tol, "X")
+    return _bordered_embedding(*_corner_argument(m, X, tol, "X"))
+
+
+def _corner_argument(m: int, X: Iterable, tol: ToleranceConfig, name: str) -> Tuple[int, np.ndarray]:
+    """(m, H): X validated as Hermitian, and m as an integer corner size 0 <= m <= dim(X)."""
+    H = as_hermitian(X, tol, name)
+    m = _checked_int(m, "m")
     if not 0 <= m <= H.shape[0]:
-        raise MalformedInputError("need 0 <= m <= dim(X)")
-    return _bordered_embedding(m, H)
+        raise MalformedInputError(f"need 0 <= m <= dim({name})")
+    return m, H
 
 
 def _bordered_embedding(m: int, H: np.ndarray) -> np.ndarray:
@@ -191,10 +198,7 @@ def bordered_arrangement(m: int, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL
 
     with Y = block_map_apply(spec, X) carved into the usual corner blocks.
     """
-    H = as_hermitian(Y, tol, "Y")
-    if not 0 <= m <= H.shape[0]:
-        raise MalformedInputError("need 0 <= m <= dim(Y)")
-    return _bordered_arrangement(m, H)
+    return _bordered_arrangement(*_corner_argument(m, Y, tol, "Y"))
 
 
 def _bordered_arrangement(m: int, H: np.ndarray) -> np.ndarray:
@@ -354,12 +358,11 @@ class FpqSpec:
         if not self.q < 0.0:
             raise MalformedInputError("q must be negative")
         frame = as_square(self.frame, "frame")
-        # one SVD decides both, at opnorm's and _is_invertible's thresholds
+        # one SVD decides both, at opnorm's threshold and by the invertibility rule of its singular values
         U, s, Wh = np.linalg.svd(frame)
-        top = s.max()
-        if top > 1.0 + CONTRACTION_SLACK:
+        if s.max() > 1.0 + CONTRACTION_SLACK:
             raise MalformedInputError("frame must be a contraction")
-        if not s.min() > DEFAULT_TOL.inv_margin * (1.0 + top):
+        if not _spectra_invertible(s, DEFAULT_TOL):
             raise MalformedInputError("frame must be bijective")
         object.__setattr__(self, "frame", frame)
         F = (U * np.sqrt((self.p * s**2 + 1.0 - self.p) / ((1.0 - self.p) * (1.0 - self.q)))) @ Wh
@@ -379,28 +382,25 @@ def rational_effect_factors(spec: FpqSpec, tol: ToleranceConfig = DEFAULT_TOL) -
     """The map as a chain of four order isomorphisms (spectral route).
 
     factor 1: congruence by the contraction (with optional transpose);
-    factor 2: spectral reweighting with p; factor 3: congruence by
-    f_p(TT*)^{-1/2}; factor 4: spectral reweighting with q. Composing them
-    must match rational_effect_automorphism.
+    factor 2: spectral reweighting f_p; factor 3: congruence by
+    f_p(TT*)^{-1/2}, with f_p(TT*) taken by factor 2; factor 4: the same
+    reweighting at q. Composing them must match rational_effect_automorphism.
     """
     T = spec.frame
-    p_pole = -(1.0 - spec.p) / spec.p
-    q_pole = -(1.0 - spec.q) / spec.q
-    S = spectral_apply(herm_part(T @ T.conj().T), partial(mobius_fix01, spec.p), poles=(p_pole,), tol=tol)
-    inv_root = spectral_apply(S, lambda x: 1.0 / np.sqrt(x), domain=(0.0, np.inf), tol=tol)
+
+    def reweighting(r: float) -> Callable:
+        return lambda X: spectral_apply(X, partial(mobius_fix01, r), poles=(_fix01_pole(r),), tol=tol)
+
+    factor2, factor4 = reweighting(spec.p), reweighting(spec.q)
+    inv_root = spectral_apply(factor2(herm_part(T @ T.conj().T)), lambda x: 1.0 / np.sqrt(x),
+                              domain=(0.0, np.inf), tol=tol)
 
     def factor1(X: np.ndarray) -> np.ndarray:
         Y = np.asarray(X)
         return herm_part(T @ (Y.T if spec.transpose else Y) @ T.conj().T)
 
-    def factor2(X: np.ndarray) -> np.ndarray:
-        return spectral_apply(X, partial(mobius_fix01, spec.p), poles=(p_pole,), tol=tol)
-
     def factor3(X: np.ndarray) -> np.ndarray:
         return herm_part(inv_root @ np.asarray(X) @ inv_root)
-
-    def factor4(X: np.ndarray) -> np.ndarray:
-        return spectral_apply(X, partial(mobius_fix01, spec.q), poles=(q_pole,), tol=tol)
 
     return factor1, factor2, factor3, factor4
 

@@ -34,7 +34,7 @@ from .classify import (
 )
 from .config import DEFAULT_TOL, ToleranceConfig, parse_tolerance_overrides
 from .errors import DomainViolationError, MalformedInputError, PathSearchError
-from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_file, read_text_file, write_matrix_file
+from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_file, read_json_file, write_matrix_file
 from .halfplane import MobiusAutomorphism, _checked_int, apply_mobius
 from .linalg import as_hermitian, inertia
 from .localiso import order_iso_apply, shear_apply
@@ -48,12 +48,12 @@ __all__ = ["main"]
 # already writes 45 MB, and far larger ones fail to allocate
 MAX_DIM = 1024
 
-# gen's kinds, the choices of --kind: each draws a matrix from (rng, dim, scale)
+# gen's kinds, the choices of --kind: kind -> (draw(rng, dim, scale), whether it reads --scale)
 GEN_KINDS = {
-    "hermitian": lambda rng, dim, scale: random_hermitian(rng, dim, scale=scale),
-    "psd": lambda rng, dim, scale: random_psd(rng, dim, scale=scale),
-    "effect": lambda rng, dim, scale: random_effect(rng, dim),
-    "halfplane": lambda rng, dim, scale: random_half_plane(rng, dim),
+    "hermitian": (lambda rng, dim, scale: random_hermitian(rng, dim, scale=scale), True),
+    "psd": (lambda rng, dim, scale: random_psd(rng, dim, scale=scale), True),
+    "effect": (lambda rng, dim, scale: random_effect(rng, dim), False),
+    "halfplane": (lambda rng, dim, scale: random_half_plane(rng, dim), False),
 }
 
 
@@ -128,17 +128,11 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
 
 
 def _load_pick(path: str) -> PickRepresentation:
-    text = read_text_file(path)
-    try:
-        payload = json.loads(text)
-        return PickRepresentation(
-            c=float(payload.get("c", 0.0)),
-            d=float(payload.get("d", 0.0)),
-            atoms=tuple((float(y), float(w)) for y, w in payload.get("atoms", [])),
-            interval=(float(payload["interval"][0]), float(payload["interval"][1])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad representation file {path}: {exc}") from exc
+    def decode(payload) -> PickRepresentation:
+        rep = {"c": 0.0, "d": 0.0, "atoms": [], **payload}  # a TypeError unless payload is an object
+        return PickRepresentation(c=float(rep["c"]), d=float(rep["d"]), atoms=rep["atoms"],
+                                  interval=(float(rep["interval"][0]), float(rep["interval"][1])))
+    return read_json_file(path, "representation", decode)
 
 
 def _cmd_check_monotone(args, tol: ToleranceConfig) -> int:
@@ -185,9 +179,12 @@ def _cmd_gen(args, tol: ToleranceConfig) -> int:
     rng = np.random.default_rng(_checked_int(args.seed, "--seed", 0))
     if not 1 <= args.dim <= MAX_DIM:
         raise MalformedInputError(f"--dim must lie in [1, {MAX_DIM}], got {args.dim}")
-    if not 0.0 < args.scale < np.inf:
+    draw, scaled = GEN_KINDS[args.kind]
+    if args.scale is not None and not scaled:
+        raise MalformedInputError(f"--kind {args.kind} reads no --scale")
+    if args.scale is not None and not 0.0 < args.scale < np.inf:
         raise MalformedInputError(f"--scale must be finite and positive, got {args.scale}")
-    _emit_matrix(GEN_KINDS[args.kind](rng, args.dim, args.scale), args.out)
+    _emit_matrix(draw(rng, args.dim, 1.0 if args.scale is None else args.scale), args.out)
     return 0
 
 
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--scale", type=float, default=1.0)
+    p_gen.add_argument("--scale", type=float, help="spread of the draw (hermitian, psd; default: 1)")
     p_gen.add_argument("--out", help="write the matrix here instead of stdout")
     p_gen.set_defaults(func=_cmd_gen)
 

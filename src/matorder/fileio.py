@@ -4,17 +4,20 @@ UTF-8 JSON, schema {"rows": n, "cols": m, "data": [[[re, im], ...], ...]}
 row-major, numbers written with 17 significant digits so doubles round-trip
 bit-exactly. Parsing checks the format only; the function a parsed matrix
 is passed to decides whether it is square, Hermitian and of its dimension.
+Every input file (matrix, Pick representation, table) decodes under one
+rule, `decoding`'s: DECODE_ERRORS are the file's fault, never a traceback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, MatOrderError
 
 __all__ = [
     "matrix_to_payload",
@@ -23,7 +26,12 @@ __all__ = [
     "write_matrix_file",
     "parse_matrix_file",
     "read_text_file",
+    "read_json_file",
+    "decoding",
 ]
+
+# what decoding an input file may raise: JSONDecodeError is a ValueError, nesting too deep a RecursionError
+DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def _fmt(x: float) -> str:
@@ -38,51 +46,42 @@ def matrix_to_payload(M: Iterable) -> dict:
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in A],
+        "data": [[[z.real, z.imag] for z in row] for row in A.tolist()],
     }
 
 
 def _payload_to_matrix(payload: dict) -> np.ndarray:
-    try:
-        rows = int(payload["rows"])
-        cols = int(payload["cols"])
-        data = payload["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"matrix payload missing/invalid field: {exc}") from exc
-    if rows < 0 or cols < 0 or len(data) != rows:
-        raise MalformedInputError(f"matrix payload shape mismatch: {rows}x{cols} vs {len(data)} rows")
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        if len(row) != cols:
-            raise MalformedInputError(f"row {i} has {len(row)} entries, expected {cols}")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise MalformedInputError(f"entry ({i},{j}) must be an [re, im] pair")
-            out[i, j] = complex(float(entry[0]), float(entry[1]))
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    rows, cols = int(payload["rows"]), int(payload["cols"])
+    values = np.asarray(payload["data"], dtype=float)
+    # a matrix without entries lists no [re, im] pairs, so its listing cannot show their depth
+    if values.shape != (rows, cols, 2) and not (min(rows, cols) == 0 == values.size and len(values) == rows):
+        raise MalformedInputError(f"matrix data of shape {values.shape} is not {rows}x{cols} [re, im] pairs")
+    if not np.isfinite(values).all():
         raise MalformedInputError("matrix has non-finite entries")
-    return out
+    return values.reshape(rows, cols, 2).view(complex)[..., 0]
 
 
 def matrix_to_text(M: Iterable) -> str:
-    """Serialize with every number at 17 significant digits."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise MalformedInputError(f"expected a 2-d matrix, got shape {A.shape}")
-    rows = []
-    for row in A:
-        cells = ",".join(f"[{_fmt(z.real)},{_fmt(z.imag)}]" for z in row)
-        rows.append(f"[{cells}]")
-    body = ",".join(rows)
-    return f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": [{body}]}}\n'
+    """matrix_to_payload serialized, with every number at 17 significant digits."""
+    payload = matrix_to_payload(M)
+    rows = (",".join(f"[{_fmt(re)},{_fmt(im)}]" for re, im in row) for row in payload["data"])
+    body = ",".join(f"[{cells}]" for cells in rows)
+    return f'{{"rows": {payload["rows"]}, "cols": {payload["cols"]}, "data": [{body}]}}\n'
+
+
+@contextlib.contextmanager
+def decoding(what: str):
+    """The one rule for input files: DECODE_ERRORS within are the input's fault, a MalformedInputError naming `what`."""
+    try:
+        yield
+    except DECODE_ERRORS as exc:
+        cause = exc if isinstance(exc, MatOrderError) else f"{type(exc).__name__}: {exc}"
+        raise MalformedInputError(f"bad {what}: {cause}") from exc
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"matrix parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _payload_to_matrix(payload)
+    with decoding("matrix"):
+        return _payload_to_matrix(json.loads(text))
 
 
 def write_matrix_file(path: Union[str, Path], M: Iterable) -> None:
@@ -106,5 +105,12 @@ def read_text_file(path: Union[str, Path]) -> str:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def read_json_file(path: Union[str, Path], what: str, decode: Callable):
+    """decode(the JSON value of the file at path) under the decoding rule, as a bad `what` file."""
+    text = read_text_file(path)
+    with decoding(f"{what} file {path}"):
+        return decode(json.loads(text))
+
+
 def parse_matrix_file(path: Union[str, Path]) -> np.ndarray:
-    return parse_matrix_text(read_text_file(path))
+    return read_json_file(path, "matrix", _payload_to_matrix)

@@ -112,6 +112,9 @@ def neg_inverse(Z: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _fix01_pole(r: float) -> float:
+    """The pole -(1 - r)/r of x/(rx + 1 - r); DomainViolationError unless r < 1, r != 0."""
+    if not (r < 1.0) or r == 0.0:
+        raise DomainViolationError(f"parameter must satisfy r < 1, r != 0, got {r}")
     return -(1.0 - r) / r
 
 
@@ -121,8 +124,7 @@ def mobius_fix01(r: float, x: float) -> float:
     Defined for parameter r < 1, r != 0; the inverse law is the same family
     at parameter r/(r-1).
     """
-    if not (r < 1.0) or r == 0.0:
-        raise DomainViolationError(f"parameter must satisfy r < 1, r != 0, got {r}")
+    _fix01_pole(r)
     denom = r * x + 1.0 - r
     if denom == 0.0:
         raise DomainViolationError(f"argument {x} is the pole of the map")
@@ -136,11 +138,9 @@ def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TO
     half-plane points (resolvent automatically well defined); sends the
     half-plane into itself for every admissible r.
     """
-    if not (r < 1.0) or r == 0.0:
-        raise DomainViolationError(f"parameter must satisfy r < 1, r != 0, got {r}")
+    pole = _fix01_pole(r)
     M = as_square(X)
     n = M.shape[0]
-    pole = _fix01_pole(r)
     shifted = M - pole * np.eye(n)
     hermitian = _is_hermitian(M, tol)
     if hermitian:

@@ -425,28 +425,16 @@ def _is_invertible(M: np.ndarray, tol: ToleranceConfig):
 
 
 def _spectra_invertible(values: np.ndarray, tol: ToleranceConfig):
-    """_is_invertible of Hermitian matrices from ascending spectra (..., n), n >= 1, as sigma = |lambda|."""
+    """_is_invertible from singular values (..., n), n >= 1, in any order, or from spectra, as sigma = |lambda|."""
     magnitudes = np.abs(values)
     return magnitudes.min(axis=-1) > tol.inv_margin * (1.0 + magnitudes.max(axis=-1))
-
-
-def _spectral_pinv(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian matrix from its eigendecomposition.
-
-    Eigenvalues above the rank cutoff psd_tol*(1+||A||_2) in magnitude are
-    inverted, the rest are zeroed.
-    """
-    values = decomp.values
-    cut = _rank_cut(values, tol)
-    inv = np.where(np.abs(values) > cut, 1.0 / np.where(np.abs(values) > cut, values, 1.0), 0.0)
-    return herm_part((decomp.vectors * inv) @ decomp.vectors.conj().T)
 
 
 def _sqrt_psd(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, from its eigendecomposition.
 
     Eigenvalues within the rank cutoff psd_tol*(1+||A||_2) of zero are treated
-    as exact zeros (same rank decision as _spectral_pinv), since roots of
+    as exact zeros (the rank decision of order.rank_one_leq), since roots of
     eps-level noise would smear sqrt(eps) into the kernel; one below the
     negated cutoff, where _loewner_compare(0, A, tol).leq fails, raises.
     """

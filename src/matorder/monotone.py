@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DomainViolationError, MalformedInputError
-from .fileio import read_text_file
-from .halfplane import _checked_int, _in_half_plane, mobius_fix01
+from .fileio import decoding, read_text_file
+from .halfplane import _checked_int, _fix01_pole, _in_half_plane, mobius_fix01
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -228,14 +228,14 @@ class PickRepresentation:
         a, b = self.interval
         if not a < b:
             raise MalformedInputError("interval must be nonempty")
-        if self.d < 0.0:
-            raise MalformedInputError("linear coefficient d must be >= 0")
+        if not (math.isfinite(self.c) and 0.0 <= self.d < math.inf):
+            raise MalformedInputError("need a finite c and a finite linear coefficient d >= 0")
         atoms = tuple((float(y), float(w)) for y, w in self.atoms)
         for y, w in atoms:
-            if w <= 0.0:
-                raise MalformedInputError("atom weights must be positive")
-            if a < y < b:
-                raise MalformedInputError(f"atom location {y} lies inside the interval")
+            if not 0.0 < w < math.inf:
+                raise MalformedInputError("atom weights must be positive and finite")
+            if not math.isfinite(y) or a < y < b:
+                raise MalformedInputError(f"atom location {y} must be finite and outside the interval")
         object.__setattr__(self, "atoms", atoms)
 
     def scalar_function(self) -> ScalarFunction:
@@ -301,20 +301,17 @@ def _tabulated(path: str) -> ScalarFunction:
     from scipy.interpolate import PchipInterpolator
 
     text = read_text_file(path)
-    try:
+    with decoding(f"table file {path}"):
         try:
             payload = json.loads(text)
             xs = np.asarray(payload["x"], dtype=float)
             ys = np.asarray(payload["y"], dtype=float)
         except json.JSONDecodeError:
-            rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
-            data = np.asarray([[float(c) for c in row] for row in rows])
+            data = np.asarray([line.split(",") for line in text.strip().splitlines() if line.strip()], dtype=float)
             xs, ys = data[:, 0], data[:, 1]
         if xs.size < 2 or np.any(np.diff(xs) <= 0):
             raise MalformedInputError("table needs at least two strictly increasing x values")
         spline = PchipInterpolator(xs, ys)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise MalformedInputError(f"bad table file {path}: {exc}") from exc
     dspline = spline.derivative()
     return ScalarFunction(
         lambda t: float(spline(t)),
@@ -352,7 +349,7 @@ def builtin_function(name: str) -> ScalarFunction:
         r = float(name.split(":", 1)[1])
         if not (r < 1.0 and r != 0.0):
             raise MalformedInputError("rational parameter must satisfy r < 1, r != 0")
-        pole = 1.0 - 1.0 / r
+        pole = _fix01_pole(r)
         return _fix01_function(r, (pole, math.inf) if r > 0 else (-math.inf, pole), name)
     if name.startswith("table:"):
         return _tabulated(name.split(":", 1)[1])

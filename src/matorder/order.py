@@ -20,7 +20,6 @@ from .linalg import (
     _loewner_compare,
     _rank_cut,
     _same_dim,
-    _spectral_pinv,
     _spectrum_inertia,
     as_hermitian,
     herm_part,
@@ -80,9 +79,11 @@ def rank_one_leq(R: Iterable, A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -
     """Order test R <= A for rank-one PSD R against PSD A.
 
     True iff range(R) lies inside range(A) and tr(pinv(A) R) <= 1 + psd_tol.
-    Range inclusion is tested by projecting R's range vector onto the
-    eigenvectors of A below the psd_tol rank cutoff, which avoids forming an
-    ill-conditioned pseudo-inverse of a nearly singular A.
+    Both read w = V_A* v, the coordinates of R's range vector v in A's
+    eigenbasis, once: its part on the eigenvectors below the psd_tol rank
+    cutoff is the leak out of range(A), and sum |w_i|^2 / lambda_i over the
+    rest is the trace, so no ill-conditioned pseudo-inverse of a nearly
+    singular A is formed.
     """
     R, A = _same_dim(as_hermitian(R, tol, "R"), as_hermitian(A, tol, "A"))
     decompR, decompA = _eigh(R), _eigh(A)
@@ -96,11 +97,12 @@ def rank_one_leq(R: Iterable, A: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -
     weight = float(decompR.values[-1])
     vec = decompR.vectors[:, -1] * math.sqrt(max(weight, 0.0))
 
-    kernel = decompA.vectors[:, np.abs(decompA.values) <= cutA]
-    leak = float(np.linalg.norm(kernel.conj().T @ vec))
+    w = decompA.vectors.conj().T @ vec
+    kernel = np.abs(decompA.values) <= cutA
+    leak = float(np.linalg.norm(w[kernel]))
     if leak > math.sqrt(tol.psd_tol) * (1.0 + float(np.linalg.norm(vec))):
         return False
-    trace = float(np.real(np.vdot(vec, _spectral_pinv(decompA, tol) @ vec)))
+    trace = float(np.sum(np.abs(w[~kernel]) ** 2 / decompA.values[~kernel]))
     return trace <= 1.0 + tol.psd_tol
 
 

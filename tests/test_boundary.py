@@ -274,6 +274,21 @@ def test_monotone_and_suite_integers_are_checked(call, message):
         call()
 
 
+def test_block_sizes_that_are_no_integers_are_malformed():
+    # in_block_domain(BlockMapSpec(3, 1.5, 0), I) and bordered_embedding(2.5, X) used to end in numpy's TypeError
+    for sizes, key, kind in (((3, 1.5, 0), "m", "float"), ((3.0, 1, 0), "n", "float"), ((3, 1, "1"), "p", "str")):
+        with pytest.raises(MalformedInputError, match=rf"^{key} must be an integer, got {kind}$"):
+            in_block_domain(BlockMapSpec(*sizes), np.eye(3))
+    for corner in (bordered_embedding, bordered_arrangement):
+        with pytest.raises(MalformedInputError, match=r"^m must be an integer, got float$"):
+            corner(2.5, np.eye(3))
+        with pytest.raises(MalformedInputError, match=r"^need 0 <= m <= dim\([XY]\)$"):
+            corner(4, np.eye(3))
+    # numpy integers are integers
+    assert in_block_domain(BlockMapSpec(np.int64(3), np.int64(1), np.int64(1)), np.eye(3))
+    assert bordered_embedding(np.int64(1), np.eye(2)).shape == (3, 3)
+
+
 def test_an_anchor_that_is_no_pair_is_malformed():
     # used to raise IndexError: tuple index out of range
     for anchor in ((SMALL,), (SMALL, SMALL, SMALL), SMALL[0, 0]):

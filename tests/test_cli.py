@@ -264,6 +264,25 @@ def test_integer_and_scale_arguments_out_of_range_are_usage_errors(capsys, args,
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["effect", "halfplane"])
+def test_gen_scale_is_refused_by_a_kind_that_reads_none(capsys, kind):
+    # both kinds used to accept any valid --scale and ignore it
+    assert main(["gen", "--kind", kind, "--dim", "2", "--scale", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: --kind {kind} reads no --scale\n")
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "psd", "effect", "halfplane"])
+def test_gen_without_scale_draws_as_before(capsys, kind):
+    # --scale defaults to "not given"; the kinds that read it draw at scale 1 then, as before
+    args = ["gen", "--kind", kind, "--dim", "3", "--seed", "4"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    if kind in ("hermitian", "psd"):
+        assert main(args + ["--scale", "1"]) == 0 and capsys.readouterr().out == plain
+        assert main(args + ["--scale", "2"]) == 0 and capsys.readouterr().out != plain
+    assert parse_matrix_text(plain).shape == (3, 3)
+
+
 def test_matrix_stdout_round_trip(tmp_path):
     r = run_cli("gen", "--kind", "hermitian", "--dim", "3", "--seed", "13")
     M = parse_matrix_text(r.stdout)

@@ -1,5 +1,7 @@
 """Matrix file format: lossless round trips and malformed-input rejection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,28 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "x.json"
     write_matrix_file(path, X)
     assert np.array_equal(parse_matrix_file(path), X)
+
+
+def _per_entry_reference(payload: dict) -> np.ndarray:
+    """The decoder as an entry-by-entry loop: complex(float(re), float(im)) per [re, im] pair."""
+    out = np.zeros((payload["rows"], payload["cols"]), dtype=complex)
+    for i, row in enumerate(payload["data"]):
+        for j, (re, im) in enumerate(row):
+            out[i, j] = complex(float(re), float(im))
+    return out
+
+
+def test_decoding_gives_the_bits_of_the_per_entry_loop():
+    # -0.0, subnormals, integers and the extremes of the doubles, as JSON numbers or their 17-digit text
+    rng = np.random.default_rng(72)
+    specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 3, -7, 1e22]
+    for rows, cols in ((1, 1), (2, 3), (4, 4), (0, 0), (0, 2), (2, 0)):
+        values = rng.choice(specials + list(rng.standard_normal(8) * 10.0 ** rng.uniform(-300, 300, 8)),
+                            size=(rows, cols, 2))
+        payload = {"rows": rows, "cols": cols, "data": [[[v for v in pair] for pair in row] for row in values]}
+        for text in (json.dumps(payload), matrix_to_text(_per_entry_reference(payload))):
+            got, want = parse_matrix_text(text), _per_entry_reference(json.loads(text))
+            assert got.shape == want.shape == (rows, cols) and got.tobytes() == want.tobytes()
 
 
 def test_parse_reports_line_and_column():

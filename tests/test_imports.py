@@ -357,8 +357,8 @@ SHELL_SITES = {
     ("suites", "_suite_congruence_orbit", "inertia"): 1,
     # the census: distinct representatives are inequivalent under the public test
     ("suites", "_suite_class_count", "are_equivalent"): 1,
-    # the factors 2 and 4, and the two roots they share, are callable on outside input
-    ("classify", "rational_effect_factors", "spectral_apply"): 4,
+    # the reweighting behind factors 2 and 4 is callable on outside input, as is the root of factor 3
+    ("classify", "rational_effect_factors", "spectral_apply"): 2,
     # the evaluator's probe response comes from outside: a non-finite one stays a MalformedInputError
     ("halfplane", "_congruence_from_probes", "hermitian_eigen"): 1,
     # a shell over a shell: spectral_apply validates through hermitian_eigen

@@ -17,7 +17,6 @@ from matorder.linalg import (
     _hermitian_opnorms,
     _is_invertible,
     _opnorms,
-    _spectral_pinv,
     _sqrt_psd,
     as_hermitian,
     frob,
@@ -207,18 +206,6 @@ def test_sqrt_psd_keeps_exact_kernel():
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(DomainViolationError):
         _sqrt_psd(_eigh(np.diag([1.0, -0.5]).astype(complex)), DEFAULT_TOL)
-
-
-def test_spectral_pinv_moore_penrose():
-    # oracle: the four Moore-Penrose identities on a rank-deficient matrix
-    rng = np.random.default_rng(6)
-    V = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
-    A = herm_part(V @ np.diag([2.0, 1.0, 0.5, 0.0, 0.0]) @ V.conj().T)
-    P = _spectral_pinv(_eigh(A), DEFAULT_TOL)
-    assert frob(A @ P @ A - A) <= 1e-10
-    assert frob(P @ A @ P - P) <= 1e-10
-    assert frob(herm_part(A @ P) - A @ P) <= 1e-10
-    assert frob(herm_part(P @ A) - P @ A) <= 1e-10
 
 
 def test_spectral_apply_matches_scalar_closed_form():

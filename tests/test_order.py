@@ -95,6 +95,23 @@ def test_rank_one_leq_respects_range_condition():
     assert not rank_one_leq(R_out, A)
 
 
+def test_rank_one_leq_reads_the_trace_on_the_range_of_a_singular_base():
+    # oracle: tr(pinv(A) R) <= 1 with numpy's pseudo-inverse, for R inside the range of a rank-3 A
+    rng = np.random.default_rng(6)
+    checked = 0
+    for _ in range(60):
+        V = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+        A = herm_part(V @ np.diag([2.0, 1.0, 0.5, 0.0, 0.0]) @ V.conj().T)
+        v = V[:, :3] @ (rng.normal(size=3) + 1j * rng.normal(size=3))
+        R = herm_part(np.outer(v, v.conj()) * rng.uniform(0.05, 0.5))
+        trace = float(np.trace(np.linalg.pinv(A, hermitian=True) @ R).real)
+        if abs(trace - 1.0) < 1e-6:
+            continue
+        assert rank_one_leq(R, A) == (trace <= 1.0), trace
+        checked += 1
+    assert checked > 50
+
+
 def test_rank_one_leq_rejects_higher_rank():
     with pytest.raises(MalformedInputError):
         rank_one_leq(np.eye(2), np.eye(2))

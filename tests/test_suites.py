@@ -1,6 +1,7 @@
 """Suite runner: registry coverage, determinism, and report structure."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import textwrap
@@ -12,6 +13,7 @@ from matorder import localiso, suites
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.fileio import matrix_to_payload
+from matorder.monotone import PickRepresentation
 from matorder.suites import SUITES, run_suite, suite_description, suite_names
 
 # heavier suites get a reduced smoke count; the acceptance tests run the
@@ -284,6 +286,34 @@ def test_theta_inversion_records_a_refused_mirrored_image(monkeypatch):
     report = run_suite("theta-inversion", seed=0, trials=6)
     assert len(images) == 6 and report.details["failure_count"] == 6
     assert [f["description"] for f in report.failures] == ["image not in the mirrored domain"] * 6
+
+
+def test_rel_of_a_stack_is_the_worst_member_bit_for_bit():
+    # the refit checks take _rel of a whole stack; the reference is the loop over its members
+    rng = np.random.default_rng(90)
+    for k, n in ((1, 2), (5, 3), (15, 4)):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        got, want = (rng.standard_normal((2, k, n, n)) + 1j * rng.standard_normal((2, k, n, n))) * scale
+        worst = 0.0
+        for g, w in zip(got, want):
+            worst = max(worst, suites.opnorm(g - w) / (1.0 + suites.opnorm(w)))
+        first = suites.opnorm(got[0] - want[0]) / (1.0 + suites.opnorm(want[0]))
+        assert suites._rel(got, want) == worst and suites._rel(got[0], want[0]) == first
+
+
+def test_pick_evaluation_fails_a_planted_wrong_scalar_formula(monkeypatch):
+    # the scalar check used to compare pick_eval's scalar value with the same closure, so it could not fail;
+    # the 1 x 1 matrix route it now compares with has a formula of its own
+    honest = PickRepresentation.scalar_function
+
+    def planted(rep):
+        f = honest(rep)
+        return dataclasses.replace(f, value=lambda x: f.value(x) * (1.0 + 1e-9))
+
+    assert run_suite("pick-evaluation", seed=0, trials=20).passed
+    monkeypatch.setattr(PickRepresentation, "scalar_function", planted)
+    failures = run_suite("pick-evaluation", seed=0, trials=20).failures
+    assert failures and all(f["description"].startswith("scalar evaluation mismatch") for f in failures)
 
 
 def test_check_order_fails_past_its_cushion_and_on_lost_strictness():
