@@ -25,9 +25,9 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, MalformedInputError
-from .halfplane import MobiusAutomorphism, _checked_int, _fix01_pole, _mobius_eval, _shifted, mobius_fix01
+from .halfplane import MobiusAutomorphism, _fix01_pole, _mobius_eval, _shifted, mobius_fix01
 from .linalg import (
     _eigh,
     _eigvalsh,

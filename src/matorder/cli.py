@@ -11,7 +11,7 @@ Matrix files are JSON {"rows": n, "cols": m, "data": [[[re, im], ...], ...]}
 with numbers at 17 significant digits. Exit codes: 0 success, 1 property
 failure, 2 usage or parse error, 3 domain violation. The environment
 variable MATORDER_TOLERANCES ("psd_tol=1e-7,inv_margin=1e-9") overrides
-numerical cushions.
+numerical cushions. Each handler imports the library modules it calls.
 """
 
 from __future__ import annotations
@@ -24,23 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (
-    BlockMapSpec,
-    EffectAutoSpec,
-    FpqSpec,
-    block_map_apply,
-    effect_automorphism,
-    signature_class,
-)
-from .config import DEFAULT_TOL, ToleranceConfig, parse_tolerance_overrides
+from .config import DEFAULT_TOL, ToleranceConfig, _checked_int, parse_tolerance_overrides
 from .errors import DomainViolationError, MalformedInputError, PathSearchError
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_file, read_json_file, write_matrix_file
-from .halfplane import MobiusAutomorphism, _checked_int, apply_mobius
-from .linalg import as_hermitian, inertia
-from .localiso import order_iso_apply, shear_apply
-from .monotone import PickRepresentation, builtin_function, is_matrix_monotone, pick_eval
-from .sampling import random_effect, random_half_plane, random_hermitian, random_psd
-from .suites import run_suite, suite_description, suite_names
 
 __all__ = ["main"]
 
@@ -48,12 +34,12 @@ __all__ = ["main"]
 # already writes 45 MB, and far larger ones fail to allocate
 MAX_DIM = 1024
 
-# gen's kinds, the choices of --kind: kind -> (draw(rng, dim, scale), whether it reads --scale)
+# gen's kinds, the choices of --kind: kind -> (draw(sampling, rng, dim, scale), whether it reads --scale)
 GEN_KINDS = {
-    "hermitian": (lambda rng, dim, scale: random_hermitian(rng, dim, scale=scale), True),
-    "psd": (lambda rng, dim, scale: random_psd(rng, dim, scale=scale), True),
-    "effect": (lambda rng, dim, scale: random_effect(rng, dim), False),
-    "halfplane": (lambda rng, dim, scale: random_half_plane(rng, dim), False),
+    "hermitian": (lambda sampling, rng, dim, scale: sampling.random_hermitian(rng, dim, scale=scale), True),
+    "psd": (lambda sampling, rng, dim, scale: sampling.random_psd(rng, dim, scale=scale), True),
+    "effect": (lambda sampling, rng, dim, scale: sampling.random_effect(rng, dim), False),
+    "halfplane": (lambda sampling, rng, dim, scale: sampling.random_half_plane(rng, dim), False),
 }
 
 
@@ -65,6 +51,7 @@ def _emit_matrix(M: np.ndarray, out: Optional[str]) -> None:
 
 
 def _cmd_classify(args, tol: ToleranceConfig) -> int:
+    from .classify import signature_class
     A = parse_matrix_file(args.matrix)
     cls = signature_class(A, tol)
     dim = int(A.shape[0])
@@ -85,14 +72,18 @@ def _require(value, flag: str, map_name: str):
 
 
 def _cmd_apply(args, tol: ToleranceConfig) -> int:
+    from .linalg import as_hermitian, inertia  # every map's module loads linalg
     X = parse_matrix_file(args.matrix)
     if args.map == "theta":
+        from .localiso import shear_apply
         base = parse_matrix_file(_require(args.base, "--base", "theta"))
         out = shear_apply(base, as_hermitian(X, tol, "X"), tol)
     elif args.map == "phi":
+        from .localiso import order_iso_apply
         base = parse_matrix_file(_require(args.base, "--base", "phi"))
         out = order_iso_apply(base, X, tol)
     elif args.map == "phi-mp":
+        from .classify import BlockMapSpec, block_map_apply
         m = _require(args.corner, "--corner", "phi-mp")
         X = as_hermitian(X, tol, "X")
         n = X.shape[0]
@@ -104,6 +95,7 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
             p = args.positive
         out = block_map_apply(BlockMapSpec(n, m, p), X, tol)
     elif args.map in ("effect", "fpq"):
+        from .classify import EffectAutoSpec, FpqSpec, effect_automorphism
         frame = parse_matrix_file(_require(args.frame, "--frame", args.map))
         if args.map == "effect":
             m = EffectAutoSpec(frame=frame, transpose=args.transpose)
@@ -112,6 +104,7 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
                         transpose=args.transpose).automorphism
         out = effect_automorphism(m, X, tol)
     elif args.map == "mobius":
+        from .halfplane import MobiusAutomorphism, apply_mobius
         frame = parse_matrix_file(_require(args.frame, "--frame", "mobius"))
         n = frame.shape[0]
         # validated under MATORDER_TOLERANCES here; the map type checks them with the defaults
@@ -121,13 +114,15 @@ def _cmd_apply(args, tol: ToleranceConfig) -> int:
                                  transpose=args.transpose)
         out = apply_mobius(mob, X, tol)
     else:  # "pick", the last of --map's choices
+        from .monotone import pick_eval
         rep = _load_pick(_require(args.rep, "--rep", "pick"))
         out = np.atleast_2d(pick_eval(rep, X, tol))
     _emit_matrix(np.asarray(out, dtype=complex), args.out)
     return 0
 
 
-def _load_pick(path: str) -> PickRepresentation:
+def _load_pick(path: str):
+    from .monotone import PickRepresentation
     def decode(payload) -> PickRepresentation:
         rep = {"c": 0.0, "d": 0.0, "atoms": [], **payload}  # a TypeError unless payload is an object
         return PickRepresentation(c=float(rep["c"]), d=float(rep["d"]), atoms=rep["atoms"],
@@ -138,6 +133,7 @@ def _load_pick(path: str) -> PickRepresentation:
 def _cmd_check_monotone(args, tol: ToleranceConfig) -> int:
     if not 1 <= args.order <= MAX_DIM:
         raise MalformedInputError(f"--order must lie in [1, {MAX_DIM}], got {args.order}")
+    from .monotone import builtin_function, is_matrix_monotone
     f = builtin_function(args.fn)
     report = is_matrix_monotone(f, args.order, trials=args.trials, seed=args.seed, tol=tol)
     payload = {
@@ -160,6 +156,7 @@ def _cmd_check_monotone(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_verify(args, tol: ToleranceConfig) -> int:
+    from .suites import run_suite, suite_description, suite_names
     if args.list:
         for name in suite_names():
             print(f"{name:26s} {suite_description(name)}")
@@ -176,6 +173,7 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_gen(args, tol: ToleranceConfig) -> int:
+    from . import sampling
     rng = np.random.default_rng(_checked_int(args.seed, "--seed", 0))
     if not 1 <= args.dim <= MAX_DIM:
         raise MalformedInputError(f"--dim must lie in [1, {MAX_DIM}], got {args.dim}")
@@ -184,7 +182,7 @@ def _cmd_gen(args, tol: ToleranceConfig) -> int:
         raise MalformedInputError(f"--kind {args.kind} reads no --scale")
     if args.scale is not None and not 0.0 < args.scale < np.inf:
         raise MalformedInputError(f"--scale must be finite and positive, got {args.scale}")
-    _emit_matrix(draw(rng, args.dim, 1.0 if args.scale is None else args.scale), args.out)
+    _emit_matrix(draw(sampling, rng, args.dim, 1.0 if args.scale is None else args.scale), args.out)
     return 0
 
 

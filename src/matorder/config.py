@@ -1,13 +1,17 @@
-"""Tolerance configuration.
+"""Tolerance configuration, and the one rule for integer arguments.
 
 Every numerical gate in the library threads through a ToleranceConfig so
 defaults can be overridden globally (CLI environment variable) or per call.
+`_checked_int` guards every dimension, seed, order and trial count; it is
+pure Python, so a CLI command that checks one loads no numerical module.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from typing import Optional
 
 from .errors import MalformedInputError
 
@@ -63,3 +67,15 @@ def parse_tolerance_overrides(text: str, base: ToleranceConfig = DEFAULT_TOL) ->
         except ValueError as exc:
             raise MalformedInputError(f"bad tolerance value in {item!r}") from exc
     return base.replace(**overrides)
+
+
+def _checked_int(value, name: str, minimum: Optional[int] = None) -> int:
+    """value as an int; MalformedInputError naming the argument for a non-integer, or for one below a
+    `minimum` of 0 (non-negative) or 1 (positive)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise MalformedInputError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if minimum is not None and value < minimum:
+        raise MalformedInputError(f"{name} must be {'positive' if minimum else 'non-negative'}")
+    return value

@@ -12,12 +12,11 @@ parameters.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from .linalg import (
     _check_guard,
@@ -285,18 +284,6 @@ def _congruence_from_probes(
     transpose = res_trp < res_lin
     scale = 1.0 + worst_opnorm(D)
     return (T_trp if transpose else T_lin), transpose, min(res_lin, res_trp), scale
-
-
-def _checked_int(value, name: str, minimum: Optional[int] = None) -> int:
-    """value as an int; MalformedInputError naming the argument for a non-integer, or for one below a
-    `minimum` of 0 (non-negative) or 1 (positive)."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise MalformedInputError(f"{name} must be an integer, got {type(value).__name__}") from None
-    if minimum is not None and value < minimum:
-        raise MalformedInputError(f"{name} must be {'positive' if minimum else 'non-negative'}")
-    return value
 
 
 def _checked_evaluator(evaluator: Callable, dim: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -22,9 +22,9 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, ModelMismatchError, PathSearchError
-from .halfplane import (MobiusAutomorphism, _checked_evaluator, _checked_int, _congruence_from_probes, _mobius_eval,
+from .halfplane import (MobiusAutomorphism, _checked_evaluator, _congruence_from_probes, _mobius_eval,
                         _shifted, normalize_phase)
 from .linalg import (
     _eigh,

@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, MalformedInputError
 from .fileio import decoding, read_text_file
-from .halfplane import _checked_int, _fix01_pole, _in_half_plane, mobius_fix01
+from .halfplane import _fix01_pole, _in_half_plane, mobius_fix01
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -161,7 +161,8 @@ def _draw_nodes(rng: np.random.Generator, order: int, lo: float, hi: float) -> n
         pts = np.sort(rng.uniform(lo, hi, size=order))
         if order < 2 or float(np.min(np.diff(pts))) > 0.0:
             return pts
-    raise RuntimeError("failed to draw distinct nodes")
+    # an interval end so large that the sampling window holds only a few doubles
+    raise MalformedInputError(f"cannot draw {order} distinct nodes in the sampling window [{lo}, {hi}]")
 
 
 def _draw_pair(rng: np.random.Generator, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -324,7 +325,11 @@ def _tabulated(path: str) -> ScalarFunction:
 
 def _fix01_function(r: float, domain: Tuple[float, float], name: str) -> ScalarFunction:
     """halfplane.mobius_fix01 at parameter r, x/(rx + 1 - r), with its derivative, on domain."""
-    return ScalarFunction(partial(mobius_fix01, r), domain, lambda x: (1.0 - r) / (r * x + 1.0 - r) ** 2, name=name)
+    def derivative(x: float) -> float:
+        denom = r * x + 1.0 - r  # past 1e154 its square would overflow where the quotient need not
+        return (1.0 - r) / denom ** 2 if abs(denom) < 1e154 else (1.0 - r) / denom / denom
+
+    return ScalarFunction(partial(mobius_fix01, r), domain, derivative, name=name)
 
 
 def builtin_function(name: str) -> ScalarFunction:
@@ -340,17 +345,18 @@ def builtin_function(name: str) -> ScalarFunction:
         return ScalarFunction(math.log, (0.0, math.inf), lambda x: 1.0 / x, name="log")
     if name == "square":
         return ScalarFunction(lambda x: x * x, (0.0, math.inf), lambda x: 2.0 * x, name="square")
-    if name.startswith("fp:"):
-        p = float(name.split(":", 1)[1])
-        if not 0.0 < p < 1.0:
-            raise MalformedInputError("fp parameter must lie in (0, 1)")
-        return _fix01_function(p, (0.0, 1.0), name)
-    if name.startswith("rational:"):
-        r = float(name.split(":", 1)[1])
-        if not (r < 1.0 and r != 0.0):
-            raise MalformedInputError("rational parameter must satisfy r < 1, r != 0")
-        pole = _fix01_pole(r)
-        return _fix01_function(r, (pole, math.inf) if r > 0 else (-math.inf, pole), name)
     if name.startswith("table:"):
         return _tabulated(name.split(":", 1)[1])
-    raise MalformedInputError(f"unknown function name: {name!r}")
+    family, colon, text = name.partition(":")
+    if not colon or family not in ("fp", "rational"):
+        raise MalformedInputError(f"unknown function name: {name!r}")
+    with decoding(f"{family} parameter {text!r}"):  # the one rule for outside text
+        r = float(text)
+    if family == "fp":
+        if not 0.0 < r < 1.0:
+            raise MalformedInputError("fp parameter must lie in (0, 1)")
+        return _fix01_function(r, (0.0, 1.0), name)
+    if not (r < 1.0 and r != 0.0):
+        raise MalformedInputError("rational parameter must satisfy r < 1, r != 0")
+    pole = _fix01_pole(r)
+    return _fix01_function(r, (pole, math.inf) if r > 0 else (-math.inf, pole), name)

@@ -45,10 +45,10 @@ from .classify import (BlockMapSpec, EffectAutoSpec, EffectEmbeddingSpec, FpqSpe
                        _in_block_domain, _signature_class, block_map_apply, class_count, are_equivalent,
                        effect_embedding_map, endpoint_continuity, enumerate_signatures, rational_effect_factors,
                        signature_class)
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError, PathSearchError
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_text
-from .halfplane import (MobiusAutomorphism, _apply_mobius, _checked_int, _fit_canonical, cayley, in_half_plane,
+from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, cayley, in_half_plane,
                         inverse_cayley, mobius_fix01, mobius_fix01_matrix, neg_inverse, normalize_phase)
 from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _hermitian_opnorms, _is_invertible, _jacobi_eigen,
                      _loewner_compare, _opnorms, _order_verdict, _spectra_have_inertia, _spectra_invertible,

@@ -264,6 +264,26 @@ def test_integer_and_scale_arguments_out_of_range_are_usage_errors(capsys, args,
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("fn, message", [
+    # each used to end in a ValueError traceback with exit 1, the code of a property failure
+    ("rational:abc", "bad rational parameter 'abc': ValueError: could not convert string to float: 'abc'"),
+    ("fp:abc", "bad fp parameter 'abc': ValueError: could not convert string to float: 'abc'"),
+    # the pole sits near -/+1e300, where the sampling window holds one double: a RuntimeError traceback
+    ("rational:1e-300", "cannot draw 2 distinct nodes in the sampling window "
+                        "[-9.999999999999999e+299, -9.999999999999999e+299]"),
+])
+def test_check_monotone_refuses_a_parameter_it_cannot_read_or_sample(capsys, fn, message):
+    assert main(["check-monotone", "--fn", fn, "--order", "2", "--trials", "20"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("r", ["-1e200", "-1.7e308"])
+def test_check_monotone_gives_a_verdict_at_a_huge_rational_parameter(capsys, r):
+    # the derivative's square (r x + 1 - r)**2 used to raise OverflowError: a traceback with exit 1
+    assert main(["check-monotone", "--fn", f"rational:{r}", "--order", "2", "--trials", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+
+
 @pytest.mark.parametrize("kind", ["effect", "halfplane"])
 def test_gen_scale_is_refused_by_a_kind_that_reads_none(capsys, kind):
     # both kinds used to accept any valid --scale and ignore it

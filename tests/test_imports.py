@@ -2,11 +2,13 @@
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
 draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
 per-matrix recovery call in the suites, no validating shell read in library code outside the
-listed sites, scipy stays off the CLI's import path and off an fpq apply, the package binds
-every module's __all__, and every __all__ name is read outside its module."""
+listed sites, scipy stays off the CLI's import path and off an fpq apply, a process loads only
+the modules it runs, the package binds every module's __all__ on demand as an eager import did,
+and every __all__ name is read outside its module."""
 
 import ast
 import importlib
+import json
 import math
 import os
 import pathlib
@@ -22,9 +24,11 @@ from matorder.fileio import write_matrix_file
 PACKAGE = pathlib.Path(matorder.__file__).parent
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the modules whose __all__ the package re-exports whole
+REEXPORTED = ["linalg", "order", "halfplane", "localiso", "classify", "monotone"]
 
 
-@pytest.mark.parametrize("module", ["linalg", "order", "halfplane", "localiso", "classify", "monotone"])
+@pytest.mark.parametrize("module", REEXPORTED)
 def test_package_binds_each_public_name_of_the_module(module):
     mod = importlib.import_module(f"matorder.{module}")
     assert [name for name in mod.__all__ if getattr(matorder, name, None) is not getattr(mod, name)] == []
@@ -477,16 +481,23 @@ def test_fixed_seed_scan_sees_a_redrawn_constant_seed():
     assert _fixed_seed_generators(source) == [(6, "f"), (8, "f"), (11, "m")]
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The sorted scipy modules loaded once `code` has run in a fresh interpreter with matorder importable."""
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _fresh_json(code: str):
+    """The JSON value on the last line `code` prints in a fresh interpreter with matorder importable."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120)
-    return out.stdout.strip().splitlines()[-1]
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _loaded_after(code: str) -> dict:
+    """The modules loaded once `code` has run in a fresh interpreter: "scipy", the sorted scipy modules;
+    "matorder", the sorted names of the matorder modules below the package."""
+    return _fresh_json(code + "\nimport json, sys\nprint(json.dumps({"
+                       "'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+                       " 'matorder': sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('matorder.'))}))")
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import matorder.cli") == "[]"
+    assert _loaded_after("import matorder.cli")["scipy"] == []
 
 
 def test_fpq_apply_loads_no_scipy(tmp_path):
@@ -495,5 +506,46 @@ def test_fpq_apply_loads_no_scipy(tmp_path):
     write_matrix_file(x, np.diag([0.3, 0.7]))
     argv = ["apply", "--map", "fpq", "--frame", frame, "--p", "0.4", "--q", "-1.5", "--transpose", x, "--out", y]
     code = f"import matorder.cli\nassert matorder.cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _loaded_after(code)["scipy"] == []
     assert pathlib.Path(y).exists()
+
+
+# the package's submodules load on demand: a CLI process loads what its subcommand runs
+@pytest.mark.parametrize("code, loaded", [
+    ("import matorder", ["config", "errors"]),
+    ("import matorder.cli", ["cli", "config", "errors", "fileio"]),
+    ("from matorder import linalg", ["config", "errors", "linalg"]),
+    ("from matorder.cli import main\nassert main(['gen', '--kind', 'psd', '--dim', '2']) == 0",
+     ["cli", "config", "errors", "fileio", "linalg", "sampling"]),
+    ("from matorder.cli import main\nassert main(['verify', 'class-count', '--trials', '1']) == 0",
+     ["classify", "cli", "config", "errors", "fileio", "halfplane", "linalg", "localiso", "monotone", "order",
+      "sampling", "suites"]),
+])
+def test_a_process_loads_only_the_modules_it_runs(code, loaded):
+    assert _loaded_after(code)["matorder"] == loaded
+
+
+# the names __init__ imports from config and errors
+CONFIG_AND_ERRORS = {
+    "config": ["DEFAULT_TOL", "ToleranceConfig", "parse_tolerance_overrides"],
+    "errors": ["DomainViolationError", "MalformedInputError", "MatOrderError", "ModelMismatchError", "PathSearchError"],
+}
+
+
+@pytest.mark.parametrize("first", ["getattr", "star import"])
+def test_package_binds_the_public_surface_of_an_eager_import(first):
+    """In a fresh interpreter, whichever lookup loads the modules, getattr(matorder, name) and a star
+    import bind each re-exported name to the object its module binds."""
+    public = {**CONFIG_AND_ERRORS, **{m: importlib.import_module(f"matorder.{m}").__all__ for m in REEXPORTED}}
+    lookups = ["got = {name: getattr(matorder, name) for names in PUBLIC.values() for name in names}",
+               "star = {}\nexec('from matorder import *', star)"]
+    code = "\n".join([
+        "import importlib, json, matorder", f"PUBLIC = {public!r}", *(lookups if first == "getattr" else lookups[::-1]),
+        "own = {name: getattr(importlib.import_module(f'matorder.{module}'), name)",
+        "       for module, names in PUBLIC.items() for name in names}",
+        "print(json.dumps({'getattr': [n for n in own if got[n] is not own[n]],",
+        "                  'star': [n for n in own if star.get(n) is not own[n]],",
+        "                  'unknown name': hasattr(matorder, 'no_such_name'), 'names': len(own)}))",
+    ])
+    names = sum(map(len, public.values()))
+    assert _fresh_json(code) == {"getattr": [], "star": [], "unknown name": False, "names": names}
