@@ -44,6 +44,9 @@ GEN_KINDS = {
 
 
 def _emit_matrix(M: np.ndarray, out: Optional[str]) -> None:
+    """Write M to out, or to stdout; a non-finite result (an overflow inside a map) is a domain error."""
+    if not np.isfinite(M).all():
+        raise DomainViolationError("the result overflows: it has non-finite entries")
     if out:
         write_matrix_file(out, M)
     else:

@@ -56,10 +56,20 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DomainViolationError, MalformedInputError
+from .errors import DomainViolationError, MalformedInputError, PathSearchError
 
+# as_square's bound on the modulus of an entry: half the largest double, so a
+# sum of two entries, as in herm_part, stays finite.
+ENTRY_LIMIT = np.finfo(float).max / 2.0
 # jacobi_eigen stops after this many sweeps even if not yet converged.
 JACOBI_MAX_SWEEPS = 60
+# _principal_sqrt's cap on Denman-Beavers steps: an eigenvalue of M at angle
+# delta from the cut (-inf, 0] takes about log2(1/delta) + 7 (33 at 1e-8), and
+# congruence_orbit's segment test refuses angles below about 1e-7.
+SQRT_MAX_STEPS = 100
+# _principal_sqrt's gate ||S^2 - M||_F <= SQRT_RESIDUAL_TOL ||M||_F: converged
+# roots stay below 2e-13 (2,000 draws, n = 2-8); an unsettled one is far above.
+SQRT_RESIDUAL_TOL = 1e-10
 
 __all__ = [
     "EigenDecomposition",
@@ -96,14 +106,15 @@ class Inertia(NamedTuple):
 
 
 def as_square(X: Iterable, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray of dimension n >= 1; reject non-finite entries."""
+    """Coerce to a square complex ndarray of dimension n >= 1, its entries finite and of modulus <= ENTRY_LIMIT."""
     M = np.asarray(X, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise MalformedInputError(f"{name} must be square, got shape {M.shape}")
     if not M.size:
         raise MalformedInputError(f"{name} is empty")
-    if not np.isfinite(M).all():
-        raise MalformedInputError(f"{name} has non-finite entries")
+    if not np.abs(M).max() <= ENTRY_LIMIT:  # NaN fails too
+        what = f"entries of modulus above {ENTRY_LIMIT:.3e}" if np.isfinite(M).all() else "non-finite entries"
+        raise MalformedInputError(f"{name} has {what}")
     return M
 
 
@@ -447,7 +458,25 @@ def _sqrt_psd(decomp: EigenDecomposition, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _principal_sqrt(M: np.ndarray) -> np.ndarray:
-    """Principal root of M (no eigenvalue on (-inf, 0]); scipy.linalg is imported on first use."""
-    from scipy.linalg import sqrtm
+    """Principal root of M (no eigenvalue on (-inf, 0]) by the coupled Denman-Beavers iteration.
 
-    return np.asarray(sqrtm(M), dtype=complex)
+    Y -> M^{1/2} and Z -> M^{-1/2} (Higham, Functions of Matrices, 2008, eq. 6.15) to 1e-8 relative
+    change, then one Newton step Y <- (Y + Y^{-1} M)/2. Each iterate is a rational function of M, so
+    the root commutes with M. The product form loses digits near the cut and meets singular iterates.
+    PathSearchError on a singular iterate, or a root (settled or not in SQRT_MAX_STEPS) off the gate.
+    """
+    W = np.stack([M, np.eye(M.shape[0], dtype=complex)])  # (Y, Z)
+    try:
+        for _ in range(SQRT_MAX_STEPS):
+            Y = W[0]
+            W = (W + np.linalg.inv(W)[::-1]) / 2.0  # Y <- (Y + Z^{-1})/2 and Z <- (Z + Y^{-1})/2 in one call
+            step = W[0] - Y
+            if np.vdot(step, step).real <= 1e-16 * np.vdot(W[0], W[0]).real:  # squared Frobenius norms
+                break
+        Y = (W[0] + np.linalg.solve(W[0], M)) / 2.0
+    except np.linalg.LinAlgError as exc:
+        raise PathSearchError("principal square root: singular iterate") from exc
+    residual = frob(Y @ Y - M) / frob(M)
+    if not residual <= SQRT_RESIDUAL_TOL:  # a NaN residual fails too
+        raise PathSearchError(f"principal square root: residual {residual:.3e} > {SQRT_RESIDUAL_TOL:.0e}")
+    return Y

@@ -291,7 +291,8 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     T = ((base X + I)^{-1})^{1/2}, the principal root: A f(XA) = f(AX) A for
     every matrix function f, so T A T* = (AX + I)^{-1} A. The root exists iff
     no eigenvalue of AX is real and <= -1, that is iff the straight segment
-    from 0 to X stays inside the shear domain; PathSearchError otherwise.
+    from 0 to X stays inside the shear domain; PathSearchError otherwise, or
+    when linalg._principal_sqrt's iteration misses its residual gate.
     The root is taken of the inverse, not inverted after: near-singular
     AX + I loses an order of magnitude in the congruence residual that way.
     """

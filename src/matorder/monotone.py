@@ -11,6 +11,7 @@ are evaluated on scalars, Hermitian matrices, and half-plane points.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -298,9 +299,9 @@ def pick_eval(
 
 
 def _tabulated(path: str) -> ScalarFunction:
-    """Monotone cubic interpolation of tabulated samples, flagged approximate."""
-    from scipy.interpolate import PchipInterpolator
-
+    """PCHIP through tabulated samples, flagged approximate. The table rule: x and y are one-dimensional, of one
+    length >= 2 and finite; x increases strictly over a finite span; every secant slope (so every coefficient)
+    is finite."""
     text = read_text_file(path)
     with decoding(f"table file {path}"):
         try:
@@ -310,17 +311,55 @@ def _tabulated(path: str) -> ScalarFunction:
         except json.JSONDecodeError:
             data = np.asarray([line.split(",") for line in text.strip().splitlines() if line.strip()], dtype=float)
             xs, ys = data[:, 0], data[:, 1]
-        if xs.size < 2 or np.any(np.diff(xs) <= 0):
-            raise MalformedInputError("table needs at least two strictly increasing x values")
-        spline = PchipInterpolator(xs, ys)
-    dspline = spline.derivative()
-    return ScalarFunction(
-        lambda t: float(spline(t)),
-        (float(xs[0]), float(xs[-1])),
-        lambda t: float(dspline(t)),
-        name=f"table:{path}",
-        approximate=True,
-    )
+        if xs.ndim != 1 or ys.shape != xs.shape or xs.size < 2:
+            raise MalformedInputError(f"table needs x and y of one length >= 2, got shapes {xs.shape} and {ys.shape}")
+        with np.errstate(over="ignore"):  # an overflowing span is refused here, not warned about
+            if not (np.isfinite(ys).all() and np.all(np.diff(xs) > 0) and np.isfinite(xs[-1] - xs[0])):
+                raise MalformedInputError("table needs finite values, x strictly increasing over a finite span")
+        value, derivative = _pchip(xs, ys)
+    return ScalarFunction(value, (float(xs[0]), float(xs[-1])), derivative, name=f"table:{path}", approximate=True)
+
+
+def _pchip(xs: np.ndarray, ys: np.ndarray) -> Tuple[Callable[[float], float], Callable[[float], float]]:
+    """Value and derivative of scipy's PchipInterpolator through (xs, ys), bit for bit.
+
+    Interior slopes are Fritsch and Carlson's (SIAM J. Numer. Anal. 17, 1980): the weighted harmonic mean of
+    the neighbouring secants, or 0 where they change sign or one is flat. The ends take scipy's one-sided
+    three-point slope with its two shape clamps; two samples give a line. The end pieces extrapolate.
+    MalformedInputError if a coefficient is not finite.
+    """
+    with np.errstate(all="ignore"):  # np.where discards a flat secant's 1/0; an overflow is refused below
+        h = np.diff(xs)
+        m = np.diff(ys) / h
+        if xs.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            agree = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+            inner = np.where(agree, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            ends = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
+            ends = np.where(np.sign(ends) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, ends))
+            d = np.concatenate([ends[:1], inner, ends[1:]])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        coefficients = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]])
+    if not np.isfinite(coefficients).all():  # an infinite secant slope m makes c0 and c1 non-finite
+        raise MalformedInputError("table's secant slopes or interpolant are not finite")
+    knots = xs.tolist()
+
+    def piecewise(*powers: list) -> Callable[[float], float]:
+        """The polynomial pieces with these coefficients, highest power first, summed as scipy's PPoly sums."""
+        def at(x: float) -> float:
+            k = min(max(bisect.bisect_right(knots, x) - 1, 0), len(knots) - 2)
+            s, total, z = x - knots[k], 0.0, 1.0
+            for c in reversed(powers):
+                total, z = total + c[k] * z, z * s
+            return total
+        return at
+
+    c0, c1, c2, _ = coefficients
+    return piecewise(*coefficients.tolist()), piecewise(*np.stack([3.0 * c0, 2.0 * c1, c2]).tolist())
 
 
 def _fix01_function(r: float, domain: Tuple[float, float], name: str) -> ScalarFunction:

@@ -6,7 +6,7 @@
 Both run every suite at every seed in one process, through cli.main. The
 ledger, tests/data/verify_ledger.json, holds per suite and seed the verdict,
 the failure count and the sha256 of the suite's report line, under a header
-fingerprinting the environment (Python, numpy, scipy, the BLAS numpy was
+fingerprinting the environment (Python, numpy, the BLAS numpy was
 built with, the machine). Report lines carry LAPACK-level floats, so their
 bytes may differ across BLAS builds while every verdict holds: --check
 fails on any changed verdict or failure count, and on a changed digest only
@@ -33,13 +33,10 @@ SEEDS = range(40)
 
 
 def fingerprint() -> dict:
-    import scipy
-
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": " ".join(str(blas.get(key, "")) for key in ("name", "version", "openblas configuration")).strip(),
         "machine": platform.machine(),
     }

@@ -1,5 +1,6 @@
 """Block maps, bordered embeddings, class census, and effect automorphisms."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -227,12 +228,13 @@ def test_rational_effect_four_factor_route_agrees():
 
 
 def _fpq_resolvent_reference(spec, X):
-    """The fpq map by resolvent solves and a Schur square root: f_q(S^{-1/2} f_p(T X' T*) S^{-1/2}), S = f_p(TT*)."""
-    from scipy.linalg import sqrtm
-
+    """The fpq map by resolvent solves and a 50-digit square root: f_q(S^{-1/2} f_p(T X' T*) S^{-1/2}), S = f_p(TT*)."""
     T, eye = spec.frame, np.eye(spec.frame.shape[0])
     scaling = lambda w, M: np.linalg.solve(w * M + (1.0 - w) * eye, M)  # x -> x/(wx + 1 - w)
-    root = sqrtm(scaling(spec.p, herm_part(T @ T.conj().T)))
+    with mpmath.workdps(50):  # S is Hermitian PSD, so its eigenvectors give the principal root
+        values, vectors = mpmath.eighe(mpmath.matrix(herm_part(scaling(spec.p, herm_part(T @ T.conj().T))).tolist()))
+        root = vectors * mpmath.diag([mpmath.sqrt(v) for v in values]) * vectors.transpose_conj()
+        root = np.array(root.tolist(), dtype=complex)
     inner = scaling(spec.p, herm_part(T @ (X.T if spec.transpose else X) @ T.conj().T))
     return herm_part(scaling(spec.q, herm_part(np.linalg.solve(root, inner) @ np.linalg.inv(root))))
 

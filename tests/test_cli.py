@@ -284,6 +284,37 @@ def test_check_monotone_gives_a_verdict_at_a_huge_rational_parameter(capsys, r):
     assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
 
 
+# files named in the command lines below: 1 x 1 matrices at the edge of the doubles, a 2 x 2 argument,
+# and a Pick representation with a finite linear coefficient d = 1e308
+EDGE_MATRICES = {"big": [[1.7e308]], "huge": [[1e300]], "zero": [[0.0]], "small": [[0.5]],
+                 "diag": [[0.5, 0.0], [0.0, 2.0]]}
+OVERFLOW = "domain error: the result overflows: it has non-finite entries"
+
+
+@pytest.mark.parametrize("args, code, message", [
+    # the first printed inertia [0, 1, 0] with exit 0, the next two wrote [[nan, nan]], the fourth inf:
+    # herm_part's sum of two entries above half the largest double overflowed
+    (["classify", "big"], 2, "error: A has entries of modulus above 8.988e+307"),
+    (["apply", "--map", "phi", "--base", "zero", "big"], 2, "error: X has entries of modulus above 8.988e+307"),
+    (["apply", "--map", "phi", "--base", "big", "small"], 2, "error: base has entries of modulus above 8.988e+307"),
+    (["apply", "--map", "mobius", "--frame", "big", "small"], 2,
+     "error: frame has entries of modulus above 8.988e+307"),
+    # valid entries whose product overflows, written as inf and NaN with exit 0: frame X frame* is 5e599, d X 2e308
+    (["apply", "--map", "mobius", "--frame", "huge", "small"], 3, OVERFLOW),
+    (["apply", "--map", "pick", "--rep", "rep", "diag"], 3, OVERFLOW),
+])
+def test_entries_at_the_edge_of_the_doubles_exit_with_a_message(tmp_path, capsys, args, code, message):
+    for name, rows in EDGE_MATRICES.items():
+        write_matrix_file(tmp_path / name, np.array(rows, dtype=complex))
+    (tmp_path / "rep").write_text('{"d": 1e308, "interval": [0, 3]}')
+    out_path = tmp_path / "out.json"
+    argv = [str(tmp_path / a) if a in EDGE_MATRICES or a == "rep" else a for a in args]
+    argv += ["--out", str(out_path)] if args[0] == "apply" else []
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("kind", ["effect", "halfplane"])
 def test_gen_scale_is_refused_by_a_kind_that_reads_none(capsys, kind):
     # both kinds used to accept any valid --scale and ignore it

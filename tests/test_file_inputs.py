@@ -124,3 +124,24 @@ def test_a_representation_with_a_non_finite_number_exits_2(work, content, messag
     path.write_text(content)
     code, out, err = run(commands("representation", work, path))
     assert (code, out, err) == (2, "", f"error: bad representation file {path}: {message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    # the first two ended in tracebacks once scipy stopped checking tables (ZeroDivisionError under scipy
+    # for the first); a two-dimensional y ended in a TypeError traceback with exit 1
+    ('{"x": [null, 0], "y": null}', "table needs x and y of one length >= 2, got shapes (2,) and ()"),
+    ('{"x": [0, null], "y": []}', "table needs x and y of one length >= 2, got shapes (2,) and (0,)"),
+    ('{"x": [0, 1, 2], "y": [[0, 1], [1, 2], [2, 3]]}',
+     "table needs x and y of one length >= 2, got shapes (3,) and (3, 2)"),
+    ('{"x": [0, NaN], "y": [0, 1]}', "table needs finite values, x strictly increasing over a finite span"),
+    ('{"x": [0, 1], "y": [0, Infinity]}', "table needs finite values, x strictly increasing over a finite span"),
+    ('{"x": [0, 1, 1], "y": [0, 1, 2]}', "table needs finite values, x strictly increasing over a finite span"),
+    # x's span overflowed the node sampler's uniform draw: an OverflowError traceback
+    ('{"x": [-1e308, 1e308], "y": [0, 1]}', "table needs finite values, x strictly increasing over a finite span"),
+    ('{"x": [0, 1e-320], "y": [0, 1e300]}', "table's secant slopes or interpolant are not finite"),
+])
+def test_a_table_outside_the_table_rule_exits_2(work, content, message):
+    path = work / "table.json"
+    path.write_text(content)
+    code, out, err = run(commands("table", work, path))
+    assert (code, out, err) == (2, "", f"error: bad table file {path}: {message}\n")

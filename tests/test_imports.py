@@ -2,7 +2,7 @@
 that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
 draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
 per-matrix recovery call in the suites, no validating shell read in library code outside the
-listed sites, scipy stays off the CLI's import path and off an fpq apply, a process loads only
+listed sites, no module imports scipy and the library runs without it, a process loads only
 the modules it runs, the package binds every module's __all__ on demand as an eager import did,
 and every __all__ name is read outside its module."""
 
@@ -494,6 +494,54 @@ def _loaded_after(code: str) -> dict:
     return _fresh_json(code + "\nimport json, sys\nprint(json.dumps({"
                        "'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
                        " 'matorder': sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('matorder.'))}))")
+
+
+def _imported_roots(path: pathlib.Path) -> set:
+    """The top-level package of every import statement in the file at path."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency, and the tests check against mpmath, not scipy
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    assert [p.name for p in sources if "scipy" in _imported_roots(p)] == []
+
+
+def test_the_library_runs_where_scipy_cannot_be_imported(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import fail: the principal root (near the branch
+    # cut and on a Jordan block), a table function and the congruence-orbit suite run on numpy alone
+    table = tmp_path / "sqrt.json"
+    table.write_text(json.dumps({"x": [0.25, 1.0, 4.0, 9.0], "y": [0.5, 1.0, 2.0, 3.0]}))
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import contextlib, io, json
+import numpy as np
+from matorder import congruence_orbit
+from matorder.cli import main
+A, X = np.diag([1.0, -1.0]), np.array([[-2.0, 1e-6], [1e-6, 2.0]])
+T = congruence_orbit(A, X)
+jordan = congruence_orbit(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    monotone = main(["check-monotone", "--fn", "table:{table}", "--order", "2", "--trials", "20"])
+    report = json.loads(out.getvalue())
+    verify = main(["verify", "congruence-orbit", "--trials", "5", "--no-timing"])
+print(json.dumps({{"jordan": np.abs(jordan - [[1.0, -0.5], [0.0, 1.0]]).max(),
+                  "near_cut": np.abs(T @ (A @ X + np.eye(2)) @ T - np.eye(2)).max(), "monotone": monotone,
+                  "witness": report["witness_nodes"], "verify": verify}}))
+"""
+    result = _fresh_json(code)
+    assert result["jordan"] <= 1e-15 and result["near_cut"] <= 1e-10
+    # the cubic pieces through the sqrt samples fail order 2, at the nodes scipy's interpolant failed at
+    assert result["monotone"] == 1 and result["witness"] == [0.4030775772528803, 0.6165512977728203]
+    assert result["verify"] == 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,6 +2,7 @@
 
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from matorder import linalg
 from matorder.config import DEFAULT_TOL
-from matorder.errors import DomainViolationError, MalformedInputError
+from matorder.errors import DomainViolationError, MalformedInputError, PathSearchError
 from matorder.linalg import (
     _eigh,
     _eigvalsh,
@@ -17,6 +18,7 @@ from matorder.linalg import (
     _hermitian_opnorms,
     _is_invertible,
     _opnorms,
+    _principal_sqrt,
     _sqrt_psd,
     as_hermitian,
     frob,
@@ -367,3 +369,28 @@ def test_has_inertia_keeps_its_verdicts_away_from_the_cutoff(S):
     for p in range(S.shape[-1] + 1):
         got = _has_inertia(S, p, DEFAULT_TOL)
         assert (got[clear] == _has_inertia_by_eigh(S, p, DEFAULT_TOL)[clear]).all()
+
+
+def test_principal_sqrt_agrees_with_50_digits_on_well_conditioned_draws():
+    # oracle: mpmath's square root at 50 digits, of the (AX + I)^{-1} a congruence orbit roots
+    rng = np.random.default_rng(61)
+    for n in (2, 2, 3, 3, 4, 4):
+        A, X = random_hermitian(rng, n), random_hermitian(rng, n, scale=0.3)
+        M = np.linalg.inv(A @ X + np.eye(n))
+        with mpmath.workdps(50):
+            want = np.array(mpmath.sqrtm(mpmath.matrix(M.tolist())).tolist(), dtype=complex)
+        got = _principal_sqrt(M)
+        assert opnorm(got - want) <= 1e-13 * opnorm(want)
+        assert np.all(np.linalg.eigvals(got).real > 0.0)
+
+
+@pytest.mark.parametrize("M", [
+    -np.eye(2),  # the first iterate is 0
+    np.array([[0.0, 1.0], [0.0, 0.0]]),  # singular
+    np.diag([-2.0, 1.0]),  # a real negative eigenvalue: the iteration wanders on the real line
+    np.full((2, 2), np.nan),
+], ids=["minus-identity", "nilpotent", "negative-eigenvalue", "nan"])
+def test_principal_sqrt_without_a_principal_root_raises_path_search_error(M):
+    # never numpy's LinAlgError: congruence_orbit documents PathSearchError, and its suite retries on it
+    with pytest.raises(PathSearchError, match="principal square root"):
+        _principal_sqrt(M.astype(complex))

@@ -607,6 +607,23 @@ def test_congruence_orbit_reproduces_image():
     assert done >= 15
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6, 5e-7])
+def test_congruence_orbit_near_the_branch_cut(delta):
+    # AX has eigenvalues -2 +- i delta, next to the cut (-inf, -1] that the straight path must avoid;
+    # the product form of Denman-Beavers misses the 1e-8 congruence bound here from delta = 1e-5
+    A, X = np.diag([1.0, -1.0]), np.array([[-2.0, delta], [delta, 2.0]])
+    T = congruence_orbit(A, X)
+    assert opnorm(T @ (A @ X + np.eye(2)) @ T - np.eye(2)) <= 1e-10
+    assert opnorm(herm_part(T @ A @ T.conj().T) - shear_apply(X, A)) <= 1e-8 * (1.0 + opnorm(A))
+    assert np.all(np.linalg.eigvals(T).real > 0.0)
+
+
+def test_congruence_orbit_on_a_nilpotent_product():
+    # AX = [[0, 1], [0, 0]] is a Jordan block: (AX + I)^{-1} = I - AX, whose root is I - AX/2
+    T = congruence_orbit(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.max(np.abs(T - np.array([[1.0, -0.5], [0.0, 1.0]]))) <= 1e-15
+
+
 def test_congruence_orbit_fails_exactly_where_the_straight_path_leaves():
     rng = np.random.default_rng(41)
     seen = {True: 0, False: 0}

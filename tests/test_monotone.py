@@ -1,6 +1,8 @@
 """Fixed-order monotonicity: divided-difference matrices, verdicts, representations."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import herm_part, loewner_compare, opnorm, spectral_apply
 from matorder.monotone import (
     _divided_difference,
+    _pchip,
     _sample_window,
     PickRepresentation,
     ScalarFunction,
@@ -102,6 +105,32 @@ def test_tabulated_function_is_not_conclusive(tmp_path):
     rep = is_matrix_monotone(f, 2, trials=60, seed=7)
     assert rep.passed
     assert not rep.conclusive
+
+
+# scipy 1.17.1's PchipInterpolator and its derivative on five tables: sqrt samples, unequal
+# spacing with a flat run, a non-monotone table, three points and two points
+PCHIP_REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "pchip_reference.json").read_text())
+
+
+@pytest.mark.parametrize("table", PCHIP_REFERENCE["tables"], ids=lambda t: t["name"])
+def test_pchip_matches_the_recorded_interpolant(table):
+    value, derivative = _pchip(np.array(table["x"]), np.array(table["y"]))
+    for x, want, slope in zip(table["at"], table["values"], table["slopes"]):
+        assert abs(value(x) - want) <= 1e-12 * (1.0 + abs(want))
+        assert abs(derivative(x) - slope) <= 1e-12 * (1.0 + abs(slope))
+
+
+@pytest.mark.parametrize("table", PCHIP_REFERENCE["tables"], ids=lambda t: t["name"])
+def test_pchip_interpolates_and_keeps_each_interval_monotone(table):
+    xs, ys = np.array(table["x"]), np.array(table["y"])
+    value, _ = _pchip(xs, ys)
+    assert [value(x) for x in xs] == pytest.approx(ys, abs=1e-15)
+    for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
+        inside = [value(x) for x in np.linspace(a, b, 41)]
+        if ya == yb:  # a flat run stays flat
+            assert np.max(np.abs(np.array(inside) - ya)) <= 1e-15
+        else:
+            assert np.all(np.diff(inside) * np.sign(yb - ya) >= -1e-15)
 
 
 def test_sample_window_stays_inside_domain():
