@@ -252,7 +252,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = parse_tolerance_overrides(os.environ.get("MATORDER_TOLERANCES", ""), DEFAULT_TOL)
-        return args.func(args, tol)
+        # an overflow is judged by the checks on what it reaches (apply refuses a non-finite result), so
+        # numpy's RuntimeWarning lines would only be noise ahead of the one-line outcome
+        with np.errstate(all="ignore"):
+            return args.func(args, tol)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

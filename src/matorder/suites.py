@@ -13,20 +13,31 @@ Loop `for t, n in _trials(rng, trials, lo, hi)`, draw gated samples with
 `_first(attempts, draw, accept)`, which returns None once every attempt is
 rejected, and update the details through rec.count, rec.keep and rec.set;
 the body returns nothing. Keep the rng draws in order: generators stay
-lazy, so `any`/`next` short-circuit. Where no draw depends on a check, draw
-in rng order and finish in a stack: draw each sample's raw values (normals,
-uniforms) in the order the per-sample sampler draws them, then build all
-samples with the stacked finishing bodies of `sampling` (one QR and one
-V diag V* in _with_spectra, one herm_part; see _block_samples and
-interval-criterion), check them with the stacked kernels (_block_map,
-_in_zero_component, _has_inertia, _opnorms, _shear_apply, _jacobi_eigen) and
-record per sample, computing a failure message only for a failed member.
-Such a stack is drawn whole even when a member fails, so a failure never
-shifts the draws of later trials. A suite whose trials draw nothing after
-their checks may draw every trial first, run a kernel once per dimension,
-and then check trial by trial, so that its failures are recorded in the
-order the per-trial loop records them (eigen-residual and
-spectral-composition with _jacobi_by_trial).
+lazy, so `any`/`next` short-circuit.
+
+Where no draw depends on a check, draw in rng order and finish in a stack.
+Draw each trial's raw values (normals, uniforms, the gated
+random_invertible, whose gate reads only its own candidate) in the order
+the per-trial samplers draw them; draw functions such as _psd_step_draws,
+_indefinite_step_draws and _block_draws hold those orders, next to the
+stacked bodies that finish them (_psd_steps, _indefinite_steps,
+_block_points). _groups groups the trials' draws by dimension or block
+class and stacks each group's draws field by field. Each group is
+finished with one call of each stacked body (herm_part, _with_spectra,
+_eigvalsh, _eigh, _block_map, _opnorms, _in_zero_component, _has_inertia)
+and recorded trial by trial, so that failures keep the order
+of the per-trial loop. A stack is drawn whole even when a member fails, so
+a failure never shifts the draws of later trials. rec.check_residuals
+records a stack of residuals whose trials have no other check that could
+fail in between, formatting a message only for a failed member
+(bordered-identity). Subjects that take one matrix at a time
+(affine_interval_iso with its maps, _spectral_apply) stay one call per
+trial on the finished draws (interval-iso, spectral-composition). Suites
+whose draws depend on a check stay per trial: the gated suites draw
+candidates until a domain gate on a finished matrix accepts one
+(order-embedding, theta-inversion, translation-identity,
+conjugation-identity, component-criterion), and rank-one-trace draws a
+scale only when ||A w|| of a finished base A is not negligible.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, cayle
 from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _hermitian_opnorms, _is_invertible, _jacobi_eigen,
                      _loewner_compare, _opnorms, _order_verdict, _spectra_have_inertia, _spectra_invertible,
                      _spectra_norms, _spectral_apply, _spectrum_inertia, _sqrt_psd, as_hermitian, frob, herm_part,
-                     hermitian_eigen, inertia, invertibility_margin, loewner_compare, opnorm)
+                     hermitian_eigen, inertia, invertibility_margin, opnorm)
 from .localiso import (REAL_EIG_MARGIN, _apply_local_iso, _congruence_orbit, _identify_parameters,
                        _in_zero_component, _interval_below_criterion, _order_iso_apply, _range_compression,
                        _segment_from, _shear_apply, conjugated_base, in_zero_component, path_to_zero, translated_base)
@@ -153,7 +164,22 @@ class _Recorder:
 
     def check_residual(self, value: float, bound: float, trial: int, description: str, **witnesses) -> bool:
         v = self.residual(value)
-        return self.check(v <= bound, trial, f"{description}: residual {v:.3e} > {bound:.3e}", **witnesses)
+        if v <= bound:
+            return True
+        self.fail(trial, f"{description}: residual {v:.3e} > {bound:.3e}", **witnesses)
+        return False
+
+    def check_residuals(self, values: np.ndarray, bound: float, first: int, description: str, **witness_stacks):
+        """check_residual of each member of a stack of residuals, member j as trial first + j with the witnesses
+        stack[j]; the same failures, in member order, and the same max_residual as that loop. Returns the verdicts."""
+        values = np.asarray(values, dtype=float)
+        if values.size:
+            self.residual(values.max() if np.isfinite(values).all() else math.inf)
+        ok = values <= bound  # NaN fails
+        for j in np.flatnonzero(~ok):
+            self.fail(first + j, f"{description}: residual {float(values[j]):.3e} > {bound:.3e}",
+                      **{k: v[j] for k, v in witness_stacks.items()})
+        return ok
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +219,22 @@ def _trials(rng: np.random.Generator, trials: int, lo: int = 2, hi: int = 6):
         yield t, _rand_dim(rng, lo, hi)
 
 
+def _groups(draws: dict):
+    """Yield (key, trials, stacks) per key: `draws` maps each trial to its key (such as its dimension or block
+    class) and its draws (numbers and arrays); a group's draws are stacked field by field, in trial order, and
+    leave `draws`, so a suite holds each draw once."""
+    trials: Dict[object, List[int]] = {}
+    for t, (key, *_) in draws.items():
+        trials.setdefault(key, []).append(t)
+    for key, ts in trials.items():
+        yield key, ts, [np.stack(field) for field in zip(*(draws.pop(t)[1:] for t in ts))]
+
+
+def _one(draws: tuple) -> list:
+    """One trial's draws as the stacks of a single member."""
+    return [np.asarray(field)[None] for field in draws]
+
+
 def _first(attempts: int, draw: Callable, accept: Callable):
     """The first of `attempts` draws that `accept` passes, or None."""
     for _ in range(attempts):
@@ -207,10 +249,11 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
     return float((_opnorms(got - want) / (1.0 + _opnorms(want))).max())
 
 
-def _rel_hermitian(got: np.ndarray, want: np.ndarray) -> float:
-    """_rel of exactly Hermitian got and want, both norms from one stacked spectrum."""
-    diff, norm = _hermitian_opnorms(np.stack([got - want, want]))
-    return float(diff) / (1.0 + float(norm))
+def _rel_hermitian(got: np.ndarray, want: np.ndarray):
+    """_rel of exactly Hermitian got and want, member by member on stacks (..., n, n), both norms from one
+    stacked spectrum."""
+    norms = _hermitian_opnorms(np.stack([got - want, want], axis=-3))
+    return norms[..., 0] / (1.0 + norms[..., 1])
 
 
 def _hnorm(*Ms: np.ndarray) -> float:
@@ -252,13 +295,18 @@ def _with_spectrum(rng: np.random.Generator, vals: np.ndarray) -> np.ndarray:
     return _with_spectra(vals, complex_gaussian(rng, len(vals), len(vals)))
 
 
+# the signs _mixed_rank_hermitian picks from: SIGNS[rng.integers(0, 2, size=n)] draws what rng.choice(SIGNS, size=n)
+# draws, without choice's argument handling
+SIGNS = np.array([-1.0, 1.0])
+
+
 def _mixed_rank_hermitian(rng: np.random.Generator, n: int, zero_prob: float = 0.3,
                           lo: float = 0.3, hi: float = 2.5) -> np.ndarray:
     """Hermitian with well-separated eigenvalues, some forced to exactly zero."""
     vals = np.where(
         rng.random(n) < zero_prob,
         0.0,
-        rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n),
+        rng.uniform(lo, hi, size=n) * SIGNS[rng.integers(0, 2, size=n)],
     )
     return _with_spectrum(rng, vals)
 
@@ -290,36 +338,50 @@ def _sample_component_member(rng: np.random.Generator, A: np.ndarray, compressio
     return None
 
 
-def _psd_step(rng: np.random.Generator, X: np.ndarray, strict: bool = False) -> np.ndarray:
-    n = X.shape[0]
-    normX = _hnorm(X)
-    s = rng.uniform(0.02, 0.4) * (1.0 + normX)
-    D = random_psd(rng, n)
-    D = D * (s / max(_hnorm(D), 1e-12))
+def _psd_step_draws(rng: np.random.Generator, n: int) -> tuple:
+    """The draws of _psd_step: its size factor, then random_psd's spectrum and Gaussians."""
+    factor = rng.uniform(0.02, 0.4)
+    values, G = _spectrum_draws(rng, n, 0.0, 1.0, 1)
+    return factor, values[0], G[0]
+
+
+def _psd_steps(norms: np.ndarray, draws: list, strict: bool) -> np.ndarray:
+    """_psd_step from X of spectral norm norms[j] and the stacked draws[j], member by member."""
+    factors, values, G = draws
+    D = _with_spectra(values, G)
+    D = D * (factors * (1.0 + norms) / np.maximum(_hermitian_opnorms(D), 1e-12))[:, None, None]
     if strict:
-        D = D + 0.05 * (1.0 + normX) * np.eye(n)
+        D = D + (0.05 * (1.0 + norms))[:, None, None] * np.eye(D.shape[-1])
     return herm_part(D)
 
 
+def _psd_step(rng: np.random.Generator, X: np.ndarray, strict: bool = False) -> np.ndarray:
+    """A PSD step from X, of size 0.02-0.4 (1 + ||X||), positive definite by 0.05 (1 + ||X||) if strict."""
+    return _psd_steps(_hermitian_opnorms(X[None]), _one(_psd_step_draws(rng, X.shape[0])), strict)[0]
+
+
+def _indefinite_step_draws(rng: np.random.Generator, n: int) -> tuple:
+    """The draws of _indefinite_step: n eigenvalue factors, then the Gaussians of its unitary."""
+    return rng.uniform(0.05, 0.5, size=n), complex_gaussian(rng, n, n)
+
+
+def _indefinite_steps(norms: np.ndarray, draws: list) -> np.ndarray:
+    """_indefinite_step from X of spectral norm norms[j] and the stacked draws[j], member by member: the first
+    max(1, n // 2) eigenvalues positive, the others negative."""
+    factors, G = draws
+    k = max(1, G.shape[-1] // 2)
+    s = (1.0 + norms)[:, None]
+    return _with_spectra(np.concatenate([factors[:, :k] * s, -factors[:, k:] * s], axis=-1), G)
+
+
 def _indefinite_step(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
-    """Direction with clearly positive and clearly negative eigenvalues."""
-    n = X.shape[0]
-    s = 1.0 + _hnorm(X)
-    k = max(1, n // 2)
-    vals = np.concatenate([
-        rng.uniform(0.05, 0.5, size=k) * s,
-        -rng.uniform(0.05, 0.5, size=n - k) * s,
-    ])
-    return _with_spectrum(rng, vals)
+    """Direction with clearly positive and clearly negative eigenvalues, scaled by 1 + ||X||."""
+    return _indefinite_steps(_hermitian_opnorms(X[None]), _one(_indefinite_step_draws(rng, X.shape[0])))[0]
 
 
-def _block_samples(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> np.ndarray:
-    """k random points of the (m, p) block domain with a well-margined corner, as a stack.
-
-    Each sample draws a Gaussian X, then the corner's p positive and m - p
-    negative eigenvalues and the Gaussian of its unitary; the stack is
-    finished after all draws with one QR and one V diag V*.
-    """
+def _block_draws(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> tuple:
+    """The draws of k points of the (m, p) block domain: each draws a Gaussian pair for X, then the corner's p
+    positive and m - p negative eigenvalues and the Gaussian pair of its unitary."""
     n, m, p = spec.n, spec.m, spec.p
     normals = np.empty((k, 2, n, n))
     vals = np.empty((k, m))
@@ -330,10 +392,22 @@ def _block_samples(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> np.n
             vals[i, :p] = rng.uniform(0.3, 2.0, size=p)
             vals[i, p:] = -rng.uniform(0.3, 2.0, size=m - p)
             rng.standard_normal(out=corner_normals[i])
+    return normals, vals, corner_normals
+
+
+def _block_points(spec: BlockMapSpec, normals: np.ndarray, vals: np.ndarray, corner_normals: np.ndarray) -> np.ndarray:
+    """The stack of block-domain points with a well-margined corner from stacked _block_draws, finished with one QR
+    and one V diag V*."""
+    m = spec.m
     X = herm_part(_complex_from_normals(normals)) * 0.8
     if m > 0:
         X[:, :m, :m] = _with_spectra(vals, _complex_from_normals(corner_normals))
     return herm_part(X)
+
+
+def _block_samples(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> np.ndarray:
+    """k random points of the (m, p) block domain with a well-margined corner, as a stack."""
+    return _block_points(spec, *_block_draws(rng, spec, k))
 
 
 def _effect_pair(rng: np.random.Generator, n: int, tol: ToleranceConfig, strict: bool = False):
@@ -356,22 +430,14 @@ def _all_classes(n: int):
 # core linear algebra suites
 
 
-def _jacobi_by_trial(draws: Dict[int, np.ndarray], tol: ToleranceConfig) -> Dict[int, EigenDecomposition]:
-    """_jacobi_eigen of each exactly Hermitian draw, keyed by trial like `draws`, in one call per dimension."""
-    out = {}
-    for n in sorted({X.shape[0] for X in draws.values()}):
-        ts = [t for t, X in draws.items() if X.shape[0] == n]
-        values, vectors = _jacobi_eigen(np.stack([draws[t] for t in ts]), tol)
-        out.update((t, EigenDecomposition(values[j], vectors[j])) for j, t in enumerate(ts))
-    return out
-
-
 @_suite(120, "eigendecomposition residual and unitarity, both engines, dims up to 16")
 def _suite_eigen_residual(rng, trials, tol, rec):
     sizes = [2, 3, 4, 5, 6, 8, 12, 16]
     draws = [random_hermitian(rng, sizes[t % len(sizes)], scale=10.0 ** rng.uniform(-1.0, 1.0)) for t in range(trials)]
-    # jacobi on every small matrix, but only every 4th large one (it is O(n^4))
-    jacobi = _jacobi_by_trial({t: X for t, X in enumerate(draws) if X.shape[0] <= 8 or t % 4 == 0}, tol)
+    # jacobi on every small matrix, but only every 4th large one (it is O(n^4)), in one call per dimension
+    jacobi = {}
+    for _, ts, (X,) in _groups({t: (X.shape[0], X) for t, X in enumerate(draws) if X.shape[0] <= 8 or t % 4 == 0}):
+        jacobi.update(zip(ts, map(EigenDecomposition, *_jacobi_eigen(X, tol))))
     for t, X in enumerate(draws):
         n = X.shape[0]
         engines = [("numpy", hermitian_eigen(X, tol))] + ([("jacobi", jacobi[t])] if t in jacobi else [])
@@ -391,6 +457,8 @@ def _suite_eigen_residual(rng, trials, tol, rec):
 
 @_suite(300, "inertia invariance under congruence and scaling")
 def _suite_inertia_congruence(rng, trials, tol, rec):
+    scales = (1e-3, 1.0, 1e3)
+    wants, draws = [], {}
     for t, n in _trials(rng, trials):
         n_pos = int(rng.integers(0, n + 1))
         n_zero = int(rng.integers(0, n - n_pos + 1))
@@ -400,54 +468,86 @@ def _suite_inertia_congruence(rng, trials, tol, rec):
             np.zeros(n_zero),
             -rng.uniform(0.5, 3.0, size=n_neg),
         ])
-        S = random_invertible(rng, n, max_cond=30.0)
-        X = herm_part(S @ np.diag(vals).astype(complex) @ S.conj().T)
-        got = tuple(_spectrum_inertia(_eigvalsh(X), tol))
-        rec.check(got == (n_pos, n_zero, n_neg), t,
-                  f"congruence changed inertia {(n_pos, n_zero, n_neg)} -> {got}", X=X, S=S)
-        for c in (1e-3, 1.0, 1e3):
-            rec.check(tuple(inertia(c * X, tol)) == got, t, f"inertia not scale invariant at c={c}", X=X)
+        wants.append((n_pos, n_zero, n_neg))
+        draws[t] = n, vals, random_invertible(rng, n, max_cond=30.0)
+    rows = {}
+    for n, ts, (vals, S) in _groups(draws):
+        X = herm_part(S @ (vals[:, :, None] * np.eye(n)) @ S.conj().swapaxes(-1, -2))
+        # the spectrum of X (as 1 X), then those of the multiples c X that inertia(c * X) reads
+        spectra = _eigvalsh(herm_part(np.array((1.0, *scales))[:, None, None] * X[:, None]))
+        rows.update(zip(ts, zip(S, X, spectra)))
+    for t, want in enumerate(wants):
+        S, X, spectra = rows[t]
+        got = tuple(_spectrum_inertia(spectra[0], tol))
+        rec.check(got == want, t, f"congruence changed inertia {want} -> {got}", X=X, S=S)
+        for c, values in zip(scales, spectra[1:]):
+            rec.check(tuple(_spectrum_inertia(values, tol)) == got, t, f"inertia not scale invariant at c={c}", X=X)
 
 
 @_suite(300, "semidefinite order: reflexivity, antisymmetry, negation flip, strictness")
 def _suite_order_antisymmetry(rng, trials, tol, rec):
+    # per trial: X, a PSD step P from X (strict at even trials), a second point Y and an indefinite step D
+    draws = {}
     for t, n in _trials(rng, trials):
-        X = random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0))
-        P = _psd_step(rng, X, strict=(t % 2 == 0))
-        v = loewner_compare(X, X + P, tol)
-        rec.check(v.leq, t, "X <= X + PSD failed", X=X, P=P)
-        min_p = float(_eigvalsh(P)[0])
-        scale = 1.0 + _hnorm(X, X + P)
-        if min_p > 1e-4 * scale:
-            rec.check(v.lt, t, "strict step not detected as strict", X=X, P=P)
-            rec.check(not loewner_compare(X + P, X, tol).leq, t, "antisymmetry violated", X=X, P=P)
-        rec.check(loewner_compare(X, X, tol).equal, t, "X == X failed", X=X)
-        Y = random_hermitian(rng, n)
-        rec.check(loewner_compare(X, Y, tol).leq == loewner_compare(-Y, -X, tol).leq, t,
+        draws[t] = ((n, t % 2 == 0), rng.uniform(0.5, 2.0), complex_gaussian(rng, n, n), *_psd_step_draws(rng, n),
+                    complex_gaussian(rng, n, n), *_indefinite_step_draws(rng, n))
+    rows = {}
+    for (n, strict), ts, (scale, GX, factor, values, GP, GY, *indefinite) in _groups(draws):
+        X = herm_part(GX) * scale[:, None, None]
+        normX = _hermitian_opnorms(X)
+        P = _psd_steps(normX, [factor, values, GP], strict)
+        Y = herm_part(GY)
+        D = _indefinite_steps(normX, indefinite)
+        XP = X + P
+        # the spectra of Y - X that each comparison below reads, and those of P and X + P
+        spectra = _eigvalsh(np.stack([XP - X, P, XP, X - XP, X - X, Y - X, -X - -Y, (X + D) - X], axis=1))
+        rows.update(zip(ts, zip(X, P, Y, D, normX, spectra)))
+    for t, (X, P, Y, D, normX, spectra) in sorted(rows.items()):
+        step, min_p, normXP = _order_verdict(spectra[0], tol), float(spectra[1, 0]), _spectra_norms(spectra[2])
+        rec.check(step.leq, t, "X <= X + PSD failed", X=X, P=P)
+        if min_p > 1e-4 * (1.0 + float(normX + normXP)):
+            rec.check(step.lt, t, "strict step not detected as strict", X=X, P=P)
+            rec.check(not _order_verdict(spectra[3], tol).leq, t, "antisymmetry violated", X=X, P=P)
+        rec.check(_order_verdict(spectra[4], tol).equal, t, "X == X failed", X=X)
+        rec.check(_order_verdict(spectra[5], tol).leq == _order_verdict(spectra[6], tol).leq, t,
                   "negation flip mismatch", X=X, Y=Y)
-        D = _indefinite_step(rng, X)
-        rec.check(loewner_compare(X, X + D, tol).incomparable, t,
-                  "indefinite step not incomparable", X=X, D=D)
+        rec.check(_order_verdict(spectra[7], tol).incomparable, t, "indefinite step not incomparable", X=X, D=D)
+
+
+def _spectral_applies(values: np.ndarray, vectors: np.ndarray, fn: Callable, domain, tol: ToleranceConfig):
+    """_spectral_apply of each member's decomposition (values[j], vectors[j]), one call per member, as a stack."""
+    return np.stack([_spectral_apply(EigenDecomposition(v, V), fn, domain, (), tol) for v, V in zip(values, vectors)])
 
 
 @_suite(200, "functional calculus composes and matches across engines")
 def _suite_spectral_composition(rng, trials, tol, rec):
     bound = 1e-9
-    draws = [(random_hermitian(rng, n, scale=rng.uniform(0.5, 2.0)), herm_part(random_psd(rng, n) + 0.3 * np.eye(n)))
-             for _, n in _trials(rng, trials)]
-    jacobi = _jacobi_by_trial({t: X for t, (X, _) in enumerate(draws) if X.shape[0] <= 6}, tol)
-    for t, (X, P) in enumerate(draws):
-        decomp = _eigh(X)
-        inner = _spectral_apply(decomp, lambda x: x * x, None, (), tol)
-        two_step = _spectral_apply(_eigh(inner), lambda x: math.sqrt(x + 1.0), (-0.5, math.inf), (), tol)
-        one_step = _spectral_apply(decomp, lambda x: math.sqrt(x * x + 1.0), None, (), tol)
-        rec.check_residual(_rel_hermitian(two_step, one_step), bound, t, "sqrt(x^2+1) composition", X=X)
-        log_p = _spectral_apply(_eigh(P), math.log, (0.0, math.inf), (), tol)
-        back = _spectral_apply(_eigh(log_p), math.exp, None, (), tol)
-        rec.check_residual(_rel_hermitian(back, P), bound, t, "exp(log(P)) identity", P=P)
-        if t in jacobi:
-            alt = _spectral_apply(jacobi[t], lambda x: math.sqrt(x * x + 1.0), None, (), tol)
-            rec.check_residual(_rel_hermitian(alt, one_step), bound, t, "engine cross-check", X=X)
+    hyperbola = lambda x: math.sqrt(x * x + 1.0)
+    # per trial: X = random_hermitian(rng, n, scale=...) and P = herm_part(random_psd(rng, n) + 0.3 I)
+    draws = {}
+    for t, n in _trials(rng, trials):
+        draws[t] = n, rng.uniform(0.5, 2.0), complex_gaussian(rng, n, n), *_spectrum_draws(rng, n, 0.0, 1.0, 1)
+    rows = {}
+    for n, ts, (scale, G, values, GP) in _groups(draws):
+        X = herm_part(G) * scale[:, None, None]
+        P = herm_part(_with_spectra(values[:, 0], GP[:, 0]) + 0.3 * np.eye(n))
+        # one eigh of the group for each image decomposed again; the guard of sqrt(x + 1) runs before log's,
+        # so a tolerance that breaks both raises the error trial 0 raised first in a per-trial loop
+        vals, vecs = _eigh(np.stack([X, P], axis=1))
+        one_step = _spectral_applies(vals[:, 0], vecs[:, 0], hyperbola, None, tol)
+        inner = _spectral_applies(vals[:, 0], vecs[:, 0], lambda x: x * x, None, tol)
+        two_step = _spectral_applies(*_eigh(inner), lambda x: math.sqrt(x + 1.0), (-0.5, math.inf), tol)
+        log_p = _spectral_applies(vals[:, 1], vecs[:, 1], math.log, (0.0, math.inf), tol)
+        back = _spectral_applies(*_eigh(log_p), math.exp, None, tol)
+        residuals = [_rel_hermitian(two_step, one_step), _rel_hermitian(back, P)]
+        if n <= 6:
+            residuals.append(_rel_hermitian(_spectral_applies(*_jacobi_eigen(X, tol), hyperbola, None, tol), one_step))
+        rows.update(zip(ts, zip(X, P, zip(*residuals))))
+    for t, (X, P, residuals) in sorted(rows.items()):
+        rec.check_residual(residuals[0], bound, t, "sqrt(x^2+1) composition", X=X)
+        rec.check_residual(residuals[1], bound, t, "exp(log(P)) identity", P=P)
+        if len(residuals) > 2:
+            rec.check_residual(residuals[2], bound, t, "engine cross-check", X=X)
 
 
 @_suite(500, "rank-one domination criterion against the direct eigenvalue oracle", skipped_borderline=0)
@@ -490,60 +590,75 @@ def _suite_rank_one_trace(rng, trials, tol, rec):
 
 @_suite(200, "affine interval isomorphism: endpoints, inverse, order both ways")
 def _suite_interval_iso(rng, trials, tol, rec):
+    # per trial: L, the gap D = U - L (positive definite at even trials, of rank r < n at odd ones), a random
+    # effect E1, and the weight and effect of the step E2 = E1 + c G2 R G2, G2 = (I - E1)^(1/2)
+    draws = {}
     for t, n in _trials(rng, trials, 2, 5):
-        L = random_hermitian(rng, n)
+        L = complex_gaussian(rng, n, n)
         if t % 2 == 0:
-            D = herm_part(random_psd(rng, n) + 0.2 * np.eye(n))
+            gap = [x[0] for x in _spectrum_draws(rng, n, 0.0, 1.0, 1)]
         else:
-            # rank-deficient gap with well-separated positive part
             r = int(rng.integers(1, n))
-            vals = np.concatenate([rng.uniform(0.3, 2.0, size=r), np.zeros(n - r)])
-            D = _with_spectrum(rng, vals)
+            gap = np.concatenate([rng.uniform(0.3, 2.0, size=r), np.zeros(n - r)]), complex_gaussian(rng, n, n)
+        e1, g1 = _spectrum_draws(rng, n, *EFFECT_SPECTRUM, 1)
+        c = rng.uniform(0.2, 0.8)
+        r, g2 = _spectrum_draws(rng, n, *EFFECT_SPECTRUM, 1)
+        draws[t] = (n, t % 2 == 0), L, *gap, e1[0], g1[0], c, r[0], g2[0]
+    rows = {}
+    for (n, definite), ts, (L, values, G, e1, g1, c, r, g2) in _groups(draws):
+        L = herm_part(L)
+        D, E1, R = _with_spectra(np.stack([values, e1, r]), np.stack([G, g1, g2]))
+        if definite:
+            D = herm_part(D + 0.2 * np.eye(n))
         U = herm_part(L + D)
+        vals, vecs = _eigh(np.stack([D, np.eye(n) - E1], axis=1))
+        Dh, G2 = (np.stack([_sqrt_psd(EigenDecomposition(vals[j, i], vecs[j, i]), tol) for j in range(len(ts))])
+                  for i in (0, 1))
+        X1 = herm_part(L + Dh @ E1 @ Dh)
+        E2 = herm_part(E1 + c[:, None, None] * G2 @ R @ G2)
+        X2 = herm_part(L + Dh @ E2 @ Dh)
+        beyond = herm_part(U + (0.1 * (1.0 + _hermitian_opnorms(U)))[:, None, None] * np.eye(n))
+        rows.update(zip(ts, zip(L, U, X1, X2, beyond)))
+    for t, (L, U, X1, X2, beyond) in sorted(rows.items()):
         iso = affine_interval_iso(L, U, tol)
         eye_r = np.eye(iso.rank)
         rec.check_residual(_hnorm(iso.forward(L, tol)), 1e-10, t, "forward(lower) != 0", L=L, U=U)
         rec.check_residual(_hnorm(iso.forward(U, tol) - eye_r), 1e-10, t, "forward(upper) != I", L=L, U=U)
-        Dh = _sqrt_psd(_eigh(D), tol)
-        E1 = random_effect(rng, n)
-        X1 = herm_part(L + Dh @ E1 @ Dh)
         F1 = iso.forward(X1, tol)
         rec.check(_in_interval(F1, -1e-8, 1.0 + 1e-8), t,
                   "forward image leaves the effect interval", X=X1)
         rec.check_residual(_rel_hermitian(iso.backward(F1, tol), X1), 1e-9, t, "backward(forward) identity", X=X1)
-        G2 = _sqrt_psd(_eigh(np.eye(n) - E1), tol)
-        E2 = herm_part(E1 + rng.uniform(0.2, 0.8) * G2 @ random_effect(rng, n) @ G2)
-        X2 = herm_part(L + Dh @ E2 @ Dh)
         _check_order(rec, t, F1, iso.forward(X2, tol), tol, "forward pair", X1=X1, X2=X2)
         J = OperatorInterval(L, U)
         rec.check(interval_contains(J, X1, tol), t, "sampled point not contained", X=X1)
-        rec.check(not interval_contains(J, herm_part(U + 0.1 * (1.0 + _hnorm(U)) * np.eye(n)), tol),
-                  t, "point beyond upper reported contained", U=U)
+        rec.check(not interval_contains(J, beyond, tol), t, "point beyond upper reported contained", U=U)
 
 
 @_suite(200, "closed-form dominance radius against eigenvalue checks in dim 2", skipped_borderline=0)
 def _suite_projection_dominance(rng, trials, tol, rec):
+    # per trial: weights c < d, a unit vector v (normalized alone: a norm along an axis has other bits) and the
+    # coefficients of u = cos(alpha) v + sin(alpha) phase w, w the unit vector orthogonal to v
+    draws = []
     for t in range(trials):
         c = rng.uniform(0.0, 0.9)
         d = rng.uniform(c + 0.02, 1.0)
-        radius = projection_dominance_radius(c, d)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = v / np.linalg.norm(v)
-        w = np.array([-np.conj(v[1]), np.conj(v[0])])
-        P = np.outer(v, v.conj())
-        Q = np.outer(w, w.conj())
         alpha = rng.uniform(0.0, math.pi / 2.0)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        u = math.cos(alpha) * v + math.sin(alpha) * phase * w
-        E = np.outer(u, u.conj())
-        dist = abs(math.sin(alpha))
+        draws.append((c, d, v / np.linalg.norm(v), math.cos(alpha), math.sin(alpha) * phase, abs(math.sin(alpha))))
+    cs, ds, v, cosines, rotations, _ = (np.array(field) for field in zip(*draws))
+    w = np.stack([-np.conj(v[:, 1]), np.conj(v[:, 0])], axis=1)
+    u = cosines[:, None] * v + rotations[:, None] * w
+    P, Q, E = (x[:, :, None] * x.conj()[:, None, :] for x in (v, w, u))
+    # outer products are Hermitian only up to rounding: finish them as a draw
+    spectra = _eigvalsh(herm_part(P + cs[:, None, None] * Q) - herm_part(ds[:, None, None] * E))
+    for t, (c, d, *_, dist) in enumerate(draws):
+        radius = projection_dominance_radius(c, d)
         if abs(dist - radius) < 1e-4:
             rec.count("skipped_borderline")
             continue
-        # outer products are Hermitian only up to rounding: finish them as a draw
-        dominated = _loewner_compare(herm_part(d * E), herm_part(P + c * Q), tol).leq
-        rec.check(dominated == (dist <= radius), t,
-                  f"dominance mismatch at distance {dist:.6f}, radius {radius:.6f}", E=E, P=P)
+        if _order_verdict(spectra[t], tol).leq != (dist <= radius):
+            rec.fail(t, f"dominance mismatch at distance {dist:.6f}, radius {radius:.6f}", E=E[t], P=P[t])
 
 
 # ---------------------------------------------------------------------------
@@ -933,17 +1048,23 @@ def _suite_parameter_recovery(rng, trials, tol, rec):
 
 @_suite(240, "corner-inverting block map is an involution between dual classes")
 def _suite_block_involution(rng, trials, tol, rec):
+    draws = {}
     for t, n in _trials(rng, trials, 2, 5):
         m = int(rng.integers(0, n + 1))
-        p = int(rng.integers(0, m + 1))
-        spec = BlockMapSpec(n, m, p)
-        X = _block_samples(rng, spec, 1)[0]
-        rec.check(_in_block_domain(spec, X, tol), t, "constructed sample missed the domain", X=X)
+        spec = BlockMapSpec(n, m, int(rng.integers(0, m + 1)))
+        draws[t] = spec, *(field[0] for field in _block_draws(rng, spec, 1))
+    rows = {}
+    for spec, ts, stacks in _groups(draws):
+        X = _block_points(spec, *stacks)
         Y = _block_map(spec, X, tol)
-        rec.check(_in_block_domain(spec.dual, Y, tol), t,
-                  f"image corner inertia is not ({m - p}, 0, {p})", X=X, Y=Y)
-        back = _block_map(spec.dual, Y, tol)
-        rec.check_residual(_rel_hermitian(back, X), 1e-9, t, f"involution on class (m={m}, p={p})", X=X)
+        checks = _in_block_domain(spec, X, tol), _in_block_domain(spec.dual, Y, tol)
+        res = _rel_hermitian(_block_map(spec.dual, Y, tol), X)
+        rows.update(zip(ts, zip([spec] * len(ts), X, Y, *checks, res)))
+    for t, (spec, X, Y, inside, image_inside, res) in sorted(rows.items()):
+        m, p = spec.m, spec.p
+        rec.check(inside, t, "constructed sample missed the domain", X=X)
+        rec.check(image_inside, t, f"image corner inertia is not ({m - p}, 0, {p})", X=X, Y=Y)
+        rec.check_residual(res, 1e-9, t, f"involution on class (m={m}, p={p})", X=X)
         if t == 0:
             W = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
             want = np.array([[-0.5, 0.5j], [-0.5j, 2.5]], dtype=complex)
@@ -965,14 +1086,17 @@ def _suite_bordered_identity(rng, trials, tol, rec):
             spectra = _eigvalsh(E)
             scale = 1.0 + _spectra_norms(spectra) * _hermitian_opnorms(R)
             res = _opnorms(E @ R + np.eye(2 * n - m)) / scale
-            want = (n + p - m, 0, n - p)
             fixed = _spectra_have_inertia(spectra, n + p - m, tol)
-            for j in range(trials):
-                instance = rec.count("instances")
-                rec.check_residual(res[j], 1e-9, instance, f"bordered identity (n={n}, m={m}, p={p})", X=X[j])
+            first = rec.count("instances", trials) - trials + 1
+            description = f"bordered identity (n={n}, m={m}, p={p})"
+            if fixed.all():
+                rec.check_residuals(res, 1e-9, first, description, X=X)
+                continue
+            for j in range(trials):  # each instance's two failures stay together
+                rec.check_residual(res[j], 1e-9, first + j, description, X=X[j])
                 if not fixed[j]:
                     got = tuple(_spectrum_inertia(spectra[j], tol))
-                    rec.fail(instance, f"bordered inertia {got} != {want}", X=X[j])
+                    rec.fail(first + j, f"bordered inertia {got} != {(n + p - m, 0, n - p)}", X=X[j])
 
 
 @_suite(200, "block map preserves order both ways on inertia-stable segments", skipped=0)

@@ -315,6 +315,14 @@ def test_entries_at_the_edge_of_the_doubles_exit_with_a_message(tmp_path, capsys
     assert not out_path.exists()
 
 
+def test_an_overflowing_map_prints_its_one_line_error_alone(tmp_path):
+    # numpy's "RuntimeWarning: overflow encountered in matmul" and its source line used to come first
+    write_matrix_file(tmp_path / "big.json", np.array([[1e300]], dtype=complex))
+    write_matrix_file(tmp_path / "one.json", np.array([[1.0]], dtype=complex))
+    r = run_cli("apply", "--map", "mobius", "--frame", str(tmp_path / "big.json"), str(tmp_path / "one.json"))
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", OVERFLOW + "\n")
+
+
 @pytest.mark.parametrize("kind", ["effect", "halfplane"])
 def test_gen_scale_is_refused_by_a_kind_that_reads_none(capsys, kind):
     # both kinds used to accept any valid --scale and ignore it

@@ -5,7 +5,9 @@ valid, invalid and missing files, directories and unwritable paths in input
 and output position, --fn names (table: paths included), integer arguments
 on both sides of their ranges and MATORDER_TOLERANCES strings. Every run,
 in process through cli.main, exits 0, 2 (usage or malformed input), 3 (a
-value outside a domain) or 1 with a FAIL verdict on stdout. Dimensions stay
+value outside a domain) or 1 with a FAIL verdict on stdout, and prints no
+numpy RuntimeWarning (an overflow is refused with a message, not warned
+about). Dimensions stay
 small: a dimension above MAX_DIM is refused before anything is drawn, so
 the cap is tested by that error.
 """
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -134,14 +137,17 @@ def command_lines(work):
 
 
 def run(argv, tolerances):
+    """(exit code, stdout, stderr) of main(argv); stderr ends with the warnings a CLI process would print."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"MATORDER_TOLERANCES": tolerances}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, {"MATORDER_TOLERANCES": tolerances}), warnings.catch_warnings(record=True) \
+            as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         try:
             code = main(argv)  # any other exception escaping main is a traceback, and fails the test
         except SystemExit as exc:  # argparse refusing the command line
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
 
 
 def is_fail_verdict(argv, out):
@@ -157,6 +163,7 @@ def test_any_command_line_exits_with_a_cli_code(work, data, tolerances):
     argv = data.draw(command_lines(work))
     code, out, err = run(argv, tolerances)
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err, (argv, err)
     if code == 1:
         assert is_fail_verdict(argv, out), (argv, err)
         return

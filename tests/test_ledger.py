@@ -1,8 +1,10 @@
-"""The committed verify ledger covers every suite at every seed, and its comparison keeps verdicts fixed."""
+"""The committed verify ledger covers every suite at every seed, its comparison keeps verdicts fixed, and this
+tree replays its seed 0."""
 
 import json
 
-from ledger import LEDGER, SEEDS, compare
+import pytest
+from ledger import LEDGER, SEEDS, compare, fingerprint, run_reports
 
 from matorder.suites import suite_names
 
@@ -29,3 +31,16 @@ def test_a_changed_verdict_or_a_missing_pair_fails_in_any_environment():
     for current, same in ((flipped, False), ({}, False), ({"s": {"0": entry, "1": entry}}, True)):
         errors, moved = compare({"s": {"0": entry}}, current, same)
         assert len(errors) == 1 and moved == []
+
+
+def test_this_tree_replays_the_ledger_at_seed_0():
+    # verify --seed 0 --no-timing over every suite: verdicts and failure counts must match anywhere, the report
+    # digests only in the environment the ledger was written in
+    ledger = json.loads(LEDGER.read_text())
+    recorded = {suite: {"0": seeds["0"]} for suite, seeds in ledger["reports"].items()}
+    same = ledger["fingerprint"] == fingerprint()
+    errors, moved = compare(recorded, run_reports(seeds=[0]), same)
+    assert errors == []
+    if not same:
+        pytest.skip(f"report digests not compared ({len(moved)} moved): the environment {fingerprint()} "
+                    f"is not the ledger's {ledger['fingerprint']}")

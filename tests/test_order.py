@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.linalg import herm_part, loewner_compare, opnorm
 from matorder.order import (
@@ -49,6 +50,17 @@ def test_compare_flips_under_negation():
     Y = X + random_psd(rng, 3)
     assert loewner_compare(X, Y).leq
     assert loewner_compare(-Y, -X).leq
+
+
+def test_compare_reads_its_cushions_from_tol():
+    # Y - X = diag(-1e-7, 1), scale 2: below -psd_tol * scale at the default 1e-8, inside it at 1e-6
+    X, Y = np.zeros((2, 2)), np.diag([-1e-7, 1.0])
+    assert not loewner_compare(X, Y).leq
+    assert loewner_compare(X, Y, DEFAULT_TOL.replace(psd_tol=1e-6)).leq
+    # Y - X = diag(1e-7, 1): strict at the default inv_margin 1e-8, not at 1e-3
+    Y = np.diag([1e-7, 1.0])
+    assert loewner_compare(X, Y).lt
+    assert not loewner_compare(X, Y, DEFAULT_TOL.replace(inv_margin=1e-3)).lt
 
 
 def test_interval_contains_closed_and_open():

@@ -336,11 +336,13 @@ def test_check_order_fails_past_its_cushion_and_on_lost_strictness():
 
 @pytest.mark.parametrize("trials", [1, 2, 7])
 @pytest.mark.parametrize("name", ["eigen-residual", "spectral-composition", "component-criterion", "theta-inversion",
-                                  "translation-identity", "conjugation-identity", "congruence-orbit", "growth-ranks"])
+                                  "translation-identity", "conjugation-identity", "congruence-orbit", "growth-ranks",
+                                  "inertia-congruence", "order-antisymmetry", "interval-iso", "projection-dominance",
+                                  "block-involution"])
 def test_suites_pass_when_their_dimension_groups_are_small(name, trials):
-    # eigen-residual and spectral-composition draw every trial first and run the Jacobi engine once per
-    # dimension: at these counts most groups hold one member and some dimensions none (eigen-residual
-    # meets size 12 only at the seventh trial, which it does not give to Jacobi, and 16 not at all)
+    # the stacked suites draw every trial first and finish each dimension (or block class) in one stack: at
+    # these counts most groups hold one member and some dimensions none (eigen-residual meets size 12 only
+    # at the seventh trial, which it does not give to Jacobi, and 16 not at all)
     report = run_suite(name, seed=3, trials=trials)
     assert report.passed, report.failures[:1]
     assert set(report.details) == {"failure_count", *_DETAIL_KEYS[name]}
@@ -353,3 +355,47 @@ def test_impossible_tolerance_failures_come_in_trial_order():
     order = [(f["trial"], f["description"].split()[0]) for f in report.failures]
     assert order == sorted(order, key=lambda entry: (entry[0], ["numpy", "jacobi"].index(entry[1])))
     assert {trial for trial, _ in order} == {0, 1, 2} and {engine for _, engine in order} == {"numpy", "jacobi"}
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1e-12, 3e-10],
+    [2e-9, np.nan, 1e-12, 5e-9],  # a NaN fails and makes max_residual inf
+    [1e-12, np.inf, 2.0],
+    [0.5] * (suites.MAX_STORED_FAILURES + 5),  # more failures than are stored
+    [],
+])
+@pytest.mark.parametrize("earlier", [0.0, 0.25, np.inf])
+def test_check_residuals_records_what_a_loop_of_check_residual_records(values, earlier):
+    X = np.arange(4 * len(values), dtype=complex).reshape(len(values), 2, 2)
+    loop, stacked = suites._Recorder({}), suites._Recorder({})
+    for rec in (loop, stacked):
+        rec.residual(earlier)  # a residual recorded before the stack
+    verdicts = [loop.check_residual(v, 1e-9, 7 + j, "residual", X=X[j]) for j, v in enumerate(values)]
+    assert stacked.check_residuals(np.array(values), 1e-9, 7, "residual", X=X).tolist() == verdicts
+    assert stacked.failures == loop.failures and len(loop.failures) <= suites.MAX_STORED_FAILURES
+    assert (stacked.failure_count, stacked.max_residual) == (loop.failure_count, loop.max_residual)
+
+
+def test_check_residual_formats_a_message_only_on_failure():
+    rec = suites._Recorder({})
+    assert rec.check_residual(1e-12, 1e-9, 0, "fine") and rec.failures == []
+    assert not rec.check_residual(float("nan"), 1e-9, 3, "broken")
+    assert rec.failure_count == 1 and rec.max_residual == np.inf
+    assert rec.failures[0] == {"trial": 3, "description": "broken: residual nan > 1.000e-09", "witnesses": {}}
+
+
+def test_a_stacked_suite_records_its_failures_in_trial_order():
+    # with inv_margin = 10 no step is strict enough: every strict (even) trial fails its strictness check, and at
+    # seed 0 so does every odd one, whose PSD step is definite enough to be checked; the first 16 are stored
+    report = run_suite("order-antisymmetry", seed=0, trials=30, tol=DEFAULT_TOL.replace(inv_margin=10.0))
+    assert report.details["failure_count"] == 30
+    assert [f["trial"] for f in report.failures] == list(range(suites.MAX_STORED_FAILURES))
+    assert {f["description"] for f in report.failures} == {"strict step not detected as strict"}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sign_draw_matches_choice(n):
+    # _mixed_rank_hermitian indexes SIGNS with integers where it used to call rng.choice: same values, same state
+    chosen, indexed = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(chosen.choice([-1.0, 1.0], size=n), suites.SIGNS[indexed.integers(0, 2, size=n)])
+    assert chosen.bit_generator.state == indexed.bit_generator.state
