@@ -172,7 +172,6 @@ class _Recorder:
     def check_residuals(self, values: np.ndarray, bound: float, first: int, description: str, **witness_stacks):
         """check_residual of each member of a stack of residuals, member j as trial first + j with the witnesses
         stack[j]; the same failures, in member order, and the same max_residual as that loop. Returns the verdicts."""
-        values = np.asarray(values, dtype=float)
         if values.size:
             self.residual(values.max() if np.isfinite(values).all() else math.inf)
         ok = values <= bound  # NaN fails
@@ -223,7 +222,7 @@ def _groups(draws: dict):
     """Yield (key, trials, stacks) per key: `draws` maps each trial to its key (such as its dimension or block
     class) and its draws (numbers and arrays); a group's draws are stacked field by field, in trial order, and
     leave `draws`, so a suite holds each draw once."""
-    trials: Dict[object, List[int]] = {}
+    trials = {}
     for t, (key, *_) in draws.items():
         trials.setdefault(key, []).append(t)
     for key, ts in trials.items():
@@ -345,9 +344,8 @@ def _psd_step_draws(rng: np.random.Generator, n: int) -> tuple:
     return factor, values[0], G[0]
 
 
-def _psd_steps(norms: np.ndarray, draws: list, strict: bool) -> np.ndarray:
-    """_psd_step from X of spectral norm norms[j] and the stacked draws[j], member by member."""
-    factors, values, G = draws
+def _psd_steps(norms: np.ndarray, strict: bool, factors: np.ndarray, values: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """_psd_step from X of spectral norm norms[j] and the stacked draws [j], member by member."""
     D = _with_spectra(values, G)
     D = D * (factors * (1.0 + norms) / np.maximum(_hermitian_opnorms(D), 1e-12))[:, None, None]
     if strict:
@@ -357,7 +355,7 @@ def _psd_steps(norms: np.ndarray, draws: list, strict: bool) -> np.ndarray:
 
 def _psd_step(rng: np.random.Generator, X: np.ndarray, strict: bool = False) -> np.ndarray:
     """A PSD step from X, of size 0.02-0.4 (1 + ||X||), positive definite by 0.05 (1 + ||X||) if strict."""
-    return _psd_steps(_hermitian_opnorms(X[None]), _one(_psd_step_draws(rng, X.shape[0])), strict)[0]
+    return _psd_steps(_hermitian_opnorms(X[None]), strict, *_one(_psd_step_draws(rng, X.shape[0])))[0]
 
 
 def _indefinite_step_draws(rng: np.random.Generator, n: int) -> tuple:
@@ -365,10 +363,9 @@ def _indefinite_step_draws(rng: np.random.Generator, n: int) -> tuple:
     return rng.uniform(0.05, 0.5, size=n), complex_gaussian(rng, n, n)
 
 
-def _indefinite_steps(norms: np.ndarray, draws: list) -> np.ndarray:
-    """_indefinite_step from X of spectral norm norms[j] and the stacked draws[j], member by member: the first
+def _indefinite_steps(norms: np.ndarray, factors: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """_indefinite_step from X of spectral norm norms[j] and the stacked draws [j], member by member: the first
     max(1, n // 2) eigenvalues positive, the others negative."""
-    factors, G = draws
     k = max(1, G.shape[-1] // 2)
     s = (1.0 + norms)[:, None]
     return _with_spectra(np.concatenate([factors[:, :k] * s, -factors[:, k:] * s], axis=-1), G)
@@ -376,7 +373,7 @@ def _indefinite_steps(norms: np.ndarray, draws: list) -> np.ndarray:
 
 def _indefinite_step(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
     """Direction with clearly positive and clearly negative eigenvalues, scaled by 1 + ||X||."""
-    return _indefinite_steps(_hermitian_opnorms(X[None]), _one(_indefinite_step_draws(rng, X.shape[0])))[0]
+    return _indefinite_steps(_hermitian_opnorms(X[None]), *_one(_indefinite_step_draws(rng, X.shape[0])))[0]
 
 
 def _block_draws(rng: np.random.Generator, spec: BlockMapSpec, k: int) -> tuple:
@@ -495,9 +492,9 @@ def _suite_order_antisymmetry(rng, trials, tol, rec):
     for (n, strict), ts, (scale, GX, factor, values, GP, GY, *indefinite) in _groups(draws):
         X = herm_part(GX) * scale[:, None, None]
         normX = _hermitian_opnorms(X)
-        P = _psd_steps(normX, [factor, values, GP], strict)
+        P = _psd_steps(normX, strict, factor, values, GP)
         Y = herm_part(GY)
-        D = _indefinite_steps(normX, indefinite)
+        D = _indefinite_steps(normX, *indefinite)
         XP = X + P
         # the spectra of Y - X that each comparison below reads, and those of P and X + P
         spectra = _eigvalsh(np.stack([XP - X, P, XP, X - XP, X - X, Y - X, -X - -Y, (X + D) - X], axis=1))
@@ -539,15 +536,13 @@ def _suite_spectral_composition(rng, trials, tol, rec):
         two_step = _spectral_applies(*_eigh(inner), lambda x: math.sqrt(x + 1.0), (-0.5, math.inf), tol)
         log_p = _spectral_applies(vals[:, 1], vecs[:, 1], math.log, (0.0, math.inf), tol)
         back = _spectral_applies(*_eigh(log_p), math.exp, None, tol)
-        residuals = [_rel_hermitian(two_step, one_step), _rel_hermitian(back, P)]
-        if n <= 6:
-            residuals.append(_rel_hermitian(_spectral_applies(*_jacobi_eigen(X, tol), hyperbola, None, tol), one_step))
-        rows.update(zip(ts, zip(X, P, zip(*residuals))))
-    for t, (X, P, residuals) in sorted(rows.items()):
-        rec.check_residual(residuals[0], bound, t, "sqrt(x^2+1) composition", X=X)
-        rec.check_residual(residuals[1], bound, t, "exp(log(P)) identity", P=P)
-        if len(residuals) > 2:
-            rec.check_residual(residuals[2], bound, t, "engine cross-check", X=X)
+        alt = _spectral_applies(*_jacobi_eigen(X, tol), hyperbola, None, tol)
+        rows.update(zip(ts, zip(X, P, _rel_hermitian(two_step, one_step), _rel_hermitian(back, P),
+                                _rel_hermitian(alt, one_step))))
+    for t, (X, P, composition, identity, engines) in sorted(rows.items()):
+        rec.check_residual(composition, bound, t, "sqrt(x^2+1) composition", X=X)
+        rec.check_residual(identity, bound, t, "exp(log(P)) identity", P=P)
+        rec.check_residual(engines, bound, t, "engine cross-check", X=X)
 
 
 @_suite(500, "rank-one domination criterion against the direct eigenvalue oracle", skipped_borderline=0)

@@ -7,9 +7,8 @@ on both sides of their ranges and MATORDER_TOLERANCES strings. Every run,
 in process through cli.main, exits 0, 2 (usage or malformed input), 3 (a
 value outside a domain) or 1 with a FAIL verdict on stdout, and prints no
 numpy RuntimeWarning (an overflow is refused with a message, not warned
-about). Dimensions stay
-small: a dimension above MAX_DIM is refused before anything is drawn, so
-the cap is tested by that error.
+about). Dimensions stay small: a dimension above MAX_DIM is refused before
+anything is drawn, so the cap is tested by that error.
 """
 
 import contextlib
