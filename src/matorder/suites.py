@@ -345,7 +345,7 @@ def _psd_step_draws(rng: np.random.Generator, n: int) -> tuple:
 
 
 def _psd_steps(norms: np.ndarray, strict: bool, factors: np.ndarray, values: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """_psd_step from X of spectral norm norms[j] and the stacked draws [j], member by member."""
+    """_psd_step of each member j, from an X of spectral norm norms[j] and member j of the stacked draws."""
     D = _with_spectra(values, G)
     D = D * (factors * (1.0 + norms) / np.maximum(_hermitian_opnorms(D), 1e-12))[:, None, None]
     if strict:
@@ -364,8 +364,8 @@ def _indefinite_step_draws(rng: np.random.Generator, n: int) -> tuple:
 
 
 def _indefinite_steps(norms: np.ndarray, factors: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """_indefinite_step from X of spectral norm norms[j] and the stacked draws [j], member by member: the first
-    max(1, n // 2) eigenvalues positive, the others negative."""
+    """_indefinite_step of each member j, from an X of spectral norm norms[j] and member j of the stacked draws:
+    the first max(1, n // 2) eigenvalues positive, the others negative."""
     k = max(1, G.shape[-1] // 2)
     s = (1.0 + norms)[:, None]
     return _with_spectra(np.concatenate([factors[:, :k] * s, -factors[:, k:] * s], axis=-1), G)
