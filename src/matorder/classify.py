@@ -31,6 +31,7 @@ from .halfplane import MobiusAutomorphism, _fix01_pole, _mobius_eval, _shifted, 
 from .linalg import (
     _eigh,
     _eigvalsh,
+    _gate,
     _has_inertia,
     _hermitian_opnorms,
     _is_invertible,
@@ -143,11 +144,8 @@ def _block_map(spec: BlockMapSpec, H: np.ndarray, tol: ToleranceConfig) -> np.nd
         return H.copy()
     X11 = H[..., :m, :m]
     values = _eigvalsh(X11)
-    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
-    if not all(_spectra_have_inertia(values, spec.p, tol).flat):
-        raise DomainViolationError(f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
-    if not all(_spectra_invertible(values, tol).flat):
-        raise DomainViolationError("corner is numerically singular")
+    _gate(_spectra_have_inertia(values, spec.p, tol), f"corner inertia is not ({spec.p}, 0, {spec.m - spec.p})")
+    _gate(_spectra_invertible(values, tol), "corner is numerically singular")
     X12 = H[..., :m, m:]
     X22 = H[..., m:, m:]
     K = np.linalg.solve(X11, X12)  # X11^{-1} X12
@@ -326,9 +324,7 @@ def _effect_automorphism(m: MobiusAutomorphism, H: np.ndarray, tol: ToleranceCon
     """
     W = _shifted(m, H)
     M = W @ m.A + np.eye(m.dim)
-    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
-    if not all(_is_invertible(M, tol).flat):
-        raise DomainViolationError("effect is outside the map's domain")
+    _gate(_is_invertible(M, tol), "effect is outside the map's domain")
     return herm_part(_mobius_eval(m, W, M))
 
 

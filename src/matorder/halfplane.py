@@ -22,6 +22,7 @@ from .linalg import (
     _check_guard,
     _eigh,
     _eigvalsh,
+    _gate,
     _is_hermitian,
     _is_invertible,
     _opnorms,
@@ -210,12 +211,9 @@ def _apply_mobius(m: MobiusAutomorphism, Z: np.ndarray, tol: ToleranceConfig) ->
     Raises, with apply_mobius's message, when either gate fails on any member.
     """
     W = _shifted(m, Z)
-    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
-    if not all(_is_invertible(W, tol).flat):
-        raise DomainViolationError("Z' - B is numerically singular")
+    _gate(_is_invertible(W, tol), "Z' - B is numerically singular")
     M = W @ m.A + np.eye(m.dim)
-    if not all(_is_invertible(M, tol).flat):
-        raise DomainViolationError("(Z' - B) A + I is numerically singular")
+    _gate(_is_invertible(M, tol), "(Z' - B) A + I is numerically singular")
     return _mobius_eval(m, W, M)
 
 

@@ -50,7 +50,6 @@ the kernels, in one call per stack; public functions stay per-matrix.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -61,6 +60,8 @@ from .errors import DomainViolationError, MalformedInputError, PathSearchError
 # as_square's bound on the modulus of an entry: half the largest double, so a
 # sum of two entries, as in herm_part, stays finite.
 ENTRY_LIMIT = np.finfo(float).max / 2.0
+# _is_hermitian's exact rescaling where ||M||_F overflows: ENTRY_LIMIT falls to about 2^423.
+HERM_RESCALE = 2.0 ** -600
 # jacobi_eigen stops after this many sweeps even if not yet converged.
 JACOBI_MAX_SWEEPS = 60
 # _principal_sqrt's cap on Denman-Beavers steps: an eigenvalue of M at angle
@@ -156,8 +157,13 @@ def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "m
 
 
 def _is_hermitian(M: np.ndarray, tol: ToleranceConfig) -> bool:
-    """The library's one hermiticity test, on a square finite array: ||M - M*||_F <= herm_tol*(1 + ||M||_F)."""
-    return frob(M - M.conj().T) <= tol.herm_tol * (1.0 + frob(M))
+    """The library's one hermiticity test, on a square finite array: ||M - M*||_F <= herm_tol*(1 + ||M||_F).
+    Where ||M||_F overflows, it is decided times s = HERM_RESCALE, on the exactly scaled sM."""
+    norm, s = frob(M), 1.0
+    if norm == np.inf:
+        M, s = M * HERM_RESCALE, HERM_RESCALE
+        norm = frob(M)
+    return frob(M - M.conj().T) <= tol.herm_tol * (s + norm)
 
 
 def _same_dim(*Ms: np.ndarray) -> tuple:
@@ -262,7 +268,8 @@ def _eigh(H: np.ndarray) -> EigenDecomposition:
 
 
 def _eigvalsh(S: np.ndarray) -> np.ndarray:
-    """Ascending spectra of an exactly Hermitian stack (..., n, n); _eigh's values to the last bits, without vectors."""
+    """Ascending spectra of an exactly Hermitian stack (..., n, n), without vectors. They agree with _eigh's
+    values to rounding, not bit for bit, so swapping one call for the other moves digests."""
     return np.linalg.eigvalsh(S)
 
 
@@ -320,39 +327,24 @@ def _spectrum_inertia(values: np.ndarray, tol: ToleranceConfig) -> Inertia:
     return Inertia(n_pos, values.size - n_pos - n_neg, n_neg)
 
 
-@dataclasses.dataclass(frozen=True)
-class OrderVerdict:
-    """Loewner comparison of a Hermitian pair, driven by eigenvalues of Y - X.
-
-    scale = 1 + ||Y - X||_2. The boolean views overlap by design (equal
-    implies leq and geq).
-    """
+class OrderVerdict(NamedTuple):
+    """Loewner comparison of a Hermitian pair from the extreme eigenvalues of Y - X; with scale = 1 + ||Y - X||_2,
+    leq iff min_eig >= -psd_tol*scale, geq iff max_eig <= psd_tol*scale, lt iff min_eig >= inv_margin*scale.
+    The verdicts overlap by design (equal implies leq and geq)."""
 
     min_eig: float
     max_eig: float
-    scale: float
-    psd_tol: float
-    inv_margin: float
-
-    @property
-    def leq(self) -> bool:
-        return self.min_eig >= -self.psd_tol * self.scale
-
-    @property
-    def geq(self) -> bool:
-        return self.max_eig <= self.psd_tol * self.scale
+    leq: bool
+    geq: bool
+    lt: bool
 
     @property
     def equal(self) -> bool:
         return self.leq and self.geq
 
     @property
-    def lt(self) -> bool:
-        return self.min_eig >= self.inv_margin * self.scale
-
-    @property
     def incomparable(self) -> bool:
-        return self.min_eig < -self.psd_tol * self.scale and self.max_eig > self.psd_tol * self.scale
+        return not (self.leq or self.geq)
 
 
 def loewner_compare(X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
@@ -370,7 +362,15 @@ def _order_verdict(values: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
     lo = float(values[0])
     hi = float(values[-1])
     scale = 1.0 + max(abs(lo), abs(hi))
-    return OrderVerdict(lo, hi, scale, tol.psd_tol, tol.inv_margin)
+    cut = tol.psd_tol * scale
+    return OrderVerdict(lo, hi, lo >= -cut, hi <= cut, lo >= tol.inv_margin * scale)
+
+
+def _gate(verdicts, message: str) -> None:
+    """Raise DomainViolationError(message) unless every verdict holds: a numpy bool, or a bool array over a stack."""
+    # all(.flat): a single matrix's verdict is a numpy scalar, whose .all() is slow
+    if not all(verdicts.flat):
+        raise DomainViolationError(message)
 
 
 def _check_guard(values: np.ndarray, domain: Optional[tuple], poles: Sequence[float], margin: float) -> None:

@@ -29,6 +29,7 @@ from .halfplane import (MobiusAutomorphism, _checked_evaluator, _congruence_from
 from .linalg import (
     _eigh,
     _eigvalsh,
+    _gate,
     _has_inertia,
     _hermitian_opnorms,
     _is_invertible,
@@ -117,8 +118,7 @@ def _shear_apply(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> np.ndarr
     Raises, with shear_apply's message, when any member is outside the shear domain.
     """
     shifted = M @ A + np.eye(A.shape[0])
-    if not all(_is_invertible(shifted, tol).flat):
-        raise DomainViolationError("X is outside the shear domain of this base")
+    _gate(_is_invertible(shifted, tol), "X is outside the shear domain of this base")
     return np.linalg.solve(shifted, M)
 
 
@@ -217,8 +217,8 @@ def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: Tol
     decided exactly as in segment_in_shear_domain.
     """
     A, P, Q = _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X, tol, "X"), as_hermitian(Y, tol, "Y"))
-    if not _in_zero_component(_range_compression(A, tol), np.stack([P, Q]), tol).all():
-        raise DomainViolationError("segment endpoints must lie in the zero component")
+    _gate(_in_zero_component(_range_compression(A, tol), np.stack([P, Q]), tol),
+          "segment endpoints must lie in the zero component")
     return _segment_in_shear_domain(A, P, Q, tol)
 
 
@@ -258,8 +258,7 @@ def _order_iso_apply(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], 
 
     Raises, with order_iso_apply's message, when any member is outside the zero component.
     """
-    if not all(_in_zero_component(compression, H, tol).flat):
-        raise DomainViolationError("X is outside the zero component of this base")
+    _gate(_in_zero_component(compression, H, tol), "X is outside the zero component of this base")
     return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[0]), H))
 
 
@@ -305,7 +304,7 @@ def _congruence_orbit(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray],
     """Kernel of congruence_orbit given A's _range_compression."""
     if not _in_zero_component(compression, H, tol):
         raise DomainViolationError("X must lie in the zero component")
-    if not _segment_in_shear_domain(A, np.zeros_like(H), H, tol):
+    if not _segment_from(A, np.zeros_like(H), np.eye(A.shape[0]), H, tol):  # 0's shifted end 0 A + I is exactly I
         raise PathSearchError("the straight path from 0 to X leaves the shear domain")
     return _principal_sqrt(np.linalg.inv(A @ H + np.eye(A.shape[0])))
 
@@ -325,8 +324,7 @@ def _apply_local_iso(m: MobiusAutomorphism, X: np.ndarray, tol: ToleranceConfig)
     Raises, with apply_local_iso's message, when any member is outside the zero component.
     """
     W = _shifted(m, X)
-    if not all(_in_zero_component(_range_compression(m.A, tol), W, tol).flat):
-        raise DomainViolationError("X' - B is outside the zero component of A")
+    _gate(_in_zero_component(_range_compression(m.A, tol), W, tol), "X' - B is outside the zero component of A")
     return herm_part(_mobius_eval(m, W, W @ m.A + np.eye(m.dim)))
 
 

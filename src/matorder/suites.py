@@ -57,9 +57,9 @@ from .classify import (BlockMapSpec, EffectAutoSpec, EffectEmbeddingSpec, FpqSpe
                        effect_embedding_map, endpoint_continuity, enumerate_signatures, rational_effect_factors,
                        signature_class)
 from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
-from .errors import DomainViolationError, MalformedInputError, ModelMismatchError, PathSearchError
+from .errors import DomainViolationError, MalformedInputError, MatOrderError, ModelMismatchError, PathSearchError
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_text
-from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, cayley, in_half_plane,
+from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, _in_half_plane, cayley, in_half_plane,
                         inverse_cayley, mobius_fix01, mobius_fix01_matrix, neg_inverse, normalize_phase)
 from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _hermitian_opnorms, _is_invertible, _jacobi_eigen,
                      _loewner_compare, _opnorms, _order_verdict, _spectra_have_inertia, _spectra_invertible,
@@ -1379,7 +1379,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
         n = _rand_dim(rng, 2, 4)
         Z = random_half_plane(rng, n)
         out = pick_eval(rep, Z, tol)
-        margin = rec.keep("min_half_plane_margin", float(_eigvalsh(herm_part((out - out.conj().T) / 2j))[0]), min)
+        margin = rec.keep("min_half_plane_margin", _in_half_plane(out, tol).margin, min)
         rec.check(margin > 0.0, t, f"half-plane image margin {margin:.3e} <= 0", Z=Z)
         a, b = rep.interval
         pad = 0.05 * (b - a)
@@ -1460,7 +1460,8 @@ def suite_description(name: str) -> str:
 
 def run_suite(name: str, seed: int = 0, trials: Optional[int] = None,
               tol: ToleranceConfig = DEFAULT_TOL) -> RunReport:
-    """Run one named suite deterministically and return its report."""
+    """Run one named suite deterministically and return its report. A MatOrderError that escapes the body
+    stops that suite alone, as one failure at trial -1: "suite stopped by <ErrorClass>: <message>"."""
     if name not in SUITES:
         raise MalformedInputError(f"unknown suite '{name}'; known: {', '.join(SUITES)}")
     spec = SUITES[name]
@@ -1469,7 +1470,10 @@ def run_suite(name: str, seed: int = 0, trials: Optional[int] = None,
     rng = np.random.default_rng(seed)
     rec = _Recorder(spec.details)
     start = time.perf_counter()
-    spec.fn(rng, n_trials, tol, rec)
+    try:
+        spec.fn(rng, n_trials, tol, rec)
+    except MatOrderError as exc:
+        rec.fail(-1, f"suite stopped by {type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
     return RunReport(
         suite=name,

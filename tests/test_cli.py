@@ -110,6 +110,19 @@ def test_verify_reports_identical_modulo_timing():
     assert rep1 == rep2
 
 
+def test_verify_runs_on_past_a_suite_that_raises():
+    # at inv_margin=0.5 a _spectral_apply guard in spectral-composition raised out of verify, which printed the
+    # first three reports, "domain error: ..." and exit 3; the other 28 suites never ran
+    r = run_cli("verify", "--trials", "5", "--no-timing", env_extra={"MATORDER_TOLERANCES": "inv_margin=0.5"})
+    assert (r.returncode, r.stderr) == (1, "")
+    lines = r.stdout.strip().splitlines()
+    assert len(lines) == 32 and json.loads(lines[-1]) == {"failed": 20, "suites": 31}
+    report = json.loads(lines[3])
+    assert report["suite"] == "spectral-composition" and report["failure_count"] == 1
+    assert report["failures"] == [{"trial": -1, "witnesses": {}, "description": "suite stopped by "
+                                   "DomainViolationError: eigenvalue 0.372265 within margin of domain edge 0.0"}]
+
+
 def test_verify_list_names_all_suites():
     r = run_cli("verify", "--list")
     assert r.returncode == 0
@@ -377,6 +390,15 @@ def test_tolerance_env_reaches_matrix_file_validation(tmp_path):
     loose = run_cli("classify", str(near), env_extra={"MATORDER_TOLERANCES": "herm_tol=1e-6"})
     assert loose.returncode == 0
     assert json.loads(loose.stdout)["inertia"] == [1, 0, 1]
+
+
+def test_a_non_hermitian_matrix_too_large_for_its_frobenius_norm_is_refused(tmp_path, capsys):
+    # both Frobenius norms of the hermiticity test overflowed to inf: classify printed inertia [2, 0, 0], exit 0
+    path = tmp_path / "big.json"
+    write_matrix_file(path, np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex))
+    assert main(["classify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: A is not Hermitian")
 
 
 def test_tolerance_env_reaches_mobius_parameter_files(tmp_path):

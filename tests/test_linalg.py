@@ -12,12 +12,15 @@ from matorder import linalg
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError, PathSearchError
 from matorder.linalg import (
+    OrderVerdict,
     _eigh,
     _eigvalsh,
+    _gate,
     _has_inertia,
     _hermitian_opnorms,
     _is_invertible,
     _opnorms,
+    _order_verdict,
     _principal_sqrt,
     _sqrt_psd,
     as_hermitian,
@@ -28,6 +31,7 @@ from matorder.linalg import (
     invertibility_margin,
     is_invertible,
     jacobi_eigen,
+    loewner_compare,
     opnorm,
     spectral_apply,
 )
@@ -184,6 +188,84 @@ def test_as_hermitian_rejects_skew_input():
     Z = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     with pytest.raises(MalformedInputError):
         as_hermitian(Z)
+
+
+def _edges(tol):
+    """(lo, hi) spectrum ends, lo <= hi, on the psd_tol and inv_margin cushions and one ulp to either side of
+    them, with +-0, lo == hi and both signs."""
+    pairs = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-2.0, 3.0), (0.5, 0.5), (-0.5, -0.5)]
+    for hi in (0.25, 1.0, 7.0):  # |lo| <= |hi| below, so scale = 1 + hi
+        for on in (-tol.psd_tol * (1.0 + hi), tol.inv_margin * (1.0 + hi)):
+            pairs += [(lo, hi) for lo in (np.nextafter(on, -np.inf), on, np.nextafter(on, np.inf))]
+    for lo in (-2.0, -0.5):  # |hi| <= |lo| below, so scale = 1 - lo
+        on = tol.psd_tol * (1.0 - lo)
+        ends = (np.nextafter(on, -np.inf), on, np.nextafter(on, np.inf))
+        pairs += [(lo, sign * hi) for hi in ends for sign in (1, -1)]
+    return [(float(lo), float(hi)) for lo, hi in pairs]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, DEFAULT_TOL.replace(psd_tol=0.125, inv_margin=0.25)],
+                         ids=["default", "wide"])
+def test_order_verdict_decides_as_the_former_properties(tol):
+    # the formulas OrderVerdict used to work out at every property read, from min_eig, max_eig and the tolerances
+    ties = np.zeros(3, dtype=int)
+    for lo, hi in _edges(tol):
+        scale = 1.0 + max(abs(lo), abs(hi))
+        leq = lo >= -tol.psd_tol * scale
+        geq = hi <= tol.psd_tol * scale
+        former = (lo, hi, leq, geq, lo >= tol.inv_margin * scale, leq and geq,
+                  lo < -tol.psd_tol * scale and hi > tol.psd_tol * scale)
+        v = _order_verdict(np.array([lo, hi]), tol)
+        assert (*v, v.equal, v.incomparable) == former, (lo, hi)
+        assert all(type(b) is bool for b in (*v[2:], v.equal, v.incomparable))
+        ties += [lo == -tol.psd_tol * scale, hi == tol.psd_tol * scale, lo == tol.inv_margin * scale]
+    assert ties.all()  # the grid sits exactly on each cushion somewhere
+
+
+def test_loewner_compare_returns_the_verdict_record():
+    v = loewner_compare(np.eye(2), 2.0 * np.eye(2))
+    assert isinstance(v, OrderVerdict) and v._fields == ("min_eig", "max_eig", "leq", "geq", "lt")
+    assert v == (1.0, 1.0, True, False, True)
+
+
+@pytest.mark.parametrize("verdicts", [np.bool_(False), np.array(False), np.array([[True, True], [True, False]])],
+                         ids=["bool-scalar", "0-d", "stack"])
+def test_gate_raises_its_message_unless_every_verdict_holds(verdicts):
+    with pytest.raises(DomainViolationError) as info:
+        _gate(verdicts, "X is outside the domain")
+    assert str(info.value) == "X is outside the domain"
+
+
+@pytest.mark.parametrize("verdicts", [np.bool_(True), np.array(True), np.ones((3, 2), dtype=bool)],
+                         ids=["bool-scalar", "0-d", "stack"])
+def test_gate_is_silent_when_every_verdict_holds(verdicts):
+    assert _gate(verdicts, "unused") is None
+
+
+def _hermitian_at(scale):
+    return random_hermitian(np.random.default_rng(11), 4) * scale
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_hermiticity_is_decided_where_the_frobenius_norm_overflows():
+    # ||M||_F and ||M - M*||_F both overflowed to inf, and inf <= herm_tol * (1 + inf) accepted any such matrix
+    M = np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex)
+    assert frob(M) == np.inf
+    with pytest.raises(MalformedInputError, match="is not Hermitian"):
+        as_hermitian(M)
+    H = _hermitian_at(1e300)
+    assert frob(H) == np.inf
+    assert np.array_equal(as_hermitian(H), herm_part(H))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_hermiticity_cushion_at_a_scale_whose_norm_overflows(factor, accepted):
+    H = _hermitian_at(1e300)
+    norm = frob(H * 2.0 ** -600) * 2.0 ** 600  # ||H||_F, finite in the scaled copy
+    E = np.triu(np.ones((4, 4)), 1) / np.sqrt(6.0)  # ||E||_F = 1, and ||E - E*||_F = sqrt(2)
+    M = H + E * (factor * DEFAULT_TOL.herm_tol * norm / np.sqrt(2.0))
+    assert linalg._is_hermitian(M, DEFAULT_TOL) is accepted
 
 
 def test_sqrt_psd_squares_back():

@@ -399,3 +399,24 @@ def test_sign_draw_matches_choice(n):
     chosen, indexed = np.random.default_rng(n), np.random.default_rng(n)
     assert np.array_equal(chosen.choice([-1.0, 1.0], size=n), suites.SIGNS[indexed.integers(0, 2, size=n)])
     assert chosen.bit_generator.state == indexed.bit_generator.state
+
+
+def test_an_error_that_escapes_a_suite_body_is_one_failure_of_that_suite(monkeypatch):
+    def refusing(rng, trials, tol, rec):
+        rec.count("seen")
+        raise DomainViolationError("X is outside the domain")
+
+    monkeypatch.setitem(SUITES, "refusing", suites._SuiteDef(refusing, 3, "raises", {"seen": 0}))
+    report = run_suite("refusing")
+    assert not report.passed and report.details == {"seen": 1, "failure_count": 1}
+    assert report.failures == [{"trial": -1, "description": "suite stopped by DomainViolationError: "
+                                "X is outside the domain", "witnesses": {}}]
+
+
+def test_an_error_of_the_suite_itself_still_propagates(monkeypatch):
+    def broken(rng, trials, tol, rec):
+        rec.count("undeclared")
+
+    monkeypatch.setitem(SUITES, "broken", suites._SuiteDef(broken, 3, "raises", {}))
+    with pytest.raises(KeyError, match="undeclared"):
+        run_suite("broken")
