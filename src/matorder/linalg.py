@@ -152,7 +152,9 @@ def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "m
     """
     M = as_square(X, name)
     if not _is_hermitian(M, tol):
-        raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {frob(M - M.conj().T):.3e}")
+        D = M - M.conj().T
+        s = HERM_RESCALE if frob(D) == np.inf else 1.0  # where ||D||_F overflows: the scaled copy's, scaled back
+        raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {frob(s * D) / s:.3e}")
     return herm_part(M)
 
 

@@ -226,18 +226,16 @@ def interval_below_criterion(base: Iterable, X: Iterable, tol: ToleranceConfig =
     """Criterion for the whole interval [0, X] (X PSD) to lie in the zero component.
 
     Holds iff the smallest eigenvalue of X^{1/2} base X^{1/2} stays above
-    -1 + inv_margin. A non-PSD X raises _sqrt_psd's DomainViolationError.
+    -1 + inv_margin, that is iff X itself lies in the component: along t -> tX
+    in_zero_component's matrix S + t W X_K W only grows (Weyl's monotonicity), so
+    a PSD X outside gives False. A non-PSD X raises _sqrt_psd's DomainViolationError.
     """
-    A, H = _base_and_hermitian(base, X, tol)
-    return _interval_below_criterion(A, _range_compression(A, tol), H, tol)
+    return _interval_below_criterion(*_base_and_hermitian(base, X, tol), tol)
 
 
-def _interval_below_criterion(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray,
-                              tol: ToleranceConfig) -> bool:
-    """Kernel of interval_below_criterion given A's _range_compression."""
+def _interval_below_criterion(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Kernel of interval_below_criterion."""
     R = _sqrt_psd(_eigh(H), tol)
-    if not _in_zero_component(compression, H, tol):
-        raise DomainViolationError("X must lie in the zero component")
     lowest = float(_eigvalsh(herm_part(R @ A @ R))[0])
     return lowest > -1.0 + tol.inv_margin
 
@@ -285,7 +283,7 @@ def conjugated_base(base: Iterable, frame: Iterable, tol: ToleranceConfig = DEFA
 
 
 def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Invertible T with shear_apply(X, base) = T base T*.
+    """Invertible T with shear_apply(X, base) = T base T*, for X in the zero component (DomainViolationError otherwise).
 
     T = ((base X + I)^{-1})^{1/2}, the principal root: A f(XA) = f(AX) A for
     every matrix function f, so T A T* = (AX + I)^{-1} A. The root exists iff
@@ -296,14 +294,12 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     AX + I loses an order of magnitude in the congruence residual that way.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    return _congruence_orbit(A, _range_compression(A, tol), H, tol)
+    _gate(_in_zero_component(_range_compression(A, tol), H, tol), "X must lie in the zero component")
+    return _congruence_orbit(A, H, tol)
 
 
-def _congruence_orbit(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray,
-                      tol: ToleranceConfig) -> np.ndarray:
-    """Kernel of congruence_orbit given A's _range_compression."""
-    if not _in_zero_component(compression, H, tol):
-        raise DomainViolationError("X must lie in the zero component")
+def _congruence_orbit(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of congruence_orbit; its caller decides membership, and a non-member raises PathSearchError."""
     if not _segment_from(A, np.zeros_like(H), np.eye(A.shape[0]), H, tol):  # 0's shifted end 0 A + I is exactly I
         raise PathSearchError("the straight path from 0 to X leaves the shear domain")
     return _principal_sqrt(np.linalg.inv(A @ H + np.eye(A.shape[0])))

@@ -856,19 +856,15 @@ def _suite_interval_criterion(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         A = _mixed_rank_hermitian(rng, n, zero_prob=0.2, lo=0.4, hi=2.0)
         compression = _range_compression(A, tol)
-        X = _first(200, lambda: herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4)),
-                   lambda X: _in_zero_component(compression, X, tol))
-        if X is None:
-            rec.count("skipped_borderline")
-            continue
+        X = herm_part(random_psd(rng, n) * rng.uniform(0.3, 1.4))
         Xh = _sqrt_psd(_eigh(X), tol)
-        K = herm_part(Xh @ A @ Xh)
-        lam = float(_eigvalsh(K)[0])
+        lam = float(_eigvalsh(herm_part(Xh @ A @ Xh))[0])
         if abs(lam + 1.0) < 1e-4:
             rec.count("skipped_borderline")
             continue
-        crit = _interval_below_criterion(A, compression, X, tol)
+        crit = _interval_below_criterion(A, X, tol)
         rec.check(crit == (lam > -1.0), t, "criterion disagrees with its spectral form", A=A, X=X)
+        rec.check(crit == bool(_in_zero_component(compression, X, tol)), t, "criterion and membership differ", A=A, X=X)
         if crit:
             rec.count("criterion_true")
             # samples below `ramp` are multiples of X, each later one draws a
@@ -957,7 +953,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
             continue
         for _ in range(6):
             try:
-                G = _congruence_orbit(A, compression, X, tol)
+                G = _congruence_orbit(A, X, tol)
                 break
             except PathSearchError:
                 X = _shrink_in_component(A, compression, X, tol)

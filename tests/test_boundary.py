@@ -31,9 +31,9 @@ from matorder.classify import (
     signature_class,
 )
 from matorder.config import DEFAULT_TOL
-from matorder.errors import MalformedInputError
+from matorder.errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
-from matorder.linalg import herm_part, jacobi_eigen, loewner_compare
+from matorder.linalg import herm_part, jacobi_eigen, loewner_compare, spectral_apply
 from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
@@ -271,6 +271,43 @@ SQRT = builtin_function("sqrt")
 ])
 def test_monotone_and_suite_integers_are_checked(call, message):
     with pytest.raises(MalformedInputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: MobiusAutomorphism(frame=np.diag([1.0, 0.0]), A=BASE), MalformedInputError,
+                 r"^frame must be invertible$", id="mobius-singular-frame"),
+    pytest.param(lambda: FpqSpec(0.5, -1.0, np.diag([0.8, 0.0])), MalformedInputError, r"^frame must be bijective$",
+                 id="fpq-singular-frame"),
+    pytest.param(lambda: EffectEmbeddingSpec(EYE, -EYE, 0 * EYE), MalformedInputError, r"^base must be > -I$",
+                 id="embedding-base"),
+    pytest.param(lambda: EffectEmbeddingSpec(EYE, 0 * EYE, 0 * EYE, value_at_zero=EYE), MalformedInputError,
+                 r"^value_at_zero must be <= offset$", id="embedding-value-at-zero"),
+    pytest.param(lambda: EffectEmbeddingSpec(EYE, 0 * EYE, 0 * EYE, value_at_one=0 * EYE), MalformedInputError,
+                 r"^value_at_one must be >= the interior value at I$", id="embedding-value-at-one"),
+    pytest.param(lambda: BlockMapSpec(2, 1, 2), MalformedInputError, r"^need 0 <= p <= m <= n, got \(n=2, m=1, p=2\)$",
+                 id="block-sizes"),
+    pytest.param(lambda: OperatorInterval(EYE, EYE, lower_closed=False), MalformedInputError,
+                 r"^need lower < upper when an endpoint is open$", id="open-interval"),
+    pytest.param(lambda: affine_interval_iso(EYE, 0 * EYE), DomainViolationError, r"^need A <= B$", id="iso-unordered"),
+    pytest.param(lambda: affine_interval_iso(EYE, EYE), DomainViolationError, r"^need A != B$", id="iso-equal"),
+    pytest.param(lambda: affine_interval_iso(0 * EYE, np.diag([1.0, 0.0])).backward(EYE), MalformedInputError,
+                 r"^expected a 1x1 effect$", id="iso-backward-size"),
+    pytest.param(lambda: pick_eval(PICK, np.array([[0.0, 1.0], [0.0, 0.0]])), DomainViolationError,
+                 r"^argument must be scalar, Hermitian, or a half-plane point$", id="pick-argument"),
+    pytest.param(lambda: identify_parameters(lambda Z: Z + EYE, 2), ModelMismatchError,
+                 r"^evaluator\(0\) = 1\.414e\+00, expected 0$", id="identify-value-at-zero"),
+    pytest.param(lambda: identify_parameters(lambda Z: Z + np.trace(Z) * EYE, 2), ModelMismatchError,
+                 r"^derivative at 0 is not of congruence form$", id="identify-derivative"),
+    pytest.param(lambda: spectral_apply(EYE, np.log, domain=(0.0, 1.0)), DomainViolationError,
+                 r"^eigenvalue 1 within margin of domain edge 1\.0$", id="spectral-upper-edge"),
+    pytest.param(lambda: spectral_apply(EYE, lambda x: 1.0 / (x - 1.0), poles=(1.0,)), DomainViolationError,
+                 r"^eigenvalue within margin of pole at 1\.0$", id="spectral-pole"),
+    pytest.param(lambda: spectral_apply(EYE, lambda x: np.inf), DomainViolationError,
+                 r"^function value not finite on the spectrum$", id="spectral-non-finite"),
+])
+def test_each_refusal_states_its_reason(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 

@@ -251,8 +251,11 @@ def test_hermiticity_is_decided_where_the_frobenius_norm_overflows():
     # ||M||_F and ||M - M*||_F both overflowed to inf, and inf <= herm_tol * (1 + inf) accepted any such matrix
     M = np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex)
     assert frob(M) == np.inf
-    with pytest.raises(MalformedInputError, match="is not Hermitian"):
+    # the message quotes the defect of the scaled copy, scaled back: it used to read inf
+    with pytest.raises(MalformedInputError, match=r"^matrix is not Hermitian: \|\|X - X\*\|\|_F = 1\.414e\+300$"):
         as_hermitian(M)
+    with pytest.raises(MalformedInputError, match=r"= 2\.828e\+00$"):  # at ordinary scale, the defect as computed
+        as_hermitian([[1.0, 2.0], [0.0, 1.0]])
     H = _hermitian_at(1e300)
     assert frob(H) == np.inf
     assert np.array_equal(as_hermitian(H), herm_part(H))

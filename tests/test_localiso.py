@@ -644,29 +644,38 @@ def test_congruence_orbit_fails_exactly_where_the_straight_path_leaves():
 
 
 def test_interval_below_criterion_matches_sampling():
-    # oracle: dense sampling of the scalar path t*X, t in [0, 1], plus a
-    # numpy-only recomputation of the lowest eigenvalue of X^{1/2} A X^{1/2}
+    # oracle: dense sampling of the scalar path t*X, t in [0, 1], a numpy-only
+    # recomputation of the lowest eigenvalue of X^{1/2} A X^{1/2}, and X's own
+    # membership, which the criterion equals for PSD X
     rng = np.random.default_rng(39)
-    tested = 0
+    tested = refuted = 0
     for _ in range(120):
         A = random_hermitian(rng, 3)
         X = random_psd(rng, 3) * rng.uniform(0.1, 2.0)
-        if not in_zero_component(A, X):
-            continue
         w, V = np.linalg.eigh(herm_part(X))
         R = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
         lam = float(np.linalg.eigvalsh(herm_part(R @ A @ R))[0])
         if abs(lam + 1.0) < 1e-3:
             continue  # borderline, both answers defensible
         crit = interval_below_criterion(A, X)
-        assert crit == (lam > -1.0)
+        assert crit == (lam > -1.0) == in_zero_component(A, X)
         if crit:
             assert all(
                 in_zero_component(A, herm_part(t * X))
                 for t in np.linspace(0.0, 1.0, 50)
             )
         tested += 1
-    assert tested >= 40
+        refuted += not crit
+    assert tested >= 40 and refuted >= 5
+
+
+def test_interval_criterion_refuses_a_psd_point_outside_the_component():
+    # X^{1/2} A X^{1/2} = diag(-2, 0): the interval [0, X] crosses the singular set at X/2, so X lies outside
+    A, X = np.diag([-2.0, 1.0]), np.diag([1.0, 0.0])
+    assert not in_zero_component(A, X)
+    assert interval_below_criterion(A, X) is False  # used to raise DomainViolationError
+    with pytest.raises(DomainViolationError, match=r"^X must lie in the zero component$"):
+        congruence_orbit(A, X)
 
 
 def test_interval_criterion_quotes_the_lowest_eigenvalue_of_an_indefinite_x():

@@ -230,7 +230,7 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     kernel = suites._in_zero_component
 
     def escape_at_12(A, S, tol):
-        if S.ndim == 2:  # the gate of the draw of X
+        if S.ndim == 2:  # X's own membership, checked against the criterion
             return kernel(A, S, tol)
         stacks.append(S)
         inside = np.ones(len(S), dtype=bool)
@@ -247,12 +247,19 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     assert rng.bit_generator.state == clean.bit_generator.state
 
 
+def test_interval_criterion_takes_both_branches():
+    # X is drawn without a membership gate, so the criterion is refuted on some trials and its witness runs
+    report = run_suite("interval-criterion", seed=1)
+    assert report.passed
+    assert 0 < report.details["criterion_true"] < 200 - report.details["skipped_borderline"]
+
+
 @pytest.mark.parametrize("name", ["order-embedding", "interval-criterion", "congruence-orbit"])
 def test_suites_compress_each_base_once(monkeypatch, name):
     # order-embedding's sampler (up to 300 membership tests) and forward map share one compression
-    # of the base, and the pulled-back map compresses -base once; interval-criterion's gate, criterion
-    # and interval stack share one, as do congruence-orbit's gate, orbit factor and shrinks; the
-    # public predicate still compresses its base once per call
+    # of the base, and the pulled-back map compresses -base once; interval-criterion's membership check,
+    # interval stack and witness share one, as do congruence-orbit's gate and shrinks (its orbit factor
+    # takes none); the public predicate still compresses its base once per call
     seen = []
     kernel = localiso._range_compression
 
@@ -263,8 +270,13 @@ def test_suites_compress_each_base_once(monkeypatch, name):
     monkeypatch.setattr(suites, "_range_compression", counting)
     monkeypatch.setattr(localiso, "_range_compression", counting)
     report = run_suite(name, seed=1, trials=40)
-    # each of the 40 trials draws a base of its own (at default trials several draw the zero base)
-    assert report.passed and 40 <= len(seen) == len(set(seen))
+    assert report.passed
+    if name == "interval-criterion":
+        # one compression per trial; at seed 1 two of the 40 trials draw the same zero 2x2 base
+        assert len(seen) == 40
+    else:
+        # each of the 40 trials draws a base of its own (at default trials several draw the zero base)
+        assert 40 <= len(seen) == len(set(seen))
     seen.clear()
     localiso.in_zero_component(np.diag([1.0, -0.5]), 0.1 * np.eye(2))
     assert len(seen) == 1
