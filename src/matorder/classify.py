@@ -36,6 +36,7 @@ from .linalg import (
     _hermitian_opnorms,
     _is_invertible,
     _loewner_compare,
+    _order_verdict,
     _rank_cut,
     _same_dim,
     _spectra_have_inertia,
@@ -297,8 +298,8 @@ def _growth_direction(spec: BlockMapSpec, H: np.ndarray, positive: bool, tol: To
 def _as_effect(X: Iterable, tol: ToleranceConfig) -> np.ndarray:
     """Validate 0 <= X <= I (psd_tol cushion) and return the Hermitian part."""
     H = as_hermitian(X, tol, "X")
-    eye = np.eye(H.shape[0])
-    if not _loewner_compare(np.zeros_like(H), H, tol).leq or not _loewner_compare(H, eye, tol).leq:
+    values = _eigvalsh(H)  # the spectrum of I - H is 1 - values, reversed to ascend
+    if not _order_verdict(values, tol).leq or not _order_verdict(1.0 - values[::-1], tol).leq:
         raise DomainViolationError("X is not an effect (needs 0 <= X <= I)")
     return H
 

@@ -32,7 +32,6 @@ from .linalg import (
     as_square,
     herm_part,
     hermitian_eigen,
-    opnorm,
 )
 from .sampling import _seeded_draws, random_half_plane
 
@@ -85,7 +84,7 @@ def cayley(Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Map a strict contraction into the half-plane: Y -> i(Y+I)(I-Y)^{-1}."""
     M = as_square(Y)
     n = M.shape[0]
-    if opnorm(M) >= 1.0 - tol.inv_margin:
+    if _opnorms(M) >= 1.0 - tol.inv_margin:
         raise DomainViolationError("operand must be a strict contraction (||Y|| < 1)")
     eye = np.eye(n)
     return 1j * np.linalg.solve((eye - M).T, (M + eye).T).T
@@ -233,8 +232,10 @@ def _canonical_inverse(T: np.ndarray, A: np.ndarray) -> Callable[[np.ndarray], n
     Tinv = np.linalg.inv(T)
 
     def inverse(Y: np.ndarray) -> np.ndarray:
-        inner = Tinv @ Y @ Tinv.conj().T
-        return np.linalg.inv(np.linalg.inv(inner) - A)
+        try:
+            return np.linalg.inv(np.linalg.inv(Tinv @ Y @ Tinv.conj().T) - A)
+        except np.linalg.LinAlgError:
+            raise ModelMismatchError("evaluator value at a probe is singular under the provisional map") from None
 
     return inverse
 

@@ -126,12 +126,26 @@ def herm_part(M: np.ndarray) -> np.ndarray:
 
 
 def frob(M: np.ndarray) -> float:
+    """Frobenius norm of a nonempty finite matrix."""
+    return _frob(_norm_operand(M, "frob"))
+
+
+def _frob(M: np.ndarray) -> float:
+    """Kernel of frob; a NaN entry gives nan."""
     return float(np.linalg.norm(M, "fro"))
 
 
 def opnorm(M: np.ndarray) -> float:
-    """Spectral (largest singular value) norm of a nonempty matrix."""
-    return float(_opnorms(np.asarray(M, dtype=complex)))
+    """Spectral (largest singular value) norm of a nonempty finite matrix."""
+    return float(_opnorms(_norm_operand(M, "opnorm")))
+
+
+def _norm_operand(M: np.ndarray, name: str) -> np.ndarray:
+    """M as a complex array for frob or opnorm (`name`); MalformedInputError where it is empty or not finite."""
+    A = np.asarray(M, dtype=complex)
+    if not A.size or not np.isfinite(A).all():
+        raise MalformedInputError(f"{name} needs {'finite entries' if A.size else 'a nonempty array'}")
+    return A
 
 
 def _opnorms(S: np.ndarray):
@@ -153,19 +167,19 @@ def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "m
     M = as_square(X, name)
     if not _is_hermitian(M, tol):
         D = M - M.conj().T
-        s = HERM_RESCALE if frob(D) == np.inf else 1.0  # where ||D||_F overflows: the scaled copy's, scaled back
-        raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {frob(s * D) / s:.3e}")
+        s = HERM_RESCALE if _frob(D) == np.inf else 1.0  # where ||D||_F overflows: the scaled copy's, scaled back
+        raise MalformedInputError(f"{name} is not Hermitian: ||X - X*||_F = {_frob(s * D) / s:.3e}")
     return herm_part(M)
 
 
 def _is_hermitian(M: np.ndarray, tol: ToleranceConfig) -> bool:
     """The library's one hermiticity test, on a square finite array: ||M - M*||_F <= herm_tol*(1 + ||M||_F).
     Where ||M||_F overflows, it is decided times s = HERM_RESCALE, on the exactly scaled sM."""
-    norm, s = frob(M), 1.0
+    norm, s = _frob(M), 1.0
     if norm == np.inf:
         M, s = M * HERM_RESCALE, HERM_RESCALE
-        norm = frob(M)
-    return frob(M - M.conj().T) <= tol.herm_tol * (s + norm)
+        norm = _frob(M)
+    return _frob(M - M.conj().T) <= tol.herm_tol * (s + norm)
 
 
 def _same_dim(*Ms: np.ndarray) -> tuple:
@@ -197,7 +211,7 @@ def _jacobi_eigen(S: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
     rotation of a pair (p, q) is one stacked matmul over the members still
     sweeping whose pivot is above their skip threshold. |a_pq| is taken as
     hypot of its parts, which is abs of a complex scalar bit for bit (np.abs
-    of a complex array is not), and each member's mass is frob of that
+    of a complex array is not), and each member's mass is _frob of that
     member alone.
     """
     A = np.array(S, dtype=complex)
@@ -205,18 +219,18 @@ def _jacobi_eigen(S: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
     V = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
     if n <= 1:
         return EigenDecomposition(np.diagonal(A, axis1=-2, axis2=-1).real.copy(), V)
-    scale = np.array([frob(M) for M in A])
+    scale = np.array([_frob(M) for M in A])
     target = tol.eig_tol * scale / 10.0
     skip = target / (n * n)
     sweeping = scale != 0.0
     diag = np.arange(n)
     for _ in range(JACOBI_MAX_SWEEPS):
-        # direct off-diagonal mass; the difference frob(A)^2 - sum(diag^2)
+        # direct off-diagonal mass; the difference _frob(A)^2 - sum(diag^2)
         # cancels catastrophically once the sweeps are nearly converged
         off = A.copy()
         off[:, diag, diag] = 0.0
         for j in np.flatnonzero(sweeping):
-            sweeping[j] = frob(off[j]) > target[j]
+            sweeping[j] = _frob(off[j]) > target[j]
         if not sweeping.any():
             break
         for p in range(n - 1):
@@ -478,7 +492,7 @@ def _principal_sqrt(M: np.ndarray) -> np.ndarray:
         Y = (W[0] + np.linalg.solve(W[0], M)) / 2.0
     except np.linalg.LinAlgError as exc:
         raise PathSearchError("principal square root: singular iterate") from exc
-    residual = frob(Y @ Y - M) / frob(M)
+    residual = _frob(Y @ Y - M) / _frob(M)
     if not residual <= SQRT_RESIDUAL_TOL:  # a NaN residual fails too
         raise PathSearchError(f"principal square root: residual {residual:.3e} > {SQRT_RESIDUAL_TOL:.0e}")
     return Y

@@ -33,6 +33,7 @@ from .linalg import (
     _has_inertia,
     _hermitian_opnorms,
     _is_invertible,
+    _opnorms,
     _principal_sqrt,
     _rank_cut,
     _same_dim,
@@ -40,9 +41,8 @@ from .linalg import (
     as_hermitian,
     as_square,
     herm_part,
-    opnorm,
 )
-from .sampling import _complex_from_normals, _seeded_draws, random_hermitian
+from .sampling import _seeded_draws, random_hermitian
 
 __all__ = [
     "PathSearchResult",
@@ -75,11 +75,6 @@ PATH_POOL_SIZE = 48
 # Scales of a random-Hermitian waypoint. Indexed by rng.integers(0, 3), they give
 # rng.choice's value and generator state at a quarter of its cost.
 WAYPOINT_SCALES = np.array([0.5, 1.0, 2.0])
-
-# Most segments one crossing table of the path search covers, so that a
-# 3,000-node pool never asks for a frontier x pool table in one call; at
-# n = 4 each complex temporary of a call stays near 0.5 MB.
-PATH_SEGMENTS_PER_CALL = 2048
 
 # Cushion of the exact segment test, so that rounding cannot hide a crossing:
 # an eigenvalue mu with |Im mu| <= REAL_EIG_MARGIN (1 + |Re mu|) counts as
@@ -374,11 +369,14 @@ def _identify_parameters(values: Callable[[np.ndarray], np.ndarray], dim: int, t
 
     c = 5.0 * h
     direction = _seeded_draws(random_hermitian, DIRECTION_SEED, dim, 1)[0]
-    direction = direction / max(opnorm(direction), 1e-12)
+    direction = direction / max(_opnorms(direction), 1e-12)
     samples = np.stack([c * np.eye(dim), c * (np.eye(dim) + 0.6 * direction)])
     Tinv = np.linalg.inv(T)
     inner = Tinv @ values(samples) @ Tinv.conj().T
-    A1, A2 = herm_part(np.linalg.inv(inner) - np.linalg.inv(samples.swapaxes(-1, -2) if transpose else samples))
+    try:
+        A1, A2 = herm_part(np.linalg.inv(inner) - np.linalg.inv(samples.swapaxes(-1, -2) if transpose else samples))
+    except np.linalg.LinAlgError:
+        raise ModelMismatchError("evaluator value at a base sample is singular") from None
     gap, norm = _hermitian_opnorms(np.stack([A1 - A2, A1]))
     if gap > BASE_CONSISTENCY_TOL * (1.0 + norm):
         raise ModelMismatchError("base parameter is inconsistent across samples; evaluator is not of the model form")
@@ -408,74 +406,51 @@ def _det_signs(shifts: np.ndarray) -> np.ndarray:
     return np.linalg.det(shifts).real > 0
 
 
-def _bfs_over_pool(base: np.ndarray, nodes: List[np.ndarray], shifts: np.ndarray) -> Optional[List[int]]:
-    """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges.
+def _bfs_over_pool(base: np.ndarray, nodes: np.ndarray, shifts: np.ndarray) -> Optional[List[int]]:
+    """Breadth-first search from nodes[0] to nodes[1] over exact-segment edges, on a stack nodes (k, n, n).
 
     shifts[k] is nodes[k] base + I; every node passed the shear gate, and
     path_to_zero hands over the nodes of one determinant sign only.
-    Frontier nodes are expanded in order, each claiming, in index order, every
-    node still unvisited that it reaches by a segment. The crossing table of a
-    block of frontier nodes against the nodes unvisited when the block starts
-    covers at most PATH_SEGMENTS_PER_CALL segments (one frontier node's row
-    where that is longer) and is one _segment_crossings call. Replaying the
-    claims over the table gives the parents that testing node by node gives,
-    since a node claimed earlier in the block is skipped either way.
+    Frontier nodes are expanded in order: each tests its segments to the
+    nodes still unvisited with one _segment_crossings row and claims, in
+    index order, every node it reaches.
     """
-    stacked = np.stack(nodes)
     unvisited = np.ones(len(nodes), dtype=bool)
     unvisited[0] = False
-    parents = {0: -1}
+    paths = {0: [0]}
     frontier = [0]
     while frontier:
         next_frontier: List[int] = []
-        start = 0
-        while start < len(frontier):
+        for v in frontier:
             others = np.flatnonzero(unvisited)  # never empty: node 1 stays unvisited until the return
-            block = np.array(frontier[start:start + max(1, PATH_SEGMENTS_PER_CALL // others.size)])
-            start += block.size
-            crossings = _segment_crossings(base, stacked[block, None], stacked[others], shifts[block, None])
-            for v, crossed_row in zip(block.tolist(), crossings):
-                for idx in others[~crossed_row & unvisited[others]].tolist():
-                    unvisited[idx] = False
-                    parents[idx] = v
-                    if idx == 1:
-                        path = [1]
-                        while parents[path[-1]] != -1:
-                            path.append(parents[path[-1]])
-                        return path[::-1]
-                    next_frontier.append(idx)
+            for idx in others[~_segment_crossings(base, nodes[v], nodes[others], shifts[v])].tolist():
+                unvisited[idx] = False
+                paths[idx] = paths[v] + [idx]
+                if idx == 1:
+                    return paths[1]
+                next_frontier.append(idx)
         frontier = next_frontier
     return None
 
 
 def _waypoints(rng: np.random.Generator, H: np.ndarray, spread: float, pool: int) -> np.ndarray:
-    """A pool of path_to_zero's random waypoints (pool, n, n), drawn in order and finished as one stack.
+    """A pool of path_to_zero's random waypoints (pool, n, n), each drawn and finished in turn.
 
-    Each waypoint draws its kind, then its weights and normals: a random
-    Hermitian of scale spread times a choice of {0.5, 1, 2}; a point
-    u H, u in (0.1, 0.9), plus a random Hermitian of scale 0.7 spread; or a
-    multiple u v H, u in (-0.5, 1.5), v in (0.2, 0.8). The Hermitian parts
-    are finished with one _complex_from_normals and one herm_part, bit for
-    bit as random_hermitian finishes each alone.
+    Each waypoint draws its kind, then its parts: a random Hermitian of
+    scale spread times a choice of {0.5, 1, 2}; a point u H, u in (0.1, 0.9),
+    plus a random Hermitian of scale 0.7 spread; or a multiple u v H,
+    u in (-0.5, 1.5), v in (0.2, 0.8).
     """
-    n = H.shape[0]
-    kinds = np.empty(pool, dtype=np.int64)
-    weights = np.zeros((pool, 2))
-    normals = np.zeros((pool, 2, n, n))
+    draws = np.empty((pool,) + H.shape, dtype=complex)
     for i in range(pool):
-        kinds[i] = rng.integers(0, 3)
-        if kinds[i] == 0:
-            weights[i, 0] = WAYPOINT_SCALES[rng.integers(0, 3)]
-            rng.standard_normal(out=normals[i])
-        elif kinds[i] == 1:
-            weights[i, 0] = rng.uniform(0.1, 0.9)
-            rng.standard_normal(out=normals[i])
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            draws[i] = random_hermitian(rng, len(H), scale=spread * WAYPOINT_SCALES[rng.integers(0, 3)])
+        elif kind == 1:
+            draws[i] = rng.uniform(0.1, 0.9) * H + random_hermitian(rng, len(H), scale=0.7 * spread)
         else:
-            weights[i, 0] = rng.uniform(-0.5, 1.5)
-            weights[i, 1] = rng.uniform(0.2, 0.8)
-    R = herm_part(_complex_from_normals(normals))
-    kind, u, v = kinds[:, None, None], weights[:, 0, None, None], weights[:, 1, None, None]
-    return np.where(kind == 0, R * (spread * u), np.where(kind == 1, u * H + R * (0.7 * spread), u * H * v))
+            draws[i] = rng.uniform(-0.5, 1.5) * H * rng.uniform(0.2, 0.8)
+    return draws
 
 
 def path_to_zero(
@@ -503,15 +478,15 @@ def path_to_zero(
     """
     A, H = _base_and_hermitian(base, X, tol)
     seed, max_nodes = _checked_int(seed, "seed", 0), _checked_int(max_nodes, "max_nodes")
-    zero = np.zeros_like(H)
+    ends = np.stack([np.zeros_like(H), H])
     eye = np.eye(A.shape[0])
-    end_shifts = np.stack([zero, H]) @ A + eye
+    end_shifts = ends @ A + eye
     if not _is_invertible(end_shifts[1], tol):
         return PathSearchResult(False, None, 0)
     if not _det_signs(end_shifts[1]):
         return PathSearchResult(False, None, 2)
-    if not _segment_crossings(A, zero, H, end_shifts[0]):
-        return PathSearchResult(True, [zero, H], 2)
+    if not _segment_crossings(A, ends[0], H, end_shifts[0]):
+        return PathSearchResult(True, list(ends), 2)
     rng = np.random.default_rng(seed)
     spread = max(1.0, float(_hermitian_opnorms(H)))
     used = 2
@@ -524,7 +499,7 @@ def path_to_zero(
         keep[keep] = _det_signs(shifts[keep])
         used += pool
         if keep.any():
-            nodes = [zero, H, *draws[keep]]
+            nodes = np.concatenate([ends, draws[keep]])
             order = _bfs_over_pool(A, nodes, np.concatenate([end_shifts, shifts[keep]]))
             if order is not None:
                 return PathSearchResult(True, [nodes[i] for i in order], used)

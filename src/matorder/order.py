@@ -18,6 +18,7 @@ from .errors import DomainViolationError, MalformedInputError
 from .linalg import (
     _eigh,
     _loewner_compare,
+    _order_verdict,
     _rank_cut,
     _same_dim,
     _spectrum_inertia,
@@ -137,12 +138,12 @@ class AffineIntervalIso:
 def affine_interval_iso(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> AffineIntervalIso:
     """Build the affine order isomorphism [A, B] -> E_r, r = rank(B - A)."""
     A, B = _same_dim(as_hermitian(A, tol, "A"), as_hermitian(B, tol, "B"))
-    cmp = _loewner_compare(A, B, tol)
+    decomp = _eigh(B - A)
+    cmp = _order_verdict(decomp.values, tol)
     if not cmp.leq:
         raise DomainViolationError("need A <= B")
     if cmp.equal:
         raise DomainViolationError("need A != B")
-    decomp = _eigh(B - A)
     cut = _rank_cut(decomp.values, tol)
     keep = decomp.values > cut
     rank = int(np.sum(keep))

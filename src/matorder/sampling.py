@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MatOrderError
-from .linalg import herm_part, opnorm
+from .linalg import _opnorms, herm_part
 
 __all__ = [
     "complex_gaussian",
@@ -115,7 +115,7 @@ def random_invertible(rng: np.random.Generator, n: int, max_cond: float = 40.0) 
 def random_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     """Invertible strict contraction: ||T||_2 = 0.95."""
     T = random_invertible(rng, n)
-    return T * (0.95 / opnorm(T))
+    return T * (0.95 / _opnorms(T))
 
 
 # The open interval random_half_plane draws the eigenvalues of the imaginary part from.

@@ -33,7 +33,7 @@ from matorder.classify import (
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
-from matorder.linalg import herm_part, jacobi_eigen, loewner_compare, spectral_apply
+from matorder.linalg import frob, herm_part, jacobi_eigen, loewner_compare, opnorm, spectral_apply
 from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
@@ -305,6 +305,23 @@ def test_monotone_and_suite_integers_are_checked(call, message):
                  r"^eigenvalue within margin of pole at 1\.0$", id="spectral-pole"),
     pytest.param(lambda: spectral_apply(EYE, lambda x: np.inf), DomainViolationError,
                  r"^function value not finite on the spectrum$", id="spectral-non-finite"),
+    # the singular evaluator values below used to end in numpy's LinAlgError: Singular matrix
+    pytest.param(lambda: fit_canonical(lambda Z: 1j * EYE if np.allclose(Z, 1j * EYE) else 0 * EYE, 2),
+                 ModelMismatchError, r"^evaluator value at a probe is singular under the provisional map$",
+                 id="fit-singular-probe"),
+    pytest.param(lambda: identify_parameters(lambda H: H if np.linalg.norm(H, 2) < 1e-3 else 0 * EYE, 2),
+                 ModelMismatchError, r"^evaluator value at a base sample is singular$", id="identify-singular-sample"),
+    # opnorm used to raise IndexError on an empty array and LinAlgError on a NaN, and to return nan on an inf;
+    # frob returned 0.0, nan and inf
+    pytest.param(lambda: opnorm(np.zeros((0, 0))), MalformedInputError, r"^opnorm needs a nonempty array$",
+                 id="opnorm-empty"),
+    pytest.param(lambda: opnorm([[np.nan, 0.0], [0.0, 1.0]]), MalformedInputError, r"^opnorm needs finite entries$",
+                 id="opnorm-nan"),
+    pytest.param(lambda: opnorm([[np.inf]]), MalformedInputError, r"^opnorm needs finite entries$", id="opnorm-inf"),
+    pytest.param(lambda: frob(np.zeros((0, 3))), MalformedInputError, r"^frob needs a nonempty array$",
+                 id="frob-empty"),
+    pytest.param(lambda: frob([[np.nan, 1.0]]), MalformedInputError, r"^frob needs finite entries$", id="frob-nan"),
+    pytest.param(lambda: frob([[1.0], [-np.inf]]), MalformedInputError, r"^frob needs finite entries$", id="frob-inf"),
 ])
 def test_each_refusal_states_its_reason(call, error, message):
     with pytest.raises(error, match=message):

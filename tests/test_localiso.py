@@ -183,7 +183,7 @@ def test_membership_matches_path_search_oracle():
 
 
 def _waypoints_per_draw(rng, H, spread, pool):
-    """path_to_zero's waypoints drawn and finished one at a time, the reference for the stacked pool."""
+    """path_to_zero's waypoints drawn one at a time with rng.choice for the scale, the reference for the pool."""
     draws = np.empty((pool,) + H.shape, dtype=complex)
     for i in range(pool):
         kind = rng.integers(0, 3)
@@ -212,7 +212,7 @@ def test_waypoint_scale_draw_is_the_choice_draw(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 200), st.sampled_from([1.0, 2.5, 40.0]), st.integers(0, 2**32 - 1))
-def test_stacked_waypoints_are_the_per_draw_waypoints(n, pool, spread, seed):
+def test_pool_waypoints_are_the_per_draw_waypoints(n, pool, spread, seed):
     H = random_hermitian(np.random.default_rng(seed), n, scale=spread)
     rng, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     assert _same_bits(localiso._waypoints(rng, H, spread, pool), _waypoints_per_draw(reference, H, spread, pool))
@@ -318,44 +318,58 @@ def _path_to_zero_unfiltered(A, H, seed, max_nodes):
     return PathSearchResult(False, None, used)
 
 
-@pytest.mark.parametrize("cap", [1, 7, 64, localiso.PATH_SEGMENTS_PER_CALL])
-def test_level_batched_search_returns_the_per_node_path(cap):
+def test_pool_search_returns_the_per_node_path():
     # Targets alternate between members whose straight path from 0 leaves the
-    # shear domain (so a path needs waypoints) and non-members (unreachable);
-    # small caps split every level into many blocks.
+    # shear domain (so a path needs waypoints) and non-members (unreachable).
     rng = np.random.default_rng(37)
     hops = unreachable = 0
-    with mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
-        for case in range(16):
-            member = case % 2 == 0
-            while True:
-                n = int(rng.integers(2, 5))
-                A = random_hermitian(rng, n)
-                H = random_hermitian(rng, n) * rng.uniform(0.5, 3.0)
-                if (in_shear_domain(A, H) and in_zero_component(A, H) == member
-                        and not segment_in_shear_domain(A, np.zeros((n, n)), H)):
-                    break
-            draws = [rng.uniform(-0.5, 1.5) * H + random_hermitian(rng, n) * rng.uniform(0.1, 1.5)
-                     for _ in range(int(rng.integers(10, 80)))]
-            nodes = [np.zeros((n, n), dtype=complex), H] + [W for W in draws if in_shear_domain(A, W)]
-            stacked = np.stack(nodes)
-            shifts = stacked @ A + np.eye(n)
-            want = _bfs_per_node(nodes, lambda v, others: _segment_crossings(A, nodes[v], stacked[others], shifts[v]))
-            assert _bfs_over_pool(A, nodes, shifts) == want
-            hops += want is not None and len(want) > 2
-            unreachable += want is None and not member
+    for case in range(16):
+        member = case % 2 == 0
+        while True:
+            n = int(rng.integers(2, 5))
+            A = random_hermitian(rng, n)
+            H = random_hermitian(rng, n) * rng.uniform(0.5, 3.0)
+            if (in_shear_domain(A, H) and in_zero_component(A, H) == member
+                    and not segment_in_shear_domain(A, np.zeros((n, n)), H)):
+                break
+        draws = [rng.uniform(-0.5, 1.5) * H + random_hermitian(rng, n) * rng.uniform(0.1, 1.5)
+                 for _ in range(int(rng.integers(10, 80)))]
+        nodes = [np.zeros((n, n), dtype=complex), H] + [W for W in draws if in_shear_domain(A, W)]
+        stacked = np.stack(nodes)
+        shifts = stacked @ A + np.eye(n)
+        want = _bfs_per_node(nodes, lambda v, others: _segment_crossings(A, nodes[v], stacked[others], shifts[v]))
+        assert _bfs_over_pool(A, stacked, shifts) == want
+        hops += want is not None and len(want) > 2
+        unreachable += want is None and not member
     assert hops >= 5 and unreachable == 8
 
 
-@pytest.mark.parametrize("cap", [1, 3, 50, localiso.PATH_SEGMENTS_PER_CALL])
-def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(cap):
+def test_pool_search_tests_one_start_per_call():
+    # no frontier x pool crossing table is built: each segment test has one start and at most the pool as ends;
+    # X is a non-member of 0's determinant sign, so that both pools (48 and 96 waypoints) are searched in full
+    rng = np.random.default_rng(36)
+    while True:
+        A, X = random_hermitian(rng, 3), random_hermitian(rng, 3, scale=2.5)
+        if in_shear_domain(A, X) and not in_zero_component(A, X) and _det_signs(X @ A + np.eye(3)):
+            break
+    with mock.patch.object(localiso, "_segment_crossings", wraps=_segment_crossings) as crossings, \
+            mock.patch.object(localiso, "_bfs_over_pool", wraps=_bfs_over_pool) as search:
+        assert path_to_zero(A, X, max_nodes=146) == (False, None, 146)
+    pool = max(len(call.args[1]) for call in search.call_args_list)
+    assert pool >= 40 and crossings.call_count >= pool
+    for call in crossings.call_args_list:
+        _, P, Qs, M = call.args
+        assert P.ndim == 2 and M.ndim == 2 and Qs[..., 0, 0].size <= pool
+
+
+def test_pool_search_replays_the_per_node_claims_on_random_graphs():
     # Node i is the 1x1 matrix [i], node 0 has 0's positive determinant sign and
     # each other node a random one, and a random symmetric adjacency table, which
     # crosses wherever the signs differ, stands in for the segment test. The
     # whole graph is searched node by node, as the search did before it kept
     # only the nodes of 0's sign; path_to_zero, given nodes 2.. as one pool,
     # must filter them to the same claims, so that searches run many levels
-    # deep, claims race inside a block, and negative nodes and X drop out.
+    # deep, claims race inside a level, and negative nodes and X drop out.
     rng = np.random.default_rng(39)
     deep = unreachable = mixed = negative_x = 0
     for _ in range(150):
@@ -377,8 +391,7 @@ def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(cap):
         with mock.patch.object(localiso, "_segment_crossings", tested), \
                 mock.patch.object(localiso, "_det_signs", sign_of_shift), \
                 mock.patch.object(localiso, "_waypoints", lambda rng, H, spread, pool: stacked[2:2 + pool]), \
-                mock.patch.object(localiso, "PATH_POOL_SIZE", size - 2), \
-                mock.patch.object(localiso, "PATH_SEGMENTS_PER_CALL", cap):
+                mock.patch.object(localiso, "PATH_POOL_SIZE", size - 2):
             got = path_to_zero(np.eye(1), stacked[1], max_nodes=size)
         assert got.found is (want is not None)
         assert got.nodes_used == (size if signs[1] and want != [0, 1] else 2)
