@@ -318,10 +318,12 @@ def _path_to_zero_unfiltered(A, H, seed, max_nodes):
     return PathSearchResult(False, None, used)
 
 
-def test_pool_search_returns_the_per_node_path():
+@pytest.mark.parametrize("seed", [1, 7, 64, 2048])
+def test_level_batched_search_returns_the_per_node_path(seed):
+    # The search expands its frontier level by level, one node's row at a time.
     # Targets alternate between members whose straight path from 0 leaves the
     # shear domain (so a path needs waypoints) and non-members (unreachable).
-    rng = np.random.default_rng(37)
+    rng = np.random.default_rng(seed)
     hops = unreachable = 0
     for case in range(16):
         member = case % 2 == 0
@@ -362,7 +364,8 @@ def test_pool_search_tests_one_start_per_call():
         assert P.ndim == 2 and M.ndim == 2 and Qs[..., 0, 0].size <= pool
 
 
-def test_pool_search_replays_the_per_node_claims_on_random_graphs():
+@pytest.mark.parametrize("seed", [1, 3, 50, 2048])
+def test_level_batched_search_replays_the_per_node_claims_on_random_graphs(seed):
     # Node i is the 1x1 matrix [i], node 0 has 0's positive determinant sign and
     # each other node a random one, and a random symmetric adjacency table, which
     # crosses wherever the signs differ, stands in for the segment test. The
@@ -370,9 +373,9 @@ def test_pool_search_replays_the_per_node_claims_on_random_graphs():
     # only the nodes of 0's sign; path_to_zero, given nodes 2.. as one pool,
     # must filter them to the same claims, so that searches run many levels
     # deep, claims race inside a level, and negative nodes and X drop out.
-    rng = np.random.default_rng(39)
+    rng = np.random.default_rng(seed)
     deep = unreachable = mixed = negative_x = 0
-    for _ in range(150):
+    for _ in range(300):
         size = int(rng.integers(2, 60))
         signs = rng.random(size) < 0.9
         signs[0] = True
