@@ -27,7 +27,6 @@ from .linalg import (
     _is_invertible,
     _opnorms,
     _same_dim,
-    _sqrt_psd,
     as_hermitian,
     as_square,
     herm_part,
@@ -360,11 +359,12 @@ def _fit_centered(
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
     A2 = _imag_part(W)
     A1 = herm_part((W + W.conj().T) / 2.0)
-    A2h = _sqrt_psd(_eigh(A2), tol)
+    # both roots from an _eigh, without a rank cut: A2 > inv_margin passed the gate above and A^2 + I >= I, and
+    # a cut relative to ||A2|| or ||A||^2 would zero eigenvalues that are small against the norm but not noise
+    lam, V = _eigh(A2)
+    A2h = herm_part((V * np.sqrt(lam)) @ V.conj().T)
     A2hinv = np.linalg.inv(A2h)
     A = herm_part(A2hinv @ A1 @ A2hinv)
-    # (A^2 + I)^{1/2} from the eigenvalues of A: A^2 + I >= I, and a rank cut
-    # relative to ||A||^2 would zero its eigenvalues near 1 when ||A|| is large
     lam, V = _eigh(A)
     T = A2h @ (V * np.sqrt(lam**2 + 1.0)) @ V.conj().T
     peel = _canonical_inverse(T, A)

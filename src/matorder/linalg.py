@@ -44,8 +44,9 @@ and the kernels built on them (membership, the shear, block and Mobius maps,
 the effect maps); _jacobi_eigen runs each member's rotations, in the order
 of a run on it alone, as stacked matmuls over the members still sweeping.
 Suites draw their samples in order, finish them with herm_part (so a stack
-is exactly Hermitian without a second hermiticity test) and check them with
-the kernels, in one call per stack; public functions stay per-matrix.
+is exactly Hermitian without a second hermiticity test) and check what they
+compute with the kernels (_opnorms, _frob, halfplane._in_half_plane), in one
+call per stack; public functions, opnorm the one public norm, stay per-matrix.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ __all__ = [
     "as_square",
     "as_hermitian",
     "herm_part",
-    "frob",
     "opnorm",
     "hermitian_eigen",
     "jacobi_eigen",
@@ -125,27 +125,18 @@ def herm_part(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
-def frob(M: np.ndarray) -> float:
-    """Frobenius norm of a nonempty finite matrix."""
-    return _frob(_norm_operand(M, "frob"))
-
-
 def _frob(M: np.ndarray) -> float:
-    """Kernel of frob; a NaN entry gives nan."""
+    """Frobenius norm of a matrix; a NaN entry gives nan."""
     return float(np.linalg.norm(M, "fro"))
 
 
 def opnorm(M: np.ndarray) -> float:
-    """Spectral (largest singular value) norm of a nonempty finite matrix."""
-    return float(_opnorms(_norm_operand(M, "opnorm")))
-
-
-def _norm_operand(M: np.ndarray, name: str) -> np.ndarray:
-    """M as a complex array for frob or opnorm (`name`); MalformedInputError where it is empty or not finite."""
+    """Spectral (largest singular value) norm of a nonempty finite matrix, square or not."""
     A = np.asarray(M, dtype=complex)
-    if not A.size or not np.isfinite(A).all():
-        raise MalformedInputError(f"{name} needs {'finite entries' if A.size else 'a nonempty array'}")
-    return A
+    if A.ndim != 2 or not A.size or not np.isfinite(A).all():
+        what = "a 2-d array" if A.ndim != 2 else "finite entries" if A.size else "a nonempty array"
+        raise MalformedInputError(f"opnorm needs {what}")
+    return float(_opnorms(A))
 
 
 def _opnorms(S: np.ndarray):

@@ -59,12 +59,12 @@ from .classify import (BlockMapSpec, EffectAutoSpec, EffectEmbeddingSpec, FpqSpe
 from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, MalformedInputError, MatOrderError, ModelMismatchError, PathSearchError
 from .fileio import matrix_to_payload, matrix_to_text, parse_matrix_text
-from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, _in_half_plane, cayley, in_half_plane,
-                        inverse_cayley, mobius_fix01, mobius_fix01_matrix, neg_inverse, normalize_phase)
-from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _hermitian_opnorms, _is_invertible, _jacobi_eigen,
+from .halfplane import (MobiusAutomorphism, _apply_mobius, _fit_canonical, _in_half_plane, cayley, inverse_cayley,
+                        mobius_fix01, mobius_fix01_matrix, neg_inverse, normalize_phase)
+from .linalg import (EigenDecomposition, _eigh, _eigvalsh, _frob, _hermitian_opnorms, _is_invertible, _jacobi_eigen,
                      _loewner_compare, _opnorms, _order_verdict, _spectra_have_inertia, _spectra_invertible,
-                     _spectra_norms, _spectral_apply, _spectrum_inertia, _sqrt_psd, as_hermitian, frob, herm_part,
-                     hermitian_eigen, inertia, invertibility_margin, opnorm)
+                     _spectra_norms, _spectral_apply, _spectrum_inertia, _sqrt_psd, as_hermitian, herm_part,
+                     hermitian_eigen, inertia, invertibility_margin)
 from .localiso import (REAL_EIG_MARGIN, _apply_local_iso, _congruence_orbit, _identify_parameters,
                        _in_zero_component, _interval_below_criterion, _order_iso_apply, _range_compression,
                        _segment_from, _shear_apply, conjugated_base, in_zero_component, path_to_zero, translated_base)
@@ -440,9 +440,9 @@ def _suite_eigen_residual(rng, trials, tol, rec):
         engines = [("numpy", hermitian_eigen(X, tol))] + ([("jacobi", jacobi[t])] if t in jacobi else [])
         for engine, decomp in engines:
             V, vals = decomp.vectors, decomp.values
-            res = frob(X @ V - V * vals) / (1.0 + frob(X))
+            res = _frob(X @ V - V * vals) / (1.0 + _frob(X))
             rec.check_residual(res, tol.eig_tol, t, f"{engine} eigen residual", X=X)
-            unit = frob(V.conj().T @ V - np.eye(n))
+            unit = _frob(V.conj().T @ V - np.eye(n))
             rec.check_residual(unit, tol.eig_tol * n, t, f"{engine} eigenvector unitarity", X=X)
             rec.check(bool(np.all(np.diff(vals) >= 0)), t, f"{engine} eigenvalues not ascending", X=X)
         if t == 0:
@@ -665,14 +665,14 @@ def _suite_halfplane_roundtrip(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 5):
         Z = random_half_plane(rng, n)
         M = inverse_cayley(Z, tol)
-        rec.check(opnorm(M) < 1.0, t, "ball image is not a strict contraction", Z=Z)
+        rec.check(_opnorms(M) < 1.0, t, "ball image is not a strict contraction", Z=Z)
         rec.check_residual(_rel(cayley(M, tol), Z), 1e-10, t, "half-plane round trip", Z=Z)
         W = random_contraction(rng, n)
         Z2 = cayley(W, tol)
-        rec.check(bool(in_half_plane(Z2, tol)), t, "cayley left the half-plane", W=W)
+        rec.check(_in_half_plane(Z2, tol), t, "cayley left the half-plane", W=W)
         rec.check_residual(_rel(inverse_cayley(Z2, tol), W), 1e-10, t, "contraction round trip", W=W)
         N = neg_inverse(Z, tol)
-        rec.check(bool(in_half_plane(N, tol)), t, "negated inverse left the half-plane", Z=Z)
+        rec.check(_in_half_plane(N, tol), t, "negated inverse left the half-plane", Z=Z)
         rec.check_residual(_rel(neg_inverse(N, tol), Z), 1e-10, t, "negated inverse involution", Z=Z)
         X = random_hermitian(rng, n)
         if _is_invertible(X, INVOLUTION_MARGIN):
@@ -709,8 +709,7 @@ def _suite_rational_inverse(rng, trials, tol, rec):
         rec.check_residual(_rel_hermitian(mobius_fix01_matrix(r_inv, Y, tol), X), 1e-9,
                            t, f"matrix inverse law at r={r}", X=X)
         Z = random_half_plane(rng, n)
-        rec.check(bool(in_half_plane(mobius_fix01_matrix(r, Z, tol), tol)), t,
-                  f"f_{r} left the half-plane", Z=Z)
+        rec.check(_in_half_plane(mobius_fix01_matrix(r, Z, tol), tol), t, f"f_{r} left the half-plane", Z=Z)
 
 
 def _random_mobius(rng: np.random.Generator, n: int) -> MobiusAutomorphism:
@@ -759,7 +758,7 @@ def _suite_mobius_closure(rng, trials, tol, rec):
         wants = h(points)
         got = _apply_mobius(fitted, points, tol)
         for Z, want in zip(points, wants):
-            rec.check(bool(in_half_plane(want, tol)), t, "composition left the half-plane", Z=Z)
+            rec.check(_in_half_plane(want, tol), t, "composition left the half-plane", Z=Z)
         rec.check_residual(_rel(got, wants), 1e-6, t, "refit composition mismatch",
                            frame1=g1.frame, frame2=g2.frame)
 
@@ -774,11 +773,11 @@ def _suite_mobius_hermitian(rng, trials, tol, rec):
         except DomainViolationError:
             rec.count("skipped_outside_domain")
             continue
-        rec.check_residual(opnorm(Y - Y.conj().T) / (1.0 + opnorm(Y)), 1e-9,
+        rec.check_residual(_opnorms(Y - Y.conj().T) / (1.0 + _opnorms(Y)), 1e-9,
                            t, "Hermitian input produced non-Hermitian output", X=X)
         Z = random_half_plane(rng, n)
         out = _apply_mobius(m, Z, tol)
-        rec.check(bool(in_half_plane(out, tol)), t, "half-plane point left the half-plane", Z=Z)
+        rec.check(_in_half_plane(out, tol), t, "half-plane point left the half-plane", Z=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -803,11 +802,11 @@ def _suite_theta_inversion(rng, trials, tol, rec):
             rec.fail(t, "image not in the mirrored domain", A=A, X=X)
             continue
         scale = 1.0 + _hnorm(X)
-        r1 = rec.keep("max_inversion_residual", opnorm(back - X) / scale, max)
+        r1 = rec.keep("max_inversion_residual", _opnorms(back - X) / scale, max)
         rec.check_residual(r1, 1e-9, t, "inversion identity", A=A, X=X)
         # Y is the left formula (X A + I)^{-1} X; the right one is X (A X + I)^{-1}
         right = np.linalg.solve((A @ X + np.eye(n)).T, X.T).T
-        r2 = rec.keep("max_two_sided_residual", opnorm(Y - right) / scale, max)
+        r2 = rec.keep("max_two_sided_residual", _opnorms(Y - right) / scale, max)
         rec.check_residual(r2, 1e-10, t, "two-sided formula", A=A, X=X)
 
 
@@ -903,7 +902,7 @@ def _suite_translation_identity(rng, trials, tol, rec):
         lhs = shifted - anchor
         Mi = np.linalg.inv(X0 @ A + eye)
         rhs = Mi @ _shear_apply(A2, X, tol) @ Mi.conj().T
-        rec.check_residual(opnorm(lhs - rhs) / (1.0 + opnorm(lhs)), 1e-9,
+        rec.check_residual(_opnorms(lhs - rhs) / (1.0 + _opnorms(lhs)), 1e-9,
                            t, "translation identity", A=A, X0=X0, X=X)
 
 
@@ -963,7 +962,7 @@ def _suite_congruence_orbit(rng, trials, tol, rec):
             continue
         target = _shear_apply(X, A, tol)
         got = herm_part(G @ A @ G.conj().T)
-        rec.check_residual(opnorm(got - target) / (1.0 + _hnorm(A)), 1e-8,
+        rec.check_residual(_opnorms(got - target) / (1.0 + _hnorm(A)), 1e-8,
                            t, "orbit congruence residual", A=A, X=X)
         rec.check(tuple(inertia(target, tol)) == _spectrum_inertia(_eigvalsh(A), tol), t,
                   "orbit image changed inertia", A=A, X=X)
@@ -1383,7 +1382,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
         direct = pick_eval(rep, X, tol)
         f = rep.scalar_function()
         via_spectrum = _spectral_apply(_eigh(X), f, f.domain, (), tol)
-        rec.check_residual(opnorm(direct - via_spectrum) / (1.0 + opnorm(direct)), 1e-9,
+        rec.check_residual(_opnorms(direct - via_spectrum) / (1.0 + _opnorms(direct)), 1e-9,
                            t, "matrix value disagrees with the spectral route", X=X)
         x = float(rng.uniform(a + pad, b - pad))
         scalar = pick_eval(rep, x, tol)
@@ -1395,7 +1394,7 @@ def _suite_pick_evaluation(rng, trials, tol, rec):
     atom = PickRepresentation(c=0.0, d=0.0, atoms=((0.0, 1.0),), interval=(0.4, 2.5))
     for t in range(20):
         X = random_hermitian_with_spectrum(rng, 3, 0.5, 2.4)
-        rec.check_residual(opnorm(pick_eval(atom, X, tol) + np.linalg.inv(X)) / (1.0 + opnorm(X)),
+        rec.check_residual(_opnorms(pick_eval(atom, X, tol) + np.linalg.inv(X)) / (1.0 + _opnorms(X)),
                            1e-10, t, "atom at the origin is not the negated inverse", X=X)
 
 

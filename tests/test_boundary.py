@@ -33,7 +33,7 @@ from matorder.classify import (
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
-from matorder.linalg import frob, herm_part, jacobi_eigen, loewner_compare, opnorm, spectral_apply
+from matorder.linalg import herm_part, jacobi_eigen, loewner_compare, opnorm, spectral_apply
 from matorder.localiso import (
     apply_local_iso,
     congruence_orbit,
@@ -312,16 +312,15 @@ def test_monotone_and_suite_integers_are_checked(call, message):
     pytest.param(lambda: identify_parameters(lambda H: H if np.linalg.norm(H, 2) < 1e-3 else 0 * EYE, 2),
                  ModelMismatchError, r"^evaluator value at a base sample is singular$", id="identify-singular-sample"),
     # opnorm used to raise IndexError on an empty array and LinAlgError on a NaN, and to return nan on an inf;
-    # frob returned 0.0, nan and inf
+    # on a vector it raised LinAlgError and on a stack TypeError
     pytest.param(lambda: opnorm(np.zeros((0, 0))), MalformedInputError, r"^opnorm needs a nonempty array$",
                  id="opnorm-empty"),
     pytest.param(lambda: opnorm([[np.nan, 0.0], [0.0, 1.0]]), MalformedInputError, r"^opnorm needs finite entries$",
                  id="opnorm-nan"),
     pytest.param(lambda: opnorm([[np.inf]]), MalformedInputError, r"^opnorm needs finite entries$", id="opnorm-inf"),
-    pytest.param(lambda: frob(np.zeros((0, 3))), MalformedInputError, r"^frob needs a nonempty array$",
-                 id="frob-empty"),
-    pytest.param(lambda: frob([[np.nan, 1.0]]), MalformedInputError, r"^frob needs finite entries$", id="frob-nan"),
-    pytest.param(lambda: frob([[1.0], [-np.inf]]), MalformedInputError, r"^frob needs finite entries$", id="frob-inf"),
+    pytest.param(lambda: opnorm(np.ones(3)), MalformedInputError, r"^opnorm needs a 2-d array$", id="opnorm-vector"),
+    pytest.param(lambda: opnorm(np.ones((3, 2, 2))), MalformedInputError, r"^opnorm needs a 2-d array$",
+                 id="opnorm-stack"),
 ])
 def test_each_refusal_states_its_reason(call, error, message):
     with pytest.raises(error, match=message):

@@ -47,7 +47,8 @@ OTHER_FILES = {
     "table.csv": "0,0\n1,1\n2,4\n",
     "text.json": "not json",
 }
-SUITES = ["class-count", "report-determinism", "order-embedding", "no-such-suite"]
+SUITES = ["class-count", "report-determinism", "order-embedding", "mobius-closure", "parameter-recovery",
+          "no-such-suite"]
 TOLERANCE_FIELDS = ["herm_tol", "eig_tol", "psd_tol", "inv_margin", "rank_tol"]  # the last is no field
 
 

@@ -294,3 +294,26 @@ def test_fit_canonical_rejects_a_map_that_departs_only_at_the_validation_points(
         fit_canonical(evaluator, n)
     # the planted map alone fits
     fit_canonical(lambda Z: apply_mobius(m, Z), n)
+
+
+def test_membership_moves_with_the_inv_margin():
+    Z = 0.5j * np.eye(2)  # imaginary part 0.5 I: margin 0.5
+    assert in_half_plane(Z, tol=DEFAULT_TOL) == (True, 0.5)
+    assert in_half_plane(Z, tol=DEFAULT_TOL.replace(inv_margin=1.0)) == (False, 0.5)
+
+
+@pytest.mark.parametrize("small", [1e-2, 1e-3, 1.5e-4])
+def test_fit_canonical_fits_a_frame_with_a_small_singular_value(small):
+    # the root of Im W took psd_tol's rank cut, which zeroed the eigenvalue small^2 of Im W = T T*, and the fit
+    # ended in numpy's LinAlgError below small = 1e-2
+    T = np.diag([10.0, small]).astype(complex)
+    fit = fit_canonical(lambda Z: T @ Z @ T.conj().T, 2)
+    Z = random_half_plane(np.random.default_rng(8), 2)
+    want = T @ Z @ T.conj().T
+    assert opnorm(apply_mobius(fit, Z) - want) <= 1e-9 * (1.0 + opnorm(want))
+
+
+@pytest.mark.parametrize("psd_tol", [0.1, 0.5, 1e6])
+def test_fit_canonical_takes_no_rank_cut_at_a_wide_psd_tol(psd_tol):
+    fit = fit_canonical(lambda Z: Z, 2, tol=DEFAULT_TOL.replace(psd_tol=psd_tol))
+    assert np.array_equal(fit.frame, np.eye(2)) and not fit.A.any() and not fit.transpose

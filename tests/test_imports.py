@@ -341,7 +341,8 @@ PER_MATRIX_RECOVERY = {"fit_canonical", "identify_parameters", "apply_local_iso"
 VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_eigen", "loewner_compare",
                      "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible",
                      "in_block_domain", "block_map_apply", "inertia", "are_equivalent",
-                     "jacobi_eigen", "shear_apply", "in_shear_domain", "growth_direction", "spectral_apply"}
+                     "jacobi_eigen", "shear_apply", "in_shear_domain", "growth_direction", "spectral_apply",
+                     "opnorm", "in_half_plane"}
 # (module, owner, shell): reads at the sites whose claim is about the public function itself, or whose
 # argument comes from outside the library
 SHELL_SITES = {

@@ -15,6 +15,7 @@ from matorder.linalg import (
     OrderVerdict,
     _eigh,
     _eigvalsh,
+    _frob,
     _gate,
     _has_inertia,
     _hermitian_opnorms,
@@ -24,7 +25,6 @@ from matorder.linalg import (
     _principal_sqrt,
     _sqrt_psd,
     as_hermitian,
-    frob,
     herm_part,
     hermitian_eigen,
     inertia,
@@ -89,8 +89,8 @@ def test_jacobi_agrees_with_default_engine():
         # both must reconstruct A and be unitary
         for d in (slow, fast):
             V, w = d.vectors, d.values
-            assert frob((V * w) @ V.conj().T - A) <= 1e-9 * (1.0 + frob(A))
-            assert frob(V.conj().T @ V - np.eye(n)) <= 1e-10 * n
+            assert _frob((V * w) @ V.conj().T - A) <= 1e-9 * (1.0 + _frob(A))
+            assert _frob(V.conj().T @ V - np.eye(n)) <= 1e-10 * n
 
 
 def _jacobi_per_matrix(X, tol):
@@ -100,12 +100,12 @@ def _jacobi_per_matrix(X, tol):
     V = np.eye(n, dtype=complex)
     if n <= 1:
         return np.diag(A).real.copy(), V
-    scale = frob(A)
+    scale = _frob(A)
     if scale == 0.0:
         return np.zeros(n), V
     target = tol.eig_tol * scale / 10.0
     for _ in range(linalg.JACOBI_MAX_SWEEPS):
-        if frob(A - np.diag(np.diag(A))) <= target:
+        if _frob(A - np.diag(np.diag(A))) <= target:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -250,14 +250,14 @@ def _hermitian_at(scale):
 def test_hermiticity_is_decided_where_the_frobenius_norm_overflows():
     # ||M||_F and ||M - M*||_F both overflowed to inf, and inf <= herm_tol * (1 + inf) accepted any such matrix
     M = np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex)
-    assert frob(M) == np.inf
+    assert _frob(M) == np.inf
     # the message quotes the defect of the scaled copy, scaled back: it used to read inf
     with pytest.raises(MalformedInputError, match=r"^matrix is not Hermitian: \|\|X - X\*\|\|_F = 1\.414e\+300$"):
         as_hermitian(M)
     with pytest.raises(MalformedInputError, match=r"= 2\.828e\+00$"):  # at ordinary scale, the defect as computed
         as_hermitian([[1.0, 2.0], [0.0, 1.0]])
     H = _hermitian_at(1e300)
-    assert frob(H) == np.inf
+    assert _frob(H) == np.inf
     assert np.array_equal(as_hermitian(H), herm_part(H))
 
 
@@ -265,7 +265,7 @@ def test_hermiticity_is_decided_where_the_frobenius_norm_overflows():
 @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
 def test_hermiticity_cushion_at_a_scale_whose_norm_overflows(factor, accepted):
     H = _hermitian_at(1e300)
-    norm = frob(H * 2.0 ** -600) * 2.0 ** 600  # ||H||_F, finite in the scaled copy
+    norm = _frob(H * 2.0 ** -600) * 2.0 ** 600  # ||H||_F, finite in the scaled copy
     E = np.triu(np.ones((4, 4)), 1) / np.sqrt(6.0)  # ||E||_F = 1, and ||E - E*||_F = sqrt(2)
     M = H + E * (factor * DEFAULT_TOL.herm_tol * norm / np.sqrt(2.0))
     assert linalg._is_hermitian(M, DEFAULT_TOL) is accepted
@@ -276,7 +276,7 @@ def test_sqrt_psd_squares_back():
     for _ in range(40):
         A = random_psd(rng, 4)
         R = _sqrt_psd(_eigh(A), DEFAULT_TOL)
-        assert frob(R @ R - A) <= 1e-9 * (1.0 + frob(A))
+        assert _frob(R @ R - A) <= 1e-9 * (1.0 + _frob(A))
         assert float(hermitian_eigen(R).values[0]) >= -1e-12
 
 
@@ -300,9 +300,9 @@ def test_spectral_apply_matches_scalar_closed_form():
     for _ in range(20):
         A = random_psd(rng, 3) + 0.5 * np.eye(3)
         S = spectral_apply(A, np.sqrt)
-        assert frob(S @ S - A) <= 1e-10 * (1.0 + frob(A))
+        assert _frob(S @ S - A) <= 1e-10 * (1.0 + _frob(A))
         Inv = spectral_apply(A, lambda x: 1.0 / x)
-        assert frob(Inv - np.linalg.inv(A)) <= 1e-9 * (1.0 + opnorm(Inv))
+        assert _frob(Inv - np.linalg.inv(A)) <= 1e-9 * (1.0 + opnorm(Inv))
 
 
 def test_spectral_apply_guards_domain():
@@ -322,8 +322,9 @@ def test_invertibility_margin_and_flag():
 
 def test_norm_helpers():
     A = np.array([[3.0, 4.0], [0.0, 0.0]], dtype=complex)
-    assert frob(A) == pytest.approx(5.0)
+    assert _frob(A) == pytest.approx(5.0)
     assert opnorm(np.diag([2.0, -7.0]).astype(complex)) == pytest.approx(7.0)
+    assert opnorm(np.ones((2, 3))) == pytest.approx(np.sqrt(6.0))  # rectangular matrices stay accepted
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from matorder import localiso, suites
+from matorder import linalg, localiso, suites
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.fileio import matrix_to_payload
@@ -308,8 +308,8 @@ def test_rel_of_a_stack_is_the_worst_member_bit_for_bit():
         got, want = (rng.standard_normal((2, k, n, n)) + 1j * rng.standard_normal((2, k, n, n))) * scale
         worst = 0.0
         for g, w in zip(got, want):
-            worst = max(worst, suites.opnorm(g - w) / (1.0 + suites.opnorm(w)))
-        first = suites.opnorm(got[0] - want[0]) / (1.0 + suites.opnorm(want[0]))
+            worst = max(worst, linalg._opnorms(g - w) / (1.0 + linalg._opnorms(w)))
+        first = linalg._opnorms(got[0] - want[0]) / (1.0 + linalg._opnorms(want[0]))
         assert suites._rel(got, want) == worst and suites._rel(got[0], want[0]) == first
 
 
@@ -432,3 +432,31 @@ def test_an_error_of_the_suite_itself_still_propagates(monkeypatch):
     monkeypatch.setitem(SUITES, "broken", suites._SuiteDef(broken, 3, "raises", {}))
     with pytest.raises(KeyError, match="undeclared"):
         run_suite("broken")
+
+
+def test_a_non_finite_residual_fails_its_own_trial(monkeypatch):
+    # the suites check their residuals with the kernels: an infinite eigenvector used to stop the whole suite
+    # at trial -1 through the public frob's MalformedInputError, dropping every later trial
+    def planted(X, tol):
+        values, vectors = linalg._jacobi_eigen(X, tol)
+        if X.shape[-1] == 3:
+            vectors = vectors.copy()
+            vectors[:, 0, 0] = np.inf
+        return values, vectors
+
+    monkeypatch.setattr(suites, "_jacobi_eigen", planted)
+    with np.errstate(all="ignore"):
+        report = run_suite("eigen-residual", seed=0, trials=12)
+    assert {f["trial"] for f in report.failures} == {1, 9}  # the two trials of dimension 3
+    assert {f["description"].split(":")[0] for f in report.failures} == {
+        "jacobi eigen residual", "jacobi eigenvector unitarity"}
+
+
+@pytest.mark.parametrize("field", ["herm_tol", "eig_tol", "psd_tol", "inv_margin"])
+def test_no_tolerance_override_stops_a_suite_with_a_foreign_error(field):
+    # a suite may fail or stop with a MatOrderError at a far-off tolerance, but no other exception may escape;
+    # mobius-closure at psd_tol 0.5 and 1e300 and parameter-recovery at 1e300 used to end in LinAlgError
+    for value in (1e-300, 0.5, 1e300):
+        tol = DEFAULT_TOL.replace(**{field: value})
+        for name in suite_names():
+            assert run_suite(name, seed=0, trials=1, tol=tol).suite == name
