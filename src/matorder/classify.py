@@ -74,10 +74,6 @@ __all__ = [
 # contraction scaled to norm exactly 1 is not refused for a rounding excess.
 CONTRACTION_SLACK = 1e-10
 
-# endpoint_continuity calls an endpoint value continuous when it is within
-# ENDPOINT_CONTINUITY_TOL * (1 + ||limit||_2) of the interior limit.
-ENDPOINT_CONTINUITY_TOL = 1e-8
-
 
 @dataclasses.dataclass(frozen=True)
 class BlockMapSpec:
@@ -472,11 +468,11 @@ def _effect_embedding(spec: EffectEmbeddingSpec, H: np.ndarray, tol: ToleranceCo
 
 
 def endpoint_continuity(spec: EffectEmbeddingSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Dict[str, bool]:
-    """Whether the (possibly overridden) endpoint values match the interior limits."""
+    """Whether each (possibly overridden) endpoint value is within psd_tol * (1 + ||limit||_2) of its interior limit."""
     limits = _effect_automorphism(spec.interior, np.stack([np.zeros((spec.dim, spec.dim)), np.eye(spec.dim)]), tol)
     report = {}
     for key, limit, override in zip(("zero", "one"), limits, (spec.value_at_zero, spec.value_at_one)):
         value = limit if override is None else override
         gap, norm = _hermitian_opnorms(np.stack([value - limit, limit]))
-        report[key] = bool(gap <= ENDPOINT_CONTINUITY_TOL * (1.0 + norm))
+        report[key] = bool(gap <= tol.psd_tol * (1.0 + norm))
     return report

@@ -19,7 +19,6 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import DomainViolationError, MalformedInputError, ModelMismatchError
 from .linalg import (
-    _check_guard,
     _eigh,
     _eigvalsh,
     _gate,
@@ -132,21 +131,19 @@ def mobius_fix01(r: float, x: float) -> float:
 def mobius_fix01_matrix(r: float, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Matrix version via the resolvent form (1/r)I - ((1-r)/r^2)(X - pole*I)^{-1}.
 
-    Accepts Hermitian matrices (spectrum guarded away from the pole) and
-    half-plane points (resolvent automatically well defined); sends the
-    half-plane into itself for every admissible r.
+    Accepts Hermitian matrices and half-plane points; one gate serves every
+    argument: X - pole*I must be invertible by linalg._is_invertible, else
+    DomainViolationError. A Hermitian argument gives a Hermitian value; the
+    map sends the half-plane into itself for every admissible r.
     """
     pole = _fix01_pole(r)
     M = as_square(X)
     n = M.shape[0]
     shifted = M - pole * np.eye(n)
-    hermitian = _is_hermitian(M, tol)
-    if hermitian:
-        _check_guard(_eigvalsh(herm_part(M)), None, (pole,), tol.inv_margin)
-    elif not _is_invertible(shifted, tol):
+    if not _is_invertible(shifted, tol):
         raise DomainViolationError("resolvent of the map is numerically singular")
     out = (1.0 / r) * np.eye(n) - ((1.0 - r) / r**2) * np.linalg.inv(shifted)
-    return herm_part(out) if hermitian else out
+    return herm_part(out) if _is_hermitian(M, tol) else out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,7 +355,7 @@ def _fit_centered(
     if not _in_half_plane(W, tol):
         raise ModelMismatchError("evaluator does not map iI into the half-plane")
     A2 = _imag_part(W)
-    A1 = herm_part((W + W.conj().T) / 2.0)
+    A1 = herm_part(W)
     # both roots from an _eigh, without a rank cut: A2 > inv_margin passed the gate above and A^2 + I >= I, and
     # a cut relative to ||A2|| or ||A||^2 would zero eigenvalues that are small against the norm but not noise
     lam, V = _eigh(A2)

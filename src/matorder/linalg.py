@@ -381,12 +381,15 @@ def _gate(verdicts, message: str) -> None:
 
 
 def _check_guard(values: np.ndarray, domain: Optional[tuple], poles: Sequence[float], margin: float) -> None:
+    """DomainViolationError unless an ascending spectrum stays margin inside the open interval domain and margin
+    away from each pole. It reads the spectrum's ends; against an infinite end the comparison never holds."""
     if domain is not None:
         a, b = domain
-        if np.isfinite(a) and np.any(values <= a + margin):
-            raise DomainViolationError(f"eigenvalue {values.min():.6g} within margin of domain edge {a}")
-        if np.isfinite(b) and np.any(values >= b - margin):
-            raise DomainViolationError(f"eigenvalue {values.max():.6g} within margin of domain edge {b}")
+        lo, hi = float(values[0]), float(values[-1])
+        if lo <= a + margin:
+            raise DomainViolationError(f"eigenvalue {lo:.6g} within margin of domain edge {a}")
+        if hi >= b - margin:
+            raise DomainViolationError(f"eigenvalue {hi:.6g} within margin of domain edge {b}")
     for pole in poles:
         if np.any(np.abs(values - pole) <= margin):
             raise DomainViolationError(f"eigenvalue within margin of pole at {pole}")

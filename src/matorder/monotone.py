@@ -25,6 +25,7 @@ from .errors import DomainViolationError, MalformedInputError
 from .fileio import decoding, read_text_file
 from .halfplane import _fix01_pole, _in_half_plane, mobius_fix01
 from .linalg import (
+    _check_guard,
     _eigh,
     _eigvalsh,
     _hermitian_opnorms,
@@ -275,23 +276,18 @@ def pick_eval(
 ) -> Union[float, np.ndarray]:
     """Evaluate on a scalar, a Hermitian matrix, or a half-plane point.
 
-    Hermitian arguments must have spectrum inside the interval; half-plane
-    arguments need no interval guard (real atoms cannot collide with a
-    matrix whose imaginary part is definite) and, when d > 0 or atoms are
-    present, the value lands back in the half-plane.
+    A scalar must lie inside the interval, as for rep.scalar_function().
+    A Hermitian argument's spectrum must stay inv_margin inside it, as in
+    spectral_apply; half-plane arguments need no interval guard (real atoms
+    cannot collide with a matrix whose imaginary part is definite) and, when
+    d > 0 or atoms are present, the value lands back in the half-plane.
     """
-    a, b = rep.interval
     if np.isscalar(argument):
-        x = float(np.real(argument))
-        if not a < x < b:
-            raise DomainViolationError(f"scalar argument {x} outside ({a}, {b})")
-        return rep.scalar_function()(x)
+        return rep.scalar_function()(float(np.real(argument)))
     Z = as_square(argument, "argument")
     if _is_hermitian(Z, tol):
         H = herm_part(Z)
-        values = _eigvalsh(H)
-        if not (a < float(values[0]) and float(values[-1]) < b):
-            raise DomainViolationError("matrix spectrum outside the interval")
+        _check_guard(_eigvalsh(H), rep.interval, (), tol.inv_margin)
         return herm_part(_pick_matrix(rep, H, tol))
     if _in_half_plane(Z, tol):
         return _pick_matrix(rep, Z, tol)

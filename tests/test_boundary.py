@@ -32,7 +32,7 @@ from matorder.classify import (
 )
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError, ModelMismatchError
-from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane
+from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane, mobius_fix01_matrix
 from matorder.linalg import herm_part, jacobi_eigen, loewner_compare, opnorm, spectral_apply
 from matorder.localiso import (
     apply_local_iso,
@@ -305,6 +305,20 @@ def test_monotone_and_suite_integers_are_checked(call, message):
                  r"^eigenvalue within margin of pole at 1\.0$", id="spectral-pole"),
     pytest.param(lambda: spectral_apply(EYE, lambda x: np.inf), DomainViolationError,
                  r"^function value not finite on the spectrum$", id="spectral-non-finite"),
+    # a Hermitian argument near the pole -1 used to pass an absolute guard of its own and return entries of 4e7;
+    # it now meets the one invertibility gate that refused its non-Hermitian neighbour
+    pytest.param(lambda: mobius_fix01_matrix(0.5, np.diag([-1.0 + 5e-8, 100.0])), DomainViolationError,
+                 r"^resolvent of the map is numerically singular$", id="fix01-hermitian-near-pole"),
+    pytest.param(lambda: mobius_fix01_matrix(0.5, np.array([[-1.0 + 5e-8, 1e-3j], [0.0, 100.0]])),
+                 DomainViolationError, r"^resolvent of the map is numerically singular$", id="fix01-near-pole"),
+    # pick_eval used to accept a spectrum within inv_margin of an end, which the spectral route refuses
+    pytest.param(lambda: pick_eval(PICK, np.diag([0.0, 1.0 - 5e-9])), DomainViolationError,
+                 r"^eigenvalue 1 within margin of domain edge 1\.0$", id="pick-near-edge"),
+    pytest.param(lambda: spectral_apply(np.diag([0.0, 1.0 - 5e-9]), PICK.scalar_function(), PICK.interval),
+                 DomainViolationError, r"^eigenvalue 1 within margin of domain edge 1\.0$",
+                 id="pick-spectral-near-edge"),
+    pytest.param(lambda: pick_eval(PICK, 2.0), DomainViolationError,
+                 r"^2\.0 is outside the domain \(-1\.0, 1\.0\) of pick$", id="pick-scalar-outside"),
     # the singular evaluator values below used to end in numpy's LinAlgError: Singular matrix
     pytest.param(lambda: fit_canonical(lambda Z: 1j * EYE if np.allclose(Z, 1j * EYE) else 0 * EYE, 2),
                  ModelMismatchError, r"^evaluator value at a probe is singular under the provisional map$",

@@ -211,6 +211,25 @@ def test_effect_automorphism_matches_explicit_inverse_formula():
             assert opnorm(effect_automorphism(spec, X) - want) <= 1e-10 * (1.0 + opnorm(want))
 
 
+@pytest.mark.parametrize("fpq", [False, True], ids=["frame", "fpq"])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_inverse_frame_undoes_the_map(fpq, transpose):
+    # the map EffectAutoSpec(T, transpose), also an FpqSpec's, is undone by EffectAutoSpec(T^-1),
+    # or by EffectAutoSpec(conj(T)^-1, transpose=True) when it transposes
+    rng = np.random.default_rng(64)
+    for n in range(2, 6):
+        if fpq:
+            m = FpqSpec(p=float(rng.uniform(0.15, 0.85)), q=-float(rng.uniform(0.3, 3.0)),
+                        frame=random_contraction(rng, n), transpose=transpose).automorphism
+        else:
+            m = EffectAutoSpec(frame=random_invertible(rng, n, max_cond=10.0), transpose=transpose)
+        inverse = EffectAutoSpec(np.linalg.inv(m.frame.conj() if transpose else m.frame), transpose)
+        for _ in range(5):
+            X = random_effect(rng, n)
+            back = effect_automorphism(inverse, effect_automorphism(m, X))
+            assert opnorm(back - X) <= 1e-9 * (1.0 + opnorm(X))
+
+
 def test_rational_effect_four_factor_route_agrees():
     # oracle: the composition of the four published factors, built from
     # independent spectral scalings, must equal the frame form
@@ -305,6 +324,14 @@ def test_as_effect_accepts_and_rejects():
     assert _as_effect(0.5 * np.eye(2), DEFAULT_TOL) is not None
     with pytest.raises(DomainViolationError):
         _as_effect(1.5 * np.eye(2), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("psd_tol, continuous", [(DEFAULT_TOL.psd_tol, False), (1e-5, True)])
+def test_endpoint_continuity_reads_psd_tol(psd_tol, continuous):
+    # a value 1e-6 above the limit I: the flag used to read a private 1e-8 whatever the tolerances
+    spec = EffectEmbeddingSpec(frame=np.eye(2), base=np.zeros((2, 2)), offset=np.zeros((2, 2)),
+                               value_at_one=(1.0 + 1e-6) * np.eye(2))
+    assert endpoint_continuity(spec, DEFAULT_TOL.replace(psd_tol=psd_tol)) == {"zero": True, "one": continuous}
 
 
 def test_effect_embedding_fixture_flags():

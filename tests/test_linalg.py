@@ -242,6 +242,21 @@ def test_gate_is_silent_when_every_verdict_holds(verdicts):
     assert _gate(verdicts, "unused") is None
 
 
+@pytest.mark.parametrize("domain", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf)], ids=["low", "high", "both"])
+def test_check_guard_accepts_a_spectrum_against_an_infinite_end(domain):
+    margin = DEFAULT_TOL.inv_margin
+    assert linalg._check_guard(np.array([-1.0 + 2 * margin, 1.0 - 2 * margin]), domain, (), margin) is None
+
+
+@pytest.mark.parametrize("values, domain, message", [
+    ([-1.0 + 5e-9, 3.0], (-1.0, np.inf), r"^eigenvalue -1 within margin of domain edge -1\.0$"),
+    ([-3.0, 1.0 - 5e-9], (-np.inf, 1.0), r"^eigenvalue 1 within margin of domain edge 1\.0$"),
+], ids=["low", "high"])
+def test_check_guard_refuses_a_spectrum_within_the_margin_of_a_finite_end(values, domain, message):
+    with pytest.raises(DomainViolationError, match=message):
+        linalg._check_guard(np.array(values), domain, (), DEFAULT_TOL.inv_margin)
+
+
 def _hermitian_at(scale):
     return random_hermitian(np.random.default_rng(11), 4) * scale
 

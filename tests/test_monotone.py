@@ -76,6 +76,13 @@ def test_is_matrix_monotone_refutes_square_with_witness():
         assert lm.min_eigenvalue < 0.0
 
 
+def test_square_is_refuted_by_witness_nodes():
+    # every two-node Loewner matrix of x^2 has determinant -(x2 - x1)^2 < 0, so the node phase refutes it
+    for seed in range(20):
+        rep = is_matrix_monotone(builtin_function("square"), 2, trials=50, seed=seed)
+        assert rep.witness_nodes is not None and rep.witness_pair is None
+
+
 def test_fp_family_is_monotone_on_unit_interval():
     for p in (0.25, 0.5, 0.75):
         rep = is_matrix_monotone(builtin_function(f"fp:{p}"), 3, trials=150, seed=5)
