@@ -42,7 +42,9 @@ linalg gufuncs and matmul make the same LAPACK or BLAS call on each member.
 So do _has_inertia, _is_invertible, _opnorms, _hermitian_opnorms, herm_part
 and the kernels built on them (membership, the shear, block and Mobius maps,
 the effect maps); _jacobi_eigen runs each member's rotations, in the order
-of a run on it alone, as stacked matmuls over the members still sweeping.
+of a run on it alone, as stacked matmuls over the members still sweeping;
+_spectral_apply guards and maps each member's spectrum in member order and
+finishes every member with one matmul.
 Suites draw their samples in order, finish them with herm_part (so a stack
 is exactly Hermitian without a second hermiticity test) and check what they
 compute with the kernels (_opnorms, _frob, halfplane._in_half_plane), in one
@@ -418,13 +420,18 @@ def _spectral_apply(
     poles: Sequence[float],
     tol: ToleranceConfig,
 ) -> np.ndarray:
-    """Kernel of spectral_apply on the eigendecomposition of its argument."""
-    _check_guard(decomp.values, domain, poles, tol.inv_margin)
-    mapped = np.array([float(fn(float(v))) for v in decomp.values])
-    if not np.all(np.isfinite(mapped)):
-        raise DomainViolationError("function value not finite on the spectrum")
-    out = (decomp.vectors * mapped) @ decomp.vectors.conj().T
-    return herm_part(out)
+    """Kernel of spectral_apply on the eigendecomposition of its argument, or of each member of a stack
+    (values (..., n), vectors (..., n, n)). Members are guarded and mapped in order, so the first failing
+    member raises its own error; one matmul then finishes every member."""
+    values = decomp.values.reshape(-1, decomp.values.shape[-1])
+    mapped = np.empty(values.shape)
+    for spectrum, out in zip(values, mapped):
+        _check_guard(spectrum, domain, poles, tol.inv_margin)
+        out[:] = [float(fn(v)) for v in spectrum.tolist()]
+        if not np.isfinite(out).all():
+            raise DomainViolationError("function value not finite on the spectrum")
+    V = decomp.vectors
+    return herm_part((V * mapped.reshape(decomp.values.shape)[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def invertibility_margin(X: Iterable) -> float:

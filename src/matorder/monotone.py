@@ -28,15 +28,15 @@ from .linalg import (
     _check_guard,
     _eigh,
     _eigvalsh,
-    _hermitian_opnorms,
     _is_hermitian,
     _is_invertible,
-    _loewner_compare,
+    _order_verdict,
+    _spectra_norms,
     _spectral_apply,
     as_square,
     herm_part,
 )
-from .sampling import random_hermitian_with_spectrum, random_psd
+from .sampling import _complex_from_normals, _with_spectra
 
 __all__ = [
     "ScalarFunction",
@@ -61,6 +61,10 @@ SLOPE_STEP = 1e-5
 # eigenvalue below -LOEWNER_MATRIX_CUT * (1 + ||L||_2); the cushion absorbs
 # rounding in the divided differences of a monotone function.
 LOEWNER_MATRIX_CUT = 1e-10
+
+# is_matrix_monotone decides its trials in stacked blocks of at most this many matrix entries;
+# at an order whose trial holds more, a block is one trial.
+BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,11 +118,31 @@ def _sample_window(domain: Tuple[float, float]) -> Tuple[float, float]:
 
 
 def _divided_difference(f: ScalarFunction, x: float, y: float) -> float:
-    """First divided difference, switching to the derivative near the diagonal."""
-    switch = 1e-6 * (1.0 + abs(x))
-    if abs(y - x) > switch:
-        return (f(y) - f(x)) / (y - x)
-    return f.slope((x + y) / 2.0)
+    """First divided difference, switching to the derivative near the diagonal: the (0, 1) entry over (x, y)."""
+    return float(_loewner_matrices(f, np.array([[x, y]]))[0, 0, 1])
+
+
+def _loewner_matrices(f: ScalarFunction, pts: np.ndarray) -> np.ndarray:
+    """Loewner matrices (m, k, k) over node rows pts (m, k).
+
+    The entry of x = pts[i] and y = pts[j], i <= j, is (f(y) - f(x))/(y - x) where
+    |y - x| > 1e-6 (1 + |x|), and f.slope((x + y)/2) within that switch. f is evaluated
+    once at each node of such a far pair, and nowhere else.
+    """
+    rows, cols = np.triu_indices(pts.shape[-1])
+    x, y = pts[:, rows], pts[:, cols]
+    far = np.abs(y - x) > 1e-6 * (1.0 + np.abs(x))
+    L = np.zeros(pts.shape + pts.shape[-1:])
+    L[:, rows, cols] = far  # marks the far pairs first: a node is needed where its row or column holds one
+    needed = L.any(axis=-1) | L.any(axis=-2)
+    fx = np.zeros(pts.shape)
+    fx[needed] = [f(t) for t in pts[needed].tolist()]
+    entries = np.empty(x.shape)
+    entries[~far] = [f.slope(t) for t in ((x + y) / 2.0)[~far].tolist()]
+    with np.errstate(all="ignore"):  # as the Python float arithmetic it repeats: an overflow is inf, not a warning
+        np.divide(fx[:, cols] - fx[:, rows], y - x, out=entries, where=far)
+    L[:, rows, cols] = L[:, cols, rows] = entries
+    return L
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,12 +157,8 @@ def loewner_matrix(f: ScalarFunction, nodes: Sequence[float]) -> LoewnerMatrixRe
     pts = [float(t) for t in nodes]
     if any(y <= x for x, y in zip(pts, pts[1:])):
         raise MalformedInputError("nodes must be strictly increasing")
-    k = len(pts)
-    L = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            L[i, j] = L[j, i] = _divided_difference(f, pts[i], pts[j])
-    lowest = float(_eigvalsh(L)[0]) if k else 0.0
+    L = _loewner_matrices(f, np.array([pts]))[0]
+    lowest = float(_eigvalsh(L)[0]) if pts else 0.0
     return LoewnerMatrixReport(tuple(pts), L, lowest)
 
 
@@ -161,21 +181,56 @@ class MonotoneReport:
 def _draw_nodes(rng: np.random.Generator, order: int, lo: float, hi: float) -> np.ndarray:
     for _ in range(100):
         pts = np.sort(rng.uniform(lo, hi, size=order))
-        if order < 2 or float(np.min(np.diff(pts))) > 0.0:
+        if (pts[1:] > pts[:-1]).all():  # distinct; a single node always is
             return pts
     # an interval end so large that the sampling window holds only a few doubles
     raise MalformedInputError(f"cannot draw {order} distinct nodes in the sampling window [{lo}, {hi}]")
 
 
-def _draw_pair(rng: np.random.Generator, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
-    X = random_hermitian_with_spectrum(rng, order, lo, hi)
-    top = float(_eigvalsh(X)[-1])
-    room = max(hi - top, 0.0)
-    D = random_psd(rng, order)
-    norm = float(_hermitian_opnorms(D))
-    if norm > 0.0:
-        D = D * (0.9 * room * rng.uniform(0.1, 1.0) / max(norm, 1e-12))
-    return X, herm_part(X + D)
+def _draw_pairs(rng: np.random.Generator, order: int, lo: float, hi: float, count: int) -> np.ndarray:
+    """count pairs (X, Y = X + D), D PSD, as a stack (count, 2, order, order), drawn in rng order.
+
+    Each pair draws X's uniform spectrum in [lo, hi) and its normals, D's spectrum in [0, 1) and its normals,
+    and then a scale s in [0.1, 1): D is rescaled to ||D||_2 = 0.9 s (hi - top), top the largest eigenvalue
+    of X, so that Y's spectrum stays below hi.
+    """
+    spectra = np.empty((count, 2, order))
+    normals = np.empty((count, 2, 2, order, order))
+    scales = np.empty(count)
+    for j in range(count):
+        spectra[j, 0] = rng.uniform(lo, hi, size=order)
+        rng.standard_normal(out=normals[j, 0])
+        spectra[j, 1] = rng.uniform(0.0, 1.0, size=order)
+        rng.standard_normal(out=normals[j, 1])
+        scales[j] = rng.uniform(0.1, 1.0)
+    XD = _with_spectra(spectra, _complex_from_normals(normals))
+    values = _eigvalsh(XD)
+    room = np.maximum(hi - values[:, 0, -1], 0.0)
+    D = XD[:, 1] * (0.9 * room * scales / np.maximum(_spectra_norms(values[:, 1]), 1e-12))[:, None, None]
+    return np.stack([XD[:, 0], herm_part(XD[:, 0] + D)], axis=1)
+
+
+def _first_witness(rng: np.random.Generator, trials: int, entries: int, decide: Callable[[int], object]):
+    """The first witness decide(count) returns over trials in blocks of at most BLOCK_ENTRIES matrix entries,
+    `entries` a trial, or None. A block that raises is replayed one trial at a time from the rng state it began
+    at, so an error at trial j surfaces only if no trial before j refutes."""
+    size = max(BLOCK_ENTRIES // entries, 1)
+    for start in range(0, trials, size):
+        count = min(size, trials - start)
+        state = rng.bit_generator.state
+        try:
+            witness = decide(count)
+        except Exception:  # the trial that raised raises again, once every trial before it is decided
+            rng.bit_generator.state = state
+            for _ in range(count):
+                witness = decide(1)
+                if witness is not None:
+                    break
+            else:
+                raise
+        if witness is not None:
+            return witness
+    return None
 
 
 def is_matrix_monotone(
@@ -186,32 +241,40 @@ def is_matrix_monotone(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MonotoneReport:
     """Two-phase test: Loewner matrices over random node tuples, then direct
-    functional-calculus pair checks. PASS requires both phases clean."""
+    functional-calculus pair checks. PASS requires both phases clean.
+
+    Each phase draws its trials in rng order and decides them in stacked blocks; the witness is the first
+    refuting trial, and the minimum Loewner eigenvalue is taken over the trials up to it."""
     order, trials = _checked_int(order, "order", 1), _checked_int(trials, "trials", 1)
     seed = _checked_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     lo, hi = _sample_window(f.domain)
-    worst = np.inf
+    worst = math.inf
     pair_trials = max(trials // 2, 1)
 
-    for _ in range(trials):
-        report = loewner_matrix(f, _draw_nodes(rng, order, lo, hi))
-        scale = 1.0 + float(_hermitian_opnorms(report.matrix))
-        worst = min(worst, report.min_eigenvalue)
-        if report.min_eigenvalue < -LOEWNER_MATRIX_CUT * scale:
-            return MonotoneReport(f.name, order, False, not f.approximate, trials, 0,
-                                  float(worst), report.nodes, None, seed)
+    def refute_nodes(count: int) -> Optional[Tuple[float, ...]]:
+        nonlocal worst
+        pts = np.array([_draw_nodes(rng, order, lo, hi) for _ in range(count)])
+        spectra = _eigvalsh(_loewner_matrices(f, pts))
+        lowest = spectra[:, 0]
+        refuted = np.flatnonzero(lowest < -LOEWNER_MATRIX_CUT * (1.0 + _spectra_norms(spectra)))
+        stop = int(refuted[0]) + 1 if refuted.size else count
+        worst = min(worst, *lowest[:stop].tolist())
+        return tuple(pts[stop - 1].tolist()) if refuted.size else None
 
-    for _ in range(pair_trials):
-        X, Y = _draw_pair(rng, order, lo, hi)
-        fX = _spectral_apply(_eigh(X), f, f.domain, (), tol)
-        fY = _spectral_apply(_eigh(Y), f, f.domain, (), tol)
-        if not _loewner_compare(fX, fY, tol).leq:
-            return MonotoneReport(f.name, order, False, not f.approximate, trials, pair_trials,
-                                  float(worst), None, (X, Y), seed)
+    def refute_pairs(count: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        XY = _draw_pairs(rng, order, lo, hi, count)
+        fXY = _spectral_apply(_eigh(XY), f, f.domain, (), tol)
+        gaps = _eigvalsh(fXY[:, 1] - fXY[:, 0])
+        j = next((j for j, values in enumerate(gaps) if not _order_verdict(values, tol).leq), None)
+        return None if j is None else (XY[j, 0], XY[j, 1])
 
-    return MonotoneReport(f.name, order, True, not f.approximate, trials, pair_trials,
-                          float(worst), None, None, seed)
+    nodes = _first_witness(rng, trials, order * order, refute_nodes)
+    if nodes is not None:
+        return MonotoneReport(f.name, order, False, not f.approximate, trials, 0, float(worst), nodes, None, seed)
+    pair = _first_witness(rng, pair_trials, 2 * order * order, refute_pairs)
+    return MonotoneReport(f.name, order, pair is None, not f.approximate, trials, pair_trials,
+                          float(worst), None, pair, seed)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -31,8 +31,9 @@ a failure never shifts the draws of later trials. rec.check_residuals
 records a stack of residuals whose trials have no other check that could
 fail in between, formatting a message only for a failed member
 (bordered-identity). Subjects that take one matrix at a time
-(affine_interval_iso with its maps, _spectral_apply) stay one call per
-trial on the finished draws (interval-iso, spectral-composition). Suites
+(affine_interval_iso with its maps) stay one call per trial on the
+finished draws (interval-iso); _spectral_apply takes a stack and guards
+and maps its members in order (spectral-composition). Suites
 whose draws depend on a check stay per trial: the gated suites draw
 candidates until a domain gate on a finished matrix accepts one
 (order-embedding, theta-inversion, translation-identity,
@@ -511,11 +512,6 @@ def _suite_order_antisymmetry(rng, trials, tol, rec):
         rec.check(_order_verdict(spectra[7], tol).incomparable, t, "indefinite step not incomparable", X=X, D=D)
 
 
-def _spectral_applies(values: np.ndarray, vectors: np.ndarray, fn: Callable, domain, tol: ToleranceConfig):
-    """_spectral_apply of each member's decomposition (values[j], vectors[j]), one call per member, as a stack."""
-    return np.stack([_spectral_apply(EigenDecomposition(v, V), fn, domain, (), tol) for v, V in zip(values, vectors)])
-
-
 @_suite(200, "functional calculus composes and matches across engines")
 def _suite_spectral_composition(rng, trials, tol, rec):
     bound = 1e-9
@@ -531,12 +527,13 @@ def _suite_spectral_composition(rng, trials, tol, rec):
         # one eigh of the group for each image decomposed again; the guard of sqrt(x + 1) runs before log's,
         # so a tolerance that breaks both raises the error trial 0 raised first in a per-trial loop
         vals, vecs = _eigh(np.stack([X, P], axis=1))
-        one_step = _spectral_applies(vals[:, 0], vecs[:, 0], hyperbola, None, tol)
-        inner = _spectral_applies(vals[:, 0], vecs[:, 0], lambda x: x * x, None, tol)
-        two_step = _spectral_applies(*_eigh(inner), lambda x: math.sqrt(x + 1.0), (-0.5, math.inf), tol)
-        log_p = _spectral_applies(vals[:, 1], vecs[:, 1], math.log, (0.0, math.inf), tol)
-        back = _spectral_applies(*_eigh(log_p), math.exp, None, tol)
-        alt = _spectral_applies(*_jacobi_eigen(X, tol), hyperbola, None, tol)
+        X_eigen = EigenDecomposition(vals[:, 0], vecs[:, 0])
+        one_step = _spectral_apply(X_eigen, hyperbola, None, (), tol)
+        inner = _spectral_apply(X_eigen, lambda x: x * x, None, (), tol)
+        two_step = _spectral_apply(_eigh(inner), lambda x: math.sqrt(x + 1.0), (-0.5, math.inf), (), tol)
+        log_p = _spectral_apply(EigenDecomposition(vals[:, 1], vecs[:, 1]), math.log, (0.0, math.inf), (), tol)
+        back = _spectral_apply(_eigh(log_p), math.exp, None, (), tol)
+        alt = _spectral_apply(_jacobi_eigen(X, tol), hyperbola, None, (), tol)
         rows.update(zip(ts, zip(X, P, _rel_hermitian(two_step, one_step), _rel_hermitian(back, P),
                                 _rel_hermitian(alt, one_step))))
     for t, (X, P, composition, identity, engines) in sorted(rows.items()):

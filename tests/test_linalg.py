@@ -326,6 +326,28 @@ def test_spectral_apply_guards_domain():
         spectral_apply(A, np.sqrt, domain=(0.0, np.inf))
 
 
+@pytest.mark.parametrize("members", [(1,), (2,), (7,), (50,), (3, 2)])
+def test_stacked_spectral_apply_matches_single_calls(members):
+    rng = np.random.default_rng(len(members) * 100 + members[0])
+    for n in range(1, 9):
+        S = herm_part(rng.standard_normal(members + (n, n)) + 1j * rng.standard_normal(members + (n, n)))
+        for fn, domain in ((lambda x: np.hypot(x, 1.0), None), (lambda x: np.log(x + 20.0), (-20.0, np.inf))):
+            stacked = linalg._spectral_apply(_eigh(S), fn, domain, (), DEFAULT_TOL)
+            assert stacked.shape == S.shape
+            for index in np.ndindex(*members):
+                single = linalg._spectral_apply(_eigh(S[index]), fn, domain, (), DEFAULT_TOL)
+                assert np.array_equal(stacked[index], single)
+
+
+def test_stacked_spectral_apply_raises_the_first_failing_members_guard():
+    S = np.array([np.diag([1.0, 2.0]), np.diag([-0.5, 1.0]), np.diag([-3.0, 1.0])], dtype=complex)
+    with pytest.raises(DomainViolationError) as single:
+        linalg._spectral_apply(_eigh(S[1]), np.sqrt, (0.0, np.inf), (), DEFAULT_TOL)
+    assert str(single.value) == "eigenvalue -0.5 within margin of domain edge 0.0"
+    with pytest.raises(DomainViolationError, match=f"^{single.value}$"):
+        linalg._spectral_apply(_eigh(S), np.sqrt, (0.0, np.inf), (), DEFAULT_TOL)
+
+
 def test_invertibility_margin_and_flag():
     assert invertibility_margin(np.eye(3)) == pytest.approx(1.0)
     assert is_invertible(np.eye(3))

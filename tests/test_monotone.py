@@ -1,5 +1,6 @@
 """Fixed-order monotonicity: divided-difference matrices, verdicts, representations."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -7,10 +8,16 @@ import pathlib
 import numpy as np
 import pytest
 
+from matorder import monotone
+from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
-from matorder.linalg import herm_part, loewner_compare, opnorm, spectral_apply
+from matorder.linalg import (_check_guard, _eigh, _eigvalsh, _hermitian_opnorms, _loewner_compare, herm_part,
+                             loewner_compare, opnorm, spectral_apply)
 from matorder.monotone import (
+    LOEWNER_MATRIX_CUT,
+    MonotoneReport,
     _divided_difference,
+    _draw_nodes,
     _pchip,
     _sample_window,
     PickRepresentation,
@@ -20,7 +27,7 @@ from matorder.monotone import (
     loewner_matrix,
     pick_eval,
 )
-from matorder.sampling import random_half_plane, random_hermitian_with_spectrum
+from matorder.sampling import random_half_plane, random_hermitian_with_spectrum, random_psd
 
 
 def test_divided_difference_closed_forms():
@@ -81,6 +88,136 @@ def test_square_is_refuted_by_witness_nodes():
     for seed in range(20):
         rep = is_matrix_monotone(builtin_function("square"), 2, trials=50, seed=seed)
         assert rep.witness_nodes is not None and rep.witness_pair is None
+
+
+# is_matrix_monotone as a per-trial loop, one Loewner matrix and one pair at a time, each entry and each
+# functional-calculus image computed alone: the stacked tester must give every report field of it, bit for bit
+
+
+def _reference_divided_difference(f, x, y):
+    if abs(y - x) > 1e-6 * (1.0 + abs(x)):
+        return (f(y) - f(x)) / (y - x)
+    return f.slope((x + y) / 2.0)
+
+
+def _reference_spectral_apply(X, f, tol):
+    values, vectors = _eigh(X)
+    _check_guard(values, f.domain, (), tol.inv_margin)
+    mapped = np.array([float(f(float(v))) for v in values])
+    if not np.all(np.isfinite(mapped)):
+        raise DomainViolationError("function value not finite on the spectrum")
+    return herm_part((vectors * mapped) @ vectors.conj().T)
+
+
+def _reference_draw_pair(rng, order, lo, hi):
+    X = random_hermitian_with_spectrum(rng, order, lo, hi)
+    room = max(hi - float(_eigvalsh(X)[-1]), 0.0)
+    D = random_psd(rng, order)
+    norm = float(_hermitian_opnorms(D))
+    if norm > 0.0:
+        D = D * (0.9 * room * rng.uniform(0.1, 1.0) / max(norm, 1e-12))
+    return X, herm_part(X + D)
+
+
+def _reference_is_matrix_monotone(f, order, trials, seed, tol=DEFAULT_TOL):
+    rng = np.random.default_rng(seed)
+    lo, hi = _sample_window(f.domain)
+    worst = np.inf
+    pair_trials = max(trials // 2, 1)
+    for _ in range(trials):
+        pts = [float(t) for t in _draw_nodes(rng, order, lo, hi)]
+        L = np.zeros((order, order))
+        for i in range(order):
+            for j in range(i, order):
+                L[i, j] = L[j, i] = _reference_divided_difference(f, pts[i], pts[j])
+        lowest = float(_eigvalsh(L)[0])
+        worst = min(worst, lowest)
+        if lowest < -LOEWNER_MATRIX_CUT * (1.0 + float(_hermitian_opnorms(L))):
+            return MonotoneReport(f.name, order, False, not f.approximate, trials, 0, float(worst), tuple(pts),
+                                  None, seed)
+    for _ in range(pair_trials):
+        X, Y = _reference_draw_pair(rng, order, lo, hi)
+        if not _loewner_compare(_reference_spectral_apply(X, f, tol), _reference_spectral_apply(Y, f, tol), tol).leq:
+            return MonotoneReport(f.name, order, False, not f.approximate, trials, pair_trials, float(worst), None,
+                                  (X, Y), seed)
+    return MonotoneReport(f.name, order, True, not f.approximate, trials, pair_trials, float(worst), None, None, seed)
+
+
+def _outcome(run):
+    """The report of run(), or the type and message of the error it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if not isinstance(want, MonotoneReport):
+        assert got == want
+        return
+    assert isinstance(got, MonotoneReport)
+    for field in dataclasses.fields(MonotoneReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "witness_pair" and b is not None:
+            assert a is not None and all(np.array_equal(x, y) for x, y in zip(a, b)), field.name
+        else:
+            assert repr(a) == repr(b), field.name  # repr tells -0.0 from 0.0
+
+
+def _compare_with_reference(f, order, trials, seed, tol=DEFAULT_TOL):
+    want = _outcome(lambda: _reference_is_matrix_monotone(f, order, trials, seed, tol))
+    _assert_same_outcome(_outcome(lambda: is_matrix_monotone(f, order, trials=trials, seed=seed, tol=tol)), want)
+    return want
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("name", ["sqrt", "log", "square", "fp:0.25", "fp:0.5", "rational:0.5", "rational:-0.5"])
+def test_stacked_tester_matches_the_per_trial_loop(name, order):
+    for seed in range(5):
+        _compare_with_reference(builtin_function(name), order, 40, seed)
+
+
+NEGATION = ScalarFunction(lambda x: -x, (0.0, math.inf), derivative=lambda x: 1.0, name="negation")
+
+
+@pytest.mark.parametrize("block", [monotone.BLOCK_ENTRIES, 16])
+def test_stacked_tester_matches_a_pair_refutation(block, monkeypatch):
+    # -x has Loewner matrices [[1, -1], [-1, 1]] at order 2, PSD, so a functional-calculus pair must refute it
+    monkeypatch.setattr(monotone, "BLOCK_ENTRIES", block)
+    for order in (1, 2):
+        for seed in range(5):
+            want = _compare_with_reference(NEGATION, order, 40, seed)
+            assert want.witness_pair is not None and want.witness_nodes is None
+
+
+@pytest.mark.parametrize("block", [monotone.BLOCK_ENTRIES, 16])
+def test_stacked_tester_raises_only_after_the_earlier_trials(block, monkeypatch):
+    # an error at a trial after the first refutation must not surface: x^2 refutes at its first node pair, and
+    # the value raises on a node above 5 (one message for every node: the calls within a trial come in another
+    # order); a pair whose X has an eigenvalue within inv_margin = 0.5 of 0 fails the guard, after or before a
+    # pair that refutes -x
+    monkeypatch.setattr(monotone, "BLOCK_ENTRIES", block)
+
+    def square(x):
+        if x > 5.0:
+            raise ValueError("a node above 5")
+        return x * x
+
+    cases = [(ScalarFunction(square, (0.0, math.inf), lambda x: 2.0 * x, name="square"), 2, DEFAULT_TOL),
+             (NEGATION, 2, DEFAULT_TOL.replace(inv_margin=0.5))]
+    for f, order, tol in cases:
+        outcomes = [_compare_with_reference(f, order, 40, seed, tol) for seed in range(12)]
+        assert any(isinstance(o, MonotoneReport) for o in outcomes)
+        assert any(not isinstance(o, MonotoneReport) for o in outcomes)
+
+
+def test_stacked_tester_keeps_the_duplicate_node_error():
+    # the sampling window of (1e17, inf) holds two doubles, so three distinct nodes cannot be drawn; two can,
+    # and being within the derivative switch of each other they never meet f, only the pair guard does
+    f = ScalarFunction(math.sqrt, (1e17, math.inf), lambda x: 0.5 / math.sqrt(x), name="far")
+    want = _compare_with_reference(f, 3, 10, 0)
+    assert want[0] is MalformedInputError and "distinct nodes" in want[1]
+    assert _compare_with_reference(f, 2, 10, 0)[0] is DomainViolationError
 
 
 def test_fp_family_is_monotone_on_unit_interval():
