@@ -33,12 +33,12 @@ fail in between, formatting a message only for a failed member
 (bordered-identity). Subjects that take one matrix at a time
 (affine_interval_iso with its maps) stay one call per trial on the
 finished draws (interval-iso); _spectral_apply takes a stack and guards
-and maps its members in order (spectral-composition). Suites
-whose draws depend on a check stay per trial: the gated suites draw
-candidates until a domain gate on a finished matrix accepts one
-(order-embedding, theta-inversion, translation-identity,
-conjugation-identity, component-criterion), and rank-one-trace draws a
-scale only when ||A w|| of a finished base A is not negligible.
+and maps its members in order (spectral-composition). Suites whose draws
+depend on a check stay per trial: the gated suites draw candidates until
+a domain gate on a finished matrix accepts one (order-embedding,
+theta-inversion, translation-identity, conjugation-identity,
+component-criterion), and rank-one-trace draws a scale only when ||A w||
+of a finished base A is not negligible.
 """
 
 from __future__ import annotations

@@ -170,9 +170,11 @@ def _compare_with_reference(f, order, trials, seed, tol=DEFAULT_TOL):
     return want
 
 
+@pytest.mark.parametrize("block", [monotone.BLOCK_ENTRIES, 16])
 @pytest.mark.parametrize("order", range(1, 7))
 @pytest.mark.parametrize("name", ["sqrt", "log", "square", "fp:0.25", "fp:0.5", "rational:0.5", "rational:-0.5"])
-def test_stacked_tester_matches_the_per_trial_loop(name, order):
+def test_stacked_tester_matches_the_per_trial_loop(name, order, block, monkeypatch):
+    monkeypatch.setattr(monotone, "BLOCK_ENTRIES", block)
     for seed in range(5):
         _compare_with_reference(builtin_function(name), order, 40, seed)
 
