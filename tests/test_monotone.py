@@ -17,7 +17,6 @@ from matorder.monotone import (
     LOEWNER_MATRIX_CUT,
     MonotoneReport,
     _divided_difference,
-    _draw_nodes,
     _pchip,
     _sample_window,
     PickRepresentation,
@@ -100,6 +99,14 @@ def _reference_divided_difference(f, x, y):
     return f.slope((x + y) / 2.0)
 
 
+def _reference_draw_nodes(rng, order, lo, hi):
+    for _ in range(100):
+        pts = np.sort(rng.uniform(lo, hi, size=order))
+        if order < 2 or float(np.min(np.diff(pts))) > 0.0:
+            return pts
+    raise MalformedInputError(f"cannot draw {order} distinct nodes in the sampling window [{lo}, {hi}]")
+
+
 def _reference_spectral_apply(X, f, tol):
     values, vectors = _eigh(X)
     _check_guard(values, f.domain, (), tol.inv_margin)
@@ -125,7 +132,7 @@ def _reference_is_matrix_monotone(f, order, trials, seed, tol=DEFAULT_TOL):
     worst = np.inf
     pair_trials = max(trials // 2, 1)
     for _ in range(trials):
-        pts = [float(t) for t in _draw_nodes(rng, order, lo, hi)]
+        pts = [float(t) for t in _reference_draw_nodes(rng, order, lo, hi)]
         L = np.zeros((order, order))
         for i in range(order):
             for j in range(i, order):
