@@ -12,12 +12,14 @@ import numpy as np
 from matorder.linalg import hermitian_eigen, is_invertible, jacobi_eigen, opnorm
 from matorder.localiso import (
     congruence_orbit,
+    conjugated_base,
     in_shear_domain,
     in_zero_component,
     interval_below_criterion,
     path_to_zero,
     segment_in_shear_domain,
     shear_apply,
+    translated_base,
 )
 from matorder.sampling import random_hermitian
 
@@ -48,6 +50,18 @@ print("\nround trip error |shear(-A, shear(A, X)) - X| =",
 left = np.linalg.solve(X @ A + np.eye(n), X)
 right = np.linalg.solve((A @ X + np.eye(n)).T, X.T).T
 print("left vs right formula gap =", f"{opnorm(left - right):.2e}")
+
+# shifting the argument by X0 is the map of the translated base, up to the congruence by (X0 A + I)^-1
+X0 = 0.5 * X
+M = np.linalg.inv(X0 @ A + np.eye(n))
+shifted = shear_apply(A, X0 + X) - shear_apply(A, X0)
+print("translation identity gap =",
+      f"{opnorm(shifted - M @ shear_apply(translated_base(A, X0), X) @ M.conj().T):.2e}")
+# a congruence of the argument by S = (T*)^-1 is the map of the conjugated base T A T*, congruent by S
+T = np.eye(n) + 0.3 * random_hermitian(rng, n)
+S = np.linalg.inv(T).conj().T
+print("conjugation identity gap =",
+      f"{opnorm(shear_apply(conjugated_base(A, T), S @ X @ S.conj().T) - S @ Y @ S.conj().T):.2e}")
 
 # membership in the component of 0 has an exact inertia criterion; a
 # randomized piecewise-linear path search certifies it independently

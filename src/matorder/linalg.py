@@ -44,7 +44,13 @@ and the kernels built on them (membership, the shear, block and Mobius maps,
 the effect maps); _jacobi_eigen runs each member's rotations, in the order
 of a run on it alone, as stacked matmuls over the members still sweeping;
 _spectral_apply guards and maps each member's spectrum in member order and
-finishes every member with one matmul.
+finishes every member with one matmul. The shear kernels of localiso also
+take a stack of bases, broadcast against the points: _shear_apply,
+_in_shear_domain, _translated_base, _conjugated_base, _segment_from and
+_order_iso_apply (with the compressions of bases of one rank), and
+localiso._in_zero_components answers each point on its own base's
+compression. _finite_values refuses a value of a user's scalar function
+that is not finite, at the point it was read, before any eigensolver sees it.
 Suites draw their samples in order, finish them with herm_part (so a stack
 is exactly Hermitian without a second hermiticity test) and check what they
 compute with the kernels (_opnorms, _frob, halfplane._in_half_plane), in one
@@ -287,6 +293,23 @@ def _hermitian_opnorms(S: np.ndarray):
     return _spectra_norms(_eigvalsh(S))
 
 
+def _rel(got: np.ndarray, want: np.ndarray) -> float:
+    """Relative error ||got - want|| / (1 + ||want||) in the spectral norm; on stacks, the worst member's."""
+    return float((_opnorms(got - want) / (1.0 + _opnorms(want))).max())
+
+
+def _rel_hermitian(got: np.ndarray, want: np.ndarray):
+    """_rel of exactly Hermitian got and want, member by member on stacks (..., n, n), both norms from one
+    stacked spectrum."""
+    norms = _hermitian_opnorms(np.stack([got - want, want], axis=-3))
+    return norms[..., 0] / (1.0 + norms[..., 1])
+
+
+def _hnorm(*Ms: np.ndarray) -> float:
+    """Sum of the spectral norms of exactly Hermitian matrices of one shape, from one stacked spectrum."""
+    return float(_hermitian_opnorms(np.stack(Ms)).sum())
+
+
 def _spectra_norms(values: np.ndarray):
     """Spectral norms from ascending spectra (..., n), n >= 1: max(-lambda_0, lambda_{n-1}), as sigma = |lambda|."""
     return np.maximum(-values[..., 0], values[..., -1])
@@ -395,6 +418,16 @@ def _check_guard(values: np.ndarray, domain: Optional[tuple], poles: Sequence[fl
     for pole in poles:
         if np.any(np.abs(values - pole) <= margin):
             raise DomainViolationError(f"eigenvalue within margin of pole at {pole}")
+
+
+def _finite_values(fn: Callable[[float], float], points: np.ndarray, what: str) -> list:
+    """fn at each point, in order; DomainViolationError names the first point where its value is not finite, so
+    that no NaN or inf reaches an eigensolver."""
+    values = [fn(t) for t in points.tolist()]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DomainViolationError(f"{what} is not finite at {float(points[bad[0]])!r}")
+    return values
 
 
 def spectral_apply(

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
-from .errors import DomainViolationError, ModelMismatchError, PathSearchError
+from .errors import ModelMismatchError, PathSearchError
 from .halfplane import (MobiusAutomorphism, _checked_evaluator, _congruence_from_probes, _mobius_eval,
                         _shifted, normalize_phase)
 from .linalg import (
@@ -98,8 +98,8 @@ def in_shear_domain(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
 
 
 def _in_shear_domain(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig):
-    """Kernel of in_shear_domain; one verdict per member of a stack M (..., n, n)."""
-    return _is_invertible(M @ A + np.eye(A.shape[0]), tol)
+    """Kernel of in_shear_domain; one verdict per member of a stack M (..., n, n), A one base or a stack of them."""
+    return _is_invertible(M @ A + np.eye(A.shape[-1]), tol)
 
 
 def shear_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -108,11 +108,12 @@ def shear_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL)
 
 
 def _shear_apply(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Kernel of shear_apply; M may be a stack (..., n, n), mapped member by member.
+    """Kernel of shear_apply; M may be a stack (..., n, n), mapped member by member, and A one base or a stack of
+    bases broadcast against it.
 
     Raises, with shear_apply's message, when any member is outside the shear domain.
     """
-    shifted = M @ A + np.eye(A.shape[0])
+    shifted = M @ A + np.eye(A.shape[-1])
     _gate(_is_invertible(shifted, tol), "X is outside the shear domain of this base")
     return np.linalg.solve(shifted, M)
 
@@ -123,6 +124,23 @@ def _range_compression(base: np.ndarray, tol: ToleranceConfig):
     cut = _rank_cut(decomp.values, tol)
     mask = np.abs(decomp.values) > cut
     return decomp.vectors[:, mask], decomp.values[mask]
+
+
+def _in_zero_components(bases: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """_in_zero_component of each H[j] (k, ..., n, n) on the _range_compression of its own base bases[j] (k, n, n),
+    from one stacked eigh; the bases that keep the same number of eigenvalues are compressed as one stack."""
+    decomp = _eigh(bases)
+    kept = np.abs(decomp.values) > _rank_cut(decomp.values, tol)[:, None]
+    ranks = kept.sum(axis=1)
+    inside = np.empty(H.shape[:-2], dtype=bool)
+    axes = tuple(range(1, H.ndim - 2))
+    for r in set(ranks.tolist()):
+        members = ranks == r
+        cols = np.argsort(~kept[members], axis=1, kind="stable")[:, :r]  # each member's kept positions, in order
+        V = np.take_along_axis(decomp.vectors[members], cols[:, None, :], axis=2)
+        lam = np.take_along_axis(decomp.values[members], cols, axis=1)
+        inside[members] = _in_zero_component((np.expand_dims(V, axes), np.expand_dims(lam, axes)), H[members], tol)
+    return inside
 
 
 def in_zero_component(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -147,16 +165,24 @@ def in_zero_component(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAUL
 
 def _in_zero_component(compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray, tol: ToleranceConfig):
     """Kernel of in_zero_component on the base's _range_compression, which a caller asking about many
-    points of one base computes once; H may be a stack (..., n, n), answered member by member."""
+    points of one base computes once; H may be a stack (..., n, n), answered member by member. The compression
+    may be a stack (V (..., n, r), lam (..., r)) of compressions of as many bases, broadcast against H."""
     V, lam = compression
-    if lam.size == 0:
-        return np.ones(H.shape[:-2], dtype=bool)
-    p = int(np.count_nonzero(lam > 0))
+    if lam.shape[-1] == 0:
+        return np.ones(np.broadcast_shapes(H.shape[:-2], lam.shape[:-1]), dtype=bool)
     signs = np.sign(lam)
     w = np.sqrt(np.abs(lam))
-    Xk = V.conj().T @ H @ V
-    M = herm_part((w[:, None] * Xk) * w[None, :] + np.diag(signs))
-    return _has_inertia(M, p, tol)
+    Xk = V.conj().swapaxes(-1, -2) @ H @ V
+    # on stacks, diag(signs) member by member with exact +0.0 off the diagonal, as np.diag builds it
+    D = np.diag(signs) if lam.ndim == 1 else np.where(np.eye(lam.shape[-1], dtype=bool), signs[..., None], 0.0)
+    M = herm_part((w[..., :, None] * Xk) * w[..., None, :] + D)
+    if lam.ndim == 1:
+        return _has_inertia(M, int(np.count_nonzero(lam > 0)), tol)
+    # stacked compressions keep their own numbers of positive eigenvalues: _has_inertia's verdict, from the counts
+    values = _eigvalsh(M)
+    cut = _rank_cut(values, tol)[..., None]
+    return ((np.count_nonzero(values > cut, axis=-1) == np.count_nonzero(lam > 0, axis=-1))
+            & (np.count_nonzero(values < -cut, axis=-1) == np.count_nonzero(lam < 0, axis=-1)))
 
 
 def _segment_crossings(base: np.ndarray, P: np.ndarray, Qs: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -189,19 +215,22 @@ def _segment_in_shear_domain(A: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: T
     return bool(_is_invertible(shifted, tol)) and _segment_from(A, P, shifted, Q, tol)
 
 
-def _segment_from(A: np.ndarray, P: np.ndarray, shifted: np.ndarray, Q: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Whether P -> Q stays in the shear domain, given P's shifted end `shifted` that passed the shear gate.
+def _segment_from(A: np.ndarray, P: np.ndarray, shifted: np.ndarray, Q: np.ndarray, tol: ToleranceConfig):
+    """Whether P -> Q stays in the shear domain, given P's shifted end `shifted` that passed the shear gate; one
+    verdict per member of the broadcast stacks (..., n, n) of bases, starts, their shifted ends and ends.
 
     Q's shifted end is built once, for the gate and for _det_signs' sign: ends
     of opposite sign are a crossing (t -> det((P + tD) A + I) is real and
     changes sign on [0, 1], so it vanishes inside), and _segment_crossings
-    decides the rest.
+    decides the rest. A stage runs only while some member is undecided.
     """
-    shifted_q = Q @ A + np.eye(A.shape[0])
-    if not _is_invertible(shifted_q, tol):
-        return False
-    sign_p, sign_q = _det_signs(np.stack([shifted, shifted_q]))
-    return bool(sign_p == sign_q) and not bool(_segment_crossings(A, P, Q, shifted))
+    shifted_q = Q @ A + np.eye(A.shape[-1])
+    ok = _is_invertible(shifted_q, tol)
+    if ok.any():
+        ok = ok & (_det_signs(shifted) == _det_signs(shifted_q))
+        if ok.any():
+            ok = ok & ~_segment_crossings(A, P, Q, shifted)
+    return ok if ok.ndim else bool(ok)
 
 
 def segment_in_zero_component(base: Iterable, X: Iterable, Y: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -247,12 +276,18 @@ def order_iso_apply(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_
 
 def _order_iso_apply(A: np.ndarray, compression: Tuple[np.ndarray, np.ndarray], H: np.ndarray,
                      tol: ToleranceConfig) -> np.ndarray:
-    """Kernel of order_iso_apply given A's _range_compression; H may be a stack, mapped member by member.
+    """Kernel of order_iso_apply given A's _range_compression; H may be a stack, mapped member by member, and A
+    and its compression a stack of bases and their compressions, each of the same rank.
 
     Raises, with order_iso_apply's message, when any member is outside the zero component.
     """
     _gate(_in_zero_component(compression, H, tol), "X is outside the zero component of this base")
-    return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[0]), H))
+    return _order_iso_map(A, H)
+
+
+def _order_iso_map(A: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The map of _order_iso_apply on points its gate passed; A one base or a stack broadcast against H."""
+    return herm_part(np.linalg.solve(H @ A + np.eye(A.shape[-1]), H))
 
 
 def translated_base(base: Iterable, X0: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -262,19 +297,31 @@ def translated_base(base: Iterable, X0: Iterable, tol: ToleranceConfig = DEFAULT
     equivalent, up to fixed congruence and offset, to the map with this
     translated base.
     """
-    A, H = _same_dim(as_hermitian(base, tol, "base"), as_hermitian(X0, tol, "X0"))
-    if not _in_shear_domain(A, H, tol):
-        raise DomainViolationError("X0 is outside the shear domain of this base")
-    M = H @ A + np.eye(A.shape[0])
-    return herm_part(np.linalg.solve(M.T, A.T).T)
+    return _translated_base(*_same_dim(as_hermitian(base, tol, "base"), as_hermitian(X0, tol, "X0")), tol)
+
+
+def _translated_base(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of translated_base; A and H may be stacks (..., n, n), taken member by member.
+
+    Raises, with translated_base's message, when any H is outside the shear domain of its base.
+    """
+    M = H @ A + np.eye(A.shape[-1])
+    _gate(_is_invertible(M, tol), "X0 is outside the shear domain of this base")
+    return herm_part(np.linalg.solve(M.swapaxes(-1, -2), A.swapaxes(-1, -2)).swapaxes(-1, -2))
 
 
 def conjugated_base(base: Iterable, frame: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Base parameter for the congruence-conjugated map: frame base frame*."""
-    A, T = _same_dim(as_hermitian(base, tol, "base"), as_square(frame, "frame"))
-    if not _is_invertible(T, tol):
-        raise DomainViolationError("frame must be invertible")
-    return herm_part(T @ A @ T.conj().T)
+    return _conjugated_base(*_same_dim(as_hermitian(base, tol, "base"), as_square(frame, "frame")), tol)
+
+
+def _conjugated_base(A: np.ndarray, T: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kernel of conjugated_base; A and T may be stacks (..., n, n), taken member by member.
+
+    Raises, with conjugated_base's message, when any frame is not invertible.
+    """
+    _gate(_is_invertible(T, tol), "frame must be invertible")
+    return herm_part(T @ A @ T.conj().swapaxes(-1, -2))
 
 
 def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -291,6 +338,24 @@ def congruence_orbit(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT
     A, H = _base_and_hermitian(base, X, tol)
     _gate(_in_zero_component(_range_compression(A, tol), H, tol), "X must lie in the zero component")
     return _congruence_orbit(A, H, tol)
+
+
+def _shrink_in_component(A: np.ndarray, compression, X: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """0.6 X, or 0.6 t* X when 0.6 X has left the zero component.
+
+    A member X whose straight path from 0 crosses the singular set twice
+    (two real eigenvalues of X A below -1) lies in the component while 0.6 X
+    may lie between the crossings. t* = -1/mu for the most negative real
+    eigenvalue mu of X A is the first crossing, so 0.6 t* X is on the
+    crossing-free part of the path.
+    """
+    shrunk = herm_part(0.6 * X)
+    if _in_zero_component(compression, shrunk, tol):
+        return shrunk
+    mu = np.linalg.eigvals(X @ A)
+    real = mu.real[np.abs(mu.imag) <= REAL_EIG_MARGIN * (1.0 + np.abs(mu.real))]
+    t_star = -1.0 / float(real.min())
+    return herm_part(0.6 * t_star * X)
 
 
 def _congruence_orbit(A: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -28,6 +28,7 @@ from .linalg import (
     _check_guard,
     _eigh,
     _eigvalsh,
+    _finite_values,
     _is_hermitian,
     _is_invertible,
     _order_verdict,
@@ -128,7 +129,8 @@ def _loewner_matrices(f: ScalarFunction, pts: np.ndarray) -> np.ndarray:
 
     The entry of x = pts[i] and y = pts[j], i <= j, is (f(y) - f(x))/(y - x) where
     |y - x| > 1e-6 (1 + |x|), and f.slope((x + y)/2) within that switch. f is evaluated
-    once at each node of such a far pair, and nowhere else.
+    once at each node of such a far pair, and nowhere else. A value or slope that is not
+    finite raises DomainViolationError naming its point: the node values first, in row order.
     """
     rows, cols = np.triu_indices(pts.shape[-1])
     x, y = pts[:, rows], pts[:, cols]
@@ -137,9 +139,9 @@ def _loewner_matrices(f: ScalarFunction, pts: np.ndarray) -> np.ndarray:
     L[:, rows, cols] = far  # marks the far pairs first: a node is needed where its row or column holds one
     needed = L.any(axis=-1) | L.any(axis=-2)
     fx = np.zeros(pts.shape)
-    fx[needed] = [f(t) for t in pts[needed].tolist()]
+    fx[needed] = _finite_values(f, pts[needed], "f")
     entries = np.empty(x.shape)
-    entries[~far] = [f.slope(t) for t in ((x + y) / 2.0)[~far].tolist()]
+    entries[~far] = _finite_values(f.slope, ((x + y) / 2.0)[~far], "f.slope")
     with np.errstate(all="ignore"):  # as the Python float arithmetic it repeats: an overflow is inf, not a warning
         np.divide(fx[:, cols] - fx[:, rows], y - x, out=entries, where=far)
     L[:, rows, cols] = L[:, cols, rows] = entries

@@ -873,3 +873,103 @@ def test_a_per_matrix_evaluator_sees_one_call_per_point(n):
     want += [c * np.eye(n), c * (np.eye(n) + 0.6 * direction)]
     assert len(seen) == 2 + 4 * (2 * n - 1) + 2
     assert _multiset(seen) == _multiset(want)
+
+
+# ---------------------------------------------------------------------------
+# stacked bases: member j of every answer is the single call on member j of each argument
+
+STACKS = [(1,), (2,), (7,), (50,), (3, 2)]
+
+
+def _gaussian_hermitians(rng, shape, n, scale=1.0):
+    return herm_part(rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))) * scale
+
+
+def _base_stack(rng, shape, n):
+    """Hermitian bases with some eigenvalues exactly zero, so that their compressions keep different ranks."""
+    vals = rng.uniform(0.3, 2.5, shape + (n,)) * rng.choice([-1.0, 1.0], shape + (n,))
+    vals *= rng.random(shape + (n,)) > 0.3
+    Q, _ = np.linalg.qr(rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n)))
+    return herm_part((Q * vals[..., None, :]) @ Q.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("members", STACKS)
+def test_stacked_base_kernels_are_the_single_calls(members):
+    rng = np.random.default_rng(len(members) * 100 + members[0])
+    tol = DEFAULT_TOL
+    verdicts = set()
+    for n in range(1, 9):
+        A = _base_stack(rng, members, n)
+        X, Y = (_gaussian_hermitians(rng, members, n, 0.02) for _ in range(2))
+        T = np.eye(n) + _gaussian_hermitians(rng, members, n, 0.1)
+        shifted = X @ A + np.eye(n)
+        stacked = {
+            "shear": localiso._shear_apply(A, X, tol),
+            "domain": localiso._in_shear_domain(A, X, tol),
+            "translated": localiso._translated_base(A, X, tol),
+            "conjugated": localiso._conjugated_base(A, T, tol),
+            "segment": localiso._segment_from(A, X, shifted, Y, tol),
+            "map": localiso._order_iso_map(A, X),
+        }
+        for index in np.ndindex(*members):
+            single = {
+                "shear": shear_apply(A[index], X[index], tol),
+                "domain": in_shear_domain(A[index], X[index], tol),
+                "translated": translated_base(A[index], X[index], tol),
+                "conjugated": conjugated_base(A[index], T[index], tol),
+                "segment": segment_in_shear_domain(A[index], X[index], Y[index], tol),
+                "map": order_iso_apply(A[index], X[index], tol),
+            }
+            for name, value in single.items():
+                assert np.array_equal(stacked[name][index], value), (name, n, index)
+        # zero components under bases of several ranks: the points of bases[j] are H[j] (k, 2, n, n) or H[j] (k, n, n)
+        bases, H = A.reshape(-1, n, n), np.stack([X, 100.0 * Y], axis=-3).reshape(-1, 2, n, n)
+        inside = localiso._in_zero_components(bases, H, tol)
+        assert inside.shape == H.shape[:-2]
+        verdicts.update(inside.flat)
+        assert localiso._in_zero_components(bases, H[:, 1], tol).tolist() == inside[:, 1].tolist()
+        for j, (B, points) in enumerate(zip(bases, H)):
+            assert inside[j].tolist() == [in_zero_component(B, P, tol) for P in points]
+        # compressions of one rank stack too, each base keeping its own positive count
+        rank = localiso._range_compression(bases[0], tol)[1].size
+        same = [j for j, B in enumerate(bases) if localiso._range_compression(B, tol)[1].size == rank]
+        V, lam = (np.stack(c) for c in zip(*(localiso._range_compression(bases[j], tol) for j in same)))
+        mapped = localiso._order_iso_apply(bases[same], (V, lam), X.reshape(-1, n, n)[same], tol)
+        for row, j in enumerate(same):
+            assert np.array_equal(mapped[row], order_iso_apply(bases[j], X.reshape(-1, n, n)[j], tol))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kernel, shell, message", [
+    (lambda A, X, T, tol: localiso._shear_apply(A, X, tol), lambda A, X, T, tol: shear_apply(A, X, tol),
+     "X is outside the shear domain of this base"),
+    (lambda A, X, T, tol: localiso._translated_base(A, X, tol), lambda A, X, T, tol: translated_base(A, X, tol),
+     "X0 is outside the shear domain of this base"),
+    (lambda A, X, T, tol: localiso._conjugated_base(A, T, tol), lambda A, X, T, tol: conjugated_base(A, T, tol),
+     "frame must be invertible"),
+])
+def test_a_stack_of_bases_raises_its_second_members_message(kernel, shell, message):
+    rng = np.random.default_rng(5)
+    A = _base_stack(rng, (3,), 3)
+    X = _gaussian_hermitians(rng, (3,), 3, 0.02)
+    T = np.eye(3) + _gaussian_hermitians(rng, (3,), 3, 0.1)
+    A[1] = np.diag([2.0, 1.0, -1.0]).astype(complex)
+    X[1] = np.diag([-0.5, 0.0, 0.0]).astype(complex)  # X A + I is singular
+    T[1] = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    with pytest.raises(DomainViolationError) as single:
+        shell(A[1], X[1], T[1], DEFAULT_TOL)
+    assert str(single.value) == message
+    with pytest.raises(DomainViolationError, match=f"^{message}$"):
+        kernel(A, X, T, DEFAULT_TOL)
+
+
+def test_a_stack_of_bases_refuses_its_second_members_point_outside_the_zero_component():
+    A = np.array([np.diag([0.5, -1.0]), np.diag([1.0, 2.0])], dtype=complex)
+    # the second point is past the singular surface of X A + I
+    X = np.array([0.1 * np.eye(2), np.diag([-2.0, 0.1])], dtype=complex)
+    with pytest.raises(DomainViolationError) as single:
+        order_iso_apply(A[1], X[1])
+    assert localiso._in_zero_components(A, X, DEFAULT_TOL).tolist() == [True, False]
+    V, lam = (np.stack(c) for c in zip(*(localiso._range_compression(B, DEFAULT_TOL) for B in A)))
+    with pytest.raises(DomainViolationError, match=f"^{single.value}$"):
+        localiso._order_iso_apply(A, (V, lam), X, DEFAULT_TOL)

@@ -344,3 +344,22 @@ def test_scalar_function_window_respects_poles():
     # pole at 1 - 1/r = 1.5; the domain must stay on the side containing 0
     lo, hi = f.domain
     assert lo < 0.0 < hi <= 1.5
+
+
+# f's values and slopes are read at the nodes: one that is not finite is refused there, before any eigensolver
+NAN_ABOVE_5 = ScalarFunction(lambda x: math.sqrt(x) if x <= 5.0 else math.nan, (0.0, math.inf),
+                             lambda x: 0.5 / math.sqrt(x) if x <= 5.0 else math.nan, name="sqrt, nan above 5")
+INFINITE_SLOPE = ScalarFunction(math.sqrt, (0.0, math.inf), lambda x: math.inf, name="sqrt, infinite slope")
+
+
+def test_a_non_finite_node_value_is_refused_with_its_node():
+    with pytest.raises(DomainViolationError, match=r"^f is not finite at 6\.0$"):
+        loewner_matrix(NAN_ABOVE_5, [1.0, 6.0])
+
+
+@pytest.mark.parametrize("f", [NAN_ABOVE_5, INFINITE_SLOPE], ids=["nan", "inf-slope"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_the_tester_refuses_a_non_finite_value_or_slope(f, order):
+    # order 3 used to end in numpy's LinAlgError, and an infinite slope passed orders 1 and 2 as conclusive
+    with pytest.raises(DomainViolationError, match=r"^f(\.slope)? is not finite at "):
+        is_matrix_monotone(f, order, trials=50, seed=0)

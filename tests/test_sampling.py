@@ -1,16 +1,22 @@
-"""Stacked samplers: every member bit for bit the per-sample draw, in the same rng order."""
+"""Stacked samplers: every member bit for bit the per-sample draw, in the same rng order; speculative draws with a
+generator rewind leave what the per-trial loop draws."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matorder import suites
+from matorder import sampling, suites
 from matorder.classify import BlockMapSpec
+from matorder.errors import MatOrderError
 from matorder.linalg import herm_part
 from matorder.sampling import (
     EFFECT_SPECTRUM,
+    _first_stacked,
     _half_plane_stack,
     _spectrum_draws,
+    _speculate,
+    _trial_rows,
     _unitary_from_gaussians,
     _with_spectra,
     complex_gaussian,
@@ -122,3 +128,122 @@ def test_with_spectrum_matches_a_per_sample_diagonal_product(spectra_drawn, seed
     for vals in map(np.array, spectra_drawn):
         assert _same(suites._with_spectrum(rng, vals), _with_spectrum_ref(ref, vals))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# speculative draws: every trial drawn in the per-trial rng order, whatever the gate refuses
+
+
+def _per_trial(rng, trials, refusals):
+    """The per-trial loop the speculation replaces: a dimension, a head, then candidates until the gate takes one;
+    the gate refuses the first refusals[t] candidates of trial t."""
+    out = {}
+    for t in range(trials):
+        n = int(rng.integers(1, 4))
+        head = rng.standard_normal(n)
+        k = 0
+        while True:
+            cand = rng.standard_normal(2)
+            if k >= refusals.get(t, 0):
+                break
+            k += 1
+        out[t] = n, head, cand
+    return out
+
+
+def _speculated(rng, trials, refusals, raising=()):
+    """The same trials through _speculate; a speculative draw of a trial in `raising` raises."""
+    def draw(t, first):
+        n = int(rng.integers(1, 4))
+        head = rng.standard_normal(n)
+        if first:
+            if t in raising:
+                raise MatOrderError("a speculative draw that raises is drawn again")
+            return (n,), t, head, rng.standard_normal(2)
+        cand = _first_stacked(rng, 50, lambda k: (k, rng.standard_normal(2)),
+                              lambda ks, cands: (ks >= refusals.get(t, 0), cands))
+        return (n,), t, head, cand[0]
+
+    def gate(ts, heads, cands):  # refuses the first candidate of the chosen trials
+        return np.array([refusals.get(int(t), 0) == 0 for t in ts]), (ts, heads, cands)
+
+    draws, error = _speculate(rng, range(trials), draw, gate)
+    assert error is None
+    return {t: (key[0], head, cand) for t, (key, _, head, cand) in draws.items()}
+
+
+@pytest.mark.parametrize("refusals", [
+    {},
+    {0: 1},  # the first trial of a block
+    {3: 1},  # a middle one
+    {7: 1},  # the last one
+    {4: 1, 5: 1},  # two in a row
+    {3: 2, 8: 3},  # a trial that refuses two candidates, and the first of the next block three
+    {0: 1, 7: 1, 8: 1, 15: 1, 19: 1},
+])
+@pytest.mark.parametrize("raising", [(), (6,)])
+def test_speculation_draws_what_the_per_trial_loop_draws(monkeypatch, refusals, raising):
+    monkeypatch.setattr(sampling, "SPECULATION_BLOCK", 8)  # blocks of trials 0-7, 8-15 and 16-19
+    for seed in range(3):
+        rng, ref = (np.random.default_rng(seed) for _ in range(2))
+        got, want = _speculated(rng, 20, refusals, raising), _per_trial(ref, 20, refusals)
+        assert list(got) == list(want) == list(range(20))
+        for t in want:
+            assert got[t][0] == want[t][0] and _same(got[t][1], want[t][1]) and _same(got[t][2], want[t][2])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_speculation_returns_the_error_of_the_trial_that_raises_with_the_trials_before_it(monkeypatch):
+    monkeypatch.setattr(sampling, "SPECULATION_BLOCK", 4)
+    rng = np.random.default_rng(0)
+
+    def draw(t, first):
+        value = rng.standard_normal()
+        if not first and t == 5:
+            raise MatOrderError("trial 5 raises")
+        return (), t, value
+
+    draws, error = _speculate(rng, range(12), draw, lambda ts, values: (ts != 5, (ts, values)))
+    assert list(draws) == [0, 1, 2, 3, 4] and str(error) == "trial 5 raises"
+
+
+@pytest.mark.parametrize("accepted", [0, 1, 2, 3, 6, None])
+def test_stacked_candidates_leave_the_state_of_a_one_at_a_time_loop(accepted):
+    rng, ref = (np.random.default_rng(4) for _ in range(2))
+    take = (lambda k: k == accepted) if accepted is not None else (lambda k: False)
+    got = _first_stacked(rng, 7, lambda k: (k, rng.standard_normal(3)), lambda ks, xs: ([take(k) for k in ks], xs))
+    want = None
+    for k in range(7):
+        x = ref.standard_normal(3)
+        if take(k):
+            want = x
+            break
+    assert (got is None) == (want is None) and (want is None or _same(got[0], want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_trial_rows_come_in_trial_order_whatever_the_chunk(monkeypatch, chunk):
+    # trials of two keys, one of them refused at trial 5: the rows, their order and the generator's end state are
+    # those of one chunk of all trials
+    refusals = {5: 1}
+
+    def draw(t, first):
+        n = int(rng.integers(1, 3))
+        if first:
+            return (n,), t, rng.standard_normal(n)
+        take = _first_stacked(rng, 9, lambda k: (k, rng.standard_normal(n)),
+                              lambda ks, xs: (ks >= refusals.get(t, 0), xs))
+        return (n,), t, take[0]
+
+    def gate(ts, xs):
+        return np.array([int(t) not in refusals for t in ts]), (ts, xs)
+
+    rows = {}
+    for size in (chunk, 20):
+        monkeypatch.setattr(sampling, "TRIAL_CHUNK", size)
+        rng = np.random.default_rng(11)
+        rows[size] = [(t, key, row[0], row[1].tobytes()) for t, key, row in
+                      _trial_rows(rng, 20, draw, gate, lambda ts, xs: (ts, 2.0 * xs))]
+        rows[size].append(rng.bit_generator.state)
+    assert rows[chunk] == rows[20] and [row[0] for row in rows[chunk][:-1]] == list(range(20))
