@@ -443,7 +443,15 @@ def _trial_rows(rng: np.random.Generator, trials: int, draw: Callable, gate: Opt
     after the rows of the trials before it."""
     for start in range(0, trials, TRIAL_CHUNK):
         part = range(start, min(start + TRIAL_CHUNK, trials))
-        draws, error = _speculate(rng, part, draw, gate) if gate else ({t: draw(t, False) for t in part}, None)
+        if gate:
+            draws, error = _speculate(rng, part, draw, gate)
+        else:
+            draws, error = {}, None
+            try:
+                for t in part:
+                    draws[t] = draw(t, False)
+            except MatOrderError as exc:
+                error = exc
         rows, groups = {}, []
         for key, ts, stacks in _groups(draws):
             groups.append(finish(*stacks))

@@ -247,3 +247,24 @@ def test_trial_rows_come_in_trial_order_whatever_the_chunk(monkeypatch, chunk):
                       _trial_rows(rng, 20, draw, gate, lambda ts, xs: (ts, 2.0 * xs))]
         rows[size].append(rng.bit_generator.state)
     assert rows[chunk] == rows[20] and [row[0] for row in rows[chunk][:-1]] == list(range(20))
+
+
+@pytest.mark.parametrize("speculative", [False, True])
+def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch, speculative):
+    # trial 6 raises where the per-trial loop draws it (speculatively, its gate refuses it first), in the second
+    # chunk of 4 trials: the rows of trials 0-5 come first
+    monkeypatch.setattr(sampling, "TRIAL_CHUNK", 4)
+    rng = np.random.default_rng(0)
+
+    def draw(t, first):
+        value = rng.standard_normal()
+        if not first and t == 6:
+            raise MatOrderError("trial 6 raises")
+        return (), t, value
+
+    gate = (lambda ts, values: (ts != 6, (ts, values))) if speculative else None
+    seen = []
+    with pytest.raises(MatOrderError, match="^trial 6 raises$"):
+        for t, _, _ in _trial_rows(rng, 10, draw, gate, lambda ts, values: (ts, values)):
+            seen.append(t)
+    assert seen == [0, 1, 2, 3, 4, 5]
