@@ -62,8 +62,8 @@ in trial order:
 Suites whose draws depend on a check otherwise stay per trial:
 component-criterion, whose path oracle searches one point at a time,
 rank-one-trace, which draws a scale only when ||A w|| of a finished base A
-is not negligible, and the maps suites (halfplane-roundtrip through
-pick-evaluation).
+is not negligible, and the maps suites, which the benchmark runs as
+verify-maps.
 """
 
 from __future__ import annotations
