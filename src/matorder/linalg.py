@@ -59,6 +59,7 @@ call per stack; public functions, opnorm the one public norm, stay per-matrix.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -134,8 +135,13 @@ def herm_part(M: np.ndarray) -> np.ndarray:
 
 
 def _frob(M: np.ndarray) -> float:
-    """Frobenius norm of a matrix; a NaN entry gives nan."""
-    return float(np.linalg.norm(M, "fro"))
+    """Frobenius norm of a matrix; a NaN entry gives nan, and a norm past the largest double inf, without a warning.
+
+    The dots of np.linalg.norm(M, "fro"), so the same bits; vdot and a sum of
+    Python floats, unlike norm's dot and sum, raise no overflow warning.
+    """
+    x = M.ravel(order="K")
+    return math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
 
 
 def opnorm(M: np.ndarray) -> float:
@@ -173,7 +179,8 @@ def as_hermitian(X: Iterable, tol: ToleranceConfig = DEFAULT_TOL, name: str = "m
 
 def _is_hermitian(M: np.ndarray, tol: ToleranceConfig) -> bool:
     """The library's one hermiticity test, on a square finite array: ||M - M*||_F <= herm_tol*(1 + ||M||_F).
-    Where ||M||_F overflows, it is decided times s = HERM_RESCALE, on the exactly scaled sM."""
+    Where ||M||_F overflows (to inf, without a warning), it is decided times s = HERM_RESCALE, on the exactly
+    scaled sM."""
     norm, s = _frob(M), 1.0
     if norm == np.inf:
         M, s = M * HERM_RESCALE, HERM_RESCALE

@@ -22,8 +22,28 @@ import matorder
 from matorder.fileio import write_matrix_file
 
 PACKAGE = pathlib.Path(matorder.__file__).parent
-# __init__ imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# every module of the library, those of its subpackages (the suites) included
+FILES = sorted(PACKAGE.rglob("*.py"))
+# the package's __init__ imports names only to re-export them
+MODULES = [p for p in FILES if p != PACKAGE / "__init__.py"]
+
+
+def _module_name(path: pathlib.Path) -> str:
+    """The dotted name of the module at path below matorder ("linalg", "suites", "suites.draws"), or "matorder"."""
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts) or "matorder"
+
+
+def _in_suites(module: str) -> bool:
+    return module == "suites" or module.startswith("suites.")
+
+
+def _path_id(path: pathlib.Path) -> str:
+    return path.relative_to(PACKAGE).as_posix()
+
+
+# module name -> text, for the scans that read the library as a whole
+SOURCES = {_module_name(p): p.read_text() for p in FILES}
 # the modules whose __all__ the package re-exports whole
 REEXPORTED = ["linalg", "order", "halfplane", "localiso", "classify", "monotone"]
 
@@ -47,7 +67,15 @@ def _unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_scans_read_every_module_of_the_library():
+    # a glob of the package's top level would miss every module of the suites package
+    on_disk = {pathlib.Path(root) / name for root, _, names in os.walk(PACKAGE) for name in names if name.endswith(".py")}
+    assert set(FILES) == on_disk == {PACKAGE / "__init__.py", *MODULES}
+    assert len(SOURCES) == len(on_disk) and set(SOURCES) == {_module_name(path) for path in on_disk}
+    assert set(PACKAGE.glob("*.py")) != on_disk
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_path_id)
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -78,7 +106,7 @@ def _unused_parameters(source: str):
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=_path_id)
 def test_every_parameter_is_read(path):
     assert _unused_parameters(path.read_text()) == []
 
@@ -165,8 +193,7 @@ def _unset_defaults(definitions: str, passed):
 
 def test_every_default_is_overridden_somewhere():
     passed = _passed_arguments(path.read_text() for d in CALLERS for path in sorted((REPO / d).rglob("*.py")))
-    unset = {path.name: _unset_defaults(path.read_text(), passed)
-             for path in sorted((REPO / "src" / "matorder").glob("*.py"))}
+    unset = {module: _unset_defaults(source, passed) for module, source in SOURCES.items()}
     assert {k: v for k, v in unset.items() if v} == {}
 
 
@@ -213,9 +240,8 @@ def _unread_exports(modules, callers):
 
 
 def test_every_exported_name_is_read_outside_its_module():
-    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     callers = [path.read_text() for d in ("demos", "bench") for path in sorted((REPO / d).rglob("*.py"))]
-    assert _unread_exports(modules, callers) == []
+    assert _unread_exports(SOURCES, callers) == []
 
 
 def test_unread_export_scan_sees_a_name_only_its_module_reads():
@@ -228,6 +254,48 @@ def test_unread_export_scan_sees_a_name_only_its_module_reads():
     }
     callers = ["import a, b\na.kept(b.k(a.f(1)))\nHOT = ['a.unread']\n"]
     assert _unread_exports(modules, callers) == [("a", "Hidden"), ("a", "helper"), ("a", "unread")]
+
+
+def _suite_only_names(sources, module="sampling"):
+    """The module-level names of `module` outside its __all__ that the library does not keep: a name is kept when a
+    module of `sources` (module name -> text) other than `module` and the suites package reads it, or when the
+    definition of a kept name of `module` reads it. What only the suites read belongs with their draws."""
+    tree = ast.parse(sources[module])
+    defined = {}  # name -> the names its definition reads
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = _loads(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    defined[target.id] = _loads(node.value)
+    exported = [name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                for name in ast.literal_eval(node.value)]
+    library = set().union(*(_loads(ast.parse(source)) for other, source in sources.items()
+                            if other != module and not _in_suites(other)))
+    kept = {name for name in defined if name in exported or name in library}
+    while True:
+        more = {name for held in kept for name in defined[held] if name in defined} - kept
+        if not more:
+            return sorted(set(defined) - kept)
+        kept |= more
+
+
+def test_sampling_holds_no_suite_only_code():
+    assert _suite_only_names(SOURCES) == []
+
+
+def test_suite_only_scan_sees_what_only_the_suites_read():
+    sources = {
+        "sampling": "__all__ = ['f']\nLIMIT = 3\nSTEP = 2\ndef f(x):\n    return _g(x) + LIMIT\n"
+                    "def _g(x):\n    return x\ndef _h(x):\n    return _k(x)\ndef _k(x):\n    return x\n"
+                    "def _s(x):\n    return x\n",
+        "halfplane": "from .sampling import _s\ndef u():\n    return _s(1)\n",
+        "suites": "from .. import sampling\ndef v():\n    return sampling._k(2)\n",
+        "suites.draws": "from ..sampling import _h, STEP\ndef w():\n    return _h(STEP)\n",
+    }
+    assert _suite_only_names(sources) == ["STEP", "_h", "_k"]
 
 
 def _references(tree):
@@ -263,8 +331,7 @@ def _shell_only_kernels(sources):
 
 
 def test_no_kernel_only_its_public_shell_calls():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _shell_only_kernels(sources) == []
+    assert _shell_only_kernels(SOURCES) == []
 
 
 def test_shell_only_kernel_scan_sees_a_kernel_with_one_caller():
@@ -307,8 +374,7 @@ def _decomposition_calls(sources):
 
 
 def test_singular_values_are_taken_only_where_allowed():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _decomposition_calls(sources) == []
+    assert _decomposition_calls(SOURCES) == []
 
 
 def test_svd_scan_sees_a_planted_call():
@@ -347,17 +413,17 @@ VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_e
 # argument comes from outside the library
 SHELL_SITES = {
     # the public eigensolver is the engine under test, next to jacobi_eigen
-    ("suites", "_suite_eigen_residual", "hermitian_eigen"): 2,
+    ("suites.spectra", "_suite_eigen_residual", "hermitian_eigen"): 2,
     # the fixture pins the public override path at 0 and I
-    ("suites", "_suite_effect_embedding", "effect_embedding_map"): 3,
+    ("suites.effects", "_suite_effect_embedding", "effect_embedding_map"): 3,
     # the public criterion is what the path oracle cross-checks
-    ("suites", "_suite_component_criterion", "in_zero_component"): 1,
+    ("suites.shear", "_suite_component_criterion", "in_zero_component"): 1,
     # the worked 2x2 example pins the public map
-    ("suites", "_suite_block_involution", "block_map_apply"): 1,
+    ("suites.blocks", "_suite_block_involution", "block_map_apply"): 1,
     # shear_apply's output is Hermitian only up to rounding; the public inertia validates it
-    ("suites", "_suite_congruence_orbit", "inertia"): 1,
+    ("suites.shear", "_suite_congruence_orbit", "inertia"): 1,
     # the census: distinct representatives are inequivalent under the public test
-    ("suites", "_suite_class_count", "are_equivalent"): 1,
+    ("suites.blocks", "_suite_class_count", "are_equivalent"): 1,
     # the reweighting behind factors 2 and 4 is callable on outside input, as is the root of factor 3
     ("classify", "rational_effect_factors", "spectral_apply"): 2,
     # the evaluator's probe response comes from outside: a non-finite one stays a MalformedInputError
@@ -383,7 +449,9 @@ def _shell_reads(source: str, names):
 
 
 def test_suites_call_the_stacked_recovery_bodies():
-    assert _shell_reads((PACKAGE / "suites.py").read_text(), PER_MATRIX_RECOVERY) == {}
+    suites = [module for module in SOURCES if _in_suites(module)]
+    assert len(suites) > 1
+    assert {module: _shell_reads(SOURCES[module], PER_MATRIX_RECOVERY) for module in suites} == dict.fromkeys(suites, {})
 
 
 def test_per_matrix_recovery_scan_sees_a_planted_call():
@@ -404,8 +472,7 @@ def _library_shell_reads(sources):
 
 
 def test_library_checks_what_it_holds_with_kernels():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _library_shell_reads(sources) == SHELL_SITES
+    assert _library_shell_reads(SOURCES) == SHELL_SITES
 
 
 def test_library_shell_scan_sees_a_planted_read_in_any_module():
@@ -461,7 +528,7 @@ def _fixed_seed_generators(source: str):
     return found
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_path_id)
 def test_no_fixed_seed_draw_outside_the_seeded_cache(path):
     assert _fixed_seed_generators(path.read_text()) == []
 
@@ -506,7 +573,7 @@ def _imported_roots(path: pathlib.Path) -> set:
 
 def test_no_module_imports_scipy():
     # numpy is the one runtime dependency, and the tests check against mpmath, not scipy
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    sources = FILES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
     assert [p.name for p in sources if "scipy" in _imported_roots(p)] == []
 
 
@@ -564,10 +631,20 @@ def test_fpq_apply_loads_no_scipy(tmp_path):
      ["cli", "config", "errors", "fileio", "linalg", "sampling"]),
     ("from matorder.cli import main\nassert main(['verify', 'class-count', '--trials', '1']) == 0",
      ["classify", "cli", "config", "errors", "fileio", "halfplane", "linalg", "localiso", "monotone", "order",
-      "sampling", "suites"]),
+      "sampling", "suites", "suites.blocks", "suites.draws", "suites.effects", "suites.loewner", "suites.mobius",
+      "suites.reports", "suites.shear", "suites.spectra"]),
 ])
 def test_a_process_loads_only_the_modules_it_runs(code, loaded):
     assert _loaded_after(code)["matorder"] == loaded
+
+
+def test_classify_and_apply_load_no_suites(tmp_path):
+    base = str(tmp_path / "base.json")
+    write_matrix_file(base, np.diag([2.0, -1.0]))
+    code = (f"from matorder.cli import main\nassert main(['classify', {base!r}]) == 0\n"
+            f"assert main(['apply', '--map', 'phi-mp', '--corner', '1', {base!r}]) == 0")
+    loaded = _loaded_after(code)["matorder"]
+    assert "classify" in loaded and [module for module in loaded if module.split(".")[0] == "suites"] == []
 
 
 # the names __init__ imports from config and errors

@@ -261,9 +261,10 @@ def _hermitian_at(scale):
     return random_hermitian(np.random.default_rng(11), 4) * scale
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hermiticity_is_decided_where_the_frobenius_norm_overflows():
     # ||M||_F and ||M - M*||_F both overflowed to inf, and inf <= herm_tol * (1 + inf) accepted any such matrix
+    # (and each overflowing norm warned, twice on the way to this refusal and once on the acceptance below)
     M = np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex)
     assert _frob(M) == np.inf
     # the message quotes the defect of the scaled copy, scaled back: it used to read inf
@@ -276,7 +277,7 @@ def test_hermiticity_is_decided_where_the_frobenius_norm_overflows():
     assert np.array_equal(as_hermitian(H), herm_part(H))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
 def test_hermiticity_cushion_at_a_scale_whose_norm_overflows(factor, accepted):
     H = _hermitian_at(1e300)

@@ -7,10 +7,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matorder import monotone
 from matorder.config import DEFAULT_TOL
-from matorder.errors import DomainViolationError, MalformedInputError
+from matorder.errors import DomainViolationError, MalformedInputError, MatOrderError
 from matorder.linalg import (_check_guard, _eigh, _eigvalsh, _hermitian_opnorms, _loewner_compare, herm_part,
                              loewner_compare, opnorm, spectral_apply)
 from matorder.monotone import (
@@ -363,3 +365,53 @@ def test_the_tester_refuses_a_non_finite_value_or_slope(f, order):
     # order 3 used to end in numpy's LinAlgError, and an infinite slope passed orders 1 and 2 as conclusive
     with pytest.raises(DomainViolationError, match=r"^f(\.slope)? is not finite at "):
         is_matrix_monotone(f, order, trials=50, seed=0)
+
+
+BUILTINS = ["sqrt", "log", "square", "fp:0.25", "fp:0.5", "fp:0.75", "rational:0.5", "rational:-2.0"]
+
+
+def _spoiled(name, part, bad, start, width):
+    """The builtin `name` with its value or its slope (`part`) equal to `bad` on a sub-interval of its sampling
+    window: the one from `start` to `start + width` of the way across it."""
+    f = builtin_function(name)
+    lo, hi = _sample_window(f.domain)
+    a = lo + start * (hi - lo)
+    b = a + width * (hi - a)
+
+    def spoil(g):
+        return lambda x: bad if a <= x <= b else g(x)
+
+    if part == "value":
+        return dataclasses.replace(f, value=spoil(f.value)), (lo, hi)
+    return dataclasses.replace(f, derivative=spoil(f.slope)), (lo, hi)
+
+
+def _all_finite(*numbers) -> bool:
+    return all(np.isfinite(np.asarray(x, dtype=complex)).all() for x in numbers if x is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BUILTINS), st.sampled_from(["value", "slope"]), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 3), st.integers(0, 2**16), st.data())
+def test_a_function_that_is_not_finite_somewhere_is_refused_or_reported_finite(name, part, bad, start, width, order,
+                                                                               seed, data):
+    # a MatOrderError, or a report whose every number is finite: never a pass with a non-finite number, never a
+    # numpy exception, from each public entry that reads f
+    f, (lo, hi) = _spoiled(name, part, bad, start, width)
+    try:
+        report = is_matrix_monotone(f, order, trials=20, seed=seed)
+        pair = report.witness_pair or ()
+        assert _all_finite(report.min_loewner_eigenvalue, report.witness_nodes, *pair)
+    except MatOrderError:
+        pass
+    nodes = sorted(set(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))))
+    try:
+        lm = loewner_matrix(f, nodes)
+        assert _all_finite(lm.nodes, lm.matrix, lm.min_eigenvalue)
+    except MatOrderError:
+        pass
+    X = random_hermitian_with_spectrum(np.random.default_rng(seed), order, lo, hi)
+    try:
+        assert _all_finite(spectral_apply(X, f, f.domain))
+    except MatOrderError:
+        pass

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matorder import sampling, suites
 from matorder.classify import BlockMapSpec
 from matorder.errors import MatOrderError
 from matorder.linalg import herm_part
 from matorder.sampling import (
     EFFECT_SPECTRUM,
-    _first_stacked,
     _half_plane_stack,
     _spectrum_draws,
-    _speculate,
-    _trial_rows,
     _unitary_from_gaussians,
     _with_spectra,
     complex_gaussian,
@@ -24,6 +20,8 @@ from matorder.sampling import (
     random_half_plane,
     random_unitary,
 )
+from matorder.suites import draws as suite_draws
+from matorder.suites.draws import _first_stacked, _speculate, _trial_rows
 
 # Per-sample reference samplers, written one matrix at a time as the library
 # drew them before its stacked bodies; the stacks must reproduce their bits.
@@ -111,7 +109,7 @@ def test_stacked_class_draw_matches_per_sample_draws(data, n, k, seed):
     m = data.draw(st.integers(0, n))
     p = data.draw(st.integers(0, m))
     rng, ref = (np.random.default_rng(seed) for _ in range(2))
-    got = suites._block_samples(rng, BlockMapSpec(n, m, p), k)
+    got = suite_draws._block_samples(rng, BlockMapSpec(n, m, p), k)
     assert _same(got, np.stack([_block_sample_ref(ref, n, m, p) for _ in range(k)]))
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -126,7 +124,7 @@ spectra = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.05, 3.0),
 def test_with_spectrum_matches_a_per_sample_diagonal_product(spectra_drawn, seed):
     rng, ref = (np.random.default_rng(seed) for _ in range(2))
     for vals in map(np.array, spectra_drawn):
-        assert _same(suites._with_spectrum(rng, vals), _with_spectrum_ref(ref, vals))
+        assert _same(suite_draws._with_spectrum(rng, vals), _with_spectrum_ref(ref, vals))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -151,8 +149,14 @@ def _per_trial(rng, trials, refusals):
     return out
 
 
-def _speculated(rng, trials, refusals, raising=()):
-    """The same trials through _speculate; a speculative draw of a trial in `raising` raises."""
+def _span(ts) -> int:
+    """How many consecutive trials the trial numbers ts reach over."""
+    return int(max(ts) - min(ts)) + 1
+
+
+def _speculated(rng, trials, refusals, raising=(), spans=None):
+    """The same trials through _speculate; a speculative draw of a trial in `raising` raises. The span of each
+    group the gate takes goes to `spans`."""
     def draw(t, first):
         n = int(rng.integers(1, 4))
         head = rng.standard_normal(n)
@@ -165,6 +169,7 @@ def _speculated(rng, trials, refusals, raising=()):
         return (n,), t, head, cand[0]
 
     def gate(ts, heads, cands):  # refuses the first candidate of the chosen trials
+        spans.append(_span(ts))
         return np.array([refusals.get(int(t), 0) == 0 for t in ts]), (ts, heads, cands)
 
     draws, error = _speculate(rng, range(trials), draw, gate)
@@ -183,10 +188,12 @@ def _speculated(rng, trials, refusals, raising=()):
 ])
 @pytest.mark.parametrize("raising", [(), (6,)])
 def test_speculation_draws_what_the_per_trial_loop_draws(monkeypatch, refusals, raising):
-    monkeypatch.setattr(sampling, "SPECULATION_BLOCK", 8)  # blocks of trials 0-7, 8-15 and 16-19
+    monkeypatch.setattr(suite_draws, "SPECULATION_BLOCK", 8)  # blocks of trials 0-7, 8-15 and 16-19
     for seed in range(3):
         rng, ref = (np.random.default_rng(seed) for _ in range(2))
-        got, want = _speculated(rng, 20, refusals, raising), _per_trial(ref, 20, refusals)
+        spans = []
+        got, want = _speculated(rng, 20, refusals, raising, spans), _per_trial(ref, 20, refusals)
+        assert max(spans) <= 8  # the patched block holds: each gated group lies in one block
         assert list(got) == list(want) == list(range(20))
         for t in want:
             assert got[t][0] == want[t][0] and _same(got[t][1], want[t][1]) and _same(got[t][2], want[t][2])
@@ -194,7 +201,7 @@ def test_speculation_draws_what_the_per_trial_loop_draws(monkeypatch, refusals, 
 
 
 def test_speculation_returns_the_error_of_the_trial_that_raises_with_the_trials_before_it(monkeypatch):
-    monkeypatch.setattr(sampling, "SPECULATION_BLOCK", 4)
+    monkeypatch.setattr(suite_draws, "SPECULATION_BLOCK", 4)
     rng = np.random.default_rng(0)
 
     def draw(t, first):
@@ -203,8 +210,14 @@ def test_speculation_returns_the_error_of_the_trial_that_raises_with_the_trials_
             raise MatOrderError("trial 5 raises")
         return (), t, value
 
-    draws, error = _speculate(rng, range(12), draw, lambda ts, values: (ts != 5, (ts, values)))
-    assert list(draws) == [0, 1, 2, 3, 4] and str(error) == "trial 5 raises"
+    spans = []
+
+    def gate(ts, values):
+        spans.append(_span(ts))
+        return ts != 5, (ts, values)
+
+    draws, error = _speculate(rng, range(12), draw, gate)
+    assert list(draws) == [0, 1, 2, 3, 4] and str(error) == "trial 5 raises" and max(spans) <= 4
 
 
 @pytest.mark.parametrize("accepted", [0, 1, 2, 3, 6, None])
@@ -239,13 +252,17 @@ def test_trial_rows_come_in_trial_order_whatever_the_chunk(monkeypatch, chunk):
     def gate(ts, xs):
         return np.array([int(t) not in refusals for t in ts]), (ts, xs)
 
+    def finish(ts, xs):
+        spans.append(_span(ts))
+        return ts, 2.0 * xs
+
     rows = {}
     for size in (chunk, 20):
-        monkeypatch.setattr(sampling, "TRIAL_CHUNK", size)
-        rng = np.random.default_rng(11)
-        rows[size] = [(t, key, row[0], row[1].tobytes()) for t, key, row in
-                      _trial_rows(rng, 20, draw, gate, lambda ts, xs: (ts, 2.0 * xs))]
+        monkeypatch.setattr(suite_draws, "TRIAL_CHUNK", size)
+        rng, spans = np.random.default_rng(11), []
+        rows[size] = [(t, key, row[0], row[1].tobytes()) for t, key, row in _trial_rows(rng, 20, draw, gate, finish)]
         rows[size].append(rng.bit_generator.state)
+        assert max(spans) <= size  # the patched chunk holds: each finished group lies in one chunk
     assert rows[chunk] == rows[20] and [row[0] for row in rows[chunk][:-1]] == list(range(20))
 
 
@@ -253,7 +270,7 @@ def test_trial_rows_come_in_trial_order_whatever_the_chunk(monkeypatch, chunk):
 def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch, speculative):
     # trial 6 raises where the per-trial loop draws it (speculatively, its gate refuses it first), in the second
     # chunk of 4 trials: the rows of trials 0-5 come first
-    monkeypatch.setattr(sampling, "TRIAL_CHUNK", 4)
+    monkeypatch.setattr(suite_draws, "TRIAL_CHUNK", 4)
     rng = np.random.default_rng(0)
 
     def draw(t, first):
@@ -263,8 +280,13 @@ def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch, 
         return (), t, value
 
     gate = (lambda ts, values: (ts != 6, (ts, values))) if speculative else None
-    seen = []
+    seen, spans = [], []
+
+    def finish(ts, values):
+        spans.append(_span(ts))
+        return ts, values
+
     with pytest.raises(MatOrderError, match="^trial 6 raises$"):
-        for t, _, _ in _trial_rows(rng, 10, draw, gate, lambda ts, values: (ts, values)):
+        for t, _, _ in _trial_rows(rng, 10, draw, gate, finish):
             seen.append(t)
-    assert seen == [0, 1, 2, 3, 4, 5]
+    assert seen == [0, 1, 2, 3, 4, 5] and max(spans) <= 4

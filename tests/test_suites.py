@@ -2,20 +2,27 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import json
+import pathlib
+import sys
 import textwrap
 import tokenize
 
 import numpy as np
 import pytest
 
-from matorder import linalg, localiso, sampling, suites
+from matorder import linalg, localiso, suites
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError
 from matorder.fileio import matrix_to_payload
 from matorder.monotone import PickRepresentation
-from matorder.suites import SUITES, run_suite, suite_description, suite_names
+from matorder.suites import SUITES, draws, run_suite, shear, spectra, suite_description, suite_names
+
+# every module of the library, the suites package's included
+LIBRARY_ROOT = pathlib.Path(suites.__file__).parents[1]
+LIBRARY = sorted(LIBRARY_ROOT.rglob("*.py"))
 
 # heavier suites get a reduced smoke count; the acceptance tests run the
 # spec-level trial counts
@@ -100,7 +107,9 @@ def _returns_a_value(fn) -> bool:
 
 
 def test_every_suite_body_is_registered_in_definition_order():
-    bodies = [fn for name, fn in vars(suites).items() if name.startswith("_suite_") and inspect.isfunction(fn)]
+    modules = [importlib.import_module(f"matorder.suites.{topic}") for topic in suites.TOPICS]
+    bodies = [fn for module in modules for name, fn in vars(module).items()
+              if name.startswith("_suite_") and inspect.isfunction(fn)]
     assert [SUITES[name].fn for name in suite_names()] == bodies
     assert suite_names() == list(_DETAIL_KEYS)
     # a body reports through its recorder: each detail is declared on @_suite, and no body returns one
@@ -225,10 +234,10 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
     clean = np.random.default_rng(0)
     declared = SUITES["interval-criterion"].details
     clean_rec = suites._Recorder(declared)
-    suites._suite_interval_criterion(clean, 1, DEFAULT_TOL, clean_rec)
+    shear._suite_interval_criterion(clean, 1, DEFAULT_TOL, clean_rec)
     assert clean_rec.details["criterion_true"] == 1 and clean_rec.failure_count == 0
     stacks = []
-    kernel = suites._in_zero_component
+    kernel = shear._in_zero_component
 
     def escape_at_12(A, S, tol):
         if S.ndim == 2:  # X's own membership, checked against the criterion
@@ -238,10 +247,10 @@ def test_interval_criterion_escape_leaves_the_later_draws_in_place(monkeypatch):
         inside[12] = False
         return inside
 
-    monkeypatch.setattr(suites, "_in_zero_component", escape_at_12)
+    monkeypatch.setattr(shear, "_in_zero_component", escape_at_12)
     rng = np.random.default_rng(0)
     rec = suites._Recorder(declared)
-    suites._suite_interval_criterion(rng, 1, DEFAULT_TOL, rec)
+    shear._suite_interval_criterion(rng, 1, DEFAULT_TOL, rec)
     assert rec.details["criterion_true"] == 1 and len(stacks) == 1 and len(stacks[0]) == 50
     assert rec.failure_count == 1
     assert rec.failures[0]["witnesses"]["S"] == matrix_to_payload(stacks[0][12])
@@ -269,7 +278,7 @@ def test_suites_compress_each_base_once(monkeypatch, name):
         seen.append(base.tobytes())
         return kernel(base, tol)
 
-    monkeypatch.setattr(suites, "_range_compression", counting)
+    monkeypatch.setattr(shear, "_range_compression", counting)
     monkeypatch.setattr(localiso, "_range_compression", counting)
     report = run_suite(name, seed=1, trials=40)
     assert report.passed
@@ -287,14 +296,14 @@ def test_suites_compress_each_base_once(monkeypatch, name):
 def test_theta_inversion_records_a_refused_mirrored_image(monkeypatch):
     # the stacked finish gates each dimension group's X under A, then its images Y under -A; when that second gate
     # refuses, every trial records a failure and the suite goes on instead of raising
-    kernel = suites._in_shear_domain
+    kernel = shear._in_shear_domain
     bases = []
 
     def refuse_mirrored(A, M, tol):
         bases.append(A)
         return kernel(A, M, tol) & (len(bases) % 2 == 1)
 
-    monkeypatch.setattr(suites, "_in_shear_domain", refuse_mirrored)
+    monkeypatch.setattr(shear, "_in_shear_domain", refuse_mirrored)
     report = run_suite("theta-inversion", seed=0, trials=6)
     assert len(bases) % 2 == 0 and all(np.array_equal(B, -A) for A, B in zip(bases[::2], bases[1::2]))
     assert report.details["failure_count"] == 6
@@ -311,7 +320,7 @@ def test_rel_of_a_stack_is_the_worst_member_bit_for_bit():
         for g, w in zip(got, want):
             worst = max(worst, linalg._opnorms(g - w) / (1.0 + linalg._opnorms(w)))
         first = linalg._opnorms(got[0] - want[0]) / (1.0 + linalg._opnorms(want[0]))
-        assert suites._rel(got, want) == worst and suites._rel(got[0], want[0]) == first
+        assert linalg._rel(got, want) == worst and linalg._rel(got[0], want[0]) == first
 
 
 def test_pick_evaluation_fails_a_planted_wrong_scalar_formula(monkeypatch):
@@ -410,7 +419,7 @@ def test_a_stacked_suite_records_its_failures_in_trial_order():
 def test_sign_draw_matches_choice(n):
     # _mixed_rank_hermitian indexes SIGNS with integers where it used to call rng.choice: same values, same state
     chosen, indexed = np.random.default_rng(n), np.random.default_rng(n)
-    assert np.array_equal(chosen.choice([-1.0, 1.0], size=n), sampling.SIGNS[indexed.integers(0, 2, size=n)])
+    assert np.array_equal(chosen.choice([-1.0, 1.0], size=n), draws.SIGNS[indexed.integers(0, 2, size=n)])
     assert chosen.bit_generator.state == indexed.bit_generator.state
 
 
@@ -445,7 +454,7 @@ def test_a_non_finite_residual_fails_its_own_trial(monkeypatch):
             vectors[:, 0, 0] = np.inf
         return values, vectors
 
-    monkeypatch.setattr(suites, "_jacobi_eigen", planted)
+    monkeypatch.setattr(spectra, "_jacobi_eigen", planted)
     with np.errstate(all="ignore"):
         report = run_suite("eigen-residual", seed=0, trials=12)
     assert {f["trial"] for f in report.failures} == {1, 9}  # the two trials of dimension 3
@@ -471,11 +480,12 @@ def test_spectral_composition_holds_its_engines_to_the_eigen_tolerance():
     assert 10 * DEFAULT_TOL.eig_tol == 1e-9  # so the default bound, and every default report, stays as it was
 
 
-def test_suites_module_stays_below_the_parsers_token_step():
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.relative_to(LIBRARY_ROOT).as_posix())
+def test_every_module_stays_below_the_parsers_token_step(path):
     # counted as CI counts them: tokenize's tokens without COMMENT, NL and ENCODING. At 16,384 the parser's token
-    # array doubles and a process that compiles suites.py from source peaks about 1.4 MB higher; a change that
-    # would cross it splits the suites into topic modules first
-    with open(suites.__file__, "rb") as source:
+    # array doubles and a process that compiles the module from source peaks about 1.4 MB higher; a suite that
+    # would take its topic module across goes into a topic module of its own
+    with open(path, "rb") as source:
         count = sum(token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
                     for token in tokenize.tokenize(source.readline))
     assert count < 16384
@@ -489,6 +499,15 @@ def test_gated_suites_report_the_same_bytes_whatever_their_block_and_chunk(monke
     # identity and conjugation-identity after trials they record, and 0.08 stops conjugation-identity as it draws
     tol = DEFAULT_TOL.replace(inv_margin=margin)
     want = run_suite(name, seed=2, trials=60, tol=tol).to_json(include_timing=False)
-    monkeypatch.setattr(sampling, "SPECULATION_BLOCK", 3)
-    monkeypatch.setattr(sampling, "TRIAL_CHUNK", 7)
+    monkeypatch.setattr(draws, "SPECULATION_BLOCK", 3)
+    monkeypatch.setattr(draws, "TRIAL_CHUNK", 7)
+    held, groups = {}, draws._groups
+
+    def grouped(trials):  # the trials _speculate gates at once, and those _trial_rows finishes at once
+        held.setdefault(sys._getframe(1).f_code.co_name, []).append(len(trials))
+        return groups(trials)
+
+    monkeypatch.setattr(draws, "_groups", grouped)
     assert run_suite(name, seed=2, trials=60, tol=tol).to_json(include_timing=False) == want
+    # both patches hold: at the default sizes one chunk would hold all 60 trials, and a block all of a chunk's
+    assert max(held["_trial_rows"]) <= 7 and max(held.get("_speculate", [0])) <= 3
