@@ -12,7 +12,7 @@ Run: python3 demos/02_order_preservation.py
 
 import numpy as np
 
-from matorder.halfplane import MobiusAutomorphism
+from matorder.halfplane import MobiusAutomorphism, normalize_phase
 from matorder.linalg import loewner_compare, opnorm
 from matorder.localiso import (
     apply_local_iso,
@@ -74,4 +74,6 @@ refit = identify_parameters(black_box, n)
 points = [member(0.2) for _ in range(20)]
 worst = max(opnorm(apply_local_iso(refit, X) - black_box(X)) for X in points)
 print(f"\nrecovered base error: {opnorm(refit.A - A):.2e}")
+# T is read back up to a unimodular scalar, fixed as normalize_phase fixes it
+print(f"recovered frame error, up to phase: {opnorm(refit.frame - normalize_phase(iso.frame)):.2e}")
 print(f"recovered map, worst error over 20 members: {worst:.2e}")

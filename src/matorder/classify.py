@@ -245,13 +245,13 @@ def are_equivalent(A: Iterable, B: Iterable, tol: ToleranceConfig = DEFAULT_TOL)
 
 def class_count(n: int) -> int:
     """Number of equivalence classes of maximal local order isomorphisms."""
-    if n < 0:
-        raise MalformedInputError("n must be nonnegative")
+    n = _checked_int(n, "n", 0)
     return (n + 2) * (n + 1) // 2
 
 
 def enumerate_signatures(n: int) -> List[np.ndarray]:
     """One diagonal representative per possible signature in dimension n."""
+    n = _checked_int(n, "n", 0)
     reps = []
     for m in range(n + 1):
         for p in range(m + 1):

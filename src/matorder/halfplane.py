@@ -212,9 +212,13 @@ def _apply_mobius(m: MobiusAutomorphism, Z: np.ndarray, tol: ToleranceConfig) ->
     return _mobius_eval(m, W, M)
 
 
-def normalize_phase(T: np.ndarray) -> np.ndarray:
+def normalize_phase(T: Iterable) -> np.ndarray:
     """Rescale by a unimodular scalar so the largest-magnitude entry of the
     first column is real positive."""
+    return _normalize_phase(as_square(T, "T"))
+
+
+def _normalize_phase(T: np.ndarray) -> np.ndarray:
     col = T[:, 0]
     i0 = int(np.argmax(np.abs(col)))
     pivot = col[i0]
@@ -373,5 +377,5 @@ def _fit_centered(
     if np.linalg.norm(u.conj().T @ u - eye) > 1e-6 * dim:
         raise ModelMismatchError("probe responses are not a unitary similarity")
     return MobiusAutomorphism(
-        frame=normalize_phase(T @ u), A=herm_part(u.conj().T @ A @ u), transpose=transpose
+        frame=_normalize_phase(T @ u), A=herm_part(u.conj().T @ A @ u), transpose=transpose
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig, _checked_int
 from .errors import ModelMismatchError, PathSearchError
 from .halfplane import (MobiusAutomorphism, _checked_evaluator, _congruence_from_probes, _mobius_eval,
-                        _shifted, normalize_phase)
+                        _normalize_phase, _shifted)
 from .linalg import (
     _eigh,
     _eigvalsh,
@@ -446,7 +446,7 @@ def _identify_parameters(values: Callable[[np.ndarray], np.ndarray], dim: int, t
     if gap > BASE_CONSISTENCY_TOL * (1.0 + norm):
         raise ModelMismatchError("base parameter is inconsistent across samples; evaluator is not of the model form")
 
-    return MobiusAutomorphism(frame=normalize_phase(T), A=A1, transpose=transpose)
+    return MobiusAutomorphism(frame=_normalize_phase(T), A=A1, transpose=transpose)
 
 
 class PathSearchResult(NamedTuple):

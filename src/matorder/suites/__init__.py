@@ -40,9 +40,12 @@ finished draws (interval-iso); _spectral_apply takes a stack and guards
 and maps its members in order (spectral-composition).
 
 Where a gate decides how many candidates a trial draws (theta-inversion,
-translation-identity, conjugation-identity, order-embedding), loop over
-draws._trial_rows. Its finish hands the shear kernels a stack of bases
-(_in_zero_components compresses each member's own). A kernel that would
+translation-identity, conjugation-identity), loop over draws._trial_rows,
+which speculates that each gate takes its first candidate and rewinds to the
+first trial refused; order-embedding, refused too often for that to pay,
+draws each trial whole through _first and finishes through _groups. A
+finish hands the shear kernels a stack of bases (_in_zero_components
+compresses each member's own). A kernel that would
 raise for a member is not called on it: its gate runs as a predicate
 (_in_shear_domain, _in_zero_components), _where maps the members that
 pass, and the record loop calls the raising kernel on the failing trial

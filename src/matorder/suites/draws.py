@@ -5,21 +5,20 @@ that finishes it, as in sampling: mixed-rank bases (_mixed_rank_draws), PSD
 and indefinite steps (_psd_step_draws, _indefinite_step_draws), block-domain
 points (_block_draws) and shear-domain members (_hermitian_draws).
 
-Where a gate decides how many candidates a sample draws, the draws are
-speculative and the generator is rewound. _first_stacked accepts a sample's
-candidates in stacks of 1, 2, 4, ... and restores the state saved after the
-first one accepted. A gated suite loops over `_trial_rows(rng, trials, draw,
-gate, finish)`, which yields (t, key, row) in trial order, at most
-TRIAL_CHUNK trials at a time. _speculate draws a block of trials with
-draw(t, True), as if each gate accepted its first candidate, saving the
-state before each; gate(*stacks) judges and finishes a group of them,
-stacked field by field (_groups). The trials before the first one refused
-are kept, and that one is drawn again from its saved state with
+Where a gate decides how many candidates a sample draws, _first takes them
+one at a time, each finished as a one-member stack. A gated suite loops
+over `_trial_rows(rng, trials, draw, gate, finish)`, which yields (t, key,
+row) in trial order, TRIAL_CHUNK trials at a time. _speculate draws the rest
+of a chunk with draw(t, True), as if each gate accepted its first candidate,
+saving the state before each trial; gate(*stacks) judges and finishes a group
+of them, stacked field by field (_groups). The trials before the first one
+refused are kept, and that one is drawn again from its saved state with
 draw(t, False), as the per-trial loop draws it, so every value is drawn in
-the per-trial order. Where first candidates are refused too often for that
-to pay (order-embedding, about one trial in nine), the suite passes
-gate=None and each trial is drawn the second way. finish(*stacks) finishes
-a group with one call of each stacked kernel, one sequence per row field.
+the per-trial order; then the rest of the chunk is speculated again.
+finish(*stacks) finishes a group with one call of each stacked kernel, one
+sequence per row field. Where first candidates are refused too often for
+speculation to pay (order-embedding, about one trial in nine), the suite
+draws each trial whole and finishes its trials through _groups.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from ..linalg import _eigh, _hermitian_opnorms, _is_invertible, _sqrt_psd, herm_
 from ..sampling import (_complex_from_normals, _spectrum_draws, _with_spectra, complex_gaussian, random_effect,
                         random_hermitian_with_spectrum)
 
-# Trials _speculate draws before it gates them, and trials _trial_rows holds at once.
-SPECULATION_BLOCK = 64
+# Trials _trial_rows holds at once, and so the most _speculate draws before it gates them.
 TRIAL_CHUNK = 128
 
 
@@ -190,11 +188,8 @@ def _shear_gate(A: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _sample_shear_member(rng: np.random.Generator, A: np.ndarray) -> Optional[np.ndarray]:
     """The first of 200 random Hermitian X, scale in [0.3, 1.6], that passes _shear_gate of the base A (1, n, n),
     as a one-member stack, or None."""
-    def accept(*draws):
-        X = _scaled_hermitians(*draws)
-        return _shear_gate(A, X), X
-
-    return _first_stacked(rng, 200, lambda k: _hermitian_draws(rng, A.shape[-1], 0.3, 1.6), accept)
+    return _first(200, lambda: _scaled_hermitians(*_one(_hermitian_draws(rng, A.shape[-1], 0.3, 1.6))),
+                  lambda X: _shear_gate(A, X))
 
 
 def _effect_pair(rng: np.random.Generator, n: int, tol: ToleranceConfig, strict: bool = False):
@@ -225,30 +220,6 @@ def _one(draws: tuple) -> list:
     return [np.asarray(field)[None] for field in draws]
 
 
-def _first_stacked(rng: np.random.Generator, attempts: int, draw: Callable, accept: Callable):
-    """The first of `attempts` candidates draw(k), k = 0, 1, ..., that accept passes, as a one-member stack, or
-    None; the generator is left where a loop that draws and accepts one candidate at a time leaves it.
-
-    Candidates are drawn in rng order in chunks of 1, 2, 4, ... candidates, saving
-    the state after each, and each chunk is accepted as one stack: accept takes
-    its draws stacked field by field and returns one verdict per member and the
-    finished candidates. The state saved after the first accepted one is restored.
-    """
-    done, size = 0, 1
-    while done < attempts:
-        chunk, states = [], []
-        for k in range(done, min(done + size, attempts)):
-            chunk.append(draw(k))
-            states.append(rng.bit_generator.state)
-        ok, made = accept(*map(np.stack, zip(*chunk)))
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            rng.bit_generator.state = states[hits[0]]
-            return made[hits[0]][None]
-        done, size = done + len(chunk), 2 * size
-    return None
-
-
 def _speculate(rng: np.random.Generator, trials: range, draw: Callable, gate: Callable):
     """The finished draws {t: (key, *values)} of the trials of a range, each drawn in the per-trial rng order, and
     the MatOrderError the per-trial loop raises while drawing, or None; the generator ends where that loop leaves it.
@@ -261,22 +232,22 @@ def _speculate(rng: np.random.Generator, trials: range, draw: Callable, gate: Ca
       field (_groups), whether each member's gates accept its first candidates,
       and the group's finished values (a sequence of stacks);
     - draw(t, False): trial t as the per-trial loop draws it, candidate after
-      candidate through one-member calls of the gate, as (key, *finished values);
-      it raises where that loop raises.
+      candidate through _first, as (key, *finished values); it raises where
+      that loop raises.
 
-    In blocks of at most SPECULATION_BLOCK trials: save the generator state
-    before each trial and draw it, gate the block, and keep the trials before
-    the first one rejected (or whose draw raised). Restore the state saved
-    before that trial, draw it again one candidate stack at a time, and
-    speculate again from the next trial. A draw that raises there ends the draws: its error is returned,
-    so that the suite records the trials before it first.
+    Save the generator state before each trial of the rest of the range and
+    draw it, gate them, and keep the trials before the first one refused (or
+    whose draw raised). Restore the state saved before that trial, draw it
+    again one candidate at a time, and speculate again from the next trial. A
+    draw that raises there ends the draws: its error is returned, so that the
+    suite records the trials before it first.
     """
     out = {}
     t = trials.start
     while t < trials.stop:
         states, spec = [], {}
         try:
-            for s in range(t, min(t + SPECULATION_BLOCK, trials.stop)):
+            for s in range(t, trials.stop):
                 states.append(rng.bit_generator.state)
                 spec[s] = draw(s, True)
         except MatOrderError:
@@ -298,23 +269,13 @@ def _speculate(rng: np.random.Generator, trials: range, draw: Callable, gate: Ca
     return out, None
 
 
-def _trial_rows(rng: np.random.Generator, trials: int, draw: Callable, gate: Optional[Callable], finish: Callable):
-    """Yield (t, key, row) for t = 0 .. trials - 1 in order: the trials drawn through _speculate (one by one, with
-    draw(t, False), where gate is None), and each key's group finished as one stack by finish(*stacks),
-    which returns one sequence per field of the rows, member by member. The trials go in chunks of at most
-    TRIAL_CHUNK, so that a suite holds no more than a chunk's draws and rows. An error raised while drawing is raised
-    after the rows of the trials before it."""
+def _trial_rows(rng: np.random.Generator, trials: int, draw: Callable, gate: Callable, finish: Callable):
+    """Yield (t, key, row) for t = 0 .. trials - 1 in order: the trials drawn through _speculate, and each key's group
+    finished as one stack by finish(*stacks), which returns one sequence per field of the rows, member by member. The
+    trials go in chunks of at most TRIAL_CHUNK, so that a suite holds no more than a chunk's draws and rows. An error
+    raised while drawing is raised after the rows of the trials before it."""
     for start in range(0, trials, TRIAL_CHUNK):
-        part = range(start, min(start + TRIAL_CHUNK, trials))
-        if gate:
-            draws, error = _speculate(rng, part, draw, gate)
-        else:
-            draws, error = {}, None
-            try:
-                for t in part:
-                    draws[t] = draw(t, False)
-            except MatOrderError as exc:
-                error = exc
+        draws, error = _speculate(rng, range(start, min(start + TRIAL_CHUNK, trials)), draw, gate)
         rows, groups = {}, []
         for key, ts, stacks in _groups(draws):
             groups.append(finish(*stacks))

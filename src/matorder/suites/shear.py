@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..errors import ModelMismatchError, PathSearchError
-from ..halfplane import MobiusAutomorphism, _apply_mobius, _fit_canonical, normalize_phase
+from ..halfplane import MobiusAutomorphism, _apply_mobius, _fit_canonical, _normalize_phase
 from ..linalg import (_eigh, _eigvalsh, _hermitian_opnorms, _hnorm, _is_invertible, _opnorms, _order_verdict, _rel,
                       _spectra_invertible, _spectrum_inertia, _sqrt_psd, herm_part, inertia)
 from ..localiso import (_apply_local_iso, _congruence_orbit, _conjugated_base, _identify_parameters, _in_shear_domain,
@@ -15,10 +17,9 @@ from ..localiso import (_apply_local_iso, _congruence_orbit, _conjugated_base, _
 from ..sampling import (EFFECT_SPECTRUM, _half_plane_stack, _spectrum_draws, _with_spectra, random_hermitian,
                         random_invertible, random_psd)
 from . import _check_spectra, _suite
-from .draws import (_first, _first_stacked, _hermitian_draws, _indefinite_step_draws, _indefinite_steps,
-                    _mixed_rank_draws, _mixed_rank_hermitian, _one, _psd_step_draws, _psd_steps, _rand_dim,
-                    _sample_shear_member, _scaled_hermitians, _shear_gate, _trial_rows, _trials, _well_margined,
-                    _well_margined_at, _where)
+from .draws import (_first, _groups, _hermitian_draws, _indefinite_step_draws, _indefinite_steps, _mixed_rank_draws,
+                    _mixed_rank_hermitian, _one, _psd_step_draws, _psd_steps, _rand_dim, _sample_shear_member,
+                    _scaled_hermitians, _shear_gate, _trial_rows, _trials, _well_margined, _well_margined_at, _where)
 from .mobius import _anchored_fit, _random_mobius
 
 
@@ -82,25 +83,20 @@ def _suite_order_embedding(rng, trials, tol, rec):
         A = _with_spectra(*_one(_mixed_rank_draws(rng, n, zero_prob=0.2)))
         base = -A if kind == 2 else A
         compression = _range_compression(base[0], tol)
-
-        def member(*draws):
-            X = _scaled_hermitians(*draws)
-            return _well_margined(X @ base + np.eye(n)) & _in_zero_component(compression, X, tol), X
-
-        X = _first_stacked(rng, 300, lambda k: _hermitian_draws(rng, n, *((0.1, 1.2) if k % 2 else (0.05, 0.5))),
-                           member)
+        scales = itertools.cycle([(0.05, 0.5), (0.1, 1.2)])
+        X = _first(300, lambda: _scaled_hermitians(*_one(_hermitian_draws(rng, n, *next(scales)))),
+                   lambda X: _well_margined(X @ base + np.eye(n)) & _in_zero_component(compression, X, tol))
         if X is None:
             return (n, 0), base[0], base[0], base[0]
-        shifted = X @ base + np.eye(n)
+        shifted, norms = X @ base + np.eye(n), _hermitian_opnorms(X)
         x_gated = _is_invertible(shifted, gate_tol)
 
-        def end(*step):
-            norms = _hermitian_opnorms(X)
-            Y = herm_part(X + (_indefinite_steps(norms, *step) if kind == 3 else _psd_steps(norms, kind == 1, *step)))
-            return _segment_from(base, X, shifted, Y, gate_tol) & x_gated, Y
+        def step():
+            if kind == 3:
+                return _indefinite_steps(norms, *_one(_indefinite_step_draws(rng, n)))
+            return _psd_steps(norms, kind == 1, *_one(_psd_step_draws(rng, n)))
 
-        Y = _first_stacked(rng, 60, lambda k: _indefinite_step_draws(rng, n) if kind == 3 else _psd_step_draws(rng, n),
-                           end)
+        Y = _first(60, lambda: herm_part(X + step()), lambda Y: _segment_from(base, X, shifted, Y, gate_tol) & x_gated)
         return (n, 1 if Y is None else 2), base[0], X[0], (X if Y is None else Y)[0]
 
     def finish(base, X, Y):  # a skipped trial holds its base in X's and Y's places, read by no check
@@ -112,10 +108,12 @@ def _suite_order_embedding(rng, trials, tol, rec):
         P, Q, R, S = PQ[:, 0], PQ[:, 1], back[:, 0], back[:, 1]
         return base, X, Y, PQ, inside, inside_back, _eigvalsh(np.stack([P, Q, Q - P, R, S, S - R], axis=1))
 
-    # each trial is drawn whole, its candidates stacked within it: order-embedding rejects too often to speculate
-    # across trials; its checks draw nothing and run in stacks
-    rows = _trial_rows(rng, trials, lambda t, first: draw(t), None, finish)
-    for t, (_, stage), (base, X, Y, PQ, inside, inside_back, spectra) in rows:
+    # each trial is drawn whole: order-embedding refuses a first candidate in about one trial in nine, too often to
+    # speculate across trials; its checks draw nothing and run in stacks
+    draws, rows = {t: draw(t) for t in range(trials)}, {}
+    for (_, stage), ts, stacks in _groups(draws):
+        rows.update((t, (stage, *row)) for t, row in zip(ts, zip(*finish(*stacks))))
+    for t, (stage, base, X, Y, PQ, inside, inside_back, spectra) in sorted(rows.items()):
         if stage < 2:
             rec.count("skipped")
             continue
@@ -191,12 +189,8 @@ def _suite_translation_identity(rng, trials, tol, rec):
         if X0 is None:
             return (n, 0), A[0], A[0], A[0], A[0]
         A2 = _translated_base(A, X0, tol)  # raises where the per-trial loop raises
-
-        def accept(*draws):
-            X = _scaled_hermitians(*draws)
-            return second(A, X0, A2, X), X
-
-        X = _first_stacked(rng, 200, lambda k: _hermitian_draws(rng, n, 0.2, 1.0), accept)
+        X = _first(200, lambda: _scaled_hermitians(*_one(_hermitian_draws(rng, n, 0.2, 1.0))),
+                   lambda X: second(A, X0, A2, X))
         return (n, 1 if X is None else 2), A[0], X0[0], (A if X is None else X)[0], A2[0]
 
     def gate(vals, G, s0, N0, s, N):
@@ -319,7 +313,7 @@ def _suite_component_criterion(rng, trials, tol, rec):
 def _suite_parameter_recovery(rng, trials, tol, rec):
     for t, n in _trials(rng, trials, 2, 4):
         A = _mixed_rank_hermitian(rng, n) if t % 10 else np.zeros((n, n), dtype=complex)
-        T = normalize_phase(random_invertible(rng, n, max_cond=8.0))
+        T = _normalize_phase(random_invertible(rng, n, max_cond=8.0))
         transpose = bool(rng.integers(2))
         scaleA = 1.0 + _hnorm(A)
         mob = MobiusAutomorphism(frame=T, A=A, transpose=transpose)

@@ -23,8 +23,10 @@ from matorder.classify import (
     block_map_apply,
     bordered_arrangement,
     bordered_embedding,
+    class_count,
     effect_automorphism,
     effect_embedding_map,
+    enumerate_signatures,
     growth_direction,
     in_block_domain,
     rational_effect_automorphism,
@@ -32,7 +34,8 @@ from matorder.classify import (
 )
 from matorder.config import DEFAULT_TOL
 from matorder.errors import DomainViolationError, MalformedInputError, ModelMismatchError
-from matorder.halfplane import MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane, mobius_fix01_matrix
+from matorder.halfplane import (MobiusAutomorphism, apply_mobius, fit_canonical, in_half_plane, mobius_fix01_matrix,
+                                normalize_phase)
 from matorder.linalg import herm_part, jacobi_eigen, loewner_compare, opnorm, spectral_apply
 from matorder.localiso import (
     apply_local_iso,
@@ -97,6 +100,8 @@ BOUNDARY = [
      0.5 * np.eye(2)),
     ("signature_class", "A", lambda M: signature_class(M), HERMITIAN, BASE),
     ("pick_eval", "argument", lambda M: pick_eval(PICK, M), SQUARE, SMALL),
+    # it used to index its argument as an ndarray, so that a list raised TypeError
+    ("normalize_phase", "T", lambda M: normalize_phase(M), SQUARE, [[1, 2], [3, 4]]),
 ]
 
 
@@ -268,6 +273,12 @@ SQRT = builtin_function("sqrt")
     pytest.param(lambda: run_suite("class-count", trials=2.5), r"^trials must be an integer, got float$",
                  id="suite-trials-float"),
     pytest.param(lambda: run_suite("class-count", trials=0), r"^trials must be positive$", id="suite-trials-zero"),
+    # class_count(2.5) used to return 7.0 and enumerate_signatures(2.5) to raise TypeError; enumerate_signatures(-2)
+    # returned [] where class_count(-2) refused
+    pytest.param(lambda: class_count(2.5), r"^n must be an integer, got float$", id="class-count-float"),
+    pytest.param(lambda: class_count(-2), r"^n must be non-negative$", id="class-count-negative"),
+    pytest.param(lambda: enumerate_signatures(2.5), r"^n must be an integer, got float$", id="signatures-float"),
+    pytest.param(lambda: enumerate_signatures(-2), r"^n must be non-negative$", id="signatures-negative"),
 ])
 def test_monotone_and_suite_integers_are_checked(call, message):
     with pytest.raises(MalformedInputError, match=message):

@@ -408,7 +408,7 @@ VALIDATING_SHELLS = {"effect_automorphism", "effect_embedding_map", "hermitian_e
                      "in_zero_component", "order_iso_apply", "segment_in_shear_domain", "is_invertible",
                      "in_block_domain", "block_map_apply", "inertia", "are_equivalent",
                      "jacobi_eigen", "shear_apply", "in_shear_domain", "growth_direction", "spectral_apply",
-                     "opnorm", "in_half_plane"}
+                     "opnorm", "in_half_plane", "normalize_phase"}
 # (module, owner, shell): reads at the sites whose claim is about the public function itself, or whose
 # argument comes from outside the library
 SHELL_SITES = {

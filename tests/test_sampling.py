@@ -1,6 +1,8 @@
 """Stacked samplers: every member bit for bit the per-sample draw, in the same rng order; speculative draws with a
 generator rewind leave what the per-trial loop draws."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from matorder.sampling import (
     random_unitary,
 )
 from matorder.suites import draws as suite_draws
-from matorder.suites.draws import _first_stacked, _speculate, _trial_rows
+from matorder.suites.draws import _first, _speculate, _trial_rows
 
 # Per-sample reference samplers, written one matrix at a time as the library
 # drew them before its stacked bodies; the stacks must reproduce their bits.
@@ -155,8 +157,8 @@ def _span(ts) -> int:
 
 
 def _speculated(rng, trials, refusals, raising=(), spans=None):
-    """The same trials through _speculate; a speculative draw of a trial in `raising` raises. The span of each
-    group the gate takes goes to `spans`."""
+    """The same trials through _trial_rows, which speculates; a speculative draw of a trial in `raising` raises. The
+    span of each group the gate takes goes to `spans`."""
     def draw(t, first):
         n = int(rng.integers(1, 4))
         head = rng.standard_normal(n)
@@ -164,44 +166,43 @@ def _speculated(rng, trials, refusals, raising=(), spans=None):
             if t in raising:
                 raise MatOrderError("a speculative draw that raises is drawn again")
             return (n,), t, head, rng.standard_normal(2)
-        cand = _first_stacked(rng, 50, lambda k: (k, rng.standard_normal(2)),
-                              lambda ks, cands: (ks >= refusals.get(t, 0), cands))
-        return (n,), t, head, cand[0]
+        k = itertools.count()
+        cand = _first(50, lambda: (next(k), rng.standard_normal(2)), lambda c: c[0] >= refusals.get(t, 0))
+        return (n,), t, head, cand[1]
 
     def gate(ts, heads, cands):  # refuses the first candidate of the chosen trials
         spans.append(_span(ts))
         return np.array([refusals.get(int(t), 0) == 0 for t in ts]), (ts, heads, cands)
 
-    draws, error = _speculate(rng, range(trials), draw, gate)
-    assert error is None
-    return {t: (key[0], head, cand) for t, (key, _, head, cand) in draws.items()}
+    rows = _trial_rows(rng, trials, draw, gate, lambda ts, heads, cands: (heads, cands))
+    return {t: (key[0], head, cand) for t, key, (head, cand) in rows}
 
 
 @pytest.mark.parametrize("refusals", [
     {},
-    {0: 1},  # the first trial of a block
+    {0: 1},  # the first trial of a chunk
     {3: 1},  # a middle one
     {7: 1},  # the last one
     {4: 1, 5: 1},  # two in a row
-    {3: 2, 8: 3},  # a trial that refuses two candidates, and the first of the next block three
+    {3: 2, 8: 3},  # a trial that refuses two candidates, and the first of the next chunk three
     {0: 1, 7: 1, 8: 1, 15: 1, 19: 1},
 ])
 @pytest.mark.parametrize("raising", [(), (6,)])
 def test_speculation_draws_what_the_per_trial_loop_draws(monkeypatch, refusals, raising):
-    monkeypatch.setattr(suite_draws, "SPECULATION_BLOCK", 8)  # blocks of trials 0-7, 8-15 and 16-19
+    monkeypatch.setattr(suite_draws, "TRIAL_CHUNK", 8)  # chunks of trials 0-7, 8-15 and 16-19
     for seed in range(3):
         rng, ref = (np.random.default_rng(seed) for _ in range(2))
         spans = []
         got, want = _speculated(rng, 20, refusals, raising, spans), _per_trial(ref, 20, refusals)
-        assert max(spans) <= 8  # the patched block holds: each gated group lies in one block
+        assert max(spans) <= 8  # the patched chunk holds: each gated group lies in one chunk
         assert list(got) == list(want) == list(range(20))
         for t in want:
             assert got[t][0] == want[t][0] and _same(got[t][1], want[t][1]) and _same(got[t][2], want[t][2])
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_speculation_returns_the_error_of_the_trial_that_raises_with_the_trials_before_it(monkeypatch):
-    monkeypatch.setattr(suite_draws, "SPECULATION_BLOCK", 4)
+def test_speculation_returns_the_error_of_the_trial_that_raises_with_the_trials_before_it():
+    # the whole range is speculated at once; trial 5, refused, raises as it is drawn again
     rng = np.random.default_rng(0)
 
     def draw(t, first):
@@ -217,22 +218,7 @@ def test_speculation_returns_the_error_of_the_trial_that_raises_with_the_trials_
         return ts != 5, (ts, values)
 
     draws, error = _speculate(rng, range(12), draw, gate)
-    assert list(draws) == [0, 1, 2, 3, 4] and str(error) == "trial 5 raises" and max(spans) <= 4
-
-
-@pytest.mark.parametrize("accepted", [0, 1, 2, 3, 6, None])
-def test_stacked_candidates_leave_the_state_of_a_one_at_a_time_loop(accepted):
-    rng, ref = (np.random.default_rng(4) for _ in range(2))
-    take = (lambda k: k == accepted) if accepted is not None else (lambda k: False)
-    got = _first_stacked(rng, 7, lambda k: (k, rng.standard_normal(3)), lambda ks, xs: ([take(k) for k in ks], xs))
-    want = None
-    for k in range(7):
-        x = ref.standard_normal(3)
-        if take(k):
-            want = x
-            break
-    assert (got is None) == (want is None) and (want is None or _same(got[0], want))
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert list(draws) == [0, 1, 2, 3, 4] and str(error) == "trial 5 raises" and spans == [12]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 8])
@@ -245,9 +231,9 @@ def test_trial_rows_come_in_trial_order_whatever_the_chunk(monkeypatch, chunk):
         n = int(rng.integers(1, 3))
         if first:
             return (n,), t, rng.standard_normal(n)
-        take = _first_stacked(rng, 9, lambda k: (k, rng.standard_normal(n)),
-                              lambda ks, xs: (ks >= refusals.get(t, 0), xs))
-        return (n,), t, take[0]
+        k = itertools.count()
+        take = _first(9, lambda: (next(k), rng.standard_normal(n)), lambda c: c[0] >= refusals.get(t, 0))
+        return (n,), t, take[1]
 
     def gate(ts, xs):
         return np.array([int(t) not in refusals for t in ts]), (ts, xs)
@@ -266,8 +252,7 @@ def test_trial_rows_come_in_trial_order_whatever_the_chunk(monkeypatch, chunk):
     assert rows[chunk] == rows[20] and [row[0] for row in rows[chunk][:-1]] == list(range(20))
 
 
-@pytest.mark.parametrize("speculative", [False, True])
-def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch, speculative):
+def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch):
     # trial 6 raises where the per-trial loop draws it (speculatively, its gate refuses it first), in the second
     # chunk of 4 trials: the rows of trials 0-5 come first
     monkeypatch.setattr(suite_draws, "TRIAL_CHUNK", 4)
@@ -279,7 +264,6 @@ def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch, 
             raise MatOrderError("trial 6 raises")
         return (), t, value
 
-    gate = (lambda ts, values: (ts != 6, (ts, values))) if speculative else None
     seen, spans = [], []
 
     def finish(ts, values):
@@ -287,6 +271,6 @@ def test_trial_rows_raise_a_drawing_error_after_the_rows_before_it(monkeypatch, 
         return ts, values
 
     with pytest.raises(MatOrderError, match="^trial 6 raises$"):
-        for t, _, _ in _trial_rows(rng, 10, draw, gate, finish):
+        for t, _, _ in _trial_rows(rng, 10, draw, lambda ts, values: (ts != 6, (ts, values)), finish):
             seen.append(t)
     assert seen == [0, 1, 2, 3, 4, 5] and max(spans) <= 4

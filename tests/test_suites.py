@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
 import json
 import pathlib
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 from matorder import linalg, localiso, suites
 from matorder.config import DEFAULT_TOL
-from matorder.errors import DomainViolationError, MalformedInputError
+from matorder.errors import DomainViolationError, MalformedInputError, MatOrderError
 from matorder.fileio import matrix_to_payload
 from matorder.monotone import PickRepresentation
 from matorder.suites import SUITES, draws, run_suite, shear, spectra, suite_description, suite_names
@@ -491,15 +492,15 @@ def test_every_module_stays_below_the_parsers_token_step(path):
     assert count < 16384
 
 
-@pytest.mark.parametrize("name", ["theta-inversion", "translation-identity", "conjugation-identity", "order-embedding"])
+@pytest.mark.parametrize("name", ["theta-inversion", "translation-identity", "conjugation-identity"])
 @pytest.mark.parametrize("margin", [DEFAULT_TOL.inv_margin, 0.01, 0.08])
 def test_gated_suites_report_the_same_bytes_whatever_their_block_and_chunk(monkeypatch, name, margin):
-    # the speculative draws rewind to the first refused trial, and a chunk of trials is recorded before the next is
-    # drawn; neither size shows in a report. At seed 2 an inv_margin of 0.01 stops theta-inversion, translation-
-    # identity and conjugation-identity after trials they record, and 0.08 stops conjugation-identity as it draws
+    # the speculative draws rewind to the first refused trial of a chunk, and a chunk of trials is recorded before the
+    # next is drawn; the chunk's size does not show in a report. At seed 2 an inv_margin of 0.01 stops theta-inversion,
+    # translation-identity and conjugation-identity after trials they record, and 0.08 stops conjugation-identity as
+    # it draws
     tol = DEFAULT_TOL.replace(inv_margin=margin)
     want = run_suite(name, seed=2, trials=60, tol=tol).to_json(include_timing=False)
-    monkeypatch.setattr(draws, "SPECULATION_BLOCK", 3)
     monkeypatch.setattr(draws, "TRIAL_CHUNK", 7)
     held, groups = {}, draws._groups
 
@@ -509,5 +510,55 @@ def test_gated_suites_report_the_same_bytes_whatever_their_block_and_chunk(monke
 
     monkeypatch.setattr(draws, "_groups", grouped)
     assert run_suite(name, seed=2, trials=60, tol=tol).to_json(include_timing=False) == want
-    # both patches hold: at the default sizes one chunk would hold all 60 trials, and a block all of a chunk's
-    assert max(held["_trial_rows"]) <= 7 and max(held.get("_speculate", [0])) <= 3
+    # the patch holds: at the default size one chunk would hold all 60 trials
+    assert max(held["_trial_rows"]) <= 7 and max(held["_speculate"]) <= 7
+
+
+@pytest.mark.parametrize("name, module, stage, failure", [
+    ("theta-inversion", draws, 0, ("no shear-domain sample found", ["A"])),
+    ("translation-identity", draws, 0, ("no shear-domain anchor found", ["A"])),
+    ("translation-identity", shear, 0, ("no translated sample found", ["A", "X0"])),
+    ("order-embedding", shear, 0, None),  # X, counted in skipped
+    ("order-embedding", shear, 1, None),  # Y, counted in skipped
+], ids=["theta-X", "translation-anchor", "translation-X", "embedding-X", "embedding-Y"])
+def test_a_trial_whose_gate_refuses_every_candidate_is_recorded_and_the_run_goes_on(monkeypatch, name, module, stage,
+                                                                                     failure):
+    # a planted gate refuses every candidate of the stage-th _first call (of `module`) in trial 5
+    chosen, trials = 5, 12
+    now = {"trial": None, "calls": 0}  # the trial drawn one candidate at a time, and its _first calls so far
+
+    if name == "order-embedding":  # draws each trial whole, starting with its dimension
+        rand_dim, count = shear._rand_dim, itertools.count()
+        monkeypatch.setattr(shear, "_rand_dim", lambda *a: (now.update(trial=next(count), calls=0), rand_dim(*a))[1])
+    else:  # trial 5's speculative draw raises, so that it is drawn again one candidate at a time
+        trial_rows = shear._trial_rows
+
+        def rows(rng, trials, draw, gate, finish):
+            def planted(t, first):
+                if first and t == chosen:
+                    raise MatOrderError("drawn again one candidate at a time")
+                if not first:
+                    now.update(trial=t, calls=0)
+                return draw(t, first)
+            return trial_rows(rng, trials, planted, gate, finish)
+
+        monkeypatch.setattr(shear, "_trial_rows", rows)
+    first = module._first
+
+    def planted_first(attempts, draw, accept):
+        call, now["calls"] = now["calls"], now["calls"] + 1
+        return first(attempts, draw, (lambda cand: False) if (now["trial"], call) == (chosen, stage) else accept)
+
+    monkeypatch.setattr(module, "_first", planted_first)
+    checked, check, check_residual = [], suites._Recorder.check, suites._Recorder.check_residual
+    monkeypatch.setattr(suites._Recorder, "check",
+                        lambda self, ok, t, *a, **w: (checked.append(t), check(self, ok, t, *a, **w))[1])
+    monkeypatch.setattr(suites._Recorder, "check_residual", lambda self, v, bound, t, *a, **w: (
+        checked.append(t), check_residual(self, v, bound, t, *a, **w))[1])
+    report = run_suite(name, seed=3, trials=trials)
+    # every other trial reaches its checks, the last one included
+    assert sorted(set(checked)) == [t for t in range(trials) if t != chosen]
+    if failure:
+        assert [(f["trial"], f["description"], sorted(f["witnesses"])) for f in report.failures] == [(chosen, *failure)]
+    else:
+        assert report.failures == [] and report.details["skipped"] == 1
