@@ -48,9 +48,10 @@ finishes every member with one matmul. The shear kernels of localiso also
 take a stack of bases, broadcast against the points: _shear_apply,
 _in_shear_domain, _translated_base, _conjugated_base, _segment_from and
 _order_iso_apply (with the compressions of bases of one rank), and
-localiso._in_zero_components answers each point on its own base's
-compression. _finite_values refuses a value of a user's scalar function
-that is not finite, at the point it was read, before any eigensolver sees it.
+localiso._in_zero_component answers each point on its own base's in a
+stack of such compressions (-A's is A's read as (V, -lam)). _finite_values
+refuses a value of a user's scalar function that is not finite, at the
+point it was read, before any eigensolver sees it.
 Suites draw their samples in order, finish them with herm_part (so a stack
 is exactly Hermitian without a second hermiticity test) and check what they
 compute with the kernels (_opnorms, _frob, halfplane._in_half_plane), in one

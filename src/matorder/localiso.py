@@ -119,28 +119,11 @@ def _shear_apply(A: np.ndarray, M: np.ndarray, tol: ToleranceConfig) -> np.ndarr
 
 
 def _range_compression(base: np.ndarray, tol: ToleranceConfig):
-    """Eigenvectors and eigenvalues of the base above the rank cutoff."""
+    """Eigenvectors V and eigenvalues lam of the base above the rank cutoff; (V, -lam) is the compression of -base."""
     decomp = _eigh(base)
     cut = _rank_cut(decomp.values, tol)
     mask = np.abs(decomp.values) > cut
     return decomp.vectors[:, mask], decomp.values[mask]
-
-
-def _in_zero_components(bases: np.ndarray, H: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """_in_zero_component of each H[j] (k, ..., n, n) on the _range_compression of its own base bases[j] (k, n, n),
-    from one stacked eigh; the bases that keep the same number of eigenvalues are compressed as one stack."""
-    decomp = _eigh(bases)
-    kept = np.abs(decomp.values) > _rank_cut(decomp.values, tol)[:, None]
-    ranks = kept.sum(axis=1)
-    inside = np.empty(H.shape[:-2], dtype=bool)
-    axes = tuple(range(1, H.ndim - 2))
-    for r in set(ranks.tolist()):
-        members = ranks == r
-        cols = np.argsort(~kept[members], axis=1, kind="stable")[:, :r]  # each member's kept positions, in order
-        V = np.take_along_axis(decomp.vectors[members], cols[:, None, :], axis=2)
-        lam = np.take_along_axis(decomp.values[members], cols, axis=1)
-        inside[members] = _in_zero_component((np.expand_dims(V, axes), np.expand_dims(lam, axes)), H[members], tol)
-    return inside
 
 
 def in_zero_component(base: Iterable, X: Iterable, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -539,10 +522,10 @@ def path_to_zero(
     (only) evidence of non-membership. nodes_used counts 0, X and the
     waypoints drawn. A pool keeps the waypoints that pass the shear gate with
     0's positive sign, since no path reaches the others (_bfs_over_pool).
-    seed and max_nodes must be integers, seed non-negative.
+    seed and max_nodes must be integers, seed non-negative and max_nodes positive.
     """
     A, H = _base_and_hermitian(base, X, tol)
-    seed, max_nodes = _checked_int(seed, "seed", 0), _checked_int(max_nodes, "max_nodes")
+    seed, max_nodes = _checked_int(seed, "seed", 0), _checked_int(max_nodes, "max_nodes", 1)
     ends = np.stack([np.zeros_like(H), H])
     eye = np.eye(A.shape[0])
     end_shifts = ends @ A + eye

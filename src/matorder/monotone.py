@@ -119,11 +119,6 @@ def _sample_window(domain: Tuple[float, float]) -> Tuple[float, float]:
     return a + delta, b - delta
 
 
-def _divided_difference(f: ScalarFunction, x: float, y: float) -> float:
-    """First divided difference, switching to the derivative near the diagonal: the (0, 1) entry over (x, y)."""
-    return float(_loewner_matrices(f, np.array([[x, y]]))[0, 0, 1])
-
-
 def _loewner_matrices(f: ScalarFunction, pts: np.ndarray) -> np.ndarray:
     """Loewner matrices (m, k, k) over node rows pts (m, k).
 
@@ -341,14 +336,18 @@ def pick_eval(
 ) -> Union[float, np.ndarray]:
     """Evaluate on a scalar, a Hermitian matrix, or a half-plane point.
 
-    A scalar must lie inside the interval, as for rep.scalar_function().
-    A Hermitian argument's spectrum must stay inv_margin inside it, as in
-    spectral_apply; half-plane arguments need no interval guard (real atoms
-    cannot collide with a matrix whose imaginary part is definite) and, when
-    d > 0 or atoms are present, the value lands back in the half-plane.
+    A real scalar must lie inside the interval, as for rep.scalar_function();
+    any other scalar is the 1x1 point it is, and its value comes back as a
+    scalar. A Hermitian argument's spectrum must stay inv_margin inside the
+    interval, as in spectral_apply; half-plane arguments need no interval
+    guard (real atoms cannot collide with a matrix whose imaginary part is
+    definite) and, when d > 0 or atoms are present, the value lands back in
+    the half-plane.
     """
     if np.isscalar(argument):
-        return rep.scalar_function()(float(np.real(argument)))
+        if np.imag(argument) == 0:
+            return rep.scalar_function()(float(np.real(argument)))
+        return complex(pick_eval(rep, [[argument]], tol)[0, 0])
     Z = as_square(argument, "argument")
     if _is_hermitian(Z, tol):
         H = herm_part(Z)

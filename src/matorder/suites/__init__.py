@@ -44,10 +44,12 @@ translation-identity, conjugation-identity), loop over draws._trial_rows,
 which speculates that each gate takes its first candidate and rewinds to the
 first trial refused; order-embedding, refused too often for that to pay,
 draws each trial whole through _first and finishes through _groups. A
-finish hands the shear kernels a stack of bases (_in_zero_components
-compresses each member's own). A kernel that would
+finish hands the shear kernels a stack of bases; order-embedding's draw
+compresses each base once for its X gate and groups by rank, so that its
+finish hands _in_zero_component the stacked compressions (V, lam) of the
+bases and (V, -lam) of their negations. A kernel that would
 raise for a member is not called on it: its gate runs as a predicate
-(_in_shear_domain, _in_zero_components), _where maps the members that
+(_in_shear_domain, _in_zero_component), _where maps the members that
 pass, and the record loop calls the raising kernel on the failing trial
 alone, so that it raises after the trials before it are recorded. A trial
 without a sample holds its base in the places of the draws it lacks, and

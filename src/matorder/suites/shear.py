@@ -11,7 +11,7 @@ from ..halfplane import MobiusAutomorphism, _apply_mobius, _fit_canonical, _norm
 from ..linalg import (_eigh, _eigvalsh, _hermitian_opnorms, _hnorm, _is_invertible, _opnorms, _order_verdict, _rel,
                       _spectra_invertible, _spectrum_inertia, _sqrt_psd, herm_part, inertia)
 from ..localiso import (_apply_local_iso, _congruence_orbit, _conjugated_base, _identify_parameters, _in_shear_domain,
-                        _in_zero_component, _in_zero_components, _interval_below_criterion, _order_iso_apply,
+                        _in_zero_component, _interval_below_criterion, _order_iso_apply,
                         _order_iso_map, _range_compression, _segment_from, _shear_apply, _shrink_in_component,
                         _translated_base, in_zero_component, path_to_zero)
 from ..sampling import (EFFECT_SPECTRUM, _half_plane_stack, _spectrum_draws, _with_spectra, random_hermitian,
@@ -86,8 +86,9 @@ def _suite_order_embedding(rng, trials, tol, rec):
         scales = itertools.cycle([(0.05, 0.5), (0.1, 1.2)])
         X = _first(300, lambda: _scaled_hermitians(*_one(_hermitian_draws(rng, n, *next(scales)))),
                    lambda X: _well_margined(X @ base + np.eye(n)) & _in_zero_component(compression, X, tol))
+        rank = compression[1].size
         if X is None:
-            return (n, 0), base[0], base[0], base[0]
+            return (n, 0, rank), base[0], *compression, base[0], base[0]
         shifted, norms = X @ base + np.eye(n), _hermitian_opnorms(X)
         x_gated = _is_invertible(shifted, gate_tol)
 
@@ -97,28 +98,31 @@ def _suite_order_embedding(rng, trials, tol, rec):
             return _psd_steps(norms, kind == 1, *_one(_psd_step_draws(rng, n)))
 
         Y = _first(60, lambda: herm_part(X + step()), lambda Y: _segment_from(base, X, shifted, Y, gate_tol) & x_gated)
-        return (n, 1 if Y is None else 2), base[0], X[0], (X if Y is None else Y)[0]
+        return (n, 1 if Y is None else 2, rank), base[0], *compression, X[0], (X if Y is None else Y)[0]
 
-    def finish(base, X, Y):  # a skipped trial holds its base in X's and Y's places, read by no check
-        XY = np.stack([X, Y], axis=1)
-        inside = _in_zero_components(base, XY, tol).all(axis=-1)
+    def finish(base, V, lam, X, Y):  # a skipped trial holds its base in X's and Y's places, read by no check
+        # (V, lam) compresses the base and (V, -lam) its negation: the same kept vectors, the same cut
+        XY, kept = np.stack([X, Y], axis=1), V[:, None]
+        inside = _in_zero_component((kept, lam[:, None]), XY, tol).all(axis=-1)
         PQ = _where(inside, _order_iso_map, base[:, None], XY)
-        inside_back = _in_zero_components(-base, PQ, tol).all(axis=-1)
+        inside_back = _in_zero_component((kept, -lam[:, None]), PQ, tol).all(axis=-1)
         back = _where(inside & inside_back, _order_iso_map, -base[:, None], PQ)
         P, Q, R, S = PQ[:, 0], PQ[:, 1], back[:, 0], back[:, 1]
-        return base, X, Y, PQ, inside, inside_back, _eigvalsh(np.stack([P, Q, Q - P, R, S, S - R], axis=1))
+        return base, V, lam, X, Y, PQ, inside, inside_back, _eigvalsh(np.stack([P, Q, Q - P, R, S, S - R], axis=1))
 
     # each trial is drawn whole: order-embedding refuses a first candidate in about one trial in nine, too often to
     # speculate across trials; its checks draw nothing and run in stacks
     draws, rows = {t: draw(t) for t in range(trials)}, {}
-    for (_, stage), ts, stacks in _groups(draws):
-        rows.update((t, (stage, *row)) for t, row in zip(ts, zip(*finish(*stacks))))
-    for t, (stage, base, X, Y, PQ, inside, inside_back, spectra) in sorted(rows.items()):
+    for (_, stage, _), ts, stacks in _groups(draws):
+        fields = finish(*stacks)
+        rows.update((t, (stage, fields, j)) for j, t in enumerate(ts))
+    for t, (stage, fields, j) in sorted(rows.items()):
+        base, V, lam, X, Y, PQ, inside, inside_back, spectra = (field[j] for field in fields)
         if stage < 2:
             rec.count("skipped")
             continue
         if not inside:  # raises the per-trial loop's error, once the trials before it are recorded
-            _order_iso_apply(base, _range_compression(base, tol), np.stack([X, Y]), tol)
+            _order_iso_apply(base, (V, lam), np.stack([X, Y]), tol)
         if t % 4 == 3:
             rec.check(_order_verdict(spectra[2], tol).incomparable, t,
                       "incomparable pair became comparable", A=base, X=X, Y=Y)
@@ -128,7 +132,7 @@ def _suite_order_embedding(rng, trials, tol, rec):
             rec.count("strict_checked")
             rec.keep("min_strict_margin", margin, min)
         if not inside_back:
-            _order_iso_apply(-base, _range_compression(-base, tol), PQ, tol)
+            _order_iso_apply(-base, (V, -lam), PQ, tol)
         _check_spectra(rec, t, spectra[3:], tol, "pulled-back pair", A=base, X=X, Y=Y)
 
 

@@ -242,10 +242,13 @@ def test_a_dimension_that_is_no_integer_is_malformed(recover):
 
 def test_a_node_budget_or_seed_that_is_no_integer_is_malformed():
     # X is reached through waypoints, whose draw used to end in numpy's
-    # `TypeError: expected a sequence of integers` at max_nodes=150.0
+    # `TypeError: expected a sequence of integers` at max_nodes=150.0; a budget
+    # of 0 or below used to report it unreached, as (False, None, 2)
     X = np.diag([-3.0, 3.0])
     for kwargs, message in (({"max_nodes": 150.0}, r"^max_nodes must be an integer, got float$"),
                             ({"max_nodes": "150"}, r"^max_nodes must be an integer, got str$"),
+                            ({"max_nodes": 0}, r"^max_nodes must be positive$"),
+                            ({"max_nodes": -5}, r"^max_nodes must be positive$"),
                             ({"seed": 1.5}, r"^seed must be an integer, got float$"),
                             ({"seed": None}, r"^seed must be an integer, got NoneType$"),
                             ({"seed": -1}, r"^seed must be non-negative$")):

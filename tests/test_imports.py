@@ -1,5 +1,6 @@
 """Code hygiene: no dead module-level imports, no parameter a function never reads, no default
-that no caller overrides, no private kernel that only its own public shell calls, no fixed-seed
+that no caller overrides, no private kernel that only its own public shell calls, no private
+function or class that nothing in the library references (only the tests would), no fixed-seed
 draw outside the one cache, no singular values taken outside linalg and two allowed owners, no
 per-matrix recovery call in the suites, no validating shell read in library code outside the
 listed sites, no module imports scipy and the library runs without it, a process loads only
@@ -7,6 +8,7 @@ the modules it runs, the package binds every module's __all__ on demand as an ea
 and every __all__ name is read outside its module."""
 
 import ast
+import collections
 import importlib
 import json
 import math
@@ -343,6 +345,43 @@ def test_shell_only_kernel_scan_sees_a_kernel_with_one_caller():
         "b": "from .a import _m\nclass C:\n    def f(self):\n        return _m(1)\n",
     }
     assert _shell_only_kernels(sources) == [("a", "_f")]
+
+
+def _unreferenced_private_code(sources):
+    """(module, line, name) of each private function or class defined in `sources` (module name -> text) whose name
+    nothing there references outside its own definition: no read, attribute or import of it. Suite bodies and CLI
+    commands (FIXED_SIGNATURE_PREFIXES) register by their names, and dunders are called by Python; a name is matched
+    alone, so a reference to another definition of it counts too."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = collections.Counter(name for tree in trees.values() for name, _ in _references(tree))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith(FIXED_SIGNATURE_PREFIXES) or name[:2] == name[-2:] == "__":
+                continue
+            if total[name] == sum(ref == name for ref, _ in _references(node)):
+                found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_no_private_code_is_left_for_the_tests_alone():
+    assert _unreferenced_private_code(SOURCES) == []
+
+
+def test_private_code_scan_sees_a_definition_nothing_else_references():
+    sources = {
+        "a": "def _used(x):\n    return x\ndef _tested(x):\n    return x\ndef _again(x):\n    return _again(x)\n"
+             "class _Hidden:\n    def _helper(self):\n        return 1\n    def __repr__(self):\n        return ''\n"
+             "def _suite_x(rng, trials, tol, rec):\n    pass\ndef _cmd_y(args):\n    pass\n"
+             "def public(x):\n    return _used(x)\n",
+        "b": "from .a import _imported\n",
+        "c": "def _imported():\n    pass\n",
+    }
+    assert _unreferenced_private_code(sources) == [("a", 3, "_tested"), ("a", 5, "_again"), ("a", 7, "_Hidden"),
+                                                   ("a", 8, "_helper")]
 
 
 # sigma_min decisions go through linalg._is_invertible, and Hermitian spectra through linalg._eigh and

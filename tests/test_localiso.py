@@ -922,21 +922,22 @@ def test_stacked_base_kernels_are_the_single_calls(members):
             }
             for name, value in single.items():
                 assert np.array_equal(stacked[name][index], value), (name, n, index)
-        # zero components under bases of several ranks: the points of bases[j] are H[j] (k, 2, n, n) or H[j] (k, n, n)
+        # zero components under stacked compressions of one rank, each base keeping its own positive count; the
+        # points of bases[j] are H[j] (2, n, n)
         bases, H = A.reshape(-1, n, n), np.stack([X, 100.0 * Y], axis=-3).reshape(-1, 2, n, n)
-        inside = localiso._in_zero_components(bases, H, tol)
-        assert inside.shape == H.shape[:-2]
-        verdicts.update(inside.flat)
-        assert localiso._in_zero_components(bases, H[:, 1], tol).tolist() == inside[:, 1].tolist()
-        for j, (B, points) in enumerate(zip(bases, H)):
-            assert inside[j].tolist() == [in_zero_component(B, P, tol) for P in points]
-        # compressions of one rank stack too, each base keeping its own positive count
-        rank = localiso._range_compression(bases[0], tol)[1].size
-        same = [j for j, B in enumerate(bases) if localiso._range_compression(B, tol)[1].size == rank]
-        V, lam = (np.stack(c) for c in zip(*(localiso._range_compression(bases[j], tol) for j in same)))
-        mapped = localiso._order_iso_apply(bases[same], (V, lam), X.reshape(-1, n, n)[same], tol)
-        for row, j in enumerate(same):
-            assert np.array_equal(mapped[row], order_iso_apply(bases[j], X.reshape(-1, n, n)[j], tol))
+        points = X.reshape(-1, n, n)
+        compressions = [localiso._range_compression(B, tol) for B in bases]
+        for rank in {lam.size for _, lam in compressions}:
+            same = [j for j, (_, lam) in enumerate(compressions) if lam.size == rank]
+            V, lam = (np.stack(c) for c in zip(*(compressions[j] for j in same)))
+            inside = localiso._in_zero_component((V[:, None], lam[:, None]), H[same], tol)
+            assert inside.shape == (len(same), 2)
+            verdicts.update(inside.flat)
+            assert localiso._in_zero_component((V, lam), H[same, 1], tol).tolist() == inside[:, 1].tolist()
+            mapped = localiso._order_iso_apply(bases[same], (V, lam), points[same], tol)
+            for row, j in enumerate(same):
+                assert inside[row].tolist() == [in_zero_component(bases[j], P, tol) for P in H[j]]
+                assert np.array_equal(mapped[row], order_iso_apply(bases[j], points[j], tol))
     assert verdicts == {True, False}
 
 
@@ -969,7 +970,23 @@ def test_a_stack_of_bases_refuses_its_second_members_point_outside_the_zero_comp
     X = np.array([0.1 * np.eye(2), np.diag([-2.0, 0.1])], dtype=complex)
     with pytest.raises(DomainViolationError) as single:
         order_iso_apply(A[1], X[1])
-    assert localiso._in_zero_components(A, X, DEFAULT_TOL).tolist() == [True, False]
     V, lam = (np.stack(c) for c in zip(*(localiso._range_compression(B, DEFAULT_TOL) for B in A)))
+    # one positive eigenvalue in the first base, two in the second: each member decides on its own count
+    assert localiso._in_zero_component((V, lam), X, DEFAULT_TOL).tolist() == [True, False]
     with pytest.raises(DomainViolationError, match=f"^{single.value}$"):
         localiso._order_iso_apply(A, (V, lam), X, DEFAULT_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_negated_compression_decides_as_the_negated_base(n, zero, seed):
+    # (V, -lam) is -A's compression: A's kept eigenvectors and A's cut, since |-lam| = |lam|; on mixed-rank bases,
+    # the zero base and singular ones included, it gives the verdicts of -A's own compression at every scale, alone
+    # and as a stack of one compression
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n), dtype=complex) if zero else _base_stack(rng, (), n)
+    H = _gaussian_hermitians(rng, (5, 4), n) * np.array([0.01, 0.1, 1.0, 10.0, 100.0])[:, None, None, None]
+    V, lam = localiso._range_compression(A, DEFAULT_TOL)
+    want = localiso._in_zero_component(localiso._range_compression(-A, DEFAULT_TOL), H, DEFAULT_TOL).tolist()
+    assert localiso._in_zero_component((V, -lam), H, DEFAULT_TOL).tolist() == want
+    assert localiso._in_zero_component((V[None], -lam[None]), H, DEFAULT_TOL).tolist() == want

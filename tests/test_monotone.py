@@ -18,7 +18,7 @@ from matorder.linalg import (_check_guard, _eigh, _eigvalsh, _hermitian_opnorms,
 from matorder.monotone import (
     LOEWNER_MATRIX_CUT,
     MonotoneReport,
-    _divided_difference,
+    _loewner_matrices,
     _pchip,
     _sample_window,
     PickRepresentation,
@@ -32,13 +32,18 @@ from matorder.sampling import random_half_plane, random_hermitian_with_spectrum,
 
 
 def test_divided_difference_closed_forms():
-    # oracle: (x^2 - y^2)/(x - y) = x + y, and the derivative on the diagonal
+    # oracle: (x^2 - y^2)/(x - y) = x + y, and the derivative on the diagonal; the divided difference over (x, y) is
+    # the (0, 1) entry of the Loewner matrix over the node row (x, y), equal nodes included, which loewner_matrix
+    # refuses
+    def divided_difference(f, x, y):
+        return float(_loewner_matrices(f, np.array([[x, y]]))[0, 0, 1])
+
     square = builtin_function("square")
-    assert _divided_difference(square, 2.0, 5.0) == pytest.approx(7.0)
-    assert _divided_difference(square, 3.0, 3.0) == pytest.approx(6.0)
+    assert divided_difference(square, 2.0, 5.0) == pytest.approx(7.0)
+    assert divided_difference(square, 3.0, 3.0) == pytest.approx(6.0)
     sqrt = builtin_function("sqrt")
-    assert _divided_difference(sqrt, 1.0, 4.0) == pytest.approx(1.0 / 3.0)
-    assert _divided_difference(sqrt, 4.0, 4.0) == pytest.approx(0.25)
+    assert divided_difference(sqrt, 1.0, 4.0) == pytest.approx(1.0 / 3.0)
+    assert divided_difference(sqrt, 4.0, 4.0) == pytest.approx(0.25)
 
 
 def test_loewner_matrix_square_entrywise():
@@ -333,6 +338,20 @@ def test_pick_eval_maps_half_plane_to_half_plane():
         W = pick_eval(rep, Z)
         lam = float(np.linalg.eigvalsh(herm_part((W - W.conj().T) / 2j))[0])
         assert lam > 0.0
+
+
+def test_pick_eval_takes_a_complex_scalar_as_the_1x1_point_it_is():
+    # it used to evaluate a non-real scalar at its real part, and to return a value below the real axis
+    rep = PickRepresentation(c=0.0, d=1.0, atoms=((2.0, 1.0),), interval=(-1.0, 1.0))
+    z = 0.3 + 0.5j
+    got = pick_eval(rep, z)
+    # oracle: z + (1 + 2z)/(2 - z), by hand
+    assert isinstance(got, complex) and got == pytest.approx(z + (1.0 + 2.0 * z) / (2.0 - z), rel=1e-12)
+    assert got == pick_eval(rep, np.array([[z]]))[0, 0]
+    # a real scalar keeps the interval route, and a complex one with no imaginary part is real
+    assert pick_eval(rep, 0.3 + 0j) == pick_eval(rep, 0.3) == pytest.approx(0.3 + 1.6 / 1.7, rel=1e-12)
+    with pytest.raises(DomainViolationError, match="^argument must be scalar, Hermitian, or a half-plane point$"):
+        pick_eval(rep, 0.3 - 0.5j)
 
 
 def test_pick_eval_guards_scalar_domain():

@@ -267,31 +267,64 @@ def test_interval_criterion_takes_both_branches():
 
 @pytest.mark.parametrize("name", ["order-embedding", "interval-criterion", "congruence-orbit"])
 def test_suites_compress_each_base_once(monkeypatch, name):
-    # order-embedding's sampler (up to 300 membership tests, in stacks) compresses the base once (its stacked
-    # checks compress each dimension group's bases and negated bases with one eigh each, through
-    # _in_zero_components, which this count does not see); interval-criterion's membership check,
-    # interval stack and witness share one, as do congruence-orbit's gate and shrinks (its orbit factor
-    # takes none); the public predicate still compresses its base once per call
-    seen = []
-    kernel = localiso._range_compression
+    # one eigh, stacked or not, decomposes each trial's base or its negation once: order-embedding's draw compresses
+    # the base for its X gate (up to 300 membership tests, in stacks), and its stacked checks read the compressions
+    # of the base and of its negation off that one; interval-criterion's membership check, interval stack and witness
+    # share one, as do congruence-orbit's gate and shrinks (its orbit factor takes none); the public predicate still
+    # compresses its base once per call
+    bases, decomposed = set(), []
+    compress, eigh = localiso._range_compression, np.linalg.eigh
 
-    def counting(base, tol):
-        seen.append(base.tobytes())
-        return kernel(base, tol)
+    def compressing(base, tol):
+        bases.update((base.tobytes(), (-base).tobytes()))
+        return compress(base, tol)
 
-    monkeypatch.setattr(shear, "_range_compression", counting)
-    monkeypatch.setattr(localiso, "_range_compression", counting)
+    def decomposing(S, *args, **kwargs):  # every member of every eigh call
+        decomposed.extend(M.tobytes() for M in np.reshape(S, (-1,) + np.shape(S)[-2:]))
+        return eigh(S, *args, **kwargs)
+
+    monkeypatch.setattr(shear, "_range_compression", compressing)
+    monkeypatch.setattr(localiso, "_range_compression", compressing)
+    monkeypatch.setattr(np.linalg, "eigh", decomposing)
     report = run_suite(name, seed=1, trials=40)
     assert report.passed
-    if name == "interval-criterion":
-        # one compression per trial; at seed 1 two of the 40 trials draw the same zero 2x2 base
-        assert len(seen) == 40
-    else:
-        # each of the 40 trials draws a base of its own (at default trials several draw the zero base)
-        assert 40 <= len(seen) == len(set(seen))
-    seen.clear()
+    # at seed 1 two of interval-criterion's trials draw the same zero 2x2 base, each decomposed by its own trial
+    assert sum(M in bases for M in decomposed) == 40
+    decomposed.clear()
     localiso.in_zero_component(np.diag([1.0, -0.5]), 0.1 * np.eye(2))
-    assert len(seen) == 1
+    assert len(decomposed) == 1
+
+
+def test_order_embedding_stops_at_a_refused_pulled_back_pair(monkeypatch):
+    # the stacked finish gates each trial's images under the negated base on (V, -lam), and the record loop calls the
+    # raising kernel on that compression: a refusal planted for trial 5's negated compression stops the suite with
+    # the per-trial message, once trials 0-5 are recorded (trial 5's forward pair included)
+    chosen, compressions = 5, []
+    compress, kernel = shear._range_compression, localiso._in_zero_component
+
+    def compressing(base, tol):  # called once per trial by the draw, in trial order
+        compressions.append(compress(base, tol))
+        return compressions[-1]
+
+    def refusing(compression, H, tol):
+        inside, lam = kernel(compression, H, tol), compression[1]
+        if len(compressions) > chosen and lam.shape[-1] == compressions[chosen][1].size:
+            planted = np.all(lam == -compressions[chosen][1], axis=-1)
+            inside = inside & ~np.broadcast_to(planted, np.shape(inside))
+        return inside
+
+    monkeypatch.setattr(shear, "_range_compression", compressing)
+    monkeypatch.setattr(shear, "_in_zero_component", refusing)
+    monkeypatch.setattr(localiso, "_in_zero_component", refusing)
+    checked, check = [], suites._Recorder.check
+    monkeypatch.setattr(suites._Recorder, "check",
+                        lambda self, ok, t, *a, **w: (checked.append(t), check(self, ok, t, *a, **w))[1])
+    report = run_suite("order-embedding", seed=3, trials=12)
+    assert compressions[chosen][1].size > 0  # a base of rank 0 has the whole space as its zero component
+    assert report.failures[-1] == {"trial": -1, "description": "suite stopped by DomainViolationError: "
+                                   "X is outside the zero component of this base", "witnesses": {}}
+    assert checked[-1] == chosen and set(checked) <= set(range(chosen + 1))
+    assert len(set(checked)) + report.details["skipped"] == chosen + 1
 
 
 def test_theta_inversion_records_a_refused_mirrored_image(monkeypatch):
